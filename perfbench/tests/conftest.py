@@ -1,0 +1,11 @@
+"""Make the checkout's package and the harness importable for these tests.
+
+Run from the repository root with ``python3 -m pytest perfbench/tests``.
+"""
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+for path in (ROOT, ROOT / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
