@@ -71,6 +71,7 @@ from .spectral import (
     sample_sets,
     singleton_mass,
     spectral_measure_of,
+    straddle_mass,
 )
 from .structure import (
     AdditiveIntegral,
@@ -106,7 +107,5 @@ from .whitenoise import (
     orthogonality_check,
     sample_paths,
 )
-
-measure_product = product
 
 __version__ = "0.1.0"

@@ -17,7 +17,7 @@ import numpy as np
 
 from ._rng import default_workers
 from .functionals import BackendError, NoiseFunctional, random_functional
-from .grid import ElementarySet, GridMismatchError, TimeGrid, left_of, right_of
+from .grid import ElementarySet, GridMismatchError, TimeGrid
 from .serialize import (
     FormatError,
     finish_manifest,
@@ -39,6 +39,7 @@ from .spectral import (
     sample_sets,
     singleton_mass,
     spectral_measure_of,
+    straddle_mass,
 )
 from .structure import classify, interior_cut_distances
 from .transform import conditional_expectation, decompose
@@ -272,10 +273,7 @@ def cmd_factor_check(args) -> int:
     if 0 < cut < n:
         # for an exact product the straddling mass is the product of the
         # factor variances, so it vanishes only when a factor is constant
-        mu = spectral_measure_of(f)
-        straddle = mu.total_mass - mass_of_subsets_of(mu, left_of(f.grid, cut)) \
-            - mass_of_subsets_of(mu, right_of(f.grid, cut)) + mu.empty_atom
-        verdict["straddling_mass"] = float(straddle)
+        verdict["straddling_mass"] = straddle_mass(spectral_measure_of(f), cut)
     print(f"exact-product: {'true' if verdict['exact_product'] else 'false'}")
     if args.out:
         write_json(args.out, {"schema_version": "1", **verdict})

@@ -34,6 +34,7 @@ from .kernels import SimplexKernel, iterated_sum
 from .walsh import (
     DENSE_CELL_CAP,
     character_coefficients,
+    mask_of_cells,
     omega_index,
     values_from_coefficients,
 )
@@ -300,10 +301,7 @@ def _dense_walsh_vector(grid: TimeGrid, b: ChaosCoefficients) -> np.ndarray:
         raise ValueError(f"dense expansion capped at {DENSE_CELL_CAP} cells, got {n}")
     dense = np.zeros(1 << n)
     for ix, c in b.entries.items():
-        m = 0
-        for cell in ix:
-            m |= 1 << cell
-        dense[m] = c
+        dense[mask_of_cells(ix)] = c
     return dense
 
 

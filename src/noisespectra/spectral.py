@@ -17,21 +17,22 @@ object that samples sets exactly and answers restricted-mass queries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Protocol
+from functools import cached_property
+from itertools import chain
+from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
-from .chaos import HERMITE, ChaosCoefficients, index_has_multiplicity, index_support
+from .chaos import ChaosCoefficients, index_has_multiplicity, index_support
 from .functionals import (
     BackendError,
-    BrownianProgram,
     FamilyRef,
     NoiseFunctional,
     joined_grid,
 )
 from .grid import ElementarySet, GridMismatchError, TimeGrid
 from .transform import decompose
-from .walsh import DENSE_CELL_CAP
+from .walsh import DENSE_CELL_CAP, mask_of_cells
 
 
 @dataclass(frozen=True)
@@ -79,24 +80,68 @@ class SpectralModel(Protocol):
     def sample(self, k: int, seed: int) -> list[tuple[int, ...]]: ...
 
 
-@dataclass(eq=False)
+def _rows(keys: Sequence[tuple[int, ...]], n_words: int) -> np.ndarray:
+    """One row of 64-bit words per cell set: cell c is bit c % 64 of word c // 64."""
+    sizes = np.fromiter(map(len, keys), dtype=np.intp, count=len(keys))
+    cells = np.fromiter(chain.from_iterable(keys), dtype=np.intp, count=int(sizes.sum()))
+    rows = np.zeros((len(keys), n_words), dtype=np.uint64)
+    owner = np.repeat(np.arange(len(keys)), sizes)
+    np.bitwise_or.at(rows, (owner, cells // 64), np.uint64(1) << (cells % 64).astype(np.uint64))
+    return rows
+
+
+def _words(mask: int, n_words: int) -> np.ndarray:
+    """A cell bitmask as a single row in the layout of `_rows`."""
+    return np.array([[(mask >> (64 * w)) & 0xFFFF_FFFF_FFFF_FFFF for w in range(n_words)]],
+                    dtype=np.uint64)
+
+
+@dataclass(frozen=True)
+class _AtomTable:
+    """Every atom of a dense measure once, in (cardinality, cells) order.
+
+    Plain atoms come first, then multiplicity atoms.  Row i packs the cells
+    of keys[i] as `_rows` lays them out, so every set query is one masked
+    sum over `mass`.
+    """
+
+    keys: tuple[tuple[int, ...], ...]
+    rows: np.ndarray
+    mass: np.ndarray
+    n_plain: int
+
+    def inside(self, mask: int) -> np.ndarray:
+        return ((self.rows & ~_words(mask, self.rows.shape[1])) == 0).all(axis=1)
+
+    def meeting(self, mask: int) -> np.ndarray:
+        return (self.rows & _words(mask, self.rows.shape[1])).any(axis=1)
+
+    def plain_sizes(self) -> np.ndarray:
+        return np.bitwise_count(self.rows[: self.n_plain]).sum(axis=1, dtype=np.intp)
+
+    def select(self, picks: np.ndarray) -> tuple[dict, dict]:
+        """Plain and multiplicity entries of the picked atoms, masses bit-exact."""
+        plain, mult = {}, {}
+        for i, v in zip(picks.tolist(), self.mass[picks].tolist()):
+            (plain if i < self.n_plain else mult)[self.keys[i]] = v
+        return plain, mult
+
+
+@dataclass(frozen=True, eq=False)
 class SpectralMeasure:
     grid: TimeGrid
     entries: dict[tuple[int, ...], float] | None
     multiplicity_entries: dict[tuple[int, ...], float] = field(default_factory=dict)
     residual: float = 0.0
     model: SpectralModel | None = None
-    _masks: np.ndarray | None = field(default=None, repr=False)
-    _masses: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if (self.entries is None) == (self.model is None):
             raise ValueError("exactly one of entries/model must be present")
         if self.entries is not None:
-            self.entries = {k: v for k, v in self.entries.items() if v != 0.0}
-            self.multiplicity_entries = {
-                k: v for k, v in self.multiplicity_entries.items() if v != 0.0
-            }
+            for name in ("entries", "multiplicity_entries"):
+                kept = {k: v for k, v in getattr(self, name).items() if v != 0.0}
+                object.__setattr__(self, name, kept)
 
     # -- totals ---------------------------------------------------------------
     @property
@@ -106,13 +151,13 @@ class SpectralMeasure:
     @property
     def multiplicity_mass(self) -> float:
         if self.is_dense:
-            return float(sum(self.multiplicity_entries.values()))
+            return float(self._atoms.mass[self._atoms.n_plain :].sum())
         return getattr(self.model, "multiplicity_mass", 0.0)
 
     @property
     def total_mass(self) -> float:
         if self.is_dense:
-            return float(sum(self.entries.values())) + self.multiplicity_mass + self.residual
+            return float(self._atoms.mass.sum()) + self.residual
         return self.model.total_mass
 
     @property
@@ -135,26 +180,23 @@ class SpectralMeasure:
         if not self.is_dense:
             raise BackendError(f"{what} needs a dense measure; this one is sampler-backed")
 
-    def _cached_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._masks is None:
-            if self.grid.n_cells > 63:
-                raise OverflowError("bitmask cache limited to 63 cells")
-            keys = sorted(self.entries, key=lambda t: (len(t), t))
-            masks = np.zeros(len(keys), dtype=np.uint64)
-            masses = np.zeros(len(keys))
-            for i, key in enumerate(keys):
-                m = 0
-                for c in key:
-                    m |= 1 << c
-                masks[i] = m
-                masses[i] = self.entries[key]
-            object.__setattr__(self, "_masks", masks)
-            object.__setattr__(self, "_masses", masses)
-        return self._masks, self._masses
+    def _require_resolved(self, what: str) -> None:
+        if self.residual > 1e-9 * max(self.total_mass, 1e-300):
+            raise BackendError(f"cannot {what} a measure with unresolved truncation residual")
+
+    # built once, on the first dense query; the entry dicts must not change after
+    @cached_property
+    def _atoms(self) -> _AtomTable:
+        # sorted by cells, then stably by size: (cardinality, cells) order
+        plain, mult = (sorted(sorted(d), key=len) for d in (self.entries, self.multiplicity_entries))
+        keys = tuple(plain + mult)
+        rows = _rows(keys, max(1, -(-self.grid.n_cells // 64)))
+        mass = [self.entries[k] for k in plain] + [self.multiplicity_entries[k] for k in mult]
+        return _AtomTable(keys, rows, np.array(mass, dtype=np.float64), len(plain))
 
     def sorted_items(self) -> list[tuple[tuple[int, ...], float]]:
         self._require_dense("enumeration")
-        return sorted(self.entries.items(), key=lambda kv: (len(kv[0]), kv[0]))
+        return [(k, self.entries[k]) for k in self._atoms.keys[: self._atoms.n_plain]]
 
 
 # ---------------------------------------------------------------------------
@@ -201,37 +243,41 @@ def mass_of_subsets_of(mu: SpectralMeasure, region: ElementarySet) -> float:
         if hasattr(mu.model, "subset_mass"):
             return mu.model.subset_mass(frozenset(region.cells()))
         raise BackendError("sampler-backed measure lacks a subset-mass rule")
-    if mu.grid.n_cells <= 63:
-        masks, masses = mu._cached_arrays()
-        inside = (masks & ~np.uint64(region.mask())) == 0
-        total = float(masses[inside].sum())
-    else:
-        cells = set(region.cells())
-        total = float(
-            sum(v for k, v in mu.entries.items() if set(k) <= cells)
-        )
-    total += sum(v for k, v in mu.multiplicity_entries.items() if set(k) <= set(region.cells()))
-    return total
+    t = mu._atoms
+    return float(t.mass[t.inside(region.mask())].sum())
+
+
+def straddle_mass(mu: SpectralMeasure, boundary: int) -> float:
+    """mu{C : C has cells on both sides of the boundary}, plus the unlocated residual."""
+    # summed directly: the subtraction route (total - left - right + empty)
+    # leaves float residue whose square root dwarfs exact-identity tolerances
+    mu._require_dense("straddle mass")
+    t = mu._atoms
+    left = (1 << boundary) - 1
+    right = ((1 << mu.grid.n_cells) - 1) ^ left
+    return float(t.mass[t.meeting(left) & t.meeting(right)].sum()) + mu.residual
 
 
 def mass_meeting_interval(mu: SpectralMeasure, lo, hi) -> float:
     """mu{C : C touches the open time interval (lo, hi)}, multiplicity included."""
-    touched = set(mu.grid.cells_meeting_open_interval(lo, hi))
+    touched = mu.grid.cells_meeting_open_interval(lo, hi)
     mu._require_dense("interval mass")
-    total = sum(v for k, v in mu.entries.items() if touched.intersection(k))
-    total += sum(v for k, v in mu.multiplicity_entries.items() if touched.intersection(k))
-    return float(total)
+    t = mu._atoms
+    return float(t.mass[t.meeting(mask_of_cells(touched))].sum())
 
 
 def restrict(mu: SpectralMeasure, region: ElementarySet) -> SpectralMeasure:
-    """Measure of the projected functional: keep sets inside the region."""
+    """Measure of the projected functional: keep sets inside the region.
+
+    The truncation residual has no location, so a measure carrying one is
+    refused rather than restricted.
+    """
     if mu.grid != region.grid:
         raise GridMismatchError("measure and region live on different grids")
     mu._require_dense("restriction")
-    cells = set(region.cells())
-    kept = {k: v for k, v in mu.entries.items() if set(k) <= cells}
-    kept_mult = {k: v for k, v in mu.multiplicity_entries.items() if set(k) <= cells}
-    return SpectralMeasure(mu.grid, kept, kept_mult, residual=0.0)
+    mu._require_resolved("restrict")
+    t = mu._atoms
+    return SpectralMeasure(mu.grid, *t.select(np.flatnonzero(t.inside(region.mask()))))
 
 
 def product(
@@ -279,8 +325,8 @@ def n_point_marginal(mu: SpectralMeasure, n: int) -> SpectralMeasure:
     if n < 0:
         raise ValueError("marginal order must be nonnegative")
     if mu.is_dense:
-        kept = {k: v for k, v in mu.entries.items() if len(k) == n}
-        return SpectralMeasure(mu.grid, kept)
+        t = mu._atoms
+        return SpectralMeasure(mu.grid, t.select(np.flatnonzero(t.plain_sizes() == n))[0])
     profile = mu.model.cardinality_profile()
     raise BackendError(
         f"sampler-backed measures expose cardinality totals only; "
@@ -291,17 +337,17 @@ def n_point_marginal(mu: SpectralMeasure, n: int) -> SpectralMeasure:
 def singleton_mass(mu: SpectralMeasure) -> float:
     """Total mass on one-cell sets: the squared norm of the first chaos part."""
     if mu.is_dense:
-        return float(sum(v for k, v in mu.entries.items() if len(k) == 1))
+        return cardinality_profile(mu).get(1, 0.0)
     return mu.model.singleton_mass()
 
 
 def cardinality_profile(mu: SpectralMeasure) -> dict[int, float]:
     """Mass per set size; multiplicity mass is excluded and reported apart."""
     if mu.is_dense:
-        out: dict[int, float] = {}
-        for k, v in mu.entries.items():
-            out[len(k)] = out.get(len(k), 0.0) + v
-        return dict(sorted(out.items()))
+        t = mu._atoms
+        sizes = t.plain_sizes()
+        plain = t.mass[: t.n_plain]
+        return {int(k): float(plain[sizes == k].sum()) for k in np.unique(sizes)}
     return dict(sorted(mu.model.cardinality_profile().items()))
 
 
@@ -321,17 +367,14 @@ def sample_sets(source, k: int, seed: int) -> list[SpectralSet]:
         raise ValueError("sample count must be nonnegative")
     if not mu.is_dense:
         return [SpectralSet(mu.grid, cells) for cells in mu.model.sample(k, seed)]
-    if mu.residual > 1e-9 * max(mu.total_mass, 1e-300):
-        raise BackendError("cannot sample a measure with unresolved truncation residual")
-    atoms = sorted(mu.entries.items(), key=lambda kv: (len(kv[0]), kv[0]))
-    atoms += sorted(mu.multiplicity_entries.items(), key=lambda kv: (len(kv[0]), kv[0]))
-    masses = np.array([v for _, v in atoms])
-    cdf = np.cumsum(masses)
-    if cdf[-1] <= 0:
+    mu._require_resolved("sample")
+    t = mu._atoms
+    cdf = np.cumsum(t.mass)
+    if not cdf.size or cdf[-1] <= 0:
         raise ValueError("measure has no mass to sample")
     from ._rng import worker_generator
 
     rng = worker_generator(seed, 0)
     picks = np.searchsorted(cdf, rng.uniform(0.0, cdf[-1], size=k), side="right")
-    picks = np.minimum(picks, len(atoms) - 1)
-    return [SpectralSet(mu.grid, atoms[int(i)][0]) for i in picks]
+    picks = np.minimum(picks, len(t.keys) - 1)
+    return [SpectralSet(mu.grid, t.keys[i]) for i in picks.tolist()]

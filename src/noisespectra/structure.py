@@ -27,6 +27,7 @@ from .spectral import (
     cardinality_profile,
     singleton_mass,
     spectral_measure_of,
+    straddle_mass,
 )
 from .transform import decompose, level_projection
 
@@ -117,24 +118,7 @@ def _cut_distance_at(mu: SpectralMeasure, boundary: int) -> float:
     if boundary <= 0 or boundary >= n:
         return 0.0
     if mu.is_dense:
-        # sum the straddling sets directly: the subtraction route leaves
-        # float residue whose square root dwarfs exact-identity tolerances
-        if n <= 63:
-            masks, masses = mu._cached_arrays()
-            left_bits = np.uint64((1 << boundary) - 1)
-            right_bits = np.uint64(((1 << n) - 1) ^ int(left_bits))
-            hit = ((masks & left_bits) != 0) & ((masks & right_bits) != 0)
-            straddle = float(masses[hit].sum())
-        else:
-            straddle = float(
-                sum(v for k, v in mu.entries.items()
-                    if k and k[0] < boundary <= k[-1])
-            )
-        straddle += sum(
-            v for k, v in mu.multiplicity_entries.items()
-            if k and k[0] < boundary <= k[-1]
-        )
-        straddle += mu.residual
+        straddle = straddle_mass(mu, boundary)
     else:
         left = mu.model.prefix_mass(boundary)
         right = mu.model.subset_mass(frozenset(range(boundary, n)))

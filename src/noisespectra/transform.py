@@ -31,6 +31,7 @@ from .functionals import (
     MapTerm,
     NoiseFunctional,
     RademacherTable,
+    _dense_walsh_vector,
     _factor_moments,
     evaluate_table,
     hermite_decompose,
@@ -38,7 +39,6 @@ from .functionals import (
 from .grid import ElementarySet, TimeGrid, require_same_grid
 from .kernels import SimplexKernel
 from .walsh import (
-    DENSE_CELL_CAP,
     cells_of_mask,
     character_coefficients,
     popcount,
@@ -70,15 +70,7 @@ def decompose(f: NoiseFunctional, tol: float | None = None) -> ChaosCoefficients
 def reconstruct(c: ChaosCoefficients) -> NoiseFunctional:
     """Functional with the given expansion; a value table on the Walsh side."""
     if c.kind == WALSH:
-        n = c.grid.n_cells
-        if n > DENSE_CELL_CAP:
-            raise ValueError(f"dense reconstruction capped at {DENSE_CELL_CAP} cells")
-        dense = np.zeros(1 << n)
-        for ix, coeff in c.entries.items():
-            m = 0
-            for cell in ix:
-                m |= 1 << cell
-            dense[m] = coeff
+        dense = _dense_walsh_vector(c.grid, c)
         return NoiseFunctional.from_table(c.grid, values_from_coefficients(dense))
     return NoiseFunctional.from_chaos(c)
 

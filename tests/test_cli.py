@@ -121,6 +121,23 @@ def test_factor_check_verdicts(tmp_path, rng, capsys):
     assert "exact-product: false" in capsys.readouterr().out
 
 
+def test_factor_check_additive_functional_has_no_straddling_mass(tmp_path):
+    # constant plus singletons: no spectral set meets both sides of any cut,
+    # so the straddling mass is exactly zero, not float residue
+    grid = TimeGrid(0, 1, 1, base=12)
+    out = tmp_path / "verdict.json"
+    for seed in range(5):
+        r = np.random.default_rng(seed)
+        entries = {(): float(r.standard_normal())}
+        entries.update({(i,): float(r.standard_normal()) for i in range(12)})
+        f = NoiseFunctional.from_walsh_entries(grid, entries)
+        path = dump_functional(tmp_path / f"additive{seed}.json", f)
+        for b in range(1, 12):
+            assert run("factor-check", "--in", path, "--cut", str(grid.boundary(b)),
+                       "--out", str(out)) == 0
+            assert read_json(str(out))["straddling_mass"] == 0.0
+
+
 def test_cuts_csv(chi01, tmp_path):
     out = tmp_path / "cuts.csv"
     assert run("cuts", "--in", chi01, "--out", str(out)) == 0

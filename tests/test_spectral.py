@@ -13,6 +13,7 @@ from noisespectra import (
     TimeGrid,
     cardinality_profile,
     conditional_expectation,
+    cut_distance,
     decompose,
     is_absolutely_continuous,
     mass_meeting_interval,
@@ -24,6 +25,7 @@ from noisespectra import (
     sample_sets,
     singleton_mass,
     spectral_measure_of,
+    straddle_mass,
     tensor_product,
 )
 from noisespectra.functionals import norm_sq
@@ -65,7 +67,7 @@ def test_subset_mass_equals_projection_norm(mask, seed):
 
 
 def test_subset_mass_routes_agree(rng):
-    # bitmask cache against direct set inclusion
+    # atom table against direct set inclusion
     f = random_functional(GRID, rng)
     mu = spectral_measure_of(f)
     region = region_of(0b1100101)
@@ -209,3 +211,79 @@ def test_sampler_rejects_residual():
 def test_zero_mass_entries_dropped():
     mu = SpectralMeasure(GRID, {(0,): 0.0, (1,): 2.0})
     assert set(mu.entries) == {(1,)}
+
+
+def test_restrict_rejects_residual():
+    # the residual has no location, so no region can claim it
+    from noisespectra.chaos import ChaosCoefficients, HERMITE
+
+    grid = TimeGrid(0, 1, 1)
+    mu = measure_from_coefficients(
+        ChaosCoefficients(grid, {((0, 0, 1),): 1.0}, kind=HERMITE, residual=0.3)
+    )
+    with pytest.raises(BackendError):
+        restrict(mu, ElementarySet.from_cells(grid, [0, 1]))
+
+
+def test_measure_is_immutable():
+    from dataclasses import FrozenInstanceError
+
+    mu = SpectralMeasure(GRID, {(1,): 2.0})
+    with pytest.raises(FrozenInstanceError):
+        mu.residual = 1.0
+
+
+def test_dense_queries_above_64_cells(rng):
+    """Every dense query on a 128-cell grid against loops over the entries."""
+    from fractions import Fraction
+
+    from noisespectra.chaos import ChaosCoefficients, HERMITE
+
+    grid = TimeGrid(0, 1, 7)
+    n = grid.n_cells
+    indices = [
+        (),
+        ((3, 0, 1),), ((63, 0, 1),), ((64, 0, 1),), ((100, 0, 1),),
+        ((63, 0, 1), (64, 0, 1)), ((10, 0, 1), (120, 0, 1)),
+        ((0, 0, 1), (63, 0, 1)), ((64, 0, 1), (127, 0, 1)),
+        ((5, 0, 1), (70, 0, 1), (127, 0, 1)),
+        # multiplicity entries: a cell carrying total degree >= 2
+        ((20, 0, 2),), ((64, 0, 2),), ((63, 0, 1), (64, 0, 2)), ((70, 0, 3), (71, 0, 1)),
+    ]
+    coeffs = ChaosCoefficients(
+        grid, {ix: float(c) for ix, c in zip(indices, rng.standard_normal(len(indices)))},
+        kind=HERMITE,
+    )
+    mu = measure_from_coefficients(coeffs)
+    assert len(mu.multiplicity_entries) == 4
+    atoms = list(mu.entries.items()) + list(mu.multiplicity_entries.items())
+
+    regions = [range(64), range(64, n), range(n), [3, 10, 20, 63, 64, 70, 71, 100, 120, 127]]
+    for cells in regions:
+        region = ElementarySet.from_cells(grid, cells)
+        inside = set(cells)
+        want = sum(v for k, v in atoms if set(k) <= inside)
+        assert_allclose(mass_of_subsets_of(mu, region), want, rtol=1e-12)
+        kept = restrict(mu, region)
+        assert kept.entries == {k: v for k, v in mu.entries.items() if set(k) <= inside}
+        assert kept.multiplicity_entries == {
+            k: v for k, v in mu.multiplicity_entries.items() if set(k) <= inside
+        }
+
+    for b in (1, 10, 63, 64, 65, 100, 127):
+        want = sum(v for k, v in atoms if k and k[0] < b <= k[-1])
+        assert_allclose(straddle_mass(mu, b), want, rtol=1e-12, atol=1e-300)
+        assert_allclose(cut_distance(mu, grid.boundary(b)), np.sqrt(want), rtol=1e-12)
+
+    for lo, hi in ((Fraction(60, n), Fraction(66, n)), (Fraction(0), Fraction(1, 2)),
+                   (Fraction(1, 2), Fraction(1))):
+        touched = set(grid.cells_meeting_open_interval(lo, hi))
+        want = sum(v for k, v in atoms if touched & set(k))
+        assert_allclose(mass_meeting_interval(mu, lo, hi), want, rtol=1e-12)
+
+    profile: dict = {}
+    for k, v in mu.entries.items():
+        profile[len(k)] = profile.get(len(k), 0.0) + v
+    got = cardinality_profile(mu)
+    assert list(got) == sorted(profile)
+    assert_allclose([got[k] for k in got], [profile[k] for k in got], rtol=1e-12)
