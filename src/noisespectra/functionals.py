@@ -19,6 +19,7 @@ from typing import Iterable, NamedTuple, Union
 
 import numpy as np
 
+from ._mc import moments, stream_moments
 from .chaos import (
     HERMITE,
     WALSH,
@@ -62,9 +63,6 @@ def _poly(params):
 
     return fn
 
-
-# path block size for streaming Monte Carlo loops
-_MC_CHUNK = 8192
 
 MAP_REGISTRY = {
     "poly": _poly,
@@ -403,7 +401,9 @@ def inner_product_mc(
     """Monte Carlo inner product over Gaussian increments, with standard error.
 
     Bit-reproducible for a fixed (seed, workers) pair: each worker owns a
-    Philox substream and a fixed contiguous chunk of the sample budget.
+    Philox substream and a fixed contiguous chunk of the sample budget, and
+    runs on its own thread.  The standard error comes from merged per-chunk
+    (count, mean, M2), so a large mean does not cancel it away.
     """
     require_same_grid(f.grid, g.grid)
     for h in (f, g):
@@ -411,26 +411,18 @@ def inner_product_mc(
             backend_kind(h) == "chaos" and h.backend.kind != HERMITE
         ):
             raise BackendError("MC inner products pair Brownian programs or Hermite expansions")
-    from ._rng import chunk_bounds, worker_generator
+
+    def on_chunk(blocks):
+        parts = []
+        for inc in blocks:
+            v = _values_on_increments(f, inc)
+            parts.append(v * v if g is f else v * _values_on_increments(g, inc))
+        return moments(np.concatenate(parts))
 
     d = max(getattr(f.backend, "channels", 1), getattr(g.backend, "channels", 1))
     scale = math.sqrt(float(f.grid.cell_length))
-    n = f.grid.n_cells
-    total = 0.0
-    total_sq = 0.0
-    for w, (lo, hi) in enumerate(chunk_bounds(samples, workers)):
-        rng = worker_generator(seed, w)
-        # fixed sub-chunk size bounds memory; one sequential stream per worker,
-        # so the split does not change the drawn values
-        for start in range(lo, hi, _MC_CHUNK):
-            rows = min(_MC_CHUNK, hi - start)
-            inc = rng.standard_normal((rows, n, d)) * scale
-            vals = _values_on_increments(f, inc) * _values_on_increments(g, inc)
-            total += float(vals.sum())
-            total_sq += float((vals * vals).sum())
-    mean = total / samples
-    var = max(total_sq / samples - mean * mean, 0.0)
-    return MCEstimate(mean, math.sqrt(var / samples), samples)
+    total, m2 = stream_moments(samples, seed, workers, f.grid.n_cells, d, scale, on_chunk)
+    return MCEstimate(float(total) / samples, math.sqrt(m2 / samples / samples), samples)
 
 
 def _values_on_increments(f: NoiseFunctional, inc: np.ndarray) -> np.ndarray:
@@ -584,7 +576,10 @@ def hermite_decompose(
 
     exact = program_norm_sq(grid, p)
     captured = float(sum(c * c for c in entries.values()))
-    residual = max(exact - captured, 0.0)
+    if captured - exact > 1e-9 * max(exact, 1.0):
+        raise BackendError(f"degree cap {cap} outruns the quadrature rule: the coefficients "
+                           f"capture {captured!r}, above the exact squared norm {exact!r}")
+    residual = max(exact - captured, 0.0)  # clips rounding-level overshoot only
     out = ChaosCoefficients(grid, entries, HERMITE, p.channels, residual)
     if tol is not None and residual > tol:
         import warnings

@@ -144,14 +144,14 @@ def iterated_sum(kernel: SimplexKernel, increments: np.ndarray) -> np.ndarray:
     if n != kernel.n_cells:
         raise ValueError("increment table and kernel disagree on cell count")
     if kernel.factors is not None:
-        acc = np.ones((k_paths, n))
-        for slot, vec in enumerate(kernel.factors):
-            term = inc[:, :, kernel.channels[slot]] * vec[None, :] * acc
-            csum = np.cumsum(term, axis=1)
-            acc = np.concatenate((np.zeros((k_paths, 1)), csum[:, :-1]), axis=1)
+        term = inc[:, :, kernel.channels[0]] * kernel.factors[0]
+        for vec, ch in zip(kernel.factors[1:], kernel.channels[1:]):
+            acc = np.zeros((k_paths, n))  # exclusive prefix sum over earlier cells
+            np.cumsum(term[:, :-1], axis=1, out=acc[:, 1:])
+            term = inc[:, :, ch] * vec * acc
         return term.sum(axis=1)
-    if kernel.order == 1:
-        return inc[:, :, kernel.channels[0]] @ kernel.dense
+    if kernel.order == 1:  # einsum, not BLAS gemv: a row's bits must not depend on its block
+        return np.einsum("ki,i->k", inc[:, :, kernel.channels[0]], kernel.dense)
     x = inc[:, :, kernel.channels[0]]
     y = inc[:, :, kernel.channels[1]]
     return np.einsum("ki,ij,kj->k", x, kernel.dense, y)

@@ -16,6 +16,7 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -167,7 +168,9 @@ def functional_from_data(data: dict) -> NoiseFunctional:
     kind = _get(data, "kind")
     try:
         if kind == "table":
-            return NoiseFunctional.from_table(grid, np.asarray(_get(data, "values")))
+            values = np.asarray(_get(data, "values"), dtype=np.float64)
+            _require_finite(values, "table values")
+            return NoiseFunctional.from_table(grid, values)
         if kind in ("walsh-chaos", "hermite-chaos"):
             entries: dict = {}
             for row in _get(data, "entries"):
@@ -176,11 +179,14 @@ def functional_from_data(data: dict) -> NoiseFunctional:
                 else:
                     ix = hermite_index(tuple(tuple(t) for t in row["terms"]))
                 entries[ix] = float(row["coeff"])
+            residual = float(data.get("residual", 0.0))
+            _require_finite(np.fromiter(entries.values(), float, len(entries)), "coefficients")
+            _require_finite(np.array([residual]), "residual", nonnegative=True)
             coeffs = ChaosCoefficients(
                 grid, entries,
                 WALSH if kind == "walsh-chaos" else HERMITE,
                 channels=int(data.get("channels", 1)),
-                residual=float(data.get("residual", 0.0)),
+                residual=residual,
             )
             return NoiseFunctional.from_chaos(coeffs)
         if kind == "program":
@@ -250,7 +256,11 @@ def measure_from_data(data: dict) -> SpectralMeasure:
             tuple(r["cells"]): float(r["mass"])
             for r in data.get("multiplicity_entries", ())
         }
-        return SpectralMeasure(grid, entries, mult, residual=float(data.get("residual", 0.0)))
+        residual = float(data.get("residual", 0.0))
+        count = len(entries) + len(mult) + 1
+        masses = np.fromiter(chain(entries.values(), mult.values(), (residual,)), float, count)
+        _require_finite(masses, "masses and residual", nonnegative=True)
+        return SpectralMeasure(grid, entries, mult, residual=residual)
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad measure record: {exc}") from exc
 
@@ -376,6 +386,14 @@ def _get(data: dict, key: str):
         return data[key]
     except KeyError as exc:
         raise FormatError(f"missing field {key!r}") from exc
+
+
+def _require_finite(x: np.ndarray, what: str, nonnegative: bool = False) -> None:
+    """One vectorized pass over values read from a file; NaN fails both tests."""
+    ok = np.isfinite(x) & (x >= 0) if nonnegative else np.isfinite(x)
+    if not ok.all():
+        need = "finite and non-negative" if nonnegative else "finite"
+        raise FormatError(f"{what} must be {need}, got {float(x[~ok][0])!r}")
 
 
 def _check_version(data: dict) -> None:

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._rng import chunk_bounds, worker_generator
+from ._mc import fill_increments, merge_moments, moments, stream_moments
 from .chaos import HERMITE, ChaosCoefficients
 from .functionals import (
     MCEstimate,
@@ -29,7 +29,6 @@ from .kernels import SimplexKernel, iterated_sum
 from .spectral import mass_meeting_interval, spectral_measure_of
 
 MAX_PATH_TABLE = 50_000_000  # floats; larger runs must stream
-_CHUNK = 8192
 
 
 # ---------------------------------------------------------------------------
@@ -60,11 +59,8 @@ def sample_paths(grid: TimeGrid, d: int, k: int, seed: int, workers: int = 1) ->
             f"{k} x {n} x {d} increments would exceed the in-memory cap; "
             "use the streaming estimators"
         )
-    scale = math.sqrt(float(grid.cell_length))
     out = np.empty((k, n, d))
-    for w, (lo, hi) in enumerate(chunk_bounds(k, workers)):
-        rng = worker_generator(seed, w)
-        out[lo:hi] = rng.standard_normal((hi - lo, n, d)) * scale
+    fill_increments(out, seed, workers, math.sqrt(float(grid.cell_length)))
     return BrownianGrid(grid, d, out, seed)
 
 
@@ -171,24 +167,31 @@ def npoint_density_estimate(
     n = f.grid.n_cells
     h = float(f.grid.cell_length)
     scale = math.sqrt(h)
-    acc = np.zeros(n) if order == 1 else np.zeros((n, n))
-    acc_sq = np.zeros_like(acc)
-    for w, (lo, hi) in enumerate(chunk_bounds(samples, workers)):
-        rng = worker_generator(seed, w)
-        for start in range(lo, hi, _CHUNK):
-            rows = min(_CHUNK, hi - start)
-            inc = rng.standard_normal((rows, n, 1)) * scale
-            vals = _values_on_increments(f, inc)
-            z = inc[:, :, 0] / scale
+
+    def on_chunk(blocks):
+        if order == 2:
+            z, vals = map(np.concatenate, zip(*(
+                (inc[:, :, 0] / scale, _values_on_increments(f, inc)) for inc in blocks
+            )))
             vz = vals[:, None] * z
-            if order == 1:
-                acc += vz.sum(axis=0)
-                acc_sq += (vz * vz).sum(axis=0)
-            else:
-                acc += vz.T @ z
-                acc_sq += (vz * vz).T @ (z * z)
+            total = vz.T @ z
+            mean = total / z.shape[0]
+            # one GEMM pass per chunk: raw second moments, then chunk M2
+            m2 = np.maximum((vz * vz).T @ (z * z) - total * mean, 0.0)
+            return total, (z.shape[0], mean, m2)
+        total = None
+        stats = []
+        for inc in blocks:
+            vz = _values_on_increments(f, inc)[:, None] * (inc[:, :, 0] / scale)
+            stats.append(moments(vz)[1])
+            if total is not None:
+                vz[0] += total  # continues numpy's sequential axis-0 sum over the chunk
+            total = vz.sum(axis=0)
+        return total, merge_moments(stats)
+
+    acc, m2 = stream_moments(samples, seed, workers, n, 1, scale, on_chunk)
     coeff = acc / samples
-    var = np.maximum(acc_sq / samples - coeff * coeff, 0.0) / samples
+    var = m2 / samples / samples
     volume = h if order == 1 else h * h
     if order == 1:
         sel = np.ones(n, dtype=bool)

@@ -212,6 +212,17 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert err.count("error:") == 5
 
 
+def test_non_finite_input_exits_2(tmp_path, capsys):
+    grid = TimeGrid(0, 1, 2)
+    values = np.ones(1 << grid.n_cells)
+    values[5] = np.nan
+    f = NoiseFunctional.from_table(grid, values)
+    path = dump_functional(tmp_path / "nan.json", f)
+    assert run("decompose", "--in", path, "--out", str(tmp_path / "o.json")) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()
+
+
 def test_bad_set_spec_exits_2(chi01, tmp_path):
     assert run("project", "--in", chi01, "--set", "0:99",
                "--out", str(tmp_path / "o.json")) == 2

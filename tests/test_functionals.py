@@ -195,6 +195,38 @@ def test_hermite_decompose_i1_coefficients():
     assert_allclose(coeffs.norm_sq, norm_sq(f), rtol=1e-12)
 
 
+def test_hermite_decompose_refuses_quadrature_overshoot():
+    # the 64-point Gauss rule resolves degrees below 64 only: above that the
+    # projected coefficients of sign() capture more than its squared norm
+    grid = TimeGrid(0, 1, 2)
+    sign = MapTerm(1.0, (MapFactor(0, 0, "sign"),))
+    f = NoiseFunctional.from_program(grid, [sign], degree_cap=70)
+    with pytest.raises(BackendError, match="quadrature"):
+        hermite_decompose(grid, f.backend)
+    # within the rule the unresolved tail stays an explicit residual
+    coeffs = hermite_decompose(grid, f.backend, degree_cap=60)
+    assert coeffs.residual > 1e-3
+    assert_allclose(coeffs.norm_sq + coeffs.residual, 1.0, rtol=1e-12)
+
+
+def test_mc_stderr_survives_large_offset():
+    # <1e8 + I1, 1> has per-path variance exactly 1, whatever the offset; a
+    # one-pass E[x^2] - E[x]^2 cancels it to about 0.011 or to 0.0 here
+    grid = TimeGrid(0, 1, 10)
+    n, paths = grid.n_cells, 16384
+    offset = MapTerm(1.0, (MapFactor(0, 0, "poly", (1e8,)),))
+    f = NoiseFunctional.from_program(
+        grid, [offset, ItoTerm(1.0, SimplexKernel.constant(1, n))], degree_cap=1
+    )
+    one = NoiseFunctional.from_program(
+        grid, [MapTerm(1.0, (MapFactor(0, 0, "poly", (1.0,)),))], degree_cap=1
+    )
+    for seed in (3, 12):
+        est = inner_product_mc(f, one, samples=paths, seed=seed, workers=2)
+        assert abs(est.stderr * math.sqrt(paths) - 1.0) < 0.05
+        assert abs(est.value - 1e8) < 5 / math.sqrt(paths)
+
+
 def test_mc_inner_product_reproducible_and_consistent():
     grid = TimeGrid(0, 1, 4)
     f = unit_i1(grid)

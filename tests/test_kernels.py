@@ -103,3 +103,25 @@ def test_iterated_sum_shape_guard():
     k = SimplexKernel.constant(1, 4)
     with pytest.raises(ValueError):
         iterated_sum(k, np.zeros((3, 5)))
+
+
+@pytest.mark.parametrize("shape", ["sep-1", "sep-2", "sep-3", "dense-1", "dense-2"])
+def test_iterated_sum_rows_do_not_depend_on_block_size(shape):
+    # the Monte Carlo engine evaluates paths in blocks; each path's value must
+    # be the same bits whatever block it lands in
+    rng = np.random.default_rng(41)
+    n, paths = 96, 700
+    if shape.startswith("sep"):
+        order = int(shape[-1])
+        k = SimplexKernel.separable(
+            [rng.standard_normal(n) for _ in range(order)], channels=(1, 0, 1)[:order]
+        )
+    elif shape == "dense-1":
+        k = SimplexKernel(1, n, dense=rng.standard_normal(n), channels=(1,))
+    else:
+        k = SimplexKernel(2, n, dense=rng.standard_normal((n, n)), channels=(1, 0))
+    inc = rng.standard_normal((paths, n, 2))
+    whole = iterated_sum(k, inc)
+    for step in (1, 7, 256):
+        parts = [iterated_sum(k, inc[a : a + step]) for a in range(0, paths, step)]
+        assert np.array_equal(np.concatenate(parts), whole)

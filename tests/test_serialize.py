@@ -148,6 +148,48 @@ def test_functional_bad_records():
         )
 
 
+@pytest.mark.parametrize(
+    "record",
+    [
+        {"kind": "table", "values": [1.0, math.nan]},
+        {"kind": "table", "values": [math.inf, -1.0]},
+        {"kind": "walsh-chaos", "entries": [{"cells": [0], "coeff": math.nan}]},
+        {"kind": "hermite-chaos", "entries": [{"terms": [[0, 0, 1]], "coeff": -math.inf}]},
+        {"kind": "hermite-chaos", "entries": [], "residual": -0.5},
+        {"kind": "hermite-chaos", "entries": [], "residual": math.nan},
+    ],
+)
+def test_functional_rejects_non_finite_numbers(record):
+    data = {"grid": grid_to_data(TimeGrid(0, 1, 1)), **record}
+    with pytest.raises(FormatError, match="finite"):
+        functional_from_data(json.loads(json.dumps(data)))
+
+
+@pytest.mark.parametrize(
+    "field, mass",
+    [
+        ("entries", math.nan),
+        ("entries", math.inf),
+        ("entries", -0.25),
+        ("multiplicity_entries", -1e-3),
+        ("multiplicity_entries", math.nan),
+        ("residual", -0.5),
+        ("residual", math.inf),
+    ],
+)
+def test_measure_rejects_bad_masses(field, mass):
+    grid = TimeGrid(0, 1, 1)
+    from noisespectra.spectral import SpectralMeasure
+
+    data = measure_to_data(SpectralMeasure(grid, {(): 0.1, (0,): 0.2}, {(0,): 0.3}, 0.05))
+    if field == "residual":
+        data["residual"] = mass
+    else:
+        data[field][-1]["mass"] = mass
+    with pytest.raises(FormatError, match="finite and non-negative"):
+        measure_from_data(json.loads(json.dumps(data)))
+
+
 def test_measure_roundtrip(rng):
     grid = TimeGrid(0, 1, 3)
     f = NoiseFunctional.from_table(grid, rng.standard_normal(256))

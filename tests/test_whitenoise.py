@@ -1,12 +1,18 @@
 """White-noise laboratory: isometry, densities, fibers, endpoint masses."""
+import hashlib
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from noisespectra import (
+    ChaosCoefficients,
+    ItoTerm,
+    MapFactor,
+    MapTerm,
     NoiseFunctional,
     SimplexKernel,
     TimeGrid,
@@ -14,6 +20,7 @@ from noisespectra import (
     fiber_characters,
     fiber_dimension,
     fiber_gram,
+    inner_product_mc,
     isometry_check,
     multiple_ito_integral,
     npoint_density_estimate,
@@ -157,3 +164,132 @@ def test_endpoint_profile_clips_at_window():
     assert_allclose(profile, [0.25], rtol=1e-12)
     with pytest.raises(ValueError):
         endpoint_mass_profile(f, 0, [0])
+
+
+# ---------------------------------------------------------------------------
+# pinned seeded outputs
+#
+# Means as float.hex and arrays as sha256 prefixes of their bytes, captured
+# from the serial per-worker loops that the threaded block engine replaced;
+# the engine must reproduce them bit for bit.  The stderr column is pinned to
+# 1e-14 relative: it moved by rounding only when the one-pass variance gave
+# way to merged per-chunk (count, mean, M2).  At 128 cells a worker draws
+# 4096-path blocks inside 8192-path chunks, and no path count below is a
+# multiple of either.
+
+PINNED = {
+    ("isometry-1", 3000, 1): (("0x1.0c89699b5753dp+0",), "0x1.a731754547e6ap-6"),
+    ("isometry-1", 9000, 2): (("0x1.f9b2a47eb66e6p-1",), "0x1.dfe58c7ebc0d3p-7"),
+    ("isometry-1", 20000, 3): (("0x1.fe9209b1645afp-1",), "0x1.4889eb957dacbp-7"),
+    ("isometry-2", 3000, 1): (("0x1.def4aeda09f41p-2",), "0x1.45b3132490ef7p-5"),
+    ("isometry-2", 9000, 2): (("0x1.e20389b5364a3p-2",), "0x1.39428495a86ddp-6"),
+    ("isometry-2", 20000, 3): (("0x1.e5ec25a831d46p-2",), "0x1.87f234597f4a2p-7"),
+    ("orthogonality", 3000, 1): (("0x1.41b0a9249dd01p-6",), "0x1.c572d9de06270p-6"),
+    ("orthogonality", 9000, 2): (("0x1.27a8162e310fdp-6",), "0x1.05ef3b1ffc081p-6"),
+    ("orthogonality", 20000, 3): (("0x1.192f974c7666dp-6",), "0x1.5701ba1a559b0p-7"),
+    ("offset", 3000, 1): (("0x1.82c5235aea188p+1",), "0x1.243ab2d3f0ce4p-6"),
+    ("offset", 9000, 2): (("0x1.7f656197cf2fcp+1",), "0x1.53e67415c6fe6p-7"),
+    ("offset", 20000, 3): (("0x1.80268140f3ee9p+1",), "0x1.cb460722786bep-8"),
+    ("chaos", 3000, 1): (("0x1.82b132b23ebdap-4",), "0x1.66014bfffc592p-5"),
+    ("chaos", 9000, 2): (("0x1.1b8adc0e0df70p-5",), "0x1.807f2f7188238p-6"),
+    ("chaos", 20000, 3): (("0x1.0809573a9cc80p-5",), "0x1.fa561a2bca09dp-7"),
+    ("dense-1", 3000, 1): (("0x1.c76dd36cc74e3p-1",), "0x1.7a2f269e587f6p-6"),
+    ("dense-1", 9000, 2): (("0x1.c6740734dd7b6p-1",), "0x1.b0030c9d63297p-7"),
+    ("dense-1", 20000, 3): (("0x1.c2067b53524c6p-1",), "0x1.220bc4bcfa632p-7"),
+    ("dense-2", 3000, 1): (("0x1.0780dec86b47bp-1",), "0x1.dfae455cbf3f3p-7"),
+    ("dense-2", 9000, 2): (("0x1.fe95bc123b826p-2",), "0x1.05248dd38fe02p-7"),
+    ("dense-2", 20000, 3): (("0x1.fa886426b78c0p-2",), "0x1.537ada355ec05p-8"),
+    ("npoint-1", 3000, 1): (("0x1.14bf69176dc02p+0", "51e0335d431e5ba8"), "0x1.3bc52ec27b8b5p-5"),
+    ("npoint-1", 9000, 2): (("0x1.0296b5a130bbcp+0", "16aae300287ba21a"), "0x1.5be3b21204ed6p-6"),
+    ("npoint-1", 20000, 3): (("0x1.008d2189869c3p+0", "103213d1feca4f92"), "0x1.d1200f5dd0257p-7"),
+    ("npoint-2", 3000, 1): (("0x1.e37b3c1e2c8cap+1", "7b2d68e56edf4cfc"), "0x1.3015472e080edp-4"),
+    ("npoint-2", 9000, 2): (("0x1.0c4fe2c651c87p+1", "b41930d441a0065e"), "0x1.0bc2ffbdf6c6bp-5"),
+    ("npoint-2", 20000, 3): (("0x1.80ba9acb338bdp+0", "8ff609439aea9a4c"), "0x1.2b77072c0e7b8p-6"),
+    ("paths", 3000, 1): (("706d6d8bb1959b12",), None),
+    ("paths", 9000, 2): (("e6b749e37593ab1f",), None),
+    ("paths", 20000, 3): (("5b305d27add653d3",), None),
+}
+
+
+def _sha(a: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
+
+
+@lru_cache(maxsize=1)
+def _pinned_runs():
+    grid = TimeGrid(0, 1, 7)
+    n = grid.n_cells
+    k1, k2 = SimplexKernel.constant(1, n), SimplexKernel.constant(2, n)
+    rng = np.random.default_rng(11)
+    dense1 = SimplexKernel(1, n, dense=rng.standard_normal(n))
+    dense2 = SimplexKernel(2, n, dense=rng.standard_normal((n, n)))
+    i1 = NoiseFunctional.from_family("white-noise-i1", 7)
+    i2 = NoiseFunctional.from_family("white-noise-i2", 7)
+    one = NoiseFunctional.from_program(
+        grid, [MapTerm(1.0, (MapFactor(0, 0, "poly", (1.0,)),))], degree_cap=1
+    )
+    offset = NoiseFunctional.from_program(
+        grid, [MapTerm(1.0, (MapFactor(0, 0, "poly", (3.0,)),)), ItoTerm(1.0, k1)], degree_cap=1
+    )
+    entries = {((3, 0, 1),): 0.5, ((3, 0, 1), (70, 0, 2)): 2.0, ((127, 0, 3),): -1.0}
+    chaos = NoiseFunctional.from_chaos(ChaosCoefficients(grid, entries, "hermite"))
+
+    def mc(e):
+        return (e.value.hex(),), e.stderr
+
+    def npoint(e):
+        return (e.mean_density.hex(), _sha(e.coefficients)), e.mean_density_stderr
+
+    return {
+        "isometry-1": lambda s, w: mc(isometry_check(grid, k1, s, 101, w).estimate),
+        "isometry-2": lambda s, w: mc(isometry_check(grid, k2, s, 102, w).estimate),
+        "orthogonality": lambda s, w: mc(orthogonality_check(grid, k1, k2, s, 103, w).estimate),
+        "offset": lambda s, w: mc(inner_product_mc(offset, one, s, 104, w)),
+        "chaos": lambda s, w: mc(inner_product_mc(chaos, i1, s, 105, w)),
+        "dense-1": lambda s, w: mc(isometry_check(grid, dense1, s, 106, w).estimate),
+        "dense-2": lambda s, w: mc(isometry_check(grid, dense2, s, 107, w).estimate),
+        "npoint-1": lambda s, w: npoint(npoint_density_estimate(i1, 1, s, 108, w)),
+        "npoint-2": lambda s, w: npoint(npoint_density_estimate(i2, 2, s, 109, w)),
+        "paths": lambda s, w: ((_sha(sample_paths(grid, 2, s, 110, w).increments),), None),
+    }
+
+
+@pytest.mark.parametrize("name, samples, workers", sorted(PINNED))
+def test_seeded_outputs_are_pinned(name, samples, workers):
+    bits, stderr = _pinned_runs()[name](samples, workers)
+    want_bits, want_stderr = PINNED[name, samples, workers]
+    assert bits == want_bits
+    if want_stderr is not None:
+        assert_allclose(stderr, float.fromhex(want_stderr), rtol=1e-14)
+
+
+def test_threaded_engine_matches_serial_loop_under_preemption():
+    # reference: one serial pass per worker over fixed 8192-path chunks, each
+    # drawn in one piece; more workers than cores and a tiny switch interval
+    # force the pool threads to interleave
+    import sys
+
+    from noisespectra._rng import chunk_bounds, worker_generator
+    from noisespectra.functionals import _values_on_increments
+
+    grid = TimeGrid(0, 1, 7)
+    n, scale, paths, workers = grid.n_cells, math.sqrt(1 / 128), 20000, 7
+    f = NoiseFunctional.from_family("white-noise-i2", 7)
+    g = NoiseFunctional.from_family("white-noise-i1", 7)
+    total, table = 0.0, []
+    for w, (lo, hi) in enumerate(chunk_bounds(paths, workers)):
+        rng = worker_generator(5, w)
+        for start in range(lo, hi, 8192):
+            inc = rng.standard_normal((min(8192, hi - start), n, 1)) * scale
+            total += float((_values_on_increments(f, inc) * _values_on_increments(g, inc)).sum())
+        table.append(worker_generator(6, w).standard_normal((hi - lo, n, 1)) * scale)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            est = inner_product_mc(f, g, paths, 5, workers)
+            assert est.value == total / paths
+            paths_table = sample_paths(grid, 1, paths, 6, workers).increments
+            assert np.array_equal(paths_table, np.concatenate(table))
+    finally:
+        sys.setswitchinterval(interval)
