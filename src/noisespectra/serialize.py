@@ -1,22 +1,27 @@
 """JSON and CSV codecs plus run manifests for the command-line pipelines.
 
 Every document carries schema_version "1".  Grids serialize their endpoints
-as exact fraction strings; chaos entries are listed sorted by (cardinality,
-index) so output files are canonical; floats pass through the JSON encoder,
-which round-trips doubles exactly.  All file writes are atomic (temp file in
-the target directory, then rename).
+as exact fraction strings; chaos and measure entries are listed sorted by
+(cardinality, index) so output files are canonical.  A JSON file holds
+exactly the bytes of ``json.dumps(data, indent=2)`` plus a newline, so
+doubles round-trip exactly, but it is written in a stream of chunks by the
+encoder below rather than built as one string.  All file writes are atomic
+(temp file in the target directory, then rename).
 """
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
+from json.encoder import c_make_encoder
 
 import numpy as np
 
@@ -228,20 +233,22 @@ def functional_from_data(data: dict) -> NoiseFunctional:
 
 
 def measure_to_data(mu: SpectralMeasure) -> dict:
+    """Entries in the atom table's (cardinality, cells) order.
+
+    "cells" holds the measure's own key tuples, written as JSON lists; sharing
+    them keeps a 2**n-atom document to one new object per entry.
+    """
     if not mu.is_dense:
         raise FormatError("sampler-backed measures have no dense serialization")
+    t = mu._atoms
+    records = [{"cells": k, "mass": v} for k, v in zip(t.keys, t.mass.tolist())]
     data: dict = {
         "schema_version": SCHEMA_VERSION,
         "grid": grid_to_data(mu.grid),
-        "entries": [
-            {"cells": list(k), "mass": v} for k, v in mu.sorted_items()
-        ],
+        "entries": records[: t.n_plain],
     }
-    if mu.multiplicity_entries:
-        data["multiplicity_entries"] = [
-            {"cells": list(k), "mass": v}
-            for k, v in sorted(mu.multiplicity_entries.items(), key=lambda kv: (len(kv[0]), kv[0]))
-        ]
+    if len(records) > t.n_plain:
+        data["multiplicity_entries"] = records[t.n_plain :]
     if mu.residual:
         data["residual"] = mu.residual
     return data
@@ -285,13 +292,13 @@ def read_json(path: str) -> dict:
         raise FormatError(f"{path}: {exc.strerror or exc}") from exc
 
 
-def _atomic_write(path: str, payload: str) -> None:
+def _atomic_write(path: str, chunks) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -300,14 +307,178 @@ def _atomic_write(path: str, payload: str) -> None:
 
 
 def write_json(path: str, data: dict) -> None:
-    _atomic_write(path, json.dumps(data, indent=2, sort_keys=False) + "\n")
+    """Write the bytes of ``json.dumps(data, indent=2) + "\n"``, in a stream."""
+    chunks = _json_chunks(data, 0)
+    _atomic_write(path, chain(chunks, ("\n",)))
 
 
 def write_csv(path: str, header: list[str], rows) -> None:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_csv_cell(x) for x in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, ("\n".join(lines), "\n"))
+
+
+# ---------------------------------------------------------------------------
+# the indent-2 JSON encoder
+#
+# json.dumps(indent=2) falls back to the pure-Python encoder, which yields one
+# chunk per token.  This one hands whole lists of scalars to the C encoder with
+# the indented item separator, and renders a list of records that share one
+# key order column by column, so a 2**n-entry measure costs a few C calls and
+# one string format per entry.  Every value is rendered exactly as the stdlib
+# renders it; ensure_ascii escaping keeps newlines out of strings, so a raw
+# newline in encoder output is always a separator.
+
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _indent(depth: int) -> str:
+    return "\n" + "  " * depth
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _scalar_text(x) -> str | None:
+    """The stdlib's text for a scalar, in its isinstance order; None otherwise."""
+    if isinstance(x, str):
+        return _escape(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        return _float_text(x)
+    return None
+
+
+def _key_text(k) -> str:
+    if isinstance(k, str):
+        return _escape(k)
+    if isinstance(k, float):
+        return _escape(_float_text(k))
+    if k is True or k is False or k is None:
+        return _escape(_scalar_text(k))
+    if isinstance(k, int):
+        return _escape(int.__repr__(k))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+
+
+def _refuse(o):
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+@lru_cache(maxsize=None)
+def _compact_encoder(depth: int):
+    """C encoder whose item separator is a comma and the indent of depth + 1."""
+    sep = "," + _indent(depth + 1)
+    if c_make_encoder is None:
+        return json.JSONEncoder(separators=(sep, ": "), check_circular=False).iterencode
+    encode = c_make_encoder(None, _refuse, _escape, None, ": ", sep, False, False, True)
+    return lambda o: encode(o, 0)
+
+
+def _compact_body(seq, depth: int) -> str:
+    """Compact text of a non-empty list at `depth`, without its brackets."""
+    return "".join(_compact_encoder(depth)(seq))[1:-1]
+
+
+def _scalar_list_text(seq, depth: int) -> str | None:
+    """A non-empty list of scalars at `depth` as one string; None if anything nests."""
+    body = _compact_body(seq, depth)
+    if "[" in body or "{" in body:  # a container, or a bracket inside a string
+        return None
+    return "[" + _indent(depth + 1) + body + _indent(depth) + "]"
+
+
+def _column_texts(col: list, depth: int) -> list[str] | None:
+    """Texts of values at `depth` that are all scalars or all lists of scalars."""
+    body = _compact_body(col, depth)
+    sep = "," + _indent(depth + 1)
+    if "{" in body:
+        return None
+    if "[" not in body:
+        return body.split(sep)
+    # one "[" per value means no value nests and no string holds a bracket
+    if body.count("[") != len(col) or not all(isinstance(v, (list, tuple)) for v in col):
+        return None
+    head, tail = "[" + _indent(depth + 1), _indent(depth) + "]"
+    return [head + t + tail if t else "[]" for t in body[1:-1].split("]" + sep + "[")]
+
+
+def _record_list_chunks(records: list, depth: int):
+    """Chunks of a list of dicts with one str key order, or None if it is not one."""
+    keys = tuple(records[0])
+    if not keys or not all(type(k) is str for k in keys):
+        return None
+    if not all(isinstance(r, dict) and tuple(r) == keys for r in records):
+        return None
+    columns = []
+    for k in keys:
+        texts = _column_texts([r[k] for r in records], depth + 2)
+        if texts is None:
+            return None
+        columns.append(texts)
+    inner = _indent(depth + 2)
+    fields = ",".join(inner + _key_text(k).replace("%", "%%") + ": %s" for k in keys)
+    record = "{" + fields + _indent(depth + 1) + "}"
+    rows = zip(*columns)
+    head = "[" + _indent(depth + 1) + record % next(rows)
+    rest = "," + _indent(depth + 1) + record
+    return chain((head,), (rest % row for row in rows), (_indent(depth) + "]",))
+
+
+def _json_chunks(obj, depth: int):
+    """Chunks of ``json.dumps(obj, indent=2)`` for obj nested `depth` levels deep."""
+    text = _scalar_text(obj)
+    if text is not None:
+        yield text
+        return
+    inner = _indent(depth + 1)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            yield "[]"
+            return
+        if isinstance(obj[0], dict):
+            chunks = _record_list_chunks(obj, depth)
+            if chunks is not None:
+                yield from chunks
+                return
+        elif not isinstance(obj[0], (list, tuple)):
+            text = _scalar_list_text(obj, depth)
+            if text is not None:
+                yield text
+                return
+        sep = "[" + inner
+        for item in obj:
+            yield sep
+            yield from _json_chunks(item, depth + 1)
+            sep = "," + inner
+        yield _indent(depth) + "]"
+    elif isinstance(obj, dict):
+        if not obj:
+            yield "{}"
+            return
+        sep = "{" + inner
+        for k, v in obj.items():
+            yield sep + _key_text(k) + ": "
+            yield from _json_chunks(v, depth + 1)
+            sep = "," + inner
+        yield _indent(depth) + "}"
+    else:
+        _refuse(obj)
 
 
 def _csv_cell(x) -> str:

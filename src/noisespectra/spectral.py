@@ -23,7 +23,7 @@ from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
-from .chaos import ChaosCoefficients, index_has_multiplicity, index_support
+from .chaos import WALSH, ChaosCoefficients, index_has_multiplicity, index_support
 from .functionals import (
     BackendError,
     FamilyRef,
@@ -90,6 +90,25 @@ def _rows(keys: Sequence[tuple[int, ...]], n_words: int) -> np.ndarray:
     return rows
 
 
+_REVERSED_BYTES = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8)
+
+
+def _in_set_order(d: dict, n_words: int) -> tuple[list, np.ndarray, np.ndarray]:
+    """Keys, rows and masses of one entry dict in (cardinality, cells) order.
+
+    Two sorted cell tuples of one size compare A < B exactly when the lowest
+    cell of their symmetric difference lies in A, that is when A is the larger
+    in bit-reversed order, word 0 (cells 0..63) most significant.
+    """
+    keys = list(d)
+    rows = _rows(keys, n_words)
+    reversed_words = _REVERSED_BYTES[rows.view(np.uint8)].view(np.uint64).byteswap()
+    sort_keys = [~reversed_words[:, w] for w in range(n_words - 1, -1, -1)]
+    order = np.lexsort([*sort_keys, np.bitwise_count(rows).sum(axis=1, dtype=np.intp)])
+    mass = np.fromiter(d.values(), dtype=np.float64, count=len(keys))
+    return [keys[i] for i in order.tolist()], rows[order], mass[order]
+
+
 def _words(mask: int, n_words: int) -> np.ndarray:
     """A cell bitmask as a single row in the layout of `_rows`."""
     return np.array([[(mask >> (64 * w)) & 0xFFFF_FFFF_FFFF_FFFF for w in range(n_words)]],
@@ -140,7 +159,8 @@ class SpectralMeasure:
             raise ValueError("exactly one of entries/model must be present")
         if self.entries is not None:
             for name in ("entries", "multiplicity_entries"):
-                kept = {k: v for k, v in getattr(self, name).items() if v != 0.0}
+                d = getattr(self, name)
+                kept = {k: v for k, v in d.items() if v != 0.0} if 0.0 in d.values() else dict(d)
                 object.__setattr__(self, name, kept)
 
     # -- totals ---------------------------------------------------------------
@@ -187,16 +207,11 @@ class SpectralMeasure:
     # built once, on the first dense query; the entry dicts must not change after
     @cached_property
     def _atoms(self) -> _AtomTable:
-        # sorted by cells, then stably by size: (cardinality, cells) order
-        plain, mult = (sorted(sorted(d), key=len) for d in (self.entries, self.multiplicity_entries))
-        keys = tuple(plain + mult)
-        rows = _rows(keys, max(1, -(-self.grid.n_cells // 64)))
-        mass = [self.entries[k] for k in plain] + [self.multiplicity_entries[k] for k in mult]
-        return _AtomTable(keys, rows, np.array(mass, dtype=np.float64), len(plain))
-
-    def sorted_items(self) -> list[tuple[tuple[int, ...], float]]:
-        self._require_dense("enumeration")
-        return [(k, self.entries[k]) for k in self._atoms.keys[: self._atoms.n_plain]]
+        n_words = max(1, -(-self.grid.n_cells // 64))
+        parts = [_in_set_order(d, n_words) for d in (self.entries, self.multiplicity_entries)]
+        (plain, plain_rows, plain_mass), (mult, mult_rows, mult_mass) = parts
+        return _AtomTable(tuple(plain + mult), np.concatenate([plain_rows, mult_rows]),
+                          np.concatenate([plain_mass, mult_mass]), len(plain))
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +235,10 @@ def spectral_measure_of(f: NoiseFunctional, tol: float | None = None) -> Spectra
 
 
 def measure_from_coefficients(coeffs: ChaosCoefficients) -> SpectralMeasure:
+    if coeffs.kind == WALSH:
+        # a Walsh index is its own support, so atoms and indices correspond one to one
+        plain = {ix: c * c for ix, c in coeffs.entries.items()}
+        return SpectralMeasure(coeffs.grid, plain, residual=coeffs.residual)
     plain: dict[tuple[int, ...], float] = {}
     mult: dict[tuple[int, ...], float] = {}
     for ix, c in coeffs.entries.items():

@@ -79,6 +79,14 @@ def mask_of_cells(cells) -> int:
     return m
 
 
+def subset_keys(n_cells: int) -> list[tuple[int, ...]]:
+    """keys[m] == cells_of_mask(m) for every m < 2**n, built by doubling."""
+    keys: list[tuple[int, ...]] = [()]
+    for i in range(n_cells):
+        keys += [k + (i,) for k in keys]
+    return keys
+
+
 def cells_of_mask(mask: int) -> tuple[int, ...]:
     out = []
     i = 0

@@ -13,6 +13,7 @@ from noisespectra.walsh import (
     omega_index,
     popcount,
     sign_table,
+    subset_keys,
     subset_of,
     values_from_coefficients,
 )
@@ -92,3 +93,6 @@ def test_mask_helpers():
     assert list(subset_of(masks, 0b101)) == [
         True, True, False, False, True, True, False, False,
     ]
+    for n in (0, 1, 5, 11):
+        keys = subset_keys(n)
+        assert keys == [cells_of_mask(m) for m in range(1 << n)]
