@@ -61,14 +61,14 @@ class TreeLayer:
                 prods = np.concatenate([prods, prods * v[i]])
             return float(self.mask_w @ prods)
         # symmetric layer: subsets of equal size share mass, so only the
-        # elementary symmetric means e_t / C(k, t) of the child values enter;
-        # carried normalized, since C(m, t) overflows a double past m ~ 1030
-        t = np.arange(1, self.fanin + 1, dtype=np.float64)
-        e = np.zeros(self.fanin + 1)
+        # elementary symmetric functions of the child values enter
+        m = self.fanin
+        e = np.zeros(m + 1)
         e[0] = 1.0
-        for k, vk in enumerate(v.tolist(), start=1):
-            e[1:] = (k - t) / k * e[1:] + t / k * vk * e[:-1]
-        return float(np.sum(self.q[1:] * e[1:]))
+        for vi in v:
+            e[1:] = e[1:] + vi * e[:-1]
+        binoms = np.array([math.comb(m, t) for t in range(m + 1)], dtype=np.float64)
+        return float(np.sum(self.q[1:] * e[1:] / binoms[1:]))
 
     def prefix_coeffs(self, full: int) -> tuple[float, float]:
         """(alpha, beta) with prefix mass = alpha + beta * partial-child mass.
@@ -88,15 +88,15 @@ class TreeLayer:
             else:
                 beta = 0.0
             return alpha, beta
-        # exact integer ratios: the binomials themselves overflow a double
         alpha = beta = 0.0
         for t in range(1, m + 1):
-            if self.q[t] == 0.0:
+            w_t = self.q[t] / math.comb(m, t)
+            if w_t == 0.0:
                 continue
             if t <= full:
-                alpha += self.q[t] * (math.comb(full, t) / math.comb(m, t))
+                alpha += w_t * math.comb(full, t)
             if full < m and t - 1 <= full:
-                beta += self.q[t] * (math.comb(full, t - 1) / math.comb(m, t))
+                beta += w_t * math.comb(full, t - 1)
         return alpha, beta
 
     def sample_children(self, rng: np.random.Generator) -> np.ndarray:

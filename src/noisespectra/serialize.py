@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import sys
 import tempfile
@@ -21,7 +20,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from json.encoder import c_make_encoder
 
 import numpy as np
 
@@ -323,12 +321,13 @@ def write_csv(path: str, header: list[str], rows) -> None:
 # the indent-2 JSON encoder
 #
 # json.dumps(indent=2) falls back to the pure-Python encoder, which yields one
-# chunk per token.  This one hands whole lists of scalars to the C encoder with
-# the indented item separator, and renders a list of records that share one
-# key order column by column, so a 2**n-entry measure costs a few C calls and
-# one string format per entry.  Every value is rendered exactly as the stdlib
-# renders it; ensure_ascii escaping keeps newlines out of strings, so a raw
-# newline in encoder output is always a separator.
+# chunk per token.  Only two shapes are large here: lists of scalars and lists
+# of records that share one key order.  The first is one call to the compact
+# encoder with the indented item separator (C where the interpreter has it);
+# the second is rendered column by column, one format per record.  Dicts with
+# str keys are walked to reach them; every other value goes to json.dumps
+# itself.  Strings never hold a raw newline (json escapes it), so a newline in
+# encoder output is always a separator and can be re-indented.
 
 _escape = json.encoder.encode_basestring_ascii
 
@@ -337,62 +336,16 @@ def _indent(depth: int) -> str:
     return "\n" + "  " * depth
 
 
-def _float_text(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-def _scalar_text(x) -> str | None:
-    """The stdlib's text for a scalar, in its isinstance order; None otherwise."""
-    if isinstance(x, str):
-        return _escape(x)
-    if x is None:
-        return "null"
-    if x is True:
-        return "true"
-    if x is False:
-        return "false"
-    if isinstance(x, int):
-        return int.__repr__(x)
-    if isinstance(x, float):
-        return _float_text(x)
-    return None
-
-
-def _key_text(k) -> str:
-    if isinstance(k, str):
-        return _escape(k)
-    if isinstance(k, float):
-        return _escape(_float_text(k))
-    if k is True or k is False or k is None:
-        return _escape(_scalar_text(k))
-    if isinstance(k, int):
-        return _escape(int.__repr__(k))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
-
-
-def _refuse(o):
-    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-
-
 @lru_cache(maxsize=None)
 def _compact_encoder(depth: int):
-    """C encoder whose item separator is a comma and the indent of depth + 1."""
+    """Compact encoder whose item separator is a comma and the indent of depth + 1."""
     sep = "," + _indent(depth + 1)
-    if c_make_encoder is None:
-        return json.JSONEncoder(separators=(sep, ": "), check_circular=False).iterencode
-    encode = c_make_encoder(None, _refuse, _escape, None, ": ", sep, False, False, True)
-    return lambda o: encode(o, 0)
+    return json.JSONEncoder(separators=(sep, ": "), check_circular=False).encode
 
 
 def _compact_body(seq, depth: int) -> str:
     """Compact text of a non-empty list at `depth`, without its brackets."""
-    return "".join(_compact_encoder(depth)(seq))[1:-1]
+    return _compact_encoder(depth)(seq)[1:-1]
 
 
 def _scalar_list_text(seq, depth: int) -> str | None:
@@ -432,7 +385,7 @@ def _record_list_chunks(records: list, depth: int):
             return None
         columns.append(texts)
     inner = _indent(depth + 2)
-    fields = ",".join(inner + _key_text(k).replace("%", "%%") + ": %s" for k in keys)
+    fields = ",".join(inner + _escape(k).replace("%", "%%") + ": %s" for k in keys)
     record = "{" + fields + _indent(depth + 1) + "}"
     rows = zip(*columns)
     head = "[" + _indent(depth + 1) + record % next(rows)
@@ -442,15 +395,15 @@ def _record_list_chunks(records: list, depth: int):
 
 def _json_chunks(obj, depth: int):
     """Chunks of ``json.dumps(obj, indent=2)`` for obj nested `depth` levels deep."""
-    text = _scalar_text(obj)
-    if text is not None:
-        yield text
+    if isinstance(obj, dict) and obj and all(type(k) is str for k in obj):
+        sep = "{" + _indent(depth + 1)
+        for k, v in obj.items():
+            yield sep + _escape(k) + ": "
+            yield from _json_chunks(v, depth + 1)
+            sep = "," + _indent(depth + 1)
+        yield _indent(depth) + "}"
         return
-    inner = _indent(depth + 1)
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            yield "[]"
-            return
+    if isinstance(obj, (list, tuple)) and obj:
         if isinstance(obj[0], dict):
             chunks = _record_list_chunks(obj, depth)
             if chunks is not None:
@@ -461,24 +414,7 @@ def _json_chunks(obj, depth: int):
             if text is not None:
                 yield text
                 return
-        sep = "[" + inner
-        for item in obj:
-            yield sep
-            yield from _json_chunks(item, depth + 1)
-            sep = "," + inner
-        yield _indent(depth) + "]"
-    elif isinstance(obj, dict):
-        if not obj:
-            yield "{}"
-            return
-        sep = "{" + inner
-        for k, v in obj.items():
-            yield sep + _key_text(k) + ": "
-            yield from _json_chunks(v, depth + 1)
-            sep = "," + inner
-        yield _indent(depth) + "}"
-    else:
-        _refuse(obj)
+    yield json.dumps(obj, indent=2).replace("\n", _indent(depth))
 
 
 def _csv_cell(x) -> str:

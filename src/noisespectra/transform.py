@@ -39,9 +39,9 @@ from .functionals import (
 from .grid import ElementarySet, TimeGrid, require_same_grid
 from .kernels import SimplexKernel
 from .walsh import (
+    cells_of_masks,
     character_coefficients,
     popcount,
-    subset_keys,
     subset_of,
     values_from_coefficients,
 )
@@ -61,9 +61,9 @@ def decompose(f: NoiseFunctional, tol: float | None = None) -> ChaosCoefficients
     dense = character_coefficients(b.values)
     if tol is not None:
         dense[np.abs(dense) <= tol] = 0.0
-    keys = subset_keys(f.grid.n_cells)
     nz = np.flatnonzero(dense)
-    entries = dict(zip([keys[m] for m in nz.tolist()], dense[nz].tolist()))
+    keys = cells_of_masks(nz.tolist(), f.grid.n_cells)
+    entries = dict(zip(keys, dense[nz].tolist()))
     return ChaosCoefficients(f.grid, entries, WALSH)
 
 

@@ -79,12 +79,23 @@ def mask_of_cells(cells) -> int:
     return m
 
 
-def subset_keys(n_cells: int) -> list[tuple[int, ...]]:
-    """keys[m] == cells_of_mask(m) for every m < 2**n, built by doubling."""
+def _subset_keys(cells: range) -> list[tuple[int, ...]]:
+    """keys[m] == the cells of `cells` picked by the bits of m, built by doubling."""
     keys: list[tuple[int, ...]] = [()]
-    for i in range(n_cells):
+    for i in cells:
         keys += [k + (i,) for k in keys]
     return keys
+
+
+def cells_of_masks(masks: list[int], n_cells: int) -> list[tuple[int, ...]]:
+    """[cells_of_mask(m) for m in masks], joined from two half-width key tables.
+
+    Costs O(2**(n/2) + len(masks)) tuples, so a sparse mask list stays cheap.
+    """
+    h = n_cells // 2
+    lo, hi = _subset_keys(range(h)), _subset_keys(range(h, n_cells))
+    low = (1 << h) - 1
+    return [lo[m & low] + hi[m >> h] for m in masks]
 
 
 def cells_of_mask(mask: int) -> tuple[int, ...]:

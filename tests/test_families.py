@@ -160,63 +160,6 @@ def test_tribes_ignored_cells_carry_no_mass():
     assert all(all(c < model.leaf_count for c in s) for s in draws)
 
 
-def test_symmetric_layer_past_float_binomials():
-    """Tribes L14 has an or-layer of fanin 1638, where C(1638, t) overflows a
-    double.  With child values 0 or 1 the subset value is an exact ratio of
-    binomials, and the prefix route must give the same number."""
-    import math
-
-    f = make_functional("tribes", 14)
-    layer = family_model(f.grid, f.backend).layers[0]
-    m = layer.fanin
-    assert m == 1638
-    for j in (0, 1, 2, 700, 1637, 1638):
-        want = math.fsum(layer.q[t] * (math.comb(j, t) / math.comb(m, t))
-                         for t in range(1, m + 1))
-        v = np.zeros(m)
-        v[:j] = 1.0
-        assert_allclose(layer.subset_value(np.random.default_rng(j).permutation(v)), want,
-                        rtol=1e-12, atol=1e-300)
-        alpha, beta = layer.prefix_coeffs(j)
-        assert_allclose(alpha, want, rtol=1e-12, atol=1e-300)
-        assert 0.0 <= beta <= 1.0
-
-
-def test_symmetric_layer_matches_plain_binomials_where_they_fit():
-    import math
-
-    from noisespectra.families import _sized_layer
-
-    rng = np.random.default_rng(11)
-    for kind, m, mu_in in (("or", 40, -0.3), ("and", 25, 0.2), ("parity", 30, 0.1)):
-        layer = _sized_layer(kind, m, mu_in)
-        v = rng.uniform(size=m)
-        e = np.zeros(m + 1)
-        e[0] = 1.0
-        for vi in v:
-            e[1:] = e[1:] + vi * e[:-1]
-        binoms = np.array([math.comb(m, t) for t in range(m + 1)], dtype=np.float64)
-        want = float(np.sum(layer.q[1:] * e[1:] / binoms[1:]))
-        assert_allclose(layer.subset_value(v), want, rtol=1e-13)
-
-
-def test_tribes_level_14_cuts_and_regions():
-    f = make_functional("tribes", 14)
-    mu = spectral_measure_of(f)
-    model = mu.model
-    n = f.grid.n_cells
-    rng = np.random.default_rng(14)
-    from noisespectra import cut_distance
-
-    for b in [1, 10, 5000, n - 5, *rng.integers(1, n, size=4).tolist()]:
-        assert 0.0 <= cut_distance(mu, f.grid.boundary(b)) <= 1.0
-        via_subsets = mass_of_subsets_of(mu, ElementarySet(f.grid, ((0, b),)))
-        assert abs(via_subsets - model.prefix_mass(b)) <= 1e-12
-    for cells in (np.flatnonzero(rng.integers(0, 2, size=n)), range(100, 9000)):
-        m = mass_of_subsets_of(mu, ElementarySet.from_cells(f.grid, cells))
-        assert model.empty_mass - 1e-12 <= m <= model.total_mass + 1e-12
-
-
 def test_model_sampler_matches_dense_frequencies():
     f = make_functional("majority3-iterated", 2)
     model = family_model(f.grid, f.backend)

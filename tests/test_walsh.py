@@ -7,13 +7,13 @@ from numpy.testing import assert_allclose
 from noisespectra.walsh import (
     DENSE_CELL_CAP,
     cells_of_mask,
+    cells_of_masks,
     character_coefficients,
     fwht,
     mask_of_cells,
     omega_index,
     popcount,
     sign_table,
-    subset_keys,
     subset_of,
     values_from_coefficients,
 )
@@ -94,5 +94,7 @@ def test_mask_helpers():
         True, True, False, False, True, True, False, False,
     ]
     for n in (0, 1, 5, 11):
-        keys = subset_keys(n)
-        assert keys == [cells_of_mask(m) for m in range(1 << n)]
+        every = list(range(1 << n))
+        assert cells_of_masks(every, n) == [cells_of_mask(m) for m in every]
+        sparse = every[::7][::-1]
+        assert cells_of_masks(sparse, n) == [cells_of_mask(m) for m in sparse]
