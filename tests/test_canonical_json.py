@@ -235,6 +235,7 @@ def test_write_json_matches_stdlib_indent_2(obj):
     [{1: "int"}, {True: "bool"}, {1.0: "float"}],
     [{"a": {"b": 1}}, {"a": {}}],
     ((1, 2), [3, (4,)]),
+    {"mixed": [1, [2, 3]], "s": ["[", 0.5, []]},
     "top", 3, 2.5, None, True,
 ])
 def test_write_json_edge_cases(obj):
