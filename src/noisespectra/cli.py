@@ -1,22 +1,31 @@
 """Command-line surface: file-based, reproducible pipelines over the library.
 
 Exit codes: 0 success, 2 validation or usage error, 3 ran-but-failed a
-numerical tolerance.  Every command that writes files also writes
-`<first output>.manifest.json` recording the argument vector, seeds,
-versions, input digests, and wall time.  Outputs are atomic.
+numerical tolerance.  `main()` runs every command the same way: a command
+given `--out` that does not exit 2 also writes `<out>.manifest.json`,
+recording the argv `main()` parsed, the seed, versions, input digests and
+wall time.  `selftest` writes no file and no manifest.  Outputs are atomic.
 """
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from fractions import Fraction
 
 import numpy as np
 
+from . import families
 from ._rng import default_workers
-from .functionals import BackendError, NoiseFunctional, random_functional
+from .chaos import add_coefficients
+from .dimension import RefinementFamily, estimate_dimension
+from .functionals import (
+    BackendError,
+    NoiseFunctional,
+    evaluate_table,
+    random_functional,
+    tensor_product,
+)
 from .grid import ElementarySet, GridMismatchError, TimeGrid
 from .serialize import (
     FormatError,
@@ -41,9 +50,10 @@ from .spectral import (
     spectral_measure_of,
     straddle_mass,
 )
-from .structure import classify, interior_cut_distances
+from .structure import additive_integral_of, classify, interior_cut_distances
 from .transform import conditional_expectation, decompose
 from .walsh import DENSE_CELL_CAP
+from .whitenoise import isometry_check, npoint_density_estimate
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -59,49 +69,50 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, **kwargs):
-        p = sub.add_parser(name, help=help_text, **kwargs)
+    def add(name, run, help_text):
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
         p.add_argument("--threads", type=int, default=None,
                        help="worker count (default: NOISESPECTRA_THREADS or 1)")
         return p
 
-    p = add("decompose", "chaos coefficients of a functional")
+    p = add("decompose", cmd_decompose, "chaos coefficients of a functional")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--tol", type=float, default=None)
 
-    p = add("project", "conditional expectation onto an elementary set")
+    p = add("project", cmd_project, "conditional expectation onto an elementary set")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--set", dest="region", required=True,
                    help='cell ranges like "0:2,5:6"; "" is the empty set')
     p.add_argument("--out", required=True)
 
-    p = add("spectrum", "spectral measure of a functional")
+    p = add("spectrum", cmd_spectrum, "spectral measure of a functional")
     _add_source(p)
     p.add_argument("--out", required=True)
 
-    p = add("sample", "draw spectral sets")
+    p = add("sample", cmd_sample, "draw spectral sets")
     _add_source(p)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 
-    p = add("factor-check", "is a functional an exact product across a cut")
+    p = add("factor-check", cmd_factor_check, "is a functional an exact product across a cut")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--cut", required=True, help="grid point, e.g. 0.5 or 1/2")
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--out", default=None)
 
-    p = add("cuts", "per-boundary cut distances")
+    p = add("cuts", cmd_cuts, "per-boundary cut distances")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
 
-    p = add("classify", "cross-resolution spectral summaries of a family")
+    p = add("classify", cmd_classify, "cross-resolution spectral summaries of a family")
     p.add_argument("--family", required=True)
     p.add_argument("--levels", required=True, help='range "1..6" or list "1,2,3"')
     p.add_argument("--out", required=True)
 
-    p = add("ito", "Monte Carlo isometry check of an iterated integral")
+    p = add("ito", cmd_ito, "Monte Carlo isometry check of an iterated integral")
     p.add_argument("--kernel", required=True, help="kernel JSON file")
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--paths", type=int, default=100000)
@@ -110,29 +121,29 @@ def build_parser() -> argparse.ArgumentParser:
                    help="max |z| between MC moment and exact target")
     p.add_argument("--out", default=None)
 
-    p = add("npoint", "n-point spectral density table by MC Hermite projection")
+    p = add("npoint", cmd_npoint, "n-point spectral density table by MC Hermite projection")
     _add_source(p)
     p.add_argument("--order", type=int, required=True, choices=(1, 2))
     p.add_argument("--paths", type=int, default=100000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 
-    p = add("dim", "box-counting dimension of sampled spectral sets")
+    p = add("dim", cmd_dim, "box-counting dimension of sampled spectral sets")
     p.add_argument("--family", required=True)
     p.add_argument("--levels", required=True)
     p.add_argument("--samples", type=int, default=20000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 
-    p = add("calibrate", "gate the dimension estimator on deterministic sets")
+    p = add("calibrate", cmd_calibrate, "gate the dimension estimator on deterministic sets")
     p.add_argument("--depth", type=int, default=8)
     p.add_argument("--samples", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
 
-    p = add("selftest", "exact-identity suite end to end")
+    p = add("selftest", cmd_selftest, "exact-identity suite end to end")
     p.add_argument("--level", type=int, default=10,
-                   help="cell count for the dense corpus (capped at 12)")
+                   help="cell count for the dense corpus (clamped to 4..12)")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--tol", type=float, default=1e-10)
 
@@ -162,29 +173,22 @@ def _workers(args) -> int:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
-    handler = {
-        "decompose": cmd_decompose,
-        "project": cmd_project,
-        "spectrum": cmd_spectrum,
-        "sample": cmd_sample,
-        "factor-check": cmd_factor_check,
-        "cuts": cmd_cuts,
-        "classify": cmd_classify,
-        "ito": cmd_ito,
-        "npoint": cmd_npoint,
-        "dim": cmd_dim,
-        "calibrate": cmd_calibrate,
-        "selftest": cmd_selftest,
-    }[args.command]
+    manifest, t0 = start_manifest(args.command, argv, getattr(args, "seed", None))
     try:
-        return handler(args)
+        code = args.run(args)
     except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    out = getattr(args, "out", None)
+    if out:
+        inputs = [getattr(args, "infile", None), getattr(args, "kernel", None)]
+        finish_manifest(manifest, t0, inputs, [out])
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -192,29 +196,24 @@ def main(argv=None) -> int:
 
 
 def cmd_decompose(args) -> int:
-    manifest, t0 = start_manifest("decompose", _argv(), None)
     f = functional_from_data(read_json(args.infile))
     coeffs = decompose(f, args.tol)
     out = functional_to_data(NoiseFunctional.from_chaos(coeffs))
     write_json(args.out, out)
-    finish_manifest(manifest, t0, [args.infile], [args.out])
     print(f"{len(coeffs.entries)} entries, residual {coeffs.residual!r}")
     return EXIT_OK
 
 
 def cmd_project(args) -> int:
-    manifest, t0 = start_manifest("project", _argv(), None)
     f = functional_from_data(read_json(args.infile))
     region = ElementarySet.parse(f.grid, args.region)
     g = conditional_expectation(f, region)
     write_json(args.out, functional_to_data(g))
-    finish_manifest(manifest, t0, [args.infile], [args.out])
     print(f"projected onto {region.cell_count} cells")
     return EXIT_OK
 
 
 def cmd_spectrum(args) -> int:
-    manifest, t0 = start_manifest("spectrum", _argv(), None)
     f = _load_source(args)
     mu = spectral_measure_of(f)
     if mu.is_dense:
@@ -231,13 +230,11 @@ def cmd_spectrum(args) -> int:
             "cardinality_profile": {str(k): v for k, v in profile.items()},
         }
     write_json(args.out, data)
-    finish_manifest(manifest, t0, [args.infile] if args.infile else [], [args.out])
     print(f"total mass {mu.total_mass!r}")
     return EXIT_OK
 
 
 def cmd_sample(args) -> int:
-    manifest, t0 = start_manifest("sample", _argv(), args.seed)
     f = _load_source(args)
     sets = sample_sets(f, args.samples, args.seed)
     rows = [
@@ -245,20 +242,16 @@ def cmd_sample(args) -> int:
         for i, s in enumerate(sets)
     ]
     write_csv(args.out, ["index", "cardinality", "cells"], rows)
-    finish_manifest(manifest, t0, [args.infile] if args.infile else [], [args.out])
     print(f"wrote {len(sets)} sets")
     return EXIT_OK
 
 
 def cmd_factor_check(args) -> int:
-    manifest, t0 = start_manifest("factor-check", _argv(), None)
     f = functional_from_data(read_json(args.infile))
     cut = f.grid.boundary_index(Fraction(args.cut))
     n = f.grid.n_cells
     if n > DENSE_CELL_CAP:
         raise FormatError("factor-check needs a dense-representable functional")
-    from .functionals import evaluate_table
-
     values = evaluate_table(f)
     verdict: dict = {"cut": args.cut, "cut_index": cut}
     if cut == 0 or cut == n:
@@ -277,12 +270,10 @@ def cmd_factor_check(args) -> int:
     print(f"exact-product: {'true' if verdict['exact_product'] else 'false'}")
     if args.out:
         write_json(args.out, {"schema_version": "1", **verdict})
-        finish_manifest(manifest, t0, [args.infile], [args.out])
     return EXIT_OK
 
 
 def cmd_cuts(args) -> int:
-    manifest, t0 = start_manifest("cuts", _argv(), None)
     f = functional_from_data(read_json(args.infile))
     distances = interior_cut_distances(f)
     rows = []
@@ -290,13 +281,11 @@ def cmd_cuts(args) -> int:
         t = f.grid.boundary(b)
         rows.append((b, str(t), float(t), float(d)))
     write_csv(args.out, ["boundary_index", "time_exact", "time", "distance"], rows)
-    finish_manifest(manifest, t0, [args.infile], [args.out])
     print(f"max cut distance {float(distances.max()) if len(distances) else 0.0!r}")
     return EXIT_OK
 
 
 def cmd_classify(args) -> int:
-    manifest, t0 = start_manifest("classify", _argv(), None)
     levels = _parse_levels(args.levels)
     report = classify(args.family, levels)
     data = {
@@ -319,18 +308,14 @@ def cmd_classify(args) -> int:
         "verdicts": list(report.verdicts),
     }
     write_json(args.out, data)
-    finish_manifest(manifest, t0, [], [args.out])
     for v in report.verdicts:
         print(v)
     return EXIT_OK
 
 
 def cmd_ito(args) -> int:
-    manifest, t0 = start_manifest("ito", _argv(), args.seed)
     grid = TimeGrid(0, 1, args.level)
     kernel = kernel_from_data(read_json(args.kernel), grid.n_cells)
-    from .whitenoise import isometry_check
-
     check = isometry_check(grid, kernel, args.paths, args.seed, _workers(args))
     data = {
         "schema_version": "1",
@@ -345,7 +330,6 @@ def cmd_ito(args) -> int:
     }
     if args.out:
         write_json(args.out, data)
-        finish_manifest(manifest, t0, [args.kernel], [args.out])
     print(
         f"exact {check.target!r}  mc {check.estimate.value!r} "
         f"+- {check.estimate.stderr!r}  z {check.z:.3f}"
@@ -357,10 +341,7 @@ def cmd_ito(args) -> int:
 
 
 def cmd_npoint(args) -> int:
-    manifest, t0 = start_manifest("npoint", _argv(), args.seed)
     f = _load_source(args)
-    from .whitenoise import npoint_density_estimate
-
     est = npoint_density_estimate(f, args.order, args.paths, args.seed, _workers(args))
     rows = []
     if args.order == 1:
@@ -374,15 +355,11 @@ def cmd_npoint(args) -> int:
                 rows.append((i, j, float(est.coefficients[i, j]), float(est.densities[i, j])))
         header = ["cell_i", "cell_j", "coeff", "density"]
     write_csv(args.out, header, rows)
-    finish_manifest(manifest, t0, [args.infile] if args.infile else [], [args.out])
     print(f"mean density {est.mean_density!r} +- {est.mean_density_stderr!r}")
     return EXIT_OK
 
 
 def cmd_dim(args) -> int:
-    manifest, t0 = start_manifest("dim", _argv(), args.seed)
-    from .dimension import estimate_dimension
-
     est = estimate_dimension(args.family, _parse_levels(args.levels), args.samples, args.seed)
     rows = [
         (p.level, p.box_level, p.log2_inv_scale, p.mean_log2_count, p.stderr, p.samples)
@@ -393,16 +370,11 @@ def cmd_dim(args) -> int:
         ["level", "box_level", "log2_inv_scale", "mean_log2_count", "stderr", "samples"],
         rows,
     )
-    finish_manifest(manifest, t0, [], [args.out])
     print(f"slope {est.slope!r}  r2 {est.r_squared:.6f}  empty_fraction {est.empty_fraction!r}")
     return EXIT_OK
 
 
 def cmd_calibrate(args) -> int:
-    manifest, t0 = start_manifest("calibrate", _argv(), args.seed)
-    from . import families
-    from .dimension import RefinementFamily, estimate_dimension
-
     gates = {
         "point": (0.0, 0.02),
         "full-interval": (1.0, 0.02),
@@ -423,7 +395,6 @@ def cmd_calibrate(args) -> int:
               f"{'PASS' if ok else 'FAIL'}")
     if args.out:
         write_json(args.out, {"schema_version": "1", "depth": args.depth, "results": results})
-        finish_manifest(manifest, t0, [], [args.out])
     if failed:
         print(f"tolerance failure: {', '.join(failed)}", file=sys.stderr)
         return EXIT_TOLERANCE
@@ -431,7 +402,7 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    n = min(max(args.level, 2), 12)
+    n = min(max(args.level, 4), 12)
     grid = TimeGrid(0, 1, 1, base=n)
     rng = np.random.default_rng(args.seed)
     checks: list[tuple[str, float]] = []
@@ -454,14 +425,8 @@ def cmd_selftest(args) -> int:
                 worst_alg,
                 float(np.max(np.abs(lhs.backend.values - rhs.backend.values))),
             )
-            mr = restrict(mu, region)
-            mp = spectral_measure_of(proj)
-            keys = set(mr.entries) | set(mp.entries)
-            worst_restrict = max(
-                worst_restrict,
-                max((abs(mr.entries.get(k, 0.0) - mp.entries.get(k, 0.0)) for k in keys),
-                    default=0.0),
-            )
+            gap = _max_gap(restrict(mu, region).entries, spectral_measure_of(proj).entries)
+            worst_restrict = max(worst_restrict, gap)
     checks.append(("projection-norm-vs-subset-mass", worst_28))
     checks.append(("projection-composition", worst_alg))
     checks.append(("restriction-vs-projected-measure", worst_restrict))
@@ -474,21 +439,11 @@ def cmd_selftest(args) -> int:
     for _ in range(20):
         a = random_functional(wl, rng)
         b = random_functional(wr, rng)
-        from .functionals import tensor_product
-
         fg = tensor_product(a, b)
         mu_fg = spectral_measure_of(fg)
         mu_prod = product(spectral_measure_of(a), spectral_measure_of(b), grid=fg.grid)
-        keys = set(mu_fg.entries) | set(mu_prod.entries)
-        worst_prod = max(
-            worst_prod,
-            max((abs(mu_fg.entries.get(k, 0.0) - mu_prod.entries.get(k, 0.0)) for k in keys),
-                default=0.0),
-        )
+        worst_prod = max(worst_prod, _max_gap(mu_fg.entries, mu_prod.entries))
     checks.append(("window-factorization", worst_prod))
-
-    from .chaos import add_coefficients
-    from .structure import additive_integral_of
 
     worst_add = 0.0
     for _ in range(20):
@@ -498,12 +453,7 @@ def cmd_selftest(args) -> int:
         r, s, t = (grid.boundary(p) for p in pts)
         lhs = add_coefficients(fam.member(r, s).backend, fam.member(s, t).backend)
         rhs = fam.member(r, t).backend
-        keys = set(lhs.entries) | set(rhs.entries)
-        worst_add = max(
-            worst_add,
-            max((abs(lhs.entries.get(k, 0.0) - rhs.entries.get(k, 0.0))
-                 for k in keys), default=0.0),
-        )
+        worst_add = max(worst_add, _max_gap(lhs.entries, rhs.entries))
     checks.append(("additive-integral-concatenation", worst_add))
 
     failed = False
@@ -521,8 +471,9 @@ def cmd_selftest(args) -> int:
 # helpers
 
 
-def _argv() -> list[str]:
-    return sys.argv[1:] if sys.argv else []
+def _max_gap(a: dict, b: dict) -> float:
+    """max |a[k] - b[k]| over the union of keys; a missing key reads 0."""
+    return max((abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in a.keys() | b.keys()), default=0.0)
 
 
 def _parse_levels(text: str) -> list[int]:
@@ -534,7 +485,10 @@ def _parse_levels(text: str) -> list[int]:
             if hi < lo:
                 raise ValueError
             return list(range(lo, hi + 1))
-        return [int(p) for p in text.split(",") if p.strip()]
+        levels = [int(p) for p in text.split(",") if p.strip()]
+        if not levels:
+            raise ValueError
+        return levels
     except ValueError:
         raise FormatError(f'bad level spec {text!r}; use "1..6" or "1,2,3"') from None
 

@@ -135,6 +135,11 @@ class NPointDensity:
 
     densities[i] (order 1) or densities[i, j], i < j (order 2) estimates the
     squared kernel value on that cell tuple; mass = density * cell volumes.
+
+    mean_density_stderr treats the cell tuples' estimates as independent.
+    They share the same paths and are correlated, so it understates the
+    spread: for I1 at 1024 cells and 16,384 paths it reports 0.0163 where
+    the exact spread of mean_density is 0.0223.
     """
 
     order: int

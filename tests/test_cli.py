@@ -1,5 +1,6 @@
 """End-to-end command runs through main(); exit codes 0, 2, 3 and manifests."""
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -34,10 +35,12 @@ def chi01(tmp_path):
 
 
 def test_selftest_passes(capsys):
-    assert run("selftest", "--level", "4") == 0
-    out = capsys.readouterr().out
-    assert out.count("PASS") == 5
-    assert "FAIL" not in out
+    # level 2 clamps to 4: fewer cells would split into a one-cell window
+    for level in ("4", "2"):
+        assert run("selftest", "--level", level) == 0
+        out = capsys.readouterr().out
+        assert out.count("PASS") == 5
+        assert "FAIL" not in out
 
 
 def test_decompose_writes_chaos_and_manifest(chi01, tmp_path, capsys):
@@ -208,8 +211,10 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert run("spectrum", "--family", "parity", "--out", str(tmp_path / "o.json")) == 2
     assert run("dim", "--family", "parity", "--levels", "2..x", "--samples", "4",
                "--seed", "0", "--out", str(tmp_path / "o.csv")) == 2
+    assert run("classify", "--family", "parity", "--levels", ",",
+               "--out", str(tmp_path / "o.json")) == 2
     err = capsys.readouterr().err
-    assert err.count("error:") == 5
+    assert err.count("error:") == 6
 
 
 def test_non_finite_input_exits_2(tmp_path, capsys):
@@ -239,5 +244,68 @@ def test_parse_levels():
     assert _parse_levels("2,5,7") == [2, 5, 7]
     with pytest.raises(FormatError):
         _parse_levels("4..1")
-    with pytest.raises(FormatError):
-        _parse_levels("a,b")
+    for bad in ("a,b", "", ","):
+        with pytest.raises(FormatError):
+            _parse_levels(bad)
+
+
+# every command that takes --out, with its arguments and the seed it records;
+# "{f}" and "{k}" stand for a functional file and a kernel file
+MANIFEST_CASES = {
+    "decompose": (["--in", "{f}"], None),
+    "project": (["--in", "{f}", "--set", "0:1"], None),
+    "spectrum": (["--in", "{f}"], None),
+    "sample": (["--in", "{f}", "--samples", "10", "--seed", "3"], 3),
+    "factor-check": (["--in", "{f}", "--cut", "1/2"], None),
+    "cuts": (["--in", "{f}"], None),
+    "classify": (["--family", "parity", "--levels", "1..2"], None),
+    "ito": (["--kernel", "{k}", "--level", "3", "--paths", "2000", "--seed", "5"], 5),
+    "npoint": (["--family", "white-noise-i1", "--level", "3", "--order", "1",
+                "--paths", "2000", "--seed", "6"], 6),
+    "dim": (["--family", "parity", "--levels", "5,6", "--samples", "4", "--seed", "7"], 7),
+    "calibrate": (["--depth", "5", "--samples", "8", "--seed", "8"], 8),
+}
+
+
+@pytest.fixture
+def files(chi01, tmp_path):
+    kernel = str(tmp_path / "k.json")
+    write_json(kernel, {"order": 1, "constant": 1.0})
+    return {"{f}": chi01, "{k}": kernel}
+
+
+@pytest.mark.parametrize("command", sorted(MANIFEST_CASES))
+def test_manifest_records_parsed_argv(command, files, tmp_path):
+    options, seed = MANIFEST_CASES[command]
+    out = str(tmp_path / "result")
+    argv = [command] + [files.get(a, a) for a in options] + ["--out", out]
+    assert main(argv) == 0
+    manifest = read_json(out + ".manifest.json")
+    assert manifest["command"] == command
+    assert manifest["argv"] == argv
+    assert manifest["seed"] == seed
+    assert manifest["inputs"] == {p: sha256_of(p) for p in files.values() if p in argv}
+    assert manifest["outputs"] == [out]
+
+
+def test_manifest_argv_defaults_to_command_line(tmp_path, monkeypatch):
+    out = str(tmp_path / "mu.json")
+    argv = ["spectrum", "--family", "tribes", "--level", "5", "--out", out]
+    monkeypatch.setattr(sys, "argv", ["noisespectra"] + argv)
+    assert main() == 0
+    assert read_json(out + ".manifest.json")["argv"] == argv
+
+
+@pytest.mark.parametrize("command", ["factor-check", "ito", "calibrate"])
+def test_no_manifest_without_out(command, files, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main([command] + [files.get(a, a) for a in MANIFEST_CASES[command][0]]) == 0
+    assert list(tmp_path.rglob("*.manifest.json")) == []
+
+
+def test_no_manifest_on_usage_error(tmp_path):
+    out = tmp_path / "o.json"
+    assert run("decompose", "--in", str(tmp_path / "missing.json"), "--out", str(out)) == 2
+    assert run("classify", "--family", "parity", "--levels", ",", "--out", str(out)) == 2
+    assert run("spectrum", "--family", "nonesuch", "--level", "3", "--out", str(out)) == 2
+    assert list(tmp_path.rglob("*.manifest.json")) == []
