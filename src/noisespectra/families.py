@@ -9,6 +9,13 @@ measure factors into a top-down branching process.  That yields closed-form
 singleton masses, cardinality profiles, restricted masses for arbitrary cell
 regions, and an exact set sampler, all without touching a 2^n table.
 
+Queries run as array passes with one step per tree depth.  A region arrives
+as its sorted cell ranges, and only the nodes it covers partly are visited,
+so its cost grows with the number of range endpoints, not with the leaf
+count.  A batch of cuts looks up every boundary's prefix and suffix
+coefficients at once, and the sampler draws child subsets for every live
+node of every draw at once.
+
 Small instances still materialize to tables, so every closed form here can be
 cross-checked against the dense transform in tests.
 """
@@ -16,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -48,63 +56,83 @@ class TreeLayer:
     q: np.ndarray
     mask_w: np.ndarray | None = None
 
-    def subset_value(self, child_vals: np.ndarray) -> float:
-        """E over subsets T of the product of child_vals inside T.
-
-        With child_vals[i] the normalized mass child i keeps inside a region,
-        this is the fraction of this node's fluctuation mass inside it.
-        """
-        v = np.asarray(child_vals, dtype=np.float64)
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Mass of one child subset: per bitmask, or per size on symmetric layers."""
         if self.mask_w is not None:
-            prods = np.ones(1)
+            return self.mask_w
+        m = self.fanin
+        return np.array([self.q[t] / math.comb(m, t) for t in range(m + 1)])
+
+    @cached_property
+    def cut_coeffs(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """(alpha, beta) per count of full children, in child order and reversed.
+
+        A prefix covering children 0..full-1 and part of child `full` holds
+        the fraction alpha[full] + beta[full] * (that child's own prefix
+        fraction): alpha sums the subsets of the full children, beta those
+        that also take the partial child.  The reversed pair counts children
+        from the last one, for suffixes.
+        """
+        m, w = self.fanin, self.weights
+        if self.mask_w is not None:
+            # masks below 2**i are the subsets of children 0..i-1; reversing
+            # the axes of the (2,)*m view mirrors the child order
+            starts = np.concatenate([[0], 1 << np.arange(m)])
+            tables = []
+            for ordered in (w, w.reshape((2,) * m).T.reshape(-1)):
+                # mass by the last child a subset takes, the empty subset first
+                by_last = np.add.reduceat(ordered, starts)
+                tables.append((np.cumsum(by_last), np.append(by_last[1:], 0.0)))
+            return tuple(tables)
+        # symmetric layer: subsets of one size share mass, so the sums run
+        # over sizes with binomial counts, Pascal's triangle row by row
+        binom = np.zeros((m + 1, m + 1))
+        binom[:, 0] = 1.0
+        for full in range(1, m + 1):
+            binom[full, 1:] = binom[full - 1, 1:] + binom[full - 1, :-1]
+        pair = (binom @ w, np.append(binom[:m, :m] @ w[1:], 0.0))
+        return pair, pair
+
+    def subset_values(self, child_vals: np.ndarray) -> np.ndarray:
+        """Row-wise E over child subsets T of the product of a row's values in T.
+
+        With child_vals[r, i] the normalized mass child i of node r keeps
+        inside a region, entry r is the fraction of node r's fluctuation mass
+        inside it.
+        """
+        v = child_vals
+        if self.mask_w is not None:
+            prods = np.ones((v.shape[0], 1))
             for i in range(self.fanin):
-                prods = np.concatenate([prods, prods * v[i]])
-            return float(self.mask_w @ prods)
-        # symmetric layer: subsets of equal size share mass, so only the
-        # elementary symmetric functions of the child values enter
-        m = self.fanin
-        e = np.zeros(m + 1)
-        e[0] = 1.0
-        for vi in v:
-            e[1:] = e[1:] + vi * e[:-1]
-        binoms = np.array([math.comb(m, t) for t in range(m + 1)], dtype=np.float64)
-        return float(np.sum(self.q[1:] * e[1:] / binoms[1:]))
+                prods = np.concatenate([prods, prods * v[:, i : i + 1]], axis=1)
+            return prods @ self.mask_w
+        # only the elementary symmetric functions of the child values enter
+        w = self.weights
+        e = np.zeros((v.shape[0], self.fanin + 1))
+        e[:, 0] = 1.0
+        for i in range(self.fanin):
+            e[:, 1:] += v[:, i : i + 1] * e[:, :-1]
+        return e[:, 1:] @ w[1:]
 
-    def prefix_coeffs(self, full: int) -> tuple[float, float]:
-        """(alpha, beta) with prefix mass = alpha + beta * partial-child mass.
-
-        `full` counts the children lying entirely inside the prefix; the
-        child at position `full`, if any, is the partial one.
-        """
+    def draw_children(self, rng: np.random.Generator, nodes: int) -> np.ndarray:
+        """One child subset per node, as a (nodes, fanin) boolean array."""
         m = self.fanin
         if self.mask_w is not None:
-            inside = np.uint64((1 << full) - 1)
-            masks = np.arange(self.mask_w.shape[0], dtype=np.uint64)
-            sub = (masks & ~inside) == 0
-            alpha = float(self.mask_w[sub].sum())
-            if full < m:
-                withp = (masks & ~(inside | np.uint64(1 << full))) == 0
-                beta = float(self.mask_w[withp & ~sub].sum())
-            else:
-                beta = 0.0
-            return alpha, beta
-        alpha = beta = 0.0
-        for t in range(1, m + 1):
-            w_t = self.q[t] / math.comb(m, t)
-            if w_t == 0.0:
-                continue
-            if t <= full:
-                alpha += w_t * math.comb(full, t)
-            if full < m and t - 1 <= full:
-                beta += w_t * math.comb(full, t - 1)
-        return alpha, beta
-
-    def sample_children(self, rng: np.random.Generator) -> np.ndarray:
-        if self.mask_w is not None:
-            mask = int(rng.choice(self.mask_w.shape[0], p=self.mask_w))
-            return np.array([i for i in range(self.fanin) if mask >> i & 1])
-        t = int(rng.choice(self.fanin + 1, p=self.q))
-        return rng.choice(self.fanin, size=t, replace=False)
+            cdf = np.cumsum(self.mask_w)
+            masks = np.searchsorted(cdf, rng.random(nodes) * cdf[-1], side="right")
+            masks = np.minimum(masks, cdf.shape[0] - 1)
+            return (masks[:, None] >> np.arange(m)) & 1 == 1
+        cdf = np.cumsum(self.q)
+        sizes = np.minimum(np.searchsorted(cdf, rng.random(nodes) * cdf[-1], side="right"), m)
+        # the children ranked below the drawn size by uniform keys form a
+        # uniform subset of that size; keys go in row blocks to bound memory
+        picked = np.empty((nodes, m), dtype=bool)
+        step = max(1, (1 << 20) // m)
+        for s in range(0, nodes, step):
+            keys = rng.random((min(step, nodes - s), m))
+            picked[s : s + step] = keys.argsort(axis=1).argsort(axis=1) < sizes[s : s + step, None]
+        return picked
 
 
 def _dense_layer(table: np.ndarray, mu_in: float) -> TreeLayer:
@@ -236,20 +264,19 @@ class TreeModel:
     total_mass: float = 1.0
 
     def __post_init__(self) -> None:
-        self.leaf_count = 1
-        for layer in self.layers:
-            self.leaf_count *= layer.fanin
+        # spans[d]: leaves under one node of depth d, down to spans[-1] = 1
+        self.spans = [1]
+        for layer in reversed(self.layers):
+            self.spans.insert(0, self.spans[0] * layer.fanin)
+        self.leaf_count = self.spans[0]
         if self.leaf_count > self.grid.n_cells:
             raise ValueError("tree has more leaves than the grid has cells")
         self.empty_mass = self.layers[0].mu_out ** 2
         self.fluctuation_mass = self.layers[0].sigma_sq
 
-    # spans[d] = number of leaves under one node of layer d
-    def _span(self, depth: int) -> int:
-        s = 1
-        for layer in self.layers[depth:]:
-            s *= layer.fanin
-        return s
+    def _levels(self):
+        """(layer, leaves under one of its children) from the root down."""
+        return zip(self.layers, self.spans[1:])
 
     def singleton_mass(self) -> float:
         frac = 1.0
@@ -267,76 +294,87 @@ class TreeModel:
                 power = np.convolve(power, poly)
                 if layer.q[t] != 0.0:
                     acc = _poly_add(acc, layer.q[t] * power)
-            poly = acc
+            # high sizes underflow to exact zeros; dropping them keeps the
+            # convolutions proportional to the sizes that carry mass
+            poly = np.trim_zeros(acc, "b")
         out = {0: self.empty_mass}
-        for k in range(1, poly.shape[0]):
-            if poly[k] != 0.0:
-                out[k] = self.fluctuation_mass * float(poly[k])
+        for k in np.flatnonzero(poly[1:]).tolist():
+            out[k + 1] = self.fluctuation_mass * float(poly[k + 1])
         return out
 
-    def subset_mass(self, cells: frozenset[int]) -> float:
-        """Mass of sets contained in `cells`; the empty set always is."""
-        inside = np.array(sorted(c for c in cells if c < self.leaf_count), dtype=np.int64)
+    def subset_mass(self, ranges) -> float:
+        """Mass of sets inside a region given as sorted disjoint [lo, hi) cell ranges.
 
-        def node_value(depth: int, lo: int) -> float:
-            span = self._span(depth)
-            count = int(
-                np.searchsorted(inside, lo + span, side="left")
-                - np.searchsorted(inside, lo, side="left")
-            )
-            if count == span:
-                return 1.0
-            if count == 0:
-                return 0.0
-            layer = self.layers[depth]
-            child_span = span // layer.fanin
-            vals = np.array(
-                [node_value(depth + 1, lo + i * child_span) for i in range(layer.fanin)]
-            )
-            return layer.subset_value(vals)
+        One step per depth keeps only the nodes the region covers partly, so
+        the cost grows with the number of range endpoints, not with the leaf
+        count.  The empty set always lies inside.
+        """
+        r = np.minimum(np.asarray(ranges, dtype=np.int64).reshape(-1, 2), self.leaf_count)
+        lo, hi = r[:, 0], r[:, 1]
+        before = np.concatenate([[0], np.cumsum(hi - lo)])
+        lo = np.append(lo, self.leaf_count)
 
-        return self.empty_mass + self.fluctuation_mass * node_value(0, 0)
+        def covered(x: np.ndarray) -> np.ndarray:
+            # region cells below each position: whole ranges, then the one x cuts
+            k = np.searchsorted(hi, x, side="right")
+            return before[k] + np.maximum(x - lo[k], 0)
+
+        if before[-1] == 0:
+            return self.empty_mass
+        if before[-1] == self.leaf_count:
+            return self.empty_mass + self.fluctuation_mass
+        nodes = np.zeros(1, dtype=np.int64)  # first leaf of each partly covered node
+        levels = []
+        for layer, child_span in self._levels():
+            starts = nodes[:, None] + child_span * np.arange(layer.fanin + 1)
+            counts = np.diff(covered(starts), axis=1)
+            vals = (counts == child_span).astype(np.float64)
+            partial = (counts > 0) & (counts < child_span)
+            levels.append((layer, vals, partial))
+            nodes = starts[:, :-1][partial]
+            if not nodes.size:
+                break
+        value = np.zeros(0)
+        for layer, vals, partial in reversed(levels):
+            vals[partial] = value
+            value = layer.subset_values(vals)
+        return self.empty_mass + self.fluctuation_mass * float(value[0])
+
+    def cut_masses(self, boundaries) -> tuple[np.ndarray, np.ndarray]:
+        """Masses of the sets inside cells [0, b) and inside [b, n), per boundary b."""
+        b = np.clip(np.asarray(boundaries, dtype=np.int64), 0, self.leaf_count)
+        return self._cut_mass(b, 0), self._cut_mass(self.leaf_count - b, 1)
 
     def prefix_mass(self, boundary: int) -> float:
-        """Mass of sets inside the first `boundary` cells, in depth many steps."""
-        b = min(boundary, self.leaf_count)
-        if b <= 0:
-            return self.empty_mass
-        if b == self.leaf_count:
-            return self.empty_mass + self.fluctuation_mass
+        """Mass of sets inside the first `boundary` cells."""
+        return float(self._cut_mass(np.clip([boundary], 0, self.leaf_count), 0)[0])
 
-        def node_value(depth: int, cut: int) -> float:
-            # normalized mass of this node's sets left of a strictly interior cut
-            layer = self.layers[depth]
-            child_span = self._span(depth) // layer.fanin
-            full, rem = divmod(cut, child_span)
-            alpha, beta = layer.prefix_coeffs(full)
-            if rem == 0:
-                return alpha
-            return alpha + beta * node_value(depth + 1, rem)
-
-        return self.empty_mass + self.fluctuation_mass * node_value(0, b)
+    def _cut_mass(self, cut: np.ndarray, side: int) -> np.ndarray:
+        """Mass of sets inside the first `cut` leaves, counted in child order
+        (side 0) or reversed child order (side 1); one step per depth."""
+        frac = np.zeros(cut.shape)
+        scale = np.ones(cut.shape)
+        rem = cut
+        for layer, child_span in self._levels():
+            alpha, beta = layer.cut_coeffs[side]
+            full, rem = np.divmod(rem, child_span)
+            frac += scale * alpha[full]
+            scale = np.where(rem > 0, scale * beta[full], 0.0)
+        frac[cut >= self.leaf_count] = 1.0
+        return self.empty_mass + self.fluctuation_mass * frac
 
     def sample(self, k: int, seed: int) -> list[tuple[int, ...]]:
+        """k exact draws; each depth picks child subsets for all live nodes at once."""
         rng = worker_generator(seed, 0)
-        draws: list[tuple[int, ...]] = []
-        for _ in range(k):
-            if rng.uniform() < self.empty_mass / self.total_mass:
-                draws.append(())
-                continue
-            cells: list[int] = []
-            stack = [(0, 0)]
-            while stack:
-                depth, lo = stack.pop()
-                if depth == len(self.layers):
-                    cells.append(lo)
-                    continue
-                layer = self.layers[depth]
-                child_span = self._span(depth) // layer.fanin
-                for i in layer.sample_children(rng):
-                    stack.append((depth + 1, lo + int(i) * child_span))
-            draws.append(tuple(sorted(cells)))
-        return draws
+        owner = np.flatnonzero(rng.random(k) >= self.empty_mass / self.total_mass)
+        first = np.zeros(owner.shape, dtype=np.int64)
+        for layer, child_span in self._levels():
+            rows, cols = np.nonzero(layer.draw_children(rng, owner.shape[0]))
+            owner, first = owner[rows], first[rows] + cols * child_span
+        # nonzero runs row-major, so each draw's cells come out grouped and sorted
+        cells = first.tolist()
+        ends = np.cumsum(np.bincount(owner, minlength=k)).tolist()
+        return [tuple(cells[a:b]) for a, b in zip([0, *ends], ends)]
 
 
 def _poly_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:

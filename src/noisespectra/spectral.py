@@ -64,7 +64,13 @@ class SpectralSet:
 
 
 class SpectralModel(Protocol):
-    """Exact sampler-and-query backend for measures beyond the dense cap."""
+    """Exact sampler-and-query backend for measures beyond the dense cap.
+
+    Regions arrive as sorted disjoint half-open cell ranges and cuts as
+    arrays of boundary indices, so a model can answer them in time that grows
+    with the number of range endpoints or boundaries and with its depth, not
+    with the cell count.
+    """
 
     total_mass: float
     empty_mass: float
@@ -73,9 +79,11 @@ class SpectralModel(Protocol):
 
     def cardinality_profile(self) -> dict[int, float]: ...
 
-    def subset_mass(self, cells: frozenset[int]) -> float: ...
+    def subset_mass(self, ranges: Sequence[tuple[int, int]]) -> float: ...
 
     def prefix_mass(self, boundary: int) -> float: ...
+
+    def cut_masses(self, boundaries: np.ndarray) -> tuple[np.ndarray, np.ndarray]: ...
 
     def sample(self, k: int, seed: int) -> list[tuple[int, ...]]: ...
 
@@ -255,13 +263,19 @@ def measure_from_coefficients(coeffs: ChaosCoefficients) -> SpectralMeasure:
 
 
 def mass_of_subsets_of(mu: SpectralMeasure, region: ElementarySet) -> float:
-    """mu{C : C inside the region}; equals the squared norm of the projection."""
+    """mu{C : C inside the region}; equals the squared norm of the projection.
+
+    The truncation residual has no location, so a measure carrying one is
+    refused, as in `restrict`.
+    """
     if mu.grid != region.grid:
         raise GridMismatchError("measure and region live on different grids")
     if not mu.is_dense:
         if hasattr(mu.model, "subset_mass"):
-            return mu.model.subset_mass(frozenset(region.cells()))
+            return mu.model.subset_mass(region.ranges)
         raise BackendError("sampler-backed measure lacks a subset-mass rule")
+    if mu.residual:
+        mu._require_resolved("take subset masses of")
     t = mu._atoms
     return float(t.mass[t.inside(region.mask())].sum())
 

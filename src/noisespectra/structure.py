@@ -110,28 +110,26 @@ def cut_distance(f, t) -> float:
     """
     mu = f if isinstance(f, SpectralMeasure) else spectral_measure_of(f)
     idx = mu.grid.boundary_index(as_time(t))
-    return _cut_distance_at(mu, idx)
+    return float(_cut_distances(mu, np.array([idx]))[0])
 
 
-def _cut_distance_at(mu: SpectralMeasure, boundary: int) -> float:
-    n = mu.grid.n_cells
-    if boundary <= 0 or boundary >= n:
-        return 0.0
+def _cut_distances(mu: SpectralMeasure, boundaries: np.ndarray) -> np.ndarray:
+    """Cut distances at the given boundary indices; 0 at the window's ends."""
+    inner = (boundaries > 0) & (boundaries < mu.grid.n_cells)
     if mu.is_dense:
-        straddle = straddle_mass(mu, boundary)
+        straddle = np.array([straddle_mass(mu, int(b)) for b in boundaries[inner]])
     else:
-        left = mu.model.prefix_mass(boundary)
-        right = mu.model.subset_mass(frozenset(range(boundary, n)))
+        left, right = mu.model.cut_masses(boundaries[inner])
         straddle = mu.total_mass - left - right + mu.empty_atom
-    return float(np.sqrt(max(straddle, 0.0)))
+    out = np.zeros(boundaries.shape)
+    out[inner] = np.sqrt(np.maximum(straddle, 0.0))
+    return out
 
 
 def interior_cut_distances(f) -> np.ndarray:
     """Cut distances at every interior boundary, index 1 through n-1."""
     mu = f if isinstance(f, SpectralMeasure) else spectral_measure_of(f)
-    return np.array(
-        [_cut_distance_at(mu, b) for b in range(1, mu.grid.n_cells)]
-    )
+    return _cut_distances(mu, np.arange(1, mu.grid.n_cells))
 
 
 @dataclass(frozen=True)

@@ -225,6 +225,21 @@ def test_restrict_rejects_residual():
         restrict(mu, ElementarySet.from_cells(grid, [0, 1]))
 
 
+def test_subset_mass_rejects_residual():
+    # a degree-2 Hermite truncation of exp(0.9 W) leaves a tail with no
+    # location; counting it inside any region, or dropping it, would be wrong
+    from noisespectra import MapFactor, MapTerm
+
+    grid = TimeGrid(0, 1, 1)
+    f = NoiseFunctional.from_program(
+        grid, [MapTerm(1.0, (MapFactor(0, 0, "exp", (0.9,)),))], degree_cap=2
+    )
+    mu = spectral_measure_of(f)
+    assert mu.residual > 1e-3
+    with pytest.raises(BackendError, match="residual"):
+        mass_of_subsets_of(mu, ElementarySet.full(grid))
+
+
 def test_measure_is_immutable():
     from dataclasses import FrozenInstanceError
 

@@ -1,0 +1,181 @@
+"""Tree-model routes against the node-by-node reference in tree_reference.
+
+The library answers region, cut and sampling queries with one array pass per
+tree depth; the reference walks one node at a time.  Both read the same layer
+data, so these tests pin the passes far past the sizes a dense twin reaches.
+"""
+import functools
+import math
+
+import numpy as np
+import pytest
+
+import tree_reference as ref
+from noisespectra import (
+    ElementarySet,
+    NoiseFunctional,
+    box_count,
+    cut_distance,
+    interior_cut_distances,
+    sample_sets,
+    spectral_measure_of,
+)
+from noisespectra.families import TreeModel, family_model, tribes_shape
+from noisespectra.spectral import SpectralMeasure
+
+TOL = 1e-12
+INSTANCES = [("majority3-iterated", level) for level in range(1, 8)] + [
+    ("tribes", level) for level in range(3, 13)
+]
+
+
+def model_of(name, level):
+    f = NoiseFunctional.from_family(name, level)
+    return family_model(f.grid, f.backend)
+
+
+@functools.cache
+def reference_cuts(name, level):
+    """Boundaries with reference prefix and suffix masses: every boundary on
+    small trees, 300 seeded ones above."""
+    model = model_of(name, level)
+    n = model.grid.n_cells
+    if name == "majority3-iterated" and level <= 6 or name == "tribes" and level <= 8:
+        bs = np.arange(n + 1)
+    else:
+        bs = np.random.default_rng(level).integers(0, n + 1, size=300)
+    prefix = [ref.prefix_mass(model, b) for b in bs.tolist()]
+    suffix = [ref.suffix_mass(model, b) for b in bs.tolist()]
+    return bs, prefix, suffix
+
+
+def regions(name, level, grid, rng):
+    n = grid.n_cells
+    out = [ElementarySet.from_cells(grid, np.flatnonzero(rng.integers(0, 2, size=n)))
+           for _ in range(3)]
+    # sparse and dense scatter leave fully covered and empty subtrees
+    out += [ElementarySet.from_cells(grid, np.flatnonzero(rng.random(n) < p))
+            for p in (0.05, 0.95)]
+    for _ in range(4):
+        lo, hi = sorted(int(x) for x in rng.choice(n + 1, size=2, replace=False))
+        out.append(ElementarySet(grid, ((lo, hi),)))
+    if name == "tribes" and tribes_shape(level)[2]:
+        # the padding cells past the last block never enter a set
+        width, blocks, _ = tribes_shape(level)
+        used = width * blocks
+        out.append(ElementarySet(grid, ((used - 3 * width, n),)))
+        out.append(ElementarySet.from_cells(grid, [0, 1, *range(used, n)]))
+    return out
+
+
+@pytest.mark.parametrize("name,level", INSTANCES)
+def test_region_mass_matches_reference(name, level):
+    model = model_of(name, level)
+    rng = np.random.default_rng(100 + level)
+    for region in regions(name, level, model.grid, rng):
+        want = ref.subset_mass(model, frozenset(region.cells()))
+        assert abs(model.subset_mass(region.ranges) - want) <= TOL
+
+
+@pytest.mark.parametrize("name,level", INSTANCES)
+def test_cut_masses_match_reference(name, level):
+    model = model_of(name, level)
+    bs, want_prefix, want_suffix = reference_cuts(name, level)
+    prefix, suffix = model.cut_masses(bs)
+    assert np.max(np.abs(prefix - want_prefix)) <= TOL
+    assert np.max(np.abs(suffix - want_suffix)) <= TOL
+    assert [model.prefix_mass(b) for b in bs.tolist()] == prefix.tolist()
+
+
+@pytest.mark.parametrize("name,level", INSTANCES)
+def test_interior_cut_distances_match_per_boundary(name, level):
+    model = model_of(name, level)
+    grid = model.grid
+    mu = SpectralMeasure(grid, None, model=model)  # model-backed even below the dense cap
+    distances = interior_cut_distances(mu)
+    assert distances.shape == (grid.n_cells - 1,)
+    bs, want_prefix, want_suffix = reference_cuts(name, level)
+    for b, left, right in zip(bs.tolist(), want_prefix, want_suffix):
+        d = cut_distance(mu, grid.boundary(b))
+        if not 0 < b < grid.n_cells:
+            assert d == 0.0
+            continue
+        assert abs(distances[b - 1] - d) <= TOL
+        straddle = model.total_mass - left - right + model.empty_mass
+        assert abs(d * d - straddle) <= TOL
+
+
+def test_prefix_and_region_routes_are_independent(monkeypatch):
+    # the benchmark compares prefix_mass with a one-interval subset_mass;
+    # that check means something only while neither calls the other
+    model = model_of("majority3-iterated", 5)
+    want_prefix = model.prefix_mass(100)
+    want_region = model.subset_mass(((0, 100),))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("routes must not call each other")
+
+    monkeypatch.setattr(TreeModel, "subset_mass", refuse)
+    assert model.prefix_mass(100) == want_prefix
+    monkeypatch.undo()
+    monkeypatch.setattr(TreeModel, "prefix_mass", refuse)
+    monkeypatch.setattr(TreeModel, "cut_masses", refuse)
+    assert model.subset_mass(((0, 100),)) == want_region
+    assert abs(want_prefix - want_region) <= TOL
+
+
+@pytest.mark.parametrize("sampler", ["library", "reference"])
+@pytest.mark.parametrize("name,level", [("majority3-iterated", 5), ("tribes", 9),
+                                        ("tribes", 12)])
+def test_sampled_sizes_match_the_cardinality_profile(name, level, sampler):
+    """Mean draw size within five standard errors of the exact profile mean."""
+    model = model_of(name, level)
+    k = 2000
+    draws = model.sample(k, seed=17) if sampler == "library" else ref.sample(model, k, seed=17)
+    profile = model.cardinality_profile()
+    sizes = np.array(list(profile), dtype=np.float64)
+    p = np.array(list(profile.values())) / model.total_mass
+    mean = float(p @ sizes)
+    var = float(p @ (sizes - mean) ** 2)
+    z = (np.mean([len(d) for d in draws]) - mean) / math.sqrt(var / k)
+    assert abs(z) <= 5.0
+    assert all(not d or d[-1] < model.leaf_count for d in draws)
+    assert all(list(d) == sorted(set(d)) for d in draws)
+
+
+def test_box_counts_follow_galton_watson_far_past_the_dense_cap():
+    """At Maj3 L12 the live boxes at depth j form a Galton-Watson generation.
+
+    Each live node keeps one child with probability 3/4 and all three with
+    probability 1/4, so the mean count is (3/2)**j with variance
+    (3/4) (3/2)**(j-1) ((3/2)**j - 1) / (1/2).
+    """
+    mu = spectral_measure_of(NoiseFunctional.from_family("majority3-iterated", 12))
+    k = 4000
+    sets = sample_sets(mu, k, seed=23)
+    m, var1 = 1.5, 0.75
+    for j in range(2, 11):
+        counts = [box_count(s, j) for s in sets]
+        var = var1 * m ** (j - 1) * (m**j - 1) / (m - 1)
+        z = (float(np.mean(counts)) - m**j) / math.sqrt(var / k)
+        assert abs(z) <= 5.0, (j, z)
+
+
+def test_all_cuts_at_maj3_level_12_in_one_pass():
+    mu = spectral_measure_of(NoiseFunctional.from_family("majority3-iterated", 12))
+    distances = interior_cut_distances(mu)
+    assert distances.shape == (3**12 - 1,)
+    assert np.all((distances > 0.0) & (distances <= 1.0))
+    # cuts mirrored about the middle see mirrored trees
+    assert np.allclose(distances, distances[::-1], rtol=0, atol=1e-13)
+
+
+def test_cardinality_profile_at_maj3_level_12():
+    # sizes past about 8,500 underflow to zero mass and are left out; what
+    # remains still carries all the mass, with mean size (3/2)**12
+    model = model_of("majority3-iterated", 12)
+    profile = model.cardinality_profile()
+    assert abs(sum(profile.values()) - model.total_mass) <= TOL
+    mean = sum(k * v for k, v in profile.items())
+    assert abs(mean / 1.5**12 - 1.0) <= TOL
+    assert profile[1] == model.singleton_mass()

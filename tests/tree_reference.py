@@ -1,0 +1,139 @@
+"""Node-by-node reference routes for `families.TreeModel`, used only by tests.
+
+These are the original one-node-at-a-time recursions: a region's mass walks
+every partly covered node with a scalar subset value, a prefix mass follows
+the single partial child down, and a draw walks the tree with one
+`rng.choice` per live node.  The library answers the same queries with one
+array pass per depth, so the two share nothing but the layer data
+(`fanin`, `q`, `mask_w`) and make an independent oracle for each other.
+"""
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+
+def _span(model, depth: int) -> int:
+    s = 1
+    for layer in model.layers[depth:]:
+        s *= layer.fanin
+    return s
+
+
+def subset_value(layer, child_vals) -> float:
+    """E over child subsets T of the product of child_vals inside T."""
+    v = np.asarray(child_vals, dtype=np.float64)
+    if layer.mask_w is not None:
+        prods = np.ones(1)
+        for i in range(layer.fanin):
+            prods = np.concatenate([prods, prods * v[i]])
+        return float(layer.mask_w @ prods)
+    m = layer.fanin
+    e = np.zeros(m + 1)
+    e[0] = 1.0
+    for vi in v:
+        e[1:] = e[1:] + vi * e[:-1]
+    binoms = np.array([math.comb(m, t) for t in range(m + 1)], dtype=np.float64)
+    return float(np.sum(layer.q[1:] * e[1:] / binoms[1:]))
+
+
+def prefix_coeffs(layer, full: int) -> tuple[float, float]:
+    """(alpha, beta) with prefix mass = alpha + beta * partial-child mass."""
+    m = layer.fanin
+    if layer.mask_w is not None:
+        inside = np.uint64((1 << full) - 1)
+        masks = np.arange(layer.mask_w.shape[0], dtype=np.uint64)
+        sub = (masks & ~inside) == 0
+        alpha = float(layer.mask_w[sub].sum())
+        if full < m:
+            withp = (masks & ~(inside | np.uint64(1 << full))) == 0
+            beta = float(layer.mask_w[withp & ~sub].sum())
+        else:
+            beta = 0.0
+        return alpha, beta
+    alpha = beta = 0.0
+    for t in range(1, m + 1):
+        w_t = layer.q[t] / math.comb(m, t)
+        if w_t == 0.0:
+            continue
+        if t <= full:
+            alpha += w_t * math.comb(full, t)
+        if full < m and t - 1 <= full:
+            beta += w_t * math.comb(full, t - 1)
+    return alpha, beta
+
+
+def subset_mass(model, cells) -> float:
+    """Mass of sets contained in `cells`; the empty set always is."""
+    inside = np.array(sorted(c for c in cells if c < model.leaf_count), dtype=np.int64)
+
+    def node_value(depth: int, lo: int) -> float:
+        span = _span(model, depth)
+        count = int(
+            np.searchsorted(inside, lo + span, side="left")
+            - np.searchsorted(inside, lo, side="left")
+        )
+        if count == span:
+            return 1.0
+        if count == 0:
+            return 0.0
+        layer = model.layers[depth]
+        child_span = span // layer.fanin
+        vals = [node_value(depth + 1, lo + i * child_span) for i in range(layer.fanin)]
+        return subset_value(layer, vals)
+
+    return model.empty_mass + model.fluctuation_mass * node_value(0, 0)
+
+
+def prefix_mass(model, boundary: int) -> float:
+    """Mass of sets inside the first `boundary` cells."""
+    b = min(boundary, model.leaf_count)
+    if b <= 0:
+        return model.empty_mass
+    if b == model.leaf_count:
+        return model.empty_mass + model.fluctuation_mass
+
+    def node_value(depth: int, cut: int) -> float:
+        layer = model.layers[depth]
+        child_span = _span(model, depth) // layer.fanin
+        full, rem = divmod(cut, child_span)
+        alpha, beta = prefix_coeffs(layer, full)
+        if rem == 0:
+            return alpha
+        return alpha + beta * node_value(depth + 1, rem)
+
+    return model.empty_mass + model.fluctuation_mass * node_value(0, b)
+
+
+def suffix_mass(model, boundary: int) -> float:
+    """Mass of sets inside the cells from `boundary` on."""
+    return subset_mass(model, frozenset(range(boundary, model.grid.n_cells)))
+
+
+def sample(model, k: int, seed: int) -> list[tuple[int, ...]]:
+    """k exact draws, one stack walk and one `rng.choice` per live node."""
+    rng = np.random.default_rng(seed)
+    draws: list[tuple[int, ...]] = []
+    for _ in range(k):
+        if rng.uniform() < model.empty_mass / model.total_mass:
+            draws.append(())
+            continue
+        cells: list[int] = []
+        stack = [(0, 0)]
+        while stack:
+            depth, lo = stack.pop()
+            if depth == len(model.layers):
+                cells.append(lo)
+                continue
+            layer = model.layers[depth]
+            child_span = _span(model, depth) // layer.fanin
+            if layer.mask_w is not None:
+                mask = int(rng.choice(layer.mask_w.shape[0], p=layer.mask_w))
+                children = [i for i in range(layer.fanin) if mask >> i & 1]
+            else:
+                t = int(rng.choice(layer.fanin + 1, p=layer.q))
+                children = rng.choice(layer.fanin, size=t, replace=False).tolist()
+            stack.extend((depth + 1, lo + int(i) * child_span) for i in children)
+        draws.append(tuple(sorted(cells)))
+    return draws
