@@ -81,8 +81,6 @@ class SpectralModel(Protocol):
 
     def subset_mass(self, ranges: Sequence[tuple[int, int]]) -> float: ...
 
-    def prefix_mass(self, boundary: int) -> float: ...
-
     def cut_masses(self, boundaries: np.ndarray) -> tuple[np.ndarray, np.ndarray]: ...
 
     def sample(self, k: int, seed: int) -> list[tuple[int, ...]]: ...

@@ -162,29 +162,27 @@ def test_tribes_ignored_cells_carry_no_mass():
     assert all(all(c < model.leaf_count for c in s) for s in draws)
 
 
-@pytest.mark.parametrize(
+def test_model_sampler_matches_dense_frequencies():
     # mask layers, then symmetric ones: tribes L4 spreads its mass over 4**8
     # atoms, where an exact sampler still shows TV near 0.075 at 40,000 draws
-    "name,level,draws", [("majority3-iterated", 2, 40_000), ("tribes", 4, 2_000_000)]
-)
-def test_model_sampler_matches_dense_frequencies(name, level, draws):
-    f = make_functional(name, level)
-    model = family_model(f.grid, f.backend)
-    mu = spectral_measure_of(dense_twin(f))
-    n = f.grid.n_cells
-    # dense probabilities by cell bitmask; the entries hold the empty atom too
-    probs = np.zeros(1 << n)
-    for cells, v in mu.entries.items():
-        probs[sum(1 << c for c in cells)] = v / mu.total_mass
-    freq = np.zeros(1 << n)
-    batch = 500_000
-    for start in range(0, draws, batch):
-        sets = model.sample(min(batch, draws - start), seed=5 + start // batch)
-        masks = np.fromiter((sum(1 << c for c in s) for s in sets), dtype=np.int64,
-                            count=len(sets))
-        freq += np.bincount(masks, minlength=1 << n)
-    tv = 0.5 * np.abs(freq / draws - probs).sum()
-    assert tv < 0.02
+    for name, level, draws in [("majority3-iterated", 2, 40_000), ("tribes", 4, 2_000_000)]:
+        f = make_functional(name, level)
+        model = family_model(f.grid, f.backend)
+        mu = spectral_measure_of(dense_twin(f))
+        n = f.grid.n_cells
+        # dense probabilities by cell bitmask; the entries hold the empty atom too
+        probs = np.zeros(1 << n)
+        for cells, v in mu.entries.items():
+            probs[sum(1 << c for c in cells)] = v / mu.total_mass
+        freq = np.zeros(1 << n)
+        batch = 500_000
+        for start in range(0, draws, batch):
+            sets = model.sample(min(batch, draws - start), seed=5 + start // batch)
+            masks = np.fromiter((sum(1 << c for c in s) for s in sets), dtype=np.int64,
+                                count=len(sets))
+            freq += np.bincount(masks, minlength=1 << n)
+        tv = 0.5 * np.abs(freq / draws - probs).sum()
+        assert tv < 0.02, (name, level, tv)
 
 
 def test_sample_sets_routes_through_model():
