@@ -88,7 +88,6 @@ from .structure import (
 from .transform import (
     chaos_order_masses,
     conditional_expectation,
-    conditional_expectation_by_averaging,
     decompose,
     level_projection,
     reconstruct,

@@ -8,8 +8,10 @@ base covers odd-width lab windows.  All endpoint arithmetic is exact via
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 Rational = Union[int, str, Fraction, float]
@@ -47,8 +49,9 @@ class TimeGrid:
     def n_cells(self) -> int:
         return self.base**self.level
 
-    @property
+    @cached_property
     def cell_length(self) -> Fraction:
+        # computed once per grid; equality and hash still use the fields only
         return (self.interval_end - self.interval_start) / self.n_cells
 
     def boundary(self, i: int) -> Fraction:
@@ -148,7 +151,21 @@ class ElementarySet:
 
     @classmethod
     def from_cells(cls, grid: TimeGrid, cells: Iterable[int]) -> "ElementarySet":
-        return cls(grid, tuple((c, c + 1) for c in sorted(set(int(c) for c in cells))))
+        """Set of the given cells; each run of consecutive cells becomes one range."""
+        if hasattr(cells, "tolist"):  # a numpy array: one conversion, not one scalar per cell
+            cells = cells.tolist()
+        n = grid.n_cells
+        v = sorted(set(map(int, cells)))
+        if v and (v[0] < 0 or v[-1] >= n):
+            bad = v[0] if v[0] < 0 else v[bisect_left(v, n)]
+            raise ValueError(f"range [{bad}, {bad + 1}) outside 0..{n}")
+        runs: list[list[int]] = []
+        for c in v:
+            if runs and runs[-1][1] == c:
+                runs[-1][1] = c + 1
+            else:
+                runs.append([c, c + 1])
+        return cls(grid, tuple((lo, hi) for lo, hi in runs))
 
     @classmethod
     def parse(cls, grid: TimeGrid, text: str) -> "ElementarySet":

@@ -10,6 +10,7 @@ encoder below rather than built as one string.  All file writes are atomic
 """
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
@@ -279,6 +280,14 @@ def elementary_set_to_data(s: ElementarySet) -> dict:
 
 
 def read_json(path: str) -> dict:
+    """Parse a JSON file with the cyclic GC suspended.
+
+    `json.load` builds only acyclic containers, and a 2^18-atom measure file
+    allocates enough of them to trigger hundreds of collections that find
+    nothing.  The caller's GC state is restored on every exit.
+    """
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
@@ -288,6 +297,9 @@ def read_json(path: str) -> dict:
         ) from exc
     except OSError as exc:
         raise FormatError(f"{path}: {exc.strerror or exc}") from exc
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 def _atomic_write(path: str, chunks) -> None:

@@ -5,11 +5,11 @@ normalized as expectations against characters, so Parseval holds with no
 extra factor.  The Gaussian side is per-cell Hermite projection with a
 degree cap; truncation is reported, never silent.
 
-Conditional expectations onto an elementary set A act on coefficients by
-keeping exactly the indices supported inside A.  The value-domain route
-(averaging over the cells outside A) is exposed as
-:func:`conditional_expectation_by_averaging` and must agree; the pair is the
-package's standing dual-route check.
+The conditional expectation onto an elementary set A has two routes.  The
+table route averages a value table over the cells outside A, with no
+transform; the chaos route keeps exactly the coefficients supported inside
+A.  A table run through :func:`decompose` and the chaos route must match the
+table route: the package's standing dual-route check.
 """
 from __future__ import annotations
 
@@ -33,7 +33,6 @@ from .functionals import (
     RademacherTable,
     _dense_walsh_vector,
     _factor_moments,
-    evaluate_table,
     hermite_decompose,
 )
 from .grid import ElementarySet, TimeGrid, require_same_grid
@@ -42,7 +41,6 @@ from .walsh import (
     cells_of_masks,
     character_coefficients,
     popcount,
-    subset_of,
     values_from_coefficients,
 )
 
@@ -78,19 +76,28 @@ def reconstruct(c: ChaosCoefficients) -> NoiseFunctional:
 def conditional_expectation(f: NoiseFunctional, region: ElementarySet) -> NoiseFunctional:
     """Projection onto the functionals measurable inside `region`.
 
-    Keeps exactly the chaos indices whose support lies in the region; equals
-    the probabilistic conditional expectation given the cells of the region.
-    The output backend matches the input (table in, table out; chaos in,
-    chaos out; Brownian programs are masked term by term).
+    A table is averaged over the cells outside the region; chaos
+    coefficients keep exactly the indices whose support lies in the region.
+    Both equal the probabilistic conditional expectation given the cells of
+    the region.  The output backend matches the input (table in, table out;
+    chaos in, chaos out; Brownian programs are masked term by term).
     """
     require_same_grid(f.grid, region.grid)
     b = f.backend
     if isinstance(b, RademacherTable):
-        dense = character_coefficients(b.values)
-        masks = np.arange(dense.shape[0], dtype=np.uint64)
-        keep = subset_of(masks, region.mask())
-        dense[~keep] = 0.0
-        return NoiseFunctional.from_table(f.grid, values_from_coefficients(dense))
+        # table route: each run of inside or outside cells is one axis of size
+        # 2**len; table bit i is cell i, so in C order the highest cells come first
+        runs = sorted(
+            [(lo, hi, False) for lo, hi in region.ranges]
+            + [(lo, hi, True) for lo, hi in region.complement().ranges],
+            reverse=True,
+        )
+        outside = tuple(axis for axis, (_, _, out) in enumerate(runs) if out)
+        if not outside:
+            return f
+        shape = tuple(1 << (hi - lo) for lo, hi, _ in runs)
+        cube = b.values.reshape(shape).mean(axis=outside, keepdims=True)
+        return NoiseFunctional.from_table(f.grid, np.broadcast_to(cube, shape).reshape(-1))
     if isinstance(b, ChaosCoefficients):
         cells = set(region.cells())
         kept = b.filtered(lambda ix: set(index_support(ix)) <= cells)
@@ -143,25 +150,6 @@ def _program_projection(
             if weight != 0.0:
                 out.append(MapTerm(weight, tuple(kept)))
     return BrownianProgram(tuple(out), p.degree_cap, p.channels)
-
-
-def conditional_expectation_by_averaging(
-    f: NoiseFunctional, region: ElementarySet
-) -> NoiseFunctional:
-    """Value-domain oracle: average the value table over cells outside the region.
-
-    Independent of the transform route; used to cross-check
-    :func:`conditional_expectation` on dense functionals.
-    """
-    require_same_grid(f.grid, region.grid)
-    n = f.grid.n_cells
-    table = evaluate_table(f)
-    cube = table.reshape((2,) * n)  # axis a corresponds to cell n - 1 - a
-    outside_axes = tuple(n - 1 - i for i in range(n) if not region.contains_cell(i))
-    if outside_axes:
-        cube = cube.mean(axis=outside_axes, keepdims=True)
-        cube = np.broadcast_to(cube, (2,) * n)
-    return NoiseFunctional.from_table(f.grid, cube.reshape(1 << n))
 
 
 def level_projection(f: NoiseFunctional, order: int) -> NoiseFunctional:

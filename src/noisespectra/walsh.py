@@ -67,11 +67,6 @@ def popcount(masks: np.ndarray) -> np.ndarray:
     return np.bitwise_count(masks)
 
 
-def subset_of(masks: np.ndarray, super_mask: int) -> np.ndarray:
-    """Boolean array: masks[i] is a subset of super_mask."""
-    return (masks & ~np.uint64(super_mask)) == 0
-
-
 def mask_of_cells(cells) -> int:
     m = 0
     for c in cells:

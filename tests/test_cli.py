@@ -15,6 +15,7 @@ from noisespectra import (
     write_json,
 )
 from noisespectra.cli import _parse_levels, main
+from noisespectra.families import make_functional
 from noisespectra.serialize import FormatError, sha256_of
 
 
@@ -139,6 +140,16 @@ def test_factor_check_additive_functional_has_no_straddling_mass(tmp_path):
             assert run("factor-check", "--in", path, "--cut", str(grid.boundary(b)),
                        "--out", str(out)) == 0
             assert read_json(str(out))["straddling_mass"] == 0.0
+
+
+def test_cuts_csv_bytes_for_majority_family_file(tmp_path):
+    # captured before TimeGrid.cell_length was cached; the boundary times must not move
+    src = dump_functional(tmp_path / "maj.json", make_functional("majority3-iterated", 7))
+    out = tmp_path / "cuts.csv"
+    assert run("cuts", "--in", src, "--out", str(out)) == 0
+    assert sha256_of(str(out)) == (
+        "b8a236555ab2fee28356db0dd2a687d5b3cff9d2ba6c2e819b798aca6c5d5684"
+    )
 
 
 def test_cuts_csv(chi01, tmp_path):

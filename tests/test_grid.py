@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -103,6 +104,50 @@ def test_set_constructors_and_canonical_form():
     assert ElementarySet.from_cells(GRID, [3, 1, 3]).ranges == ((1, 2), (3, 4))
     assert ElementarySet.empty(GRID).is_empty
     assert ElementarySet.full(GRID).cell_count == 8
+
+
+def per_cell_set(grid, cells):
+    """The one-range-per-cell form that from_cells must reproduce."""
+    return ElementarySet(grid, tuple((c, c + 1) for c in sorted(set(int(c) for c in cells))))
+
+
+def test_from_cells_matches_per_cell_form():
+    big = TimeGrid(0, 1, 8, base=3)
+    scattered = np.flatnonzero(np.random.default_rng(5).integers(0, 2, big.n_cells))
+    cases = [
+        (GRID, []),
+        (GRID, [3, 1, 3, 3, 2]),
+        (GRID, (7, 0, 6, 5)),
+        (GRID, np.array([4, 0, 1, 4], dtype=np.int32)),
+        (GRID, range(8)),
+        (big, scattered),
+        (big, scattered.tolist()[::-1]),
+        (big, range(big.n_cells)),
+    ]
+    for grid, cells in cases:
+        got = ElementarySet.from_cells(grid, cells)
+        assert got == per_cell_set(grid, cells)
+        assert all(type(v) is int for r in got.ranges for v in r)
+    assert len(ElementarySet.from_cells(big, scattered).ranges) > 1000
+    for cells in ([8], [-1, 3], [2, 9, 8, 12], np.array([0, 10])):
+        with pytest.raises(ValueError) as expected:
+            per_cell_set(GRID, cells)
+        with pytest.raises(ValueError) as got:
+            ElementarySet.from_cells(GRID, cells)
+        assert str(got.value) == str(expected.value)
+
+
+def test_cached_cell_length_keeps_exact_values_and_identity():
+    g = TimeGrid(Fraction(1, 3), 2, 4, base=3)
+    n, width = g.n_cells, Fraction(5, 3)
+    assert g.cell_length == width / n
+    for i in range(n + 1):
+        assert g.boundary(i) == Fraction(1, 3) + width * i / n
+    for i in range(n):
+        assert g.cell_interval(i) == (g.boundary(i), g.boundary(i + 1))
+    fresh = TimeGrid(Fraction(1, 3), 2, 4, base=3)
+    assert fresh == g and hash(fresh) == hash(g)
+    assert g != TimeGrid(Fraction(1, 3), 2, 3, base=3)
 
 
 def test_set_parse_format_roundtrip():

@@ -1,4 +1,5 @@
 """Round-trips for every on-disk record plus the file/manifest helpers."""
+import gc
 import json
 import math
 import os
@@ -235,6 +236,27 @@ def test_read_json_reports_position(tmp_path):
         read_json(str(p))
     with pytest.raises(FormatError):
         read_json(str(tmp_path / "missing.json"))
+
+
+@pytest.mark.parametrize("gc_on", [True, False])
+def test_read_json_restores_gc_state(tmp_path, gc_on):
+    data = {"entries": [{"cells": [0, 2], "mass": 0.25}, {"cells": [], "mass": 0.75}]}
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps(data))
+    bad.write_text('{"a": [1, 2,\n')
+    was = gc.isenabled()
+    try:
+        (gc.enable if gc_on else gc.disable)()
+        assert read_json(str(good)) == data
+        assert gc.isenabled() is gc_on
+        with pytest.raises(FormatError):
+            read_json(str(bad))
+        assert gc.isenabled() is gc_on
+        with pytest.raises(FormatError):
+            read_json(str(tmp_path / "missing.json"))
+        assert gc.isenabled() is gc_on
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_write_json_atomic(tmp_path):

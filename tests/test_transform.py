@@ -1,8 +1,9 @@
 """Transform layer: decomposition roundtrips and the projection algebra.
 
-The conditional expectation has two independent routes on dense functionals,
-coefficient masking and direct value averaging; they must agree to transform
-precision on arbitrary inputs.
+The conditional expectation has two independent routes: averaging a value
+table over the cells outside the region (the table route), and masking chaos
+coefficients (the chaos route, reached through decompose).  They must agree
+to transform precision on arbitrary inputs.
 """
 import math
 
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from noisespectra import walsh
 from noisespectra import (
     ElementarySet,
     ItoTerm,
@@ -20,7 +22,6 @@ from noisespectra import (
     TimeGrid,
     chaos_order_masses,
     conditional_expectation,
-    conditional_expectation_by_averaging,
     decompose,
     level_projection,
     random_functional,
@@ -48,14 +49,46 @@ def test_decompose_threshold_drops_small_entries(rng):
     assert set(kept.entries) == {(0,)}
 
 
-@settings(max_examples=30)
-@given(st.integers(0, 255), st.integers(0, 2**31 - 1))
-def test_projection_routes_agree(mask, seed):
-    f = random_functional(GRID, np.random.default_rng(seed))
-    region = region_of(mask)
-    a = evaluate_table(conditional_expectation(f, region))
-    b = evaluate_table(conditional_expectation_by_averaging(f, region))
-    assert_allclose(a, b, atol=1e-12)
+def test_projection_routes_agree():
+    rng = np.random.default_rng(606)
+    for grid in (GRID, TimeGrid(0, 1, 1, base=10)):
+        n = grid.n_cells
+        regions = [
+            ElementarySet.empty(grid),
+            ElementarySet.full(grid),
+            ElementarySet(grid, ((0, 3),)),
+            ElementarySet(grid, ((2, n - 1),)),
+            ElementarySet.from_cells(grid, range(0, n, 2)),
+            ElementarySet.from_cells(grid, range(1, n, 2)),
+        ]
+        regions += [
+            ElementarySet.from_cells(grid, np.flatnonzero(rng.integers(0, 2, n)))
+            for _ in range(20)
+        ]
+        for _ in range(5):
+            f = random_functional(grid, rng)
+            fc = NoiseFunctional.from_chaos(decompose(f))
+            for region in regions:
+                table = conditional_expectation(f, region)
+                chaos = conditional_expectation(fc, region)
+                assert (table.kind, chaos.kind) == ("table", "chaos")
+                assert_allclose(
+                    evaluate_table(table), evaluate_table(chaos), rtol=0, atol=1e-12
+                )
+
+
+def test_table_projection_runs_no_transform(rng, monkeypatch):
+    f = random_functional(GRID, rng)
+
+    def refuse(values):
+        raise AssertionError("fwht called on the table route")
+
+    monkeypatch.setattr(walsh, "fwht", refuse)
+    for region in (region_of(0), region_of(0b10110101), region_of(255)):
+        g = conditional_expectation(f, region)
+        assert g.kind == "table"
+    with pytest.raises(AssertionError, match="fwht called"):
+        decompose(f)  # the patch does reach the transform
 
 
 @settings(max_examples=30)

@@ -14,7 +14,6 @@ from noisespectra.walsh import (
     omega_index,
     popcount,
     sign_table,
-    subset_of,
     values_from_coefficients,
 )
 
@@ -90,9 +89,6 @@ def test_mask_helpers():
     assert cells_of_mask(0) == ()
     masks = np.arange(8, dtype=np.uint64)
     assert list(popcount(masks)) == [0, 1, 1, 2, 1, 2, 2, 3]
-    assert list(subset_of(masks, 0b101)) == [
-        True, True, False, False, True, True, False, False,
-    ]
     for n in (0, 1, 5, 11):
         every = list(range(1 << n))
         assert cells_of_masks(every, n) == [cells_of_mask(m) for m in every]
