@@ -276,10 +276,18 @@ def cmd_factor_check(args) -> int:
 def cmd_cuts(args) -> int:
     f = functional_from_data(read_json(args.infile))
     distances = interior_cut_distances(f)
+    # boundary b is (num0 + b * step) / den in exact ints; int / int rounds
+    # correctly, as float(Fraction) does
+    start, h = f.grid.interval_start, f.grid.cell_length
+    den = math.lcm(start.denominator, h.denominator)
+    num0 = start.numerator * (den // start.denominator)
+    step = h.numerator * (den // h.denominator)
     rows = []
-    for b, d in enumerate(distances, start=1):
-        t = f.grid.boundary(b)
-        rows.append((b, str(t), float(t), float(d)))
+    for b, d in enumerate(distances.tolist(), start=1):
+        num = num0 + b * step
+        g = math.gcd(num, den)
+        exact = str(num // g) if g == den else f"{num // g}/{den // g}"
+        rows.append((b, exact, num / den, d))
     write_csv(args.out, ["boundary_index", "time_exact", "time", "distance"], rows)
     print(f"max cut distance {float(distances.max()) if len(distances) else 0.0!r}")
     return EXIT_OK

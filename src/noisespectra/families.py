@@ -1,13 +1,15 @@
 """Named functional families and exact spectral models for composition trees.
 
-A balanced tree of sign combiners (majority, tribes blocks, parity) stays
-analyzable far beyond the dense table cap.  The device: expand each combiner
-in the orthonormal basis biased to its input distribution, phi(y) =
-(y - mu) / sigma.  Squared coefficients then give, layer by layer, the exact
-fraction of fluctuation mass on each child subset, and the tree's spectral
-measure factors into a top-down branching process.  That yields closed-form
-singleton masses, cardinality profiles, restricted masses for arbitrary cell
-regions, and an exact set sampler, all without touching a 2^n table.
+A balanced tree of sign combiners (majority, and, or) stays analyzable far
+beyond the dense table cap.  The device: expand each combiner in the
+orthonormal basis biased to its input distribution, phi(y) = (y - mu) / sigma.
+Squared coefficients then give, layer by layer, the exact fraction of
+fluctuation mass on each child subset, and the tree's spectral measure factors
+into a top-down branching process.  Every combiner here is a symmetric
+function of i.i.d. inputs, so that fraction depends only on the subset's size:
+a layer is its per-size weights.  That yields closed-form singleton masses,
+cardinality profiles, restricted masses for arbitrary cell regions, and an
+exact set sampler, all without touching a 2^n table.
 
 Queries run as array passes with one step per tree depth.  A region arrives
 as its sorted cell ranges, and only the nodes it covers partly are visited,
@@ -21,8 +23,9 @@ cross-checked against the dense transform in tests.
 """
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -40,13 +43,13 @@ DENSE_FANIN_CAP = 15
 # one combiner layer in the biased basis
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class TreeLayer:
-    """Spectral data of one combiner reading m i.i.d. inputs of bias mu_in.
+    """Spectral data of one symmetric combiner reading m i.i.d. inputs of bias mu_in.
 
-    q[t] is the fraction of output fluctuation mass on child subsets of size
-    t; mask_w (when the combiner was expanded densely) refines this to a
-    probability per subset bitmask, bit i standing for child i.
+    The combiner (majority, and, or) treats its children alike, so every child
+    subset of one size carries the same mass; q[t] is the fraction of output
+    fluctuation mass on the subsets of size t.
     """
 
     fanin: int
@@ -54,61 +57,40 @@ class TreeLayer:
     mu_out: float
     sigma_sq: float
     q: np.ndarray
-    mask_w: np.ndarray | None = None
 
     @cached_property
     def weights(self) -> np.ndarray:
-        """Mass of one child subset: per bitmask, or per size on symmetric layers."""
-        if self.mask_w is not None:
-            return self.mask_w
+        """Mass of one child subset, per subset size."""
         m = self.fanin
         return np.array([self.q[t] / math.comb(m, t) for t in range(m + 1)])
 
     @cached_property
-    def cut_coeffs(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """(alpha, beta) per count of full children, in child order and reversed.
+    def cut_coeffs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(alpha, beta) per count of full children.
 
         A prefix covering children 0..full-1 and part of child `full` holds
         the fraction alpha[full] + beta[full] * (that child's own prefix
         fraction): alpha sums the subsets of the full children, beta those
-        that also take the partial child.  The reversed pair counts children
-        from the last one, for suffixes.
+        that also take the partial child.  Children are alike, so a suffix
+        counted from the last child has the same pair.
         """
         m, w = self.fanin, self.weights
-        if self.mask_w is not None:
-            # masks below 2**i are the subsets of children 0..i-1; reversing
-            # the axes of the (2,)*m view mirrors the child order
-            starts = np.concatenate([[0], 1 << np.arange(m)])
-            tables = []
-            for ordered in (w, w.reshape((2,) * m).T.reshape(-1)):
-                # mass by the last child a subset takes, the empty subset first
-                by_last = np.add.reduceat(ordered, starts)
-                tables.append((np.cumsum(by_last), np.append(by_last[1:], 0.0)))
-            return tuple(tables)
-        # symmetric layer: subsets of one size share mass, so the sums run
-        # over sizes with binomial counts, Pascal's triangle row by row
+        # subsets of one size share mass, so the sums run over sizes with
+        # binomial counts, Pascal's triangle row by row
         binom = np.zeros((m + 1, m + 1))
         binom[:, 0] = 1.0
         for full in range(1, m + 1):
             binom[full, 1:] = binom[full - 1, 1:] + binom[full - 1, :-1]
-        pair = (binom @ w, np.append(binom[:m, :m] @ w[1:], 0.0))
-        return pair, pair
+        return binom @ w, np.append(binom[:m, :m] @ w[1:], 0.0)
 
     def subset_values(self, child_vals: np.ndarray) -> np.ndarray:
         """Row-wise E over child subsets T of the product of a row's values in T.
 
         With child_vals[r, i] the normalized mass child i of node r keeps
         inside a region, entry r is the fraction of node r's fluctuation mass
-        inside it.
+        inside it.  Only the elementary symmetric functions of a row enter.
         """
-        v = child_vals
-        if self.mask_w is not None:
-            prods = np.ones((v.shape[0], 1))
-            for i in range(self.fanin):
-                prods = np.concatenate([prods, prods * v[:, i : i + 1]], axis=1)
-            return prods @ self.mask_w
-        # only the elementary symmetric functions of the child values enter
-        w = self.weights
+        v, w = child_vals, self.weights
         e = np.zeros((v.shape[0], self.fanin + 1))
         e[:, 0] = 1.0
         for i in range(self.fanin):
@@ -118,126 +100,95 @@ class TreeLayer:
     def draw_children(self, rng: np.random.Generator, nodes: int) -> np.ndarray:
         """One child subset per node, as a (nodes, fanin) boolean array."""
         m = self.fanin
-        if self.mask_w is not None:
-            cdf = np.cumsum(self.mask_w)
-            masks = np.searchsorted(cdf, rng.random(nodes) * cdf[-1], side="right")
-            masks = np.minimum(masks, cdf.shape[0] - 1)
-            return (masks[:, None] >> np.arange(m)) & 1 == 1
         cdf = np.cumsum(self.q)
         sizes = np.minimum(np.searchsorted(cdf, rng.random(nodes) * cdf[-1], side="right"), m)
-        # the children ranked below the drawn size by uniform keys form a
-        # uniform subset of that size; keys go in row blocks to bound memory
+        # the children whose uniform keys are at most the size-th smallest form
+        # a uniform subset of that size (q[0] = 0, so sizes start at 1); keys
+        # go in row blocks to bound memory
         picked = np.empty((nodes, m), dtype=bool)
         step = max(1, (1 << 20) // m)
         for s in range(0, nodes, step):
             keys = rng.random((min(step, nodes - s), m))
-            picked[s : s + step] = keys.argsort(axis=1).argsort(axis=1) < sizes[s : s + step, None]
+            kth = np.take_along_axis(np.sort(keys, axis=1), sizes[s : s + step, None] - 1, axis=1)
+            picked[s : s + step] = keys <= kth
         return picked
 
 
-def _dense_layer(table: np.ndarray, mu_in: float) -> TreeLayer:
-    """Biased transform of an explicit +-1 table over 2^m sign patterns.
-
-    Table positions follow the usual bit convention, bit i = 0 meaning input
-    i equals +1.  Contracting the 2x2 matrix [[p+, p-], [sigma/2, -sigma/2]]
-    along every axis turns values into coefficients on phi-products.
-    """
-    m = int(round(math.log2(table.shape[0])))
-    if table.shape[0] != 1 << m or m > DENSE_FANIN_CAP:
-        raise ValueError("dense combiner tables capped at 2**15 entries")
+def _input_sigma_sq(mu_in: float) -> float:
     sigma_sq_in = 1.0 - mu_in * mu_in
     if sigma_sq_in <= 0.0:
         raise ValueError("combiner inputs are almost surely constant")
-    sigma = math.sqrt(sigma_sq_in)
-    p_plus = (1.0 + mu_in) / 2.0
-    p_minus = (1.0 - mu_in) / 2.0
-    mat = np.array([[p_plus, p_minus], [sigma / 2.0, -sigma / 2.0]])
-    coeff = np.asarray(table, dtype=np.float64).reshape((2,) * m)
+    return sigma_sq_in
+
+
+@functools.lru_cache
+def _majority_layer(m: int, mu_in: float) -> TreeLayer:
+    """Majority of m inputs (m odd), expanded over its 2^m sign patterns.
+
+    Position bit i = 0 means input i equals +1.  Contracting the 2x2 matrix
+    [[p+, p-], [sigma/2, -sigma/2]] along every axis turns values into
+    coefficients on phi-products; their squares, summed per subset size,
+    give q.
+    """
+    if m % 2 == 0 or m > DENSE_FANIN_CAP:
+        raise ValueError(f"majority needs an odd fanin of at most {DENSE_FANIN_CAP}")
+    sigma = math.sqrt(_input_sigma_sq(mu_in))
+    mat = np.array([[(1.0 + mu_in) / 2.0, (1.0 - mu_in) / 2.0], [sigma / 2.0, -sigma / 2.0]])
+    sizes = popcount(np.arange(1 << m, dtype=np.uint64))
+    coeff = np.where(2 * (m - sizes) > m, 1.0, -1.0).reshape((2,) * m)
     for axis in range(m):
         coeff = np.tensordot(mat, coeff, axes=([1], [axis]))
         coeff = np.moveaxis(coeff, 0, axis)
-    coeff = coeff.reshape(-1)
-    sq = coeff * coeff
-    mu_out = float(coeff[0])
+    sq = coeff.reshape(-1) ** 2
+    mu_out = float(coeff.reshape(-1)[0])
     fluct = float(sq.sum() - sq[0])
     if fluct <= 0.0:
         raise ValueError("combiner output is almost surely constant")
-    mask_w = sq / fluct
-    mask_w[0] = 0.0
-    sizes = popcount(np.arange(1 << m, dtype=np.uint64))
+    frac = sq / fluct
+    frac[0] = 0.0
     q = np.zeros(m + 1)
-    np.add.at(q, sizes, mask_w)
-    return TreeLayer(m, mu_in, mu_out, fluct, q, mask_w=mask_w)
+    np.add.at(q, sizes, frac)
+    return TreeLayer(m, mu_in, mu_out, fluct, q)
 
 
+@functools.lru_cache
 def _sized_layer(kind: str, m: int, mu_in: float) -> TreeLayer:
-    """Closed-form layer for the symmetric combiners and/or/parity.
+    """Closed-form layer for and (all inputs +1) and or (any input +1).
 
     Per-size masses are assembled in log space; for fanin in the hundreds the
     individual squared coefficients underflow long before the sums do.
     """
-    sigma_sq_in = 1.0 - mu_in * mu_in
-    if sigma_sq_in <= 0.0:
-        raise ValueError("combiner inputs are almost surely constant")
-    log_sigma = 0.5 * math.log(sigma_sq_in)
+    if kind not in ("and", "or"):
+        raise ValueError(f"unknown symmetric combiner {kind!r}")
+    log_sigma = 0.5 * math.log(_input_sigma_sq(mu_in))
     t = np.arange(m + 1, dtype=np.float64)
     log_binom = np.array(
         [math.lgamma(m + 1) - math.lgamma(k + 1) - math.lgamma(m - k + 1) for k in range(m + 1)]
     )
-    if kind == "parity":
-        mu_out = mu_in**m
-        if mu_in == 0.0:
-            q = np.zeros(m + 1)
-            q[m] = 1.0
-        else:
-            logs = 2.0 * (t * log_sigma + (m - t) * math.log(abs(mu_in)))
-            logs[0] = -np.inf
-            peak = logs[1:].max()
-            q = np.exp(logs - peak)
-            q[0] = 0.0
-            q /= q.sum()
-    elif kind in ("and", "or"):
-        # and: all inputs +1; or: any input +1.  delta is the rare-side
-        # probability doubled, kept separate so sigma_sq stays accurate.
-        base = math.log1p(mu_in) if kind == "and" else math.log1p(-mu_in)
-        delta = 2.0 * math.exp(m * base - m * math.log(2.0))
-        if delta == 0.0:
-            raise ValueError("combiner output is almost surely constant")
-        mu_out = delta - 1.0 if kind == "and" else 1.0 - delta
-        logs = log_binom + 2.0 * ((1 - m) * math.log(2.0) + t * log_sigma + (m - t) * base)
-        logs[0] = -np.inf
-        peak = logs[1:].max()
-        q = np.exp(logs - peak)
-        q[0] = 0.0
-        q /= q.sum()
-    else:
-        raise ValueError(f"unknown symmetric combiner {kind!r}")
-    fluct = (1.0 - mu_out) * (1.0 + mu_out)
-    if kind in ("and", "or"):
-        fluct = delta * (2.0 - delta)
+    # delta is the rare-side probability doubled, kept separate so the
+    # fluctuation stays accurate
+    base = math.log1p(mu_in) if kind == "and" else math.log1p(-mu_in)
+    delta = 2.0 * math.exp(m * base - m * math.log(2.0))
+    if delta == 0.0:
+        raise ValueError("combiner output is almost surely constant")
+    mu_out = delta - 1.0 if kind == "and" else 1.0 - delta
+    logs = log_binom + 2.0 * ((1 - m) * math.log(2.0) + t * log_sigma + (m - t) * base)
+    logs[0] = -np.inf
+    q = np.exp(logs - logs[1:].max())
+    q[0] = 0.0
+    q /= q.sum()
+    fluct = delta * (2.0 - delta)
     if fluct <= 0.0:
         raise ValueError("combiner output is almost surely constant")
     return TreeLayer(m, mu_in, float(mu_out), float(fluct), q)
 
 
-def majority_table(m: int) -> np.ndarray:
-    """+-1 table of the majority of m inputs (m odd), bit i = 0 meaning +1."""
-    if m % 2 == 0:
-        raise ValueError("majority needs an odd fanin")
-    masks = np.arange(1 << m, dtype=np.uint64)
-    plus = m - popcount(masks)
-    return np.where(2 * plus > m, 1.0, -1.0)
-
-
 def build_layers(specs: list[tuple[str, int]]) -> list[TreeLayer]:
-    """Layer stats for combiner specs listed root first; leaves are unbiased."""
+    """Shared, read-only layers for combiner specs listed root first; leaves are unbiased."""
     layers: list[TreeLayer] = []
     mu = 0.0
     for kind, m in reversed(specs):
-        if kind == "majority":
-            layer = _dense_layer(majority_table(m), mu)
-        else:
-            layer = _sized_layer(kind, m, mu)
+        layer = _majority_layer(m, mu) if kind == "majority" else _sized_layer(kind, m, mu)
         layers.append(layer)
         mu = layer.mu_out
     layers.reverse()
@@ -258,8 +209,6 @@ class TreeModel:
 
     grid: TimeGrid
     layers: list[TreeLayer]
-    metadata: dict = field(default_factory=dict)
-
     multiplicity_mass: float = 0.0
     total_mass: float = 1.0
 
@@ -343,20 +292,20 @@ class TreeModel:
     def cut_masses(self, boundaries) -> tuple[np.ndarray, np.ndarray]:
         """Masses of the sets inside cells [0, b) and inside [b, n), per boundary b."""
         b = np.clip(np.asarray(boundaries, dtype=np.int64), 0, self.leaf_count)
-        return self._cut_mass(b, 0), self._cut_mass(self.leaf_count - b, 1)
+        return self._cut_mass(b), self._cut_mass(self.leaf_count - b)
 
     def prefix_mass(self, boundary: int) -> float:
         """Mass of sets inside the first `boundary` cells."""
-        return float(self._cut_mass(np.clip([boundary], 0, self.leaf_count), 0)[0])
+        return float(self._cut_mass(np.clip([boundary], 0, self.leaf_count))[0])
 
-    def _cut_mass(self, cut: np.ndarray, side: int) -> np.ndarray:
-        """Mass of sets inside the first `cut` leaves, counted in child order
-        (side 0) or reversed child order (side 1); one step per depth."""
+    def _cut_mass(self, cut: np.ndarray) -> np.ndarray:
+        """Mass of sets inside the first (or, alike, the last) `cut` leaves;
+        one step per depth."""
         frac = np.zeros(cut.shape)
         scale = np.ones(cut.shape)
         rem = cut
         for layer, child_span in self._levels():
-            alpha, beta = layer.cut_coeffs[side]
+            alpha, beta = layer.cut_coeffs
             full, rem = np.divmod(rem, child_span)
             frac += scale * alpha[full]
             scale = np.where(rem > 0, scale * beta[full], 0.0)
@@ -415,11 +364,7 @@ def family_model(grid: TimeGrid, ref: FamilyRef) -> TreeModel | None:
         specs = _tree_specs(grid, ref)
     except BackendError:
         return None
-    meta: dict = {}
-    if ref.name == "tribes":
-        width, blocks, ignored = tribes_shape(ref.level)
-        meta = {"width": width, "blocks": blocks, "ignored_cells": ignored}
-    return TreeModel(grid, build_layers(specs), metadata=meta)
+    return TreeModel(grid, build_layers(specs))
 
 
 def _family_grid(name: str, level: int, base: int | None = None) -> TimeGrid:

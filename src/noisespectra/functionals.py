@@ -241,15 +241,13 @@ def evaluate(f: NoiseFunctional, omega) -> float:
     if isinstance(b, RademacherTable):
         return float(b.values[omega_index(omega)])
     if isinstance(b, ChaosCoefficients):
+        inc = np.asarray(omega, dtype=np.float64)
         if b.kind == WALSH:
-            om = np.asarray(omega, dtype=np.float64)
-            if om.shape != (f.grid.n_cells,) or not np.all(np.abs(om) == 1.0):
+            if inc.shape != (f.grid.n_cells,) or not np.all(np.abs(inc) == 1.0):
                 raise ValueError("omega must be a +-1 vector, one sign per cell")
-            total = 0.0
-            for ix, c in b.entries.items():
-                total += c * float(np.prod(om[list(ix)])) if ix else c
-            return float(total)
-        return float(_evaluate_hermite_chaos(f.grid, b, np.asarray(omega, dtype=np.float64)))
+            # a sign times the root cell length is an increment whose he_1 is that sign
+            inc = inc * math.sqrt(float(f.grid.cell_length))
+        return float(_values_on_increments(f, inc.reshape(1, f.grid.n_cells, -1))[0])
     if isinstance(b, BrownianProgram):
         inc = np.asarray(omega, dtype=np.float64)
         if inc.ndim == 1:
@@ -260,21 +258,6 @@ def evaluate(f: NoiseFunctional, omega) -> float:
     from . import families
 
     return families.evaluate_family(f.grid, b, omega)
-
-
-def _evaluate_hermite_chaos(grid: TimeGrid, b: ChaosCoefficients, inc: np.ndarray) -> float:
-    if inc.ndim == 1:
-        inc = inc[:, None]
-    scale = math.sqrt(float(grid.cell_length))
-    z = inc / scale
-    max_deg = max((d for ix in b.entries for _, _, d in ix), default=0)
-    total = 0.0
-    for ix, c in b.entries.items():
-        prod = c
-        for cell, ch, d in ix:
-            prod *= hermite_values(np.array([z[cell, ch]]), max_deg)[d, 0]
-        total += prod
-    return total
 
 
 def evaluate_table(f: NoiseFunctional) -> np.ndarray:

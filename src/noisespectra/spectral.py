@@ -54,13 +54,7 @@ class SpectralSet:
 
     def as_ranges(self) -> tuple[tuple[int, int], ...]:
         """Merged consecutive cell runs, each as a half-open index range."""
-        out: list[list[int]] = []
-        for c in self.cells:
-            if out and c == out[-1][1]:
-                out[-1][1] = c + 1
-            else:
-                out.append([c, c + 1])
-        return tuple((lo, hi) for lo, hi in out)
+        return ElementarySet.from_cells(self.grid, self.cells).ranges
 
 
 class SpectralModel(Protocol):
@@ -269,9 +263,7 @@ def mass_of_subsets_of(mu: SpectralMeasure, region: ElementarySet) -> float:
     if mu.grid != region.grid:
         raise GridMismatchError("measure and region live on different grids")
     if not mu.is_dense:
-        if hasattr(mu.model, "subset_mass"):
-            return mu.model.subset_mass(region.ranges)
-        raise BackendError("sampler-backed measure lacks a subset-mass rule")
+        return mu.model.subset_mass(region.ranges)
     if mu.residual:
         mu._require_resolved("take subset masses of")
     t = mu._atoms

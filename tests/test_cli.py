@@ -1,6 +1,7 @@
 """End-to-end command runs through main(); exit codes 0, 2, 3 and manifests."""
 import json
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -101,8 +102,6 @@ def test_sample_csv(chi01, tmp_path):
 
 
 def test_factor_check_verdicts(tmp_path, rng, capsys):
-    from fractions import Fraction
-
     half = Fraction(1, 2)
     g = NoiseFunctional.from_table(TimeGrid(0, half, 1), rng.standard_normal(4))
     h = NoiseFunctional.from_table(TimeGrid(half, 1, 1), rng.standard_normal(4))
@@ -150,6 +149,23 @@ def test_cuts_csv_bytes_for_majority_family_file(tmp_path):
     assert sha256_of(str(out)) == (
         "b8a236555ab2fee28356db0dd2a687d5b3cff9d2ba6c2e819b798aca6c5d5684"
     )
+
+
+@pytest.mark.parametrize("window,level,base", [
+    ((Fraction(1, 3), Fraction(7, 5)), 2, 3),
+    ((Fraction(-1, 2), Fraction(3, 2)), 3, 2),
+])
+def test_cuts_csv_times_equal_grid_boundaries(tmp_path, window, level, base):
+    grid = TimeGrid(*window, level, base)
+    values = np.random.default_rng(level).standard_normal(1 << grid.n_cells)
+    src = dump_functional(tmp_path / "f.json", NoiseFunctional.from_table(grid, values))
+    out = tmp_path / "cuts.csv"
+    assert run("cuts", "--in", src, "--out", str(out)) == 0
+    rows = [line.split(",") for line in open(str(out)).read().splitlines()[1:]]
+    assert [int(r[0]) for r in rows] == list(range(1, grid.n_cells))
+    for b, exact, time, _ in rows:
+        t = grid.boundary(int(b))
+        assert (exact, time) == (str(t), repr(float(t)))
 
 
 def test_cuts_csv(chi01, tmp_path):

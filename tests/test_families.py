@@ -22,6 +22,7 @@ from noisespectra import (
     spectral_measure_of,
 )
 from noisespectra.families import (
+    _majority_layer,
     calibration_measure,
     calibration_names,
     evaluate_family,
@@ -146,6 +147,33 @@ def test_majority_singleton_recursion():
         )
 
 
+@pytest.mark.parametrize("m", [3, 5, 7])
+@pytest.mark.parametrize("mu_in", [0.0, 0.3, -0.6])
+def test_majority_layer_weights_depend_on_subset_size_only(m, mu_in):
+    """Every biased coefficient of majority, by brute force over its 2^m inputs.
+
+    Each squared coefficient over the fluctuation must equal the layer's
+    weight for its subset size; that is what lets a layer keep only q.
+    """
+    layer = _majority_layer(m, mu_in)
+    sigma = np.sqrt(1.0 - mu_in * mu_in)
+    ys = np.array(list(itertools.product([1.0, -1.0], repeat=m)))
+    prob = np.prod((1.0 + mu_in * ys) / 2.0, axis=1)
+    phi = (ys - mu_in) / sigma
+    value = np.where(ys.sum(axis=1) > 0, 1.0, -1.0)
+    coeffs = {
+        subset: float(np.sum(prob * value * np.prod(phi[:, list(subset)], axis=1)))
+        for t in range(m + 1)
+        for subset in itertools.combinations(range(m), t)
+    }
+    fluct = sum(c * c for subset, c in coeffs.items() if subset)
+    assert abs(layer.mu_out - coeffs[()]) <= 1e-14
+    assert abs(layer.sigma_sq - fluct) <= 1e-14
+    for subset, c in coeffs.items():
+        if subset:
+            assert abs(c * c / fluct - layer.weights[len(subset)]) <= 1e-14, subset
+
+
 def test_tribes_ignored_cells_carry_no_mass():
     f = make_functional("tribes", 3)  # width 1, blocks 8 -> no ignored at 3
     width, blocks, ignored = tribes_shape(3)
@@ -163,8 +191,8 @@ def test_tribes_ignored_cells_carry_no_mass():
 
 
 def test_model_sampler_matches_dense_frequencies():
-    # mask layers, then symmetric ones: tribes L4 spreads its mass over 4**8
-    # atoms, where an exact sampler still shows TV near 0.075 at 40,000 draws
+    # tribes L4 spreads its mass over 4**8 atoms, where an exact sampler
+    # still shows TV near 0.075 at 40,000 draws
     for name, level, draws in [("majority3-iterated", 2, 40_000), ("tribes", 4, 2_000_000)]:
         f = make_functional(name, level)
         model = family_model(f.grid, f.backend)

@@ -5,6 +5,7 @@ tree depth; the reference walks one node at a time.  Both read the same layer
 data, so these tests pin the passes far past the sizes a dense twin reaches.
 """
 import functools
+import hashlib
 import math
 
 import numpy as np
@@ -179,3 +180,40 @@ def test_cardinality_profile_at_maj3_level_12():
     mean = sum(k * v for k, v in profile.items())
     assert abs(mean / 1.5**12 - 1.0) <= TOL
     assert profile[1] == model.singleton_mass()
+
+
+# bit pins: a change to the layer arithmetic that moves any bit of these
+# cut distances, profiles or seeded tribes draws must show up here
+MAJ3_DIGESTS = {  # level: (interior cut distances, cardinality profile)
+    1: ("606e5166986dd9f1", "1be6e6b07855a719"),
+    2: ("b0850bf187a1da28", "43a7233403d8f656"),
+    3: ("b76910cab8cfee24", "bc918bc8f04ec43d"),
+    4: ("438ed4c798d2e670", "3dd37103498a9566"),
+    5: ("1b5fed3919a2223d", "276f810b4528cf68"),
+    6: ("7ff198bbc21ea00e", "eb784e52f9e7d351"),
+    7: ("0abde2fde4108ef4", "e622d69f2d73aa6d"),
+    8: ("8f7553571e40c65e", "2356b62446d44f22"),
+    9: ("f4161cb22640ee11", "89f6683f8d147ce4"),
+    10: ("e7114639f1079836", "33e5deef132b74c3"),
+    11: ("96477e9888a875d4", "eecc3594d3c738d5"),
+    12: ("91b68029ef331516", "3aad15ae3a8c886d"),
+}
+TRIBES_DRAW_DIGESTS = {5: "356e52459c8fb56b", 9: "a06486bf37d22a28", 12: "b8a6094f5a869e3c"}
+
+
+def digest(data) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("level", sorted(MAJ3_DIGESTS))
+def test_maj3_cut_and_profile_bits_are_pinned(level):
+    model = model_of("majority3-iterated", level)
+    distances = interior_cut_distances(SpectralMeasure(model.grid, None, model=model))
+    profile = np.array(sorted(model.cardinality_profile().items()), dtype=np.float64)
+    assert (digest(distances.tobytes()), digest(profile.tobytes())) == MAJ3_DIGESTS[level]
+
+
+@pytest.mark.parametrize("level", sorted(TRIBES_DRAW_DIGESTS))
+def test_seeded_tribes_draws_are_pinned(level):
+    draws = model_of("tribes", level).sample(200, seed=level)
+    assert digest(repr(draws).encode()) == TRIBES_DRAW_DIGESTS[level]

@@ -5,7 +5,7 @@ every partly covered node with a scalar subset value, a prefix mass follows
 the single partial child down, and a draw walks the tree with one
 `rng.choice` per live node.  The library answers the same queries with one
 array pass per depth, so the two share nothing but the layer data
-(`fanin`, `q`, `mask_w`) and make an independent oracle for each other.
+(`fanin`, `q`) and make an independent oracle for each other.
 """
 from __future__ import annotations
 
@@ -24,11 +24,6 @@ def _span(model, depth: int) -> int:
 def subset_value(layer, child_vals) -> float:
     """E over child subsets T of the product of child_vals inside T."""
     v = np.asarray(child_vals, dtype=np.float64)
-    if layer.mask_w is not None:
-        prods = np.ones(1)
-        for i in range(layer.fanin):
-            prods = np.concatenate([prods, prods * v[i]])
-        return float(layer.mask_w @ prods)
     m = layer.fanin
     e = np.zeros(m + 1)
     e[0] = 1.0
@@ -41,17 +36,6 @@ def subset_value(layer, child_vals) -> float:
 def prefix_coeffs(layer, full: int) -> tuple[float, float]:
     """(alpha, beta) with prefix mass = alpha + beta * partial-child mass."""
     m = layer.fanin
-    if layer.mask_w is not None:
-        inside = np.uint64((1 << full) - 1)
-        masks = np.arange(layer.mask_w.shape[0], dtype=np.uint64)
-        sub = (masks & ~inside) == 0
-        alpha = float(layer.mask_w[sub].sum())
-        if full < m:
-            withp = (masks & ~(inside | np.uint64(1 << full))) == 0
-            beta = float(layer.mask_w[withp & ~sub].sum())
-        else:
-            beta = 0.0
-        return alpha, beta
     alpha = beta = 0.0
     for t in range(1, m + 1):
         w_t = layer.q[t] / math.comb(m, t)
@@ -128,12 +112,8 @@ def sample(model, k: int, seed: int) -> list[tuple[int, ...]]:
                 continue
             layer = model.layers[depth]
             child_span = _span(model, depth) // layer.fanin
-            if layer.mask_w is not None:
-                mask = int(rng.choice(layer.mask_w.shape[0], p=layer.mask_w))
-                children = [i for i in range(layer.fanin) if mask >> i & 1]
-            else:
-                t = int(rng.choice(layer.fanin + 1, p=layer.q))
-                children = rng.choice(layer.fanin, size=t, replace=False).tolist()
+            t = int(rng.choice(layer.fanin + 1, p=layer.q))
+            children = rng.choice(layer.fanin, size=t, replace=False).tolist()
             stack.extend((depth + 1, lo + int(i) * child_span) for i in children)
         draws.append(tuple(sorted(cells)))
     return draws
