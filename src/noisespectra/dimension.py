@@ -8,7 +8,9 @@ arithmetic on cell indices; all randomness sits in the sampling.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from collections import Counter
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,43 +36,15 @@ class RefinementFamily:
 
     name: str
     make: Callable[[int], object]
-    metadata: dict = field(default_factory=dict)
 
 
 def builtin_families() -> list[RefinementFamily]:
     from . import families as fam
 
-    def functional(name):
-        return lambda level: NoiseFunctional.from_family(name, level)
-
-    out = [
-        RefinementFamily("single-coordinate", functional("single-coordinate"),
-                         {"expected_slope": 0.0}),
-        RefinementFamily("parity", functional("parity"), {"expected_slope": 1.0}),
-        RefinementFamily("coordinate-sum", functional("coordinate-sum"),
-                         {"expected_slope": 0.0}),
-        RefinementFamily("white-noise-i1", functional("white-noise-i1"),
-                         {"expected_slope": 0.0}),
-        RefinementFamily("white-noise-i2", functional("white-noise-i2"),
-                         {"expected_slope": 0.0}),
-        RefinementFamily(
-            "majority3-iterated",
-            functional("majority3-iterated"),
-            {"grid_base": 3, "note": "level = ternary tree depth, 3**level cells; "
-                                     "report scales in base-3 boxes"},
-        ),
-        RefinementFamily(
-            "tribes",
-            functional("tribes"),
-            {"note": "trailing cells beyond whole blocks are ignored and carry no mass"},
-        ),
-        RefinementFamily(
-            "cantor-calibration",
-            lambda level: fam.calibration_measure("cantor-thirds", level),
-            {"expected_slope": float(np.log(2) / np.log(3)), "deterministic": True},
-        ),
-    ]
-    return out
+    out = [RefinementFamily(name, functools.partial(NoiseFunctional.from_family, name))
+           for name in fam.family_names()]
+    cantor = functools.partial(fam.calibration_measure, "cantor-thirds")
+    return out + [RefinementFamily("cantor-calibration", cantor)]
 
 
 def family_by_name(name: str) -> RefinementFamily:
@@ -131,16 +105,12 @@ def estimate_dimension(
         if not nonempty:
             continue
         base = nonempty[0].grid.base
-        # identical draws are frequent (deterministic families); count once
-        unique: dict[tuple[int, ...], int] = {}
-        for s in nonempty:
-            unique[s.cells] = unique.get(s.cells, 0) + 1
-        weights = np.array(list(unique.values()), dtype=np.float64)
+        # identical draws are frequent (deterministic families); count each
+        # distinct set once, both dicts in first-draw order
+        unique = {s.cells: s for s in nonempty}
+        weights = np.array(list(Counter(s.cells for s in nonempty).values()), dtype=np.float64)
         for j in range(2, level - 1):
-            logs = np.array(
-                [np.log2(box_count(SpectralSet(nonempty[0].grid, cells), j))
-                 for cells in unique]
-            )
+            logs = np.array([np.log2(box_count(s, j)) for s in unique.values()])
             mean = float(np.average(logs, weights=weights))
             var = float(np.average((logs - mean) ** 2, weights=weights))
             points.append(

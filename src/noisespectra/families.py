@@ -294,6 +294,11 @@ class TreeModel:
         b = np.clip(np.asarray(boundaries, dtype=np.int64), 0, self.leaf_count)
         return self._cut_mass(b), self._cut_mass(self.leaf_count - b)
 
+    def straddle_masses(self, boundaries) -> np.ndarray:
+        """Mass of the sets with cells on both sides of each boundary."""
+        left, right = self.cut_masses(boundaries)
+        return self.total_mass - left - right + self.empty_mass
+
     def prefix_mass(self, boundary: int) -> float:
         """Mass of sets inside the first `boundary` cells."""
         return float(self._cut_mass(np.clip([boundary], 0, self.leaf_count))[0])
@@ -390,15 +395,9 @@ def make_functional(name: str, level: int, **params) -> NoiseFunctional:
         _no_extra(name, params)
         c = 1.0 / math.sqrt(grid.n_cells)
         return NoiseFunctional.from_walsh_entries(grid, {(i,): c for i in range(grid.n_cells)})
-    if name == "majority3-iterated":
+    if name in ("majority3-iterated", "tribes"):
         if level < 1:
-            raise ValueError("iterated majority needs level >= 1")
-        grid = _family_grid(name, level)
-        _no_extra(name, params)
-        return NoiseFunctional(grid, FamilyRef(name, level))
-    if name == "tribes":
-        if level < 1:
-            raise ValueError("tribes needs level >= 1")
+            raise ValueError(f"{name} needs level >= 1")
         grid = _family_grid(name, level)
         _no_extra(name, params)
         return NoiseFunctional(grid, FamilyRef(name, level))

@@ -325,7 +325,7 @@ def write_json(path: str, data: dict) -> None:
 def write_csv(path: str, header: list[str], rows) -> None:
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_csv_cell(x) for x in row))
+        lines.append(",".join(map(str, row)))
     _atomic_write(path, ("\n".join(lines), "\n"))
 
 
@@ -427,13 +427,6 @@ def _json_chunks(obj, depth: int):
                 yield text
                 return
     yield json.dumps(obj, indent=2).replace("\n", _indent(depth))
-
-
-def _csv_cell(x) -> str:
-    # np.float64 subclasses float but reprs as np.float64(...); unwrap first
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return str(x)
 
 
 def sha256_of(path: str) -> str:

@@ -12,7 +12,9 @@ total degree on some cell is >= 2, aggregated by support but excluded from
 the plain entries and from cardinality reports) and a truncation residual.
 
 Beyond the dense cap a measure can be model-backed instead: a family-supplied
-object that samples sets exactly and answers restricted-mass queries.
+object that samples sets exactly and answers restricted-mass queries.  A
+dense measure's atom table answers the same queries, so no query branches
+on the backend.
 """
 from __future__ import annotations
 
@@ -23,6 +25,7 @@ from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
+from ._rng import worker_generator
 from .chaos import WALSH, ChaosCoefficients, index_has_multiplicity, index_support
 from .functionals import (
     BackendError,
@@ -32,7 +35,7 @@ from .functionals import (
 )
 from .grid import ElementarySet, GridMismatchError, TimeGrid
 from .transform import decompose
-from .walsh import DENSE_CELL_CAP, mask_of_cells
+from .walsh import DENSE_CELL_CAP
 
 
 @dataclass(frozen=True)
@@ -58,16 +61,19 @@ class SpectralSet:
 
 
 class SpectralModel(Protocol):
-    """Exact sampler-and-query backend for measures beyond the dense cap.
+    """The query protocol every measure backend answers.
 
-    Regions arrive as sorted disjoint half-open cell ranges and cuts as
-    arrays of boundary indices, so a model can answer them in time that grows
-    with the number of range endpoints or boundaries and with its depth, not
-    with the cell count.
+    Both backends implement it: the atom table of a dense measure and the
+    family model of a measure beyond the dense cap.  Regions arrive as sorted
+    disjoint half-open cell ranges and cuts as arrays of boundary indices, so
+    a model can answer them in time that grows with the number of range
+    endpoints or boundaries and with its depth, not with the cell count.
+    Masses exclude the truncation residual, which the measure keeps apart.
     """
 
     total_mass: float
     empty_mass: float
+    multiplicity_mass: float
 
     def singleton_mass(self) -> float: ...
 
@@ -75,7 +81,7 @@ class SpectralModel(Protocol):
 
     def subset_mass(self, ranges: Sequence[tuple[int, int]]) -> float: ...
 
-    def cut_masses(self, boundaries: np.ndarray) -> tuple[np.ndarray, np.ndarray]: ...
+    def straddle_masses(self, boundaries: np.ndarray) -> np.ndarray: ...
 
     def sample(self, k: int, seed: int) -> list[tuple[int, ...]]: ...
 
@@ -109,8 +115,9 @@ def _in_set_order(d: dict, n_words: int) -> tuple[list, np.ndarray, np.ndarray]:
     return [keys[i] for i in order.tolist()], rows[order], mass[order]
 
 
-def _words(mask: int, n_words: int) -> np.ndarray:
-    """A cell bitmask as a single row in the layout of `_rows`."""
+def _words(ranges: Sequence[tuple[int, int]], n_words: int) -> np.ndarray:
+    """Sorted [lo, hi) cell ranges as a single row in the layout of `_rows`."""
+    mask = sum(((1 << (hi - lo)) - 1) << lo for lo, hi in ranges)
     return np.array([[(mask >> (64 * w)) & 0xFFFF_FFFF_FFFF_FFFF for w in range(n_words)]],
                     dtype=np.uint64)
 
@@ -129,14 +136,55 @@ class _AtomTable:
     mass: np.ndarray
     n_plain: int
 
-    def inside(self, mask: int) -> np.ndarray:
-        return ((self.rows & ~_words(mask, self.rows.shape[1])) == 0).all(axis=1)
+    @property
+    def total_mass(self) -> float:
+        return float(self.mass.sum())
 
-    def meeting(self, mask: int) -> np.ndarray:
-        return (self.rows & _words(mask, self.rows.shape[1])).any(axis=1)
+    @property
+    def empty_mass(self) -> float:
+        # the empty set sorts first when present
+        return float(self.mass[0]) if self.n_plain and not self.keys[0] else 0.0
+
+    @property
+    def multiplicity_mass(self) -> float:
+        return float(self.mass[self.n_plain :].sum())
+
+    def inside(self, ranges: Sequence[tuple[int, int]]) -> np.ndarray:
+        return ((self.rows & ~_words(ranges, self.rows.shape[1])) == 0).all(axis=1)
+
+    def meeting(self, ranges: Sequence[tuple[int, int]]) -> np.ndarray:
+        return (self.rows & _words(ranges, self.rows.shape[1])).any(axis=1)
 
     def plain_sizes(self) -> np.ndarray:
         return np.bitwise_count(self.rows[: self.n_plain]).sum(axis=1, dtype=np.intp)
+
+    def singleton_mass(self) -> float:
+        return self.cardinality_profile().get(1, 0.0)
+
+    def cardinality_profile(self) -> dict[int, float]:
+        sizes = self.plain_sizes()
+        plain = self.mass[: self.n_plain]
+        return {int(k): float(plain[sizes == k].sum()) for k in np.unique(sizes)}
+
+    def subset_mass(self, ranges: Sequence[tuple[int, int]]) -> float:
+        return float(self.mass[self.inside(ranges)].sum())
+
+    def straddle_masses(self, boundaries: np.ndarray) -> np.ndarray:
+        # a set straddles b when it meets cells [0, b) without lying inside
+        # them; summed directly, since the subtraction route (total - left -
+        # right + empty) leaves float residue whose square root dwarfs
+        # exact-identity tolerances
+        left = [((0, b),) for b in np.asarray(boundaries).tolist()]
+        return np.array([self.mass[self.meeting(r) & ~self.inside(r)].sum() for r in left])
+
+    def sample(self, k: int, seed: int) -> list[tuple[int, ...]]:
+        """Inverse CDF over the atoms in table order."""
+        cdf = np.cumsum(self.mass)
+        if not cdf.size or cdf[-1] <= 0:
+            raise ValueError("measure has no mass to sample")
+        rng = worker_generator(seed, 0)
+        picks = np.searchsorted(cdf, rng.uniform(0.0, cdf[-1], size=k), side="right")
+        return [self.keys[i] for i in np.minimum(picks, len(self.keys) - 1).tolist()]
 
     def select(self, picks: np.ndarray) -> tuple[dict, dict]:
         """Plain and multiplicity entries of the picked atoms, masses bit-exact."""
@@ -170,21 +218,15 @@ class SpectralMeasure:
 
     @property
     def multiplicity_mass(self) -> float:
-        if self.is_dense:
-            return float(self._atoms.mass[self._atoms.n_plain :].sum())
-        return getattr(self.model, "multiplicity_mass", 0.0)
+        return self._backend.multiplicity_mass
 
     @property
     def total_mass(self) -> float:
-        if self.is_dense:
-            return float(self._atoms.mass.sum()) + self.residual
-        return self.model.total_mass
+        return self._backend.total_mass + self.residual
 
     @property
     def empty_atom(self) -> float:
-        if self.is_dense:
-            return float(self.entries.get((), 0.0))
-        return self.model.empty_mass
+        return self._backend.empty_mass
 
     def mass(self, cells: Iterable[int]) -> float:
         """Mass of one set, multiplicity entries included."""
@@ -201,8 +243,14 @@ class SpectralMeasure:
             raise BackendError(f"{what} needs a dense measure; this one is sampler-backed")
 
     def _require_resolved(self, what: str) -> None:
-        if self.residual > 1e-9 * max(self.total_mass, 1e-300):
+        # checked first, so a residual-free measure never sums its atoms here
+        if self.residual and self.residual > 1e-9 * max(self.total_mass, 1e-300):
             raise BackendError(f"cannot {what} a measure with unresolved truncation residual")
+
+    @property
+    def _backend(self) -> SpectralModel:
+        """What every query asks: the model, or the atom table of a dense measure."""
+        return self._atoms if self.model is None else self.model
 
     # built once, on the first dense query; the entry dicts must not change after
     @cached_property
@@ -262,23 +310,13 @@ def mass_of_subsets_of(mu: SpectralMeasure, region: ElementarySet) -> float:
     """
     if mu.grid != region.grid:
         raise GridMismatchError("measure and region live on different grids")
-    if not mu.is_dense:
-        return mu.model.subset_mass(region.ranges)
-    if mu.residual:
-        mu._require_resolved("take subset masses of")
-    t = mu._atoms
-    return float(t.mass[t.inside(region.mask())].sum())
+    mu._require_resolved("take subset masses of")
+    return mu._backend.subset_mass(region.ranges)
 
 
 def straddle_mass(mu: SpectralMeasure, boundary: int) -> float:
     """mu{C : C has cells on both sides of the boundary}, plus the unlocated residual."""
-    # summed directly: the subtraction route (total - left - right + empty)
-    # leaves float residue whose square root dwarfs exact-identity tolerances
-    mu._require_dense("straddle mass")
-    t = mu._atoms
-    left = (1 << boundary) - 1
-    right = ((1 << mu.grid.n_cells) - 1) ^ left
-    return float(t.mass[t.meeting(left) & t.meeting(right)].sum()) + mu.residual
+    return float(mu._backend.straddle_masses(np.array([boundary]))[0]) + mu.residual
 
 
 def mass_meeting_interval(mu: SpectralMeasure, lo, hi) -> float:
@@ -286,7 +324,7 @@ def mass_meeting_interval(mu: SpectralMeasure, lo, hi) -> float:
     touched = mu.grid.cells_meeting_open_interval(lo, hi)
     mu._require_dense("interval mass")
     t = mu._atoms
-    return float(t.mass[t.meeting(mask_of_cells(touched))].sum())
+    return float(t.mass[t.meeting(((touched.start, touched.stop),))].sum())
 
 
 def restrict(mu: SpectralMeasure, region: ElementarySet) -> SpectralMeasure:
@@ -300,7 +338,7 @@ def restrict(mu: SpectralMeasure, region: ElementarySet) -> SpectralMeasure:
     mu._require_dense("restriction")
     mu._require_resolved("restrict")
     t = mu._atoms
-    return SpectralMeasure(mu.grid, *t.select(np.flatnonzero(t.inside(region.mask()))))
+    return SpectralMeasure(mu.grid, *t.select(np.flatnonzero(t.inside(region.ranges))))
 
 
 def product(
@@ -347,31 +385,23 @@ def n_point_marginal(mu: SpectralMeasure, n: int) -> SpectralMeasure:
     """The part of the measure on sets of exactly n cells (multiplicity-free)."""
     if n < 0:
         raise ValueError("marginal order must be nonnegative")
-    if mu.is_dense:
-        t = mu._atoms
-        return SpectralMeasure(mu.grid, t.select(np.flatnonzero(t.plain_sizes() == n))[0])
-    profile = mu.model.cardinality_profile()
-    raise BackendError(
-        f"sampler-backed measures expose cardinality totals only; "
-        f"order {n} carries mass {profile.get(n, 0.0)}"
-    )
+    if not mu.is_dense:
+        raise BackendError(
+            f"sampler-backed measures expose cardinality totals only; "
+            f"order {n} carries mass {cardinality_profile(mu).get(n, 0.0)}"
+        )
+    t = mu._atoms
+    return SpectralMeasure(mu.grid, t.select(np.flatnonzero(t.plain_sizes() == n))[0])
 
 
 def singleton_mass(mu: SpectralMeasure) -> float:
     """Total mass on one-cell sets: the squared norm of the first chaos part."""
-    if mu.is_dense:
-        return cardinality_profile(mu).get(1, 0.0)
-    return mu.model.singleton_mass()
+    return mu._backend.singleton_mass()
 
 
 def cardinality_profile(mu: SpectralMeasure) -> dict[int, float]:
     """Mass per set size; multiplicity mass is excluded and reported apart."""
-    if mu.is_dense:
-        t = mu._atoms
-        sizes = t.plain_sizes()
-        plain = t.mass[: t.n_plain]
-        return {int(k): float(plain[sizes == k].sum()) for k in np.unique(sizes)}
-    return dict(sorted(mu.model.cardinality_profile().items()))
+    return dict(sorted(mu._backend.cardinality_profile().items()))
 
 
 # ---------------------------------------------------------------------------
@@ -388,16 +418,5 @@ def sample_sets(source, k: int, seed: int) -> list[SpectralSet]:
     mu = source if isinstance(source, SpectralMeasure) else spectral_measure_of(source)
     if k < 0:
         raise ValueError("sample count must be nonnegative")
-    if not mu.is_dense:
-        return [SpectralSet(mu.grid, cells) for cells in mu.model.sample(k, seed)]
     mu._require_resolved("sample")
-    t = mu._atoms
-    cdf = np.cumsum(t.mass)
-    if not cdf.size or cdf[-1] <= 0:
-        raise ValueError("measure has no mass to sample")
-    from ._rng import worker_generator
-
-    rng = worker_generator(seed, 0)
-    picks = np.searchsorted(cdf, rng.uniform(0.0, cdf[-1], size=k), side="right")
-    picks = np.minimum(picks, len(t.keys) - 1)
-    return [SpectralSet(mu.grid, t.keys[i]) for i in picks.tolist()]
+    return [SpectralSet(mu.grid, cells) for cells in mu._backend.sample(k, seed)]

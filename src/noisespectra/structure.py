@@ -8,8 +8,8 @@ subspaces.  These diagnostics are exact identities on the grid, not limits.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -27,7 +27,6 @@ from .spectral import (
     cardinality_profile,
     singleton_mass,
     spectral_measure_of,
-    straddle_mass,
 )
 from .transform import decompose, level_projection
 
@@ -56,8 +55,8 @@ class AdditiveIntegral:
 
     def member(self, s, t) -> NoiseFunctional:
         """The window functional f_{s,t}; s and t must be grid points."""
-        lo = self.grid.boundary_index(as_time(s))
-        hi = self.grid.boundary_index(as_time(t))
+        lo = self.grid.boundary_index(s)
+        hi = self.grid.boundary_index(t)
         if lo > hi:
             raise ValueError("window must run forward")
         kept = {
@@ -72,10 +71,6 @@ class AdditiveIntegral:
 
     def whole_window(self) -> NoiseFunctional:
         return self.member(self.grid.interval_start, self.grid.interval_end)
-
-
-def as_time(t):
-    return t if isinstance(t, Fraction) else Fraction(t)
 
 
 def first_chaos_extract(f: NoiseFunctional) -> NoiseFunctional:
@@ -109,18 +104,14 @@ def cut_distance(f, t) -> float:
     grid point; `f` may be a functional or a prepared spectral measure.
     """
     mu = f if isinstance(f, SpectralMeasure) else spectral_measure_of(f)
-    idx = mu.grid.boundary_index(as_time(t))
+    idx = mu.grid.boundary_index(t)
     return float(_cut_distances(mu, np.array([idx]))[0])
 
 
 def _cut_distances(mu: SpectralMeasure, boundaries: np.ndarray) -> np.ndarray:
     """Cut distances at the given boundary indices; 0 at the window's ends."""
     inner = (boundaries > 0) & (boundaries < mu.grid.n_cells)
-    if mu.is_dense:
-        straddle = np.array([straddle_mass(mu, int(b)) for b in boundaries[inner]])
-    else:
-        left, right = mu.model.cut_masses(boundaries[inner])
-        straddle = mu.total_mass - left - right + mu.empty_atom
+    straddle = mu._backend.straddle_masses(boundaries[inner]) + mu.residual
     out = np.zeros(boundaries.shape)
     out[inner] = np.sqrt(np.maximum(straddle, 0.0))
     return out
@@ -172,17 +163,13 @@ def finite_chaos_partition_span(f: NoiseFunctional, cuts: Sequence) -> NoiseFunc
     so it is orthogonal, and refining the cut family only enlarges it.
     """
     grid = f.grid
-    boundaries = sorted({grid.boundary_index(as_time(t)) for t in cuts})
-    edges = [0] + [b for b in boundaries if 0 < b < grid.n_cells] + [grid.n_cells]
+    boundaries = sorted({grid.boundary_index(t) for t in cuts})
     coeffs = decompose(f)
 
     def keeps(ix) -> bool:
+        # cells share an interval exactly when as many cuts lie at or below each
         support = index_support(ix)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            inside = sum(1 for c in support if lo <= c < hi)
-            if inside > 1:
-                return False
-        return True
+        return len({bisect_right(boundaries, c) for c in support}) == len(support)
 
     kept = {ix: c for ix, c in coeffs.entries.items() if keeps(ix)}
     return NoiseFunctional.from_chaos(

@@ -299,9 +299,7 @@ def endpoint_mass_profile(f: NoiseFunctional, t, eps_list: Sequence[float]) -> n
         e = as_fraction(eps)
         if e <= 0:
             raise ValueError("eps must be positive")
-        lo = max(tt - e, mu.grid.interval_start)
-        hi = min(tt + e, mu.grid.interval_end)
-        out.append(mass_meeting_interval(mu, lo, hi))
+        out.append(mass_meeting_interval(mu, tt - e, tt + e))
     return np.array(out)
 
 
@@ -310,6 +308,4 @@ def residual_projection_gap(f: NoiseFunctional, t, eps: float) -> float:
     mu = spectral_measure_of(f)
     tt = as_fraction(t)
     e = as_fraction(eps)
-    lo = max(tt - e, mu.grid.interval_start)
-    hi = min(tt + e, mu.grid.interval_end)
-    return float(math.sqrt(max(mass_meeting_interval(mu, lo, hi), 0.0)))
+    return float(math.sqrt(max(mass_meeting_interval(mu, tt - e, tt + e), 0.0)))

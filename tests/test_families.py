@@ -1,7 +1,7 @@
 """Named families: dense brute force against the tree-model closed forms.
 
 Every exact query a TreeModel answers (totals, singletons, cardinality
-profile, subset and prefix masses, sampling) is checked here against the
+profile, subset, prefix and straddle masses, sampling) is checked here against the
 full Walsh decomposition of the materialized function at sizes where both
 routes exist.
 """
@@ -16,10 +16,12 @@ from noisespectra import (
     NoiseFunctional,
     TimeGrid,
     cardinality_profile,
+    cut_distance,
     mass_of_subsets_of,
     sample_sets,
     singleton_mass,
     spectral_measure_of,
+    straddle_mass,
 )
 from noisespectra.families import (
     _majority_layer,
@@ -131,6 +133,9 @@ def test_model_subset_and_prefix_match_dense(name, level):
         right = mass_of_subsets_of(mu, ElementarySet.from_cells(f.grid, range(b, n)))
         assert abs(model.prefix_mass(b) - left) < 1e-12
         assert abs(prefix[b] - left) < 1e-12 and abs(suffix[b] - right) < 1e-12
+    straddles = model.straddle_masses(np.arange(n + 1))
+    for b in range(n + 1):
+        assert abs(straddles[b] - straddle_mass(mu, b)) < 1e-12
 
 
 def test_majority_singleton_recursion():
@@ -220,6 +225,15 @@ def test_sample_sets_routes_through_model():
     draws = sample_sets(mu, 100, seed=1)
     assert len(draws) == 100
     assert draws == sample_sets(mu, 100, seed=1)
+
+
+def test_straddle_mass_of_model_measure_is_squared_cut_distance():
+    # Maj3 L4 has 81 cells, past the dense cap, so the measure is model-backed
+    mu = spectral_measure_of(make_functional("majority3-iterated", 4))
+    assert not mu.is_dense
+    for b in (1, 9, 40, 80):
+        d = cut_distance(mu, mu.grid.boundary(b))
+        assert abs(straddle_mass(mu, b) - d * d) < 1e-12
 
 
 def test_family_mean_matches_dense():
