@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import asdict, astuple, fields
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +19,7 @@ import numpy as np
 from . import families
 from ._rng import default_workers
 from .chaos import add_coefficients
-from .dimension import RefinementFamily, estimate_dimension
+from .dimension import RefinementFamily, ScalePoint, estimate_dimension
 from .functionals import (
     BackendError,
     NoiseFunctional,
@@ -296,26 +297,7 @@ def cmd_cuts(args) -> int:
 def cmd_classify(args) -> int:
     levels = _parse_levels(args.levels)
     report = classify(args.family, levels)
-    data = {
-        "schema_version": "1",
-        "family": report.family,
-        "records": [
-            {
-                "level": r.level,
-                "n_cells": r.n_cells,
-                "total_mass": r.total_mass,
-                "empty_mass": r.empty_mass,
-                "singleton_mass": r.singleton_mass,
-                "cardinality_profile": {str(k): v for k, v in r.cardinality_profile.items()},
-                "max_cut_distance": r.max_cut_distance,
-            }
-            for r in report.records
-        ],
-        "singleton_fractions": list(report.singleton_fractions),
-        "low_cardinality_fractions": list(report.low_cardinality_fractions),
-        "verdicts": list(report.verdicts),
-    }
-    write_json(args.out, data)
+    write_json(args.out, {"schema_version": "1", **asdict(report)})
     for v in report.verdicts:
         print(v)
     return EXIT_OK
@@ -351,33 +333,21 @@ def cmd_ito(args) -> int:
 def cmd_npoint(args) -> int:
     f = _load_source(args)
     est = npoint_density_estimate(f, args.order, args.paths, args.seed, _workers(args))
-    rows = []
+    n = f.grid.n_cells
     if args.order == 1:
-        for i in range(f.grid.n_cells):
-            rows.append((i, float(est.coefficients[i]), float(est.densities[i])))
-        header = ["cell", "coeff", "density"]
+        cells, header = (np.arange(n),), ["cell"]
     else:
-        n = f.grid.n_cells
-        for i in range(n):
-            for j in range(i + 1, n):
-                rows.append((i, j, float(est.coefficients[i, j]), float(est.densities[i, j])))
-        header = ["cell_i", "cell_j", "coeff", "density"]
-    write_csv(args.out, header, rows)
+        cells, header = np.triu_indices(n, 1), ["cell_i", "cell_j"]
+    columns = [*cells, est.coefficients[cells], est.densities[cells]]
+    write_csv(args.out, header + ["coeff", "density"], zip(*(c.tolist() for c in columns)))
     print(f"mean density {est.mean_density!r} +- {est.mean_density_stderr!r}")
     return EXIT_OK
 
 
 def cmd_dim(args) -> int:
     est = estimate_dimension(args.family, _parse_levels(args.levels), args.samples, args.seed)
-    rows = [
-        (p.level, p.box_level, p.log2_inv_scale, p.mean_log2_count, p.stderr, p.samples)
-        for p in est.points
-    ]
-    write_csv(
-        args.out,
-        ["level", "box_level", "log2_inv_scale", "mean_log2_count", "stderr", "samples"],
-        rows,
-    )
+    header = [field.name for field in fields(ScalePoint)]
+    write_csv(args.out, header, map(astuple, est.points))
     print(f"slope {est.slope!r}  r2 {est.r_squared:.6f}  empty_fraction {est.empty_fraction!r}")
     return EXIT_OK
 

@@ -34,7 +34,6 @@ from .hermite import hermite_values, pair_mean, project_scalar_map
 from .kernels import SimplexKernel, iterated_sum
 from .walsh import (
     DENSE_CELL_CAP,
-    character_coefficients,
     mask_of_cells,
     omega_index,
     values_from_coefficients,
@@ -595,23 +594,32 @@ def _tensor_accumulate(add, weight: float, coeff_lists) -> None:
 
 
 def shift(f: NoiseFunctional, k: int, mode: str = "cyclic") -> NoiseFunctional:
-    """Translate by k cells; cyclic wraps, truncate drops mass leaving the window."""
+    """Translate by k cells; cyclic wraps, truncate drops mass leaving the window.
+
+    On a table, truncation first averages out the cells that leave (the top
+    k cells for k > 0, the bottom -k for k < 0), so the wrapped cells carry
+    no dependence, then rotates as the cyclic mode does.
+    """
     if mode not in ("cyclic", "truncate"):
         raise ValueError("shift mode must be 'cyclic' or 'truncate'")
     b = f.backend
     n = f.grid.n_cells
     if isinstance(b, RademacherTable):
-        if mode == "cyclic":
-            positions = np.arange(1 << n, dtype=np.uint64)
-            kk = k % n
-            mask = np.uint64((1 << n) - 1)
-            rotated = ((positions << np.uint64(kk)) | (positions >> np.uint64(n - kk))) & mask
-            out = np.empty_like(b.values)
-            out[rotated] = b.values  # pattern at cells moves forward by k
-            return NoiseFunctional.from_table(f.grid, out)
-        coeffs = character_coefficients(b.values)
-        shifted = _shift_dense(coeffs, k, n)
-        return NoiseFunctional.from_table(f.grid, values_from_coefficients(shifted))
+        v = b.values
+        if mode == "truncate" and k:
+            # table bit i is cell i, so in C order the highest cells come first
+            m = 1 << min(abs(k), n)  # sign patterns of the cells that leave
+            if k > 0:
+                v = np.tile(v.reshape(m, -1).mean(0), m)
+            else:
+                v = np.repeat(v.reshape(-1, m).mean(1), m)
+        positions = np.arange(1 << n, dtype=np.uint64)
+        kk = k % n
+        mask = np.uint64((1 << n) - 1)
+        rotated = ((positions << np.uint64(kk)) | (positions >> np.uint64(n - kk))) & mask
+        out = np.empty_like(v)
+        out[rotated] = v  # pattern at cells moves forward by k
+        return NoiseFunctional.from_table(f.grid, out)
     if isinstance(b, ChaosCoefficients):
         moved: dict = {}
         for ix, c in b.entries.items():
@@ -624,21 +632,6 @@ def shift(f: NoiseFunctional, k: int, mode: str = "cyclic") -> NoiseFunctional:
             ChaosCoefficients(f.grid, moved, b.kind, b.channels, b.residual)
         )
     raise BackendError(f"shift is defined for table and chaos backends, not {backend_kind(f)}")
-
-
-def _shift_dense(coeffs: np.ndarray, k: int, n: int) -> np.ndarray:
-    out = np.zeros_like(coeffs)
-    masks = np.arange(coeffs.shape[0], dtype=np.uint64)
-    limit = np.uint64((1 << n) - 1)
-    if k >= 0:
-        valid = ((masks << np.uint64(k)) & ~limit) == 0
-        target = (masks[valid] << np.uint64(k)) & limit
-    else:
-        kk = np.uint64(-k)
-        valid = (masks & np.uint64((1 << (-k)) - 1)) == 0
-        target = masks[valid] >> kk
-    out[target] = coeffs[valid]
-    return out
 
 
 def multiply(f: NoiseFunctional, g: NoiseFunctional) -> NoiseFunctional:

@@ -5,10 +5,15 @@ cells, one channel tag per slot.  Separable kernels store one factor vector
 per slot, so the iterated sums and the isometry norm run in O(r n) via
 exclusive prefix sums; constant kernels are the all-ones separable case.
 Dense kernels are kept for orders 1 and 2 (vector / strictly upper matrix).
+
+The kernel owns its algebra: :meth:`SimplexKernel.cross_norm` is the one
+quadratic form (every norm and inner product of iterated integrals goes
+through it) and :meth:`SimplexKernel.restricted` is the one restriction to
+a set of cells, so no other module reads how the weights are stored.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from math import comb
 from typing import Iterator
@@ -74,9 +79,7 @@ class SimplexKernel:
             raise ValueError(f"{cells} is not an increasing {self.order}-tuple")
         if self.factors is not None:
             return float(np.prod([v[c] for v, c in zip(self.factors, cells)]))
-        if self.order == 1:
-            return float(self.dense[cells[0]])
-        return float(self.dense[cells[0], cells[1]])
+        return float(self.dense[tuple(cells)])
 
     def tuple_count(self) -> int:
         return comb(self.n_cells, self.order)
@@ -93,20 +96,32 @@ class SimplexKernel:
             if v != 0.0:
                 yield cells, v
 
-    # -- exact quadratic forms -------------------------------------------------
+    def _dense_form(self) -> np.ndarray:
+        """The weights as a vector (order 1) or a strictly upper matrix (order 2)."""
+        if self.dense is not None:
+            return self.dense
+        if self.order == 1:
+            return self.factors[0]
+        return np.triu(np.outer(*self.factors), k=1)
+
+    def restricted(self, inside: np.ndarray) -> "SimplexKernel":
+        """The kernel with every tuple that leaves the cells marked 1 in `inside` zeroed."""
+        m = np.asarray(inside, dtype=np.float64)
+        if self.factors is not None:
+            return replace(self, factors=tuple(v * m for v in self.factors))
+        return replace(self, dense=self.dense * (m if self.order == 1 else np.outer(m, m)))
+
+    # -- the exact quadratic form ----------------------------------------------
     def isometry_norm_sq(self, cell_lengths: np.ndarray) -> float:
         """sum over the simplex of kernel**2 times the product of cell lengths."""
-        h = np.asarray(cell_lengths, dtype=np.float64)
-        if self.factors is not None:
-            return _ordered_product_sum([v * v for v in self.factors], h)
-        if self.order == 1:
-            return float(np.sum(self.dense**2 * h))
-        return float(np.einsum("ij,i,j->", self.dense**2, h, h))
+        return self.cross_norm(self, cell_lengths)
 
     def cross_norm(self, other: "SimplexKernel", cell_lengths: np.ndarray) -> float:
         """sum over the simplex of k_a * k_b * product of cell lengths.
 
         Zero when orders or any slot channel differ (independent factors).
+        Two separable kernels take the prefix-sum route; a pair with a dense
+        side contracts the two dense forms (orders 1 and 2 only).
         """
         if self.order != other.order or self.channels != other.channels:
             return 0.0
@@ -115,10 +130,10 @@ class SimplexKernel:
             return _ordered_product_sum(
                 [a * b for a, b in zip(self.factors, other.factors)], h
             )
-        return sum(
-            va * other.value(cells) * float(np.prod(h[list(cells)]))
-            for cells, va in self.iterate_entries()
-        )
+        prod = self._dense_form() * other._dense_form()
+        if self.order == 1:
+            return float(np.sum(prod * h))
+        return float(np.einsum("ij,i,j->", prod, h, h))
 
 
 def _ordered_product_sum(slot_vectors: list[np.ndarray], weights: np.ndarray) -> float:

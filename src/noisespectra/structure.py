@@ -171,11 +171,7 @@ def finite_chaos_partition_span(f: NoiseFunctional, cuts: Sequence) -> NoiseFunc
         support = index_support(ix)
         return len({bisect_right(boundaries, c) for c in support}) == len(support)
 
-    kept = {ix: c for ix, c in coeffs.entries.items() if keeps(ix)}
-    return NoiseFunctional.from_chaos(
-        ChaosCoefficients(grid, kept, coeffs.kind, channels=coeffs.channels,
-                          residual=coeffs.residual)
-    )
+    return NoiseFunctional.from_chaos(coeffs.filtered(keeps))
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,6 @@ from .functionals import (
     hermite_decompose,
 )
 from .grid import ElementarySet, TimeGrid, require_same_grid
-from .kernels import SimplexKernel
 from .walsh import (
     cells_of_masks,
     character_coefficients,
@@ -113,31 +112,11 @@ def _program_projection(
     grid: TimeGrid, p: BrownianProgram, region: ElementarySet
 ) -> BrownianProgram:
     inside = np.zeros(grid.n_cells)
-    for c in region.cells():
-        inside[c] = 1.0
+    inside[list(region.cells())] = 1.0
     out: list = []
     for term in p.terms:
         if isinstance(term, ItoTerm):
-            k = term.kernel
-            if k.factors is not None:
-                masked = SimplexKernel(
-                    k.order,
-                    k.n_cells,
-                    factors=tuple(v * inside for v in k.factors),
-                    channels=k.channels,
-                )
-            elif k.order == 1:
-                masked = SimplexKernel(
-                    1, k.n_cells, dense=k.dense * inside, channels=k.channels
-                )
-            else:
-                masked = SimplexKernel(
-                    2,
-                    k.n_cells,
-                    dense=k.dense * np.outer(inside, inside),
-                    channels=k.channels,
-                )
-            out.append(ItoTerm(term.weight, masked))
+            out.append(ItoTerm(term.weight, term.kernel.restricted(inside)))
         else:
             weight = term.weight
             kept = []

@@ -227,6 +227,33 @@ def test_dim_and_calibrate(tmp_path, capsys):
     assert set(doc["results"]) == {"point", "full-interval", "cantor-thirds"}
 
 
+@pytest.mark.parametrize("argv,digest", [
+    (["classify", "--family", "majority3-iterated", "--levels", "3..6"],
+     "fe7a16bffcd4d02cd1779428ad58c0e78269f1d9448c5a5dac00e3d95d17e330"),
+    (["classify", "--family", "tribes", "--levels", "3..5"],
+     "c690cc9448835436fa61eb195fa06882ca797e096786f0465cc12f4810416e3a"),
+    (["classify", "--family", "coordinate-sum", "--levels", "1..4"],
+     "c2b6f1e1a0d71683eda9f8f45fb5045814172bf679f146f97ff2925011f0255f"),
+    (["dim", "--family", "majority3-iterated", "--levels", "6..7", "--samples", "500",
+      "--seed", "1"],
+     "1edf4b04e3d36a248a61d15cb9b8c10d3c86b808ec1f9542a2119f2c83e86089"),
+    (["dim", "--family", "cantor-calibration", "--levels", "5..6", "--samples", "500",
+      "--seed", "1"],
+     "02055aa872af050e7e9c32e201f95634037c61db2e56c2b7344c2948e5724035"),
+    (["npoint", "--family", "white-noise-i1", "--level", "5", "--order", "1",
+      "--paths", "4000", "--seed", "1", "--threads", "1"],
+     "48bdee302f8fd9c73962e3eb5c0fb7ae0e3b8da5270d75b9eb3776b86541f72d"),
+    (["npoint", "--family", "white-noise-i2", "--level", "4", "--order", "2",
+      "--paths", "4000", "--seed", "1", "--threads", "1"],
+     "40b3475b6608f19318e7427ff2346304e24f82d3a5de98e4dc6396979f6c6ef2"),
+])
+def test_report_and_table_bytes_are_pinned(argv, digest, tmp_path):
+    # captured before the commands wrote the library's records directly
+    out = tmp_path / "out"
+    assert run(*argv, "--out", str(out)) == 0
+    assert sha256_of(str(out)) == digest
+
+
 def test_usage_errors_exit_2(tmp_path, capsys):
     assert run("decompose", "--in", str(tmp_path / "missing.json"),
                "--out", str(tmp_path / "o.json")) == 2

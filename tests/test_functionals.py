@@ -102,6 +102,17 @@ def test_shift_truncate_drops_outgoing_mass():
     )
 
 
+def test_shift_truncate_routes_agree(rng):
+    from noisespectra import decompose
+
+    f = random_functional(GRID, rng)
+    fc = NoiseFunctional.from_chaos(decompose(f))
+    for k in (0, 1, -1, 3, -3, 8, -8, 10, -10):
+        a = evaluate_table(shift(f, k, mode="truncate"))
+        b = evaluate_table(shift(fc, k, mode="truncate"))
+        assert_allclose(a, b, atol=1e-12)
+
+
 def test_multiply_is_pointwise(rng):
     f = random_functional(GRID, rng)
     g = random_functional(GRID, rng)

@@ -71,6 +71,29 @@ def test_cross_norm_symmetry_and_enumeration():
     assert_allclose(a.cross_norm(b, h), b.cross_norm(a, h), rtol=1e-12)
 
 
+def _random_kernel(layout, order, n, rng):
+    if layout == "separable":
+        return SimplexKernel.separable([rng.standard_normal(n) for _ in range(order)])
+    shape = (n,) if order == 1 else (n, n)
+    return SimplexKernel(order, n, dense=rng.standard_normal(shape))
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("layouts", [
+    ("dense", "dense"), ("dense", "separable"), ("separable", "dense"),
+])
+def test_cross_norm_with_dense_side_matches_enumeration(order, layouts):
+    rng = np.random.default_rng(17 + order)
+    n = 7
+    a, b = (_random_kernel(layout, order, n, rng) for layout in layouts)
+    h = rng.uniform(0.5, 1.5, size=n)
+    brute = sum(
+        va * b.value(cells) * np.prod(h[list(cells)]) for cells, va in a.iterate_entries()
+    )
+    assert_allclose(a.cross_norm(b, h), brute, rtol=1e-12, atol=1e-12)
+    assert_allclose(b.cross_norm(a, h), brute, rtol=1e-12, atol=1e-12)
+
+
 def test_cross_norm_zero_across_orders_and_channels():
     n = 5
     a = SimplexKernel.constant(1, n)

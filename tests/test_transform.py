@@ -146,6 +146,24 @@ def test_program_projection_masks_kernels():
     assert_allclose(norm_sq(q), 1 / grid.n_cells, rtol=1e-12)
 
 
+@pytest.mark.parametrize("order", [1, 2])
+def test_program_projection_of_dense_kernels(order, rng):
+    from itertools import combinations
+
+    shape = (N,) if order == 1 else (N, N)
+    kernel = SimplexKernel(order, N, dense=rng.standard_normal(shape))
+    f = NoiseFunctional.from_program(GRID, [ItoTerm(1.5, kernel)])
+    h = float(GRID.cell_length)
+    for mask in (0, 0b1, 0b10110101, 0b11110000, 0b11111111):
+        inside = {c for c in range(N) if mask >> c & 1}
+        brute = sum(
+            (1.5 * kernel.value(cells)) ** 2 * h**order
+            for cells in combinations(sorted(inside), order)
+        )
+        p = conditional_expectation(f, region_of(mask))
+        assert_allclose(norm_sq(p), brute, rtol=1e-12, atol=1e-15)
+
+
 def test_level_projections_are_orthogonal_and_complete(rng):
     f = random_functional(GRID, rng)
     parts = [level_projection(f, k) for k in range(N + 1)]
