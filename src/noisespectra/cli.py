@@ -73,9 +73,11 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, run, help_text):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(run=run)
+        return p
+
+    def add_threads(p):
         p.add_argument("--threads", type=int, default=None,
                        help="worker count (default: NOISESPECTRA_THREADS or 1)")
-        return p
 
     p = add("decompose", cmd_decompose, "chaos coefficients of a functional")
     p.add_argument("--in", dest="infile", required=True)
@@ -121,6 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gate", type=float, default=5.0,
                    help="max |z| between MC moment and exact target")
     p.add_argument("--out", default=None)
+    add_threads(p)
 
     p = add("npoint", cmd_npoint, "n-point spectral density table by MC Hermite projection")
     _add_source(p)
@@ -128,6 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paths", type=int, default=100000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
+    add_threads(p)
 
     p = add("dim", cmd_dim, "box-counting dimension of sampled spectral sets")
     p.add_argument("--family", required=True)

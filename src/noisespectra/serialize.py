@@ -24,7 +24,7 @@ from itertools import chain
 
 import numpy as np
 
-from .chaos import HERMITE, WALSH, ChaosCoefficients, hermite_index, walsh_index
+from .chaos import HERMITE, WALSH, ChaosCoefficients, hermite_index
 from .functionals import (
     BrownianProgram,
     FamilyRef,
@@ -176,32 +176,36 @@ def functional_from_data(data: dict) -> NoiseFunctional:
             _require_finite(values, "table values")
             return NoiseFunctional.from_table(grid, values)
         if kind in ("walsh-chaos", "hermite-chaos"):
-            entries: dict = {}
-            for row in _get(data, "entries"):
-                if kind == "walsh-chaos":
-                    ix = walsh_index(tuple(row["cells"]))
-                else:
-                    ix = hermite_index(tuple(tuple(t) for t in row["terms"]))
-                entries[ix] = float(row["coeff"])
+            rows, channels = _get(data, "entries"), int(data.get("channels", 1))
+            if kind == "walsh-chaos":
+                entries = _cell_entries(rows, "entries", grid.n_cells, "coeff")
+            else:
+                entries = {
+                    hermite_index([(*_site(f"entries[{i}]", c, ch, grid.n_cells, channels), d)
+                                   for c, ch, d in row["terms"]]): float(row["coeff"])
+                    for i, row in enumerate(rows)
+                }
             residual = float(data.get("residual", 0.0))
             _require_finite(np.fromiter(entries.values(), float, len(entries)), "coefficients")
             _require_finite(np.array([residual]), "residual", nonnegative=True)
             coeffs = ChaosCoefficients(
                 grid, entries,
                 WALSH if kind == "walsh-chaos" else HERMITE,
-                channels=int(data.get("channels", 1)),
+                channels=channels,
                 residual=residual,
             )
             return NoiseFunctional.from_chaos(coeffs)
         if kind == "program":
             terms: list = []
-            for row in _get(data, "terms"):
+            channels = int(data.get("channels", 1))
+            for i, row in enumerate(_get(data, "terms")):
                 if row.get("type") == "ito":
                     terms.append(ItoTerm(float(row["weight"]),
                                          kernel_from_data(row["kernel"], grid.n_cells)))
                 elif row.get("type") == "map":
                     factors = tuple(
-                        MapFactor(int(fa["cell"]), int(fa.get("channel", 0)),
+                        MapFactor(*_site(f"terms[{i}]", fa["cell"], fa.get("channel", 0),
+                                         grid.n_cells, channels),
                                   str(fa["fn"]), tuple(fa.get("params", ())))
                         for fa in row["factors"]
                     )
@@ -211,7 +215,7 @@ def functional_from_data(data: dict) -> NoiseFunctional:
             return NoiseFunctional.from_program(
                 grid, terms,
                 degree_cap=int(data.get("degree_cap", 4)),
-                channels=int(data.get("channels", 1)),
+                channels=channels,
             )
         if kind == "family":
             params = data.get("params", {})
@@ -257,11 +261,9 @@ def measure_from_data(data: dict) -> SpectralMeasure:
     _check_version(data)
     grid = grid_from_data(_get(data, "grid"))
     try:
-        entries = {tuple(r["cells"]): float(r["mass"]) for r in _get(data, "entries")}
-        mult = {
-            tuple(r["cells"]): float(r["mass"])
-            for r in data.get("multiplicity_entries", ())
-        }
+        entries = _cell_entries(_get(data, "entries"), "entries", grid.n_cells, "mass")
+        mult = _cell_entries(data.get("multiplicity_entries", ()), "multiplicity_entries",
+                             grid.n_cells, "mass")
         residual = float(data.get("residual", 0.0))
         count = len(entries) + len(mult) + 1
         masses = np.fromiter(chain(entries.values(), mult.values(), (residual,)), float, count)
@@ -506,6 +508,45 @@ def _require_finite(x: np.ndarray, what: str, nonnegative: bool = False) -> None
     if not ok.all():
         need = "finite and non-negative" if nonnegative else "finite"
         raise FormatError(f"{what} must be {need}, got {float(x[~ok][0])!r}")
+
+
+def _cell_entries(rows: list, name: str, n_cells: int, value: str) -> dict:
+    """{cells: float(record[value])} for the records listed under `name`.
+
+    Every "cells" list must hold strictly increasing JSON integers in
+    0..n_cells-1.  A file that fails the one-pass check is walked record by
+    record, to name the first bad record.
+    """
+    keys = [tuple(r["cells"]) for r in rows]
+    if not _cells_ok(keys, n_cells):
+        for i, k in enumerate(keys):
+            if not _cells_ok([k], n_cells):
+                raise FormatError(f"{name}[{i}]: cells {list(k)} are not strictly increasing "
+                                  f"integers in 0..{n_cells - 1}")
+    return dict(zip(keys, (float(r[value]) for r in rows)))
+
+
+def _cells_ok(keys: list, n_cells: int) -> bool:
+    """Every key holds strictly increasing JSON integers in 0..n_cells-1."""
+    if not set(map(type, chain.from_iterable(keys))) <= {int}:
+        return False
+    sizes = np.fromiter(map(len, keys), dtype=np.intp, count=len(keys))
+    try:
+        cells = np.fromiter(chain.from_iterable(keys), np.int64, int(sizes.sum()))
+    except OverflowError:  # beyond 64 bits, so off any grid
+        return False
+    first = np.zeros(cells.size + 1, dtype=bool)
+    first[np.cumsum(sizes) - sizes] = True
+    rising = (cells[1:] > cells[:-1]) | first[1:-1]
+    return bool(rising.all() and ((cells >= 0) & (cells < n_cells)).all())
+
+
+def _site(where: str, cell, channel, n_cells: int, channels: int) -> tuple[int, int]:
+    """A (cell, channel) pair read from a file: two JSON integers on the grid."""
+    if type(cell) is type(channel) is int and 0 <= cell < n_cells and 0 <= channel < channels:
+        return cell, channel
+    raise FormatError(f"{where}: cell {cell!r} and channel {channel!r} must be integers in "
+                      f"0..{n_cells - 1} and 0..{channels - 1}")
 
 
 def _check_version(data: dict) -> None:

@@ -11,6 +11,10 @@ Gaussian sources keep two side channels: multiplicity entries (indices whose
 total degree on some cell is >= 2, aggregated by support but excluded from
 the plain entries and from cardinality reports) and a truncation residual.
 
+A dense measure is its atom table, built straight from a value table's
+character coefficients or packed from entry dicts, and sliced by restriction
+and marginals; the entry mappings are read-only views of the table.
+
 Beyond the dense cap a measure can be model-backed instead: a family-supplied
 object that samples sets exactly and answers restricted-mass queries.  A
 dense measure's atom table answers the same queries, so no query branches
@@ -19,23 +23,24 @@ on the backend.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain
-from typing import Iterable, Protocol, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
 
 from ._rng import worker_generator
-from .chaos import WALSH, ChaosCoefficients, index_has_multiplicity, index_support
+from .chaos import ChaosCoefficients, index_has_multiplicity, index_support
 from .functionals import (
     BackendError,
     FamilyRef,
     NoiseFunctional,
+    RademacherTable,
     joined_grid,
 )
-from .grid import ElementarySet, GridMismatchError, TimeGrid
-from .transform import decompose
-from .walsh import DENSE_CELL_CAP
+from .grid import ElementarySet, GridMismatchError, TimeGrid, require_same_grid
+from .transform import decompose, table_coefficients
+from .walsh import DENSE_CELL_CAP, cells_of_masks
 
 
 @dataclass(frozen=True)
@@ -89,30 +94,30 @@ class SpectralModel(Protocol):
 def _rows(keys: Sequence[tuple[int, ...]], n_words: int) -> np.ndarray:
     """One row of 64-bit words per cell set: cell c is bit c % 64 of word c // 64."""
     sizes = np.fromiter(map(len, keys), dtype=np.intp, count=len(keys))
-    cells = np.fromiter(chain.from_iterable(keys), dtype=np.intp, count=int(sizes.sum()))
+    cells = np.fromiter(chain.from_iterable(keys), dtype=np.uint64, count=int(sizes.sum()))
     rows = np.zeros((len(keys), n_words), dtype=np.uint64)
-    owner = np.repeat(np.arange(len(keys)), sizes)
-    np.bitwise_or.at(rows, (owner, cells // 64), np.uint64(1) << (cells % 64).astype(np.uint64))
+    words = cells >> np.uint64(6)
+    # cells turn into their bits in place: a 2**18-atom file holds 2.4M cells
+    np.left_shift(np.uint64(1), cells & np.uint64(63), out=cells)
+    np.bitwise_or.at(rows, (np.repeat(np.arange(len(keys)), sizes), words), cells)
     return rows
 
 
 _REVERSED_BYTES = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8)
 
 
-def _in_set_order(d: dict, n_words: int) -> tuple[list, np.ndarray, np.ndarray]:
-    """Keys, rows and masses of one entry dict in (cardinality, cells) order.
-
-    Two sorted cell tuples of one size compare A < B exactly when the lowest
-    cell of their symmetric difference lies in A, that is when A is the larger
-    in bit-reversed order, word 0 (cells 0..63) most significant.
-    """
-    keys = list(d)
-    rows = _rows(keys, n_words)
+def _set_order(rows: np.ndarray, mass: np.ndarray, n_plain: int) -> np.ndarray:
+    """Positions of the nonzero masses: the first n_plain, then the rest, each
+    in (cardinality, cells) order.  Two sorted cell tuples of one size compare
+    A < B exactly when the lowest cell of their symmetric difference lies in
+    A, that is when A is the larger in bit-reversed order, word 0 most
+    significant."""
+    nz = np.flatnonzero(mass)
+    rows = rows[nz]
     reversed_words = _REVERSED_BYTES[rows.view(np.uint8)].view(np.uint64).byteswap()
-    sort_keys = [~reversed_words[:, w] for w in range(n_words - 1, -1, -1)]
-    order = np.lexsort([*sort_keys, np.bitwise_count(rows).sum(axis=1, dtype=np.intp)])
-    mass = np.fromiter(d.values(), dtype=np.float64, count=len(keys))
-    return [keys[i] for i in order.tolist()], rows[order], mass[order]
+    sort_keys = [~reversed_words[:, w] for w in range(rows.shape[1] - 1, -1, -1)]
+    sizes = np.bitwise_count(rows).sum(axis=1, dtype=np.intp)
+    return nz[np.lexsort([*sort_keys, sizes, nz >= n_plain])]
 
 
 def _words(ranges: Sequence[tuple[int, int]], n_words: int) -> np.ndarray:
@@ -135,6 +140,29 @@ class _AtomTable:
     rows: np.ndarray
     mass: np.ndarray
     n_plain: int
+
+    @classmethod
+    def of_coefficients(cls, n_cells: int, coeffs: np.ndarray) -> _AtomTable:
+        """Squared Walsh coefficients; position m of `coeffs` is the set of mask m."""
+        mass = coeffs * coeffs
+        order = _set_order(np.arange(mass.shape[0], dtype=np.uint64)[:, None], mass, mass.shape[0])
+        return cls(tuple(cells_of_masks(order.tolist(), n_cells)),
+                   order.astype(np.uint64)[:, None], mass[order], order.shape[0])
+
+    @classmethod
+    def of_entries(cls, n_cells: int, plain: Mapping, mult: Mapping) -> _AtomTable:
+        """Plain and multiplicity {cells: mass} entries; zero masses are dropped."""
+        keys = [*plain, *mult]
+        rows = _rows(keys, max(1, -(-n_cells // 64)))
+        mass = np.fromiter(chain(plain.values(), mult.values()), dtype=np.float64, count=len(keys))
+        order = _set_order(rows, mass, len(plain))
+        return cls(tuple(map(keys.__getitem__, order.tolist())), rows[order], mass[order],
+                   int(np.count_nonzero(order < len(plain))))
+
+    def take(self, picks: np.ndarray) -> _AtomTable:
+        """The atoms at ascending positions `picks`, still in table order."""
+        return _AtomTable(tuple(map(self.keys.__getitem__, picks.tolist())), self.rows[picks],
+                          self.mass[picks], int(np.searchsorted(picks, self.n_plain)))
 
     @property
     def total_mass(self) -> float:
@@ -186,30 +214,39 @@ class _AtomTable:
         picks = np.searchsorted(cdf, rng.uniform(0.0, cdf[-1], size=k), side="right")
         return [self.keys[i] for i in np.minimum(picks, len(self.keys) - 1).tolist()]
 
-    def select(self, picks: np.ndarray) -> tuple[dict, dict]:
-        """Plain and multiplicity entries of the picked atoms, masses bit-exact."""
-        plain, mult = {}, {}
-        for i, v in zip(picks.tolist(), self.mass[picks].tolist()):
-            (plain if i < self.n_plain else mult)[self.keys[i]] = v
-        return plain, mult
-
 
 @dataclass(frozen=True, eq=False)
 class SpectralMeasure:
+    """A dense measure is its atom table, packed here from {cells: mass} dicts;
+    `entries` and `multiplicity_entries` are read-only views of it, in table
+    order.  A model-backed measure has `model` and no entries."""
+
     grid: TimeGrid
-    entries: dict[tuple[int, ...], float] | None
-    multiplicity_entries: dict[tuple[int, ...], float] = field(default_factory=dict)
+    entries: Mapping[tuple[int, ...], float] | None
+    multiplicity_entries: Mapping[tuple[int, ...], float] = field(default_factory=dict)
     residual: float = 0.0
     model: SpectralModel | None = None
+    _atoms: _AtomTable | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if (self.entries is None) == (self.model is None):
             raise ValueError("exactly one of entries/model must be present")
         if self.entries is not None:
-            for name in ("entries", "multiplicity_entries"):
-                d = getattr(self, name)
-                kept = {k: v for k, v in d.items() if v != 0.0} if 0.0 in d.values() else dict(d)
-                object.__setattr__(self, name, kept)
+            self._hold(_AtomTable.of_entries(self.grid.n_cells, self.entries,
+                                             self.multiplicity_entries))
+
+    @classmethod
+    def _of_table(cls, grid: TimeGrid, table: _AtomTable, residual: float = 0.0):
+        """The dense measure whose atom table is `table`: nothing to pack."""
+        mu = cls.__new__(cls)
+        mu.__dict__.update(grid=grid, residual=residual, model=None)
+        mu._hold(table)
+        return mu
+
+    def _hold(self, table: _AtomTable) -> None:
+        views = [MappingProxyType(dict(zip(table.keys[part], table.mass[part].tolist())))
+                 for part in (slice(table.n_plain), slice(table.n_plain, None))]
+        self.__dict__.update(_atoms=table, entries=views[0], multiplicity_entries=views[1])
 
     # -- totals ---------------------------------------------------------------
     @property
@@ -252,15 +289,6 @@ class SpectralMeasure:
         """What every query asks: the model, or the atom table of a dense measure."""
         return self._atoms if self.model is None else self.model
 
-    # built once, on the first dense query; the entry dicts must not change after
-    @cached_property
-    def _atoms(self) -> _AtomTable:
-        n_words = max(1, -(-self.grid.n_cells // 64))
-        parts = [_in_set_order(d, n_words) for d in (self.entries, self.multiplicity_entries)]
-        (plain, plain_rows, plain_mass), (mult, mult_rows, mult_mass) = parts
-        return _AtomTable(tuple(plain + mult), np.concatenate([plain_rows, mult_rows]),
-                          np.concatenate([plain_mass, mult_mass]), len(plain))
-
 
 # ---------------------------------------------------------------------------
 # construction
@@ -268,30 +296,26 @@ class SpectralMeasure:
 
 def spectral_measure_of(f: NoiseFunctional, tol: float | None = None) -> SpectralMeasure:
     """Spectral measure of f; dense when representable, model-backed otherwise."""
-    if isinstance(f.backend, FamilyRef) and f.grid.n_cells > DENSE_CELL_CAP:
+    if isinstance(f.backend, FamilyRef):
         from . import families
 
-        model = families.family_model(f.grid, f.backend)
-        if model is None:
-            raise BackendError(
-                f"family {f.backend.name!r} has no exact spectral model at "
-                f"{f.grid.n_cells} cells and is too large to materialize"
-            )
-        return SpectralMeasure(f.grid, None, model=model)
-    coeffs = decompose(f, tol)
-    return measure_from_coefficients(coeffs)
+        if f.grid.n_cells > DENSE_CELL_CAP:
+            model = families.family_model(f.grid, f.backend)
+            if model is None:
+                raise BackendError(f"family {f.backend.name!r} has no exact spectral model at "
+                                   f"{f.grid.n_cells} cells and is too large to materialize")
+            return SpectralMeasure(f.grid, None, model=model)
+        f = families.materialize(f.grid, f.backend)
+    if isinstance(f.backend, RademacherTable):
+        # a Walsh index is its own support: coefficient m squared is the atom on mask m
+        table = _AtomTable.of_coefficients(f.grid.n_cells, table_coefficients(f.backend, tol))
+        return SpectralMeasure._of_table(f.grid, table)
+    return measure_from_coefficients(decompose(f, tol))
 
 
 def measure_from_coefficients(coeffs: ChaosCoefficients) -> SpectralMeasure:
-    if coeffs.kind == WALSH:
-        # a Walsh index is its own support, so atoms and indices correspond one to one
-        plain = {ix: c * c for ix, c in coeffs.entries.items()}
-        return SpectralMeasure(coeffs.grid, plain, residual=coeffs.residual)
-    plain: dict[tuple[int, ...], float] = {}
-    mult: dict[tuple[int, ...], float] = {}
+    plain, mult = {}, {}
     for ix, c in coeffs.entries.items():
-        if c == 0.0:
-            continue
         target = mult if index_has_multiplicity(ix) else plain
         s = index_support(ix)
         target[s] = target.get(s, 0.0) + c * c
@@ -308,8 +332,7 @@ def mass_of_subsets_of(mu: SpectralMeasure, region: ElementarySet) -> float:
     The truncation residual has no location, so a measure carrying one is
     refused, as in `restrict`.
     """
-    if mu.grid != region.grid:
-        raise GridMismatchError("measure and region live on different grids")
+    require_same_grid(mu.grid, region.grid)
     mu._require_resolved("take subset masses of")
     return mu._backend.subset_mass(region.ranges)
 
@@ -333,12 +356,11 @@ def restrict(mu: SpectralMeasure, region: ElementarySet) -> SpectralMeasure:
     The truncation residual has no location, so a measure carrying one is
     refused rather than restricted.
     """
-    if mu.grid != region.grid:
-        raise GridMismatchError("measure and region live on different grids")
+    require_same_grid(mu.grid, region.grid)
     mu._require_dense("restriction")
     mu._require_resolved("restrict")
     t = mu._atoms
-    return SpectralMeasure(mu.grid, *t.select(np.flatnonzero(t.inside(region.ranges))))
+    return SpectralMeasure._of_table(mu.grid, t.take(np.flatnonzero(t.inside(region.ranges))))
 
 
 def product(
@@ -357,18 +379,13 @@ def product(
         raise BackendError("product is defined for multiplicity-free measures")
     target = joined_grid(left.grid, right.grid)
     if grid is not None:
-        if (
-            grid.interval_start != target.interval_start
-            or grid.interval_end != target.interval_end
-            or grid.n_cells != target.n_cells
-        ):
+        cells = (grid.interval_start, grid.interval_end, grid.n_cells)
+        if cells != (target.interval_start, target.interval_end, target.n_cells):
             raise GridMismatchError("override grid must carry the same cells")
         target = grid
     offset = left.grid.n_cells
-    out: dict[tuple[int, ...], float] = {}
-    for ka, va in left.entries.items():
-        for kb, vb in right.entries.items():
-            out[ka + tuple(c + offset for c in kb)] = va * vb
+    shifted = [(tuple(c + offset for c in kb), vb) for kb, vb in right.entries.items()]
+    out = {ka + kb: va * vb for ka, va in left.entries.items() for kb, vb in shifted}
     return SpectralMeasure(target, out)
 
 
@@ -376,8 +393,7 @@ def is_absolutely_continuous(mu_g: SpectralMeasure, mu_f: SpectralMeasure) -> bo
     """support(mu_g) inside support(mu_f); needs dense representations."""
     for mu in (mu_g, mu_f):
         mu._require_dense("absolute continuity")
-    if mu_g.grid != mu_f.grid:
-        raise GridMismatchError("measures live on different grids")
+    require_same_grid(mu_g.grid, mu_f.grid)
     return mu_g.support() <= mu_f.support()
 
 
@@ -391,7 +407,7 @@ def n_point_marginal(mu: SpectralMeasure, n: int) -> SpectralMeasure:
             f"order {n} carries mass {cardinality_profile(mu).get(n, 0.0)}"
         )
     t = mu._atoms
-    return SpectralMeasure(mu.grid, t.select(np.flatnonzero(t.plain_sizes() == n))[0])
+    return SpectralMeasure._of_table(mu.grid, t.take(np.flatnonzero(t.plain_sizes() == n)))
 
 
 def singleton_mass(mu: SpectralMeasure) -> float:

@@ -39,7 +39,6 @@ from .grid import ElementarySet, TimeGrid, require_same_grid
 from .walsh import (
     cells_of_masks,
     character_coefficients,
-    popcount,
     values_from_coefficients,
 )
 
@@ -55,13 +54,19 @@ def decompose(f: NoiseFunctional, tol: float | None = None) -> ChaosCoefficients
         from . import families
 
         return decompose(families.materialize(f.grid, b), tol)
-    dense = character_coefficients(b.values)
-    if tol is not None:
-        dense[np.abs(dense) <= tol] = 0.0
+    dense = table_coefficients(b, tol)
     nz = np.flatnonzero(dense)
     keys = cells_of_masks(nz.tolist(), f.grid.n_cells)
     entries = dict(zip(keys, dense[nz].tolist()))
     return ChaosCoefficients(f.grid, entries, WALSH)
+
+
+def table_coefficients(b: RademacherTable, tol: float | None = None) -> np.ndarray:
+    """Character coefficients of a value table, indexed by bitmask; |c| <= tol set to 0."""
+    dense = character_coefficients(b.values)
+    if tol is not None:
+        dense[np.abs(dense) <= tol] = 0.0
+    return dense
 
 
 def reconstruct(c: ChaosCoefficients) -> NoiseFunctional:
@@ -142,8 +147,7 @@ def level_projection(f: NoiseFunctional, order: int) -> NoiseFunctional:
     b = f.backend
     if isinstance(b, RademacherTable):
         dense = character_coefficients(b.values)
-        masks = np.arange(dense.shape[0], dtype=np.uint64)
-        dense[popcount(masks) != order] = 0.0
+        dense[np.bitwise_count(np.arange(dense.shape[0], dtype=np.uint64)) != order] = 0.0
         return NoiseFunctional.from_table(f.grid, values_from_coefficients(dense))
     if isinstance(b, ChaosCoefficients):
         kept = b.filtered(
@@ -166,11 +170,6 @@ def level_projection(f: NoiseFunctional, order: int) -> NoiseFunctional:
 
 def chaos_order_masses(f: NoiseFunctional) -> dict[int, float]:
     """Squared-norm mass per multiplicity-free chaos order (distinct-cell count)."""
-    c = decompose(f)
-    out: dict[int, float] = {}
-    for ix, coeff in c.entries.items():
-        if index_has_multiplicity(ix):
-            continue
-        k = index_cardinality(ix)
-        out[k] = out.get(k, 0.0) + coeff * coeff
-    return dict(sorted(out.items()))
+    from .spectral import cardinality_profile, spectral_measure_of
+
+    return cardinality_profile(spectral_measure_of(f))

@@ -363,3 +363,20 @@ def test_no_manifest_on_usage_error(tmp_path):
     assert run("classify", "--family", "parity", "--levels", ",", "--out", str(out)) == 2
     assert run("spectrum", "--family", "nonesuch", "--level", "3", "--out", str(out)) == 2
     assert list(tmp_path.rglob("*.manifest.json")) == []
+
+
+def test_threads_is_only_an_option_of_the_monte_carlo_commands(tmp_path, capsys):
+    assert run("spectrum", "--family", "tribes", "--level", "3",
+               "--out", str(tmp_path / "o.json"), "--threads", "2") == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()
+
+
+def test_cells_off_the_grid_exit_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    data = functional_to_data(NoiseFunctional.from_walsh_entries(TimeGrid(0, 1, 2), {(0,): 1.0}))
+    data["entries"][0]["cells"] = [9]
+    path.write_text(json.dumps(data))
+    assert run("spectrum", "--in", str(path), "--out", str(tmp_path / "o.json")) == 2
+    assert "entries[0]: cells [9]" in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()

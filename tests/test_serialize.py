@@ -297,3 +297,55 @@ def test_sha256_matches_hashlib(tmp_path):
     p = tmp_path / "blob.bin"
     p.write_bytes(b"spectral" * 1000)
     assert sha256_of(str(p)) == hashlib.sha256(b"spectral" * 1000).hexdigest()
+
+
+# cell indices are checked where files enter; the grid below has 4 cells
+FOUR = grid_to_data(TimeGrid(0, 1, 2))
+
+
+@pytest.mark.parametrize("cells", [[5, 3], [3, 3], [-1], [1.5], [99]])
+def test_measure_refuses_bad_cell_lists(cells):
+    data = {"grid": FOUR, "entries": [{"cells": [], "mass": 0.25},
+                                      {"cells": cells, "mass": 0.5}]}
+    with pytest.raises(FormatError, match=r"entries\[1\]: cells"):
+        measure_from_data(json.loads(json.dumps(data)))
+
+
+def test_measure_refuses_bad_multiplicity_cells():
+    data = {"grid": FOUR, "entries": [{"cells": [0], "mass": 0.5}],
+            "multiplicity_entries": [{"cells": [4], "mass": 0.5}]}
+    with pytest.raises(FormatError, match=r"multiplicity_entries\[0\]: cells \[4\]"):
+        measure_from_data(data)
+
+
+@pytest.mark.parametrize(
+    "record, where",
+    [
+        ({"kind": "walsh-chaos", "entries": [{"cells": [9], "coeff": 1.0}]}, r"entries\[0\]"),
+        ({"kind": "walsh-chaos", "entries": [{"cells": [0], "coeff": 1.0},
+                                             {"cells": [-1], "coeff": 1.0}]}, r"entries\[1\]"),
+        ({"kind": "hermite-chaos", "entries": [{"terms": [[9, 0, 1]], "coeff": 1.0}]},
+         r"entries\[0\]"),
+        ({"kind": "hermite-chaos", "channels": 1,
+          "entries": [{"terms": [[1, 3, 1]], "coeff": 1.0}]}, r"entries\[0\]"),
+        ({"kind": "program", "terms": [{"type": "map", "weight": 1.0, "factors": [
+            {"cell": 9, "channel": 0, "fn": "sign", "params": []}]}]}, r"terms\[0\]"),
+        ({"kind": "program", "terms": [{"type": "map", "weight": 1.0, "factors": [
+            {"cell": 1, "channel": 3, "fn": "sign", "params": []}]}]}, r"terms\[0\]"),
+    ],
+)
+def test_functional_refuses_cells_and_channels_off_the_grid(record, where):
+    with pytest.raises(FormatError, match=where):
+        functional_from_data({"grid": FOUR, **record})
+
+
+def test_good_cell_lists_still_load():
+    data = {"grid": FOUR, "entries": [{"cells": [], "mass": 0.25},
+                                      {"cells": [0, 3], "mass": 0.5}],
+            "multiplicity_entries": [{"cells": [3], "mass": 0.125}]}
+    mu = measure_from_data(data)
+    assert dict(mu.entries) == {(): 0.25, (0, 3): 0.5}
+    assert dict(mu.multiplicity_entries) == {(3,): 0.125}
+    f = functional_from_data({"grid": FOUR, "kind": "hermite-chaos", "channels": 2,
+                              "entries": [{"terms": [[3, 1, 2]], "coeff": 1.0}]})
+    assert set(f.backend.entries) == {((3, 1, 2),)}

@@ -302,3 +302,97 @@ def test_dense_queries_above_64_cells(rng):
     got = cardinality_profile(mu)
     assert list(got) == sorted(profile)
     assert_allclose([got[k] for k in got], [profile[k] for k in got], rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the table-first build against the entry-dict build
+
+
+def same_table(a, b):
+    """Byte-for-byte equality of two atom tables."""
+    return (repr(a.keys) == repr(b.keys) and a.n_plain == b.n_plain
+            and a.rows.dtype == b.rows.dtype and a.rows.shape == b.rows.shape
+            and a.rows.tobytes() == b.rows.tobytes() and a.mass.tobytes() == b.mass.tobytes())
+
+
+def rebuilt(mu):
+    """The same measure packed from copies of its own entry dicts."""
+    return SpectralMeasure(mu.grid, dict(mu.entries), dict(mu.multiplicity_entries))._atoms
+
+
+def grid_of(n):
+    return TimeGrid(0, 1, 0) if n == 1 else TimeGrid(0, 1, 1, base=n)
+
+
+@pytest.mark.parametrize("tol", [None, 0.05])
+@pytest.mark.parametrize("n", [0, 1, 5, 10, 14])
+def test_table_route_matches_entry_dict_build(n, tol):
+    from noisespectra.spectral import _AtomTable
+    from noisespectra.walsh import cells_of_masks, character_coefficients
+
+    values = np.random.default_rng(100 + n).standard_normal(1 << n)
+    if n == 0:
+        # no grid has zero cells, so the one-atom table is checked directly
+        c = character_coefficients(values)
+        ix = cells_of_masks([0], 0)[0]
+        assert ix == ()
+        want = _AtomTable.of_entries(0, {ix: float(c[0]) ** 2}, {})
+        assert same_table(_AtomTable.of_coefficients(0, c), want)
+        return
+    f = NoiseFunctional.from_table(grid_of(n), values)
+    mu = spectral_measure_of(f, tol)
+    squared = {k: c * c for k, c in decompose(f, tol).entries.items()}
+    assert same_table(mu._atoms, SpectralMeasure(f.grid, squared)._atoms)
+    assert mu.entries == squared and list(mu.entries) == list(mu._atoms.keys)
+    if tol is not None and n >= 5:
+        assert len(mu.entries) < 1 << n  # the tolerance dropped some coefficients
+
+
+def test_all_zero_table_has_an_empty_atom_table():
+    f = NoiseFunctional.from_table(grid_of(6), np.zeros(64))
+    mu = spectral_measure_of(f)
+    assert mu._atoms.keys == () and mu._atoms.rows.shape == (0, 1)
+    assert same_table(mu._atoms, SpectralMeasure(f.grid, {})._atoms)
+    assert mu.total_mass == 0.0 and cardinality_profile(mu) == {}
+
+
+def hermite_with_multiplicity():
+    from noisespectra.chaos import HERMITE, ChaosCoefficients
+
+    grid = TimeGrid(0, 1, 7)
+    indices = [(), ((3, 0, 1),), ((64, 0, 1),), ((3, 0, 1), (64, 0, 1)),
+               ((3, 0, 2),), ((64, 0, 2),), ((3, 0, 1), (70, 0, 3)), ((100, 0, 1),)]
+    c = np.random.default_rng(7).standard_normal(len(indices))
+    return measure_from_coefficients(
+        ChaosCoefficients(grid, dict(zip(indices, c.tolist())), HERMITE))
+
+
+@pytest.mark.parametrize("n", [1, 5, 10, 14])
+def test_restrict_and_marginal_slices_equal_rebuilt_tables(n):
+    rng = np.random.default_rng(200 + n)
+    f = NoiseFunctional.from_table(grid_of(n), rng.standard_normal(1 << n))
+    for mu in (spectral_measure_of(f), hermite_with_multiplicity()):
+        cells = mu.grid.n_cells
+        for members in rng.integers(0, 2, size=(4, cells)):
+            kept = restrict(mu, ElementarySet.from_cells(mu.grid, np.flatnonzero(members)))
+            assert same_table(kept._atoms, rebuilt(kept))
+        kept = restrict(mu, ElementarySet.from_cells(mu.grid, range(cells)))
+        assert same_table(kept._atoms, mu._atoms)
+        for order in range(min(cells, 3) + 2):
+            marginal = n_point_marginal(mu, order)
+            assert same_table(marginal._atoms, rebuilt(marginal))
+            assert all(len(k) == order for k in marginal.entries)
+            assert not marginal.multiplicity_entries
+
+
+def test_entry_views_are_read_only():
+    mu = hermite_with_multiplicity()
+    before = dict(mu.entries)
+    for view in (mu.entries, mu.multiplicity_entries):
+        key = next(iter(view))
+        with pytest.raises(TypeError):
+            view[key] = 1.0
+        with pytest.raises(TypeError):
+            del view[key]
+    assert mu.entries == before
+    assert list(mu.entries) + list(mu.multiplicity_entries) == list(mu._atoms.keys)
