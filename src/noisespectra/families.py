@@ -34,7 +34,7 @@ from ._rng import worker_generator
 from .functionals import BackendError, FamilyRef, ItoTerm, NoiseFunctional
 from .grid import TimeGrid
 from .kernels import SimplexKernel
-from .walsh import DENSE_CELL_CAP, sign_table
+from .walsh import DENSE_CELL_CAP, popcount, sign_table
 
 DENSE_FANIN_CAP = 15
 
@@ -134,7 +134,7 @@ def _majority_layer(m: int, mu_in: float) -> TreeLayer:
         raise ValueError(f"majority needs an odd fanin of at most {DENSE_FANIN_CAP}")
     sigma = math.sqrt(_input_sigma_sq(mu_in))
     mat = np.array([[(1.0 + mu_in) / 2.0, (1.0 - mu_in) / 2.0], [sigma / 2.0, -sigma / 2.0]])
-    sizes = np.bitwise_count(np.arange(1 << m, dtype=np.uint64))
+    sizes = popcount(np.arange(1 << m, dtype=np.uint64))
     coeff = np.where(2 * (m - sizes) > m, 1.0, -1.0).reshape((2,) * m)
     for axis in range(m):
         coeff = np.tensordot(mat, coeff, axes=([1], [axis]))

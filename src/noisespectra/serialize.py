@@ -36,7 +36,7 @@ from .functionals import (
 )
 from .grid import ElementarySet, TimeGrid
 from .kernels import SimplexKernel
-from .spectral import SpectralMeasure
+from .spectral import SpectralMeasure, _AtomTable, _rows
 
 SCHEMA_VERSION = "1"
 
@@ -178,7 +178,8 @@ def functional_from_data(data: dict) -> NoiseFunctional:
         if kind in ("walsh-chaos", "hermite-chaos"):
             rows, channels = _get(data, "entries"), int(data.get("channels", 1))
             if kind == "walsh-chaos":
-                entries = _cell_entries(rows, "entries", grid.n_cells, "coeff")
+                keys, _, _, values = _cell_records(rows, "entries", grid.n_cells, "coeff")
+                entries = dict(zip(keys, values.tolist()))
             else:
                 entries = {
                     hermite_index([(*_site(f"entries[{i}]", c, ch, grid.n_cells, channels), d)
@@ -200,8 +201,13 @@ def functional_from_data(data: dict) -> NoiseFunctional:
             channels = int(data.get("channels", 1))
             for i, row in enumerate(_get(data, "terms")):
                 if row.get("type") == "ito":
-                    terms.append(ItoTerm(float(row["weight"]),
-                                         kernel_from_data(row["kernel"], grid.n_cells)))
+                    kernel = kernel_from_data(row["kernel"], grid.n_cells)
+                    if kernel.n_cells != grid.n_cells:
+                        raise FormatError(f"terms[{i}]: kernel on {kernel.n_cells} cells, "
+                                          f"grid of {grid.n_cells}")
+                    for ch in row["kernel"].get("channels", ()):
+                        _site(f"terms[{i}]", 0, ch, grid.n_cells, channels)
+                    terms.append(ItoTerm(float(row["weight"]), kernel))
                 elif row.get("type") == "map":
                     factors = tuple(
                         MapFactor(*_site(f"terms[{i}]", fa["cell"], fa.get("channel", 0),
@@ -261,14 +267,17 @@ def measure_from_data(data: dict) -> SpectralMeasure:
     _check_version(data)
     grid = grid_from_data(_get(data, "grid"))
     try:
-        entries = _cell_entries(_get(data, "entries"), "entries", grid.n_cells, "mass")
-        mult = _cell_entries(data.get("multiplicity_entries", ()), "multiplicity_entries",
+        plain = _cell_records(_get(data, "entries"), "entries", grid.n_cells, "mass")
+        mult = _cell_records(data.get("multiplicity_entries", ()), "multiplicity_entries",
                              grid.n_cells, "mass")
         residual = float(data.get("residual", 0.0))
-        count = len(entries) + len(mult) + 1
-        masses = np.fromiter(chain(entries.values(), mult.values(), (residual,)), float, count)
-        _require_finite(masses, "masses and residual", nonnegative=True)
-        return SpectralMeasure(grid, entries, mult, residual=residual)
+        mass = np.concatenate([plain[3], mult[3]])
+        _require_finite(np.append(mass, residual), "masses and residual", nonnegative=True)
+        # the records are packed here, from the cells they were checked on
+        rows = _rows(np.concatenate([plain[1], mult[1]]), np.concatenate([plain[2], mult[2]]),
+                     grid.n_cells)
+        table = _AtomTable.sorted([*plain[0], *mult[0]], rows, mass, len(plain[0]))
+        return SpectralMeasure._of_table(grid, table, residual)
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad measure record: {exc}") from exc
 
@@ -510,35 +519,40 @@ def _require_finite(x: np.ndarray, what: str, nonnegative: bool = False) -> None
         raise FormatError(f"{what} must be {need}, got {float(x[~ok][0])!r}")
 
 
-def _cell_entries(rows: list, name: str, n_cells: int, value: str) -> dict:
-    """{cells: float(record[value])} for the records listed under `name`.
+def _cell_records(rows: list, name: str, n_cells: int, value: str) -> tuple:
+    """Keys, sizes, uint64 cells laid end to end, and float values of the records
+    listed under `name`.
 
     Every "cells" list must hold strictly increasing JSON integers in
-    0..n_cells-1.  A file that fails the one-pass check is walked record by
-    record, to name the first bad record.
+    0..n_cells-1, and no two records may list the same cells; the FormatError
+    names the first record that breaks a rule.
     """
     keys = [tuple(r["cells"]) for r in rows]
-    if not _cells_ok(keys, n_cells):
-        for i, k in enumerate(keys):
-            if not _cells_ok([k], n_cells):
-                raise FormatError(f"{name}[{i}]: cells {list(k)} are not strictly increasing "
-                                  f"integers in 0..{n_cells - 1}")
-    return dict(zip(keys, (float(r[value]) for r in rows)))
-
-
-def _cells_ok(keys: list, n_cells: int) -> bool:
-    """Every key holds strictly increasing JSON integers in 0..n_cells-1."""
-    if not set(map(type, chain.from_iterable(keys))) <= {int}:
-        return False
     sizes = np.fromiter(map(len, keys), dtype=np.intp, count=len(keys))
+    count = int(sizes.sum())
     try:
-        cells = np.fromiter(chain.from_iterable(keys), np.int64, int(sizes.sum()))
-    except OverflowError:  # beyond 64 bits, so off any grid
-        return False
-    first = np.zeros(cells.size + 1, dtype=bool)
-    first[np.cumsum(sizes) - sizes] = True
-    rising = (cells[1:] > cells[:-1]) | first[1:-1]
-    return bool(rising.all() and ((cells >= 0) & (cells < n_cells)).all())
+        ints = set(map(type, chain.from_iterable(keys))) <= {int}
+        cells = np.fromiter(chain.from_iterable(keys), np.int64, count) if ints else None
+    except OverflowError:  # past 64 bits
+        cells = None
+    if cells is None:  # each non-integer or huge cell is marked off the grid
+        cells = np.fromiter((c if type(c) is int and 0 <= c < n_cells else -1
+                             for c in chain.from_iterable(keys)), np.int64, count)
+    # offset by record, the cells of a good file rise strictly from first to last
+    rise = np.repeat(np.arange(len(keys)) * n_cells, sizes)
+    rise += cells
+    bad = (cells < 0) | (cells >= n_cells)
+    bad[1:] |= rise[1:] <= rise[:-1]
+    if bad.any():
+        i = int(np.searchsorted(np.cumsum(sizes), bad.argmax(), "right"))
+        raise FormatError(f"{name}[{i}]: cells {list(keys[i])} are not strictly increasing "
+                          f"integers in 0..{n_cells - 1}")
+    if len(set(keys)) < len(keys):
+        seen: set = set()
+        i = next(i for i, k in enumerate(keys) if k in seen or seen.add(k))
+        raise FormatError(f"{name}[{i}]: cells {list(keys[i])} repeat an earlier record")
+    values = np.fromiter((float(r[value]) for r in rows), dtype=np.float64, count=len(keys))
+    return keys, sizes, cells.view(np.uint64), values
 
 
 def _site(where: str, cell, channel, n_cells: int, channels: int) -> tuple[int, int]:

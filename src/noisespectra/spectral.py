@@ -11,9 +11,7 @@ Gaussian sources keep two side channels: multiplicity entries (indices whose
 total degree on some cell is >= 2, aggregated by support but excluded from
 the plain entries and from cardinality reports) and a truncation residual.
 
-A dense measure is its atom table, built straight from a value table's
-character coefficients or packed from entry dicts, and sliced by restriction
-and marginals; the entry mappings are read-only views of the table.
+A dense measure is its atom table; the entry mappings are read-only views of it.
 
 Beyond the dense cap a measure can be model-backed instead: a family-supplied
 object that samples sets exactly and answers restricted-mass queries.  A
@@ -38,9 +36,9 @@ from .functionals import (
     RademacherTable,
     joined_grid,
 )
-from .grid import ElementarySet, GridMismatchError, TimeGrid, require_same_grid
-from .transform import decompose, table_coefficients
-from .walsh import DENSE_CELL_CAP, cells_of_masks
+from .grid import ElementarySet, GridMismatchError, TimeGrid
+from .transform import decompose, walsh_terms
+from .walsh import DENSE_CELL_CAP
 
 
 @dataclass(frozen=True)
@@ -91,33 +89,18 @@ class SpectralModel(Protocol):
     def sample(self, k: int, seed: int) -> list[tuple[int, ...]]: ...
 
 
-def _rows(keys: Sequence[tuple[int, ...]], n_words: int) -> np.ndarray:
-    """One row of 64-bit words per cell set: cell c is bit c % 64 of word c // 64."""
-    sizes = np.fromiter(map(len, keys), dtype=np.intp, count=len(keys))
-    cells = np.fromiter(chain.from_iterable(keys), dtype=np.uint64, count=int(sizes.sum()))
-    rows = np.zeros((len(keys), n_words), dtype=np.uint64)
+def _rows(sizes: np.ndarray, cells: np.ndarray, n_cells: int) -> np.ndarray:
+    """One row of 64-bit words per cell set, given as sizes and uint64 cells laid end
+    to end (`cells` is overwritten); cell c is bit c % 64 of word c // 64."""
+    rows = np.zeros((len(sizes), max(1, -(-n_cells // 64))), dtype=np.uint64)
     words = cells >> np.uint64(6)
     # cells turn into their bits in place: a 2**18-atom file holds 2.4M cells
     np.left_shift(np.uint64(1), cells & np.uint64(63), out=cells)
-    np.bitwise_or.at(rows, (np.repeat(np.arange(len(keys)), sizes), words), cells)
+    np.bitwise_or.at(rows, (np.repeat(np.arange(len(sizes)), sizes), words), cells)
     return rows
 
 
 _REVERSED_BYTES = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8)
-
-
-def _set_order(rows: np.ndarray, mass: np.ndarray, n_plain: int) -> np.ndarray:
-    """Positions of the nonzero masses: the first n_plain, then the rest, each
-    in (cardinality, cells) order.  Two sorted cell tuples of one size compare
-    A < B exactly when the lowest cell of their symmetric difference lies in
-    A, that is when A is the larger in bit-reversed order, word 0 most
-    significant."""
-    nz = np.flatnonzero(mass)
-    rows = rows[nz]
-    reversed_words = _REVERSED_BYTES[rows.view(np.uint8)].view(np.uint64).byteswap()
-    sort_keys = [~reversed_words[:, w] for w in range(rows.shape[1] - 1, -1, -1)]
-    sizes = np.bitwise_count(rows).sum(axis=1, dtype=np.intp)
-    return nz[np.lexsort([*sort_keys, sizes, nz >= n_plain])]
 
 
 def _words(ranges: Sequence[tuple[int, int]], n_words: int) -> np.ndarray:
@@ -142,22 +125,17 @@ class _AtomTable:
     n_plain: int
 
     @classmethod
-    def of_coefficients(cls, n_cells: int, coeffs: np.ndarray) -> _AtomTable:
-        """Squared Walsh coefficients; position m of `coeffs` is the set of mask m."""
-        mass = coeffs * coeffs
-        order = _set_order(np.arange(mass.shape[0], dtype=np.uint64)[:, None], mass, mass.shape[0])
-        return cls(tuple(cells_of_masks(order.tolist(), n_cells)),
-                   order.astype(np.uint64)[:, None], mass[order], order.shape[0])
-
-    @classmethod
-    def of_entries(cls, n_cells: int, plain: Mapping, mult: Mapping) -> _AtomTable:
-        """Plain and multiplicity {cells: mass} entries; zero masses are dropped."""
-        keys = [*plain, *mult]
-        rows = _rows(keys, max(1, -(-n_cells // 64)))
-        mass = np.fromiter(chain(plain.values(), mult.values()), dtype=np.float64, count=len(keys))
-        order = _set_order(rows, mass, len(plain))
+    def sorted(cls, keys: list, rows: np.ndarray, mass: np.ndarray, n_plain: int) -> _AtomTable:
+        """Nonzero-mass atoms, plain (below n_plain) before the rest, each part in (cardinality,
+        cells) order.  Sorted cell tuples of one size have A < B exactly when the lowest cell of
+        their symmetric difference is in A: when A is larger bit-reversed, word 0 first."""
+        nz = np.flatnonzero(mass)
+        reversed_words = _REVERSED_BYTES[rows[nz].view(np.uint8)].view(np.uint64).byteswap()
+        sort_keys = [~reversed_words[:, w] for w in range(rows.shape[1] - 1, -1, -1)]
+        sizes = np.bitwise_count(rows[nz]).sum(axis=1, dtype=np.intp)
+        order = nz[np.lexsort([*sort_keys, sizes, nz >= n_plain])]
         return cls(tuple(map(keys.__getitem__, order.tolist())), rows[order], mass[order],
-                   int(np.count_nonzero(order < len(plain))))
+                   int(np.count_nonzero(order < n_plain)))
 
     def take(self, picks: np.ndarray) -> _AtomTable:
         """The atoms at ascending positions `picks`, still in table order."""
@@ -217,9 +195,7 @@ class _AtomTable:
 
 @dataclass(frozen=True, eq=False)
 class SpectralMeasure:
-    """A dense measure is its atom table, packed here from {cells: mass} dicts;
-    `entries` and `multiplicity_entries` are read-only views of it, in table
-    order.  A model-backed measure has `model` and no entries."""
+    """A dense measure is its atom table; the entry mappings are read-only views of it."""
 
     grid: TimeGrid
     entries: Mapping[tuple[int, ...], float] | None
@@ -232,8 +208,13 @@ class SpectralMeasure:
         if (self.entries is None) == (self.model is None):
             raise ValueError("exactly one of entries/model must be present")
         if self.entries is not None:
-            self._hold(_AtomTable.of_entries(self.grid.n_cells, self.entries,
-                                             self.multiplicity_entries))
+            keys = [*self.entries, *self.multiplicity_entries]
+            sizes = np.fromiter(map(len, keys), dtype=np.intp, count=len(keys))
+            cells = np.fromiter(chain.from_iterable(keys), np.uint64, int(sizes.sum()))
+            mass = np.fromiter(chain(self.entries.values(), self.multiplicity_entries.values()),
+                               dtype=np.float64, count=len(keys))
+            rows = _rows(sizes, cells, self.grid.n_cells)
+            self._hold(_AtomTable.sorted(keys, rows, mass, len(self.entries)))
 
     @classmethod
     def _of_table(cls, grid: TimeGrid, table: _AtomTable, residual: float = 0.0):
@@ -296,19 +277,20 @@ class SpectralMeasure:
 
 def spectral_measure_of(f: NoiseFunctional, tol: float | None = None) -> SpectralMeasure:
     """Spectral measure of f; dense when representable, model-backed otherwise."""
-    if isinstance(f.backend, FamilyRef):
+    if isinstance(f.backend, FamilyRef) and f.grid.n_cells > DENSE_CELL_CAP:
         from . import families
 
-        if f.grid.n_cells > DENSE_CELL_CAP:
-            model = families.family_model(f.grid, f.backend)
-            if model is None:
-                raise BackendError(f"family {f.backend.name!r} has no exact spectral model at "
-                                   f"{f.grid.n_cells} cells and is too large to materialize")
-            return SpectralMeasure(f.grid, None, model=model)
-        f = families.materialize(f.grid, f.backend)
-    if isinstance(f.backend, RademacherTable):
+        model = families.family_model(f.grid, f.backend)
+        if model is None:
+            raise BackendError(
+                f"family {f.backend.name!r} has no exact spectral model at "
+                f"{f.grid.n_cells} cells and is too large to materialize"
+            )
+        return SpectralMeasure(f.grid, None, model=model)
+    if isinstance(f.backend, (RademacherTable, FamilyRef)):
         # a Walsh index is its own support: coefficient m squared is the atom on mask m
-        table = _AtomTable.of_coefficients(f.grid.n_cells, table_coefficients(f.backend, tol))
+        masks, keys, coeffs = walsh_terms(f, tol)
+        table = _AtomTable.sorted(keys, masks[:, None], coeffs * coeffs, len(keys))
         return SpectralMeasure._of_table(f.grid, table)
     return measure_from_coefficients(decompose(f, tol))
 
@@ -332,7 +314,8 @@ def mass_of_subsets_of(mu: SpectralMeasure, region: ElementarySet) -> float:
     The truncation residual has no location, so a measure carrying one is
     refused, as in `restrict`.
     """
-    require_same_grid(mu.grid, region.grid)
+    if mu.grid != region.grid:
+        raise GridMismatchError("measure and region live on different grids")
     mu._require_resolved("take subset masses of")
     return mu._backend.subset_mass(region.ranges)
 
@@ -356,7 +339,8 @@ def restrict(mu: SpectralMeasure, region: ElementarySet) -> SpectralMeasure:
     The truncation residual has no location, so a measure carrying one is
     refused rather than restricted.
     """
-    require_same_grid(mu.grid, region.grid)
+    if mu.grid != region.grid:
+        raise GridMismatchError("measure and region live on different grids")
     mu._require_dense("restriction")
     mu._require_resolved("restrict")
     t = mu._atoms
@@ -379,13 +363,18 @@ def product(
         raise BackendError("product is defined for multiplicity-free measures")
     target = joined_grid(left.grid, right.grid)
     if grid is not None:
-        cells = (grid.interval_start, grid.interval_end, grid.n_cells)
-        if cells != (target.interval_start, target.interval_end, target.n_cells):
+        if (
+            grid.interval_start != target.interval_start
+            or grid.interval_end != target.interval_end
+            or grid.n_cells != target.n_cells
+        ):
             raise GridMismatchError("override grid must carry the same cells")
         target = grid
     offset = left.grid.n_cells
-    shifted = [(tuple(c + offset for c in kb), vb) for kb, vb in right.entries.items()]
-    out = {ka + kb: va * vb for ka, va in left.entries.items() for kb, vb in shifted}
+    out: dict[tuple[int, ...], float] = {}
+    for ka, va in left.entries.items():
+        for kb, vb in right.entries.items():
+            out[ka + tuple(c + offset for c in kb)] = va * vb
     return SpectralMeasure(target, out)
 
 
@@ -393,7 +382,8 @@ def is_absolutely_continuous(mu_g: SpectralMeasure, mu_f: SpectralMeasure) -> bo
     """support(mu_g) inside support(mu_f); needs dense representations."""
     for mu in (mu_g, mu_f):
         mu._require_dense("absolute continuity")
-    require_same_grid(mu_g.grid, mu_f.grid)
+    if mu_g.grid != mu_f.grid:
+        raise GridMismatchError("measures live on different grids")
     return mu_g.support() <= mu_f.support()
 
 

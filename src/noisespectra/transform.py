@@ -26,19 +26,20 @@ from .chaos import (
 )
 from .functionals import (
     BrownianProgram,
-    FamilyRef,
     ItoTerm,
     MapTerm,
     NoiseFunctional,
     RademacherTable,
     _dense_walsh_vector,
     _factor_moments,
+    evaluate_table,
     hermite_decompose,
 )
 from .grid import ElementarySet, TimeGrid, require_same_grid
 from .walsh import (
     cells_of_masks,
     character_coefficients,
+    popcount,
     values_from_coefficients,
 )
 
@@ -50,23 +51,18 @@ def decompose(f: NoiseFunctional, tol: float | None = None) -> ChaosCoefficients
         return b
     if isinstance(b, BrownianProgram):
         return hermite_decompose(f.grid, b, tol=tol)
-    if isinstance(b, FamilyRef):
-        from . import families
-
-        return decompose(families.materialize(f.grid, b), tol)
-    dense = table_coefficients(b, tol)
-    nz = np.flatnonzero(dense)
-    keys = cells_of_masks(nz.tolist(), f.grid.n_cells)
-    entries = dict(zip(keys, dense[nz].tolist()))
-    return ChaosCoefficients(f.grid, entries, WALSH)
+    _, keys, coeffs = walsh_terms(f, tol)
+    return ChaosCoefficients(f.grid, dict(zip(keys, coeffs.tolist())), WALSH)
 
 
-def table_coefficients(b: RademacherTable, tol: float | None = None) -> np.ndarray:
-    """Character coefficients of a value table, indexed by bitmask; |c| <= tol set to 0."""
-    dense = character_coefficients(b.values)
+def walsh_terms(f: NoiseFunctional, tol: float | None) -> tuple[np.ndarray, list, np.ndarray]:
+    """Masks (uint64), cell sets and values of the nonzero character coefficients
+    of a table or of a family below the dense cap; |c| <= tol counts as zero."""
+    dense = character_coefficients(evaluate_table(f))
     if tol is not None:
         dense[np.abs(dense) <= tol] = 0.0
-    return dense
+    masks = np.flatnonzero(dense).astype(np.uint64)
+    return masks, cells_of_masks(masks.tolist(), f.grid.n_cells), dense[masks]
 
 
 def reconstruct(c: ChaosCoefficients) -> NoiseFunctional:
@@ -147,7 +143,8 @@ def level_projection(f: NoiseFunctional, order: int) -> NoiseFunctional:
     b = f.backend
     if isinstance(b, RademacherTable):
         dense = character_coefficients(b.values)
-        dense[np.bitwise_count(np.arange(dense.shape[0], dtype=np.uint64)) != order] = 0.0
+        masks = np.arange(dense.shape[0], dtype=np.uint64)
+        dense[popcount(masks) != order] = 0.0
         return NoiseFunctional.from_table(f.grid, values_from_coefficients(dense))
     if isinstance(b, ChaosCoefficients):
         kept = b.filtered(

@@ -63,6 +63,10 @@ def sign_table(n_cells: int) -> np.ndarray:
     return 1 - 2 * bits.astype(np.int8)
 
 
+def popcount(masks: np.ndarray) -> np.ndarray:
+    return np.bitwise_count(masks)
+
+
 def mask_of_cells(cells) -> int:
     m = 0
     for c in cells:
@@ -90,4 +94,11 @@ def cells_of_masks(masks: list[int], n_cells: int) -> list[tuple[int, ...]]:
 
 
 def cells_of_mask(mask: int) -> tuple[int, ...]:
-    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+    out = []
+    i = 0
+    while mask:
+        if mask & 1:
+            out.append(i)
+        mask >>= 1
+        i += 1
+    return tuple(out)

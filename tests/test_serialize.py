@@ -303,7 +303,7 @@ def test_sha256_matches_hashlib(tmp_path):
 FOUR = grid_to_data(TimeGrid(0, 1, 2))
 
 
-@pytest.mark.parametrize("cells", [[5, 3], [3, 3], [-1], [1.5], [99]])
+@pytest.mark.parametrize("cells", [[5, 3], [3, 3], [-1], [1.5], [99], [2**70], [True]])
 def test_measure_refuses_bad_cell_lists(cells):
     data = {"grid": FOUR, "entries": [{"cells": [], "mass": 0.25},
                                       {"cells": cells, "mass": 0.5}]}
@@ -332,11 +332,30 @@ def test_measure_refuses_bad_multiplicity_cells():
             {"cell": 9, "channel": 0, "fn": "sign", "params": []}]}]}, r"terms\[0\]"),
         ({"kind": "program", "terms": [{"type": "map", "weight": 1.0, "factors": [
             {"cell": 1, "channel": 3, "fn": "sign", "params": []}]}]}, r"terms\[0\]"),
+        ({"kind": "program", "terms": [{"type": "ito", "weight": 1.0, "kernel": {
+            "order": 1, "n_cells": 9, "constant": 1.0}}]}, r"terms\[0\]: kernel on 9 cells"),
+        ({"kind": "program", "terms": [{"type": "ito", "weight": 1.0, "kernel": {
+            "order": 1, "n_cells": 2, "constant": 1.0}}]}, r"terms\[0\]: kernel on 2 cells"),
+        ({"kind": "program", "channels": 1, "terms": [
+            {"type": "ito", "weight": 1.0, "kernel": {"order": 1, "constant": 1.0}},
+            {"type": "ito", "weight": 1.0, "kernel": {"order": 2, "constant": 1.0,
+                                                      "channels": [0, 3]}}]},
+         r"terms\[1\]: cell 0 and channel 3"),
     ],
 )
 def test_functional_refuses_cells_and_channels_off_the_grid(record, where):
     with pytest.raises(FormatError, match=where):
         functional_from_data({"grid": FOUR, **record})
+
+
+def test_repeated_cell_lists_are_refused():
+    data = {"grid": FOUR, "entries": [{"cells": [0], "mass": 0.5}, {"cells": [1], "mass": 0.5},
+                                      {"cells": [0], "mass": 0.25}]}
+    with pytest.raises(FormatError, match=r"entries\[2\]: cells \[0\] repeat"):
+        measure_from_data(data)
+    with pytest.raises(FormatError, match=r"entries\[2\]: cells \[0\] repeat"):
+        functional_from_data({"grid": FOUR, "kind": "walsh-chaos", "entries": [
+            {"cells": c, "coeff": 1.0} for c in ([0], [1], [0])]})
 
 
 def test_good_cell_lists_still_load():

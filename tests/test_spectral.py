@@ -327,17 +327,18 @@ def grid_of(n):
 @pytest.mark.parametrize("tol", [None, 0.05])
 @pytest.mark.parametrize("n", [0, 1, 5, 10, 14])
 def test_table_route_matches_entry_dict_build(n, tol):
-    from noisespectra.spectral import _AtomTable
+    from noisespectra.spectral import _AtomTable, _rows
     from noisespectra.walsh import cells_of_masks, character_coefficients
 
     values = np.random.default_rng(100 + n).standard_normal(1 << n)
     if n == 0:
-        # no grid has zero cells, so the one-atom table is checked directly
+        # no grid has zero cells, so the one-atom table is packed both ways directly
         c = character_coefficients(values)
-        ix = cells_of_masks([0], 0)[0]
-        assert ix == ()
-        want = _AtomTable.of_entries(0, {ix: float(c[0]) ** 2}, {})
-        assert same_table(_AtomTable.of_coefficients(0, c), want)
+        keys = cells_of_masks([0], 0)
+        assert keys == [()]
+        by_mask = _AtomTable.sorted(keys, np.zeros((1, 1), dtype=np.uint64), c * c, 1)
+        by_cells = _rows(np.zeros(1, dtype=np.intp), np.zeros(0, dtype=np.uint64), 0)
+        assert same_table(by_mask, _AtomTable.sorted(keys, by_cells, c * c, 1))
         return
     f = NoiseFunctional.from_table(grid_of(n), values)
     mu = spectral_measure_of(f, tol)

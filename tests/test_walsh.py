@@ -12,6 +12,7 @@ from noisespectra.walsh import (
     fwht,
     mask_of_cells,
     omega_index,
+    popcount,
     sign_table,
     values_from_coefficients,
 )
@@ -86,6 +87,8 @@ def test_mask_helpers():
     assert mask_of_cells([0, 3]) == 0b1001
     assert cells_of_mask(0b1001) == (0, 3)
     assert cells_of_mask(0) == ()
+    masks = np.arange(8, dtype=np.uint64)
+    assert list(popcount(masks)) == [0, 1, 1, 2, 1, 2, 2, 3]
     for n in (0, 1, 5, 11):
         every = list(range(1 << n))
         assert cells_of_masks(every, n) == [cells_of_mask(m) for m in every]
