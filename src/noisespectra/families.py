@@ -14,9 +14,12 @@ exact set sampler, all without touching a 2^n table.
 Queries run as array passes with one step per tree depth.  A region arrives
 as its sorted cell ranges, and only the nodes it covers partly are visited,
 so its cost grows with the number of range endpoints, not with the leaf
-count.  A batch of cuts looks up every boundary's prefix and suffix
-coefficients at once, and the sampler draws child subsets for every live
-node of every draw at once.
+count.  That holds for wide layers too (tribes' 512-way `or`): a node's
+children wholly inside the region enter its elementary symmetric row as one
+binomial row, and only the columns holding a partly covered child are
+stepped through.  A batch of cuts looks up every boundary's prefix and
+suffix coefficients at once, and the sampler draws child subsets for every
+live node of every draw at once.
 
 Small instances still materialize to tables, so every closed form here can be
 cross-checked against the dense transform in tests.
@@ -37,6 +40,8 @@ from .kernels import SimplexKernel
 from .walsh import DENSE_CELL_CAP, popcount, sign_table
 
 DENSE_FANIN_CAP = 15
+# widest fan-in whose child picks count smaller keys instead of sorting (measured)
+SORT_FREE_FANIN = 5
 
 
 # ---------------------------------------------------------------------------
@@ -83,19 +88,25 @@ class TreeLayer:
             binom[full, 1:] = binom[full - 1, 1:] + binom[full - 1, :-1]
         return binom @ w, np.append(binom[:m, :m] @ w[1:], 0.0)
 
-    def subset_values(self, child_vals: np.ndarray) -> np.ndarray:
-        """Row-wise E over child subsets T of the product of a row's values in T.
+    def subset_values(self, full: np.ndarray, partial: np.ndarray, vals: np.ndarray) -> np.ndarray:
+        """Row-wise E over child subsets T of the product of a row's child values in T.
 
-        With child_vals[r, i] the normalized mass child i of node r keeps
-        inside a region, entry r is the fraction of node r's fluctuation mass
-        inside it.  Only the elementary symmetric functions of a row enter.
+        Node r has full[r] children wholly inside a region (value 1), partial
+        children where partial[r] is set, whose normalized masses inside it
+        arrive row-major in `vals`, and the rest outside it (value 0).
+        Entry r is the fraction of node r's fluctuation mass inside the
+        region.  Only the elementary symmetric functions of a row enter: the
+        full children alone give the binomial row C(full[r], t), and each
+        column holding a partial value in some row updates it once.
         """
-        v, w = child_vals, self.weights
-        e = np.zeros((v.shape[0], self.fanin + 1))
-        e[:, 0] = 1.0
-        for i in range(self.fanin):
+        t = np.arange(1, self.fanin + 1)
+        e = np.ones((full.shape[0], self.fanin + 1))
+        np.cumprod(np.maximum(full[:, None] - t + 1, 0) / t, axis=1, out=e[:, 1:])
+        v = np.zeros(partial.shape)
+        v[partial] = vals
+        for i in np.flatnonzero(partial.any(axis=0)).tolist():
             e[:, 1:] += v[:, i : i + 1] * e[:, :-1]
-        return e[:, 1:] @ w[1:]
+        return e[:, 1:] @ self.weights[1:]
 
     def draw_children(self, rng: np.random.Generator, nodes: int) -> np.ndarray:
         """One child subset per node, as a (nodes, fanin) boolean array."""
@@ -109,9 +120,24 @@ class TreeLayer:
         step = max(1, (1 << 20) // m)
         for s in range(0, nodes, step):
             keys = rng.random((min(step, nodes - s), m))
-            kth = np.take_along_axis(np.sort(keys, axis=1), sizes[s : s + step, None] - 1, axis=1)
-            picked[s : s + step] = keys <= kth
+            picked[s : s + step] = _smallest_keys(keys, sizes[s : s + step, None])
         return picked
+
+
+def _smallest_keys(keys: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Per row, the keys at most the row's size-th smallest (sizes >= 1), ties included.
+
+    A key is one of them exactly when fewer than `size` keys of its row are
+    smaller.  Narrow rows count those with one comparison per column and sort
+    nothing; wide rows sort, where m comparison passes cost more than a sort.
+    """
+    m = keys.shape[1]
+    if m > SORT_FREE_FANIN:
+        return keys <= np.take_along_axis(np.sort(keys, axis=1), sizes - 1, axis=1)
+    below = np.zeros(keys.shape, dtype=np.uint8)
+    for j in range(m):
+        below += keys[:, j : j + 1] < keys
+    return below < sizes
 
 
 def _input_sigma_sq(mu_in: float) -> float:
@@ -277,16 +303,14 @@ class TreeModel:
         for layer, child_span in self._levels():
             starts = nodes[:, None] + child_span * np.arange(layer.fanin + 1)
             counts = np.diff(covered(starts), axis=1)
-            vals = (counts == child_span).astype(np.float64)
             partial = (counts > 0) & (counts < child_span)
-            levels.append((layer, vals, partial))
+            levels.append((layer, np.count_nonzero(counts == child_span, axis=1), partial))
             nodes = starts[:, :-1][partial]
             if not nodes.size:
                 break
         value = np.zeros(0)
-        for layer, vals, partial in reversed(levels):
-            vals[partial] = value
-            value = layer.subset_values(vals)
+        for layer, full, partial in reversed(levels):
+            value = layer.subset_values(full, partial, value)
         return self.empty_mass + self.fluctuation_mass * float(value[0])
 
     def cut_masses(self, boundaries) -> tuple[np.ndarray, np.ndarray]:

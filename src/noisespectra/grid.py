@@ -8,13 +8,17 @@ base covers odd-width lab windows.  All endpoint arithmetic is exact via
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence, Union
 
+import numpy as np
+
 Rational = Union[int, str, Fraction, float]
+
+# integer arrays from this many cells up find their runs in numpy (measured)
+NUMPY_RUNS_FROM = 64
 
 
 class GridMismatchError(ValueError):
@@ -151,21 +155,43 @@ class ElementarySet:
 
     @classmethod
     def from_cells(cls, grid: TimeGrid, cells: Iterable[int]) -> "ElementarySet":
-        """Set of the given cells; each run of consecutive cells becomes one range."""
-        if hasattr(cells, "tolist"):  # a numpy array: one conversion, not one scalar per cell
-            cells = cells.tolist()
+        """Set of the given cells; each run of consecutive cells becomes one range.
+
+        A 1-d integer array of at least NUMPY_RUNS_FROM cells finds its runs in
+        numpy; other input is taken cell by cell as Python ints, which is
+        faster below that size.  The runs come out canonical, so they skip the
+        merge every other constructor runs.
+        """
+        if (isinstance(cells, np.ndarray) and cells.ndim == 1 and cells.dtype.kind in "iu"
+                and cells.size >= NUMPY_RUNS_FROM):
+            v = np.sort(cells)
+        else:
+            if hasattr(cells, "tolist"):  # one conversion, not one scalar per cell
+                cells = cells.tolist()
+            v = sorted(set(map(int, cells)))
         n = grid.n_cells
-        v = sorted(set(map(int, cells)))
-        if v and (v[0] < 0 or v[-1] >= n):
-            bad = v[0] if v[0] < 0 else v[bisect_left(v, n)]
+        if len(v) and (v[0] < 0 or v[-1] >= n):
+            bad = int(v[0] if v[0] < 0 else v[np.searchsorted(v, n)])
             raise ValueError(f"range [{bad}, {bad + 1}) outside 0..{n}")
-        runs: list[list[int]] = []
-        for c in v:
-            if runs and runs[-1][1] == c:
-                runs[-1][1] = c + 1
-            else:
-                runs.append([c, c + 1])
-        return cls(grid, tuple((lo, hi) for lo, hi in runs))
+        if isinstance(v, list):
+            runs: list[list[int]] = []
+            for c in v:
+                if runs and runs[-1][1] == c:
+                    runs[-1][1] = c + 1
+                else:
+                    runs.append([c, c + 1])
+            ranges = tuple((lo, hi) for lo, hi in runs)
+        else:
+            # cells are nonnegative now, so no gap between sorted ones wraps;
+            # repeated cells (gap 0) stay inside their run
+            breaks = np.flatnonzero(np.diff(v) > 1)
+            first = v[np.concatenate([[0], breaks + 1])].tolist()
+            last = v[np.concatenate([breaks, [v.size - 1]])].tolist()
+            ranges = tuple((lo, hi + 1) for lo, hi in zip(first, last))
+        s = cls.__new__(cls)
+        object.__setattr__(s, "grid", grid)
+        object.__setattr__(s, "ranges", ranges)
+        return s
 
     @classmethod
     def parse(cls, grid: TimeGrid, text: str) -> "ElementarySet":

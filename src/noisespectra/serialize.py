@@ -36,7 +36,7 @@ from .functionals import (
 )
 from .grid import ElementarySet, TimeGrid
 from .kernels import SimplexKernel
-from .spectral import SpectralMeasure, _AtomTable, _rows
+from .spectral import SpectralMeasure, _AtomTable, _checked_cells, _rows
 
 SCHEMA_VERSION = "1"
 
@@ -182,7 +182,8 @@ def functional_from_data(data: dict) -> NoiseFunctional:
                 entries = dict(zip(keys, values.tolist()))
             else:
                 entries = {
-                    hermite_index([(*_site(f"entries[{i}]", c, ch, grid.n_cells, channels), d)
+                    hermite_index([(*_site(f"entries[{i}]", c, ch, grid.n_cells, channels),
+                                    _degree(f"entries[{i}]", d))
                                    for c, ch, d in row["terms"]]): float(row["coeff"])
                     for i, row in enumerate(rows)
                 }
@@ -528,23 +529,8 @@ def _cell_records(rows: list, name: str, n_cells: int, value: str) -> tuple:
     names the first record that breaks a rule.
     """
     keys = [tuple(r["cells"]) for r in rows]
-    sizes = np.fromiter(map(len, keys), dtype=np.intp, count=len(keys))
-    count = int(sizes.sum())
-    try:
-        ints = set(map(type, chain.from_iterable(keys))) <= {int}
-        cells = np.fromiter(chain.from_iterable(keys), np.int64, count) if ints else None
-    except OverflowError:  # past 64 bits
-        cells = None
-    if cells is None:  # each non-integer or huge cell is marked off the grid
-        cells = np.fromiter((c if type(c) is int and 0 <= c < n_cells else -1
-                             for c in chain.from_iterable(keys)), np.int64, count)
-    # offset by record, the cells of a good file rise strictly from first to last
-    rise = np.repeat(np.arange(len(keys)) * n_cells, sizes)
-    rise += cells
-    bad = (cells < 0) | (cells >= n_cells)
-    bad[1:] |= rise[1:] <= rise[:-1]
-    if bad.any():
-        i = int(np.searchsorted(np.cumsum(sizes), bad.argmax(), "right"))
+    sizes, cells, i = _checked_cells(keys, n_cells)
+    if i is not None:
         raise FormatError(f"{name}[{i}]: cells {list(keys[i])} are not strictly increasing "
                           f"integers in 0..{n_cells - 1}")
     if len(set(keys)) < len(keys):
@@ -561,6 +547,13 @@ def _site(where: str, cell, channel, n_cells: int, channels: int) -> tuple[int, 
         return cell, channel
     raise FormatError(f"{where}: cell {cell!r} and channel {channel!r} must be integers in "
                       f"0..{n_cells - 1} and 0..{channels - 1}")
+
+
+def _degree(where: str, degree) -> int:
+    """A Hermite degree read from a file: a JSON integer, at least 1."""
+    if type(degree) is int and degree >= 1:
+        return degree
+    raise FormatError(f"{where}: degree {degree!r} must be an integer >= 1")
 
 
 def _check_version(data: dict) -> None:

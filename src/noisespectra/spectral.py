@@ -54,6 +54,14 @@ class SpectralSet:
             raise ValueError(f"cells {cells} outside grid with {self.grid.n_cells} cells")
         object.__setattr__(self, "cells", cells)
 
+    @classmethod
+    def _trusted(cls, grid: TimeGrid, cells: tuple[int, ...]) -> SpectralSet:
+        """The set of `cells`, already a rising tuple of Python ints on the grid."""
+        s = cls.__new__(cls)
+        object.__setattr__(s, "grid", grid)
+        object.__setattr__(s, "cells", cells)
+        return s
+
     @property
     def cardinality(self) -> int:
         return len(self.cells)
@@ -86,7 +94,10 @@ class SpectralModel(Protocol):
 
     def straddle_masses(self, boundaries: np.ndarray) -> np.ndarray: ...
 
-    def sample(self, k: int, seed: int) -> list[tuple[int, ...]]: ...
+    def sample(self, k: int, seed: int) -> list[tuple[int, ...]]:
+        """k seeded draws, each a tuple of Python ints rising strictly within
+        0..n_cells-1; `sample_sets` takes them as sets without re-checking."""
+        ...
 
 
 def _rows(sizes: np.ndarray, cells: np.ndarray, n_cells: int) -> np.ndarray:
@@ -98,6 +109,34 @@ def _rows(sizes: np.ndarray, cells: np.ndarray, n_cells: int) -> np.ndarray:
     np.left_shift(np.uint64(1), cells & np.uint64(63), out=cells)
     np.bitwise_or.at(rows, (np.repeat(np.arange(len(sizes)), sizes), words), cells)
     return rows
+
+
+def _checked_cells(keys: list, n_cells: int) -> tuple[np.ndarray, np.ndarray, int | None]:
+    """Sizes and int64 cells laid end to end of cell tuples, and the position of the
+    first tuple whose cells are not strictly increasing Python ints in 0..n_cells-1
+    (None when there is none)."""
+    sizes = np.fromiter(map(len, keys), dtype=np.intp, count=len(keys))
+    count = int(sizes.sum())
+    try:
+        ints = set(map(type, chain.from_iterable(keys))) <= {int}
+        cells = np.fromiter(chain.from_iterable(keys), np.int64, count) if ints else None
+    except OverflowError:  # past 64 bits
+        cells = None
+    if cells is None:  # each non-integer or huge cell is marked off the grid
+        cells = np.fromiter((c if type(c) is int and 0 <= c < n_cells else -1
+                             for c in chain.from_iterable(keys)), np.int64, count)
+    # offset by tuple, the cells of good tuples rise strictly from first to last
+    rise = np.repeat(np.arange(len(keys)) * n_cells, sizes)
+    rise += cells
+    bad = (cells < 0) | (cells >= n_cells)
+    bad[1:] |= rise[1:] <= rise[:-1]
+    if not bad.any():
+        return sizes, cells, None
+    return sizes, cells, int(np.searchsorted(np.cumsum(sizes), bad.argmax(), "right"))
+
+
+def _mapping_name(i: int, n_plain: int) -> str:
+    return "entries" if i < n_plain else "multiplicity_entries"
 
 
 _REVERSED_BYTES = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8)
@@ -208,13 +247,27 @@ class SpectralMeasure:
         if (self.entries is None) == (self.model is None):
             raise ValueError("exactly one of entries/model must be present")
         if self.entries is not None:
+            n, n_plain = self.grid.n_cells, len(self.entries)
             keys = [*self.entries, *self.multiplicity_entries]
-            sizes = np.fromiter(map(len, keys), dtype=np.intp, count=len(keys))
-            cells = np.fromiter(chain.from_iterable(keys), np.uint64, int(sizes.sum()))
+            if not set(map(type, chain.from_iterable(keys))) <= {int}:
+                # numpy integers become Python ints; any other cell is refused below
+                keys = [tuple(int(c) if isinstance(c, np.integer) else c for c in k)
+                        for k in keys]
+            sizes, cells, bad = _checked_cells(keys, n)
+            if bad is not None:
+                raise ValueError(f"{_mapping_name(bad, n_plain)} key {keys[bad]!r}: cells are "
+                                 f"not strictly increasing integers in 0..{n - 1}")
             mass = np.fromiter(chain(self.entries.values(), self.multiplicity_entries.values()),
                                dtype=np.float64, count=len(keys))
-            rows = _rows(sizes, cells, self.grid.n_cells)
-            self._hold(_AtomTable.sorted(keys, rows, mass, len(self.entries)))
+            table = _AtomTable.sorted(keys, _rows(sizes, cells.view(np.uint64), n), mass, n_plain)
+            # one atom per set: a set listed twice in one mapping sorts next to itself
+            same = (table.rows[1:] == table.rows[:-1]).all(axis=1)
+            same[table.n_plain - 1 : table.n_plain] = False
+            if same.any():
+                i = int(same.argmax()) + 1
+                raise ValueError(f"{_mapping_name(i, table.n_plain)} key {table.keys[i]!r} "
+                                 "repeats a set of the same mapping")
+            self._hold(table)
 
     @classmethod
     def _of_table(cls, grid: TimeGrid, table: _AtomTable, residual: float = 0.0):
@@ -425,4 +478,5 @@ def sample_sets(source, k: int, seed: int) -> list[SpectralSet]:
     if k < 0:
         raise ValueError("sample count must be nonnegative")
     mu._require_resolved("sample")
-    return [SpectralSet(mu.grid, cells) for cells in mu._backend.sample(k, seed)]
+    # backend draws are canonical cell tuples (see SpectralModel.sample)
+    return [SpectralSet._trusted(mu.grid, cells) for cells in mu._backend.sample(k, seed)]

@@ -137,6 +137,56 @@ def test_from_cells_matches_per_cell_form():
         assert str(got.value) == str(expected.value)
 
 
+FROM_CELLS_PINS = [  # on 16 cells: (cells, the ranges or the ValueError text)
+    (np.array([3, 1, 2, 2, 9, 10, 15]), ((1, 4), (9, 11), (15, 16))),
+    (np.array([7, 6, 0], dtype=np.uint64), ((0, 1), (6, 8))),
+    (np.array([1, 2, 4], dtype=np.int8), ((1, 3), (4, 5))),
+    (np.array([], dtype=np.int64), ()),
+    (np.arange(16), ((0, 16),)),
+    ([5, 3, 4, 4, 0], ((0, 1), (3, 6))),
+    ([], ()),
+    ((0, 1, 2, 3), ((0, 4),)),
+    ([np.int64(3), np.int32(4)], ((3, 5),)),
+    (np.array([1.0, 2.7]), ((1, 3),)),
+    ([1.5, 3.2], ((1, 2), (3, 4))),
+    (np.array([-2, 3]), "range [-2, -1) outside 0..16"),
+    (np.array([1, 16, 17]), "range [16, 17) outside 0..16"),
+    ([-1, 0], "range [-1, 0) outside 0..16"),
+    ([0, 20, 16], "range [16, 17) outside 0..16"),
+    ([2**70], f"range [{2**70}, {2**70 + 1}) outside 0..16"),
+    # arrays of NUMPY_RUNS_FROM cells and more take the numpy route
+    (np.tile([3, 1, 2, 9, 10, 15], 12), ((1, 4), (9, 11), (15, 16))),
+    (np.tile(np.array([7, 6, 0], dtype=np.uint64), 30), ((0, 1), (6, 8))),
+    (np.arange(80) % 16, ((0, 16),)),
+    (np.append(np.arange(70) % 16, -3), "range [-3, -2) outside 0..16"),
+    (np.append(np.arange(70) % 16, [17, 16]), "range [16, 17) outside 0..16"),
+]
+
+
+@pytest.mark.parametrize("cells, want", FROM_CELLS_PINS)
+def test_from_cells_keeps_its_ranges_and_messages(cells, want):
+    grid = TimeGrid(0, 1, 4)
+    if isinstance(want, str):
+        with pytest.raises(ValueError) as got:
+            ElementarySet.from_cells(grid, cells)
+        assert str(got.value) == want
+        return
+    s = ElementarySet.from_cells(grid, cells)
+    assert s.ranges == want and s == ElementarySet(grid, want)
+    assert all(type(v) is int for r in s.ranges for v in r)
+
+
+def test_from_cells_of_narrow_integer_arrays_does_not_wrap():
+    grid = TimeGrid(0, 1, 8)
+    for dtype in (np.int8, np.uint8):
+        cells = np.array([127, 0, 126, 0] * 20, dtype=dtype)
+        assert ElementarySet.from_cells(grid, cells).ranges == ((0, 1), (126, 128))
+    with pytest.raises(ValueError, match=r"range \[-128, -127\) outside 0..256"):
+        ElementarySet.from_cells(grid, np.array([-128, 127] * 40, dtype=np.int8))
+    with pytest.raises(TypeError):  # one cell per entry, as for a list of lists
+        ElementarySet.from_cells(grid, np.array([[0, 1], [2, 3]]))
+
+
 def test_cached_cell_length_keeps_exact_values_and_identity():
     g = TimeGrid(Fraction(1, 3), 2, 4, base=3)
     n, width = g.n_cells, Fraction(5, 3)

@@ -348,6 +348,14 @@ def test_functional_refuses_cells_and_channels_off_the_grid(record, where):
         functional_from_data({"grid": FOUR, **record})
 
 
+@pytest.mark.parametrize("degree", [1.5, True])
+def test_hermite_degrees_must_be_json_integers(degree):
+    record = {"grid": FOUR, "kind": "hermite-chaos", "entries": [
+        {"terms": [[0, 0, 1]], "coeff": 1.0}, {"terms": [[1, 0, degree]], "coeff": 1.0}]}
+    with pytest.raises(FormatError, match=r"entries\[1\]: degree"):
+        functional_from_data(json.loads(json.dumps(record)))
+
+
 def test_repeated_cell_lists_are_refused():
     data = {"grid": FOUR, "entries": [{"cells": [0], "mass": 0.5}, {"cells": [1], "mass": 0.5},
                                       {"cells": [0], "mass": 0.25}]}

@@ -1,4 +1,6 @@
 """Spectral measures: the projection identity, factorization, and sampling."""
+from collections.abc import Mapping
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -211,6 +213,52 @@ def test_sampler_rejects_residual():
 def test_zero_mass_entries_dropped():
     mu = SpectralMeasure(GRID, {(0,): 0.0, (1,): 2.0})
     assert set(mu.entries) == {(1,)}
+
+
+def test_entry_keys_must_rise():
+    # one set written two ways would be two atoms: mass([1, 3]) and the
+    # profile would disagree
+    with pytest.raises(ValueError, match=r"entries key \(3, 1\)"):
+        SpectralMeasure(GRID, {(3, 1): 1.0, (1, 3): 2.0})
+    with pytest.raises(ValueError, match=r"multiplicity_entries key \(2, 2\)"):
+        SpectralMeasure(GRID, {(0,): 1.0}, {(2, 2): 0.5})
+
+
+@pytest.mark.parametrize("key", [(8,), (9,), (-1,), (1.0,), (True,), (0, 2**70)])
+def test_entry_keys_must_be_grid_cells(key):
+    with pytest.raises(ValueError, match=r"entries key \(.*: cells are not strictly increasing"):
+        SpectralMeasure(GRID, {(0,): 1.0, key: 0.5})
+
+
+class _Listed(Mapping):
+    """A mapping that lists its (key, value) pairs as given, repeats and all."""
+
+    def __init__(self, pairs):
+        self.pairs = pairs
+
+    def __iter__(self):
+        return (k for k, _ in self.pairs)
+
+    def __len__(self):
+        return len(self.pairs)
+
+    def __getitem__(self, key):
+        return dict(self.pairs)[key]
+
+
+def test_a_set_repeated_within_one_mapping_is_refused():
+    with pytest.raises(ValueError, match=r"entries key \(1, 3\) repeats a set"):
+        SpectralMeasure(GRID, _Listed([((0,), 1.0), ((1, 3), 1.0), ((np.int64(1), 3), 2.0)]))
+    # the same set in the plain and the multiplicity mapping is two atoms
+    mu = SpectralMeasure(GRID, {(1, 3): 1.0}, {(1, 3): 0.5})
+    assert mu.mass([3, 1]) == 1.5
+
+
+def test_numpy_integer_keys_become_python_ints():
+    mu = SpectralMeasure(GRID, {(np.int64(1), np.int32(3)): 1.0, (np.uint8(0),): 1.0})
+    assert set(mu.entries) == {(0,), (1, 3)}
+    drawn = [c for s in sample_sets(mu, 20, seed=0) for c in s.cells]
+    assert all(type(c) is int for c in [*drawn, *(c for k in mu.entries for c in k)])
 
 
 def test_restrict_rejects_residual():

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tree_reference as ref
 from noisespectra import (
@@ -21,7 +23,8 @@ from noisespectra import (
     sample_sets,
     spectral_measure_of,
 )
-from noisespectra.families import TreeModel, family_model, tribes_shape
+from noisespectra import families
+from noisespectra.families import TreeModel, _smallest_keys, family_model, tribes_shape
 from noisespectra.spectral import SpectralMeasure
 
 TOL = 1e-12
@@ -74,6 +77,20 @@ def test_region_mass_matches_reference(name, level):
     model = model_of(name, level)
     rng = np.random.default_rng(100 + level)
     for region in regions(name, level, model.grid, rng):
+        want = ref.subset_mass(model, frozenset(region.cells()))
+        assert abs(model.subset_mass(region.ranges) - want) <= TOL
+
+
+def test_tribes_13_regions_match_reference():
+    # 910 blocks under the root: an interval enters it as one binomial row
+    # of ~780 full children plus two partial ones
+    model = model_of("tribes", 13)
+    grid, n = model.grid, model.grid.n_cells
+    rng = np.random.default_rng(13)
+    cases = [ElementarySet(grid, ((100, 7000),)), ElementarySet(grid, ((5, n - 7),))]
+    cases += [ElementarySet.from_cells(grid, np.flatnonzero(rng.random(n) < p))
+              for p in (0.05, 0.95)]
+    for region in cases:
         want = ref.subset_mass(model, frozenset(region.cells()))
         assert abs(model.subset_mass(region.ranges) - want) <= TOL
 
@@ -199,6 +216,8 @@ MAJ3_DIGESTS = {  # level: (interior cut distances, cardinality profile)
     12: ("91b68029ef331516", "3aad15ae3a8c886d"),
 }
 TRIBES_DRAW_DIGESTS = {5: "356e52459c8fb56b", 9: "a06486bf37d22a28", 12: "b8a6094f5a869e3c"}
+# 200 seeded Maj3 draws per level (seed = level); both child-pick routes must keep them
+MAJ3_DRAW_DIGESTS = {5: "f5901aa3d9833e69", 8: "cbb623113be260a5", 12: "915131cc1ad71a15"}
 
 
 def digest(data) -> str:
@@ -217,3 +236,24 @@ def test_maj3_cut_and_profile_bits_are_pinned(level):
 def test_seeded_tribes_draws_are_pinned(level):
     draws = model_of("tribes", level).sample(200, seed=level)
     assert digest(repr(draws).encode()) == TRIBES_DRAW_DIGESTS[level]
+
+
+@pytest.mark.parametrize("level", sorted(MAJ3_DRAW_DIGESTS))
+def test_seeded_maj3_draws_are_pinned(level):
+    draws = model_of("majority3-iterated", level).sample(200, seed=level)
+    assert digest(repr(draws).encode()) == MAJ3_DRAW_DIGESTS[level]
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 3, 8, 512]), st.integers(2, 8))
+def test_child_picks_equal_the_kth_smallest_rule(seed, fanin, levels):
+    """Both pick routes give `keys <= kth`; few key values force ties."""
+    rng = np.random.default_rng(seed)
+    keys = rng.integers(0, levels, size=(40, fanin)) / levels
+    sizes = rng.integers(1, fanin + 1, size=(40, 1))
+    kth = np.take_along_axis(np.sort(keys, axis=1), sizes - 1, axis=1)
+    assert np.array_equal(_smallest_keys(keys, sizes), keys <= kth)
+    if fanin < 256:  # the counting route, whatever the cutoff
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(families, "SORT_FREE_FANIN", 255)
+            assert np.array_equal(_smallest_keys(keys, sizes), keys <= kth)
