@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -27,7 +28,25 @@ def box_count(s: SpectralSet, j: int) -> int:
     if not s.cells:
         return 0
     width = s.grid.base ** (level - j)
-    return len({c // width for c in s.cells})
+    # cells rise, so their boxes do too: count where the box index changes
+    count, last = 0, -1
+    for c in s.cells:
+        box = c // width
+        if box != last:
+            count, last = count + 1, box
+    return count
+
+
+def _box_counts(flat: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
+    """`box_count` of many nonempty sets at once: their rising cells laid end
+    to end in `flat`, set i from ``starts[i]``.  A box starts at each set's
+    first cell and wherever ``c // width`` changes."""
+    boxes = flat // width
+    new = np.empty(flat.size, dtype=bool)
+    new[0] = True
+    np.not_equal(boxes[1:], boxes[:-1], out=new[1:])
+    new[starts] = True
+    return np.add.reduceat(new, starts, dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -104,13 +123,17 @@ def estimate_dimension(
         empties += len(sets) - len(nonempty)
         if not nonempty:
             continue
-        base = nonempty[0].grid.base
+        grid = nonempty[0].grid
+        base = grid.base
         # identical draws are frequent (deterministic families); count each
-        # distinct set once, both dicts in first-draw order
-        unique = {s.cells: s for s in nonempty}
-        weights = np.array(list(Counter(s.cells for s in nonempty).values()), dtype=np.float64)
+        # distinct set once, in first-draw order
+        draws = Counter(s.cells for s in nonempty)
+        weights = np.array(list(draws.values()), dtype=np.float64)
+        lengths = [len(cells) for cells in draws]
+        flat = np.fromiter(chain.from_iterable(draws), dtype=np.int64, count=sum(lengths))
+        starts = np.cumsum([0] + lengths[:-1])
         for j in range(2, level - 1):
-            logs = np.array([np.log2(box_count(s, j)) for s in unique.values()])
+            logs = np.log2(_box_counts(flat, starts, base ** (grid.level - j)))
             mean = float(np.average(logs, weights=weights))
             var = float(np.average((logs - mean) ** 2, weights=weights))
             points.append(

@@ -29,7 +29,7 @@ from .chaos import (
     shift_index,
     walsh_index,
 )
-from .grid import GridMismatchError, TimeGrid, require_same_grid
+from .grid import GridMismatchError, TimeGrid, left_of, require_same_grid, right_of
 from .hermite import hermite_values, pair_mean, project_scalar_map
 from .kernels import SimplexKernel, iterated_sum
 from .walsh import (
@@ -177,6 +177,18 @@ class NoiseFunctional:
     @classmethod
     def from_table(cls, grid: TimeGrid, values) -> "NoiseFunctional":
         return cls(grid, RademacherTable(np.asarray(values)))
+
+    @classmethod
+    def _of_fresh_table(cls, grid: TimeGrid, values: np.ndarray) -> "NoiseFunctional":
+        """Trusted `from_table` for a new float64 array of shape (2**n_cells,)
+        that no one else holds: it is frozen in place, not copied or re-checked."""
+        values.setflags(write=False)
+        table = RademacherTable.__new__(RademacherTable)
+        object.__setattr__(table, "values", values)
+        f = cls.__new__(cls)
+        object.__setattr__(f, "grid", grid)
+        object.__setattr__(f, "backend", table)
+        return f
 
     @classmethod
     def from_chaos(cls, coefficients: ChaosCoefficients) -> "NoiseFunctional":
@@ -596,9 +608,9 @@ def _tensor_accumulate(add, weight: float, coeff_lists) -> None:
 def shift(f: NoiseFunctional, k: int, mode: str = "cyclic") -> NoiseFunctional:
     """Translate by k cells; cyclic wraps, truncate drops mass leaving the window.
 
-    On a table, truncation first averages out the cells that leave (the top
-    k cells for k > 0, the bottom -k for k < 0), so the wrapped cells carry
-    no dependence, then rotates as the cyclic mode does.
+    On a table, truncation first projects onto the cells that stay (it
+    averages out the top k cells for k > 0, the bottom -k for k < 0), so the
+    wrapped cells carry no dependence, then rotates as the cyclic mode does.
     """
     if mode not in ("cyclic", "truncate"):
         raise ValueError("shift mode must be 'cyclic' or 'truncate'")
@@ -607,12 +619,10 @@ def shift(f: NoiseFunctional, k: int, mode: str = "cyclic") -> NoiseFunctional:
     if isinstance(b, RademacherTable):
         v = b.values
         if mode == "truncate" and k:
-            # table bit i is cell i, so in C order the highest cells come first
-            m = 1 << min(abs(k), n)  # sign patterns of the cells that leave
-            if k > 0:
-                v = np.tile(v.reshape(m, -1).mean(0), m)
-            else:
-                v = np.repeat(v.reshape(-1, m).mean(1), m)
+            from .transform import conditional_expectation
+
+            stay = left_of(f.grid, max(n - k, 0)) if k > 0 else right_of(f.grid, min(-k, n))
+            v = conditional_expectation(f, stay).backend.values
         positions = np.arange(1 << n, dtype=np.uint64)
         kk = k % n
         mask = np.uint64((1 << n) - 1)

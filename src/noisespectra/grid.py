@@ -159,8 +159,8 @@ class ElementarySet:
 
         A 1-d integer array of at least NUMPY_RUNS_FROM cells finds its runs in
         numpy; other input is taken cell by cell as Python ints, which is
-        faster below that size.  The runs come out canonical, so they skip the
-        merge every other constructor runs.
+        faster below that size.  The runs come out canonical, so they go through
+        ``_canonical`` and skip the merge.
         """
         if (isinstance(cells, np.ndarray) and cells.ndim == 1 and cells.dtype.kind in "iu"
                 and cells.size >= NUMPY_RUNS_FROM):
@@ -188,6 +188,14 @@ class ElementarySet:
             first = v[np.concatenate([[0], breaks + 1])].tolist()
             last = v[np.concatenate([breaks, [v.size - 1]])].tolist()
             ranges = tuple((lo, hi + 1) for lo, hi in zip(first, last))
+        return cls._canonical(grid, ranges)
+
+    @classmethod
+    def _canonical(cls, grid: TimeGrid, ranges: tuple[tuple[int, int], ...]) -> "ElementarySet":
+        """Trusted constructor for ranges already on the grid, sorted, nonempty
+        and merged (each range starts past the end of the one before), as
+        ``from_cells``, ``complement`` and ``intersection`` build them.  Input
+        that may overlap or leave the grid goes through ``ElementarySet(...)``."""
         s = cls.__new__(cls)
         object.__setattr__(s, "grid", grid)
         object.__setattr__(s, "ranges", ranges)
@@ -260,7 +268,7 @@ class ElementarySet:
                 i += 1
             else:
                 j += 1
-        return ElementarySet(self.grid, tuple(out))
+        return ElementarySet._canonical(self.grid, tuple(out))
 
     def complement(self) -> "ElementarySet":
         out = []
@@ -271,7 +279,7 @@ class ElementarySet:
             prev = hi
         if prev < self.grid.n_cells:
             out.append((prev, self.grid.n_cells))
-        return ElementarySet(self.grid, tuple(out))
+        return ElementarySet._canonical(self.grid, tuple(out))
 
     def difference(self, other: "ElementarySet") -> "ElementarySet":
         return self.intersection(other.complement())

@@ -81,23 +81,36 @@ def conditional_expectation(f: NoiseFunctional, region: ElementarySet) -> NoiseF
     Both equal the probabilistic conditional expectation given the cells of
     the region.  The output backend matches the input (table in, table out;
     chaos in, chaos out; Brownian programs are masked term by term).
+
+    On a table the axis layout is read off the region's sorted ranges: each
+    maximal run of inside or outside cells is one axis of size 2**len, the
+    highest cells first (table bit i is cell i, so C order puts them there).
+    One ``np.add.reduce`` over the outside axes and one division by their
+    count (the sum and division ``np.mean`` does) fill a fresh read-only
+    table; a full region returns `f` itself.
     """
     require_same_grid(f.grid, region.grid)
     b = f.backend
     if isinstance(b, RademacherTable):
-        # table route: each run of inside or outside cells is one axis of size
-        # 2**len; table bit i is cell i, so in C order the highest cells come first
-        runs = sorted(
-            [(lo, hi, False) for lo, hi in region.ranges]
-            + [(lo, hi, True) for lo, hi in region.complement().ranges],
-            reverse=True,
-        )
-        outside = tuple(axis for axis, (_, _, out) in enumerate(runs) if out)
+        n = f.grid.n_cells
+        shape: list[int] = []
+        outside: list[int] = []
+        top = n  # cells at or above `top` have their axes already
+        for lo, hi in reversed(region.ranges):
+            if hi < top:
+                outside.append(len(shape))
+                shape.append(1 << (top - hi))
+            shape.append(1 << (hi - lo))
+            top = lo
+        if top:
+            outside.append(len(shape))
+            shape.append(1 << top)
         if not outside:
             return f
-        shape = tuple(1 << (hi - lo) for lo, hi, _ in runs)
-        cube = b.values.reshape(shape).mean(axis=outside, keepdims=True)
-        return NoiseFunctional.from_table(f.grid, np.broadcast_to(cube, shape).reshape(-1))
+        total = np.add.reduce(b.values.reshape(shape), axis=tuple(outside), keepdims=True)
+        out = np.empty(1 << n)
+        np.true_divide(total, 1 << (n - region.cell_count), out=out.reshape(shape))
+        return NoiseFunctional._of_fresh_table(f.grid, out)
     if isinstance(b, ChaosCoefficients):
         cells = set(region.cells())
         kept = b.filtered(lambda ix: set(index_support(ix)) <= cells)

@@ -99,3 +99,24 @@ def test_reproducible_across_calls():
     b = estimate_dimension("white-noise-i2", [5, 6], samples=50, seed=11)
     assert a.slope == b.slope
     assert a.empty_fraction == b.empty_fraction
+
+
+def test_box_counts_match_the_set_based_count():
+    from noisespectra.dimension import _box_counts
+
+    rng = np.random.default_rng(1306)
+    for grid in (TimeGrid(0, 1, 5), TimeGrid(0, 1, 4, base=3), TimeGrid(0, 1, 6, base=3)):
+        n = grid.n_cells
+        sets = [SpectralSet(grid, ()), SpectralSet(grid, tuple(range(n)))]
+        for density in (0.02, 0.2, 0.7):
+            sets += [SpectralSet(grid, tuple(np.flatnonzero(rng.random(n) < density).tolist()))
+                     for _ in range(20)]
+        nonempty = [s.cells for s in sets if s.cells]
+        lengths = [len(c) for c in nonempty]
+        flat = np.concatenate(nonempty)
+        starts = np.cumsum([0] + lengths[:-1])
+        for j in range(grid.level + 1):
+            width = grid.base ** (grid.level - j)
+            want = [len({c // width for c in s.cells}) for s in sets]
+            assert [box_count(s, j) for s in sets] == want
+            assert _box_counts(flat, starts, width).tolist() == [w for w in want if w]

@@ -261,3 +261,24 @@ def test_partial_order(a_cells, b_cells):
     a = ElementarySet.from_cells(GRID, a_cells)
     b = ElementarySet.from_cells(GRID, b_cells)
     assert (a <= b) == (a_cells <= b_cells)
+
+
+def grid_of(n: int) -> TimeGrid:
+    return TimeGrid(0, 1, 0) if n == 1 else TimeGrid(0, 1, 1, base=n)
+
+
+@given(st.data())
+def test_trusted_constructors_build_canonical_ranges(data):
+    # complement and intersection skip the merge; their ranges must be the
+    # ones the merging constructor makes of them
+    n = data.draw(st.integers(1, 70))
+    grid = grid_of(n)
+    a_cells, b_cells = (data.draw(st.sets(st.integers(0, n - 1))) for _ in range(2))
+    a = ElementarySet.from_cells(grid, a_cells)
+    b = ElementarySet.from_cells(grid, b_cells)
+    for got, want in ((~a, set(range(n)) - a_cells), (a & b, a_cells & b_cells),
+                      (a.difference(b), a_cells - b_cells)):
+        assert got == ElementarySet(grid, got.ranges)
+        assert set(got.cells()) == want
+    assert ~~a == a
+    assert (a & ~a).is_empty

@@ -16,6 +16,7 @@ from numpy.testing import assert_allclose
 from noisespectra import walsh
 from noisespectra import (
     ElementarySet,
+    GridMismatchError,
     ItoTerm,
     NoiseFunctional,
     SimplexKernel,
@@ -89,6 +90,57 @@ def test_table_projection_runs_no_transform(rng, monkeypatch):
         assert g.kind == "table"
     with pytest.raises(AssertionError, match="fwht called"):
         decompose(f)  # the patch does reach the transform
+
+
+def reference_projection(values, region):
+    """The earlier table route, kept as the oracle: inside runs from the region,
+    outside runs from its complement, all sorted highest first, then ``mean``
+    over the outside axes and a broadcast copy."""
+    runs = sorted(
+        [(lo, hi, False) for lo, hi in region.ranges]
+        + [(lo, hi, True) for lo, hi in region.complement().ranges],
+        reverse=True,
+    )
+    outside = tuple(axis for axis, (_, _, out) in enumerate(runs) if out)
+    if not outside:
+        return values
+    shape = tuple(1 << (hi - lo) for lo, hi, _ in runs)
+    cube = values.reshape(shape).mean(axis=outside, keepdims=True)
+    return np.broadcast_to(cube, shape).reshape(-1)
+
+
+def test_table_projection_matches_reference_route():
+    rng = np.random.default_rng(1313)
+    for n in range(1, 7):
+        grid = TimeGrid(0, 1, 0) if n == 1 else TimeGrid(0, 1, 1, base=n)
+        f = random_functional(grid, rng)
+        for mask in range(1 << n):
+            region = ElementarySet.from_cells(grid, [c for c in range(n) if mask >> c & 1])
+            got = evaluate_table(conditional_expectation(f, region))
+            assert np.array_equal(got, reference_projection(f.backend.values, region))
+    for n in (10, 14):
+        grid = TimeGrid(0, 1, 1, base=n)
+        f = random_functional(grid, rng)
+        regions = [ElementarySet.empty(grid), ElementarySet.full(grid)]
+        regions += [ElementarySet.from_cells(grid, np.flatnonzero(rng.integers(0, 2, n)))
+                    for _ in range(198)]
+        for region in regions:
+            got = evaluate_table(conditional_expectation(f, region))
+            assert np.array_equal(got, reference_projection(f.backend.values, region))
+
+
+def test_table_projection_is_a_fresh_read_only_table(rng):
+    f = random_functional(GRID, rng)
+    for mask in (0, 0b10110101, 0b01111111):
+        values = conditional_expectation(f, region_of(mask)).backend.values
+        assert values.shape == (1 << N,) and values.dtype == np.float64
+        assert not values.flags.writeable
+        assert not np.shares_memory(values, f.backend.values)
+        with pytest.raises(ValueError):
+            values[0] = 1.0
+    assert conditional_expectation(f, ElementarySet.full(GRID)) is f
+    with pytest.raises(GridMismatchError):
+        conditional_expectation(f, ElementarySet.full(TimeGrid(0, 2, 3)))
 
 
 @settings(max_examples=30)
