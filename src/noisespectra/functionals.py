@@ -156,6 +156,11 @@ class RademacherTable:
 Backend = Union[RademacherTable, ChaosCoefficients, BrownianProgram, FamilyRef]
 
 
+def _require_table_cap(n_cells: int) -> None:
+    if n_cells > DENSE_CELL_CAP:
+        raise ValueError(f"table backend capped at {DENSE_CELL_CAP} cells, got {n_cells}")
+
+
 @dataclass(frozen=True, eq=False)
 class NoiseFunctional:
     grid: TimeGrid
@@ -164,8 +169,7 @@ class NoiseFunctional:
     def __post_init__(self) -> None:
         n = self.grid.n_cells
         if isinstance(self.backend, RademacherTable):
-            if n > DENSE_CELL_CAP:
-                raise ValueError(f"table backend capped at {DENSE_CELL_CAP} cells, got {n}")
+            _require_table_cap(n)
             if self.backend.values.shape != (1 << n,):
                 raise ValueError(
                     f"table length {self.backend.values.shape} does not match 2**{n}"
@@ -629,7 +633,7 @@ def shift(f: NoiseFunctional, k: int, mode: str = "cyclic") -> NoiseFunctional:
         rotated = ((positions << np.uint64(kk)) | (positions >> np.uint64(n - kk))) & mask
         out = np.empty_like(v)
         out[rotated] = v  # pattern at cells moves forward by k
-        return NoiseFunctional.from_table(f.grid, out)
+        return NoiseFunctional._of_fresh_table(f.grid, out)
     if isinstance(b, ChaosCoefficients):
         moved: dict = {}
         for ix, c in b.entries.items():
@@ -647,7 +651,7 @@ def shift(f: NoiseFunctional, k: int, mode: str = "cyclic") -> NoiseFunctional:
 def multiply(f: NoiseFunctional, g: NoiseFunctional) -> NoiseFunctional:
     """Pointwise product on a shared grid (value-table route)."""
     require_same_grid(f.grid, g.grid)
-    return NoiseFunctional.from_table(f.grid, evaluate_table(f) * evaluate_table(g))
+    return NoiseFunctional._of_fresh_table(f.grid, evaluate_table(f) * evaluate_table(g))
 
 
 def joined_grid(left: TimeGrid, right: TimeGrid) -> TimeGrid:
@@ -665,11 +669,13 @@ def joined_grid(left: TimeGrid, right: TimeGrid) -> TimeGrid:
 def tensor_product(f: NoiseFunctional, g: NoiseFunctional) -> NoiseFunctional:
     """Product functional on the joined window; f on the left, g on the right."""
     grid = joined_grid(f.grid, g.grid)
+    _require_table_cap(grid.n_cells)
     left = evaluate_table(f)
     right = evaluate_table(g)
-    return NoiseFunctional.from_table(grid, np.outer(right, left).ravel())
+    return NoiseFunctional._of_fresh_table(grid, np.outer(right, left).ravel())
 
 
 def random_functional(grid: TimeGrid, rng: np.random.Generator) -> NoiseFunctional:
     """Standard normal value table; the generic dense test subject."""
-    return NoiseFunctional.from_table(grid, rng.standard_normal(1 << grid.n_cells))
+    _require_table_cap(grid.n_cells)
+    return NoiseFunctional._of_fresh_table(grid, rng.standard_normal(1 << grid.n_cells))

@@ -5,8 +5,10 @@ as exact fraction strings; chaos and measure entries are listed sorted by
 (cardinality, index) so output files are canonical.  A JSON file holds
 exactly the bytes of ``json.dumps(data, indent=2)`` plus a newline, so
 doubles round-trip exactly, but it is written in a stream of chunks by the
-encoder below rather than built as one string.  All file writes are atomic
-(temp file in the target directory, then rename).
+encoder below rather than built as one string.  Measure documents carry their
+atom table, so the "cells" lists are rendered from its bit rows and only the
+masses are encoded value by value.  All file writes are atomic (temp file in
+the target directory, then rename).
 """
 from __future__ import annotations
 
@@ -20,7 +22,8 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, islice, repeat
+from operator import is_, itemgetter
 
 import numpy as np
 
@@ -37,6 +40,7 @@ from .functionals import (
 from .grid import ElementarySet, TimeGrid
 from .kernels import SimplexKernel
 from .spectral import SpectralMeasure, _AtomTable, _checked_cells, _rows
+from .walsh import DENSE_CELL_CAP, _subset_keys
 
 SCHEMA_VERSION = "1"
 
@@ -246,22 +250,38 @@ def measure_to_data(mu: SpectralMeasure) -> dict:
     """Entries in the atom table's (cardinality, cells) order.
 
     "cells" holds the measure's own key tuples, written as JSON lists; sharing
-    them keeps a 2**n-atom document to one new object per entry.
+    them keeps a 2**n-atom document to one new object per entry.  Each record
+    list is a `_TableRecords`, so `write_json` renders its cells from the
+    table's bit rows.
     """
     if not mu.is_dense:
         raise FormatError("sampler-backed measures have no dense serialization")
-    t = mu._atoms
-    records = [{"cells": k, "mass": v} for k, v in zip(t.keys, t.mass.tolist())]
+    t, n = mu._atoms, mu.grid.n_cells
+    masses = t.mass.tolist()
+    plain, mult = slice(t.n_plain), slice(t.n_plain, None)
     data: dict = {
         "schema_version": SCHEMA_VERSION,
         "grid": grid_to_data(mu.grid),
-        "entries": records[: t.n_plain],
+        "entries": _TableRecords(t.keys[plain], t.rows[plain], masses[plain], n),
     }
-    if len(records) > t.n_plain:
-        data["multiplicity_entries"] = records[t.n_plain :]
+    if len(t.keys) > t.n_plain:
+        data["multiplicity_entries"] = _TableRecords(t.keys[mult], t.rows[mult], masses[mult], n)
     if mu.residual:
         data["residual"] = mu.residual
     return data
+
+
+class _TableRecords(list):
+    """The {"cells", "mass"} records of an atom-table slice, a list like any other.
+
+    It also keeps the slice's key tuples, bit rows and cell count.  While
+    record i still holds keys[i] itself (tuples are immutable, so identity
+    proves the text), `write_json` renders its cells from rows[i].
+    """
+
+    def __init__(self, keys: tuple, rows: np.ndarray, masses: list, n_cells: int) -> None:
+        super().__init__({"cells": k, "mass": v} for k, v in zip(keys, masses))
+        self.keys, self.rows, self.n_cells = keys, rows, n_cells
 
 
 def measure_from_data(data: dict) -> SpectralMeasure:
@@ -348,7 +368,12 @@ def write_csv(path: str, header: list[str], rows) -> None:
 # chunk per token.  Only two shapes are large here: lists of scalars and lists
 # of records that share one key order.  The first is one call to the compact
 # encoder with the indented item separator (C where the interpreter has it);
-# the second is rendered column by column, one format per record.  Dicts with
+# the second is rendered column by column, one format per record, and streamed
+# in blocks of records.  A column goes through the compact encoder, except the
+# "cells" of a `_TableRecords` (a measure document): while every record still
+# holds its own table key tuple, those texts are looked up from the one-word
+# bit rows.  A changed, reordered or extended list, a plain list, more than
+# DENSE_CELL_CAP cells or multi-word rows fall back to the encoder.  Dicts with
 # str keys are walked to reach them; every other value goes to json.dumps
 # itself.  Strings never hold a raw newline (json escapes it), so a newline in
 # encoder output is always a separator and can be re-indented.
@@ -389,10 +414,39 @@ def _column_texts(col: list, depth: int) -> list[str] | None:
     if "[" not in body:
         return body.split(sep)
     # one "[" per value means no value nests and no string holds a bracket
-    if body.count("[") != len(col) or not all(isinstance(v, (list, tuple)) for v in col):
+    if body.count("[") != len(col) or not all(map(isinstance, col, repeat((list, tuple)))):
         return None
     head, tail = "[" + _indent(depth + 1), _indent(depth) + "]"
     return [head + t + tail if t else "[]" for t in body[1:-1].split("]" + sep + "[")]
+
+
+def _row_cell_columns(records: _TableRecords, depth: int) -> list | None:
+    """The "cells" texts at `depth` of a `_TableRecords` whose records all still hold
+    their own key tuples, as two columns that join to each text; else None.
+
+    Like `walsh.cells_of_masks`, a one-word row m is split into its low and high
+    halves: the first column is the text of the low cells, the second that of the
+    high cells, chosen from a table for an empty and one for a non-empty low part.
+    """
+    keys, rows, n = records.keys, records.rows, records.n_cells
+    if (len(records) != len(keys) or rows.shape[1] != 1 or n > DENSE_CELL_CAP
+            or not all(map(is_, map(itemgetter("cells"), records), keys))):
+        return None
+    sep, head, tail = "," + _indent(depth + 1), "[" + _indent(depth + 1), _indent(depth) + "]"
+    h = n // 2
+    low, high = ([sep.join(map(str, k)) for k in _subset_keys(cells)]
+                 for cells in (range(h), range(h, n)))
+    first = np.array(["", *(head + t for t in low[1:])], dtype=object)
+    second = np.array(["[]", *(head + t + tail for t in high[1:]),  # no low cells
+                       tail, *(sep + t + tail for t in high[1:])], dtype=object)  # some
+    masks = rows[:, 0].astype(np.intp)
+    lo = masks & ((1 << h) - 1)
+    hi = (masks >> h) + ((lo != 0) << (n - h))
+    return [first[lo].tolist(), second[hi].tolist()]
+
+
+# records per chunk of a streamed record list
+_BLOCK = 2048
 
 
 def _record_list_chunks(records: list, depth: int):
@@ -400,21 +454,33 @@ def _record_list_chunks(records: list, depth: int):
     keys = tuple(records[0])
     if not keys or not all(type(k) is str for k in keys):
         return None
-    if not all(isinstance(r, dict) and tuple(r) == keys for r in records):
+    if not (all(map(isinstance, records, repeat(dict)))
+            and all(map(keys.__eq__, map(tuple, records)))):
         return None
-    columns = []
-    for k in keys:
-        texts = _column_texts([r[k] for r in records], depth + 2)
-        if texts is None:
-            return None
-        columns.append(texts)
+    columns, fields = [], []
     inner = _indent(depth + 2)
-    fields = ",".join(inner + _escape(k).replace("%", "%%") + ": %s" for k in keys)
-    record = "{" + fields + _indent(depth + 1) + "}"
-    rows = zip(*columns)
-    head = "[" + _indent(depth + 1) + record % next(rows)
-    rest = "," + _indent(depth + 1) + record
-    return chain((head,), (rest % row for row in rows), (_indent(depth) + "]",))
+    for k in keys:
+        texts = None
+        if k == "cells" and isinstance(records, _TableRecords):
+            texts = _row_cell_columns(records, depth + 2)
+        if texts is None:
+            texts = _column_texts(list(map(itemgetter(k), records)), depth + 2)
+            if texts is None:
+                return None
+            texts = [texts]
+        columns += texts
+        fields.append(inner + _escape(k).replace("%", "%%") + ": " + "%s" * len(texts))
+    record = "{" + ",".join(fields) + _indent(depth + 1) + "}"
+    return _record_chunks(record, zip(*columns), depth)
+
+
+def _record_chunks(record: str, rows, depth: int):
+    """A record list, `record % row` per row, in blocks of `_BLOCK` records."""
+    rest = ("," + _indent(depth + 1) + record).__mod__
+    yield "[" + _indent(depth + 1) + record % next(rows)
+    while block := "".join(map(rest, islice(rows, _BLOCK))):
+        yield block
+    yield _indent(depth) + "]"
 
 
 def _json_chunks(obj, depth: int):

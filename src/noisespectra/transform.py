@@ -69,7 +69,7 @@ def reconstruct(c: ChaosCoefficients) -> NoiseFunctional:
     """Functional with the given expansion; a value table on the Walsh side."""
     if c.kind == WALSH:
         dense = _dense_walsh_vector(c.grid, c)
-        return NoiseFunctional.from_table(c.grid, values_from_coefficients(dense))
+        return NoiseFunctional._of_fresh_table(c.grid, values_from_coefficients(dense))
     return NoiseFunctional.from_chaos(c)
 
 
@@ -158,7 +158,7 @@ def level_projection(f: NoiseFunctional, order: int) -> NoiseFunctional:
         dense = character_coefficients(b.values)
         masks = np.arange(dense.shape[0], dtype=np.uint64)
         dense[popcount(masks) != order] = 0.0
-        return NoiseFunctional.from_table(f.grid, values_from_coefficients(dense))
+        return NoiseFunctional._of_fresh_table(f.grid, values_from_coefficients(dense))
     if isinstance(b, ChaosCoefficients):
         kept = b.filtered(
             lambda ix: index_cardinality(ix) == order and not index_has_multiplicity(ix)

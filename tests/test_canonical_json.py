@@ -5,10 +5,12 @@ The sha256 pins were taken from the stdlib-encoder implementation before the
 measure builder and the JSON writer were rewritten; any change to them is a
 change of the on-disk format.
 """
+import copy
 import hashlib
 import json
 import math
 import os
+import pickle
 import tempfile
 
 import numpy as np
@@ -33,6 +35,7 @@ from noisespectra import (
 )
 from noisespectra.chaos import HERMITE, ChaosCoefficients
 from noisespectra.functionals import hermite_decompose
+from noisespectra import serialize
 from noisespectra.serialize import RunManifest
 
 
@@ -166,6 +169,103 @@ def test_18_cell_measure_keeps_its_atoms_and_bytes():
     assert atom_digest(mu) == ATOM_PINS["table-18"]
     assert file_sha(measure_to_data(mu)) == MEASURE_18_PIN
     assert draws_sha(mu, 1000, 6) == DRAW_PINS["table-18"]
+
+
+# ---------------------------------------------------------------------------
+# measure documents: cells rendered from the atom table's rows, and the
+# fallback once a record list no longer matches its table
+
+
+def table_documents():
+    """measure_to_data documents of table measures with no atom and on 1, 7 and 12
+    cells, of a tol-sparse table and of the multiplicity-bearing Hermite measure."""
+    zero = NoiseFunctional.from_table(TimeGrid(0, 1, 2), np.zeros(16))
+    one = NoiseFunctional.from_table(TimeGrid(0, 1, 0), np.array([0.75, -1.5]))
+    sparse = NoiseFunctional.from_table(
+        TimeGrid(0, 1, 1, base=12), np.random.default_rng(12).standard_normal(1 << 12))
+    return {
+        "no atom": measure_to_data(spectral_measure_of(zero)),
+        "1 cell": measure_to_data(spectral_measure_of(one)),
+        "7 cells": measure_to_data(table_measure(7, 7)),
+        "12 cells": measure_to_data(table_measure(12, 12)),
+        "tol-sparse": measure_to_data(spectral_measure_of(sparse, tol=0.01)),
+        "hermite": measure_to_data(hermite_measure()),
+    }
+
+
+def measure_record_lists(data):
+    return [data[k] for k in ("entries", "multiplicity_entries") if data.get(k)]
+
+
+def _swap_keys(r):
+    return {"mass": r["mass"], "cells": r["cells"]}
+
+
+def _mutate_every_list(change):
+    def mutate(data):
+        for records in measure_record_lists(data):
+            change(records)
+        return data
+    return mutate
+
+
+def _set_last(key, value):
+    def change(records):
+        records[-1][key] = value(records[-1][key]) if callable(value) else value
+    return change
+
+
+MUTATIONS = {
+    "cells as an equal list": _mutate_every_list(_set_last("cells", list)),
+    "cells as a new equal tuple": _mutate_every_list(_set_last("cells", lambda c: tuple(list(c)))),
+    "cells as another tuple": _mutate_every_list(
+        lambda rs: rs[-1].update(cells=rs[0]["cells"] if len(rs) > 1 else (0, 1))),
+    "record replaced": _mutate_every_list(
+        lambda rs: rs.__setitem__(len(rs) // 2, {"cells": [0], "mass": 0.5})),
+    "record appended": _mutate_every_list(lambda rs: rs.append({"cells": (0,), "mass": 2.0})),
+    "record removed": _mutate_every_list(lambda rs: rs.pop(len(rs) // 2)),
+    "list reversed": _mutate_every_list(lambda rs: rs.reverse()),
+    "key order of one record": _mutate_every_list(
+        lambda rs: rs.__setitem__(-1, _swap_keys(rs[-1]))),
+    "key order of every record": _mutate_every_list(
+        lambda rs: rs.__setitem__(slice(None), list(map(_swap_keys, rs)))),
+    "mass -0.0": _mutate_every_list(_set_last("mass", -0.0)),
+    "mass NaN": _mutate_every_list(_set_last("mass", math.nan)),
+    "mass True": _mutate_every_list(_set_last("mass", True)),
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda data: pickle.loads(pickle.dumps(data)),
+}
+
+
+def test_measure_documents_match_stdlib_indent_2():
+    for name, data in table_documents().items():
+        assert encoded(data) == (json.dumps(data, indent=2) + "\n").encode(), name
+
+
+@pytest.mark.parametrize("mutation", list(MUTATIONS))
+def test_mutated_measure_documents_match_stdlib_indent_2(mutation):
+    for name, data in table_documents().items():
+        data = MUTATIONS[mutation](data)
+        assert encoded(data) == (json.dumps(data, indent=2) + "\n").encode(), name
+
+
+def test_measure_cells_never_reach_the_compact_encoder(monkeypatch):
+    """An unmodified document renders its cells from the table rows; only the
+    masses go through the compact encoder."""
+    columns = []
+    compact_body = serialize._compact_body
+
+    def recording(seq, depth):
+        columns.append(list(seq))
+        return compact_body(seq, depth)
+
+    monkeypatch.setattr(serialize, "_compact_body", recording)
+    data = measure_to_data(table_measure(12, 12))
+    assert len(data["entries"]) == 1 << 12
+    assert encoded(data) == (json.dumps(data, indent=2) + "\n").encode()
+    masses = [r["mass"] for r in data["entries"]]
+    assert masses in columns
+    assert not any(isinstance(v, (list, tuple)) for col in columns for v in col)
 
 
 # ---------------------------------------------------------------------------

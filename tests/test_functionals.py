@@ -12,11 +12,14 @@ from noisespectra import (
     NoiseFunctional,
     SimplexKernel,
     TimeGrid,
+    decompose,
     inner_product,
     inner_product_mc,
     joined_grid,
+    level_projection,
     multiply,
     random_functional,
+    reconstruct,
     shift,
     tensor_product,
 )
@@ -146,6 +149,48 @@ def test_tensor_product_values(rng):
         assert_allclose(
             fg.evaluate(om), f.evaluate(om[:4]) * g.evaluate(om[4:]), rtol=1e-12
         )
+
+
+def fresh_table_results(f, g, left, right, seed):
+    """Every constructor that wraps a table it has just built, with its inputs."""
+    return {
+        "multiply": (multiply(f, g), (f, g)),
+        "tensor_product": (tensor_product(left, right), (left, right)),
+        "shift": (shift(f, 3), (f,)),
+        "shift truncate": (shift(f, -2, "truncate"), (f,)),
+        "reconstruct": (reconstruct(decompose(f)), (f,)),
+        "level_projection": (level_projection(f, 2), (f,)),
+        "random_functional": (random_functional(GRID, np.random.default_rng(seed)), ()),
+    }
+
+
+def test_fresh_tables_are_frozen_not_copied(rng, monkeypatch):
+    f, g = random_functional(GRID, rng), random_functional(GRID, rng)
+    left = random_functional(TimeGrid(0, 0.5, 2), rng)
+    right = random_functional(TimeGrid(0.5, 1, 2), rng)
+    fresh = fresh_table_results(f, g, left, right, 7)
+    for name, (out, inputs) in fresh.items():
+        v = out.backend.values
+        assert v.dtype == np.float64 and v.shape == (1 << out.grid.n_cells,), name
+        assert not v.flags.writeable, name
+        assert not any(np.shares_memory(v, evaluate_table(x)) for x in inputs), name
+    # the same results wrapped through from_table, which copies and re-checks
+    monkeypatch.setattr(NoiseFunctional, "_of_fresh_table",
+                        classmethod(lambda cls, grid, values: cls.from_table(grid, values)))
+    copied = fresh_table_results(f, g, left, right, 7)
+    for name, (out, _) in fresh.items():
+        assert out.grid == copied[name][0].grid, name
+        assert out.backend.values.tobytes() == copied[name][0].backend.values.tobytes(), name
+
+
+def test_fresh_tables_past_the_cap_are_refused_before_they_are_built():
+    left, right = TimeGrid(0, 1, 1, base=13), TimeGrid(1, 2, 1, base=13)
+    f = random_functional(left, np.random.default_rng(0))
+    g = random_functional(right, np.random.default_rng(1))
+    with pytest.raises(ValueError, match="capped at 24 cells, got 26"):
+        tensor_product(f, g)
+    with pytest.raises(ValueError, match="capped at 24 cells, got 32"):
+        random_functional(TimeGrid(0, 1, 5), np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
