@@ -14,12 +14,14 @@ exact set sampler, all without touching a 2^n table.
 Queries run as array passes with one step per tree depth.  A region arrives
 as its sorted cell ranges, and only the nodes it covers partly are visited,
 so its cost grows with the number of range endpoints, not with the leaf
-count.  That holds for wide layers too (tribes' 512-way `or`): a node's
-children wholly inside the region enter its elementary symmetric row as one
-binomial row, and only the columns holding a partly covered child are
-stepped through.  A batch of cuts looks up every boundary's prefix and
-suffix coefficients at once, and the sampler draws child subsets for every
-live node of every draw at once.
+count.  On `and` and `or` layers the per-subset weights are geometric in the
+subset size, so a node's region fraction has product form: one log1p sum
+over its partly covered children, whatever the fan-in (tribes' 1638-way
+`or` at level 14 included).  Majority layers step their elementary
+symmetric row through the columns holding a partly covered child.  Cuts go
+in blocks of boundaries, each looking up the prefix and suffix coefficients
+of all its boundaries in one pass, and the sampler draws child subsets for
+every live node of every draw at once.
 
 Small instances still materialize to tables, so every closed form here can be
 cross-checked against the dense transform in tests.
@@ -27,6 +29,7 @@ cross-checked against the dense transform in tests.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -40,6 +43,8 @@ from .kernels import SimplexKernel
 from .walsh import DENSE_CELL_CAP, popcount, sign_table
 
 DENSE_FANIN_CAP = 15
+# boundaries per cut pass; a pass holds prefix and suffix cuts side by side
+CUT_BLOCK = 1 << 14
 # widest fan-in whose child picks count smaller keys instead of sorting (measured)
 SORT_FREE_FANIN = 5
 
@@ -54,7 +59,8 @@ class TreeLayer:
 
     The combiner (majority, and, or) treats its children alike, so every child
     subset of one size carries the same mass; q[t] is the fraction of output
-    fluctuation mass on the subsets of size t.
+    fluctuation mass on the subsets of size t.  For and/or the mass of one
+    subset of size t is weights[1] * rho**(t - 1); rho is None for majority.
     """
 
     fanin: int
@@ -62,6 +68,7 @@ class TreeLayer:
     mu_out: float
     sigma_sq: float
     q: np.ndarray
+    rho: float | None = None
 
     @cached_property
     def weights(self) -> np.ndarray:
@@ -95,10 +102,21 @@ class TreeLayer:
         children where partial[r] is set, whose normalized masses inside it
         arrive row-major in `vals`, and the rest outside it (value 0).
         Entry r is the fraction of node r's fluctuation mass inside the
-        region.  Only the elementary symmetric functions of a row enter: the
+        region.  On and/or layers the sum over subsets has product form,
+        (prod(1 + rho x) - 1) / ((1 + rho)**m - 1) since the q sum to 1,
+        taken through log1p sums so that no fan-in over- or underflows.
+        Majority layers use the elementary symmetric functions of a row: the
         full children alone give the binomial row C(full[r], t), and each
         column holding a partial value in some row updates it once.
         """
+        if self.rho is not None:
+            lp = math.log1p(self.rho)
+            rows = np.nonzero(partial)[0]
+            part = np.bincount(rows, weights=np.log1p(self.rho * vals), minlength=full.shape[0])
+            # with s = log prod(1 + rho x) this is exp(s - s_full) expm1(-s) / expm1(-s_full);
+            # every factor lies in [0, 1], so no fan-in forms a huge product
+            return (np.exp((full - self.fanin) * lp + part) * np.expm1(-(full * lp + part))
+                    / np.expm1(-self.fanin * lp))
         t = np.arange(1, self.fanin + 1)
         e = np.ones((full.shape[0], self.fanin + 1))
         np.cumprod(np.maximum(full[:, None] - t + 1, 0) / t, axis=1, out=e[:, 1:])
@@ -182,7 +200,9 @@ def _sized_layer(kind: str, m: int, mu_in: float) -> TreeLayer:
     """Closed-form layer for and (all inputs +1) and or (any input +1).
 
     Per-size masses are assembled in log space; for fanin in the hundreds the
-    individual squared coefficients underflow long before the sums do.
+    individual squared coefficients underflow long before the sums do.  Each
+    extra child in a subset scales its mass by rho = sigma_in^2 / (1 +- mu_in)^2,
+    the slope in t of the log formula.
     """
     if kind not in ("and", "or"):
         raise ValueError(f"unknown symmetric combiner {kind!r}")
@@ -206,7 +226,7 @@ def _sized_layer(kind: str, m: int, mu_in: float) -> TreeLayer:
     fluct = delta * (2.0 - delta)
     if fluct <= 0.0:
         raise ValueError("combiner output is almost surely constant")
-    return TreeLayer(m, mu_in, float(mu_out), float(fluct), q)
+    return TreeLayer(m, mu_in, float(mu_out), float(fluct), q, math.exp(2.0 * (log_sigma - base)))
 
 
 def build_layers(specs: list[tuple[str, int]]) -> list[TreeLayer]:
@@ -284,7 +304,8 @@ class TreeModel:
         the cost grows with the number of range endpoints, not with the leaf
         count.  The empty set always lies inside.
         """
-        r = np.minimum(np.asarray(ranges, dtype=np.int64).reshape(-1, 2), self.leaf_count)
+        flat = np.fromiter(itertools.chain.from_iterable(ranges), dtype=np.int64)
+        r = np.minimum(flat.reshape(-1, 2), self.leaf_count)
         lo, hi = r[:, 0], r[:, 1]
         before = np.concatenate([[0], np.cumsum(hi - lo)])
         lo = np.append(lo, self.leaf_count)
@@ -316,7 +337,11 @@ class TreeModel:
     def cut_masses(self, boundaries) -> tuple[np.ndarray, np.ndarray]:
         """Masses of the sets inside cells [0, b) and inside [b, n), per boundary b."""
         b = np.clip(np.asarray(boundaries, dtype=np.int64), 0, self.leaf_count)
-        return self._cut_mass(b), self._cut_mass(self.leaf_count - b)
+        out = np.empty((2, b.shape[0]))
+        for s in range(0, b.shape[0], CUT_BLOCK):
+            cut = b[s : s + CUT_BLOCK]
+            out[:, s : s + CUT_BLOCK] = self._cut_mass(np.stack([cut, self.leaf_count - cut]))
+        return out[0], out[1]
 
     def straddle_masses(self, boundaries) -> np.ndarray:
         """Mass of the sets with cells on both sides of each boundary."""

@@ -4,6 +4,7 @@ The library answers region, cut and sampling queries with one array pass per
 tree depth; the reference walks one node at a time.  Both read the same layer
 data, so these tests pin the passes far past the sizes a dense twin reaches.
 """
+import dataclasses
 import functools
 import hashlib
 import math
@@ -24,7 +25,13 @@ from noisespectra import (
     spectral_measure_of,
 )
 from noisespectra import families
-from noisespectra.families import TreeModel, _smallest_keys, family_model, tribes_shape
+from noisespectra.families import (
+    TreeModel,
+    _sized_layer,
+    _smallest_keys,
+    family_model,
+    tribes_shape,
+)
 from noisespectra.spectral import SpectralMeasure
 
 TOL = 1e-12
@@ -93,6 +100,81 @@ def test_tribes_13_regions_match_reference():
     for region in cases:
         want = ref.subset_mass(model, frozenset(region.cells()))
         assert abs(model.subset_mass(region.ranges) - want) <= TOL
+
+
+def loop_route(model):
+    """The same tree with every layer on the elementary symmetric loop."""
+    return TreeModel(model.grid, [dataclasses.replace(layer, rho=None) for layer in model.layers])
+
+
+@pytest.mark.parametrize("level", [5, 9, 12, 13])
+def test_tribes_closed_form_matches_the_loop_route(level):
+    model = model_of("tribes", level)
+    loop = loop_route(model)
+    grid, n = model.grid, model.grid.n_cells
+    rng = np.random.default_rng(1500 + level)
+    lo, hi = sorted(int(x) for x in rng.choice(n + 1, size=2, replace=False))
+    cases = [ElementarySet(grid, ((lo, hi),)), ElementarySet(grid, ()),
+             ElementarySet(grid, ((0, n),))]
+    cases += [ElementarySet.from_cells(grid, np.flatnonzero(rng.random(n) < p))
+              for p in (0.05, 0.5, 0.95)]
+    for region in cases:
+        assert abs(model.subset_mass(region.ranges) - loop.subset_mass(region.ranges)) <= TOL
+
+
+@given(st.sampled_from(["and", "or"]), st.integers(1, 1000), st.floats(-0.99, 0.99),
+       st.integers(0, 2**32 - 1))
+def test_sized_layer_closed_form_matches_the_loop(kind, m, mu_in, seed):
+    try:
+        layer = _sized_layer(kind, m, mu_in)
+    except ValueError:  # output almost surely constant at this fan-in
+        return
+    loop = dataclasses.replace(layer, rho=None)
+    rng = np.random.default_rng(seed)
+    partial = rng.random((4, m)) < rng.random((4, 1))
+    full = np.array([rng.integers(0, m - k + 1) for k in partial.sum(axis=1)])
+    # with every child inside, both routes give the whole fraction
+    partial = np.vstack([partial, np.zeros((1, m), dtype=bool)])
+    full = np.append(full, m)
+    vals = rng.random(np.count_nonzero(partial))
+    closed = layer.subset_values(full, partial, vals)
+    assert np.max(np.abs(closed - loop.subset_values(full, partial, vals))) <= TOL
+    assert abs(closed[-1] - 1.0) <= TOL
+
+
+def test_tribes_14_region_masses_are_bounded_and_monotone():
+    # 1638 blocks under the root: C(1638, t) overflows a float, the product
+    # form never forms it
+    model = model_of("tribes", 14)
+    grid, n, leaves = model.grid, model.grid.n_cells, model.leaf_count
+    rng = np.random.default_rng(14)
+    keys = rng.random(n)
+    nested = [[ElementarySet.from_cells(grid, np.flatnonzero(keys < p))
+               for p in (0.0, 0.05, 0.5, 0.95, 1.0)],
+              [ElementarySet(grid, ((lo, hi),))
+               for lo, hi in ((8000, 8001), (7000, 9000), (100, 16000), (0, leaves))]]
+    for chain in nested:
+        masses = [model.subset_mass(region.ranges) for region in chain]
+        assert all(math.isfinite(m) for m in masses)
+        assert all(model.empty_mass <= m <= model.total_mass for m in masses)
+        assert masses == sorted(masses)
+    assert model.subset_mass(((0, leaves),)) == model.total_mass
+    assert model.subset_mass(((0, n),)) == model.total_mass
+
+
+@pytest.mark.parametrize("name,level", [("majority3-iterated", 8), ("tribes", 12)])
+def test_blocked_cut_pass_equals_per_boundary_prefix_masses(name, level, monkeypatch):
+    model = model_of(name, level)
+    n = model.grid.n_cells
+    bs = np.random.default_rng(level).integers(0, n + 1, size=200)
+    bs[:3] = (0, n, model.leaf_count)
+    want = model.cut_masses(bs)
+    monkeypatch.setattr(families, "CUT_BLOCK", 7)
+    prefix, suffix = model.cut_masses(bs)
+    assert prefix.tolist() == [model.prefix_mass(b) for b in bs.tolist()]
+    clipped = np.minimum(bs, model.leaf_count)
+    assert suffix.tolist() == [model.prefix_mass(model.leaf_count - b) for b in clipped.tolist()]
+    assert prefix.tolist() == want[0].tolist() and suffix.tolist() == want[1].tolist()
 
 
 @pytest.mark.parametrize("name,level", INSTANCES)
