@@ -89,8 +89,8 @@ def test_region_mass_matches_reference(name, level):
 
 
 def test_tribes_13_regions_match_reference():
-    # 910 blocks under the root: an interval enters it as one binomial row
-    # of ~780 full children plus two partial ones
+    # 910 blocks under the root: an interval enters it through the log1p
+    # product form, with ~780 full children and two partial ones
     model = model_of("tribes", 13)
     grid, n = model.grid, model.grid.n_cells
     rng = np.random.default_rng(13)
