@@ -128,10 +128,6 @@ class ChaosCoefficients:
         """Entries sorted by (cardinality, index), the diff-stable file order."""
         return sorted(self.entries.items(), key=lambda kv: (index_cardinality(kv[0]), kv[0]))
 
-    def drop_zeros(self) -> "ChaosCoefficients":
-        kept = {ix: c for ix, c in self.entries.items() if c != 0.0}
-        return ChaosCoefficients(self.grid, kept, self.kind, self.channels, self.residual)
-
 
 def add_coefficients(a: ChaosCoefficients, b: ChaosCoefficients) -> ChaosCoefficients:
     if a.grid != b.grid or a.kind != b.kind:

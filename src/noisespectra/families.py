@@ -40,7 +40,7 @@ from ._rng import worker_generator
 from .functionals import BackendError, FamilyRef, ItoTerm, NoiseFunctional
 from .grid import TimeGrid
 from .kernels import SimplexKernel
-from .walsh import DENSE_CELL_CAP, popcount, sign_table
+from .walsh import DENSE_CELL_CAP, sign_table
 
 DENSE_FANIN_CAP = 15
 # boundaries per cut pass; a pass holds prefix and suffix cuts side by side
@@ -178,7 +178,7 @@ def _majority_layer(m: int, mu_in: float) -> TreeLayer:
         raise ValueError(f"majority needs an odd fanin of at most {DENSE_FANIN_CAP}")
     sigma = math.sqrt(_input_sigma_sq(mu_in))
     mat = np.array([[(1.0 + mu_in) / 2.0, (1.0 - mu_in) / 2.0], [sigma / 2.0, -sigma / 2.0]])
-    sizes = popcount(np.arange(1 << m, dtype=np.uint64))
+    sizes = np.bitwise_count(np.arange(1 << m, dtype=np.uint64))
     coeff = np.where(2 * (m - sizes) > m, 1.0, -1.0).reshape((2,) * m)
     for axis in range(m):
         coeff = np.tensordot(mat, coeff, axes=([1], [axis]))
@@ -283,12 +283,14 @@ class TreeModel:
         """Unnormalized mass per set size, the empty atom included at 0."""
         poly = np.array([0.0, 1.0])
         for layer in reversed(self.layers):
-            acc = np.zeros(1)
+            # sizes past the last nonzero q[t] add nothing, so their powers are never formed
+            last = int(np.flatnonzero(layer.q)[-1])
+            acc = np.zeros(last * (len(poly) - 1) + 1)
             power = np.ones(1)
-            for t in range(1, layer.fanin + 1):
+            for t in range(1, last + 1):
                 power = np.convolve(power, poly)
                 if layer.q[t] != 0.0:
-                    acc = _poly_add(acc, layer.q[t] * power)
+                    acc[: len(power)] += layer.q[t] * power
             # high sizes underflow to exact zeros; dropping them keeps the
             # convolutions proportional to the sizes that carry mass
             poly = np.trim_zeros(acc, "b")
@@ -378,14 +380,6 @@ class TreeModel:
         cells = first.tolist()
         ends = np.cumsum(np.bincount(owner, minlength=k)).tolist()
         return [tuple(cells[a:b]) for a, b in zip([0, *ends], ends)]
-
-
-def _poly_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape[0] < b.shape[0]:
-        a, b = b, a
-    out = a.copy()
-    out[: b.shape[0]] += b
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +539,3 @@ def calibration_measure(name: str, level: int):
     else:
         raise ValueError(f"unknown calibration set {name!r}")
     return SpectralMeasure(grid, {cells: 1.0})
-
-
-def calibration_names() -> list[str]:
-    return ["point", "full-interval", "cantor-thirds"]

@@ -224,10 +224,6 @@ class NoiseFunctional:
         return evaluate(self, omega)
 
     @property
-    def expectation_value(self) -> float:
-        return expectation(self)
-
-    @property
     def norm_sq(self) -> float:
         return norm_sq(self)
 
@@ -299,12 +295,6 @@ def _dense_walsh_vector(grid: TimeGrid, b: ChaosCoefficients) -> np.ndarray:
     for ix, c in b.entries.items():
         dense[mask_of_cells(ix)] = c
     return dense
-
-
-def to_table(f: NoiseFunctional) -> NoiseFunctional:
-    if isinstance(f.backend, RademacherTable):
-        return f
-    return NoiseFunctional.from_table(f.grid, evaluate_table(f))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -64,11 +64,6 @@ class TimeGrid:
             raise ValueError(f"boundary index {i} out of range 0..{self.n_cells}")
         return self.interval_start + self.cell_length * i
 
-    def cell_interval(self, i: int) -> tuple[Fraction, Fraction]:
-        if not 0 <= i < self.n_cells:
-            raise ValueError(f"cell index {i} out of range 0..{self.n_cells - 1}")
-        return self.boundary(i), self.boundary(i + 1)
-
     def boundary_index(self, t: Rational) -> int:
         """Index of the grid point at time t; raises if t is not a grid point."""
         t = as_fraction(t)
@@ -76,18 +71,6 @@ class TimeGrid:
         if ratio.denominator != 1 or not 0 <= ratio <= self.n_cells:
             raise ValueError(f"{t} is not a grid point of {self}")
         return int(ratio)
-
-    def cell_of_time(self, t: Rational) -> int:
-        t = as_fraction(t)
-        if not self.interval_start <= t < self.interval_end:
-            raise ValueError(f"{t} outside window [{self.interval_start}, {self.interval_end})")
-        return int((t - self.interval_start) / self.cell_length)
-
-    def refine(self, k: int = 1) -> "TimeGrid":
-        """Same window, base**k more cells; cell boundaries are preserved."""
-        if k < 0:
-            raise ValueError("refinement count must be nonnegative")
-        return TimeGrid(self.interval_start, self.interval_end, self.level + k, self.base)
 
     def cells_meeting_open_interval(self, lo: Rational, hi: Rational) -> range:
         """Cell indices whose half-open cell [a, b) meets the open interval (lo, hi)."""
@@ -223,15 +206,8 @@ class ElementarySet:
     def cell_count(self) -> int:
         return sum(hi - lo for lo, hi in self.ranges)
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.ranges
-
     def cells(self) -> tuple[int, ...]:
         return tuple(c for lo, hi in self.ranges for c in range(lo, hi))
-
-    def contains_cell(self, i: int) -> bool:
-        return any(lo <= i < hi for lo, hi in self.ranges)
 
     def mask(self) -> int:
         """Bitmask with bit i set iff cell i belongs to the set."""
@@ -242,9 +218,6 @@ class ElementarySet:
 
     def measure(self) -> Fraction:
         return self.grid.cell_length * self.cell_count
-
-    def as_time_intervals(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        return tuple((self.grid.boundary(lo), self.grid.boundary(hi)) for lo, hi in self.ranges)
 
     def format_ranges(self) -> str:
         return ",".join(f"{lo}:{hi}" for lo, hi in self.ranges)

@@ -112,10 +112,6 @@ class SimplexKernel:
         return replace(self, dense=self.dense * (m if self.order == 1 else np.outer(m, m)))
 
     # -- the exact quadratic form ----------------------------------------------
-    def isometry_norm_sq(self, cell_lengths: np.ndarray) -> float:
-        """sum over the simplex of kernel**2 times the product of cell lengths."""
-        return self.cross_norm(self, cell_lengths)
-
     def cross_norm(self, other: "SimplexKernel", cell_lengths: np.ndarray) -> float:
         """sum over the simplex of k_a * k_b * product of cell lengths.
 

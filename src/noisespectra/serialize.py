@@ -5,10 +5,10 @@ as exact fraction strings; chaos and measure entries are listed sorted by
 (cardinality, index) so output files are canonical.  A JSON file holds
 exactly the bytes of ``json.dumps(data, indent=2)`` plus a newline, so
 doubles round-trip exactly, but it is written in a stream of chunks by the
-encoder below rather than built as one string.  Measure documents carry their
-atom table, so the "cells" lists are rendered from its bit rows and only the
-masses are encoded value by value.  All file writes are atomic (temp file in
-the target directory, then rename).
+encoder below rather than built as one string.  Measure documents are
+written from their atom table's bit rows, with only the masses encoded value
+by value, and read straight back into a table, with no tuple per record.
+All file writes are atomic (temp file in the target directory, then rename).
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, islice, repeat
@@ -37,9 +37,9 @@ from .functionals import (
     NoiseFunctional,
     RademacherTable,
 )
-from .grid import ElementarySet, TimeGrid
+from .grid import TimeGrid
 from .kernels import SimplexKernel
-from .spectral import SpectralMeasure, _AtomTable, _checked_cells, _rows
+from .spectral import SpectralMeasure, _AtomTable, _checked_rows
 from .walsh import DENSE_CELL_CAP, _subset_keys
 
 SCHEMA_VERSION = "1"
@@ -182,8 +182,9 @@ def functional_from_data(data: dict) -> NoiseFunctional:
         if kind in ("walsh-chaos", "hermite-chaos"):
             rows, channels = _get(data, "entries"), int(data.get("channels", 1))
             if kind == "walsh-chaos":
-                keys, _, _, values = _cell_records(rows, "entries", grid.n_cells, "coeff")
-                entries = dict(zip(keys, values.tolist()))
+                _, values = _cell_records({"entries": rows}, grid.n_cells, "coeff")
+                # ChaosCoefficients is keyed by cell tuples
+                entries = dict(zip(map(tuple, map(itemgetter("cells"), rows)), values.tolist()))
             else:
                 entries = {
                     hermite_index([(*_site(f"entries[{i}]", c, ch, grid.n_cells, channels),
@@ -249,23 +250,20 @@ def functional_from_data(data: dict) -> NoiseFunctional:
 def measure_to_data(mu: SpectralMeasure) -> dict:
     """Entries in the atom table's (cardinality, cells) order.
 
-    "cells" holds the measure's own key tuples, written as JSON lists; sharing
-    them keeps a 2**n-atom document to one new object per entry.  Each record
-    list is a `_TableRecords`, so `write_json` renders its cells from the
-    table's bit rows.
+    "cells" holds the table's keys, decoded once from its bit rows and shared.
+    Each record list is a `_TableRecords`, so `write_json` renders its cells
+    from the bit rows themselves.
     """
     if not mu.is_dense:
         raise FormatError("sampler-backed measures have no dense serialization")
-    t, n = mu._atoms, mu.grid.n_cells
-    masses = t.mass.tolist()
-    plain, mult = slice(t.n_plain), slice(t.n_plain, None)
+    t = mu._atoms
     data: dict = {
         "schema_version": SCHEMA_VERSION,
         "grid": grid_to_data(mu.grid),
-        "entries": _TableRecords(t.keys[plain], t.rows[plain], masses[plain], n),
+        "entries": _TableRecords(t, slice(t.n_plain)),
     }
-    if len(t.keys) > t.n_plain:
-        data["multiplicity_entries"] = _TableRecords(t.keys[mult], t.rows[mult], masses[mult], n)
+    if len(t.mass) > t.n_plain:
+        data["multiplicity_entries"] = _TableRecords(t, slice(t.n_plain, None))
     if mu.residual:
         data["residual"] = mu.residual
     return data
@@ -279,32 +277,24 @@ class _TableRecords(list):
     proves the text), `write_json` renders its cells from rows[i].
     """
 
-    def __init__(self, keys: tuple, rows: np.ndarray, masses: list, n_cells: int) -> None:
-        super().__init__({"cells": k, "mass": v} for k, v in zip(keys, masses))
-        self.keys, self.rows, self.n_cells = keys, rows, n_cells
+    def __init__(self, table: _AtomTable, part: slice) -> None:
+        self.keys, self.rows, self.n_cells = table.keys[part], table.rows[part], table.n_cells
+        super().__init__({"cells": k, "mass": v}
+                         for k, v in zip(self.keys, table.mass[part].tolist()))
 
 
 def measure_from_data(data: dict) -> SpectralMeasure:
     _check_version(data)
     grid = grid_from_data(_get(data, "grid"))
     try:
-        plain = _cell_records(_get(data, "entries"), "entries", grid.n_cells, "mass")
-        mult = _cell_records(data.get("multiplicity_entries", ()), "multiplicity_entries",
-                             grid.n_cells, "mass")
+        lists = {"entries": _get(data, "entries"),
+                 "multiplicity_entries": data.get("multiplicity_entries", ())}
+        table, mass = _cell_records(lists, grid.n_cells, "mass")
         residual = float(data.get("residual", 0.0))
-        mass = np.concatenate([plain[3], mult[3]])
         _require_finite(np.append(mass, residual), "masses and residual", nonnegative=True)
-        # the records are packed here, from the cells they were checked on
-        rows = _rows(np.concatenate([plain[1], mult[1]]), np.concatenate([plain[2], mult[2]]),
-                     grid.n_cells)
-        table = _AtomTable.sorted([*plain[0], *mult[0]], rows, mass, len(plain[0]))
         return SpectralMeasure._of_table(grid, table, residual)
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad measure record: {exc}") from exc
-
-
-def elementary_set_to_data(s: ElementarySet) -> dict:
-    return {"grid": grid_to_data(s.grid), "ranges": [list(r) for r in s.ranges]}
 
 
 # ---------------------------------------------------------------------------
@@ -530,16 +520,7 @@ class RunManifest:
     wall_time_s: float = 0.0
 
     def to_data(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "command": self.command,
-            "argv": self.argv,
-            "seed": self.seed,
-            "versions": self.versions,
-            "inputs": self.inputs,
-            "outputs": self.outputs,
-            "wall_time_s": self.wall_time_s,
-        }
+        return {"schema_version": SCHEMA_VERSION, **asdict(self)}
 
 
 def current_versions() -> dict:
@@ -586,25 +567,25 @@ def _require_finite(x: np.ndarray, what: str, nonnegative: bool = False) -> None
         raise FormatError(f"{what} must be {need}, got {float(x[~ok][0])!r}")
 
 
-def _cell_records(rows: list, name: str, n_cells: int, value: str) -> tuple:
-    """Keys, sizes, uint64 cells laid end to end, and float values of the records
-    listed under `name`.
+def _cell_records(lists: dict, n_cells: int, value: str) -> tuple[_AtomTable, np.ndarray]:
+    """The atom table and float values of `lists` (name to records, "entries" first).
 
-    Every "cells" list must hold strictly increasing JSON integers in
-    0..n_cells-1, and no two records may list the same cells; the FormatError
-    names the first record that breaks a rule.
-    """
-    keys = [tuple(r["cells"]) for r in rows]
-    sizes, cells, i = _checked_cells(keys, n_cells)
-    if i is not None:
-        raise FormatError(f"{name}[{i}]: cells {list(keys[i])} are not strictly increasing "
-                          f"integers in 0..{n_cells - 1}")
-    if len(set(keys)) < len(keys):
-        seen: set = set()
-        i = next(i for i, k in enumerate(keys) if k in seen or seen.add(k))
-        raise FormatError(f"{name}[{i}]: cells {list(keys[i])} repeat an earlier record")
-    values = np.fromiter((float(r[value]) for r in rows), dtype=np.float64, count=len(keys))
-    return keys, sizes, cells.view(np.uint64), values
+    Every "cells" list must hold strictly increasing JSON integers in 0..n_cells-1,
+    and no two records of one list the same cells; the error names the first record
+    that breaks a rule."""
+    records = [*chain.from_iterable(lists.values())]
+    bits, i = _checked_rows(list(map(itemgetter("cells"), records)), n_cells)
+    broken = f"are not strictly increasing integers in 0..{n_cells - 1}"
+    if i is None:
+        values = np.fromiter((float(r[value]) for r in records), np.float64, len(records))
+        # zero values count as sets here; the table drops them after the check
+        table, i = _AtomTable.sorted(bits, values, len(lists["entries"]), n_cells)
+        broken = "repeat an earlier record"
+    for name, rows in lists.items():  # i counts records across the lists
+        if i is not None and i < len(rows):
+            raise FormatError(f"{name}[{i}]: cells {list(rows[i]['cells'])} {broken}")
+        i = None if i is None else i - len(rows)
+    return table, values
 
 
 def _site(where: str, cell, channel, n_cells: int, channels: int) -> tuple[int, int]:

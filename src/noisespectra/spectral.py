@@ -11,7 +11,8 @@ Gaussian sources keep two side channels: multiplicity entries (indices whose
 total degree on some cell is >= 2, aggregated by support but excluded from
 the plain entries and from cardinality reports) and a truncation residual.
 
-A dense measure is its atom table; the entry mappings are read-only views of it.
+A dense measure is its atom table: its cell tuples are decoded from the bit
+rows on first read, and its entry mappings are read-only views over them.
 
 Beyond the dense cap a measure can be model-backed instead: a family-supplied
 object that samples sets exactly and answers restricted-mass queries.  A
@@ -20,9 +21,10 @@ on the backend.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
-from types import MappingProxyType
 from typing import Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
@@ -38,7 +40,7 @@ from .functionals import (
 )
 from .grid import ElementarySet, GridMismatchError, TimeGrid
 from .transform import decompose, walsh_terms
-from .walsh import DENSE_CELL_CAP
+from .walsh import DENSE_CELL_CAP, cells_of_masks
 
 
 @dataclass(frozen=True)
@@ -65,10 +67,6 @@ class SpectralSet:
     @property
     def cardinality(self) -> int:
         return len(self.cells)
-
-    def as_ranges(self) -> tuple[tuple[int, int], ...]:
-        """Merged consecutive cell runs, each as a half-open index range."""
-        return ElementarySet.from_cells(self.grid, self.cells).ranges
 
 
 class SpectralModel(Protocol):
@@ -100,21 +98,24 @@ class SpectralModel(Protocol):
         ...
 
 
-def _rows(sizes: np.ndarray, cells: np.ndarray, n_cells: int) -> np.ndarray:
-    """One row of 64-bit words per cell set, given as sizes and uint64 cells laid end
-    to end (`cells` is overwritten); cell c is bit c % 64 of word c // 64."""
-    rows = np.zeros((len(sizes), max(1, -(-n_cells // 64))), dtype=np.uint64)
-    words = cells >> np.uint64(6)
-    # cells turn into their bits in place: a 2**18-atom file holds 2.4M cells
-    np.left_shift(np.uint64(1), cells & np.uint64(63), out=cells)
-    np.bitwise_or.at(rows, (np.repeat(np.arange(len(sizes)), sizes), words), cells)
-    return rows
+def _cells_of_rows(rows: np.ndarray, n_cells: int) -> list[tuple[int, ...]]:
+    """The cells of each row of `_checked_rows`, as rising tuples of Python ints.  Up to
+    the dense cap a row is one mask; wider rows are unpacked to bits a block at a time."""
+    if n_cells <= DENSE_CELL_CAP:
+        return cells_of_masks(rows[:, 0].tolist(), n_cells)
+    out: list[tuple[int, ...]] = []
+    step = max(1, (1 << 22) // (64 * rows.shape[1]))  # 4 MiB of bits per block
+    for start in range(0, len(rows), step):
+        bits = np.unpackbits(rows[start : start + step].view(np.uint8), axis=1, bitorder="little")
+        cells = np.nonzero(bits)[1].tolist()  # row-major, so grouped by row and rising
+        ends = np.cumsum(np.count_nonzero(bits, axis=1)).tolist()
+        out += [tuple(cells[a:b]) for a, b in zip([0, *ends], ends)]
+    return out
 
 
-def _checked_cells(keys: list, n_cells: int) -> tuple[np.ndarray, np.ndarray, int | None]:
-    """Sizes and int64 cells laid end to end of cell tuples, and the position of the
-    first tuple whose cells are not strictly increasing Python ints in 0..n_cells-1
-    (None when there is none)."""
+def _checked_rows(keys: list, n_cells: int) -> tuple[np.ndarray | None, int | None]:
+    """Cell lists as rows of 64-bit words, cell c at bit c % 64 of word c // 64; or None and
+    the first list whose cells are not strictly increasing Python ints in 0..n_cells-1."""
     sizes = np.fromiter(map(len, keys), dtype=np.intp, count=len(keys))
     count = int(sizes.sum())
     try:
@@ -125,25 +126,32 @@ def _checked_cells(keys: list, n_cells: int) -> tuple[np.ndarray, np.ndarray, in
     if cells is None:  # each non-integer or huge cell is marked off the grid
         cells = np.fromiter((c if type(c) is int and 0 <= c < n_cells else -1
                              for c in chain.from_iterable(keys)), np.int64, count)
-    # offset by tuple, the cells of good tuples rise strictly from first to last
-    rise = np.repeat(np.arange(len(keys)) * n_cells, sizes)
+    owner = np.repeat(np.arange(len(keys)), sizes)
+    # offset by list, the cells of good lists rise strictly from first to last
+    rise = owner * n_cells
     rise += cells
     bad = (cells < 0) | (cells >= n_cells)
     bad[1:] |= rise[1:] <= rise[:-1]
-    if not bad.any():
-        return sizes, cells, None
-    return sizes, cells, int(np.searchsorted(np.cumsum(sizes), bad.argmax(), "right"))
+    if bad.any():
+        return None, int(np.searchsorted(np.cumsum(sizes), bad.argmax(), "right"))
+    rows = np.zeros((len(keys), max(1, -(-n_cells // 64))), dtype=np.uint64)
+    cells = cells.view(np.uint64)
+    words = cells >> np.uint64(6)
+    # cells turn into their bits in place: a 2**18-atom file holds 2.4M cells
+    np.left_shift(np.uint64(1), cells & np.uint64(63), out=cells)
+    np.bitwise_or.at(rows, (owner, words), cells)
+    return rows, None
 
 
-def _mapping_name(i: int, n_plain: int) -> str:
-    return "entries" if i < n_plain else "multiplicity_entries"
+# the entry mappings of a dense measure, plain first
+_MAPPINGS = ("entries", "multiplicity_entries")
 
 
 _REVERSED_BYTES = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8)
 
 
 def _words(ranges: Sequence[tuple[int, int]], n_words: int) -> np.ndarray:
-    """Sorted [lo, hi) cell ranges as a single row in the layout of `_rows`."""
+    """Sorted [lo, hi) cell ranges as a single row in the layout of `_checked_rows`."""
     mask = sum(((1 << (hi - lo)) - 1) << lo for lo, hi in ranges)
     return np.array([[(mask >> (64 * w)) & 0xFFFF_FFFF_FFFF_FFFF for w in range(n_words)]],
                     dtype=np.uint64)
@@ -153,33 +161,45 @@ def _words(ranges: Sequence[tuple[int, int]], n_words: int) -> np.ndarray:
 class _AtomTable:
     """Every atom of a dense measure once, in (cardinality, cells) order.
 
-    Plain atoms come first, then multiplicity atoms.  Row i packs the cells
-    of keys[i] as `_rows` lays them out, so every set query is one masked
-    sum over `mass`.
+    Plain atoms come first, then multiplicity atoms.  Row i packs the cells of
+    atom i as `_checked_rows` lays them out, so every set query is one masked
+    sum over `mass`; `keys` decodes the rows on first read.
     """
 
-    keys: tuple[tuple[int, ...], ...]
     rows: np.ndarray
     mass: np.ndarray
     n_plain: int
+    n_cells: int
 
     @classmethod
-    def sorted(cls, keys: list, rows: np.ndarray, mass: np.ndarray, n_plain: int) -> _AtomTable:
-        """Nonzero-mass atoms, plain (below n_plain) before the rest, each part in (cardinality,
-        cells) order.  Sorted cell tuples of one size have A < B exactly when the lowest cell of
-        their symmetric difference is in A: when A is larger bit-reversed, word 0 first."""
-        nz = np.flatnonzero(mass)
-        reversed_words = _REVERSED_BYTES[rows[nz].view(np.uint8)].view(np.uint64).byteswap()
+    def sorted(cls, rows: np.ndarray, mass: np.ndarray, n_plain: int,
+               n_cells: int) -> tuple[_AtomTable, int | None]:
+        """Nonzero-mass atoms, plain (below n_plain) first, each part in (cardinality, cells)
+        order, and the least position repeating an earlier row of its part (zero masses
+        count; None if none).  Sorted cell tuples of one size have A < B exactly when the
+        lowest cell of their symmetric difference is in A: when A is larger bit-reversed."""
+        reversed_words = _REVERSED_BYTES[rows.view(np.uint8)].view(np.uint64).byteswap()
         sort_keys = [~reversed_words[:, w] for w in range(rows.shape[1] - 1, -1, -1)]
-        sizes = np.bitwise_count(rows[nz]).sum(axis=1, dtype=np.intp)
-        order = nz[np.lexsort([*sort_keys, sizes, nz >= n_plain])]
-        return cls(tuple(map(keys.__getitem__, order.tolist())), rows[order], mass[order],
-                   int(np.count_nonzero(order < n_plain)))
+        sizes = np.bitwise_count(rows).sum(axis=1, dtype=np.intp)
+        order = np.lexsort([*sort_keys, sizes, np.arange(len(rows)) >= n_plain])
+        rows, mass = rows[order], mass[order]
+        # the sort is stable, so a repeat lands right after the earlier copies of its set
+        same = (rows[1:] == rows[:-1]).all(axis=1)
+        same[n_plain - 1 : n_plain] = False
+        repeats = order[1:][same]
+        kept = np.flatnonzero(mass)
+        table = cls(rows[kept], mass[kept], int(np.searchsorted(kept, n_plain)), n_cells)
+        return table, int(repeats.min()) if repeats.size else None
 
     def take(self, picks: np.ndarray) -> _AtomTable:
         """The atoms at ascending positions `picks`, still in table order."""
-        return _AtomTable(tuple(map(self.keys.__getitem__, picks.tolist())), self.rows[picks],
-                          self.mass[picks], int(np.searchsorted(picks, self.n_plain)))
+        return _AtomTable(self.rows[picks], self.mass[picks],
+                          int(np.searchsorted(picks, self.n_plain)), self.n_cells)
+
+    @cached_property
+    def keys(self) -> tuple[tuple[int, ...], ...]:
+        """The cells of every atom, in table order."""
+        return tuple(_cells_of_rows(self.rows, self.n_cells))
 
     @property
     def total_mass(self) -> float:
@@ -188,7 +208,7 @@ class _AtomTable:
     @property
     def empty_mass(self) -> float:
         # the empty set sorts first when present
-        return float(self.mass[0]) if self.n_plain and not self.keys[0] else 0.0
+        return float(self.mass[0]) if self.n_plain and not self.rows[0].any() else 0.0
 
     @property
     def multiplicity_mass(self) -> float:
@@ -207,9 +227,10 @@ class _AtomTable:
         return self.cardinality_profile().get(1, 0.0)
 
     def cardinality_profile(self) -> dict[int, float]:
-        sizes = self.plain_sizes()
-        plain = self.mass[: self.n_plain]
-        return {int(k): float(plain[sizes == k].sum()) for k in np.unique(sizes)}
+        sizes = self.plain_sizes()  # nondecreasing: plain atoms are in (cardinality, cells) order
+        starts = np.flatnonzero(np.diff(sizes, prepend=-1)).tolist()
+        ends = [*starts[1:], len(sizes)]
+        return {int(sizes[a]): float(self.mass[a:b].sum()) for a, b in zip(starts, ends)}
 
     def subset_mass(self, ranges: Sequence[tuple[int, int]]) -> float:
         return float(self.mass[self.inside(ranges)].sum())
@@ -223,13 +244,37 @@ class _AtomTable:
         return np.array([self.mass[self.meeting(r) & ~self.inside(r)].sum() for r in left])
 
     def sample(self, k: int, seed: int) -> list[tuple[int, ...]]:
-        """Inverse CDF over the atoms in table order."""
+        """Inverse CDF over the atoms in table order; only the drawn rows are decoded."""
         cdf = np.cumsum(self.mass)
         if not cdf.size or cdf[-1] <= 0:
             raise ValueError("measure has no mass to sample")
         rng = worker_generator(seed, 0)
         picks = np.searchsorted(cdf, rng.uniform(0.0, cdf[-1], size=k), side="right")
-        return [self.keys[i] for i in np.minimum(picks, len(self.keys) - 1).tolist()]
+        return _cells_of_rows(self.rows[np.minimum(picks, cdf.size - 1)], self.n_cells)
+
+
+class _EntryView(Mapping):
+    """Atoms lo..hi-1 of an atom table as a read-only mapping of cell tuples to masses,
+    with no copy of them: its keys are the table's keys, so a lookup bisects them."""
+
+    def __init__(self, table: _AtomTable, lo: int, hi: int) -> None:
+        self._table, self._lo, self._hi = table, lo, hi
+
+    def __getitem__(self, key):
+        keys, hi, by_size = self._table.keys, self._hi, lambda k: (len(k), k)
+        i = bisect_left(keys, by_size(key), self._lo, hi, key=by_size) if type(key) is tuple else hi
+        if i < hi and keys[i] == key:
+            return float(self._table.mass[i])
+        raise KeyError(key)
+
+    def __iter__(self):
+        return iter(self._table.keys[self._lo : self._hi])
+
+    def __len__(self) -> int:
+        return self._hi - self._lo
+
+    def items(self):  # one pass over the keys, not one bisection per key
+        return dict(zip(self, self._table.mass[self._lo : self._hi].tolist())).items()
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,19 +298,15 @@ class SpectralMeasure:
                 # numpy integers become Python ints; any other cell is refused below
                 keys = [tuple(int(c) if isinstance(c, np.integer) else c for c in k)
                         for k in keys]
-            sizes, cells, bad = _checked_cells(keys, n)
+            rows, bad = _checked_rows(keys, n)
             if bad is not None:
-                raise ValueError(f"{_mapping_name(bad, n_plain)} key {keys[bad]!r}: cells are "
+                raise ValueError(f"{_MAPPINGS[bad >= n_plain]} key {keys[bad]!r}: cells are "
                                  f"not strictly increasing integers in 0..{n - 1}")
             mass = np.fromiter(chain(self.entries.values(), self.multiplicity_entries.values()),
                                dtype=np.float64, count=len(keys))
-            table = _AtomTable.sorted(keys, _rows(sizes, cells.view(np.uint64), n), mass, n_plain)
-            # one atom per set: a set listed twice in one mapping sorts next to itself
-            same = (table.rows[1:] == table.rows[:-1]).all(axis=1)
-            same[table.n_plain - 1 : table.n_plain] = False
-            if same.any():
-                i = int(same.argmax()) + 1
-                raise ValueError(f"{_mapping_name(i, table.n_plain)} key {table.keys[i]!r} "
+            table, i = _AtomTable.sorted(rows, mass, n_plain, n)
+            if i is not None:
+                raise ValueError(f"{_MAPPINGS[i >= n_plain]} key {keys[i]!r} "
                                  "repeats a set of the same mapping")
             self._hold(table)
 
@@ -278,14 +319,13 @@ class SpectralMeasure:
         return mu
 
     def _hold(self, table: _AtomTable) -> None:
-        views = [MappingProxyType(dict(zip(table.keys[part], table.mass[part].tolist())))
-                 for part in (slice(table.n_plain), slice(table.n_plain, None))]
-        self.__dict__.update(_atoms=table, entries=views[0], multiplicity_entries=views[1])
+        self.__dict__.update(_atoms=table, entries=_EntryView(table, 0, table.n_plain),
+                             multiplicity_entries=_EntryView(table, table.n_plain, len(table.mass)))
 
     # -- totals ---------------------------------------------------------------
     @property
     def is_dense(self) -> bool:
-        return self.entries is not None
+        return self.model is None
 
     @property
     def multiplicity_mass(self) -> float:
@@ -304,10 +344,6 @@ class SpectralMeasure:
         key = tuple(sorted(set(int(c) for c in cells)))
         self._require_dense("pointwise mass")
         return float(self.entries.get(key, 0.0) + self.multiplicity_entries.get(key, 0.0))
-
-    def support(self) -> set[tuple[int, ...]]:
-        self._require_dense("support enumeration")
-        return set(self.entries) | set(self.multiplicity_entries)
 
     def _require_dense(self, what: str) -> None:
         if not self.is_dense:
@@ -342,8 +378,8 @@ def spectral_measure_of(f: NoiseFunctional, tol: float | None = None) -> Spectra
         return SpectralMeasure(f.grid, None, model=model)
     if isinstance(f.backend, (RademacherTable, FamilyRef)):
         # a Walsh index is its own support: coefficient m squared is the atom on mask m
-        masks, keys, coeffs = walsh_terms(f, tol)
-        table = _AtomTable.sorted(keys, masks[:, None], coeffs * coeffs, len(keys))
+        masks, coeffs = walsh_terms(f, tol)
+        table, _ = _AtomTable.sorted(masks[:, None], coeffs * coeffs, len(masks), f.grid.n_cells)
         return SpectralMeasure._of_table(f.grid, table)
     return measure_from_coefficients(decompose(f, tol))
 
@@ -437,7 +473,7 @@ def is_absolutely_continuous(mu_g: SpectralMeasure, mu_f: SpectralMeasure) -> bo
         mu._require_dense("absolute continuity")
     if mu_g.grid != mu_f.grid:
         raise GridMismatchError("measures live on different grids")
-    return mu_g.support() <= mu_f.support()
+    return set(mu_g._atoms.keys) <= set(mu_f._atoms.keys)
 
 
 def n_point_marginal(mu: SpectralMeasure, n: int) -> SpectralMeasure:

@@ -69,9 +69,6 @@ class AdditiveIntegral:
                               channels=self.coefficients.channels)
         )
 
-    def whole_window(self) -> NoiseFunctional:
-        return self.member(self.grid.interval_start, self.grid.interval_end)
-
 
 def first_chaos_extract(f: NoiseFunctional) -> NoiseFunctional:
     """The part of f carried by one-cell spectral sets."""

@@ -39,7 +39,6 @@ from .grid import ElementarySet, TimeGrid, require_same_grid
 from .walsh import (
     cells_of_masks,
     character_coefficients,
-    popcount,
     values_from_coefficients,
 )
 
@@ -51,18 +50,19 @@ def decompose(f: NoiseFunctional, tol: float | None = None) -> ChaosCoefficients
         return b
     if isinstance(b, BrownianProgram):
         return hermite_decompose(f.grid, b, tol=tol)
-    _, keys, coeffs = walsh_terms(f, tol)
+    masks, coeffs = walsh_terms(f, tol)
+    keys = cells_of_masks(masks.tolist(), f.grid.n_cells)  # rising tuples, as chaos indices
     return ChaosCoefficients(f.grid, dict(zip(keys, coeffs.tolist())), WALSH)
 
 
-def walsh_terms(f: NoiseFunctional, tol: float | None) -> tuple[np.ndarray, list, np.ndarray]:
-    """Masks (uint64), cell sets and values of the nonzero character coefficients
-    of a table or of a family below the dense cap; |c| <= tol counts as zero."""
+def walsh_terms(f: NoiseFunctional, tol: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """Masks (uint64) and values of the nonzero character coefficients of a table
+    or of a family below the dense cap; |c| <= tol counts as zero."""
     dense = character_coefficients(evaluate_table(f))
     if tol is not None:
         dense[np.abs(dense) <= tol] = 0.0
     masks = np.flatnonzero(dense).astype(np.uint64)
-    return masks, cells_of_masks(masks.tolist(), f.grid.n_cells), dense[masks]
+    return masks, dense[masks]
 
 
 def reconstruct(c: ChaosCoefficients) -> NoiseFunctional:
@@ -157,7 +157,7 @@ def level_projection(f: NoiseFunctional, order: int) -> NoiseFunctional:
     if isinstance(b, RademacherTable):
         dense = character_coefficients(b.values)
         masks = np.arange(dense.shape[0], dtype=np.uint64)
-        dense[popcount(masks) != order] = 0.0
+        dense[np.bitwise_count(masks) != order] = 0.0
         return NoiseFunctional._of_fresh_table(f.grid, values_from_coefficients(dense))
     if isinstance(b, ChaosCoefficients):
         kept = b.filtered(

@@ -63,10 +63,6 @@ def sign_table(n_cells: int) -> np.ndarray:
     return 1 - 2 * bits.astype(np.int8)
 
 
-def popcount(masks: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(masks)
-
-
 def mask_of_cells(cells) -> int:
     m = 0
     for c in cells:
@@ -83,7 +79,7 @@ def _subset_keys(cells: range) -> list[tuple[int, ...]]:
 
 
 def cells_of_masks(masks: list[int], n_cells: int) -> list[tuple[int, ...]]:
-    """[cells_of_mask(m) for m in masks], joined from two half-width key tables.
+    """The cells of each mask, as rising tuples, joined from two half-width key tables.
 
     Costs O(2**(n/2) + len(masks)) tuples, so a sparse mask list stays cheap.
     """
@@ -91,14 +87,3 @@ def cells_of_masks(masks: list[int], n_cells: int) -> list[tuple[int, ...]]:
     lo, hi = _subset_keys(range(h)), _subset_keys(range(h, n_cells))
     low = (1 << h) - 1
     return [lo[m & low] + hi[m >> h] for m in masks]
-
-
-def cells_of_mask(mask: int) -> tuple[int, ...]:
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)

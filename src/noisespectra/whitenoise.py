@@ -44,10 +44,6 @@ class BrownianGrid:
     increments: np.ndarray
     seed: int
 
-    @property
-    def n_paths(self) -> int:
-        return self.increments.shape[0]
-
 
 def sample_paths(grid: TimeGrid, d: int, k: int, seed: int, workers: int = 1) -> BrownianGrid:
     """Reproducible increment table of shape (k, n_cells, d)."""
@@ -301,11 +297,3 @@ def endpoint_mass_profile(f: NoiseFunctional, t, eps_list: Sequence[float]) -> n
             raise ValueError("eps must be positive")
         out.append(mass_meeting_interval(mu, tt - e, tt + e))
     return np.array(out)
-
-
-def residual_projection_gap(f: NoiseFunctional, t, eps: float) -> float:
-    """norm of f minus its projection onto cells away from (t-eps, t+eps)."""
-    mu = spectral_measure_of(f)
-    tt = as_fraction(t)
-    e = as_fraction(eps)
-    return float(math.sqrt(max(mass_meeting_interval(mu, tt - e, tt + e), 0.0)))

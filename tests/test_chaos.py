@@ -77,11 +77,6 @@ def test_sorted_items_orders_by_cardinality_then_index():
     assert [ix for ix, _ in c.sorted_items()] == [(), (0,), (3,), (1, 2)]
 
 
-def test_drop_zeros():
-    c = ChaosCoefficients(GRID, {(0,): 0.0, (1,): 2.0})
-    assert set(c.drop_zeros().entries) == {(1,)}
-
-
 def test_add_coefficients():
     a = ChaosCoefficients(GRID, {(0,): 1.0, (1,): 2.0})
     b = ChaosCoefficients(GRID, {(1,): -2.0, (2,): 5.0})

@@ -28,7 +28,6 @@ from noisespectra.functionals import (
     expectation,
     hermite_decompose,
     norm_sq,
-    to_table,
 )
 from noisespectra.walsh import sign_table
 
@@ -54,7 +53,7 @@ def test_from_walsh_entries_evaluation():
     assert f.evaluate(omega) == 1.0  # 2 - 1
     omega[0] = -1
     assert f.evaluate(omega) == 3.0  # 2 + 1
-    assert f.expectation_value == 2.0
+    assert expectation(f) == 2.0
     assert f.norm_sq == 5.0
 
 
@@ -99,7 +98,7 @@ def test_shift_truncate_drops_outgoing_mass():
     moved = shift(f, 1, mode="truncate")
     assert moved.backend.entries == {(1,): 1.0, (4, 5): 1.0}  # cell 7 left the window
     # table route agrees
-    ft = to_table(f)
+    ft = NoiseFunctional.from_table(GRID, evaluate_table(f))
     assert_allclose(
         evaluate_table(shift(ft, 1, mode="truncate")), evaluate_table(moved), atol=1e-12
     )

@@ -31,12 +31,10 @@ from noisespectra import (
 )
 from noisespectra.serialize import (
     RunManifest,
-    elementary_set_to_data,
     finish_manifest,
     sha256_of,
     start_manifest,
 )
-from noisespectra.grid import ElementarySet
 
 
 def roundtrip_functional(f):
@@ -220,13 +218,6 @@ def test_model_measure_has_no_dense_serialization():
     assert not mu.is_dense
     with pytest.raises(FormatError):
         measure_to_data(mu)
-
-
-def test_elementary_set_record():
-    grid = TimeGrid(0, 1, 3)
-    s = ElementarySet.from_cells(grid, (0, 1, 5))
-    data = elementary_set_to_data(s)
-    assert data["ranges"] == [[0, 2], [5, 6]]
 
 
 def test_read_json_reports_position(tmp_path):

@@ -17,6 +17,7 @@ from noisespectra import (
     conditional_expectation,
     cut_distance,
     decompose,
+    interior_cut_distances,
     is_absolutely_continuous,
     mass_meeting_interval,
     mass_of_subsets_of,
@@ -30,7 +31,7 @@ from noisespectra import (
     straddle_mass,
     tensor_product,
 )
-from noisespectra.functionals import norm_sq
+from noisespectra.functionals import expectation, norm_sq
 from noisespectra.spectral import SpectralMeasure, measure_from_coefficients
 
 GRID = TimeGrid(0, 1, 3)
@@ -45,7 +46,6 @@ def test_spectral_set_canonicalizes():
     s = SpectralSet(GRID, (5, 1, 1, 3))
     assert s.cells == (1, 3, 5)
     assert s.cardinality == 3
-    assert SpectralSet(GRID, (2, 3, 4, 6)).as_ranges() == ((2, 5), (6, 7))
     with pytest.raises(ValueError):
         SpectralSet(GRID, (8,))
 
@@ -54,7 +54,7 @@ def test_total_mass_is_squared_norm(rng):
     f = random_functional(GRID, rng)
     mu = spectral_measure_of(f)
     assert_allclose(mu.total_mass, norm_sq(f), rtol=1e-12)
-    assert_allclose(mu.empty_atom, f.expectation_value**2, rtol=1e-10, atol=1e-15)
+    assert_allclose(mu.empty_atom, expectation(f) ** 2, rtol=1e-10, atol=1e-15)
 
 
 @settings(max_examples=40)
@@ -254,6 +254,17 @@ def test_a_set_repeated_within_one_mapping_is_refused():
     assert mu.mass([3, 1]) == 1.5
 
 
+def test_a_repeat_of_zero_mass_is_refused_like_a_file_record():
+    # the repeat check sees every listed set, before zero-mass atoms drop
+    from noisespectra.serialize import FormatError, grid_to_data, measure_from_data
+
+    with pytest.raises(ValueError, match=r"entries key \(1, 3\) repeats a set"):
+        SpectralMeasure(GRID, _Listed([((1, 3), 1.0), ((1, 3), 0.0)]))
+    records = [{"cells": [1, 3], "mass": 1.0}, {"cells": [1, 3], "mass": 0.0}]
+    with pytest.raises(FormatError, match=r"entries\[1\]: cells \[1, 3\] repeat"):
+        measure_from_data({"grid": grid_to_data(GRID), "entries": records})
+
+
 def test_numpy_integer_keys_become_python_ints():
     mu = SpectralMeasure(GRID, {(np.int64(1), np.int32(3)): 1.0, (np.uint8(0),): 1.0})
     assert set(mu.entries) == {(0,), (1, 3)}
@@ -375,18 +386,18 @@ def grid_of(n):
 @pytest.mark.parametrize("tol", [None, 0.05])
 @pytest.mark.parametrize("n", [0, 1, 5, 10, 14])
 def test_table_route_matches_entry_dict_build(n, tol):
-    from noisespectra.spectral import _AtomTable, _rows
+    from noisespectra.spectral import _AtomTable, _checked_rows
     from noisespectra.walsh import cells_of_masks, character_coefficients
 
     values = np.random.default_rng(100 + n).standard_normal(1 << n)
     if n == 0:
         # no grid has zero cells, so the one-atom table is packed both ways directly
         c = character_coefficients(values)
-        keys = cells_of_masks([0], 0)
-        assert keys == [()]
-        by_mask = _AtomTable.sorted(keys, np.zeros((1, 1), dtype=np.uint64), c * c, 1)
-        by_cells = _rows(np.zeros(1, dtype=np.intp), np.zeros(0, dtype=np.uint64), 0)
-        assert same_table(by_mask, _AtomTable.sorted(keys, by_cells, c * c, 1))
+        assert cells_of_masks([0], 0) == [()]
+        by_mask, _ = _AtomTable.sorted(np.zeros((1, 1), dtype=np.uint64), c * c, 1, 0)
+        by_cells, _ = _checked_rows([()], 0)
+        assert same_table(by_mask, _AtomTable.sorted(by_cells, c * c, 1, 0)[0])
+        assert by_mask.keys == ((),)
         return
     f = NoiseFunctional.from_table(grid_of(n), values)
     mu = spectral_measure_of(f, tol)
@@ -445,3 +456,31 @@ def test_entry_views_are_read_only():
             del view[key]
     assert mu.entries == before
     assert list(mu.entries) + list(mu.multiplicity_entries) == list(mu._atoms.keys)
+
+
+def test_building_and_querying_a_dense_measure_decodes_no_cells():
+    from noisespectra.serialize import measure_from_data, measure_to_data
+
+    f = NoiseFunctional.from_table(grid_of(10), np.random.default_rng(10).standard_normal(1 << 10))
+    mu = spectral_measure_of(f)
+    data = measure_to_data(spectral_measure_of(f))
+    region = ElementarySet.from_cells(mu.grid, [0, 1, 4, 5, 6, 9])
+    assert mass_of_subsets_of(mu, region) > 0.0
+    assert interior_cut_distances(mu).shape == (9,)
+    built = [
+        mu, restrict(mu, region), n_point_marginal(mu, 2), measure_from_data(data),
+        SpectralMeasure(mu.grid, {(0, 3): 1.0, (): 0.5}, {(2,): 0.25}),
+        spectral_measure_of(NoiseFunctional.from_family("majority3-iterated", 2)),
+    ]
+    for m in built:
+        # no key tuple is decoded, and neither the measure nor its views hold a dict
+        assert "keys" not in m._atoms.__dict__
+        held = [*vars(m).values(), *vars(m.entries).values(), *vars(m.multiplicity_entries).values()]
+        assert not any(isinstance(v, dict) for v in held)
+    squared = {k: c * c for k, c in decompose(f).entries.items()}
+    assert mu.entries == squared and list(mu.entries) == list(mu._atoms.keys)
+    assert mu._atoms.keys is mu._atoms.keys and not mu.multiplicity_entries  # decoded once
+    assert built[3].entries == mu.entries
+    # lookups bisect the keys: canonical tuples only, numpy cells compare equal
+    assert mu.entries[(0, 3)] == squared[(0, 3)] and (3, 0) not in mu.entries
+    assert mu.entries.get((np.int64(0), 3)) == squared[(0, 3)]

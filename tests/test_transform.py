@@ -28,7 +28,7 @@ from noisespectra import (
     random_functional,
     reconstruct,
 )
-from noisespectra.functionals import evaluate_table, inner_product, norm_sq
+from noisespectra.functionals import evaluate_table, expectation, inner_product, norm_sq
 
 GRID = TimeGrid(0, 1, 3)
 N = GRID.n_cells
@@ -161,7 +161,7 @@ def test_projection_extremes(rng):
         atol=1e-12,
     )
     const = conditional_expectation(f, ElementarySet.empty(GRID))
-    assert_allclose(evaluate_table(const), np.full(1 << N, f.expectation_value), atol=1e-12)
+    assert_allclose(evaluate_table(const), np.full(1 << N, expectation(f)), atol=1e-12)
 
 
 def test_projection_is_idempotent_and_contractive(rng):

@@ -8,6 +8,7 @@ import dataclasses
 import functools
 import hashlib
 import math
+import time
 
 import numpy as np
 import pytest
@@ -279,6 +280,16 @@ def test_cardinality_profile_at_maj3_level_12():
     mean = sum(k * v for k, v in profile.items())
     assert abs(mean / 1.5**12 - 1.0) <= TOL
     assert profile[1] == model.singleton_mass()
+
+
+def test_tribes_profiles_to_level_16_sum_to_one_in_well_under_a_second():
+    # the and/or layers' q underflows to zero far below their fanin, and the
+    # profile forms no power of a size past the last nonzero q[t]
+    models = [model_of("tribes", level) for level in (14, 15, 16)]
+    started = time.perf_counter()
+    for model in models:
+        assert abs(sum(model.cardinality_profile().values()) - model.total_mass) <= TOL
+    assert time.perf_counter() - started < 1.0
 
 
 # bit pins: a change to the layer arithmetic that moves any bit of these

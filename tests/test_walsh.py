@@ -6,16 +6,18 @@ from numpy.testing import assert_allclose
 
 from noisespectra.walsh import (
     DENSE_CELL_CAP,
-    cells_of_mask,
     cells_of_masks,
     character_coefficients,
     fwht,
     mask_of_cells,
     omega_index,
-    popcount,
     sign_table,
     values_from_coefficients,
 )
+
+
+def bits_of(m):
+    return tuple(i for i in range(m.bit_length()) if m >> i & 1)
 
 
 def brute_walsh_matrix(n):
@@ -23,7 +25,7 @@ def brute_walsh_matrix(n):
     table = sign_table(n)
     out = np.empty((1 << n, 1 << n))
     for m in range(1 << n):
-        cells = cells_of_mask(m)
+        cells = bits_of(m)
         out[m] = table[:, cells].prod(axis=1) if cells else 1.0
     return out
 
@@ -85,12 +87,8 @@ def test_sign_table_agrees_with_omega_index():
 
 def test_mask_helpers():
     assert mask_of_cells([0, 3]) == 0b1001
-    assert cells_of_mask(0b1001) == (0, 3)
-    assert cells_of_mask(0) == ()
-    masks = np.arange(8, dtype=np.uint64)
-    assert list(popcount(masks)) == [0, 1, 1, 2, 1, 2, 2, 3]
     for n in (0, 1, 5, 11):
         every = list(range(1 << n))
-        assert cells_of_masks(every, n) == [cells_of_mask(m) for m in every]
+        assert cells_of_masks(every, n) == [bits_of(m) for m in every]
         sparse = every[::7][::-1]
-        assert cells_of_masks(sparse, n) == [cells_of_mask(m) for m in sparse]
+        assert cells_of_masks(sparse, n) == [bits_of(m) for m in sparse]

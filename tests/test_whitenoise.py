@@ -27,7 +27,6 @@ from noisespectra import (
     orthogonality_check,
     sample_paths,
 )
-from noisespectra.whitenoise import residual_projection_gap
 
 GRID = TimeGrid(0, 1, 4)
 N = GRID.n_cells
@@ -151,10 +150,8 @@ def test_endpoint_profile_is_twice_eps():
     eps = [Fraction(1, 4), Fraction(1, 8), Fraction(1, 16)]
     profile = endpoint_mass_profile(f, Fraction(1, 2), eps)
     assert_allclose(profile, [0.5, 0.25, 0.125], rtol=1e-12)
-    # monotone in eps and consistent with the residual gap
+    # monotone in eps
     assert (np.diff(profile) < 0).all()
-    gap = residual_projection_gap(f, Fraction(1, 2), Fraction(1, 8))
-    assert_allclose(gap, math.sqrt(0.25), rtol=1e-12)
 
 
 def test_endpoint_profile_clips_at_window():
