@@ -29,6 +29,7 @@ from .functionals import (
 )
 from .grid import ElementarySet, GridMismatchError, TimeGrid
 from .serialize import (
+    SCHEMA_VERSION,
     FormatError,
     finish_manifest,
     functional_from_data,
@@ -226,7 +227,7 @@ def cmd_spectrum(args) -> int:
     else:
         profile = cardinality_profile(mu)
         data = {
-            "schema_version": "1",
+            "schema_version": SCHEMA_VERSION,
             "grid": grid_to_data(mu.grid),
             "kind": "profile",
             "total_mass": mu.total_mass,
@@ -274,7 +275,7 @@ def cmd_factor_check(args) -> int:
         verdict["straddling_mass"] = straddle_mass(spectral_measure_of(f), cut)
     print(f"exact-product: {'true' if verdict['exact_product'] else 'false'}")
     if args.out:
-        write_json(args.out, {"schema_version": "1", **verdict})
+        write_json(args.out, {"schema_version": SCHEMA_VERSION, **verdict})
     return EXIT_OK
 
 
@@ -301,7 +302,7 @@ def cmd_cuts(args) -> int:
 def cmd_classify(args) -> int:
     levels = _parse_levels(args.levels)
     report = classify(args.family, levels)
-    write_json(args.out, {"schema_version": "1", **asdict(report)})
+    write_json(args.out, {"schema_version": SCHEMA_VERSION, **asdict(report)})
     for v in report.verdicts:
         print(v)
     return EXIT_OK
@@ -312,7 +313,7 @@ def cmd_ito(args) -> int:
     kernel = kernel_from_data(read_json(args.kernel), grid.n_cells)
     check = isometry_check(grid, kernel, args.paths, args.seed, _workers(args))
     data = {
-        "schema_version": "1",
+        "schema_version": SCHEMA_VERSION,
         "grid": grid_to_data(grid),
         "order": kernel.order,
         "paths": args.paths,
@@ -376,7 +377,8 @@ def cmd_calibrate(args) -> int:
         print(f"{name}: slope {est.slope!r} target {target!r} "
               f"{'PASS' if ok else 'FAIL'}")
     if args.out:
-        write_json(args.out, {"schema_version": "1", "depth": args.depth, "results": results})
+        write_json(args.out,
+                   {"schema_version": SCHEMA_VERSION, "depth": args.depth, "results": results})
     if failed:
         print(f"tolerance failure: {', '.join(failed)}", file=sys.stderr)
         return EXIT_TOLERANCE

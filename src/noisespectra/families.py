@@ -18,10 +18,10 @@ count.  On `and` and `or` layers the per-subset weights are geometric in the
 subset size, so a node's region fraction has product form: one log1p sum
 over its partly covered children, whatever the fan-in (tribes' 1638-way
 `or` at level 14 included).  Majority layers step their elementary
-symmetric row through the columns holding a partly covered child.  Cuts go
-in blocks of boundaries, each looking up the prefix and suffix coefficients
-of all its boundaries in one pass, and the sampler draws child subsets for
-every live node of every draw at once.
+symmetric row through the columns holding a partly covered child.  Cut
+coefficients are the same subset values at full prefixes, looked up for a
+block of prefix and suffix cuts in one pass, and the sampler draws child
+subsets for every live node of every draw at once.
 
 Small instances still materialize to tables, so every closed form here can be
 cross-checked against the dense transform in tests.
@@ -55,16 +55,15 @@ SORT_FREE_FANIN = 5
 
 @dataclass(frozen=True, eq=False)
 class TreeLayer:
-    """Spectral data of one symmetric combiner reading m i.i.d. inputs of bias mu_in.
+    """Spectral data of one symmetric combiner reading m i.i.d. biased inputs.
 
     The combiner (majority, and, or) treats its children alike, so every child
     subset of one size carries the same mass; q[t] is the fraction of output
     fluctuation mass on the subsets of size t.  For and/or the mass of one
-    subset of size t is weights[1] * rho**(t - 1); rho is None for majority.
+    subset grows by the factor rho per child it takes; rho is None for majority.
     """
 
     fanin: int
-    mu_in: float
     mu_out: float
     sigma_sq: float
     q: np.ndarray
@@ -72,7 +71,7 @@ class TreeLayer:
 
     @cached_property
     def weights(self) -> np.ndarray:
-        """Mass of one child subset, per subset size."""
+        """Mass of one child subset, per subset size; read by majority layers only."""
         m = self.fanin
         return np.array([self.q[t] / math.comb(m, t) for t in range(m + 1)])
 
@@ -82,18 +81,13 @@ class TreeLayer:
 
         A prefix covering children 0..full-1 and part of child `full` holds
         the fraction alpha[full] + beta[full] * (that child's own prefix
-        fraction): alpha sums the subsets of the full children, beta those
-        that also take the partial child.  Children are alike, so a suffix
-        counted from the last child has the same pair.
+        fraction).  alpha is the subset value with `full` children inside;
+        taking the partial child as well makes it full, so beta is the step
+        of alpha.  Children are alike, so a suffix has the same pair.
         """
-        m, w = self.fanin, self.weights
-        # subsets of one size share mass, so the sums run over sizes with
-        # binomial counts, Pascal's triangle row by row
-        binom = np.zeros((m + 1, m + 1))
-        binom[:, 0] = 1.0
-        for full in range(1, m + 1):
-            binom[full, 1:] = binom[full - 1, 1:] + binom[full - 1, :-1]
-        return binom @ w, np.append(binom[:m, :m] @ w[1:], 0.0)
+        m = self.fanin
+        alpha = self.subset_values(np.arange(m + 1), np.zeros((m + 1, 0), dtype=bool), np.zeros(0))
+        return alpha, np.append(np.diff(alpha), 0.0)
 
     def subset_values(self, full: np.ndarray, partial: np.ndarray, vals: np.ndarray) -> np.ndarray:
         """Row-wise E over child subsets T of the product of a row's child values in T.
@@ -192,7 +186,7 @@ def _majority_layer(m: int, mu_in: float) -> TreeLayer:
     frac[0] = 0.0
     q = np.zeros(m + 1)
     np.add.at(q, sizes, frac)
-    return TreeLayer(m, mu_in, mu_out, fluct, q)
+    return TreeLayer(m, mu_out, fluct, q)
 
 
 @functools.lru_cache
@@ -226,7 +220,7 @@ def _sized_layer(kind: str, m: int, mu_in: float) -> TreeLayer:
     fluct = delta * (2.0 - delta)
     if fluct <= 0.0:
         raise ValueError("combiner output is almost surely constant")
-    return TreeLayer(m, mu_in, float(mu_out), float(fluct), q, math.exp(2.0 * (log_sigma - base)))
+    return TreeLayer(m, float(mu_out), float(fluct), q, math.exp(2.0 * (log_sigma - base)))
 
 
 def build_layers(specs: list[tuple[str, int]]) -> list[TreeLayer]:

@@ -168,6 +168,17 @@ def test_cuts_csv_times_equal_grid_boundaries(tmp_path, window, level, base):
         assert (exact, time) == (str(t), repr(float(t)))
 
 
+def test_cuts_csv_for_tribes_14_family_file(tmp_path):
+    # the root's 1638-way `or` once overflowed C(m, t) on every cut query
+    src = dump_functional(tmp_path / "tribes.json", make_functional("tribes", 14))
+    out = tmp_path / "cuts.csv"
+    assert run("cuts", "--in", src, "--out", str(out)) == 0
+    rows = open(str(out)).read().splitlines()[1:]
+    assert len(rows) == 16383
+    distances = np.array([float(r.split(",")[3]) for r in rows])
+    assert np.all((distances >= 0.0) & (distances <= 1.0))
+
+
 def test_cuts_csv(chi01, tmp_path):
     out = tmp_path / "cuts.csv"
     assert run("cuts", "--in", chi01, "--out", str(out)) == 0

@@ -188,6 +188,40 @@ def test_cut_masses_match_reference(name, level):
     assert [model.prefix_mass(b) for b in bs.tolist()] == prefix.tolist()
 
 
+@pytest.mark.parametrize("name,levels", [("majority3-iterated", range(1, 13)),
+                                         ("tribes", range(3, 17))])
+def test_cut_coeffs_match_the_exact_ratio_reference(name, levels):
+    # from tribes L14 on, C(m, t) of the root's fan-in overflows a float;
+    # the reference takes each binomial ratio as an exact int/int division
+    for level in levels:
+        for layer in model_of(name, level).layers:
+            m = layer.fanin
+            alpha, beta = layer.cut_coeffs
+            for full in sorted({0, 1, 2, m // 3, m // 2, m - 2, m - 1, m} & set(range(m + 1))):
+                want_alpha, want_beta = ref.prefix_coeffs(layer, full)
+                assert abs(alpha[full] - want_alpha) <= TOL, (level, m, full)
+                assert abs(beta[full] - want_beta) <= TOL, (level, m, full)
+
+
+def test_tribes_14_cut_masses_match_reference():
+    model = model_of("tribes", 14)
+    n = model.grid.n_cells
+    bs = np.random.default_rng(14).integers(0, n + 1, size=8)
+    bs = np.append(bs, [1, model.leaf_count - 1])
+    prefix, suffix = model.cut_masses(bs)
+    for b, left, right in zip(bs.tolist(), prefix, suffix):
+        assert abs(left - ref.prefix_mass(model, b)) <= TOL, b
+        assert abs(right - ref.suffix_mass(model, b)) <= TOL, b
+
+
+@pytest.mark.parametrize("level", [14, 15, 16])
+def test_tribes_cuts_answer_past_level_13(level):
+    mu = spectral_measure_of(NoiseFunctional.from_family("tribes", level))
+    distances = interior_cut_distances(mu)
+    assert distances.shape == (2**level - 1,)
+    assert np.all(np.isfinite(distances) & (distances >= 0.0) & (distances <= 1.0))
+
+
 @pytest.mark.parametrize("name,level", INSTANCES)
 def test_interior_cut_distances_match_per_boundary(name, level):
     model = model_of(name, level)

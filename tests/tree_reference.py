@@ -22,29 +22,37 @@ def _span(model, depth: int) -> int:
 
 
 def subset_value(layer, child_vals) -> float:
-    """E over child subsets T of the product of child_vals inside T."""
-    v = np.asarray(child_vals, dtype=np.float64)
+    """E over child subsets T of the product of child_vals inside T.
+
+    e[t] is the elementary symmetric sum of order t divided by C(m, t), the
+    mean product over the subsets of size t; it stays in [0, 1] at any fan-in,
+    so no binomial is ever formed as a float.
+    """
     m = layer.fanin
     e = np.zeros(m + 1)
     e[0] = 1.0
-    for vi in v:
-        e[1:] = e[1:] + vi * e[:-1]
-    binoms = np.array([math.comb(m, t) for t in range(m + 1)], dtype=np.float64)
-    return float(np.sum(layer.q[1:] * e[1:] / binoms[1:]))
+    t = np.arange(1, m + 1)
+    step = t / (m - t + 1)  # C(m, t - 1) / C(m, t)
+    for vi in np.asarray(child_vals, dtype=np.float64):
+        e[1:] = e[1:] + vi * step * e[:-1]
+    return float(layer.q[1:] @ e[1:])
 
 
 def prefix_coeffs(layer, full: int) -> tuple[float, float]:
-    """(alpha, beta) with prefix mass = alpha + beta * partial-child mass."""
+    """(alpha, beta) with prefix mass = alpha + beta * partial-child mass.
+
+    Each binomial ratio is an int/int division, which Python rounds correctly
+    and which cannot overflow for a ratio of at most 1.
+    """
     m = layer.fanin
     alpha = beta = 0.0
     for t in range(1, m + 1):
-        w_t = layer.q[t] / math.comb(m, t)
-        if w_t == 0.0:
+        q_t = layer.q[t]
+        if q_t == 0.0:
             continue
-        if t <= full:
-            alpha += w_t * math.comb(full, t)
-        if full < m and t - 1 <= full:
-            beta += w_t * math.comb(full, t - 1)
+        alpha += q_t * (math.comb(full, t) / math.comb(m, t))
+        if full < m:
+            beta += q_t * (math.comb(full, t - 1) / math.comb(m, t))
     return alpha, beta
 
 
