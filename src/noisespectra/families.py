@@ -71,9 +71,13 @@ class TreeLayer:
 
     @cached_property
     def weights(self) -> np.ndarray:
-        """Mass of one child subset, per subset size; read by majority layers only."""
-        m = self.fanin
-        return np.array([self.q[t] / math.comb(m, t) for t in range(m + 1)])
+        """Mass of one child subset, per subset size; read by majority layers only.
+
+        Each is q[t] / C(m, t) as one correctly rounded int/int division, so it is the
+        float quotient while the binomial is exact in a float, and finite past it."""
+        m, ratios = self.fanin, map(float.as_integer_ratio, self.q.tolist())
+        combs = itertools.accumulate(range(m), lambda c, t: c * (m - t) // (t + 1), initial=1)
+        return np.array([a / (b * c) for (a, b), c in zip(ratios, combs)])
 
     @cached_property
     def cut_coeffs(self) -> tuple[np.ndarray, np.ndarray]:

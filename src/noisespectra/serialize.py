@@ -292,7 +292,7 @@ def measure_from_data(data: dict) -> SpectralMeasure:
         table, mass = _cell_records(lists, grid.n_cells, "mass")
         residual = float(data.get("residual", 0.0))
         _require_finite(np.append(mass, residual), "masses and residual", nonnegative=True)
-        return SpectralMeasure._of_table(grid, table, residual)
+        return SpectralMeasure._of_dense(grid, table, residual)
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad measure record: {exc}") from exc
 

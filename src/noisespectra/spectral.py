@@ -11,8 +11,10 @@ Gaussian sources keep two side channels: multiplicity entries (indices whose
 total degree on some cell is >= 2, aggregated by support but excluded from
 the plain entries and from cardinality reports) and a truncation residual.
 
-A dense measure is its atom table: its cell tuples are decoded from the bit
-rows on first read, and its entry mappings are read-only views over them.
+A table's dense measure is its Walsh mass vector, indexed by subset bitmask,
+so a region's mass is one sub-block sum; the first order-dependent read builds
+its atom table, which other dense measures are.  Cell tuples are decoded from
+the table's bit rows on first read; entry mappings are read-only views of them.
 
 Beyond the dense cap a measure can be model-backed instead: a family-supplied
 object that samples sets exactly and answers restricted-mass queries.  A
@@ -39,8 +41,8 @@ from .functionals import (
     joined_grid,
 )
 from .grid import ElementarySet, GridMismatchError, TimeGrid
-from .transform import decompose, walsh_terms
-from .walsh import DENSE_CELL_CAP, cells_of_masks
+from .transform import decompose, walsh_coefficients
+from .walsh import DENSE_CELL_CAP, cells_of_masks, run_axes
 
 
 @dataclass(frozen=True)
@@ -191,6 +193,14 @@ class _AtomTable:
         table = cls(rows[kept], mass[kept], int(np.searchsorted(kept, n_plain)), n_cells)
         return table, int(repeats.min()) if repeats.size else None
 
+    @property
+    def table(self) -> _AtomTable:  # as a measure's dense form: the table it reads in order
+        return self
+
+    @property
+    def n_atoms(self) -> int:
+        return len(self.mass)
+
     def take(self, picks: np.ndarray) -> _AtomTable:
         """The atoms at ascending positions `picks`, still in table order."""
         return _AtomTable(self.rows[picks], self.mass[picks],
@@ -253,40 +263,62 @@ class _AtomTable:
         return _cells_of_rows(self.rows[np.minimum(picks, cdf.size - 1)], self.n_cells)
 
 
+class _WalshMasses:
+    """A Walsh measure: mass[m] is the squared coefficient on the subset with bitmask m.
+
+    It answers subset masses and counts its atoms; every other read goes to `table`,
+    built on first need by `_AtomTable.sorted`, so it keeps a table-built measure's bits."""
+
+    def __init__(self, mass: np.ndarray, n_cells: int) -> None:
+        self.mass, self.n_cells = mass, n_cells
+        self.n_plain = self.n_atoms = int(np.count_nonzero(mass))
+
+    @cached_property
+    def table(self) -> _AtomTable:
+        masks = np.flatnonzero(self.mass).astype(np.uint64)
+        return _AtomTable.sorted(masks[:, None], self.mass[masks], len(masks), self.n_cells)[0]
+
+    def subset_mass(self, ranges: Sequence[tuple[int, int]]) -> float:
+        # the sets inside the region are the masks with every outside bit clear
+        shape, outside = run_axes(ranges, self.n_cells)
+        block = tuple(0 if a in outside else slice(None) for a in range(len(shape)))
+        return float(self.mass.reshape(shape)[block].sum())
+
+
 class _EntryView(Mapping):
-    """Atoms lo..hi-1 of an atom table as a read-only mapping of cell tuples to masses,
-    with no copy of them: its keys are the table's keys, so a lookup bisects them."""
+    """Atoms lo..hi-1 of a dense measure as a read-only mapping of cell tuples to masses,
+    with no copy of them: its keys are the atom table's keys, so a lookup bisects them."""
 
-    def __init__(self, table: _AtomTable, lo: int, hi: int) -> None:
-        self._table, self._lo, self._hi = table, lo, hi
+    def __init__(self, dense: _AtomTable | _WalshMasses, lo: int, hi: int) -> None:
+        self._dense, self._lo, self._hi = dense, lo, hi
 
-    def __getitem__(self, key):
-        keys, hi, by_size = self._table.keys, self._hi, lambda k: (len(k), k)
-        i = bisect_left(keys, by_size(key), self._lo, hi, key=by_size) if type(key) is tuple else hi
-        if i < hi and keys[i] == key:
-            return float(self._table.mass[i])
+    def __getitem__(self, key):  # a Walsh measure builds its table on the first lookup
+        t, hi, by_size = self._dense.table, self._hi, lambda k: (len(k), k)
+        i = bisect_left(t.keys, by_size(key), self._lo, hi, key=by_size) if type(key) is tuple else hi
+        if i < hi and t.keys[i] == key:
+            return float(t.mass[i])
         raise KeyError(key)
 
     def __iter__(self):
-        return iter(self._table.keys[self._lo : self._hi])
+        return iter(self._dense.table.keys[self._lo : self._hi])
 
     def __len__(self) -> int:
         return self._hi - self._lo
 
     def items(self):  # one pass over the keys, not one bisection per key
-        return dict(zip(self, self._table.mass[self._lo : self._hi].tolist())).items()
+        return dict(zip(self, self._dense.table.mass[self._lo : self._hi].tolist())).items()
 
 
 @dataclass(frozen=True, eq=False)
 class SpectralMeasure:
-    """A dense measure is its atom table; the entry mappings are read-only views of it."""
+    """A dense measure is its Walsh mass vector or atom table; entries are views of the table."""
 
     grid: TimeGrid
     entries: Mapping[tuple[int, ...], float] | None
     multiplicity_entries: Mapping[tuple[int, ...], float] = field(default_factory=dict)
     residual: float = 0.0
     model: SpectralModel | None = None
-    _atoms: _AtomTable | None = field(default=None, init=False, repr=False)
+    _dense: _AtomTable | _WalshMasses | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if (self.entries is None) == (self.model is None):
@@ -311,16 +343,21 @@ class SpectralMeasure:
             self._hold(table)
 
     @classmethod
-    def _of_table(cls, grid: TimeGrid, table: _AtomTable, residual: float = 0.0):
-        """The dense measure whose atom table is `table`: nothing to pack."""
+    def _of_dense(cls, grid: TimeGrid, dense: _AtomTable | _WalshMasses, residual: float = 0.0):
+        """The dense measure held by `dense`: nothing to pack."""
         mu = cls.__new__(cls)
         mu.__dict__.update(grid=grid, residual=residual, model=None)
-        mu._hold(table)
+        mu._hold(dense)
         return mu
 
-    def _hold(self, table: _AtomTable) -> None:
-        self.__dict__.update(_atoms=table, entries=_EntryView(table, 0, table.n_plain),
-                             multiplicity_entries=_EntryView(table, table.n_plain, len(table.mass)))
+    def _hold(self, dense: _AtomTable | _WalshMasses) -> None:
+        self.__dict__.update(_dense=dense, entries=_EntryView(dense, 0, dense.n_plain),
+                             multiplicity_entries=_EntryView(dense, dense.n_plain, dense.n_atoms))
+
+    @property
+    def _atoms(self) -> _AtomTable:
+        """The atom table of a dense measure; a Walsh measure builds it on first read."""
+        return self._dense.table
 
     # -- totals ---------------------------------------------------------------
     @property
@@ -356,7 +393,7 @@ class SpectralMeasure:
 
     @property
     def _backend(self) -> SpectralModel:
-        """What every query asks: the model, or the atom table of a dense measure."""
+        """What every query but `subset_mass` asks: the model, or a dense measure's atom table."""
         return self._atoms if self.model is None else self.model
 
 
@@ -378,9 +415,8 @@ def spectral_measure_of(f: NoiseFunctional, tol: float | None = None) -> Spectra
         return SpectralMeasure(f.grid, None, model=model)
     if isinstance(f.backend, (RademacherTable, FamilyRef)):
         # a Walsh index is its own support: coefficient m squared is the atom on mask m
-        masks, coeffs = walsh_terms(f, tol)
-        table, _ = _AtomTable.sorted(masks[:, None], coeffs * coeffs, len(masks), f.grid.n_cells)
-        return SpectralMeasure._of_table(f.grid, table)
+        c = walsh_coefficients(f, tol)
+        return SpectralMeasure._of_dense(f.grid, _WalshMasses(np.square(c, out=c), f.grid.n_cells))
     return measure_from_coefficients(decompose(f, tol))
 
 
@@ -406,7 +442,7 @@ def mass_of_subsets_of(mu: SpectralMeasure, region: ElementarySet) -> float:
     if mu.grid != region.grid:
         raise GridMismatchError("measure and region live on different grids")
     mu._require_resolved("take subset masses of")
-    return mu._backend.subset_mass(region.ranges)
+    return (mu._dense if mu.is_dense else mu.model).subset_mass(region.ranges)
 
 
 def straddle_mass(mu: SpectralMeasure, boundary: int) -> float:
@@ -433,7 +469,7 @@ def restrict(mu: SpectralMeasure, region: ElementarySet) -> SpectralMeasure:
     mu._require_dense("restriction")
     mu._require_resolved("restrict")
     t = mu._atoms
-    return SpectralMeasure._of_table(mu.grid, t.take(np.flatnonzero(t.inside(region.ranges))))
+    return SpectralMeasure._of_dense(mu.grid, t.take(np.flatnonzero(t.inside(region.ranges))))
 
 
 def product(
@@ -486,7 +522,7 @@ def n_point_marginal(mu: SpectralMeasure, n: int) -> SpectralMeasure:
             f"order {n} carries mass {cardinality_profile(mu).get(n, 0.0)}"
         )
     t = mu._atoms
-    return SpectralMeasure._of_table(mu.grid, t.take(np.flatnonzero(t.plain_sizes() == n)))
+    return SpectralMeasure._of_dense(mu.grid, t.take(np.flatnonzero(t.plain_sizes() == n)))
 
 
 def singleton_mass(mu: SpectralMeasure) -> float:

@@ -39,6 +39,7 @@ from .grid import ElementarySet, TimeGrid, require_same_grid
 from .walsh import (
     cells_of_masks,
     character_coefficients,
+    run_axes,
     values_from_coefficients,
 )
 
@@ -50,19 +51,19 @@ def decompose(f: NoiseFunctional, tol: float | None = None) -> ChaosCoefficients
         return b
     if isinstance(b, BrownianProgram):
         return hermite_decompose(f.grid, b, tol=tol)
-    masks, coeffs = walsh_terms(f, tol)
+    dense = walsh_coefficients(f, tol)
+    masks = np.flatnonzero(dense)
     keys = cells_of_masks(masks.tolist(), f.grid.n_cells)  # rising tuples, as chaos indices
-    return ChaosCoefficients(f.grid, dict(zip(keys, coeffs.tolist())), WALSH)
+    return ChaosCoefficients(f.grid, dict(zip(keys, dense[masks].tolist())), WALSH)
 
 
-def walsh_terms(f: NoiseFunctional, tol: float | None) -> tuple[np.ndarray, np.ndarray]:
-    """Masks (uint64) and values of the nonzero character coefficients of a table
-    or of a family below the dense cap; |c| <= tol counts as zero."""
+def walsh_coefficients(f: NoiseFunctional, tol: float | None) -> np.ndarray:
+    """Character coefficients of a table or of a family below the dense cap, indexed
+    by subset bitmask; |c| <= tol counts as zero."""
     dense = character_coefficients(evaluate_table(f))
     if tol is not None:
         dense[np.abs(dense) <= tol] = 0.0
-    masks = np.flatnonzero(dense).astype(np.uint64)
-    return masks, dense[masks]
+    return dense
 
 
 def reconstruct(c: ChaosCoefficients) -> NoiseFunctional:
@@ -82,29 +83,17 @@ def conditional_expectation(f: NoiseFunctional, region: ElementarySet) -> NoiseF
     the region.  The output backend matches the input (table in, table out;
     chaos in, chaos out; Brownian programs are masked term by term).
 
-    On a table the axis layout is read off the region's sorted ranges: each
-    maximal run of inside or outside cells is one axis of size 2**len, the
-    highest cells first (table bit i is cell i, so C order puts them there).
-    One ``np.add.reduce`` over the outside axes and one division by their
-    count (the sum and division ``np.mean`` does) fill a fresh read-only
-    table; a full region returns `f` itself.
+    On a table the axis layout is :func:`walsh.run_axes` of the region's
+    ranges: one axis per maximal run of inside or outside cells.  One
+    ``np.add.reduce`` over the outside axes and one division by their count
+    (the sum and division ``np.mean`` does) fill a fresh read-only table; a
+    full region returns `f` itself.
     """
     require_same_grid(f.grid, region.grid)
     b = f.backend
     if isinstance(b, RademacherTable):
         n = f.grid.n_cells
-        shape: list[int] = []
-        outside: list[int] = []
-        top = n  # cells at or above `top` have their axes already
-        for lo, hi in reversed(region.ranges):
-            if hi < top:
-                outside.append(len(shape))
-                shape.append(1 << (top - hi))
-            shape.append(1 << (hi - lo))
-            top = lo
-        if top:
-            outside.append(len(shape))
-            shape.append(1 << top)
+        shape, outside = run_axes(region.ranges, n)
         if not outside:
             return f
         total = np.add.reduce(b.values.reshape(shape), axis=tuple(outside), keepdims=True)

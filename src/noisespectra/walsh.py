@@ -15,27 +15,41 @@ import numpy as np
 DENSE_CELL_CAP = 24
 
 
+# the stages below this span run one cache-sized block at a time
+FWHT_BLOCK = 1 << 16
+
+
 def fwht(values: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform of a length 2**n array."""
+    """Unnormalized Walsh-Hadamard transform of a length 2**n array.
+
+    Each block of `FWHT_BLOCK` entries runs its low stages, then the high stages
+    run over the whole array: per entry, the same butterflies in the same order."""
     a = np.array(values, dtype=np.float64, copy=True)
     size = a.shape[0]
     if size == 0 or size & (size - 1):
         raise ValueError(f"table length {size} is not a power of two")
-    h = 1
-    while h < size:
-        b = a.reshape(-1, 2, h)
-        top = b[:, 0, :].copy()
-        b[:, 0, :] += b[:, 1, :]
-        np.subtract(top, b[:, 1, :], out=b[:, 1, :])
-        a = b.reshape(size)
-        h *= 2
+    block = min(size, FWHT_BLOCK)
+    for start in range(0, size, block):
+        _butterflies(a[start : start + block], 1)
+    _butterflies(a, block)
     return a
+
+
+def _butterflies(a: np.ndarray, h: int) -> None:
+    """The stages of span h, 2h, ... below len(a), in place on a contiguous array."""
+    while h < a.shape[0]:
+        lo, hi = a.reshape(-1, 2, h).swapaxes(0, 1)  # views of each pair's two halves
+        top = lo.copy()
+        lo += hi
+        np.subtract(top, hi, out=hi)
+        h *= 2
 
 
 def character_coefficients(values: np.ndarray) -> np.ndarray:
     """Coefficient array c with c[m] = E[f * chi_m], indexed by subset bitmask."""
-    values = np.asarray(values, dtype=np.float64)
-    return fwht(values) / values.shape[0]
+    c = fwht(values)
+    c /= c.shape[0]
+    return c
 
 
 def values_from_coefficients(coeffs: np.ndarray) -> np.ndarray:
@@ -61,6 +75,25 @@ def sign_table(n_cells: int) -> np.ndarray:
     positions = np.arange(1 << n_cells, dtype=np.uint32)
     bits = (positions[:, None] >> np.arange(n_cells, dtype=np.uint32)) & 1
     return 1 - 2 * bits.astype(np.int8)
+
+
+def run_axes(ranges, n_cells: int) -> tuple[list[int], list[int]]:
+    """A shape for a 2**n_cells array indexed by cell bitmask, one axis of size 2**k per
+    maximal run of k cells inside or outside the sorted [lo, hi) `ranges`, highest cells
+    first (bit i is cell i, so C order puts them there); and the outside axes."""
+    shape: list[int] = []
+    outside: list[int] = []
+    top = n_cells  # cells at or above `top` have their axes already
+    for lo, hi in reversed(ranges):
+        if hi < top:
+            outside.append(len(shape))
+            shape.append(1 << (top - hi))
+        shape.append(1 << (hi - lo))
+        top = lo
+    if top:
+        outside.append(len(shape))
+        shape.append(1 << top)
+    return shape, outside
 
 
 def mask_of_cells(cells) -> int:

@@ -6,6 +6,8 @@ full Walsh decomposition of the materialized function at sizes where both
 routes exist.
 """
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -176,6 +178,20 @@ def test_majority_layer_weights_depend_on_subset_size_only(m, mu_in):
     for subset, c in coeffs.items():
         if subset:
             assert abs(c * c / fluct - layer.weights[len(subset)]) <= 1e-14, subset
+
+
+@pytest.mark.parametrize("level", [14, 15, 16])
+def test_wide_tribes_layer_weights_are_finite_and_sum_to_one(level):
+    # the widest `or` has fan-in 1638 at L14; its binomials overflow a float
+    f = NoiseFunctional.from_family("tribes", level)
+    for layer in family_model(f.grid, f.backend).layers:
+        w = layer.weights
+        assert np.all(np.isfinite(w)) and np.all(w >= 0.0)
+        # sum w[t] C(m, t) exactly, over the largest of the power-of-two denominators
+        ratios = [x.as_integer_ratio() for x in w.tolist()]
+        top = max(b for _, b in ratios)
+        total = sum(a * (top // b) * math.comb(layer.fanin, t) for t, (a, b) in enumerate(ratios))
+        assert abs(Fraction(total, top) - 1) <= 1e-12, (layer.fanin, float(Fraction(total, top)))
 
 
 def test_tribes_ignored_cells_carry_no_mass():

@@ -484,3 +484,65 @@ def test_building_and_querying_a_dense_measure_decodes_no_cells():
     # lookups bisect the keys: canonical tuples only, numpy cells compare equal
     assert mu.entries[(0, 3)] == squared[(0, 3)] and (3, 0) not in mu.entries
     assert mu.entries.get((np.int64(0), 3)) == squared[(0, 3)]
+
+
+# ---------------------------------------------------------------------------
+# a table measure is its mask-indexed mass vector: region masses sum a sub-block
+
+
+def cube_mean_norm_sq(values, n, cells):
+    """||E[f | the cells]||^2, averaged in the value domain."""
+    cube = values.reshape((2,) * n)  # axis a is cell n - 1 - a
+    outside = tuple(n - 1 - c for c in range(n) if c not in set(cells))
+    avg = cube.mean(axis=outside) if outside else cube
+    return float(np.mean(avg * avg))
+
+
+def region_cells(kind, n, k, start):
+    """Empty, full, one cell, or alternating runs of k cells (the first one inside or not)."""
+    if kind == "single":
+        return [k % n]
+    if kind == "alternating":
+        return [c for c in range(n) if (c // k + start) % 2 == 0]
+    return list(range(n)) if kind == "full" else []
+
+
+@settings(max_examples=80)
+@given(st.integers(1, 10), st.integers(0, 2**31 - 1), st.sampled_from([None, 0.02]),
+       st.sampled_from(["empty", "full", "single", "alternating"]), st.integers(1, 10),
+       st.integers(0, 1))
+def test_vector_region_mass_matches_table_and_value_domain(n, seed, tol, kind, k, start):
+    from noisespectra.walsh import character_coefficients, values_from_coefficients
+
+    grid = grid_of(n)
+    values = np.random.default_rng(seed).standard_normal(1 << n)
+    mu = spectral_measure_of(NoiseFunctional.from_table(grid, values), tol)
+    region = ElementarySet.from_cells(grid, region_cells(kind, n, k, start))
+    got = mass_of_subsets_of(mu, region)
+    t = mu._atoms  # the sorted table, queried by its bit rows
+    assert abs(got - t.mass[t.inside(region.ranges)].sum()) <= 1e-12 * got
+    c = character_coefficients(values)
+    if tol is not None:
+        c[np.abs(c) <= tol] = 0.0
+    kept = values_from_coefficients(c)  # the table whose coefficients the measure holds
+    assert abs(got - cube_mean_norm_sq(kept, n, region.cells())) <= 1e-10
+
+
+def test_region_queries_on_a_table_measure_never_sort_its_atoms(monkeypatch):
+    from noisespectra.spectral import _AtomTable
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the atom table was sorted")
+
+    monkeypatch.setattr(_AtomTable, "sorted", refuse)
+    rng = np.random.default_rng(25)
+    grid = grid_of(10)
+    values = rng.standard_normal(1 << 10)
+    mu = spectral_measure_of(NoiseFunctional.from_table(grid, values))
+    for members in rng.integers(0, 2, size=(25, 10)):
+        region = ElementarySet.from_cells(grid, np.flatnonzero(members))
+        want = cube_mean_norm_sq(values, 10, region.cells())
+        assert abs(mass_of_subsets_of(mu, region) - want) <= 1e-10
+    assert len(mu.entries) == 1 << 10 and not mu.multiplicity_entries
+    with pytest.raises(AssertionError, match="sorted"):
+        cardinality_profile(mu)

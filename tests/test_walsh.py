@@ -44,6 +44,25 @@ def test_fwht_is_an_involution_up_to_scale(n, seed):
     assert_allclose(fwht(fwht(values)), (1 << n) * values, rtol=1e-13, atol=1e-13)
 
 
+def stage_loop_fwht(values):
+    """The transform one stage at a time over the whole array."""
+    a = np.array(values, dtype=np.float64)
+    h = 1
+    while h < a.shape[0]:
+        b = a.reshape(-1, 2, h)
+        top = b[:, 0, :].copy()
+        b[:, 0, :] += b[:, 1, :]
+        np.subtract(top, b[:, 1, :], out=b[:, 1, :])
+        h *= 2
+    return a
+
+
+@pytest.mark.parametrize("n", range(16, 21))
+def test_blocked_fwht_equals_the_stage_loop_bit_for_bit(n):
+    values = np.random.default_rng(n).standard_normal(1 << n)
+    assert np.array_equal(fwht(values), stage_loop_fwht(values))
+
+
 def test_fwht_rejects_bad_lengths():
     for k in (0, 3, 6):
         with pytest.raises(ValueError):
