@@ -86,10 +86,13 @@ def stream_moments(
     return total, merge_moments(stats for _, stats in chunks)[2]
 
 
-def moments(x: np.ndarray) -> tuple:
-    """x's sum along axis 0, and its (count, mean, M2) by two passes."""
+def moments(x: np.ndarray, out: np.ndarray | None = None) -> tuple:
+    """x's sum along axis 0, and its (count, mean, M2) by two passes.
+
+    The deviations go to `out` (x's shape) when given, else to a fresh array.
+    """
     total = x.sum(axis=0)
-    dev = x - total / x.shape[0]
+    dev = np.subtract(x, total / x.shape[0], out=out)
     dev *= dev
     return total, (x.shape[0], total / x.shape[0], dev.sum(axis=0))
 

@@ -33,7 +33,14 @@ def chunk_bounds(total: int, workers: int) -> list[tuple[int, int]]:
 
 
 def default_workers() -> int:
-    env = os.environ.get("NOISESPECTRA_THREADS", "")
-    if env.strip():
-        return max(1, int(env))
-    return 1
+    """NOISESPECTRA_THREADS as a worker count: 1 when unset or blank."""
+    env = os.environ.get("NOISESPECTRA_THREADS", "").strip()
+    if not env:
+        return 1
+    try:
+        workers = int(env)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"NOISESPECTRA_THREADS must be a positive integer, got {env!r}")
+    return workers

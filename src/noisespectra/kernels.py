@@ -4,7 +4,9 @@ A kernel of order r assigns a weight to every strictly increasing r-tuple of
 cells, one channel tag per slot.  Separable kernels store one factor vector
 per slot, so the iterated sums and the isometry norm run in O(r n) via
 exclusive prefix sums; constant kernels are the all-ones separable case.
-Dense kernels are kept for orders 1 and 2 (vector / strictly upper matrix).
+A slot whose vector is all ones is a unit slot: its multiply is skipped,
+since x * 1.0 == x bit for bit.  Dense kernels are kept for orders 1 and 2
+(vector / strictly upper matrix).
 
 The kernel owns its algebra: :meth:`SimplexKernel.cross_norm` is the one
 quadratic form (every norm and inner product of iterated integrals goes
@@ -142,11 +144,18 @@ def _ordered_product_sum(slot_vectors: list[np.ndarray], weights: np.ndarray) ->
     return float(np.sum(term))
 
 
+def _is_unit(vec: np.ndarray) -> bool:
+    """All ones: x * 1.0 == x bit for bit, so the slot's multiply can be skipped."""
+    return bool((vec == 1.0).all())
+
+
 def iterated_sum(kernel: SimplexKernel, increments: np.ndarray) -> np.ndarray:
     """Batched iterated sum over the ordered simplex.
 
     increments has shape (k, n, d); the result has shape (k,).  Slot s reads
-    channel kernel.channels[s].
+    channel kernel.channels[s].  The separable route reuses one scratch pair
+    per call (prefix, product), skips unit slots and never writes the input;
+    each row gets the bits of the plain slot-by-slot loop, whatever its block.
     """
     inc = np.asarray(increments, dtype=np.float64)
     if inc.ndim == 2:
@@ -155,11 +164,20 @@ def iterated_sum(kernel: SimplexKernel, increments: np.ndarray) -> np.ndarray:
     if n != kernel.n_cells:
         raise ValueError("increment table and kernel disagree on cell count")
     if kernel.factors is not None:
-        term = inc[:, :, kernel.channels[0]] * kernel.factors[0]
+        x = inc[:, :, kernel.channels[0]]
+        term = x if _is_unit(kernel.factors[0]) else x * kernel.factors[0]
+        if kernel.order > 1:
+            acc = np.empty((k_paths, n))  # exclusive prefix sum over earlier cells
+            acc[:, 0] = 0.0
+            out = np.empty((k_paths, n)) if term is x else term
         for vec, ch in zip(kernel.factors[1:], kernel.channels[1:]):
-            acc = np.zeros((k_paths, n))  # exclusive prefix sum over earlier cells
             np.cumsum(term[:, :-1], axis=1, out=acc[:, 1:])
-            term = inc[:, :, ch] * vec * acc
+            x = inc[:, :, ch]
+            if _is_unit(vec):
+                term = np.multiply(x, acc, out=out)
+            else:  # (x * vec) * acc, the same two roundings in the same order
+                term = np.multiply(x, vec, out=out)
+                term *= acc
         return term.sum(axis=1)
     if kernel.order == 1:  # einsum, not BLAS gemv: a row's bits must not depend on its block
         return np.einsum("ki,i->k", inc[:, :, kernel.channels[0]], kernel.dense)

@@ -180,11 +180,14 @@ def npoint_density_estimate(
             # one GEMM pass per chunk: raw second moments, then chunk M2
             m2 = np.maximum((vz * vz).T @ (z * z) - total * mean, 0.0)
             return total, (z.shape[0], mean, m2)
-        total = None
+        total = scratch = None
         stats = []
         for inc in blocks:
-            vz = _values_on_increments(f, inc)[:, None] * (inc[:, :, 0] / scale)
-            stats.append(moments(vz)[1])
+            if scratch is None:  # the chunk's first block is its largest
+                scratch = np.empty((2, *inc.shape[:2]))  # vz and its deviations
+            vz = np.divide(inc[:, :, 0], scale, out=scratch[0, : len(inc)])
+            vz *= _values_on_increments(f, inc)[:, None]
+            stats.append(moments(vz, out=scratch[1, : len(inc)])[1])
             if total is not None:
                 vz[0] += total  # continues numpy's sequential axis-0 sum over the chunk
             total = vz.sum(axis=0)

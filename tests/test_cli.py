@@ -383,6 +383,34 @@ def test_threads_is_only_an_option_of_the_monte_carlo_commands(tmp_path, capsys)
     assert not (tmp_path / "o.json").exists()
 
 
+ITO_ARGS = ["--level", "3", "--paths", "2000", "--seed", "5"]
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "two"])
+def test_thread_variable_must_be_a_positive_integer(value, files, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("NOISESPECTRA_THREADS", value)
+    out = tmp_path / "o.json"
+    assert run("ito", "--kernel", files["{k}"], *ITO_ARGS, "--out", str(out)) == 2
+    assert f"NOISESPECTRA_THREADS must be a positive integer, got {value!r}" in (
+        capsys.readouterr().err
+    )
+    assert not out.exists()
+
+
+def test_thread_variable_sets_the_worker_count(files, tmp_path, monkeypatch):
+    via_option = tmp_path / "option.json"
+    assert run("ito", "--kernel", files["{k}"], *ITO_ARGS, "--threads", "3",
+               "--out", str(via_option)) == 0
+    monkeypatch.setenv("NOISESPECTRA_THREADS", "3")
+    via_env = tmp_path / "env.json"
+    assert run("ito", "--kernel", files["{k}"], *ITO_ARGS, "--out", str(via_env)) == 0
+    assert via_env.read_bytes() == via_option.read_bytes()
+    serial = tmp_path / "serial.json"
+    assert run("ito", "--kernel", files["{k}"], *ITO_ARGS, "--threads", "1",
+               "--out", str(serial)) == 0
+    assert serial.read_bytes() != via_env.read_bytes()
+
+
 def test_cells_off_the_grid_exit_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     data = functional_to_data(NoiseFunctional.from_walsh_entries(TimeGrid(0, 1, 2), {(0,): 1.0}))

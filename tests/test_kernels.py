@@ -148,3 +148,34 @@ def test_iterated_sum_rows_do_not_depend_on_block_size(shape):
     for step in (1, 7, 256):
         parts = [iterated_sum(k, inc[a : a + step]) for a in range(0, paths, step)]
         assert np.array_equal(np.concatenate(parts), whole)
+
+
+def loop_iterated_sum(kernel, inc):
+    # reference: the plain slot-by-slot loop, fresh arrays and every multiply
+    term = inc[:, :, kernel.channels[0]] * kernel.factors[0]
+    for vec, ch in zip(kernel.factors[1:], kernel.channels[1:]):
+        acc = np.zeros((inc.shape[0], inc.shape[1]))
+        np.cumsum(term[:, :-1], axis=1, out=acc[:, 1:])
+        term = inc[:, :, ch] * vec * acc
+    return term.sum(axis=1)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("slots", ["unit", "value-2", "random", "alternating"])
+def test_separable_iterated_sum_matches_the_loop_bit_for_bit(slots, order, d):
+    rng = np.random.default_rng(100 * order + 10 * d + len(slots))
+    n, paths = 150, 60
+    channels = tuple(int(c) for c in rng.integers(0, d, size=order))
+    if slots == "unit":
+        k = SimplexKernel.constant(order, n, channels=channels)
+    elif slots == "value-2":  # slot 0 is not a unit slot, the later ones are
+        k = SimplexKernel.constant(order, n, value=2.0, channels=channels)
+    else:
+        vecs = [rng.standard_normal(n) for _ in range(order)]
+        if slots == "alternating":
+            vecs[1::2] = [np.ones(n)] * len(vecs[1::2])
+        k = SimplexKernel.separable(vecs, channels=channels)
+    inc = rng.standard_normal((paths, n, d))
+    inc.setflags(write=False)  # the input is read, never written
+    assert np.array_equal(iterated_sum(k, inc), loop_iterated_sum(k, inc))

@@ -260,6 +260,21 @@ def test_seeded_outputs_are_pinned(name, samples, workers):
         assert_allclose(stderr, float.fromhex(want_stderr), rtol=1e-14)
 
 
+@pytest.mark.parametrize("block_paths", [1, 7, 64])
+def test_npoint_reduction_does_not_depend_on_block_size(block_paths, monkeypatch):
+    # order 1 continues one running axis-0 sum across a chunk's blocks, so
+    # the coefficients keep their bits whatever the block holds
+    import noisespectra._mc
+
+    i1 = NoiseFunctional.from_family("white-noise-i1", 7)
+    want = npoint_density_estimate(i1, 1, 3000, 108, 2)
+    monkeypatch.setattr(noisespectra._mc, "BLOCK_FLOATS", block_paths * i1.grid.n_cells)
+    got = npoint_density_estimate(i1, 1, 3000, 108, 2)
+    assert got.mean_density.hex() == want.mean_density.hex() == "0x1.1e5b656537fc9p+0"
+    assert _sha(got.coefficients) == _sha(want.coefficients) == "d1beacd7c700a3f2"
+    assert_allclose(got.mean_density_stderr, want.mean_density_stderr, rtol=1e-14)
+
+
 def test_threaded_engine_matches_serial_loop_under_preemption():
     # reference: one serial pass per worker over fixed 8192-path chunks, each
     # drawn in one piece; more workers than cores and a tiny switch interval
