@@ -77,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     def add_threads(p):
-        p.add_argument("--threads", type=int, default=None,
+        p.add_argument("--threads", type=_positive_int, default=None,
                        help="worker count (default: NOISESPECTRA_THREADS or 1)")
 
     p = add("decompose", cmd_decompose, "chaos coefficients of a functional")
@@ -458,6 +458,13 @@ def cmd_selftest(args) -> int:
 def _max_gap(a: dict, b: dict) -> float:
     """max |a[k] - b[k]| over the union of keys; a missing key reads 0."""
     return max((abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in a.keys() | b.keys()), default=0.0)
+
+
+def _positive_int(text: str) -> int:
+    """A worker count as argparse reads it: decimal digits worth at least 1."""
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
 
 
 def _parse_levels(text: str) -> list[int]:

@@ -110,6 +110,8 @@ def estimate_dimension(
         family = family_by_name(family)
     if samples < 1:
         raise ValueError("need at least one sample")
+    if len(levels) == 0:
+        raise ValueError("need at least one level")
     points: list[ScalePoint] = []
     empties = 0
     drawn = 0

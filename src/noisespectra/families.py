@@ -17,9 +17,10 @@ so its cost grows with the number of range endpoints, not with the leaf
 count.  On `and` and `or` layers the per-subset weights are geometric in the
 subset size, so a node's region fraction has product form: one log1p sum
 over its partly covered children, whatever the fan-in (tribes' 1638-way
-`or` at level 14 included).  Majority layers step their elementary
-symmetric row through the columns holding a partly covered child.  Cut
-coefficients are the same subset values at full prefixes, looked up for a
+`or` at level 14 included).  A majority layer reads each node as one row of
+per-child values (1 inside, 0 outside, the child's own fraction when partly
+covered) and runs the elementary symmetric recurrence over its few columns.
+Cut coefficients are the same subset values at full prefixes, looked up for a
 block of prefix and suffix cuts in one pass, and the sampler draws child
 subsets for every live node of every draw at once.
 
@@ -83,51 +84,53 @@ class TreeLayer:
     def cut_coeffs(self) -> tuple[np.ndarray, np.ndarray]:
         """(alpha, beta) per count of full children.
 
-        A prefix covering children 0..full-1 and part of child `full` holds
-        the fraction alpha[full] + beta[full] * (that child's own prefix
-        fraction).  alpha is the subset value with `full` children inside;
-        taking the partial child as well makes it full, so beta is the step
-        of alpha.  Children are alike, so a suffix has the same pair.
-        """
+        A prefix covering children 0..full-1 and part of child `full` holds the fraction
+        alpha[full] + beta[full] * (that child's own prefix fraction).  alpha is the subset
+        value with `full` children inside; beta is its step, since taking the partial child
+        makes it full.  Children are alike, so a suffix has the same pair."""
         m = self.fanin
-        alpha = self.subset_values(np.arange(m + 1), np.zeros((m + 1, 0), dtype=bool), np.zeros(0))
+        # and/or layers read their product form at counts: no m-wide row per count
+        alpha = (self.subset_values(np.tri(m + 1, m, -1)) if self.rho is None
+                 else self._product_form(np.arange(m + 1), 0.0))
         return alpha, np.append(np.diff(alpha), 0.0)
 
-    def subset_values(self, full: np.ndarray, partial: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    @cached_property
+    def size_cdf(self) -> np.ndarray:
+        """Cumulative q, the law of a drawn child subset's size."""
+        return np.cumsum(self.q)
+
+    def subset_values(self, x: np.ndarray) -> np.ndarray:
         """Row-wise E over child subsets T of the product of a row's child values in T.
 
-        Node r has full[r] children wholly inside a region (value 1), partial
-        children where partial[r] is set, whose normalized masses inside it
-        arrive row-major in `vals`, and the rest outside it (value 0).
-        Entry r is the fraction of node r's fluctuation mass inside the
-        region.  On and/or layers the sum over subsets has product form,
-        (prod(1 + rho x) - 1) / ((1 + rho)**m - 1) since the q sum to 1,
-        taken through log1p sums so that no fan-in over- or underflows.
-        Majority layers use the elementary symmetric functions of a row: the
-        full children alone give the binomial row C(full[r], t), and each
-        column holding a partial value in some row updates it once.
-        """
+        Row r holds node r's child values: 1 inside a region, 0 outside it, and
+        a partly covered child's normalized mass inside it.  Entry r is node r's
+        fraction of fluctuation mass inside.  And/or layers take the product
+        form (prod(1 + rho x) - 1) / ((1 + rho)**m - 1), as the q sum to 1;
+        majority layers run the elementary symmetric recurrence over the m
+        columns, order t weighted by the mass of one subset of size t."""
         if self.rho is not None:
-            lp = math.log1p(self.rho)
-            rows = np.nonzero(partial)[0]
-            part = np.bincount(rows, weights=np.log1p(self.rho * vals), minlength=full.shape[0])
-            # with s = log prod(1 + rho x) this is exp(s - s_full) expm1(-s) / expm1(-s_full);
-            # every factor lies in [0, 1], so no fan-in forms a huge product
-            return (np.exp((full - self.fanin) * lp + part) * np.expm1(-(full * lp + part))
-                    / np.expm1(-self.fanin * lp))
-        t = np.arange(1, self.fanin + 1)
-        e = np.ones((full.shape[0], self.fanin + 1))
-        np.cumprod(np.maximum(full[:, None] - t + 1, 0) / t, axis=1, out=e[:, 1:])
-        v = np.zeros(partial.shape)
-        v[partial] = vals
-        for i in np.flatnonzero(partial.any(axis=0)).tolist():
-            e[:, 1:] += v[:, i : i + 1] * e[:, :-1]
-        return e[:, 1:] @ self.weights[1:]
+            rows, cols = np.nonzero((x > 0.0) & (x < 1.0))
+            part = np.bincount(rows, weights=np.log1p(self.rho * x[rows, cols]), minlength=len(x))
+            return self._product_form(np.count_nonzero(x == 1.0, axis=1), part)
+        # e[t] holds order t for every node, so each step runs along whole rows
+        e = np.zeros((self.fanin + 1, len(x)))
+        e[0] = 1.0
+        for i, xi in enumerate(x.T):
+            # orders above i + 1 are still zero and stay so
+            e[1 : i + 2] += xi * e[: i + 1]
+        return self.weights[1:] @ e[1:]
+
+    def _product_form(self, full: np.ndarray, part) -> np.ndarray:
+        """And/or subset values from full-child counts and log1p(rho x) sums over partial ones."""
+        lp = math.log1p(self.rho)
+        # with s = log prod(1 + rho x) this is exp(s - s_full) expm1(-s) / expm1(-s_full);
+        # every factor lies in [0, 1], so no fan-in forms a huge product
+        return (np.exp((full - self.fanin) * lp + part) * np.expm1(-(full * lp + part))
+                / np.expm1(-self.fanin * lp))
 
     def draw_children(self, rng: np.random.Generator, nodes: int) -> np.ndarray:
-        """One child subset per node, as a (nodes, fanin) boolean array."""
-        m = self.fanin
-        cdf = np.cumsum(self.q)
+        """One child subset per node, as a (nodes, fanin) boolean array; sizes read `size_cdf`."""
+        m, cdf = self.fanin, self.size_cdf
         sizes = np.minimum(np.searchsorted(cdf, rng.random(nodes) * cdf[-1], side="right"), m)
         # the children whose uniform keys are at most the size-th smallest form
         # a uniform subset of that size (q[0] = 0, so sizes start at 1); keys
@@ -305,8 +308,7 @@ class TreeModel:
         count.  The empty set always lies inside.
         """
         flat = np.fromiter(itertools.chain.from_iterable(ranges), dtype=np.int64)
-        r = np.minimum(flat.reshape(-1, 2), self.leaf_count)
-        lo, hi = r[:, 0], r[:, 1]
+        lo, hi = np.minimum(flat.reshape(-1, 2), self.leaf_count).T
         before = np.concatenate([[0], np.cumsum(hi - lo)])
         lo = np.append(lo, self.leaf_count)
 
@@ -325,13 +327,15 @@ class TreeModel:
             starts = nodes[:, None] + child_span * np.arange(layer.fanin + 1)
             counts = np.diff(covered(starts), axis=1)
             partial = (counts > 0) & (counts < child_span)
-            levels.append((layer, np.count_nonzero(counts == child_span, axis=1), partial))
+            # one row of child values per node: 1 inside, 0 outside, partial ones filled below
+            levels.append((layer, (counts == child_span).astype(np.float64), partial))
             nodes = starts[:, :-1][partial]
             if not nodes.size:
                 break
         value = np.zeros(0)
-        for layer, full, partial in reversed(levels):
-            value = layer.subset_values(full, partial, value)
+        for layer, x, partial in reversed(levels):
+            x[partial] = value
+            value = layer.subset_values(x)
         return self.empty_mass + self.fluctuation_mass * float(value[0])
 
     def cut_masses(self, boundaries) -> tuple[np.ndarray, np.ndarray]:
@@ -367,14 +371,16 @@ class TreeModel:
         return self.empty_mass + self.fluctuation_mass * frac
 
     def sample(self, k: int, seed: int) -> list[tuple[int, ...]]:
-        """k exact draws; each depth picks child subsets for all live nodes at once."""
+        """k exact draws; each depth picks child subsets for all live nodes at once,
+        as flat indices into the (nodes, fanin) picks split by one divmod."""
         rng = worker_generator(seed, 0)
         owner = np.flatnonzero(rng.random(k) >= self.empty_mass / self.total_mass)
         first = np.zeros(owner.shape, dtype=np.int64)
         for layer, child_span in self._levels():
-            rows, cols = np.nonzero(layer.draw_children(rng, owner.shape[0]))
+            picks = np.flatnonzero(layer.draw_children(rng, len(owner)))
+            rows, cols = np.divmod(picks, layer.fanin)
             owner, first = owner[rows], first[rows] + cols * child_span
-        # nonzero runs row-major, so each draw's cells come out grouped and sorted
+        # flat indices rise row-major, so each draw's cells come out grouped and sorted
         cells = first.tolist()
         ends = np.cumsum(np.bincount(owner, minlength=k)).tolist()
         return [tuple(cells[a:b]) for a, b in zip([0, *ends], ends)]

@@ -397,6 +397,26 @@ def test_thread_variable_must_be_a_positive_integer(value, files, tmp_path, caps
     assert not out.exists()
 
 
+NPOINT_ARGS = ["--family", "white-noise-i1", "--level", "3", "--order", "1",
+               "--paths", "2000", "--seed", "1"]
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "two"])
+def test_threads_option_must_be_a_positive_integer(value, tmp_path, capsys):
+    # refused while parsing, before any path is drawn
+    out = tmp_path / "density.csv"
+    assert run("npoint", *NPOINT_ARGS, "--threads", value, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert f"argument --threads: must be a positive integer, got {value!r}" in err
+    assert not out.exists()
+
+
+def test_threads_option_takes_a_positive_integer(tmp_path):
+    out = tmp_path / "density.csv"
+    assert run("npoint", *NPOINT_ARGS, "--threads", "2", "--out", str(out)) == 0
+    assert len(out.read_text().splitlines()) == 9
+
+
 def test_thread_variable_sets_the_worker_count(files, tmp_path, monkeypatch):
     via_option = tmp_path / "option.json"
     assert run("ito", "--kernel", files["{k}"], *ITO_ARGS, "--threads", "3",

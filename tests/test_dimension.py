@@ -83,6 +83,12 @@ def test_estimate_validation():
         estimate_dimension("parity", [6], samples=0, seed=0)
 
 
+def test_estimate_refuses_an_empty_level_list():
+    # refused up front, not reported as a corpus of empty sets
+    with pytest.raises(ValueError, match="need at least one level"):
+        estimate_dimension("majority3-iterated", [], samples=4, seed=0)
+
+
 def test_scale_points_are_auditable():
     est = estimate_dimension("parity", [6], samples=4, seed=5)
     assert [p.box_level for p in est.points] == [2, 3, 4]
