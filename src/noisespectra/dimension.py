@@ -9,6 +9,7 @@ arithmetic on cell indices; all randomness sits in the sampling.
 from __future__ import annotations
 
 import functools
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
@@ -21,19 +22,17 @@ from .functionals import NoiseFunctional
 
 
 def box_count(s: SpectralSet, j: int) -> int:
-    """Number of scale base**-j boxes meeting the set; 0 for the empty set."""
+    """Number of scale base**-j boxes meeting the set; 0 for the empty set.
+
+    Cells rise, so one bisection per box jumps from its first cell past it."""
     level = s.grid.level
     if not 0 <= j <= level:
         raise ValueError(f"box level {j} outside 0..{level}")
-    if not s.cells:
-        return 0
-    width = s.grid.base ** (level - j)
-    # cells rise, so their boxes do too: count where the box index changes
-    count, last = 0, -1
-    for c in s.cells:
-        box = c // width
-        if box != last:
-            count, last = count + 1, box
+    cells, width = s.cells, s.grid.base ** (level - j)
+    count = i = 0
+    while i < len(cells):
+        count += 1
+        i = bisect_left(cells, (cells[i] // width + 1) * width, i)
     return count
 
 
@@ -134,18 +133,20 @@ def estimate_dimension(
         lengths = [len(cells) for cells in draws]
         flat = np.fromiter(chain.from_iterable(draws), dtype=np.int64, count=sum(lengths))
         starts = np.cumsum([0] + lengths[:-1])
+        total = weights.sum()
         for j in range(2, level - 1):
             logs = np.log2(_box_counts(flat, starts, base ** (grid.level - j)))
-            mean = float(np.average(logs, weights=weights))
-            var = float(np.average((logs - mean) ** 2, weights=weights))
+            # weighted moments as np.average forms them, without its checks
+            mean = float(np.multiply(logs, weights).sum() / total)
+            var = float(np.multiply((logs - mean) ** 2, weights).sum() / total)
             points.append(
                 ScalePoint(
                     level=level,
                     box_level=j,
                     log2_inv_scale=float(j * np.log2(base)),
                     mean_log2_count=mean,
-                    stderr=float(np.sqrt(var / weights.sum())),
-                    samples=int(weights.sum()),
+                    stderr=float(np.sqrt(var / total)),
+                    samples=int(total),
                 )
             )
     if not points:

@@ -90,8 +90,9 @@ class TreeLayer:
         makes it full.  Children are alike, so a suffix has the same pair."""
         m = self.fanin
         # and/or layers read their product form at counts: no m-wide row per count
-        alpha = (self.subset_values(np.tri(m + 1, m, -1)) if self.rho is None
-                 else self._product_form(np.arange(m + 1), 0.0))
+        alpha = (self._product_form(np.arange(m + 1), 0.0) if self.rho is not None else
+                 self.subset_values(np.tri(m + 1, m, -1, dtype=bool),
+                                    np.zeros((m + 1, m), dtype=bool), np.zeros(0)))
         return alpha, np.append(np.diff(alpha), 0.0)
 
     @cached_property
@@ -99,19 +100,21 @@ class TreeLayer:
         """Cumulative q, the law of a drawn child subset's size."""
         return np.cumsum(self.q)
 
-    def subset_values(self, x: np.ndarray) -> np.ndarray:
-        """Row-wise E over child subsets T of the product of a row's child values in T.
-
-        Row r holds node r's child values: 1 inside a region, 0 outside it, and
-        a partly covered child's normalized mass inside it.  Entry r is node r's
-        fraction of fluctuation mass inside.  And/or layers take the product
-        form (prod(1 + rho x) - 1) / ((1 + rho)**m - 1), as the q sum to 1;
-        majority layers run the elementary symmetric recurrence over the m
-        columns, order t weighted by the mass of one subset of size t."""
+    def subset_values(self, full: np.ndarray, partial: np.ndarray, value: np.ndarray) -> np.ndarray:
+        """Per node r, E over child subsets T of the product of child values in T:
+        r's fraction of fluctuation mass inside a region.  `full` marks the
+        children inside (value 1), `partial` those covered partly, whose own
+        fractions are `value` in row-major order; the rest have value 0.  And/or
+        layers take the product form (prod(1 + rho x) - 1) / ((1 + rho)**m - 1)
+        from full counts (a partial value of exactly 1 counts as full) and log1p
+        sums; majority layers run the elementary symmetric recurrence."""
         if self.rho is not None:
-            rows, cols = np.nonzero((x > 0.0) & (x < 1.0))
-            part = np.bincount(rows, weights=np.log1p(self.rho * x[rows, cols]), minlength=len(x))
-            return self._product_form(np.count_nonzero(x == 1.0, axis=1), part)
+            rows, one = np.flatnonzero(partial) // self.fanin, value == 1.0
+            logs = np.where(one, 0.0, np.log1p(self.rho * value))
+            count = full @ np.ones(self.fanin) + np.bincount(rows, weights=one, minlength=len(full))
+            return self._product_form(count, np.bincount(rows, weights=logs, minlength=len(full)))
+        x = full.astype(np.float64)
+        x[partial] = value
         # e[t] holds order t for every node, so each step runs along whole rows
         e = np.zeros((self.fanin + 1, len(x)))
         e[0] = 1.0
@@ -327,15 +330,13 @@ class TreeModel:
             starts = nodes[:, None] + child_span * np.arange(layer.fanin + 1)
             counts = np.diff(covered(starts), axis=1)
             partial = (counts > 0) & (counts < child_span)
-            # one row of child values per node: 1 inside, 0 outside, partial ones filled below
-            levels.append((layer, (counts == child_span).astype(np.float64), partial))
+            levels.append((layer, counts == child_span, partial))
             nodes = starts[:, :-1][partial]
             if not nodes.size:
                 break
         value = np.zeros(0)
-        for layer, x, partial in reversed(levels):
-            x[partial] = value
-            value = layer.subset_values(x)
+        for layer, full, partial in reversed(levels):
+            value = layer.subset_values(full, partial, value)
         return self.empty_mass + self.fluctuation_mass * float(value[0])
 
     def cut_masses(self, boundaries) -> tuple[np.ndarray, np.ndarray]:

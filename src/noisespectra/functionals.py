@@ -317,7 +317,8 @@ def expectation(f: NoiseFunctional) -> float:
 def norm_sq(f: NoiseFunctional) -> float:
     b = f.backend
     if isinstance(b, RademacherTable):
-        return float(np.mean(b.values**2))
+        # np.mean's own sum and division, without its per-call dispatch
+        return float(np.add.reduce(b.values**2) / b.values.shape[0])
     if isinstance(b, ChaosCoefficients):
         return b.norm_sq
     if isinstance(b, BrownianProgram):
@@ -351,7 +352,8 @@ def inner_product(f: NoiseFunctional, g: NoiseFunctional) -> float:
         if f_is_hermite:
             return _sparse_dot(fb, gb)
         if f_kind == "table" or g_kind == "table":
-            return float(np.mean(evaluate_table(f) * evaluate_table(g)))
+            prod = evaluate_table(f) * evaluate_table(g)
+            return float(np.add.reduce(prod) / prod.shape[0])
         return _sparse_dot(fb, gb)
 
     # at least one Brownian side

@@ -58,19 +58,29 @@ class TimeGrid:
         # computed once per grid; equality and hash still use the fields only
         return (self.interval_end - self.interval_start) / self.n_cells
 
+    @cached_property
+    def _ticks(self) -> tuple[int, int, int]:
+        # (a, h, d) with boundary i at (a + h i) / d, so boundaries take int arithmetic
+        (a, b), (h, c) = self.interval_start.as_integer_ratio(), self.cell_length.as_integer_ratio()
+        return a * c, h * b, b * c
+
     def boundary(self, i: int) -> Fraction:
         """Time of boundary i, for i in 0..n_cells."""
         if not 0 <= i <= self.n_cells:
             raise ValueError(f"boundary index {i} out of range 0..{self.n_cells}")
-        return self.interval_start + self.cell_length * i
+        a, h, d = self._ticks
+        # a numpy index would wrap in h * i and leave numpy ints inside the Fraction
+        return Fraction(a + h * int(i), d)
 
     def boundary_index(self, t: Rational) -> int:
         """Index of the grid point at time t; raises if t is not a grid point."""
         t = as_fraction(t)
-        ratio = (t - self.interval_start) / self.cell_length
-        if ratio.denominator != 1 or not 0 <= ratio <= self.n_cells:
+        a, h, d = self._ticks
+        # t = (a + h i) / d exactly when t's denominator times h divides the rest
+        i, rest = divmod(t.numerator * d - a * t.denominator, t.denominator * h)
+        if rest or not 0 <= i <= self.n_cells:
             raise ValueError(f"{t} is not a grid point of {self}")
-        return int(ratio)
+        return i
 
     def cells_meeting_open_interval(self, lo: Rational, hi: Rational) -> range:
         """Cell indices whose half-open cell [a, b) meets the open interval (lo, hi)."""
@@ -79,14 +89,10 @@ class TimeGrid:
         hi = min(hi, self.interval_end)
         if hi <= lo:
             return range(0)
-        h = self.cell_length
-        # need b > lo, i.e. i + 1 > (lo - start)/h; floor works in both parity cases
-        q = (lo - self.interval_start) / h
-        start = int(q)
-        # need a < hi, i.e. i < (hi - start)/h
-        r = (hi - self.interval_start) / h
-        stop = int(r) if r.denominator == 1 else int(r) + 1
-        return range(max(start, 0), min(stop, self.n_cells))
+        s, h = self.interval_start, self.cell_length
+        # cell i is [s + i h, s + (i + 1) h): b > lo from i = floor((lo - s)/h) on,
+        # a < hi up to i = ceil((hi - s)/h) - 1; floor division of Fractions gives ints
+        return range(max((lo - s) // h, 0), min(-((s - hi) // h), self.n_cells))
 
     def __repr__(self) -> str:  # compact, grids appear in many error messages
         return (
@@ -140,10 +146,10 @@ class ElementarySet:
     def from_cells(cls, grid: TimeGrid, cells: Iterable[int]) -> "ElementarySet":
         """Set of the given cells; each run of consecutive cells becomes one range.
 
-        A 1-d integer array of at least NUMPY_RUNS_FROM cells finds its runs in
-        numpy; other input is taken cell by cell as Python ints, which is
-        faster below that size.  The runs come out canonical, so they go through
-        ``_canonical`` and skip the merge.
+        A 1-d integer array of at least NUMPY_RUNS_FROM cells finds its runs with
+        array masks and ends each one past its last cell in int64; other input is
+        taken cell by cell as Python ints, faster below that size.  The runs come
+        out canonical, so they go through ``_canonical`` and skip the merge.
         """
         if (isinstance(cells, np.ndarray) and cells.ndim == 1 and cells.dtype.kind in "iu"
                 and cells.size >= NUMPY_RUNS_FROM):
@@ -167,10 +173,11 @@ class ElementarySet:
         else:
             # cells are nonnegative now, so no gap between sorted ones wraps;
             # repeated cells (gap 0) stay inside their run
-            breaks = np.flatnonzero(np.diff(v) > 1)
-            first = v[np.concatenate([[0], breaks + 1])].tolist()
-            last = v[np.concatenate([breaks, [v.size - 1]])].tolist()
-            ranges = tuple((lo, hi + 1) for lo, hi in zip(first, last))
+            gap = np.diff(v) > 1
+            first = v[np.concatenate([[True], gap])].tolist()
+            # ends step past the last cell in int64: a narrow dtype would wrap
+            ends = (v[np.concatenate([gap, [True]])].astype(np.int64) + 1).tolist()
+            ranges = tuple(zip(first, ends))
         return cls._canonical(grid, ranges)
 
     @classmethod

@@ -126,3 +126,25 @@ def test_box_counts_match_the_set_based_count():
             want = [len({c // width for c in s.cells}) for s in sets]
             assert [box_count(s, j) for s in sets] == want
             assert _box_counts(flat, starts, width).tolist() == [w for w in want if w]
+
+
+def test_box_count_jumps_agree_with_the_definition_at_maj3_level_12():
+    # box_count bisects from box to box; the definition counts distinct c // width
+    from noisespectra import sample_sets, spectral_measure_of
+    from noisespectra.dimension import _box_counts
+
+    mu = spectral_measure_of(NoiseFunctional.from_family("majority3-iterated", 12))
+    grid, n = mu.grid, mu.grid.n_cells
+    sets = sample_sets(mu, 200, seed=1212)
+    nonempty = [s.cells for s in sets if s.cells]
+    flat = np.fromiter((c for cells in nonempty for c in cells), dtype=np.int64)
+    starts = np.cumsum([0] + [len(c) for c in nonempty[:-1]])
+    edge = [SpectralSet(grid, ()), SpectralSet(grid, (n - 1,)), SpectralSet(grid, tuple(range(n)))]
+    big = max(range(len(sets)), key=lambda i: len(sets[i].cells))
+    for j in range(13):
+        width = 3 ** (12 - j)
+        want = [len({c // width for c in s.cells}) for s in sets]
+        assert [box_count(s, j) for s in sets] == want
+        assert _box_counts(flat, starts, width).tolist() == [w for w in want if w]
+        assert [box_count(s, j) for s in edge] == [0, 1, 3**j]
+        assert box_count(sets[big], np.int64(j)) == want[big]

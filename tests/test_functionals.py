@@ -70,6 +70,17 @@ def test_inner_product_dual_routes(rng):
     assert_allclose(inner_product(fc, g), by_table, rtol=1e-11)  # mixed backends
 
 
+@pytest.mark.parametrize("n", range(1, 15))
+def test_table_inner_product_and_norm_are_the_bits_of_np_mean(n):
+    # the table routes sum and divide as np.mean does, without its dispatch
+    rng = np.random.default_rng(300 + n)
+    grid = TimeGrid(0, 1, 1, base=n) if n > 1 else TimeGrid(0, 1, 0)
+    a, b = rng.standard_normal((2, 1 << n)) * 10.0 ** rng.integers(-3, 4, size=(2, 1 << n))
+    f, g = NoiseFunctional.from_table(grid, a), NoiseFunctional.from_table(grid, b)
+    assert inner_product(f, g) == float(np.mean(a * b))
+    assert norm_sq(f) == float(np.mean(a**2))
+
+
 def test_inner_product_rejects_mixed_hermite_walsh():
     from noisespectra.chaos import ChaosCoefficients, HERMITE
 

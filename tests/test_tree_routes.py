@@ -146,9 +146,28 @@ def test_sized_layer_closed_form_matches_the_loop(kind, m, mu_in, seed):
         row[np.flatnonzero(free)[:count]] = 1.0
     # with every child inside, both routes give the whole fraction
     x[4] = 1.0
-    closed = layer.subset_values(x)
-    assert np.max(np.abs(closed - loop.subset_values(x))) <= TOL
+    partial = np.vstack([partial, np.zeros((1, m), dtype=bool)])
+    children = (x == 1.0) & ~partial, partial, x[partial]
+    closed = layer.subset_values(*children)
+    assert np.max(np.abs(closed - loop.subset_values(*children))) <= TOL
     assert abs(closed[-1] - 1.0) <= TOL
+
+
+@pytest.mark.parametrize("kind,m,mu_in", [("and", 8, 0.0), ("or", 21, -0.75), ("or", 512, -0.98)])
+def test_and_or_partial_children_of_value_0_or_1_keep_their_class(kind, m, mu_in):
+    # a partial child whose value is exactly 1 counts as full, one of value 0 as
+    # outside: the same bits as the rows that mark them so
+    layer = _sized_layer(kind, m, mu_in)
+    rng = np.random.default_rng(m)
+    partial = rng.random((6, m)) < 0.4
+    full = ~partial & (rng.random((6, m)) < 0.5)
+    value = rng.random(np.count_nonzero(partial))
+    value[::3], value[1::3] = 1.0, 0.0
+    x = full.astype(np.float64)
+    x[partial] = value
+    inner = partial & (x > 0.0) & (x < 1.0)
+    want = layer.subset_values(x == 1.0, inner, x[inner])
+    assert layer.subset_values(full, partial, value).tobytes() == want.tobytes()
 
 
 def test_tribes_14_region_masses_are_bounded_and_monotone():
@@ -332,6 +351,58 @@ def test_tribes_profiles_to_level_16_sum_to_one_in_well_under_a_second():
     for model in models:
         assert abs(sum(model.cardinality_profile().values()) - model.total_mass) <= TOL
     assert time.perf_counter() - started < 1.0
+
+
+EXACT_INSTANCES = [("majority3-iterated", level) for level in range(1, 7)] + [
+    ("tribes", level) for level in range(1, 7)
+]
+
+
+@pytest.mark.parametrize("name,level", EXACT_INSTANCES)
+def test_cut_and_region_masses_match_the_exact_fraction_oracle(name, level):
+    """Every cut and seeded regions against Fractions built from the combiners'
+    truth tables: a check of the layers' q and of both float routes."""
+    model = model_of(name, level)
+    grid, n = model.grid, model.grid.n_cells
+    backend = NoiseFunctional.from_family(name, level).backend
+    tree = ref.exact_tree(families._tree_specs(grid, backend))
+    empty, fluct, layers = tree
+    assert abs(model.empty_mass - empty) <= TOL and abs(model.fluctuation_mass - fluct) <= TOL
+    for layer, (m, w) in zip(model.layers, layers):
+        exact_q = [math.comb(m, t) * w[t] for t in range(m + 1)]
+        assert np.max(np.abs(layer.q - np.array(exact_q, dtype=np.float64))) <= TOL
+    bs = np.arange(n + 1)
+    prefix, suffix = model.cut_masses(bs)
+    for b, left, right in zip(bs.tolist(), prefix, suffix):
+        assert abs(left - ref.exact_subset_mass(tree, [(0, b)])) <= TOL, b
+        assert abs(right - ref.exact_subset_mass(tree, [(b, n)])) <= TOL, b
+    for region in regions(name, level, grid, np.random.default_rng(600 + level)):
+        want = ref.exact_subset_mass(tree, region.ranges)
+        assert abs(model.subset_mass(region.ranges) - want) <= TOL, region
+
+
+# region masses at HEAD of the routes' rewrite: seeded prefixes, intervals and
+# 5%, 50% and 95% scatters, hashed as float64 bytes
+REGION_DIGESTS = {
+    ("majority3-iterated", 8): "85d1fe09292288c7",
+    ("majority3-iterated", 12): "6fdee9b981863714",
+    ("tribes", 12): "5fd9bc97fa3da41f",
+    ("tribes", 14): "f13ccae3890ed029",
+}
+
+
+@pytest.mark.parametrize("name,level", sorted(REGION_DIGESTS))
+def test_region_mass_bits_are_pinned(name, level):
+    model = model_of(name, level)
+    grid, n = model.grid, model.grid.n_cells
+    rng = np.random.default_rng(level)
+    cases = [((0, b),) for b in rng.integers(1, n, size=6).tolist()]
+    cases += [(tuple(sorted(rng.choice(n + 1, size=2, replace=False).tolist())),)
+              for _ in range(6)]
+    cases += [ElementarySet.from_cells(grid, np.flatnonzero(rng.random(n) < p)).ranges
+              for p in (0.05, 0.5, 0.95)]
+    masses = np.array([model.subset_mass(ranges) for ranges in cases])
+    assert digest(masses.tobytes()) == REGION_DIGESTS[name, level]
 
 
 # bit pins: a change to the layer arithmetic that moves any bit of these

@@ -5,11 +5,14 @@ every partly covered node with a scalar subset value, a prefix mass follows
 the single partial child down, and a draw walks the tree with one
 `rng.choice` per live node.  The library answers the same queries with one
 array pass per depth, so the two share nothing but the layer data
-(`fanin`, `q`) and make an independent oracle for each other.
+(`fanin`, `q`) and make an independent oracle for each other.  The exact
+oracle at the end shares only the tree's shape: it builds each combiner's
+weights in Fractions from its truth table.
 """
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -125,3 +128,65 @@ def sample(model, k: int, seed: int) -> list[tuple[int, ...]]:
             stack.extend((depth + 1, lo + int(i) * child_span) for i in children)
         draws.append(tuple(sorted(cells)))
     return draws
+
+
+# ---------------------------------------------------------------------------
+# exact oracle: Fraction masses from the combiners' own truth tables
+
+
+def exact_layer(kind: str, m: int, mu: Fraction) -> tuple[Fraction, Fraction, list[Fraction]]:
+    """(mean, fluctuation, w) of a majority, and or or combiner of m i.i.d. +-1
+    inputs of mean `mu`, all exact; w[t] is the fraction of output fluctuation
+    on one child subset of size t (w[0] = 0).
+
+    The coefficient on a subset T of size t in the basis (y - mu) / sigma is
+    E[g(Y) prod_T (Y_i - mu)] / sigma**t; g depends only on the number k of +1
+    inputs, so that mean splits over the +1 inputs a inside T and b outside.
+    """
+    out = {"majority": lambda k: 2 * k > m, "and": lambda k: k == m, "or": lambda k: k > 0}[kind]
+    p = (1 + mu) / 2
+    c = [sum(math.comb(t, a) * math.comb(m - t, b) * p ** (a + b) * (1 - p) ** (m - a - b)
+             * (1 if out(a + b) else -1) * (1 - mu) ** a * (-1 - mu) ** (t - a)
+             for a in range(t + 1) for b in range(m - t + 1))
+         for t in range(m + 1)]
+    fluct = 1 - c[0] ** 2
+    w = [Fraction(0)] + [c[t] ** 2 / (1 - mu * mu) ** t / fluct for t in range(1, m + 1)]
+    # Parseval for a +-1 output: the subsets carry all of the fluctuation
+    assert sum(math.comb(m, t) * w[t] for t in range(m + 1)) == 1
+    return c[0], fluct, w
+
+
+def exact_tree(specs) -> tuple[Fraction, Fraction, list[tuple[int, list[Fraction]]]]:
+    """(empty mass, fluctuation mass, per-layer (fanin, w)) of a combiner tree
+    listed root first over unbiased leaves."""
+    layers, mu = [], Fraction(0)
+    for kind, m in reversed(specs):
+        mu, fluct, w = exact_layer(kind, m, mu)
+        layers.append((m, w))
+    return mu * mu, fluct, layers[::-1]
+
+
+def exact_subset_mass(tree, ranges) -> Fraction:
+    """Exact mass of the sets inside the cells of sorted disjoint [lo, hi) ranges."""
+    empty, fluct, layers = tree
+    spans = [1]
+    for m, _ in reversed(layers):
+        spans.insert(0, spans[0] * m)
+    ranges = [(min(lo, spans[0]), min(hi, spans[0])) for lo, hi in ranges]
+
+    def inside(lo: int, hi: int) -> int:
+        return sum(max(0, min(hi, b) - max(lo, a)) for a, b in ranges)
+
+    def node_value(depth: int, lo: int) -> Fraction:
+        count = inside(lo, lo + spans[depth])
+        if count in (0, spans[depth]):
+            return Fraction(count // spans[depth])
+        m, w = layers[depth]
+        e = [Fraction(1)] + [Fraction(0)] * m  # elementary symmetric sums of the child values
+        for i in range(m):
+            v = node_value(depth + 1, lo + i * spans[depth + 1])
+            for t in range(i + 1, 0, -1):
+                e[t] += v * e[t - 1]
+        return sum(w[t] * e[t] for t in range(1, m + 1))
+
+    return empty + fluct * node_value(0, 0)
