@@ -329,7 +329,7 @@ def cmd_ito(args) -> int:
         f"exact {check.target!r}  mc {check.estimate.value!r} "
         f"+- {check.estimate.stderr!r}  z {check.z:.3f}"
     )
-    if abs(check.z) > args.gate:
+    if not abs(check.z) <= args.gate:  # a NaN z fails too
         print(f"tolerance failure: |z| > {args.gate}", file=sys.stderr)
         return EXIT_TOLERANCE
     return EXIT_OK

@@ -430,9 +430,12 @@ def make_functional(name: str, level: int, **params) -> NoiseFunctional:
     if level < 0:
         raise ValueError("level must be nonnegative")
     if name == "single-coordinate":
-        cell = int(params.pop("cell", 0))
+        cell = params.pop("cell", 0)
         grid = _family_grid(name, level, params.pop("base", None))
         _no_extra(name, params)
+        if isinstance(cell, bool) or not isinstance(cell, (int, np.integer)) or not (
+                0 <= cell < grid.n_cells):
+            raise ValueError(f"cell must be an integer in 0..{grid.n_cells - 1}, got {cell!r}")
         return NoiseFunctional.from_walsh_entries(grid, {(cell,): 1.0})
     if name == "parity":
         grid = _family_grid(name, level, params.pop("base", None))
@@ -483,17 +486,14 @@ def evaluate_family(grid: TimeGrid, ref: FamilyRef, omega) -> float:
 
 
 def _evaluate_rows(grid: TimeGrid, ref: FamilyRef, rows: np.ndarray) -> np.ndarray:
-    if ref.name == "majority3-iterated":
-        v = rows
-        for _ in range(ref.level):
-            v = np.where(v.reshape(v.shape[0], -1, 3).sum(axis=2) > 0, 1.0, -1.0)
-        return v[:, 0]
-    if ref.name == "tribes":
-        width, blocks, _ = tribes_shape(ref.level)
-        used = rows[:, : width * blocks].reshape(rows.shape[0], blocks, width)
-        block_true = (used == 1.0).all(axis=2)
-        return np.where(block_true.any(axis=1), 1.0, -1.0)
-    raise BackendError(f"family {ref.name!r} has no pointwise evaluator")
+    """The `_tree_specs` tree on rows of +-1 signs, leaves up; padding cells drop out.
+    On +-1 inputs majority is a positive sum, and a positive min, or a positive max."""
+    specs = _tree_specs(grid, ref)
+    v = rows[:, : math.prod(m for _, m in specs)]
+    for kind, m in reversed(specs):
+        combine = np.sum if kind == "majority" else np.min if kind == "and" else np.max
+        v = np.where(combine(v.reshape(v.shape[0], -1, m), axis=2) > 0, 1.0, -1.0)
+    return v[:, 0]
 
 
 def materialize(grid: TimeGrid, ref: FamilyRef) -> NoiseFunctional:

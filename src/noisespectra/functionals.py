@@ -279,22 +279,18 @@ def evaluate_table(f: NoiseFunctional) -> np.ndarray:
     if isinstance(b, ChaosCoefficients):
         if b.kind != WALSH:
             raise BackendError("Hermite expansions have no Rademacher value table")
-        return values_from_coefficients(_dense_walsh_vector(f.grid, b))
+        n = f.grid.n_cells
+        if n > DENSE_CELL_CAP:
+            raise ValueError(f"dense expansion capped at {DENSE_CELL_CAP} cells, got {n}")
+        dense = np.zeros(1 << n)
+        for ix, c in b.entries.items():
+            dense[mask_of_cells(ix)] = c
+        return values_from_coefficients(dense)
     if isinstance(b, FamilyRef):
         from . import families
 
         return evaluate_table(families.materialize(f.grid, b))
     raise BackendError("Brownian programs have no Rademacher value table")
-
-
-def _dense_walsh_vector(grid: TimeGrid, b: ChaosCoefficients) -> np.ndarray:
-    n = grid.n_cells
-    if n > DENSE_CELL_CAP:
-        raise ValueError(f"dense expansion capped at {DENSE_CELL_CAP} cells, got {n}")
-    dense = np.zeros(1 << n)
-    for ix, c in b.entries.items():
-        dense[mask_of_cells(ix)] = c
-    return dense
 
 
 # ---------------------------------------------------------------------------
@@ -315,17 +311,12 @@ def expectation(f: NoiseFunctional) -> float:
 
 
 def norm_sq(f: NoiseFunctional) -> float:
-    b = f.backend
-    if isinstance(b, RademacherTable):
-        # np.mean's own sum and division, without its per-call dispatch
-        return float(np.add.reduce(b.values**2) / b.values.shape[0])
-    if isinstance(b, ChaosCoefficients):
-        return b.norm_sq
-    if isinstance(b, BrownianProgram):
-        return program_norm_sq(f.grid, b)
-    from . import families
+    """<f, f>; a tree family reads its closed form instead of materializing."""
+    if isinstance(f.backend, FamilyRef):
+        from . import families
 
-    return families.family_norm_sq(f.grid, b)
+        return families.family_norm_sq(f.grid, f.backend)
+    return inner_product(f, f)
 
 
 def inner_product(f: NoiseFunctional, g: NoiseFunctional) -> float:
@@ -533,10 +524,6 @@ def program_inner(grid: TimeGrid, p: BrownianProgram, q: BrownianProgram) -> flo
     )
 
 
-def program_norm_sq(grid: TimeGrid, p: BrownianProgram) -> float:
-    return program_inner(grid, p, p)
-
-
 def hermite_decompose(
     grid: TimeGrid, p: BrownianProgram, degree_cap: int | None = None, tol: float | None = None
 ) -> ChaosCoefficients:
@@ -564,7 +551,7 @@ def hermite_decompose(
                 coeff_lists.append((fac, coeffs))
             _tensor_accumulate(add, term.weight, coeff_lists)
 
-    exact = program_norm_sq(grid, p)
+    exact = program_inner(grid, p, p)
     captured = float(sum(c * c for c in entries.values()))
     if captured - exact > 1e-9 * max(exact, 1.0):
         raise BackendError(f"degree cap {cap} outruns the quadrature rule: the coefficients "

@@ -193,19 +193,20 @@ class ElementarySet:
 
     @classmethod
     def parse(cls, grid: TimeGrid, text: str) -> "ElementarySet":
-        """Parse "0:2,5:6" style cell-range lists; "" is the empty set."""
+        """Parse "0:2,5:6" style cell-range lists; "" is the empty set.
+
+        A part is one cell or one lo:hi range with lo <= hi; anything else is
+        refused with the part named."""
         text = text.strip()
         if not text:
             return cls.empty(grid)
         ranges = []
         for part in text.split(","):
             part = part.strip()
-            if ":" in part:
-                lo, hi = part.split(":")
-                ranges.append((int(lo), int(hi)))
-            else:
-                c = int(part)
-                ranges.append((c, c + 1))
+            lo, sep, hi = part.partition(":")
+            if ":" in hi or (sep and int(hi) < int(lo)):
+                raise ValueError(f"bad cell range {part!r}: want one cell or lo:hi with lo <= hi")
+            ranges.append((int(lo), int(hi) if sep else int(lo) + 1))
         return cls(grid, tuple(ranges))
 
     # -- queries ------------------------------------------------------------

@@ -2,16 +2,17 @@
 
 A kernel of order r assigns a weight to every strictly increasing r-tuple of
 cells, one channel tag per slot.  Separable kernels store one factor vector
-per slot, so the iterated sums and the isometry norm run in O(r n) via
-exclusive prefix sums; constant kernels are the all-ones separable case.
+per slot, so the iterated sums run in O(r n) via exclusive prefix sums;
+constant kernels are the all-ones separable case.
 A slot whose vector is all ones is a unit slot: its multiply is skipped,
 since x * 1.0 == x bit for bit.  Dense kernels are kept for orders 1 and 2
 (vector / strictly upper matrix).
 
-The kernel owns its algebra: :meth:`SimplexKernel.cross_norm` is the one
-quadratic form (every norm and inner product of iterated integrals goes
-through it) and :meth:`SimplexKernel.restricted` is the one restriction to
-a set of cells, so no other module reads how the weights are stored.
+There is one simplex recursion, :func:`iterated_sum`.  The kernel owns its
+algebra: :meth:`SimplexKernel.cross_norm`, the one quadratic form behind every
+norm and inner product of iterated integrals, runs that recursion, and
+:meth:`SimplexKernel.restricted` is the one restriction to a set of cells, so
+no other module reads how the weights are stored.
 """
 from __future__ import annotations
 
@@ -118,30 +119,21 @@ class SimplexKernel:
         """sum over the simplex of k_a * k_b * product of cell lengths.
 
         Zero when orders or any slot channel differ (independent factors).
-        Two separable kernels take the prefix-sum route; a pair with a dense
-        side contracts the two dense forms (orders 1 and 2 only).
+        This is E[I(a) I(b)], and it is :func:`iterated_sum` of the product
+        kernel over the one path whose increments are the cell lengths: two
+        separable kernels multiply slot by slot, a pair with a dense side
+        multiplies the dense forms (an order-1 form runs as a one-slot
+        separable kernel).
         """
         if self.order != other.order or self.channels != other.channels:
             return 0.0
-        h = np.asarray(cell_lengths, dtype=np.float64)
         if self.factors is not None and other.factors is not None:
-            return _ordered_product_sum(
-                [a * b for a, b in zip(self.factors, other.factors)], h
-            )
-        prod = self._dense_form() * other._dense_form()
-        if self.order == 1:
-            return float(np.sum(prod * h))
-        return float(np.einsum("ij,i,j->", prod, h, h))
-
-
-def _ordered_product_sum(slot_vectors: list[np.ndarray], weights: np.ndarray) -> float:
-    """sum over i_1 < ... < i_r of prod_s slot_vectors[s][i_s] * weights[i_s]."""
-    acc = np.ones_like(weights)
-    for vec in slot_vectors:
-        term = vec * weights * acc
-        acc = np.concatenate(([0.0], np.cumsum(term)[:-1]))  # exclusive prefix sum
-    # after the last slot, acc[j] sums tuples with final index < j; total is full sum
-    return float(np.sum(term))
+            product = SimplexKernel.separable([a * b for a, b in zip(self.factors, other.factors)])
+        elif self.order == 1:
+            product = SimplexKernel.separable([self._dense_form() * other._dense_form()])
+        else:
+            product = SimplexKernel(2, self.n_cells, dense=self._dense_form() * other._dense_form())
+        return float(iterated_sum(product, np.reshape(cell_lengths, (1, -1, 1)))[0])
 
 
 def _is_unit(vec: np.ndarray) -> bool:

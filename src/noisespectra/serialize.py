@@ -99,15 +99,18 @@ def kernel_from_data(data: dict, n_cells: int | None = None) -> SimplexKernel:
             raise FormatError("kernel needs n_cells (or a grid to supply it)")
         channels = tuple(int(c) for c in data.get("channels", ()))
         if "constant" in data:
-            return SimplexKernel.constant(order, n, float(data["constant"]), channels)
+            value = float(data["constant"])
+            _require_finite(np.array([value]), "kernel constant")
+            return SimplexKernel.constant(order, n, value, channels)
         if "factors" in data:
-            return SimplexKernel(
-                order, n,
-                factors=tuple(np.asarray(v, dtype=np.float64) for v in data["factors"]),
-                channels=channels,
-            )
+            factors = tuple(np.asarray(v, dtype=np.float64) for v in data["factors"])
+            for v in factors:
+                _require_finite(v, "kernel factors")
+            return SimplexKernel(order, n, factors=factors, channels=channels)
         if "dense" in data:
-            return SimplexKernel(order, n, dense=np.asarray(data["dense"]), channels=channels)
+            dense = np.asarray(data["dense"], dtype=np.float64)
+            _require_finite(dense, "dense kernel weights")
+            return SimplexKernel(order, n, dense=dense, channels=channels)
     except FormatError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

@@ -14,12 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .chaos import (
-    ChaosCoefficients,
-    index_cardinality,
-    index_has_multiplicity,
-    index_support,
-)
+from .chaos import ChaosCoefficients, index_support
 from .functionals import NoiseFunctional
 from .grid import TimeGrid
 from .spectral import (
@@ -80,13 +75,10 @@ def additive_integral_of(f: NoiseFunctional, tol: float | None = None) -> Additi
 
     The family is flagged zero (not an error) when f has no first chaos.
     """
-    # filter coefficients directly: a dense synthesis/analysis roundtrip
-    # would leave float residue on other cardinalities
-    coeffs = decompose(f, tol)
-    kept = coeffs.filtered(
-        lambda ix: index_cardinality(ix) == 1 and not index_has_multiplicity(ix)
-    )
-    return AdditiveIntegral(f.grid, kept)
+    # the chaos route of the level projection: a dense synthesis/analysis
+    # roundtrip would leave float residue on other cardinalities
+    chaos = NoiseFunctional.from_chaos(decompose(f, tol))
+    return AdditiveIntegral(f.grid, level_projection(chaos, 1).backend)
 
 
 # ---------------------------------------------------------------------------

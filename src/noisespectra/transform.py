@@ -30,7 +30,6 @@ from .functionals import (
     MapTerm,
     NoiseFunctional,
     RademacherTable,
-    _dense_walsh_vector,
     _factor_moments,
     evaluate_table,
     hermite_decompose,
@@ -68,10 +67,10 @@ def walsh_coefficients(f: NoiseFunctional, tol: float | None) -> np.ndarray:
 
 def reconstruct(c: ChaosCoefficients) -> NoiseFunctional:
     """Functional with the given expansion; a value table on the Walsh side."""
-    if c.kind == WALSH:
-        dense = _dense_walsh_vector(c.grid, c)
-        return NoiseFunctional._of_fresh_table(c.grid, values_from_coefficients(dense))
-    return NoiseFunctional.from_chaos(c)
+    f = NoiseFunctional.from_chaos(c)
+    if c.kind == WALSH:  # a chaos functional's table is a fresh array
+        return NoiseFunctional._of_fresh_table(c.grid, evaluate_table(f))
+    return f
 
 
 def conditional_expectation(f: NoiseFunctional, region: ElementarySet) -> NoiseFunctional:

@@ -17,7 +17,7 @@ from noisespectra import (
 )
 from noisespectra.cli import _parse_levels, main
 from noisespectra.families import make_functional
-from noisespectra.serialize import FormatError, sha256_of
+from noisespectra.serialize import FormatError, grid_to_data, sha256_of
 
 
 def run(*argv):
@@ -296,6 +296,59 @@ def test_non_finite_input_exits_2(tmp_path, capsys):
 def test_bad_set_spec_exits_2(chi01, tmp_path):
     assert run("project", "--in", chi01, "--set", "0:99",
                "--out", str(tmp_path / "o.json")) == 2
+
+
+@pytest.mark.parametrize("spec", ["5:2", "1:2:3", "0, 3:1"])
+def test_malformed_set_range_exits_2_naming_the_part(spec, chi01, tmp_path, capsys):
+    assert run("project", "--in", chi01, "--set", spec, "--out", str(tmp_path / "o.json")) == 2
+    part = spec.split(",")[-1].strip()
+    assert f"bad cell range {part!r}" in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()
+
+
+@pytest.mark.parametrize("record", [
+    '{"order": 1, "dense": [1.0, NaN, 2.0, 0.5]}',
+    '{"order": 2, "factors": [[1.0, Infinity, 2.0, 0.5], [1.0, 1.0, 1.0, 1.0]]}',
+    '{"order": 1, "constant": -Infinity}',
+])
+def test_non_finite_kernel_file_exits_2(record, tmp_path, capsys):
+    kpath = tmp_path / "k.json"
+    kpath.write_text(record)
+    out = tmp_path / "o.json"
+    assert run("ito", "--kernel", str(kpath), "--level", "2", "--paths", "1000",
+               "--seed", "1", "--out", str(out)) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_ito_gate_fails_on_a_nan_z(tmp_path, capsys, monkeypatch):
+    from noisespectra import cli
+    from noisespectra.functionals import MCEstimate
+    from noisespectra.whitenoise import MomentCheck
+
+    nan_check = MomentCheck(float("nan"), MCEstimate(1.0, 0.1, 1000))
+    monkeypatch.setattr(cli, "isometry_check", lambda *args: nan_check)
+    kpath = tmp_path / "k.json"
+    write_json(str(kpath), {"order": 1, "constant": 1.0})
+    assert run("ito", "--kernel", str(kpath), "--level", "2", "--paths", "1000",
+               "--seed", "1") == 3
+    assert "tolerance failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cell", [99, -1, 1.7, True, "1"])
+def test_single_coordinate_file_with_a_bad_cell_exits_2(cell, tmp_path, capsys):
+    grid = TimeGrid(0, 1, 2)
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({
+        "schema_version": "1", "grid": grid_to_data(grid), "kind": "family",
+        "name": "single-coordinate", "level": 2, "params": {"cell": cell},
+    }))
+    assert run("project", "--in", str(path), "--set", "0:2",
+               "--out", str(tmp_path / "o.json")) == 2
+    assert run("factor-check", "--in", str(path), "--cut", "1/2") == 2
+    err = capsys.readouterr().err
+    assert err.count("cell must be an integer in 0..3") == 2
+    assert not (tmp_path / "o.json").exists()
 
 
 def test_argparse_level_errors(capsys):

@@ -62,6 +62,11 @@ def test_unknown_family_and_params():
 def test_single_coordinate_and_sums():
     f = make_functional("single-coordinate", 3, cell=5)
     assert f.backend.entries == {(5,): 1.0}
+    assert make_functional("single-coordinate", 3, cell=np.int64(7)).backend.entries == {
+        (7,): 1.0}
+    for bad in (8, -1, 1.7, 1.0, True, "1"):
+        with pytest.raises(ValueError, match="cell must be an integer in 0..7"):
+            make_functional("single-coordinate", 3, cell=bad)
     p = make_functional("parity", 2)
     assert set(p.backend.entries) == {(0, 1, 2, 3)}
     s = make_functional("coordinate-sum", 2)

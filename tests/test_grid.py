@@ -195,6 +195,11 @@ def test_set_parse_format_roundtrip():
     assert ElementarySet.parse(GRID, "") == ElementarySet.empty(GRID)
     with pytest.raises(ValueError):
         ElementarySet.parse(GRID, "0:9")
+    assert ElementarySet.parse(GRID, "3:3, 6") == ElementarySet(GRID, ((6, 7),))
+    for text, part in [("5:2", "5:2"), ("0, 1:2:3", "1:2:3")]:
+        with pytest.raises(ValueError, match=f"bad cell range {part!r}"):
+            ElementarySet.parse(GRID, text)
+    assert ElementarySet(GRID, ((5, 2),)) == ElementarySet.empty(GRID)  # constructor unchanged
 
 
 def test_set_measure_and_intervals():
