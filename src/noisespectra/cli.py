@@ -282,15 +282,12 @@ def cmd_factor_check(args) -> int:
 def cmd_cuts(args) -> int:
     f = functional_from_data(read_json(args.infile))
     distances = interior_cut_distances(f)
-    # boundary b is (num0 + b * step) / den in exact ints; int / int rounds
+    # boundary b is (a + b * h) / den in exact ints; int / int rounds
     # correctly, as float(Fraction) does
-    start, h = f.grid.interval_start, f.grid.cell_length
-    den = math.lcm(start.denominator, h.denominator)
-    num0 = start.numerator * (den // start.denominator)
-    step = h.numerator * (den // h.denominator)
+    a, h, den = f.grid.ticks
     rows = []
     for b, d in enumerate(distances.tolist(), start=1):
-        num = num0 + b * step
+        num = a + b * h
         g = math.gcd(num, den)
         exact = str(num // g) if g == den else f"{num // g}/{den // g}"
         rows.append((b, exact, num / den, d))

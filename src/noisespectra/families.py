@@ -24,8 +24,8 @@ Cut coefficients are the same subset values at full prefixes, looked up for a
 block of prefix and suffix cuts in one pass, and the sampler draws child
 subsets for every live node of every draw at once.
 
-Small instances still materialize to tables, so every closed form here can be
-cross-checked against the dense transform in tests.
+Below the dense cap a family is also a value table, `family_values`, so every
+closed form here can be cross-checked against the dense transform in tests.
 """
 from __future__ import annotations
 
@@ -496,16 +496,15 @@ def _evaluate_rows(grid: TimeGrid, ref: FamilyRef, rows: np.ndarray) -> np.ndarr
     return v[:, 0]
 
 
-def materialize(grid: TimeGrid, ref: FamilyRef) -> NoiseFunctional:
-    """Dense value table of a family instance; only below the dense cap."""
+def family_values(grid: TimeGrid, ref: FamilyRef) -> np.ndarray:
+    """Fresh value table of a family instance; only below the dense cap."""
     n = grid.n_cells
     if n > DENSE_CELL_CAP:
         raise BackendError(
             f"family {ref.name!r} at {n} cells exceeds the dense cap; "
             "use its spectral model instead"
         )
-    values = _evaluate_rows(grid, ref, sign_table(n).astype(np.float64))
-    return NoiseFunctional.from_table(grid, values)
+    return _evaluate_rows(grid, ref, sign_table(n).astype(np.float64))
 
 
 def family_mean(grid: TimeGrid, ref: FamilyRef) -> float:

@@ -4,8 +4,9 @@
 * ChaosCoefficients: sparse Walsh or Hermite expansion, used directly.
 * BrownianProgram: sum of multiple-Ito-integral terms and products of
   per-cell pointwise maps of Gaussian increments, with a Hermite degree cap.
-* FamilyRef: a named generator at a resolution, materialized or queried
-  through the family registry on demand.
+* FamilyRef: a named generator at a resolution.  Below the dense cap it is a
+  value table to every table route, through :func:`evaluate_table`; a tree
+  family above it is queried through its spectral model.
 
 Value-domain operations (evaluate, inner products, tensor products) live
 here; transform-domain operations live in :mod:`noisespectra.transform`.
@@ -218,7 +219,12 @@ class NoiseFunctional:
     # -- conveniences ----------------------------------------------------------
     @property
     def kind(self) -> str:
-        return backend_kind(self)
+        b = self.backend
+        if isinstance(b, RademacherTable):
+            return "table"
+        if isinstance(b, ChaosCoefficients):
+            return "chaos"
+        return "brownian" if isinstance(b, BrownianProgram) else "family"
 
     def evaluate(self, omega) -> float:
         return evaluate(self, omega)
@@ -226,16 +232,6 @@ class NoiseFunctional:
     @property
     def norm_sq(self) -> float:
         return norm_sq(self)
-
-
-def backend_kind(f: NoiseFunctional) -> str:
-    if isinstance(f.backend, RademacherTable):
-        return "table"
-    if isinstance(f.backend, ChaosCoefficients):
-        return "chaos"
-    if isinstance(f.backend, BrownianProgram):
-        return "brownian"
-    return "family"
 
 
 def cell_lengths(grid: TimeGrid) -> np.ndarray:
@@ -272,7 +268,7 @@ def evaluate(f: NoiseFunctional, omega) -> float:
 
 
 def evaluate_table(f: NoiseFunctional) -> np.ndarray:
-    """Full value table (materializes chaos and family backends)."""
+    """Full value table; the one place a Walsh expansion or a family becomes values."""
     b = f.backend
     if isinstance(b, RademacherTable):
         return b.values
@@ -289,7 +285,7 @@ def evaluate_table(f: NoiseFunctional) -> np.ndarray:
     if isinstance(b, FamilyRef):
         from . import families
 
-        return evaluate_table(families.materialize(f.grid, b))
+        return families.family_values(f.grid, b)
     raise BackendError("Brownian programs have no Rademacher value table")
 
 
@@ -319,43 +315,32 @@ def norm_sq(f: NoiseFunctional) -> float:
     return inner_product(f, f)
 
 
+def _rademacher(b: Backend) -> bool:
+    """A table, a family or a Walsh expansion: a function of the cells' signs."""
+    return isinstance(b, (RademacherTable, FamilyRef)) or (
+        isinstance(b, ChaosCoefficients) and b.kind == WALSH)
+
+
 def inner_product(f: NoiseFunctional, g: NoiseFunctional) -> float:
-    """Exact inner product; raises BackendError when no exact route exists."""
+    """Exact inner product; raises BackendError when no exact route exists.
+
+    Two expansions of one kind take the sparse dot, two sign functions the
+    table mean; a program meets a Hermite expansion through its own expansion."""
     require_same_grid(f.grid, g.grid)
     fb, gb = f.backend, g.backend
-    f_kind, g_kind = backend_kind(f), backend_kind(g)
-
-    if "family" in (f_kind, g_kind):
-        from . import families
-
-        if f_kind == "family":
-            f = families.materialize(f.grid, fb)
-        if g_kind == "family":
-            g = families.materialize(g.grid, gb)
-        return inner_product(f, g)
-
-    walsh_side = {"table", "chaos"}
-    if f_kind in walsh_side and g_kind in walsh_side:
-        f_is_hermite = f_kind == "chaos" and fb.kind == HERMITE
-        g_is_hermite = g_kind == "chaos" and gb.kind == HERMITE
-        if f_is_hermite != g_is_hermite:
-            raise BackendError("cannot pair a Hermite expansion with a Rademacher backend")
-        if f_is_hermite:
-            return _sparse_dot(fb, gb)
-        if f_kind == "table" or g_kind == "table":
-            prod = evaluate_table(f) * evaluate_table(g)
-            return float(np.add.reduce(prod) / prod.shape[0])
+    if isinstance(fb, ChaosCoefficients) and isinstance(gb, ChaosCoefficients) and (
+            fb.kind == gb.kind):
         return _sparse_dot(fb, gb)
-
-    # at least one Brownian side
-    if f_kind == "brownian" and g_kind == "brownian":
+    if _rademacher(fb) and _rademacher(gb):
+        prod = evaluate_table(f) * evaluate_table(g)
+        return float(np.add.reduce(prod) / prod.shape[0])
+    if _rademacher(fb) or _rademacher(gb):
+        raise BackendError("cannot pair a Rademacher backend (table, family, Walsh "
+                           "expansion) with a Gaussian one (program, Hermite expansion)")
+    if isinstance(fb, BrownianProgram) and isinstance(gb, BrownianProgram):
         return program_inner(f.grid, fb, gb)
-    if f_kind == "brownian" and g_kind == "chaos" and gb.kind == HERMITE:
-        need = _max_degree(gb)
-        return _sparse_dot(hermite_decompose(f.grid, fb, max(fb.degree_cap, need)), gb)
-    if g_kind == "brownian" and f_kind == "chaos" and fb.kind == HERMITE:
-        return inner_product(g, f)
-    raise BackendError(f"no exact inner product between {f_kind} and {g_kind} backends")
+    p, c = (fb, gb) if isinstance(fb, BrownianProgram) else (gb, fb)
+    return _sparse_dot(hermite_decompose(f.grid, p, max(p.degree_cap, _max_degree(c))), c)
 
 
 def _sparse_dot(a: ChaosCoefficients, b: ChaosCoefficients) -> float:
@@ -387,11 +372,8 @@ def inner_product_mc(
     (count, mean, M2), so a large mean does not cancel it away.
     """
     require_same_grid(f.grid, g.grid)
-    for h in (f, g):
-        if backend_kind(h) not in ("brownian", "chaos") or (
-            backend_kind(h) == "chaos" and h.backend.kind != HERMITE
-        ):
-            raise BackendError("MC inner products pair Brownian programs or Hermite expansions")
+    if _rademacher(f.backend) or _rademacher(g.backend):
+        raise BackendError("MC inner products pair Brownian programs or Hermite expansions")
 
     def on_chunk(blocks):
         parts = []
@@ -624,7 +606,7 @@ def shift(f: NoiseFunctional, k: int, mode: str = "cyclic") -> NoiseFunctional:
         return NoiseFunctional.from_chaos(
             ChaosCoefficients(f.grid, moved, b.kind, b.channels, b.residual)
         )
-    raise BackendError(f"shift is defined for table and chaos backends, not {backend_kind(f)}")
+    raise BackendError(f"shift is defined for table and chaos backends, not {f.kind}")
 
 
 def multiply(f: NoiseFunctional, g: NoiseFunctional) -> NoiseFunctional:

@@ -59,8 +59,8 @@ class TimeGrid:
         return (self.interval_end - self.interval_start) / self.n_cells
 
     @cached_property
-    def _ticks(self) -> tuple[int, int, int]:
-        # (a, h, d) with boundary i at (a + h i) / d, so boundaries take int arithmetic
+    def ticks(self) -> tuple[int, int, int]:
+        """Integers (a, h, d), d > 0, with boundary i at exactly (a + h i) / d."""
         (a, b), (h, c) = self.interval_start.as_integer_ratio(), self.cell_length.as_integer_ratio()
         return a * c, h * b, b * c
 
@@ -68,14 +68,14 @@ class TimeGrid:
         """Time of boundary i, for i in 0..n_cells."""
         if not 0 <= i <= self.n_cells:
             raise ValueError(f"boundary index {i} out of range 0..{self.n_cells}")
-        a, h, d = self._ticks
+        a, h, d = self.ticks
         # a numpy index would wrap in h * i and leave numpy ints inside the Fraction
         return Fraction(a + h * int(i), d)
 
     def boundary_index(self, t: Rational) -> int:
         """Index of the grid point at time t; raises if t is not a grid point."""
         t = as_fraction(t)
-        a, h, d = self._ticks
+        a, h, d = self.ticks
         # t = (a + h i) / d exactly when t's denominator times h divides the rest
         i, rest = divmod(t.numerator * d - a * t.denominator, t.denominator * h)
         if rest or not 0 <= i <= self.n_cells:
@@ -195,8 +195,8 @@ class ElementarySet:
     def parse(cls, grid: TimeGrid, text: str) -> "ElementarySet":
         """Parse "0:2,5:6" style cell-range lists; "" is the empty set.
 
-        A part is one cell or one lo:hi range with lo <= hi; anything else is
-        refused with the part named."""
+        A part is one cell or one lo:hi range of integers with lo <= hi; anything
+        else is refused with the part named."""
         text = text.strip()
         if not text:
             return cls.empty(grid)
@@ -204,9 +204,14 @@ class ElementarySet:
         for part in text.split(","):
             part = part.strip()
             lo, sep, hi = part.partition(":")
-            if ":" in hi or (sep and int(hi) < int(lo)):
+            try:
+                lo, hi = int(lo), int(hi) if sep else int(lo) + 1
+                ok = lo <= hi
+            except ValueError:  # a bound that is not an integer
+                ok = False
+            if not ok:
                 raise ValueError(f"bad cell range {part!r}: want one cell or lo:hi with lo <= hi")
-            ranges.append((int(lo), int(hi) if sep else int(lo) + 1))
+            ranges.append((lo, hi))
         return cls(grid, tuple(ranges))
 
     # -- queries ------------------------------------------------------------

@@ -110,6 +110,11 @@ def kernel_from_data(data: dict, n_cells: int | None = None) -> SimplexKernel:
         if "dense" in data:
             dense = np.asarray(data["dense"], dtype=np.float64)
             _require_finite(dense, "dense kernel weights")
+            if order == 2 and dense.ndim == 2 and np.tril(dense).any():
+                # the kernel keeps only i < j: refuse what it would drop
+                i, j = np.argwhere(np.tril(dense))[0].tolist()
+                raise FormatError(f"dense order-2 kernel weight {float(dense[i, j])!r} at "
+                                  f"({i}, {j}) is not above the diagonal; only i < j is read")
             return SimplexKernel(order, n, dense=dense, channels=channels)
     except FormatError:
         raise

@@ -26,6 +26,7 @@ from .chaos import (
 )
 from .functionals import (
     BrownianProgram,
+    FamilyRef,
     ItoTerm,
     MapTerm,
     NoiseFunctional,
@@ -80,7 +81,8 @@ def conditional_expectation(f: NoiseFunctional, region: ElementarySet) -> NoiseF
     coefficients keep exactly the indices whose support lies in the region.
     Both equal the probabilistic conditional expectation given the cells of
     the region.  The output backend matches the input (table in, table out;
-    chaos in, chaos out; Brownian programs are masked term by term).
+    chaos in, chaos out; Brownian programs are masked term by term); a family
+    below the dense cap is read as its table.
 
     On a table the axis layout is :func:`walsh.run_axes` of the region's
     ranges: one axis per maximal run of inside or outside cells.  One
@@ -90,12 +92,12 @@ def conditional_expectation(f: NoiseFunctional, region: ElementarySet) -> NoiseF
     """
     require_same_grid(f.grid, region.grid)
     b = f.backend
-    if isinstance(b, RademacherTable):
-        n = f.grid.n_cells
+    if isinstance(b, (RademacherTable, FamilyRef)):
+        values, n = evaluate_table(f), f.grid.n_cells
         shape, outside = run_axes(region.ranges, n)
         if not outside:
             return f
-        total = np.add.reduce(b.values.reshape(shape), axis=tuple(outside), keepdims=True)
+        total = np.add.reduce(values.reshape(shape), axis=tuple(outside), keepdims=True)
         out = np.empty(1 << n)
         np.true_divide(total, 1 << (n - region.cell_count), out=out.reshape(shape))
         return NoiseFunctional._of_fresh_table(f.grid, out)
@@ -103,11 +105,7 @@ def conditional_expectation(f: NoiseFunctional, region: ElementarySet) -> NoiseF
         cells = set(region.cells())
         kept = b.filtered(lambda ix: set(index_support(ix)) <= cells)
         return NoiseFunctional.from_chaos(kept)
-    if isinstance(b, BrownianProgram):
-        return NoiseFunctional(f.grid, _program_projection(f.grid, b, region))
-    from . import families
-
-    return conditional_expectation(families.materialize(f.grid, b), region)
+    return NoiseFunctional(f.grid, _program_projection(f.grid, b, region))
 
 
 def _program_projection(
@@ -142,8 +140,8 @@ def level_projection(f: NoiseFunctional, order: int) -> NoiseFunctional:
     if order < 0:
         raise ValueError("chaos order must be nonnegative")
     b = f.backend
-    if isinstance(b, RademacherTable):
-        dense = character_coefficients(b.values)
+    if isinstance(b, (RademacherTable, FamilyRef)):
+        dense = character_coefficients(evaluate_table(f))
         masks = np.arange(dense.shape[0], dtype=np.uint64)
         dense[np.bitwise_count(masks) != order] = 0.0
         return NoiseFunctional._of_fresh_table(f.grid, values_from_coefficients(dense))
@@ -152,18 +150,14 @@ def level_projection(f: NoiseFunctional, order: int) -> NoiseFunctional:
             lambda ix: index_cardinality(ix) == order and not index_has_multiplicity(ix)
         )
         return NoiseFunctional.from_chaos(kept)
-    if isinstance(b, BrownianProgram):
-        if all(isinstance(t, ItoTerm) for t in b.terms):
-            kept_terms = tuple(t for t in b.terms if t.kernel.order == order)
-            if order == 0:
-                kept_terms = ()
-            return NoiseFunctional(f.grid, BrownianProgram(kept_terms, b.degree_cap, b.channels))
-        coeffs = hermite_decompose(f.grid, b)
-        kept = coeffs.filtered(lambda ix: index_cardinality(ix) == order)
-        return NoiseFunctional.from_chaos(kept)
-    from . import families
-
-    return level_projection(families.materialize(f.grid, b), order)
+    if all(isinstance(t, ItoTerm) for t in b.terms):
+        kept_terms = tuple(t for t in b.terms if t.kernel.order == order)
+        if order == 0:
+            kept_terms = ()
+        return NoiseFunctional(f.grid, BrownianProgram(kept_terms, b.degree_cap, b.channels))
+    coeffs = hermite_decompose(f.grid, b)
+    kept = coeffs.filtered(lambda ix: index_cardinality(ix) == order)
+    return NoiseFunctional.from_chaos(kept)
 
 
 def chaos_order_masses(f: NoiseFunctional) -> dict[int, float]:

@@ -154,6 +154,7 @@ def test_cuts_csv_bytes_for_majority_family_file(tmp_path):
 @pytest.mark.parametrize("window,level,base", [
     ((Fraction(1, 3), Fraction(7, 5)), 2, 3),
     ((Fraction(-1, 2), Fraction(3, 2)), 3, 2),
+    ((Fraction(1, 3), Fraction(5, 7)), 2, 3),
 ])
 def test_cuts_csv_times_equal_grid_boundaries(tmp_path, window, level, base):
     grid = TimeGrid(*window, level, base)
@@ -298,12 +299,24 @@ def test_bad_set_spec_exits_2(chi01, tmp_path):
                "--out", str(tmp_path / "o.json")) == 2
 
 
-@pytest.mark.parametrize("spec", ["5:2", "1:2:3", "0, 3:1"])
+@pytest.mark.parametrize("spec", ["5:2", "1:2:3", "0, 3:1", "4:", ":3", "0,x"])
 def test_malformed_set_range_exits_2_naming_the_part(spec, chi01, tmp_path, capsys):
     assert run("project", "--in", chi01, "--set", spec, "--out", str(tmp_path / "o.json")) == 2
     part = spec.split(",")[-1].strip()
     assert f"bad cell range {part!r}" in capsys.readouterr().err
     assert not (tmp_path / "o.json").exists()
+
+
+def test_dense_kernel_file_with_weight_below_the_diagonal_exits_2(tmp_path, capsys):
+    kpath = tmp_path / "k.json"
+    kpath.write_text('{"order": 2, "dense": [[0.0, 1.0], [5.0, 0.0]]}')
+    out = tmp_path / "o.json"
+    assert run("ito", "--kernel", str(kpath), "--level", "1", "--paths", "2000",
+               "--seed", "1", "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert "weight 5.0 at (1, 0) is not above the diagonal" in captured.err
+    assert "exact" not in captured.out
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("record", [

@@ -32,8 +32,8 @@ from noisespectra.families import (
     family_mean,
     family_model,
     family_names,
+    family_values,
     make_functional,
-    materialize,
     tribes_shape,
 )
 from noisespectra.functionals import evaluate_table, norm_sq
@@ -41,8 +41,8 @@ from noisespectra.walsh import sign_table
 
 
 def dense_twin(f):
-    """Same function through the table route, losing the family tag."""
-    return materialize(f.grid, f.backend)
+    """Same function as a value table, losing the family tag."""
+    return NoiseFunctional.from_table(f.grid, family_values(f.grid, f.backend))
 
 
 def test_family_names_construct():

@@ -177,6 +177,20 @@ def test_from_cells_of_narrow_integer_arrays_does_not_wrap():
         ElementarySet.from_cells(grid, np.array([[0, 1], [2, 3]]))
 
 
+@pytest.mark.parametrize("grid", [
+    TimeGrid(0, 1, 10), TimeGrid(Fraction(1, 3), Fraction(5, 7), 3, 3),
+    TimeGrid(Fraction(-1, 2), Fraction(3, 2), 5), TimeGrid(Fraction(2, 9), Fraction(13, 6), 4, 6),
+    TimeGrid(0.1, 0.7, 3, 5),
+])
+def test_ticks_are_the_exact_boundaries(grid):
+    a, h, d = grid.ticks
+    assert d > 0 and all(type(x) is int for x in (a, h, d))
+    for i in range(grid.n_cells + 1):
+        assert Fraction(a + h * i, d) == grid.interval_start + i * grid.cell_length
+    with pytest.raises(AttributeError):
+        grid.ticks = (0, 1, 1)
+
+
 def test_cached_cell_length_keeps_exact_values_and_identity():
     g = TimeGrid(Fraction(1, 3), 2, 4, base=3)
     n, width = g.n_cells, Fraction(5, 3)
@@ -196,7 +210,8 @@ def test_set_parse_format_roundtrip():
     with pytest.raises(ValueError):
         ElementarySet.parse(GRID, "0:9")
     assert ElementarySet.parse(GRID, "3:3, 6") == ElementarySet(GRID, ((6, 7),))
-    for text, part in [("5:2", "5:2"), ("0, 1:2:3", "1:2:3")]:
+    for text, part in [("5:2", "5:2"), ("0, 1:2:3", "1:2:3"), ("4:", "4:"), (":3", ":3"),
+                       ("0,x", "x"), ("1, 2:y", "2:y"), ("1.5", "1.5"), ("0,,2", "")]:
         with pytest.raises(ValueError, match=f"bad cell range {part!r}"):
             ElementarySet.parse(GRID, text)
     assert ElementarySet(GRID, ((5, 2),)) == ElementarySet.empty(GRID)  # constructor unchanged

@@ -2,13 +2,15 @@
 
 Each reference below is the former implementation, kept here verbatim as the
 oracle: the exact kernel norm's own simplex recursion and dense contractions,
-the per-backend `norm_sq`, the Walsh reconstruction through a dense vector and
-the first-chaos filter of `additive_integral_of`.  Every comparison is `==`.
+the per-backend `norm_sq`, the Walsh reconstruction through a dense vector,
+the first-chaos filter of `additive_integral_of`, and the family fallbacks of
+`conditional_expectation`, `level_projection` and `inner_product` that built a
+table functional and called themselves again.  Every comparison is `==`.
 """
 import numpy as np
 import pytest
 
-from noisespectra import NoiseFunctional, SimplexKernel, TimeGrid
+from noisespectra import ElementarySet, NoiseFunctional, SimplexKernel, TimeGrid
 from noisespectra.chaos import (
     HERMITE,
     WALSH,
@@ -16,20 +18,38 @@ from noisespectra.chaos import (
     index_cardinality,
     index_has_multiplicity,
 )
+from noisespectra.families import _evaluate_rows, make_functional
 from noisespectra.functionals import (
+    BackendError,
     BrownianProgram,
+    FamilyRef,
     ItoTerm,
     MapFactor,
     MapTerm,
     RademacherTable,
+    _max_degree,
+    _sparse_dot,
+    evaluate_table,
     hermite_decompose,
+    inner_product,
+    inner_product_mc,
     norm_sq,
     program_inner,
     random_functional,
 )
 from noisespectra.structure import additive_integral_of
-from noisespectra.transform import decompose, reconstruct
-from noisespectra.walsh import mask_of_cells, values_from_coefficients
+from noisespectra.transform import (
+    conditional_expectation,
+    decompose,
+    level_projection,
+    reconstruct,
+)
+from noisespectra.walsh import (
+    DENSE_CELL_CAP,
+    mask_of_cells,
+    sign_table,
+    values_from_coefficients,
+)
 
 # -- the former routes --------------------------------------------------------
 
@@ -82,6 +102,74 @@ def old_additive_coefficients(f, tol=None):
     return decompose(f, tol).filtered(
         lambda ix: index_cardinality(ix) == 1 and not index_has_multiplicity(ix)
     )
+
+
+def old_materialize(grid, ref):
+    """Dense value table of a family instance; only below the dense cap."""
+    n = grid.n_cells
+    if n > DENSE_CELL_CAP:
+        raise BackendError(
+            f"family {ref.name!r} at {n} cells exceeds the dense cap; "
+            "use its spectral model instead"
+        )
+    values = _evaluate_rows(grid, ref, sign_table(n).astype(np.float64))
+    return NoiseFunctional.from_table(grid, values)
+
+
+def old_conditional_expectation(f, region):
+    if isinstance(f.backend, FamilyRef):
+        return conditional_expectation(old_materialize(f.grid, f.backend), region)
+    return conditional_expectation(f, region)
+
+
+def old_level_projection(f, order):
+    if isinstance(f.backend, FamilyRef):
+        return level_projection(old_materialize(f.grid, f.backend), order)
+    return level_projection(f, order)
+
+
+def old_backend_kind(f):
+    if isinstance(f.backend, RademacherTable):
+        return "table"
+    if isinstance(f.backend, ChaosCoefficients):
+        return "chaos"
+    if isinstance(f.backend, BrownianProgram):
+        return "brownian"
+    return "family"
+
+
+def old_inner_product(f, g):
+    fb, gb = f.backend, g.backend
+    f_kind, g_kind = old_backend_kind(f), old_backend_kind(g)
+
+    if "family" in (f_kind, g_kind):
+        if f_kind == "family":
+            f = old_materialize(f.grid, fb)
+        if g_kind == "family":
+            g = old_materialize(g.grid, gb)
+        return old_inner_product(f, g)
+
+    walsh_side = {"table", "chaos"}
+    if f_kind in walsh_side and g_kind in walsh_side:
+        f_is_hermite = f_kind == "chaos" and fb.kind == HERMITE
+        g_is_hermite = g_kind == "chaos" and gb.kind == HERMITE
+        if f_is_hermite != g_is_hermite:
+            raise BackendError("cannot pair a Hermite expansion with a Rademacher backend")
+        if f_is_hermite:
+            return _sparse_dot(fb, gb)
+        if f_kind == "table" or g_kind == "table":
+            prod = evaluate_table(f) * evaluate_table(g)
+            return float(np.add.reduce(prod) / prod.shape[0])
+        return _sparse_dot(fb, gb)
+
+    if f_kind == "brownian" and g_kind == "brownian":
+        return program_inner(f.grid, fb, gb)
+    if f_kind == "brownian" and g_kind == "chaos" and gb.kind == HERMITE:
+        need = _max_degree(gb)
+        return _sparse_dot(hermite_decompose(f.grid, fb, max(fb.degree_cap, need)), gb)
+    if g_kind == "brownian" and f_kind == "chaos" and fb.kind == HERMITE:
+        return old_inner_product(g, f)
+    raise BackendError(f"no exact inner product between {f_kind} and {g_kind} backends")
 
 
 # -- random subjects -------------------------------------------------------------
@@ -191,3 +279,101 @@ def test_additive_integral_is_the_former_first_chaos_filter(seed):
     assert {HERMITE, WALSH} == {
         additive_integral_of(f).coefficients.kind for f in _subjects(seed).values()
     }
+
+
+# -- families below the dense cap are tables to every table route ----------------
+
+FAMILIES = [("majority3-iterated", 1), ("majority3-iterated", 2), ("tribes", 2), ("tribes", 3),
+            ("tribes", 4)]
+
+
+def _family_subjects(name, level, seed):
+    """The family and, on its grid, one of each other backend."""
+    family = make_functional(name, level)
+    grid, n = family.grid, family.grid.n_cells
+    rng = np.random.default_rng(seed)
+    entries = {}
+    for _ in range(12):
+        cells = rng.choice(n, size=int(rng.integers(0, min(n, 4) + 1)), replace=False)
+        entries[tuple(sorted(int(c) for c in cells))] = float(rng.standard_normal())
+    maps = MapTerm(1.5, (MapFactor(0, 0, "sin", (0.8,)), MapFactor(n - 1, 0, "poly", (0.3, 1.0))))
+    program = NoiseFunctional(grid, BrownianProgram(
+        (ItoTerm(0.7, SimplexKernel.separable([rng.standard_normal(n)])), maps), degree_cap=3))
+    return {
+        "family": family,
+        "table": random_functional(grid, rng),
+        "walsh-chaos": NoiseFunctional.from_chaos(ChaosCoefficients(grid, entries, WALSH)),
+        "hermite-chaos": NoiseFunctional.from_chaos(hermite_decompose(grid, program.backend)),
+        "program": program,
+    }
+
+
+def _regions(grid, rng):
+    n = grid.n_cells
+    yield ElementarySet.empty(grid)
+    yield ElementarySet(grid, ((0, n),))
+    for _ in range(20):
+        yield ElementarySet.from_cells(grid, np.flatnonzero(rng.random(n) < 0.5).tolist())
+
+
+@pytest.mark.parametrize("name, level", FAMILIES)
+def test_family_conditional_expectation_is_the_former_materialize_route(name, level):
+    f = make_functional(name, level)
+    for region in _regions(f.grid, np.random.default_rng(level)):
+        got, want = conditional_expectation(f, region), old_conditional_expectation(f, region)
+        assert np.array_equal(evaluate_table(got), want.backend.values)
+        if region.cell_count == f.grid.n_cells:
+            assert got is f  # a full region returns f itself, as it does for a table
+        else:
+            assert isinstance(got.backend, RademacherTable)
+            assert not got.backend.values.flags.writeable
+
+
+@pytest.mark.parametrize("name, level", FAMILIES)
+def test_family_level_projection_is_the_former_materialize_route(name, level):
+    f = make_functional(name, level)
+    for order in range(f.grid.n_cells + 1):
+        got, want = level_projection(f, order), old_level_projection(f, order)
+        assert np.array_equal(got.backend.values, want.backend.values)
+
+
+@pytest.mark.parametrize("name, level", FAMILIES)
+def test_family_inner_products_are_the_former_materialize_route(name, level):
+    subjects = _family_subjects(name, level, seed=level)
+    family = subjects["family"]
+    for other in ("family", "table", "walsh-chaos"):
+        g = subjects[other]
+        assert inner_product(family, g) == old_inner_product(family, g)
+        assert inner_product(g, family) == old_inner_product(g, family)
+    # every other pair of backends dispatches as before: the same bits or both refused
+    for f in subjects.values():
+        for g in subjects.values():
+            try:
+                want = old_inner_product(f, g)
+            except BackendError:
+                with pytest.raises(BackendError):
+                    inner_product(f, g)
+                continue
+            assert inner_product(f, g) == want, (f.kind, g.kind)
+
+
+REFUSED = [("table", "program"), ("family", "program"), ("family", "hermite-chaos"),
+           ("table", "hermite-chaos"), ("walsh-chaos", "program"), ("walsh-chaos", "hermite-chaos")]
+
+
+@pytest.mark.parametrize("left, right", REFUSED)
+def test_rademacher_and_gaussian_backends_do_not_pair(left, right):
+    subjects = _family_subjects("tribes", 3, seed=5)
+    f, g = subjects[left], subjects[right]
+    for a, b in ((f, g), (g, f)):
+        with pytest.raises(BackendError, match="cannot pair a Rademacher backend"):
+            inner_product(a, b)
+
+
+@pytest.mark.parametrize("side", ["family", "table", "walsh-chaos"])
+def test_mc_inner_product_refuses_rademacher_backends(side):
+    subjects = _family_subjects("majority3-iterated", 2, seed=6)
+    for f, g in ((subjects[side], subjects["program"]), (subjects["program"], subjects[side]),
+                 (subjects[side], subjects[side])):
+        with pytest.raises(BackendError, match="MC inner products pair"):
+            inner_product_mc(f, g, samples=16, seed=1)

@@ -3,6 +3,7 @@ import gc
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -73,6 +74,19 @@ def test_kernel_roundtrips():
         kernel_from_data({"order": 1, "constant": 1.0})  # no n_cells anywhere
     with pytest.raises(FormatError):
         kernel_from_data({"order": 1, "n_cells": 4})
+
+
+def test_dense_kernel_file_refuses_weights_on_or_below_the_diagonal():
+    for dense, at in [([[0, 1], [5, 0]], "(1, 0)"), ([[2, 1], [0, 0]], "(0, 0)"),
+                      ([[0, 0, 1], [0, -3, 1], [4, 0, 0]], "(1, 1)")]:
+        with pytest.raises(FormatError, match=re.escape(f"at {at} is not above the diagonal")):
+            kernel_from_data({"order": 2, "dense": dense}, n_cells=len(dense))
+    # the in-memory kernel keeps its documented strict upper triangle
+    k = SimplexKernel(2, 2, dense=np.array([[0.0, 1.0], [5.0, 0.0]]))
+    assert k.dense.tolist() == [[0.0, 1.0], [0.0, 0.0]]
+    assert kernel_from_data(kernel_to_data(k)).dense.tolist() == k.dense.tolist()
+    # an order-1 dense vector has no diagonal
+    assert kernel_from_data({"order": 1, "dense": [3.0, 5.0]}, 2).dense.tolist() == [3.0, 5.0]
 
 
 def test_table_functional_roundtrip(rng):
