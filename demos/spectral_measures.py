@@ -50,7 +50,7 @@ def main() -> None:
     b = random_functional(TimeGrid(half, 1, 2), rng)
     ab = tensor_product(a, b)
     mu_ab = spectral_measure_of(ab)
-    mu_prod = product(spectral_measure_of(a), spectral_measure_of(b), grid=ab.grid)
+    mu_prod = product(spectral_measure_of(a), spectral_measure_of(b))
     worst = max(
         abs(mu_ab.entries.get(k, 0.0) - mu_prod.entries.get(k, 0.0))
         for k in set(mu_ab.entries) | set(mu_prod.entries)

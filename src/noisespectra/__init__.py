@@ -3,14 +3,7 @@ measures with their projection and factorization algebra, first-chaos
 structure, a white-noise laboratory, and box-counting dimension probes.
 """
 from .chaos import HERMITE, WALSH, ChaosCoefficients, hermite_index, walsh_index
-from .dimension import (
-    DimensionEstimate,
-    RefinementFamily,
-    box_count,
-    builtin_families,
-    estimate_dimension,
-    family_by_name,
-)
+from .dimension import DimensionEstimate, box_count, estimate_dimension
 from .functionals import (
     BackendError,
     BrownianProgram,

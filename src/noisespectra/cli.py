@@ -9,6 +9,7 @@ wall time.  `selftest` writes no file and no manifest.  Outputs are atomic.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import asdict, astuple, fields
@@ -19,7 +20,7 @@ import numpy as np
 from . import families
 from ._rng import default_workers
 from .chaos import add_coefficients
-from .dimension import RefinementFamily, ScalePoint, estimate_dimension
+from .dimension import ScalePoint, estimate_dimension
 from .functionals import (
     BackendError,
     NoiseFunctional,
@@ -54,7 +55,6 @@ from .spectral import (
 )
 from .structure import additive_integral_of, classify, interior_cut_distances
 from .transform import conditional_expectation, decompose
-from .walsh import DENSE_CELL_CAP
 from .whitenoise import isometry_check, npoint_density_estimate
 
 EXIT_OK = 0
@@ -256,8 +256,6 @@ def cmd_factor_check(args) -> int:
     f = functional_from_data(read_json(args.infile))
     cut = f.grid.boundary_index(Fraction(args.cut))
     n = f.grid.n_cells
-    if n > DENSE_CELL_CAP:
-        raise FormatError("factor-check needs a dense-representable functional")
     values = evaluate_table(f)
     verdict: dict = {"cut": args.cut, "cut_index": cut}
     if cut == 0 or cut == n:
@@ -363,7 +361,7 @@ def cmd_calibrate(args) -> int:
     results = {}
     failed = []
     for name, (target, tol) in gates.items():
-        fam = RefinementFamily(name, lambda level, nm=name: families.calibration_measure(nm, level))
+        fam = functools.partial(families.calibration_measure, name)
         est = estimate_dimension(fam, [args.depth], args.samples, args.seed)
         results[name] = {"slope": est.slope, "target": target, "tolerance": tol,
                          "r_squared": est.r_squared}
@@ -422,7 +420,7 @@ def cmd_selftest(args) -> int:
         b = random_functional(wr, rng)
         fg = tensor_product(a, b)
         mu_fg = spectral_measure_of(fg)
-        mu_prod = product(spectral_measure_of(a), spectral_measure_of(b), grid=fg.grid)
+        mu_prod = product(spectral_measure_of(a), spectral_measure_of(b))
         worst_prod = max(worst_prod, _max_gap(mu_fg.entries, mu_prod.entries))
     checks.append(("window-factorization", worst_prod))
 

@@ -1,6 +1,7 @@
 """Box-counting dimension of sampled spectral sets across refinement families.
 
-The estimator draws sets from a family's spectral measure at one or more
+A family is a name or any callable taking a level to a functional or a
+measure.  The estimator draws sets from its spectral measure at one or more
 resolutions, counts covering boxes over a mid-range of scales (the two finest
 and two coarsest are degenerate and excluded), and fits a least-squares slope
 of mean log2 count against log2 inverse scale.  Box counts are exact integer
@@ -49,31 +50,6 @@ def _box_counts(flat: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class RefinementFamily:
-    """A named generator: level -> functional (or a deterministic measure)."""
-
-    name: str
-    make: Callable[[int], object]
-
-
-def builtin_families() -> list[RefinementFamily]:
-    from . import families as fam
-
-    out = [RefinementFamily(name, functools.partial(NoiseFunctional.from_family, name))
-           for name in fam.family_names()]
-    cantor = functools.partial(fam.calibration_measure, "cantor-thirds")
-    return out + [RefinementFamily("cantor-calibration", cantor)]
-
-
-def family_by_name(name: str) -> RefinementFamily:
-    for f in builtin_families():
-        if f.name == name:
-            return f
-    known = ", ".join(f.name for f in builtin_families())
-    raise ValueError(f"unknown family {name!r}; known: {known}")
-
-
-@dataclass(frozen=True)
 class ScalePoint:
     level: int
     box_level: int
@@ -95,9 +71,20 @@ class DimensionEstimate:
     empty_fraction: float
 
 
-def estimate_dimension(
-    family, levels: Sequence[int], samples: int, seed: int
-) -> DimensionEstimate:
+def _named(name: str) -> Callable[[int], NoiseFunctional | SpectralMeasure]:
+    """A `families` name, or the alias "cantor-calibration" for the middle-thirds measure."""
+    from . import families
+
+    if name == "cantor-calibration":
+        return functools.partial(families.calibration_measure, "cantor-thirds")
+    if name not in families.family_names():
+        known = ", ".join([*families.family_names(), "cantor-calibration"])
+        raise ValueError(f"unknown family {name!r}; known: {known}")
+    return functools.partial(NoiseFunctional.from_family, name)
+
+
+def estimate_dimension(family: str | Callable[[int], NoiseFunctional | SpectralMeasure],
+                       levels: Sequence[int], samples: int, seed: int) -> DimensionEstimate:
     """Fit log2 box count against log2 inverse scale over sampled sets.
 
     Every (level, mid-range scale) pair contributes one regression point, so
@@ -106,7 +93,7 @@ def estimate_dimension(
     an error.
     """
     if isinstance(family, str):
-        family = family_by_name(family)
+        family = _named(family)
     if samples < 1:
         raise ValueError("need at least one sample")
     if len(levels) == 0:
@@ -117,7 +104,7 @@ def estimate_dimension(
     for offset, level in enumerate(levels):
         if level < 4:
             raise ValueError("levels below 4 leave no mid-range scales")
-        source = family.make(level)
+        source = family(level)
         sets = _sampled_sets(source, samples, seed + 1000 * offset)
         drawn += len(sets)
         nonempty = [s for s in sets if s.cells]

@@ -41,7 +41,7 @@ from ._rng import worker_generator
 from .functionals import BackendError, FamilyRef, ItoTerm, NoiseFunctional
 from .grid import TimeGrid
 from .kernels import SimplexKernel
-from .walsh import DENSE_CELL_CAP, sign_table
+from .walsh import sign_table
 
 DENSE_FANIN_CAP = 15
 # boundaries per cut pass; a pass holds prefix and suffix cuts side by side
@@ -497,14 +497,8 @@ def _evaluate_rows(grid: TimeGrid, ref: FamilyRef, rows: np.ndarray) -> np.ndarr
 
 
 def family_values(grid: TimeGrid, ref: FamilyRef) -> np.ndarray:
-    """Fresh value table of a family instance; only below the dense cap."""
-    n = grid.n_cells
-    if n > DENSE_CELL_CAP:
-        raise BackendError(
-            f"family {ref.name!r} at {n} cells exceeds the dense cap; "
-            "use its spectral model instead"
-        )
-    return _evaluate_rows(grid, ref, sign_table(n).astype(np.float64))
+    """Fresh value table of a family instance; `evaluate_table` refuses it past the cap."""
+    return _evaluate_rows(grid, ref, sign_table(grid.n_cells).astype(np.float64))
 
 
 def family_mean(grid: TimeGrid, ref: FamilyRef) -> float:

@@ -268,25 +268,25 @@ def evaluate(f: NoiseFunctional, omega) -> float:
 
 
 def evaluate_table(f: NoiseFunctional) -> np.ndarray:
-    """Full value table; the one place a Walsh expansion or a family becomes values."""
+    """Full value table; the one place a Walsh expansion or a family becomes values,
+    and the one place a table past DENSE_CELL_CAP cells is refused."""
     b = f.backend
     if isinstance(b, RademacherTable):
         return b.values
-    if isinstance(b, ChaosCoefficients):
-        if b.kind != WALSH:
-            raise BackendError("Hermite expansions have no Rademacher value table")
-        n = f.grid.n_cells
-        if n > DENSE_CELL_CAP:
-            raise ValueError(f"dense expansion capped at {DENSE_CELL_CAP} cells, got {n}")
-        dense = np.zeros(1 << n)
-        for ix, c in b.entries.items():
-            dense[mask_of_cells(ix)] = c
-        return values_from_coefficients(dense)
+    if not _rademacher(b):
+        kind = "Hermite expansions" if isinstance(b, ChaosCoefficients) else "Brownian programs"
+        raise BackendError(f"{kind} have no Rademacher value table")
+    n = f.grid.n_cells
+    if n > DENSE_CELL_CAP:
+        raise BackendError(f"value tables are capped at {DENSE_CELL_CAP} cells, got {n}")
     if isinstance(b, FamilyRef):
         from . import families
 
         return families.family_values(f.grid, b)
-    raise BackendError("Brownian programs have no Rademacher value table")
+    dense = np.zeros(1 << n)
+    for ix, c in b.entries.items():
+        dense[mask_of_cells(ix)] = c
+    return values_from_coefficients(dense)
 
 
 # ---------------------------------------------------------------------------
@@ -344,10 +344,9 @@ def inner_product(f: NoiseFunctional, g: NoiseFunctional) -> float:
 
 
 def _sparse_dot(a: ChaosCoefficients, b: ChaosCoefficients) -> float:
-    small, large = (a.entries, b.entries) if len(a.entries) <= len(b.entries) else (
-        b.entries,
-        a.entries,
-    )
+    """Iterates the smaller side, on a tie the one whose keys sort first, so that the
+    terms add in an order that does not depend on which argument came first."""
+    small, large = sorted((a.entries, b.entries), key=lambda e: (len(e), tuple(e)))
     return float(sum(c * large.get(ix, 0.0) for ix, c in small.items()))
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Union
 
 import numpy as np
@@ -106,7 +107,21 @@ def require_same_grid(a: TimeGrid, b: TimeGrid) -> None:
         raise GridMismatchError(f"grid mismatch: {a} vs {b}")
 
 
+def _integers(values: Iterable, what: str) -> list:
+    """`values` as a list of integers.  An integer array is vouched for by its dtype;
+    anything else takes one pass over its entries' types, and a bool or a float is refused."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        return values.tolist()
+    values = values.tolist() if hasattr(values, "tolist") else list(values)
+    if not all(t is not bool and issubclass(t, (int, np.integer)) for t in set(map(type, values))):
+        bad = next(v for v in values if type(v) is bool or not isinstance(v, (int, np.integer)))
+        raise ValueError(f"{what} must be integers, got {bad!r}")
+    return values
+
+
 def _canonical_ranges(ranges: Iterable[tuple[int, int]], n_cells: int) -> tuple[tuple[int, int], ...]:
+    ranges = tuple(ranges)
+    _integers(chain.from_iterable(ranges), "range bounds")
     cleaned = []
     for lo, hi in ranges:
         if lo < 0 or hi > n_cells:
@@ -148,16 +163,15 @@ class ElementarySet:
 
         A 1-d integer array of at least NUMPY_RUNS_FROM cells finds its runs with
         array masks and ends each one past its last cell in int64; other input is
-        taken cell by cell as Python ints, faster below that size.  The runs come
-        out canonical, so they go through ``_canonical`` and skip the merge.
+        taken cell by cell as Python ints, faster below that size, and a bool or a
+        float cell is refused.  The runs come out canonical, so they go through
+        ``_canonical`` and skip the merge.
         """
         if (isinstance(cells, np.ndarray) and cells.ndim == 1 and cells.dtype.kind in "iu"
                 and cells.size >= NUMPY_RUNS_FROM):
             v = np.sort(cells)
         else:
-            if hasattr(cells, "tolist"):  # one conversion, not one scalar per cell
-                cells = cells.tolist()
-            v = sorted(set(map(int, cells)))
+            v = sorted(set(map(int, _integers(cells, "cells"))))
         n = grid.n_cells
         if len(v) and (v[0] < 0 or v[-1] >= n):
             bad = int(v[0] if v[0] < 0 else v[np.searchsorted(v, n)])

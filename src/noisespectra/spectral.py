@@ -40,7 +40,7 @@ from .functionals import (
     RademacherTable,
     joined_grid,
 )
-from .grid import ElementarySet, GridMismatchError, TimeGrid
+from .grid import ElementarySet, GridMismatchError, TimeGrid, _integers
 from .transform import decompose, walsh_coefficients
 from .walsh import DENSE_CELL_CAP, cells_of_masks, run_axes
 
@@ -53,7 +53,7 @@ class SpectralSet:
     cells: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        cells = tuple(sorted(set(int(c) for c in self.cells)))
+        cells = tuple(sorted(set(map(int, _integers(self.cells, "cells")))))
         if cells and not 0 <= cells[0] <= cells[-1] < self.grid.n_cells:
             raise ValueError(f"cells {cells} outside grid with {self.grid.n_cells} cells")
         object.__setattr__(self, "cells", cells)
@@ -472,10 +472,8 @@ def restrict(mu: SpectralMeasure, region: ElementarySet) -> SpectralMeasure:
     return SpectralMeasure._of_dense(mu.grid, t.take(np.flatnonzero(t.inside(region.ranges))))
 
 
-def product(
-    left: SpectralMeasure, right: SpectralMeasure, grid: TimeGrid | None = None
-) -> SpectralMeasure:
-    """Product measure on two adjacent windows of equal cell length.
+def product(left: SpectralMeasure, right: SpectralMeasure) -> SpectralMeasure:
+    """Product measure on two adjacent windows of equal cell length, on their `joined_grid`.
 
     Sets split uniquely across the windows; masses multiply.  Defined for
     dense inputs without truncation residual.
@@ -486,21 +484,13 @@ def product(
         raise BackendError("product is defined for residual-free measures")
     if left.multiplicity_entries or right.multiplicity_entries:
         raise BackendError("product is defined for multiplicity-free measures")
-    target = joined_grid(left.grid, right.grid)
-    if grid is not None:
-        if (
-            grid.interval_start != target.interval_start
-            or grid.interval_end != target.interval_end
-            or grid.n_cells != target.n_cells
-        ):
-            raise GridMismatchError("override grid must carry the same cells")
-        target = grid
+    grid = joined_grid(left.grid, right.grid)  # refuses windows that do not join
     offset = left.grid.n_cells
     out: dict[tuple[int, ...], float] = {}
     for ka, va in left.entries.items():
         for kb, vb in right.entries.items():
             out[ka + tuple(c + offset for c in kb)] = va * vb
-    return SpectralMeasure(target, out)
+    return SpectralMeasure(grid, out)
 
 
 def is_absolutely_continuous(mu_g: SpectralMeasure, mu_f: SpectralMeasure) -> bool:

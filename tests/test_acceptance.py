@@ -126,7 +126,7 @@ def test_criterion_03_factorization_and_restriction(corpus):
         h = random_functional(right, rng)
         fg = tensor_product(g, h)
         mu_fg = spectral_measure_of(fg)
-        mu_prod = product(spectral_measure_of(g), spectral_measure_of(h), grid=fg.grid)
+        mu_prod = product(spectral_measure_of(g), spectral_measure_of(h))
         assert mu_fg.grid == mu_prod.grid
         for key in set(mu_fg.entries) | set(mu_prod.entries):
             err = abs(mu_fg.entries.get(key, 0.0) - mu_prod.entries.get(key, 0.0))

@@ -124,6 +124,12 @@ def test_factor_check_verdicts(tmp_path, rng, capsys):
     assert "exact-product: false" in capsys.readouterr().out
 
 
+def test_factor_check_past_the_dense_cap_exits_2_naming_the_cap(tmp_path, capsys):
+    parity = dump_functional(tmp_path / "parity.json", make_functional("parity", 5))
+    assert run("factor-check", "--in", parity, "--cut", "1/2") == 2
+    assert "value tables are capped at 24 cells, got 32" in capsys.readouterr().err
+
+
 def test_factor_check_additive_functional_has_no_straddling_mass(tmp_path):
     # constant plus singletons: no spectral set meets both sides of any cut,
     # so the straddling mass is exactly zero, not float residue

@@ -1,4 +1,6 @@
 """Box-counting dimension estimates on the refinement families."""
+from functools import partial
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -8,11 +10,9 @@ from noisespectra import (
     SpectralSet,
     TimeGrid,
     box_count,
-    builtin_families,
     estimate_dimension,
-    family_by_name,
 )
-from noisespectra.families import calibration_measure
+from noisespectra.families import calibration_measure, family_names
 
 
 def test_box_count_exact():
@@ -39,13 +39,13 @@ def test_box_count_cantor_is_power_of_two():
 
 
 def test_family_registry():
-    names = [f.name for f in builtin_families()]
-    assert "parity" in names and "cantor-calibration" in names
-    fam = family_by_name("parity")
-    f = fam.make(5)
-    assert isinstance(f, NoiseFunctional)
-    with pytest.raises(ValueError):
-        family_by_name("nonesuch")
+    # a name is the callable it stands for: the same estimate, field for field
+    for name, make in (("parity", partial(NoiseFunctional.from_family, "parity")),
+                       ("cantor-calibration", partial(calibration_measure, "cantor-thirds"))):
+        assert estimate_dimension(name, [5, 6], 16, 3) == estimate_dimension(make, [5, 6], 16, 3)
+    with pytest.raises(ValueError, match="unknown family 'nonesuch'") as err:
+        estimate_dimension("nonesuch", [5], 8, 0)
+    assert all(name in str(err.value) for name in [*family_names(), "cantor-calibration"])
 
 
 def test_parity_slope_is_one():

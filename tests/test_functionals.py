@@ -81,6 +81,24 @@ def test_table_inner_product_and_norm_are_the_bits_of_np_mean(n):
     assert norm_sq(f) == float(np.mean(a**2))
 
 
+def test_sparse_dot_does_not_depend_on_argument_order():
+    # equal-size expansions with the same keys inserted in opposite orders
+    rng = np.random.default_rng(24)
+    keys = [tuple(np.flatnonzero(m).tolist()) for m in sign_table(GRID.n_cells) < 0]
+    for _ in range(200):
+        picked = [keys[i] for i in rng.choice(len(keys), size=12, replace=False)]
+        f = NoiseFunctional.from_walsh_entries(GRID, dict(zip(picked, rng.standard_normal(12))))
+        g = NoiseFunctional.from_walsh_entries(GRID, dict(zip(picked[::-1], rng.standard_normal(12))))
+        assert inner_product(f, g) == inner_product(g, f)
+        assert norm_sq(f) == f.backend.norm_sq
+
+
+def test_walsh_expansions_past_the_cap_have_no_value_table():
+    f = NoiseFunctional.from_walsh_entries(TimeGrid(0, 1, 5), {tuple(range(32)): 1.0})
+    with pytest.raises(BackendError, match="capped at 24 cells, got 32"):
+        evaluate_table(f)
+
+
 def test_inner_product_rejects_mixed_hermite_walsh():
     from noisespectra.chaos import ChaosCoefficients, HERMITE
 

@@ -137,8 +137,8 @@ FROM_CELLS_PINS = [  # on 16 cells: (cells, the ranges or the ValueError text)
     ([], ()),
     ((0, 1, 2, 3), ((0, 4),)),
     ([np.int64(3), np.int32(4)], ((3, 5),)),
-    (np.array([1.0, 2.7]), ((1, 3),)),
-    ([1.5, 3.2], ((1, 2), (3, 4))),
+    (np.array([1.0, 2.7]), "cells must be integers, got 1.0"),
+    ([1.5, 3.2], "cells must be integers, got 1.5"),
     (np.array([-2, 3]), "range [-2, -1) outside 0..16"),
     (np.array([1, 16, 17]), "range [16, 17) outside 0..16"),
     ([-1, 0], "range [-1, 0) outside 0..16"),
@@ -150,6 +150,12 @@ FROM_CELLS_PINS = [  # on 16 cells: (cells, the ranges or the ValueError text)
     (np.arange(80) % 16, ((0, 16),)),
     (np.append(np.arange(70) % 16, -3), "range [-3, -2) outside 0..16"),
     (np.append(np.arange(70) % 16, [17, 16]), "range [16, 17) outside 0..16"),
+    # bools and floats are refused, as arrays, as entries and at either size
+    (np.array([True, False, True]), "cells must be integers, got True"),
+    ([2, np.float64(3.0)], "cells must be integers, got np.float64(3.0)"),
+    ([1, True], "cells must be integers, got True"),
+    (np.arange(70) % 16 == 1, "cells must be integers, got False"),
+    (np.arange(70.0) % 16, "cells must be integers, got 0.0"),
 ]
 
 
@@ -164,6 +170,15 @@ def test_from_cells_keeps_its_ranges_and_messages(cells, want):
     s = ElementarySet.from_cells(grid, cells)
     assert s.ranges == want and s == ElementarySet(grid, want)
     assert all(type(v) is int for r in s.ranges for v in r)
+
+
+@pytest.mark.parametrize("ranges, bad", [
+    (((1, 1.5),), "1.5"), (((True, 3),), "True"), ([(0, np.float64(2.0))], "np.float64(2.0)"),
+])
+def test_range_bounds_must_be_integers(ranges, bad):
+    with pytest.raises(ValueError) as got:
+        ElementarySet(TimeGrid(0, 1, 4), ranges)
+    assert str(got.value) == f"range bounds must be integers, got {bad}"
 
 
 def test_from_cells_of_narrow_integer_arrays_does_not_wrap():

@@ -48,6 +48,10 @@ def test_spectral_set_canonicalizes():
     assert s.cardinality == 3
     with pytest.raises(ValueError):
         SpectralSet(GRID, (8,))
+    assert SpectralSet(GRID, np.array([3, 1], dtype=np.uint8)).cells == (1, 3)
+    for cells, bad in (((1, 2.5), "2.5"), ((True,), "True"), (np.array([1.0]), "1.0")):
+        with pytest.raises(ValueError, match=f"cells must be integers, got {bad}"):
+            SpectralSet(GRID, cells)
 
 
 def test_total_mass_is_squared_norm(rng):
