@@ -32,15 +32,16 @@ def chunk_bounds(total: int, workers: int) -> list[tuple[int, int]]:
     return bounds
 
 
+def worker_count(text: str) -> int | None:
+    """`text` as a worker count: decimal digits worth at least 1, with spaces around them
+    ignored; None for anything else, so "+2", "2_0" and "0" are not counts."""
+    return int(text) if text.strip().isdecimal() and int(text) >= 1 else None
+
+
 def default_workers() -> int:
     """NOISESPECTRA_THREADS as a worker count: 1 when unset or blank."""
     env = os.environ.get("NOISESPECTRA_THREADS", "").strip()
-    if not env:
-        return 1
-    try:
-        workers = int(env)
-    except ValueError:
-        workers = 0
-    if workers < 1:
+    workers = worker_count(env) if env else 1
+    if workers is None:
         raise ValueError(f"NOISESPECTRA_THREADS must be a positive integer, got {env!r}")
     return workers

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
-from .grid import TimeGrid
+from .grid import TimeGrid, _integers
 
 WalshIndex = tuple[int, ...]
 HermiteIndex = tuple[tuple[int, int, int], ...]
@@ -27,7 +27,7 @@ HERMITE = "hermite"
 
 
 def walsh_index(cells: Iterable[int]) -> WalshIndex:
-    out = tuple(sorted(int(c) for c in cells))
+    out = tuple(sorted(map(int, _integers(cells, "Walsh index cells"))))
     if len(set(out)) != len(out):
         raise ValueError(f"repeated cell in Walsh index {out}")
     return out

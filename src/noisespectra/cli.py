@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import families
-from ._rng import default_workers
+from ._rng import default_workers, worker_count
 from .chaos import add_coefficients
 from .dimension import ScalePoint, estimate_dimension
 from .functionals import (
@@ -258,19 +258,16 @@ def cmd_factor_check(args) -> int:
     n = f.grid.n_cells
     values = evaluate_table(f)
     verdict: dict = {"cut": args.cut, "cut_index": cut}
-    if cut == 0 or cut == n:
-        verdict["exact_product"] = True
-        verdict["second_singular_value"] = 0.0
-    else:
-        mat = values.reshape(1 << (n - cut), 1 << cut)
-        s = np.linalg.svd(mat, compute_uv=False)
-        second = float(s[1]) if s.shape[0] > 1 else 0.0
-        verdict["second_singular_value"] = second
-        verdict["exact_product"] = second <= args.tol * max(float(s[0]), 1.0)
-    if 0 < cut < n:
+    if 0 < cut < n:  # the table is a matrix of at least 2 x 2
+        s = np.linalg.svd(values.reshape(1 << (n - cut), 1 << cut), compute_uv=False)
+        verdict["second_singular_value"] = float(s[1])
+        verdict["exact_product"] = float(s[1]) <= args.tol * max(float(s[0]), 1.0)
         # for an exact product the straddling mass is the product of the
         # factor variances, so it vanishes only when a factor is constant
         verdict["straddling_mass"] = straddle_mass(spectral_measure_of(f), cut)
+    else:
+        verdict["exact_product"] = True
+        verdict["second_singular_value"] = 0.0
     print(f"exact-product: {'true' if verdict['exact_product'] else 'false'}")
     if args.out:
         write_json(args.out, {"schema_version": SCHEMA_VERSION, **verdict})
@@ -324,10 +321,7 @@ def cmd_ito(args) -> int:
         f"exact {check.target!r}  mc {check.estimate.value!r} "
         f"+- {check.estimate.stderr!r}  z {check.z:.3f}"
     )
-    if not abs(check.z) <= args.gate:  # a NaN z fails too
-        print(f"tolerance failure: |z| > {args.gate}", file=sys.stderr)
-        return EXIT_TOLERANCE
-    return EXIT_OK
+    return _verdict([] if abs(check.z) <= args.gate else [f"|z| > {args.gate}"])  # a NaN z fails
 
 
 def cmd_npoint(args) -> int:
@@ -359,95 +353,79 @@ def cmd_calibrate(args) -> int:
         "cantor-thirds": (math.log(2) / math.log(3), 0.05),
     }
     results = {}
-    failed = []
     for name, (target, tol) in gates.items():
         fam = functools.partial(families.calibration_measure, name)
         est = estimate_dimension(fam, [args.depth], args.samples, args.seed)
-        results[name] = {"slope": est.slope, "target": target, "tolerance": tol,
-                         "r_squared": est.r_squared}
         ok = abs(est.slope - target) <= tol
-        results[name]["pass"] = ok
-        if not ok:
-            failed.append(name)
-        print(f"{name}: slope {est.slope!r} target {target!r} "
-              f"{'PASS' if ok else 'FAIL'}")
+        results[name] = {"slope": est.slope, "target": target, "tolerance": tol,
+                         "r_squared": est.r_squared, "pass": ok}
+        print(f"{name}: slope {est.slope!r} target {target!r} {'PASS' if ok else 'FAIL'}")
     if args.out:
         write_json(args.out,
                    {"schema_version": SCHEMA_VERSION, "depth": args.depth, "results": results})
-    if failed:
-        print(f"tolerance failure: {', '.join(failed)}", file=sys.stderr)
-        return EXIT_TOLERANCE
-    return EXIT_OK
+    return _verdict([name for name, result in results.items() if not result["pass"]])
 
 
 def cmd_selftest(args) -> int:
     n = min(max(args.level, 4), 12)
     grid = TimeGrid(0, 1, 1, base=n)
     rng = np.random.default_rng(args.seed)
-    checks: list[tuple[str, float]] = []
+    worst: dict[str, float] = {}
 
-    worst_28 = worst_alg = worst_restrict = 0.0
+    def check(name: str, err: float) -> None:
+        worst[name] = max(worst.get(name, 0.0), err)
+
+    def random_region() -> ElementarySet:
+        return ElementarySet.from_cells(grid, np.flatnonzero(rng.integers(0, 2, size=n)))
+
     for _ in range(25):
         f = random_functional(grid, rng)
         mu = spectral_measure_of(f)
         for _ in range(8):
-            cells = rng.integers(0, 2, size=n).astype(bool)
-            region = ElementarySet.from_cells(grid, np.flatnonzero(cells))
+            region = random_region()
             proj = conditional_expectation(f, region)
-            worst_28 = max(worst_28, abs(mass_of_subsets_of(mu, region) - proj.norm_sq))
-            other = ElementarySet.from_cells(
-                grid, np.flatnonzero(rng.integers(0, 2, size=n).astype(bool))
-            )
-            lhs = conditional_expectation(proj, other)
+            check("projection-norm-vs-subset-mass",
+                  abs(mass_of_subsets_of(mu, region) - proj.norm_sq))
+            lhs = conditional_expectation(proj, other := random_region())
             rhs = conditional_expectation(f, region & other)
-            worst_alg = max(
-                worst_alg,
-                float(np.max(np.abs(lhs.backend.values - rhs.backend.values))),
-            )
-            gap = _max_gap(restrict(mu, region).entries, spectral_measure_of(proj).entries)
-            worst_restrict = max(worst_restrict, gap)
-    checks.append(("projection-norm-vs-subset-mass", worst_28))
-    checks.append(("projection-composition", worst_alg))
-    checks.append(("restriction-vs-projected-measure", worst_restrict))
+            check("projection-composition",
+                  float(np.max(np.abs(lhs.backend.values - rhs.backend.values))))
+            check("restriction-vs-projected-measure",
+                  _max_gap(restrict(mu, region).entries, spectral_measure_of(proj).entries))
 
     # adjacent windows of equal cell length covering [0, 1)
     half = n // 2
     wl = TimeGrid(0, Fraction(half, n), 1, base=half)
     wr = TimeGrid(Fraction(half, n), 1, 1, base=n - half)
-    worst_prod = 0.0
     for _ in range(20):
-        a = random_functional(wl, rng)
-        b = random_functional(wr, rng)
-        fg = tensor_product(a, b)
-        mu_fg = spectral_measure_of(fg)
+        a, b = random_functional(wl, rng), random_functional(wr, rng)
         mu_prod = product(spectral_measure_of(a), spectral_measure_of(b))
-        worst_prod = max(worst_prod, _max_gap(mu_fg.entries, mu_prod.entries))
-    checks.append(("window-factorization", worst_prod))
+        check("window-factorization",
+              _max_gap(spectral_measure_of(tensor_product(a, b)).entries, mu_prod.entries))
 
-    worst_add = 0.0
     for _ in range(20):
-        f = random_functional(grid, rng)
-        fam = additive_integral_of(f)
-        pts = sorted(rng.choice(n + 1, size=3, replace=True).tolist())
-        r, s, t = (grid.boundary(p) for p in pts)
+        fam = additive_integral_of(random_functional(grid, rng))
+        r, s, t = map(grid.boundary, sorted(rng.choice(n + 1, size=3, replace=True).tolist()))
         lhs = add_coefficients(fam.member(r, s).backend, fam.member(s, t).backend)
         rhs = fam.member(r, t).backend
-        worst_add = max(worst_add, _max_gap(lhs.entries, rhs.entries))
-    checks.append(("additive-integral-concatenation", worst_add))
+        check("additive-integral-concatenation", _max_gap(lhs.entries, rhs.entries))
 
-    failed = False
-    for name, err in checks:
-        ok = err <= args.tol
-        failed = failed or not ok
-        print(f"{name}: max error {err!r} {'PASS' if ok else 'FAIL'}")
-    if failed:
-        print(f"tolerance failure above {args.tol}", file=sys.stderr)
-        return EXIT_TOLERANCE
-    return EXIT_OK
+    failed = [name for name, err in worst.items() if not err <= args.tol]
+    for name, err in worst.items():
+        print(f"{name}: max error {err!r} {'FAIL' if name in failed else 'PASS'}")
+    return _verdict(failed)
 
 
 # ---------------------------------------------------------------------------
 # helpers
+
+
+def _verdict(failed: list[str]) -> int:
+    """The exit code of a gated command: 3, naming every failed gate on stderr, or 0."""
+    if failed:
+        print(f"tolerance failure: {', '.join(failed)}", file=sys.stderr)
+        return EXIT_TOLERANCE
+    return EXIT_OK
 
 
 def _max_gap(a: dict, b: dict) -> float:
@@ -456,10 +434,10 @@ def _max_gap(a: dict, b: dict) -> float:
 
 
 def _positive_int(text: str) -> int:
-    """A worker count as argparse reads it: decimal digits worth at least 1."""
-    if not text.strip().isdecimal() or int(text) < 1:
+    """A worker count as argparse reads it, by the rule of `_rng.worker_count`."""
+    if (workers := worker_count(text)) is None:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return int(text)
+    return workers
 
 
 def _parse_levels(text: str) -> list[int]:

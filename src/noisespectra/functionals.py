@@ -202,6 +202,9 @@ class NoiseFunctional:
     @classmethod
     def from_walsh_entries(cls, grid: TimeGrid, entries: dict) -> "NoiseFunctional":
         fixed = {walsh_index(ix): float(c) for ix, c in entries.items()}
+        for ix in fixed:
+            if ix and not 0 <= ix[0] <= ix[-1] < grid.n_cells:
+                raise ValueError(f"Walsh entry key {ix} has cells outside 0..{grid.n_cells - 1}")
         return cls(grid, ChaosCoefficients(grid, fixed, WALSH))
 
     @classmethod

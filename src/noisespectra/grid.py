@@ -121,6 +121,9 @@ def _integers(values: Iterable, what: str) -> list:
 
 def _canonical_ranges(ranges: Iterable[tuple[int, int]], n_cells: int) -> tuple[tuple[int, int], ...]:
     ranges = tuple(ranges)
+    for r in ranges:
+        if not hasattr(r, "__len__") or len(r) != 2:
+            raise ValueError(f"range {r!r} is not a (lo, hi) pair")
     _integers(chain.from_iterable(ranges), "range bounds")
     cleaned = []
     for lo, hi in ranges:

@@ -39,7 +39,7 @@ from .functionals import (
 )
 from .grid import TimeGrid
 from .kernels import SimplexKernel
-from .spectral import SpectralMeasure, _AtomTable, _checked_rows
+from .spectral import SpectralMeasure, _AtomTable
 from .walsh import DENSE_CELL_CAP, _subset_keys
 
 SCHEMA_VERSION = "1"
@@ -190,7 +190,7 @@ def functional_from_data(data: dict) -> NoiseFunctional:
         if kind in ("walsh-chaos", "hermite-chaos"):
             rows, channels = _get(data, "entries"), int(data.get("channels", 1))
             if kind == "walsh-chaos":
-                _, values = _cell_records({"entries": rows}, grid.n_cells, "coeff")
+                _, values = _cell_records(rows, len(rows), grid.n_cells, "coeff")
                 # ChaosCoefficients is keyed by cell tuples
                 entries = dict(zip(map(tuple, map(itemgetter("cells"), rows)), values.tolist()))
             else:
@@ -295,9 +295,9 @@ def measure_from_data(data: dict) -> SpectralMeasure:
     _check_version(data)
     grid = grid_from_data(_get(data, "grid"))
     try:
-        lists = {"entries": _get(data, "entries"),
-                 "multiplicity_entries": data.get("multiplicity_entries", ())}
-        table, mass = _cell_records(lists, grid.n_cells, "mass")
+        plain = _get(data, "entries")
+        records = [*plain, *data.get("multiplicity_entries", ())]
+        table, mass = _cell_records(records, len(plain), grid.n_cells, "mass")
         residual = float(data.get("residual", 0.0))
         _require_finite(np.append(mass, residual), "masses and residual", nonnegative=True)
         return SpectralMeasure._of_dense(grid, table, residual)
@@ -575,25 +575,12 @@ def _require_finite(x: np.ndarray, what: str, nonnegative: bool = False) -> None
         raise FormatError(f"{what} must be {need}, got {float(x[~ok][0])!r}")
 
 
-def _cell_records(lists: dict, n_cells: int, value: str) -> tuple[_AtomTable, np.ndarray]:
-    """The atom table and float values of `lists` (name to records, "entries" first).
-
-    Every "cells" list must hold strictly increasing JSON integers in 0..n_cells-1,
-    and no two records of one list the same cells; the error names the first record
-    that breaks a rule."""
-    records = [*chain.from_iterable(lists.values())]
-    bits, i = _checked_rows(list(map(itemgetter("cells"), records)), n_cells)
-    broken = f"are not strictly increasing integers in 0..{n_cells - 1}"
-    if i is None:
-        values = np.fromiter((float(r[value]) for r in records), np.float64, len(records))
-        # zero values count as sets here; the table drops them after the check
-        table, i = _AtomTable.sorted(bits, values, len(lists["entries"]), n_cells)
-        broken = "repeat an earlier record"
-    for name, rows in lists.items():  # i counts records across the lists
-        if i is not None and i < len(rows):
-            raise FormatError(f"{name}[{i}]: cells {list(rows[i]['cells'])} {broken}")
-        i = None if i is None else i - len(rows)
-    return table, values
+def _cell_records(records: list, n_plain: int, n_cells: int, value: str):
+    """The atom table and float values of `records`, the first n_plain of them plain, each
+    with its "cells" and its `value`; `_AtomTable.packed` checks the cells."""
+    cells = list(map(itemgetter("cells"), records))
+    values = np.fromiter(map(float, map(itemgetter(value), records)), np.float64, len(records))
+    return _AtomTable.packed(cells, values, n_plain, n_cells), values
 
 
 def _site(where: str, cell, channel, n_cells: int, channels: int) -> tuple[int, int]:

@@ -117,17 +117,19 @@ def _cells_of_rows(rows: np.ndarray, n_cells: int) -> list[tuple[int, ...]]:
 
 def _checked_rows(keys: list, n_cells: int) -> tuple[np.ndarray | None, int | None]:
     """Cell lists as rows of 64-bit words, cell c at bit c % 64 of word c // 64; or None and
-    the first list whose cells are not strictly increasing Python ints in 0..n_cells-1."""
+    the first list whose cells are not strictly increasing integers in 0..n_cells-1.  Python
+    and numpy integers count as integers; bools and floats do not."""
     sizes = np.fromiter(map(len, keys), dtype=np.intp, count=len(keys))
     count = int(sizes.sum())
     try:
-        ints = set(map(type, chain.from_iterable(keys))) <= {int}
+        ints = all(t is int or issubclass(t, np.integer)
+                   for t in set(map(type, chain.from_iterable(keys))))
         cells = np.fromiter(chain.from_iterable(keys), np.int64, count) if ints else None
     except OverflowError:  # past 64 bits
         cells = None
     if cells is None:  # each non-integer or huge cell is marked off the grid
-        cells = np.fromiter((c if type(c) is int and 0 <= c < n_cells else -1
-                             for c in chain.from_iterable(keys)), np.int64, count)
+        cells = np.fromiter((c if (type(c) is int or isinstance(c, np.integer)) and 0 <= c < n_cells
+                             else -1 for c in chain.from_iterable(keys)), np.int64, count)
     owner = np.repeat(np.arange(len(keys)), sizes)
     # offset by list, the cells of good lists rise strictly from first to last
     rise = owner * n_cells
@@ -192,6 +194,21 @@ class _AtomTable:
         kept = np.flatnonzero(mass)
         table = cls(rows[kept], mass[kept], int(np.searchsorted(kept, n_plain)), n_cells)
         return table, int(repeats.min()) if repeats.size else None
+
+    @classmethod
+    def packed(cls, keys: list, mass: np.ndarray, n_plain: int, n_cells: int) -> _AtomTable:
+        """The table of cell lists `keys` and their masses, the first n_plain of them plain.  A
+        list whose cells are not strictly increasing integers in 0..n_cells-1, or that repeats
+        an earlier list of its part (zero masses count), is named by mapping and position."""
+        rows, i = _checked_rows(keys, n_cells)
+        rule = f"are not strictly increasing integers in 0..{n_cells - 1}"
+        if i is None:
+            table, i = cls.sorted(rows, mass, n_plain, n_cells)
+            rule = "repeat an earlier one"
+        if i is not None:
+            part = int(i >= n_plain)
+            raise ValueError(f"{_MAPPINGS[part]}[{i - part * n_plain}]: cells {list(keys[i])} {rule}")
+        return table
 
     @property
     def table(self) -> _AtomTable:  # as a measure's dense form: the table it reads in order
@@ -324,23 +341,10 @@ class SpectralMeasure:
         if (self.entries is None) == (self.model is None):
             raise ValueError("exactly one of entries/model must be present")
         if self.entries is not None:
-            n, n_plain = self.grid.n_cells, len(self.entries)
             keys = [*self.entries, *self.multiplicity_entries]
-            if not set(map(type, chain.from_iterable(keys))) <= {int}:
-                # numpy integers become Python ints; any other cell is refused below
-                keys = [tuple(int(c) if isinstance(c, np.integer) else c for c in k)
-                        for k in keys]
-            rows, bad = _checked_rows(keys, n)
-            if bad is not None:
-                raise ValueError(f"{_MAPPINGS[bad >= n_plain]} key {keys[bad]!r}: cells are "
-                                 f"not strictly increasing integers in 0..{n - 1}")
             mass = np.fromiter(chain(self.entries.values(), self.multiplicity_entries.values()),
                                dtype=np.float64, count=len(keys))
-            table, i = _AtomTable.sorted(rows, mass, n_plain, n)
-            if i is not None:
-                raise ValueError(f"{_MAPPINGS[i >= n_plain]} key {keys[i]!r} "
-                                 "repeats a set of the same mapping")
-            self._hold(table)
+            self._hold(_AtomTable.packed(keys, mass, len(self.entries), self.grid.n_cells))
 
     @classmethod
     def _of_dense(cls, grid: TimeGrid, dense: _AtomTable | _WalshMasses, residual: float = 0.0):

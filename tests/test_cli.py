@@ -45,6 +45,37 @@ def test_selftest_passes(capsys):
         assert "FAIL" not in out
 
 
+# stdout byte for byte: the identities run in one pass, with the draws in their order
+SELFTEST_PINS = {
+    "6": ("projection-norm-vs-subset-mass: max error 2.220446049250313e-16 PASS\n"
+          "projection-composition: max error 2.220446049250313e-16 PASS\n"
+          "restriction-vs-projected-measure: max error 6.938893903907228e-17 PASS\n"
+          "window-factorization: max error 1.1102230246251565e-16 PASS\n"
+          "additive-integral-concatenation: max error 0.0 PASS\n"),
+    "12": ("projection-norm-vs-subset-mass: max error 1.1102230246251565e-16 PASS\n"
+           "projection-composition: max error 3.3306690738754696e-16 PASS\n"
+           "restriction-vs-projected-measure: max error 1.734723475976807e-18 PASS\n"
+           "window-factorization: max error 1.0408340855860843e-17 PASS\n"
+           "additive-integral-concatenation: max error 0.0 PASS\n"),
+}
+
+
+@pytest.mark.parametrize("level", sorted(SELFTEST_PINS))
+def test_selftest_stdout_is_pinned(level, capsys):
+    assert run("selftest", "--level", level, "--seed", "1") == 0
+    assert capsys.readouterr().out == SELFTEST_PINS[level]
+
+
+def test_selftest_names_every_failed_identity(capsys):
+    assert run("selftest", "--level", "6", "--seed", "3", "--tol", "1e-18") == 3
+    out, err = capsys.readouterr()
+    failed = ["projection-norm-vs-subset-mass", "projection-composition",
+              "restriction-vs-projected-measure", "window-factorization"]
+    assert err == f"tolerance failure: {', '.join(failed)}\n"
+    assert [line.split(":")[0] for line in out.splitlines() if line.endswith("FAIL")] == failed
+    assert out.endswith("additive-integral-concatenation: max error 0.0 PASS\n")
+
+
 def test_decompose_writes_chaos_and_manifest(chi01, tmp_path, capsys):
     out = tmp_path / "coeffs.json"
     assert run("decompose", "--in", chi01, "--out", str(out)) == 0
@@ -458,7 +489,7 @@ def test_threads_is_only_an_option_of_the_monte_carlo_commands(tmp_path, capsys)
 ITO_ARGS = ["--level", "3", "--paths", "2000", "--seed", "5"]
 
 
-@pytest.mark.parametrize("value", ["0", "-1", "two"])
+@pytest.mark.parametrize("value", ["0", "-1", "two", "2_0", "+2"])
 def test_thread_variable_must_be_a_positive_integer(value, files, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("NOISESPECTRA_THREADS", value)
     out = tmp_path / "o.json"
@@ -473,7 +504,7 @@ NPOINT_ARGS = ["--family", "white-noise-i1", "--level", "3", "--order", "1",
                "--paths", "2000", "--seed", "1"]
 
 
-@pytest.mark.parametrize("value", ["0", "-1", "two"])
+@pytest.mark.parametrize("value", ["0", "-1", "two", "2_0", "+2"])
 def test_threads_option_must_be_a_positive_integer(value, tmp_path, capsys):
     # refused while parsing, before any path is drawn
     out = tmp_path / "density.csv"

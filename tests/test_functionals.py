@@ -57,6 +57,22 @@ def test_from_walsh_entries_evaluation():
     assert f.norm_sq == 5.0
 
 
+@pytest.mark.parametrize("key, message", [
+    ((1.7,), "Walsh index cells must be integers, got 1.7"),
+    ((True,), "Walsh index cells must be integers, got True"),
+    ((0, 1.0), "Walsh index cells must be integers, got 1.0"),
+    ((9,), r"Walsh entry key \(9,\) has cells outside 0\.\.3"),
+    ((-1, 2), r"Walsh entry key \(-1, 2\) has cells outside 0\.\.3"),
+])
+def test_walsh_entries_take_integer_cells_on_the_grid(key, message):
+    # a float cell would be truncated into another cell, and an off-grid cell would be
+    # read past the end of the value table
+    with pytest.raises(ValueError, match=message):
+        NoiseFunctional.from_walsh_entries(TimeGrid(0, 1, 2), {key: 1.0})
+    f = NoiseFunctional.from_walsh_entries(TimeGrid(0, 1, 2), {(np.int64(3), 0): 1.0})
+    assert f.backend.entries == {(0, 3): 1.0}
+
+
 def test_inner_product_dual_routes(rng):
     """Sparse coefficient dot against the value-table average."""
     from noisespectra import decompose

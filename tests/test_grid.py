@@ -181,6 +181,15 @@ def test_range_bounds_must_be_integers(ranges, bad):
     assert str(got.value) == f"range bounds must be integers, got {bad}"
 
 
+@pytest.mark.parametrize("ranges, bad", [
+    (((0, 3, 5),), "(0, 3, 5)"), (((0,),), "(0,)"), ((3,), "3"), (((0, 2), [4]), "[4]"),
+])
+def test_ranges_must_be_pairs(ranges, bad):
+    with pytest.raises(ValueError) as got:
+        ElementarySet(TimeGrid(0, 1, 4), ranges)
+    assert str(got.value) == f"range {bad} is not a (lo, hi) pair"
+
+
 def test_from_cells_of_narrow_integer_arrays_does_not_wrap():
     grid = TimeGrid(0, 1, 8)
     for dtype in (np.int8, np.uint8):

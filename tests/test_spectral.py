@@ -222,15 +222,16 @@ def test_zero_mass_entries_dropped():
 def test_entry_keys_must_rise():
     # one set written two ways would be two atoms: mass([1, 3]) and the
     # profile would disagree
-    with pytest.raises(ValueError, match=r"entries key \(3, 1\)"):
+    with pytest.raises(ValueError, match=r"^entries\[0\]: cells \[3, 1\] are not strictly"):
         SpectralMeasure(GRID, {(3, 1): 1.0, (1, 3): 2.0})
-    with pytest.raises(ValueError, match=r"multiplicity_entries key \(2, 2\)"):
+    with pytest.raises(ValueError, match=r"^multiplicity_entries\[0\]: cells \[2, 2\] are not"):
         SpectralMeasure(GRID, {(0,): 1.0}, {(2, 2): 0.5})
 
 
 @pytest.mark.parametrize("key", [(8,), (9,), (-1,), (1.0,), (True,), (0, 2**70)])
 def test_entry_keys_must_be_grid_cells(key):
-    with pytest.raises(ValueError, match=r"entries key \(.*: cells are not strictly increasing"):
+    rule = r"are not strictly increasing integers in 0\.\.7$"
+    with pytest.raises(ValueError, match=r"^entries\[1\]: cells \[.*\] " + rule):
         SpectralMeasure(GRID, {(0,): 1.0, key: 0.5})
 
 
@@ -251,7 +252,7 @@ class _Listed(Mapping):
 
 
 def test_a_set_repeated_within_one_mapping_is_refused():
-    with pytest.raises(ValueError, match=r"entries key \(1, 3\) repeats a set"):
+    with pytest.raises(ValueError, match=r"^entries\[2\]: cells \[.*, 3\] repeat an earlier one$"):
         SpectralMeasure(GRID, _Listed([((0,), 1.0), ((1, 3), 1.0), ((np.int64(1), 3), 2.0)]))
     # the same set in the plain and the multiplicity mapping is two atoms
     mu = SpectralMeasure(GRID, {(1, 3): 1.0}, {(1, 3): 0.5})
@@ -262,11 +263,31 @@ def test_a_repeat_of_zero_mass_is_refused_like_a_file_record():
     # the repeat check sees every listed set, before zero-mass atoms drop
     from noisespectra.serialize import FormatError, grid_to_data, measure_from_data
 
-    with pytest.raises(ValueError, match=r"entries key \(1, 3\) repeats a set"):
+    with pytest.raises(ValueError, match=r"^entries\[1\]: cells \[1, 3\] repeat an earlier one$"):
         SpectralMeasure(GRID, _Listed([((1, 3), 1.0), ((1, 3), 0.0)]))
     records = [{"cells": [1, 3], "mass": 1.0}, {"cells": [1, 3], "mass": 0.0}]
     with pytest.raises(FormatError, match=r"entries\[1\]: cells \[1, 3\] repeat"):
         measure_from_data({"grid": grid_to_data(GRID), "entries": records})
+
+
+@pytest.mark.parametrize("plain, mult", [
+    ([((0,), 1.0), ((3, 1), 0.5)], []),  # falling
+    ([((0,), 1.0), ((8,), 0.5)], []),  # off the grid
+    ([((0,), 1.0)], [((2, 2), 0.5)]),  # a cell twice
+    ([((1, 3), 1.0), ((1, 3), 0.0)], []),  # a repeat
+    ([((0,), 1.0)], [((1, 3), 1.0), ((1, 3), 0.5)]),
+])
+def test_a_bad_cell_list_reads_the_same_in_a_dict_and_a_file(plain, mult):
+    from noisespectra.serialize import FormatError, grid_to_data, measure_from_data
+
+    with pytest.raises(ValueError) as by_dict:
+        SpectralMeasure(GRID, _Listed(plain), _Listed(mult))
+    data = {"grid": grid_to_data(GRID)}
+    for name, pairs in (("entries", plain), ("multiplicity_entries", mult)):
+        data[name] = [{"cells": list(k), "mass": v} for k, v in pairs]
+    with pytest.raises(FormatError) as by_file:
+        measure_from_data(data)
+    assert str(by_file.value) == f"bad measure record: {by_dict.value}"
 
 
 def test_numpy_integer_keys_become_python_ints():
