@@ -29,9 +29,6 @@ from .grid import (
     as_fraction,
     left_of,
     right_of,
-    set_complement,
-    set_intersection,
-    set_union,
 )
 from .kernels import SimplexKernel, iterated_sum
 from .serialize import (

@@ -14,6 +14,7 @@ single cell carries total degree >= 2 (across channels).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Mapping, Union
 
 from .grid import TimeGrid, _integers
@@ -34,7 +35,12 @@ def walsh_index(cells: Iterable[int]) -> WalshIndex:
 
 
 def hermite_index(points: Iterable[tuple[int, int, int]]) -> HermiteIndex:
-    out = tuple(sorted((int(c), int(ch), int(d)) for c, ch, d in points))
+    points = [(c, ch, d) for c, ch, d in points]
+    try:
+        flat = map(int, _integers(chain.from_iterable(points), "cells, channels and degrees"))
+    except ValueError as exc:
+        raise ValueError(f"Hermite index {points}: {exc}") from None
+    out = tuple(sorted(zip(flat, flat, flat)))
     if any(d < 1 for _, _, d in out):
         raise ValueError(f"Hermite degrees must be >= 1, got {out}")
     if len(set((c, ch) for c, ch, _ in out)) != len(out):

@@ -523,11 +523,9 @@ def hermite_decompose(
     for term in p.terms:
         if isinstance(term, ItoTerm):
             root_h = scale**term.kernel.order
+            channels, ones = term.kernel.channels, (1,) * term.kernel.order
             for cells, v in term.kernel.iterate_entries():
-                ix = hermite_index(
-                    (c, term.kernel.channels[s], 1) for s, c in enumerate(cells)
-                )
-                add(ix, term.weight * v * root_h)
+                add(hermite_index(zip(cells, channels, ones)), term.weight * v * root_h)
         else:
             coeff_lists = []
             for fac in term.factors:

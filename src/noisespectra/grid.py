@@ -113,7 +113,9 @@ def _integers(values: Iterable, what: str) -> list:
     if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
         return values.tolist()
     values = values.tolist() if hasattr(values, "tolist") else list(values)
-    if not all(t is not bool and issubclass(t, (int, np.integer)) for t in set(map(type, values))):
+    types = set(map(type, values))
+    if not types <= {int} and not all(t is not bool and issubclass(t, (int, np.integer))
+                                      for t in types):
         bad = next(v for v in values if type(v) is bool or not isinstance(v, (int, np.integer)))
         raise ValueError(f"{what} must be integers, got {bad!r}")
     return values
@@ -302,18 +304,6 @@ class ElementarySet:
     def __repr__(self) -> str:
         body = self.format_ranges() or "empty"
         return f"ElementarySet({body})"
-
-
-def set_union(a: ElementarySet, b: ElementarySet) -> ElementarySet:
-    return a.union(b)
-
-
-def set_intersection(a: ElementarySet, b: ElementarySet) -> ElementarySet:
-    return a.intersection(b)
-
-
-def set_complement(a: ElementarySet) -> ElementarySet:
-    return a.complement()
 
 
 def left_of(grid: TimeGrid, boundary: int) -> ElementarySet:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import combinations
-from math import comb
+from math import comb, prod
 from typing import Iterator
 
 import numpy as np
@@ -81,7 +81,7 @@ class SimplexKernel:
         if len(cells) != self.order or any(a >= b for a, b in zip(cells, cells[1:])):
             raise ValueError(f"{cells} is not an increasing {self.order}-tuple")
         if self.factors is not None:
-            return float(np.prod([v[c] for v, c in zip(self.factors, cells)]))
+            return float(prod(v[c] for v, c in zip(self.factors, cells)))  # slot order, as np.prod
         return float(self.dense[tuple(cells)])
 
     def tuple_count(self) -> int:

@@ -6,8 +6,8 @@ as exact fraction strings; chaos and measure entries are listed sorted by
 exactly the bytes of ``json.dumps(data, indent=2)`` plus a newline, so
 doubles round-trip exactly, but it is written in a stream of chunks by the
 encoder below rather than built as one string.  Measure documents are
-written from their atom table's bit rows, with only the masses encoded value
-by value, and read straight back into a table, with no tuple per record.
+written from their atom table, cells from its bit rows and masses from its
+float list, and read straight back into a table, with no tuple per record.
 All file writes are atomic (temp file in the target directory, then rename).
 """
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -260,7 +261,7 @@ def measure_to_data(mu: SpectralMeasure) -> dict:
 
     "cells" holds the table's keys, decoded once from its bit rows and shared.
     Each record list is a `_TableRecords`, so `write_json` renders its cells
-    from the bit rows themselves.
+    from the bit rows and its masses from the table's float list.
     """
     if not mu.is_dense:
         raise FormatError("sampler-backed measures have no dense serialization")
@@ -280,15 +281,22 @@ def measure_to_data(mu: SpectralMeasure) -> dict:
 class _TableRecords(list):
     """The {"cells", "mass"} records of an atom-table slice, a list like any other.
 
-    It also keeps the slice's key tuples, bit rows and cell count.  While
-    record i still holds keys[i] itself (tuples are immutable, so identity
-    proves the text), `write_json` renders its cells from rows[i].
+    It also keeps the slice's key tuples, mass floats, bit rows and cell count.
+    While every record i still holds keys[i] and masses[i] themselves (tuples
+    and floats are immutable, so identity proves the text), `write_json`
+    renders its cells from rows[i] and its mass as `repr(masses[i])`.
     """
 
     def __init__(self, table: _AtomTable, part: slice) -> None:
-        self.keys, self.rows, self.n_cells = table.keys[part], table.rows[part], table.n_cells
-        super().__init__({"cells": k, "mass": v}
-                         for k, v in zip(self.keys, table.mass[part].tolist()))
+        self.keys, self.masses = table.keys[part], table.mass[part].tolist()
+        self.rows, self.n_cells = table.rows[part], table.n_cells
+        super().__init__({"cells": k, "mass": v} for k, v in zip(self.keys, self.masses))
+
+    def intact(self) -> bool:
+        """Whether every record still holds its own key tuple and mass float."""
+        return (len(self) == len(self.keys)
+                and all(map(is_, map(itemgetter("cells"), self), self.keys))
+                and all(map(is_, map(itemgetter("mass"), self), self.masses)))
 
 
 def measure_from_data(data: dict) -> SpectralMeasure:
@@ -367,14 +375,17 @@ def write_csv(path: str, header: list[str], rows) -> None:
 # of records that share one key order.  The first is one call to the compact
 # encoder with the indented item separator (C where the interpreter has it);
 # the second is rendered column by column, one format per record, and streamed
-# in blocks of records.  A column goes through the compact encoder, except the
-# "cells" of a `_TableRecords` (a measure document): while every record still
-# holds its own table key tuple, those texts are looked up from the one-word
-# bit rows.  A changed, reordered or extended list, a plain list, more than
-# DENSE_CELL_CAP cells or multi-word rows fall back to the encoder.  Dicts with
-# str keys are walked to reach them; every other value goes to json.dumps
-# itself.  Strings never hold a raw newline (json escapes it), so a newline in
-# encoder output is always a separator and can be re-indented.
+# in blocks of records.  A column goes through the compact encoder, except in a
+# `_TableRecords` (a measure document) whose records all still hold their own
+# table key tuple and mass float.  Its "cells" texts are then looked up from
+# the one-word bit rows, and its "mass" texts are `float.__repr__` of the
+# table's floats, made one record at a time, when all are finite: that is the
+# text the encoder gives a finite float, and NaN and infinities keep the
+# encoder's spelling.  A changed, reordered or extended list, a plain list,
+# more than DENSE_CELL_CAP cells or multi-word rows fall back to the encoder.
+# Dicts with str keys are walked to reach them; every other value goes to
+# json.dumps itself.  Strings never hold a raw newline (json escapes it), so a
+# newline in encoder output is always a separator and can be re-indented.
 
 _escape = json.encoder.encode_basestring_ascii
 
@@ -419,16 +430,15 @@ def _column_texts(col: list, depth: int) -> list[str] | None:
 
 
 def _row_cell_columns(records: _TableRecords, depth: int) -> list | None:
-    """The "cells" texts at `depth` of a `_TableRecords` whose records all still hold
-    their own key tuples, as two columns that join to each text; else None.
+    """The "cells" texts at `depth` of an intact `_TableRecords`, as two columns that
+    join to each text; None past one word or DENSE_CELL_CAP cells.
 
     Like `walsh.cells_of_masks`, a one-word row m is split into its low and high
     halves: the first column is the text of the low cells, the second that of the
     high cells, chosen from a table for an empty and one for a non-empty low part.
     """
-    keys, rows, n = records.keys, records.rows, records.n_cells
-    if (len(records) != len(keys) or rows.shape[1] != 1 or n > DENSE_CELL_CAP
-            or not all(map(is_, map(itemgetter("cells"), records), keys))):
+    rows, n = records.rows, records.n_cells
+    if rows.shape[1] != 1 or n > DENSE_CELL_CAP:
         return None
     sep, head, tail = "," + _indent(depth + 1), "[" + _indent(depth + 1), _indent(depth) + "]"
     h = n // 2
@@ -457,10 +467,13 @@ def _record_list_chunks(records: list, depth: int):
         return None
     columns, fields = [], []
     inner = _indent(depth + 2)
+    intact = isinstance(records, _TableRecords) and records.intact()
     for k in keys:
         texts = None
-        if k == "cells" and isinstance(records, _TableRecords):
+        if intact and k == "cells":
             texts = _row_cell_columns(records, depth + 2)
+        elif intact and k == "mass" and all(map(math.isfinite, records.masses)):
+            texts = [map(float.__repr__, records.masses)]
         if texts is None:
             texts = _column_texts(list(map(itemgetter(k), records)), depth + 2)
             if texts is None:

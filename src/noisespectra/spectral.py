@@ -284,7 +284,8 @@ class _WalshMasses:
     """A Walsh measure: mass[m] is the squared coefficient on the subset with bitmask m.
 
     It answers subset masses and counts its atoms; every other read goes to `table`,
-    built on first need by `_AtomTable.sorted`, so it keeps a table-built measure's bits."""
+    built on first need in the order `_AtomTable.sorted` gives, so it keeps a table-built
+    measure's bits."""
 
     def __init__(self, mass: np.ndarray, n_cells: int) -> None:
         self.mass, self.n_cells = mass, n_cells
@@ -292,8 +293,16 @@ class _WalshMasses:
 
     @cached_property
     def table(self) -> _AtomTable:
-        masks = np.flatnonzero(self.mass).astype(np.uint64)
-        return _AtomTable.sorted(masks[:, None], self.mass[masks], len(masks), self.n_cells)[0]
+        """The nonzero atoms in (cardinality, cells) order, as a fixed permutation and no
+        sort: every mask in descending bit-reversed order (see `_AtomTable.sorted`), zero
+        masses dropped, then stably partitioned by popcount (a counting sort on uint8)."""
+        masks = np.zeros(1, dtype=np.int64)
+        for _ in range(self.n_cells):  # the reversal over one more bit, still descending
+            masks = np.concatenate([2 * masks + 1, 2 * masks])
+        masks = masks[self.mass[masks] != 0]
+        masks = masks[np.argsort(np.bitwise_count(masks), kind="stable")]
+        return _AtomTable(masks.view(np.uint64)[:, None], self.mass[masks], len(masks),
+                          self.n_cells)
 
     def subset_mass(self, ranges: Sequence[tuple[int, int]]) -> float:
         # the sets inside the region are the masks with every outside bit clear
@@ -304,7 +313,11 @@ class _WalshMasses:
 
 class _EntryView(Mapping):
     """Atoms lo..hi-1 of a dense measure as a read-only mapping of cell tuples to masses,
-    with no copy of them: its keys are the atom table's keys, so a lookup bisects them."""
+    with no copy of them: its keys are the atom table's keys, so a lookup bisects them.
+
+    Two views with one row width compare as their row and mass slices: a part of a table
+    holds each set once, in (cardinality, cells) order, so equal mappings are equal slices.
+    Any other operand compares by the `Mapping` rule."""
 
     def __init__(self, dense: _AtomTable | _WalshMasses, lo: int, hi: int) -> None:
         self._dense, self._lo, self._hi = dense, lo, hi
@@ -324,6 +337,15 @@ class _EntryView(Mapping):
 
     def items(self):  # one pass over the keys, not one bisection per key
         return dict(zip(self, self._dense.table.mass[self._lo : self._hi].tolist())).items()
+
+    def __eq__(self, other):
+        if isinstance(other, _EntryView):
+            a, b = self._dense.table, other._dense.table
+            if a.rows.shape[1] == b.rows.shape[1]:
+                mine, theirs = slice(self._lo, self._hi), slice(other._lo, other._hi)
+                return (np.array_equal(a.rows[mine], b.rows[theirs])
+                        and np.array_equal(a.mass[mine], b.mass[theirs]))
+        return super().__eq__(other)
 
 
 @dataclass(frozen=True, eq=False)

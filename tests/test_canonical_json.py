@@ -178,8 +178,10 @@ def test_18_cell_measure_keeps_its_atoms_and_bytes():
 
 def table_documents():
     """measure_to_data documents of table measures with no atom and on 1, 7 and 12
-    cells, of a tol-sparse table and of the multiplicity-bearing Hermite measure."""
+    cells, of a tol-sparse table, of a table holding a NaN (every mass NaN) and of the
+    multiplicity-bearing Hermite measure."""
     zero = NoiseFunctional.from_table(TimeGrid(0, 1, 2), np.zeros(16))
+    nan = NoiseFunctional.from_table(TimeGrid(0, 1, 2), np.array([*[1.5] * 15, math.nan]))
     one = NoiseFunctional.from_table(TimeGrid(0, 1, 0), np.array([0.75, -1.5]))
     sparse = NoiseFunctional.from_table(
         TimeGrid(0, 1, 1, base=12), np.random.default_rng(12).standard_normal(1 << 12))
@@ -189,6 +191,7 @@ def table_documents():
         "7 cells": measure_to_data(table_measure(7, 7)),
         "12 cells": measure_to_data(table_measure(12, 12)),
         "tol-sparse": measure_to_data(spectral_measure_of(sparse, tol=0.01)),
+        "NaN table": measure_to_data(spectral_measure_of(nan)),
         "hermite": measure_to_data(hermite_measure()),
     }
 
@@ -223,12 +226,14 @@ MUTATIONS = {
     "record replaced": _mutate_every_list(
         lambda rs: rs.__setitem__(len(rs) // 2, {"cells": [0], "mass": 0.5})),
     "record appended": _mutate_every_list(lambda rs: rs.append({"cells": (0,), "mass": 2.0})),
+    "a record gained a key": _mutate_every_list(_set_last("extra", 1)),
     "record removed": _mutate_every_list(lambda rs: rs.pop(len(rs) // 2)),
     "list reversed": _mutate_every_list(lambda rs: rs.reverse()),
     "key order of one record": _mutate_every_list(
         lambda rs: rs.__setitem__(-1, _swap_keys(rs[-1]))),
     "key order of every record": _mutate_every_list(
         lambda rs: rs.__setitem__(slice(None), list(map(_swap_keys, rs)))),
+    "mass as a new equal float": _mutate_every_list(_set_last("mass", lambda m: float(repr(m)))),
     "mass -0.0": _mutate_every_list(_set_last("mass", -0.0)),
     "mass NaN": _mutate_every_list(_set_last("mass", math.nan)),
     "mass True": _mutate_every_list(_set_last("mass", True)),
@@ -250,8 +255,8 @@ def test_mutated_measure_documents_match_stdlib_indent_2(mutation):
 
 
 def test_measure_cells_never_reach_the_compact_encoder(monkeypatch):
-    """An unmodified document renders its cells from the table rows; only the
-    masses go through the compact encoder."""
+    """An unmodified document renders its cells from the table rows and its
+    masses from the table's floats; neither column reaches the compact encoder."""
     columns = []
     compact_body = serialize._compact_body
 
@@ -263,9 +268,7 @@ def test_measure_cells_never_reach_the_compact_encoder(monkeypatch):
     data = measure_to_data(table_measure(12, 12))
     assert len(data["entries"]) == 1 << 12
     assert encoded(data) == (json.dumps(data, indent=2) + "\n").encode()
-    masses = [r["mass"] for r in data["entries"]]
-    assert masses in columns
-    assert not any(isinstance(v, (list, tuple)) for col in columns for v in col)
+    assert columns == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
@@ -32,6 +33,15 @@ def test_hermite_index_validation():
         hermite_index([(0, 0, 0)])  # degree must be >= 1
     with pytest.raises(ValueError):
         hermite_index([(0, 0, 1), (0, 0, 2)])  # same (cell, channel) twice
+
+
+@pytest.mark.parametrize("point", [(1.7, 0, 1), (True, 0, 1.9), (1, 0.0, 1), (1, False, 1),
+                                   (1, 0, 2.0), (1, 0, True)])
+def test_hermite_index_takes_integers_only(point):
+    with pytest.raises(ValueError, match=r"Hermite index \[\(.*\)\]: .* must be integers"):
+        hermite_index([(0, 0, 1), point])
+    ix = hermite_index([(np.int64(1), np.uint8(0), np.int32(2))])
+    assert ix == ((1, 0, 2),) and all(type(v) is int for v in ix[0])
 
 
 def test_support_and_cardinality():

@@ -554,12 +554,12 @@ def test_vector_region_mass_matches_table_and_value_domain(n, seed, tol, kind, k
 
 
 def test_region_queries_on_a_table_measure_never_sort_its_atoms(monkeypatch):
-    from noisespectra.spectral import _AtomTable
+    from noisespectra.spectral import _WalshMasses
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the atom table was sorted")
+        raise AssertionError("the Walsh atom table was built")
 
-    monkeypatch.setattr(_AtomTable, "sorted", refuse)
+    monkeypatch.setattr(_WalshMasses, "table", property(refuse))
     rng = np.random.default_rng(25)
     grid = grid_of(10)
     values = rng.standard_normal(1 << 10)
@@ -569,5 +569,48 @@ def test_region_queries_on_a_table_measure_never_sort_its_atoms(monkeypatch):
         want = cube_mean_norm_sq(values, 10, region.cells())
         assert abs(mass_of_subsets_of(mu, region) - want) <= 1e-10
     assert len(mu.entries) == 1 << 10 and not mu.multiplicity_entries
-    with pytest.raises(AssertionError, match="sorted"):
+    with pytest.raises(AssertionError, match="built"):
         cardinality_profile(mu)
+
+
+@pytest.mark.parametrize("n", range(17))
+def test_walsh_atom_order_is_the_sorted_order(n):
+    from noisespectra.spectral import _AtomTable, _WalshMasses
+
+    rng = np.random.default_rng(300 + n)
+    mass = rng.standard_normal(1 << n) ** 2
+    mass[rng.random(1 << n) < 0.3] = 0.0  # a support with holes
+    masks = np.flatnonzero(mass).astype(np.uint64)
+    want, _ = _AtomTable.sorted(masks[:, None], mass[masks], len(masks), n)
+    assert same_table(_WalshMasses(mass, n).table, want)
+
+
+def test_entry_view_equality_agrees_with_dict_equality(tmp_path):
+    from noisespectra.serialize import measure_from_data, measure_to_data, read_json, write_json
+
+    f = NoiseFunctional.from_table(grid_of(8), np.random.default_rng(8).standard_normal(1 << 8))
+    mu = spectral_measure_of(f)
+    write_json(str(tmp_path / "mu.json"), measure_to_data(mu))
+    back = measure_from_data(read_json(str(tmp_path / "mu.json")))
+    plain = dict(mu.entries.items())
+    key = list(plain)[100]
+    moved = SpectralMeasure(mu.grid, {**plain, key: float(np.nextafter(plain[key], 1.0))})
+    dropped = SpectralMeasure(mu.grid, {k: v for k, v in plain.items() if k != key})
+    hermite = hermite_with_multiplicity()  # 128 cells: two-word rows
+    narrow = {(): 0.5, (3,): 0.25}
+    pairs = {
+        "file round trip": (back.entries, mu.entries, True),
+        "empty multiplicity views": (back.multiplicity_entries, mu.multiplicity_entries, True),
+        "one mass 1 ulp off": (moved.entries, mu.entries, False),
+        "one atom dropped": (dropped.entries, mu.entries, False),
+        "plain and multiplicity": (hermite.entries, hermite.multiplicity_entries, False),
+        "wide and narrow rows": (SpectralMeasure(hermite.grid, narrow).entries,
+                                 SpectralMeasure(grid_of(8), narrow).entries, True),
+        "wide and narrow, unequal": (hermite.entries, mu.entries, False),
+        "a plain dict": (mu.entries, plain, True),
+        "a changed dict": (mu.entries, {**plain, key: 0.0}, False),
+    }
+    for name, (a, b, equal) in pairs.items():
+        assert dict(a) == dict(b) if equal else dict(a) != dict(b), name
+        for x, y in ((a, b), (b, a)):
+            assert (x == y) is equal and (x != y) is not equal, name
