@@ -18,6 +18,7 @@ from itertools import chain
 from typing import Iterable, Mapping, Union
 
 from .grid import TimeGrid, _integers
+from .walsh import _checked_rows
 
 WalshIndex = tuple[int, ...]
 HermiteIndex = tuple[tuple[int, int, int], ...]
@@ -46,6 +47,15 @@ def hermite_index(points: Iterable[tuple[int, int, int]]) -> HermiteIndex:
     if len(set((c, ch) for c, ch, _ in out)) != len(out):
         raise ValueError(f"repeated (cell, channel) in Hermite index {out}")
     return out
+
+
+def _hermite_on_grid(ix, n_cells: int, channels: int) -> bool:
+    """Whether `ix` is a canonical Hermite index on n_cells cells and `channels` channels."""
+    try:
+        return hermite_index(ix) == ix and all(0 <= c < n_cells and 0 <= ch < channels
+                                               for c, ch, _ in ix)
+    except (TypeError, ValueError):
+        return False
 
 
 def index_support(index: SpectralIndex) -> tuple[int, ...]:
@@ -100,9 +110,28 @@ class ChaosCoefficients:
     residual: float = 0.0  # squared norm beyond the degree cap (Hermite only)
 
     def __post_init__(self) -> None:
+        """The one check of every index against the grid (and channels); names entries[i]."""
         if self.kind not in (WALSH, HERMITE):
             raise ValueError(f"unknown chaos kind {self.kind!r}")
         object.__setattr__(self, "entries", dict(self.entries))
+        keys, n, d = list(self.entries), self.grid.n_cells, self.channels
+        if self.kind == WALSH:
+            i = _checked_rows(keys, n)[1]
+            rule = f"are not strictly increasing integers in 0..{n - 1}"
+        else:
+            i = next((i for i, ix in enumerate(keys) if not _hermite_on_grid(ix, n, d)), None)
+            rule = (f"are not sorted (cell, channel, degree) integer triples at distinct sites, "
+                    f"cells in 0..{n - 1}, channels in 0..{d - 1}, degrees >= 1")
+        if i is not None:
+            shown = f"cells {list(keys[i])}" if self.kind == WALSH else f"terms {keys[i]}"
+            raise ValueError(f"entries[{i}]: {shown} {rule}")
+
+    @classmethod
+    def _trusted(cls, grid, entries, kind=WALSH, channels=1, residual=0.0) -> "ChaosCoefficients":
+        """A fresh dict of indices already valid on the grid: not copied or re-checked."""
+        c = cls.__new__(cls)  # frozen: the fields are set past __setattr__
+        vars(c).update(grid=grid, entries=entries, kind=kind, channels=channels, residual=residual)
+        return c
 
     @property
     def norm_sq(self) -> float:
@@ -119,16 +148,12 @@ class ChaosCoefficients:
     def filtered(self, keep) -> "ChaosCoefficients":
         """New container keeping the entries whose index satisfies `keep`."""
         kept = {ix: c for ix, c in self.entries.items() if keep(ix)}
-        return ChaosCoefficients(self.grid, kept, self.kind, self.channels, self.residual)
+        return ChaosCoefficients._trusted(self.grid, kept, self.kind, self.channels, self.residual)
 
     def scaled(self, factor: float) -> "ChaosCoefficients":
-        return ChaosCoefficients(
-            self.grid,
-            {ix: factor * c for ix, c in self.entries.items()},
-            self.kind,
-            self.channels,
-            self.residual * factor * factor,
-        )
+        entries = {ix: factor * c for ix, c in self.entries.items()}
+        return ChaosCoefficients._trusted(self.grid, entries, self.kind, self.channels,
+                                          self.residual * factor * factor)
 
     def sorted_items(self) -> list[tuple[SpectralIndex, float]]:
         """Entries sorted by (cardinality, index), the diff-stable file order."""
@@ -141,6 +166,5 @@ def add_coefficients(a: ChaosCoefficients, b: ChaosCoefficients) -> ChaosCoeffic
     merged = dict(a.entries)
     for ix, c in b.entries.items():
         merged[ix] = merged.get(ix, 0.0) + c
-    return ChaosCoefficients(
-        a.grid, merged, a.kind, max(a.channels, b.channels), a.residual + b.residual
-    )
+    return ChaosCoefficients._trusted(a.grid, merged, a.kind, max(a.channels, b.channels),
+                                      a.residual + b.residual)

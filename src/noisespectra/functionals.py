@@ -21,16 +21,8 @@ from typing import Iterable, NamedTuple, Union
 import numpy as np
 
 from ._mc import moments, stream_moments
-from .chaos import (
-    HERMITE,
-    WALSH,
-    ChaosCoefficients,
-    hermite_index,
-    index_support,
-    shift_index,
-    walsh_index,
-)
-from .grid import GridMismatchError, TimeGrid, left_of, require_same_grid, right_of
+from .chaos import HERMITE, WALSH, ChaosCoefficients, index_support, shift_index, walsh_index
+from .grid import GridMismatchError, TimeGrid, _integers, left_of, require_same_grid, right_of
 from .hermite import hermite_values, pair_mean, project_scalar_map
 from .kernels import SimplexKernel, iterated_sum
 from .walsh import (
@@ -87,7 +79,8 @@ class MapFactor:
     def __post_init__(self) -> None:
         if self.fn not in MAP_REGISTRY:
             raise ValueError(f"unknown map {self.fn!r}; known: {sorted(MAP_REGISTRY)}")
-        object.__setattr__(self, "params", tuple(float(p) for p in self.params))
+        cell, channel = map(int, _integers((self.cell, self.channel), "map cell and channel"))
+        vars(self).update(cell=cell, channel=channel, params=tuple(map(float, self.params)))
 
     def callable(self):
         return MAP_REGISTRY[self.fn](self.params)
@@ -177,6 +170,8 @@ class NoiseFunctional:
                 )
         if isinstance(self.backend, ChaosCoefficients) and self.backend.grid != self.grid:
             raise GridMismatchError("chaos coefficients carry a different grid")
+        if isinstance(self.backend, BrownianProgram):
+            _check_sites(self.backend, n)
 
     # -- constructors --------------------------------------------------------
     @classmethod
@@ -202,9 +197,6 @@ class NoiseFunctional:
     @classmethod
     def from_walsh_entries(cls, grid: TimeGrid, entries: dict) -> "NoiseFunctional":
         fixed = {walsh_index(ix): float(c) for ix, c in entries.items()}
-        for ix in fixed:
-            if ix and not 0 <= ix[0] <= ix[-1] < grid.n_cells:
-                raise ValueError(f"Walsh entry key {ix} has cells outside 0..{grid.n_cells - 1}")
         return cls(grid, ChaosCoefficients(grid, fixed, WALSH))
 
     @classmethod
@@ -235,6 +227,22 @@ class NoiseFunctional:
     @property
     def norm_sq(self) -> float:
         return norm_sq(self)
+
+
+def _check_sites(p: BrownianProgram, n_cells: int) -> None:
+    """Kernels span the grid; kernel channels and map sites are on it; names terms[i]."""
+    for i, term in enumerate(p.terms):
+        if isinstance(term, ItoTerm):
+            if term.kernel.n_cells != n_cells:
+                raise ValueError(f"terms[{i}]: kernel on {term.kernel.n_cells} cells, "
+                                 f"grid of {n_cells}")
+            sites = [(0, ch) for ch in term.kernel.channels]
+        else:
+            sites = [(fa.cell, fa.channel) for fa in term.factors]
+        for cell, channel in sites:
+            if not (0 <= cell < n_cells and 0 <= channel < p.channels):
+                raise ValueError(f"terms[{i}]: cell {cell!r} and channel {channel!r} must be "
+                                 f"integers in 0..{n_cells - 1} and 0..{p.channels - 1}")
 
 
 def cell_lengths(grid: TimeGrid) -> np.ndarray:
@@ -524,8 +532,8 @@ def hermite_decompose(
         if isinstance(term, ItoTerm):
             root_h = scale**term.kernel.order
             channels, ones = term.kernel.channels, (1,) * term.kernel.order
-            for cells, v in term.kernel.iterate_entries():
-                add(hermite_index(zip(cells, channels, ones)), term.weight * v * root_h)
+            for cells, v in term.kernel.iterate_entries():  # rising cells: canonical keys
+                add(tuple(zip(cells, channels, ones)), term.weight * v * root_h)
         else:
             coeff_lists = []
             for fac in term.factors:
@@ -539,7 +547,7 @@ def hermite_decompose(
         raise BackendError(f"degree cap {cap} outruns the quadrature rule: the coefficients "
                            f"capture {captured!r}, above the exact squared norm {exact!r}")
     residual = max(exact - captured, 0.0)  # clips rounding-level overshoot only
-    out = ChaosCoefficients(grid, entries, HERMITE, p.channels, residual)
+    out = ChaosCoefficients._trusted(grid, entries, HERMITE, p.channels, residual)
     if tol is not None and residual > tol:
         import warnings
 
@@ -551,13 +559,14 @@ def hermite_decompose(
 
 
 def _tensor_accumulate(add, weight: float, coeff_lists) -> None:
-    """Expand a product of per-slot Hermite series into flat entries."""
+    """Expand a product of per-slot Hermite series into flat entries.  The factors sit
+    at sorted distinct (cell, channel) slots, so each key is built canonical."""
 
     def rec(i: int, ix: tuple, c: float) -> None:
         if c == 0.0:
             return
         if i == len(coeff_lists):
-            add(hermite_index(ix), c)
+            add(ix, c)
             return
         fac, coeffs = coeff_lists[i]
         for d, cd in enumerate(coeffs):
@@ -579,6 +588,7 @@ def shift(f: NoiseFunctional, k: int, mode: str = "cyclic") -> NoiseFunctional:
     """
     if mode not in ("cyclic", "truncate"):
         raise ValueError("shift mode must be 'cyclic' or 'truncate'")
+    (k,) = map(int, _integers([k], "shift steps"))  # the moved indices are trusted
     b = f.backend
     n = f.grid.n_cells
     if isinstance(b, RademacherTable):
@@ -604,7 +614,7 @@ def shift(f: NoiseFunctional, k: int, mode: str = "cyclic") -> NoiseFunctional:
                     continue
             moved[shift_index(ix, k, n, mode == "cyclic")] = c
         return NoiseFunctional.from_chaos(
-            ChaosCoefficients(f.grid, moved, b.kind, b.channels, b.residual)
+            ChaosCoefficients._trusted(f.grid, moved, b.kind, b.channels, b.residual)
         )
     raise BackendError(f"shift is defined for table and chaos backends, not {f.kind}")
 

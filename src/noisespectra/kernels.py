@@ -23,6 +23,8 @@ from typing import Iterator
 
 import numpy as np
 
+from .grid import _integers
+
 MAX_ENUMERATED_TUPLES = 2_000_000
 
 
@@ -37,10 +39,10 @@ class SimplexKernel:
     def __post_init__(self) -> None:
         if self.order < 1:
             raise ValueError("kernel order must be >= 1")
-        if not self.channels:
-            object.__setattr__(self, "channels", (0,) * self.order)
-        if len(self.channels) != self.order:
-            raise ValueError("one channel tag per kernel slot required")
+        channels = tuple(map(int, _integers(self.channels, "kernel channels"))) or (0,) * self.order
+        if len(channels) != self.order or min(channels) < 0:
+            raise ValueError(f"one channel tag >= 0 per kernel slot required, got {channels}")
+        object.__setattr__(self, "channels", channels)
         if (self.factors is None) == (self.dense is None):
             raise ValueError("exactly one of factors/dense must be given")
         if self.factors is not None:

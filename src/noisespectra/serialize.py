@@ -28,7 +28,7 @@ from operator import is_, itemgetter
 
 import numpy as np
 
-from .chaos import HERMITE, WALSH, ChaosCoefficients, hermite_index
+from .chaos import HERMITE, WALSH, ChaosCoefficients
 from .functionals import (
     BrownianProgram,
     FamilyRef,
@@ -98,7 +98,7 @@ def kernel_from_data(data: dict, n_cells: int | None = None) -> SimplexKernel:
         n = int(data.get("n_cells", n_cells if n_cells is not None else 0))
         if n <= 0:
             raise FormatError("kernel needs n_cells (or a grid to supply it)")
-        channels = tuple(int(c) for c in data.get("channels", ()))
+        channels = data.get("channels", ())
         if "constant" in data:
             value = float(data["constant"])
             _require_finite(np.array([value]), "kernel constant")
@@ -189,54 +189,42 @@ def functional_from_data(data: dict) -> NoiseFunctional:
             _require_finite(values, "table values")
             return NoiseFunctional.from_table(grid, values)
         if kind in ("walsh-chaos", "hermite-chaos"):
-            rows, channels = _get(data, "entries"), int(data.get("channels", 1))
-            if kind == "walsh-chaos":
-                _, values = _cell_records(rows, len(rows), grid.n_cells, "coeff")
-                # ChaosCoefficients is keyed by cell tuples
-                entries = dict(zip(map(tuple, map(itemgetter("cells"), rows)), values.tolist()))
-            else:
-                entries = {
-                    hermite_index([(*_site(f"entries[{i}]", c, ch, grid.n_cells, channels),
-                                    _degree(f"entries[{i}]", d))
-                                   for c, ch, d in row["terms"]]): float(row["coeff"])
-                    for i, row in enumerate(rows)
-                }
+            # a repeat would collapse in the dict before ChaosCoefficients checks the keys
+            rows, walsh = _get(data, "entries"), kind == "walsh-chaos"
+            field = "cells" if walsh else "terms"
+            lists = list(map(itemgetter(field), rows))
+            keys = list(map(tuple, lists)) if walsh else [tuple(map(tuple, t)) for t in lists]
+            values = np.fromiter(map(float, map(itemgetter("coeff"), rows)), np.float64, len(rows))
+            entries = dict(zip(keys, values.tolist()))
+            if len(entries) < len(keys):  # the dict's keys match the listed ones up to a repeat
+                i = next((i for i, (k, d) in enumerate(zip(keys, entries)) if k != d), len(entries))
+                raise FormatError(f"entries[{i}]: {field} {lists[i]} repeat an earlier one")
             residual = float(data.get("residual", 0.0))
-            _require_finite(np.fromiter(entries.values(), float, len(entries)), "coefficients")
+            _require_finite(values, "coefficients")
             _require_finite(np.array([residual]), "residual", nonnegative=True)
-            coeffs = ChaosCoefficients(
-                grid, entries,
-                WALSH if kind == "walsh-chaos" else HERMITE,
-                channels=channels,
-                residual=residual,
-            )
-            return NoiseFunctional.from_chaos(coeffs)
+            return NoiseFunctional.from_chaos(ChaosCoefficients(
+                grid, entries, WALSH if walsh else HERMITE,
+                int(data.get("channels", 1)), residual))
         if kind == "program":
             terms: list = []
-            channels = int(data.get("channels", 1))
             for i, row in enumerate(_get(data, "terms")):
-                if row.get("type") == "ito":
-                    kernel = kernel_from_data(row["kernel"], grid.n_cells)
-                    if kernel.n_cells != grid.n_cells:
-                        raise FormatError(f"terms[{i}]: kernel on {kernel.n_cells} cells, "
-                                          f"grid of {grid.n_cells}")
-                    for ch in row["kernel"].get("channels", ()):
-                        _site(f"terms[{i}]", 0, ch, grid.n_cells, channels)
-                    terms.append(ItoTerm(float(row["weight"]), kernel))
-                elif row.get("type") == "map":
-                    factors = tuple(
-                        MapFactor(*_site(f"terms[{i}]", fa["cell"], fa.get("channel", 0),
-                                         grid.n_cells, channels),
-                                  str(fa["fn"]), tuple(fa.get("params", ())))
-                        for fa in row["factors"]
-                    )
-                    terms.append(MapTerm(float(row["weight"]), factors))
-                else:
-                    raise FormatError(f"unknown program term type {row.get('type')!r}")
+                try:
+                    if row.get("type") == "ito":
+                        terms.append(ItoTerm(float(row["weight"]),
+                                             kernel_from_data(row["kernel"], grid.n_cells)))
+                    elif row.get("type") == "map":
+                        factors = tuple(MapFactor(fa["cell"], fa.get("channel", 0), str(fa["fn"]),
+                                                  tuple(fa.get("params", ())))
+                                        for fa in row["factors"])
+                        terms.append(MapTerm(float(row["weight"]), factors))
+                    else:
+                        raise FormatError(f"unknown program term type {row.get('type')!r}")
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise FormatError(f"terms[{i}]: {exc}") from exc
             return NoiseFunctional.from_program(
                 grid, terms,
                 degree_cap=int(data.get("degree_cap", 4)),
-                channels=channels,
+                channels=int(data.get("channels", 1)),
             )
         if kind == "family":
             params = data.get("params", {})
@@ -305,7 +293,9 @@ def measure_from_data(data: dict) -> SpectralMeasure:
     try:
         plain = _get(data, "entries")
         records = [*plain, *data.get("multiplicity_entries", ())]
-        table, mass = _cell_records(records, len(plain), grid.n_cells, "mass")
+        mass = np.fromiter(map(float, map(itemgetter("mass"), records)), np.float64, len(records))
+        cells = list(map(itemgetter("cells"), records))  # `_AtomTable.packed` checks them
+        table = _AtomTable.packed(cells, mass, len(plain), grid.n_cells)
         residual = float(data.get("residual", 0.0))
         _require_finite(np.append(mass, residual), "masses and residual", nonnegative=True)
         return SpectralMeasure._of_dense(grid, table, residual)
@@ -586,29 +576,6 @@ def _require_finite(x: np.ndarray, what: str, nonnegative: bool = False) -> None
     if not ok.all():
         need = "finite and non-negative" if nonnegative else "finite"
         raise FormatError(f"{what} must be {need}, got {float(x[~ok][0])!r}")
-
-
-def _cell_records(records: list, n_plain: int, n_cells: int, value: str):
-    """The atom table and float values of `records`, the first n_plain of them plain, each
-    with its "cells" and its `value`; `_AtomTable.packed` checks the cells."""
-    cells = list(map(itemgetter("cells"), records))
-    values = np.fromiter(map(float, map(itemgetter(value), records)), np.float64, len(records))
-    return _AtomTable.packed(cells, values, n_plain, n_cells), values
-
-
-def _site(where: str, cell, channel, n_cells: int, channels: int) -> tuple[int, int]:
-    """A (cell, channel) pair read from a file: two JSON integers on the grid."""
-    if type(cell) is type(channel) is int and 0 <= cell < n_cells and 0 <= channel < channels:
-        return cell, channel
-    raise FormatError(f"{where}: cell {cell!r} and channel {channel!r} must be integers in "
-                      f"0..{n_cells - 1} and 0..{channels - 1}")
-
-
-def _degree(where: str, degree) -> int:
-    """A Hermite degree read from a file: a JSON integer, at least 1."""
-    if type(degree) is int and degree >= 1:
-        return degree
-    raise FormatError(f"{where}: degree {degree!r} must be an integer >= 1")
 
 
 def _check_version(data: dict) -> None:

@@ -42,7 +42,7 @@ from .functionals import (
 )
 from .grid import ElementarySet, GridMismatchError, TimeGrid, _integers
 from .transform import decompose, walsh_coefficients
-from .walsh import DENSE_CELL_CAP, cells_of_masks, run_axes
+from .walsh import DENSE_CELL_CAP, _checked_rows, cells_of_masks, run_axes
 
 
 @dataclass(frozen=True)
@@ -113,38 +113,6 @@ def _cells_of_rows(rows: np.ndarray, n_cells: int) -> list[tuple[int, ...]]:
         ends = np.cumsum(np.count_nonzero(bits, axis=1)).tolist()
         out += [tuple(cells[a:b]) for a, b in zip([0, *ends], ends)]
     return out
-
-
-def _checked_rows(keys: list, n_cells: int) -> tuple[np.ndarray | None, int | None]:
-    """Cell lists as rows of 64-bit words, cell c at bit c % 64 of word c // 64; or None and
-    the first list whose cells are not strictly increasing integers in 0..n_cells-1.  Python
-    and numpy integers count as integers; bools and floats do not."""
-    sizes = np.fromiter(map(len, keys), dtype=np.intp, count=len(keys))
-    count = int(sizes.sum())
-    try:
-        ints = all(t is int or issubclass(t, np.integer)
-                   for t in set(map(type, chain.from_iterable(keys))))
-        cells = np.fromiter(chain.from_iterable(keys), np.int64, count) if ints else None
-    except OverflowError:  # past 64 bits
-        cells = None
-    if cells is None:  # each non-integer or huge cell is marked off the grid
-        cells = np.fromiter((c if (type(c) is int or isinstance(c, np.integer)) and 0 <= c < n_cells
-                             else -1 for c in chain.from_iterable(keys)), np.int64, count)
-    owner = np.repeat(np.arange(len(keys)), sizes)
-    # offset by list, the cells of good lists rise strictly from first to last
-    rise = owner * n_cells
-    rise += cells
-    bad = (cells < 0) | (cells >= n_cells)
-    bad[1:] |= rise[1:] <= rise[:-1]
-    if bad.any():
-        return None, int(np.searchsorted(np.cumsum(sizes), bad.argmax(), "right"))
-    rows = np.zeros((len(keys), max(1, -(-n_cells // 64))), dtype=np.uint64)
-    cells = cells.view(np.uint64)
-    words = cells >> np.uint64(6)
-    # cells turn into their bits in place: a 2**18-atom file holds 2.4M cells
-    np.left_shift(np.uint64(1), cells & np.uint64(63), out=cells)
-    np.bitwise_or.at(rows, (owner, words), cells)
-    return rows, None
 
 
 # the entry mappings of a dense measure, plain first

@@ -54,15 +54,10 @@ class AdditiveIntegral:
         hi = self.grid.boundary_index(t)
         if lo > hi:
             raise ValueError("window must run forward")
-        kept = {
-            ix: c
-            for ix, c in self.coefficients.entries.items()
-            if lo <= index_support(ix)[0] < hi
-        }
+        c = self.coefficients
+        kept = {ix: v for ix, v in c.entries.items() if lo <= index_support(ix)[0] < hi}
         return NoiseFunctional.from_chaos(
-            ChaosCoefficients(self.grid, kept, self.coefficients.kind,
-                              channels=self.coefficients.channels)
-        )
+            ChaosCoefficients._trusted(self.grid, kept, c.kind, c.channels))
 
 
 def first_chaos_extract(f: NoiseFunctional) -> NoiseFunctional:

@@ -54,7 +54,7 @@ def decompose(f: NoiseFunctional, tol: float | None = None) -> ChaosCoefficients
     dense = walsh_coefficients(f, tol)
     masks = np.flatnonzero(dense)
     keys = cells_of_masks(masks.tolist(), f.grid.n_cells)  # rising tuples, as chaos indices
-    return ChaosCoefficients(f.grid, dict(zip(keys, dense[masks].tolist())), WALSH)
+    return ChaosCoefficients._trusted(f.grid, dict(zip(keys, dense[masks].tolist())), WALSH)
 
 
 def walsh_coefficients(f: NoiseFunctional, tol: float | None) -> np.ndarray:

@@ -101,7 +101,8 @@ def _as_functional(grid: TimeGrid, obj) -> NoiseFunctional:
     if isinstance(obj, SimplexKernel):
         from .functionals import ItoTerm
 
-        return NoiseFunctional.from_program(grid, [ItoTerm(1.0, obj)], degree_cap=obj.order)
+        return NoiseFunctional.from_program(grid, [ItoTerm(1.0, obj)], degree_cap=obj.order,
+                                            channels=1 + max(obj.channels))
     raise TypeError("expected a functional or a simplex kernel")
 
 

@@ -371,6 +371,26 @@ def test_non_finite_kernel_file_exits_2(record, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_ito_runs_a_two_channel_kernel_file(tmp_path, capsys):
+    kpath = tmp_path / "k.json"
+    write_json(str(kpath), {"order": 2, "constant": 1.0, "channels": [0, 1]})
+    out = tmp_path / "o.json"
+    assert run("ito", "--kernel", str(kpath), "--level", "3", "--paths", "20000",
+               "--seed", "1", "--out", str(out)) == 0
+    assert abs(read_json(str(out))["z"]) <= 5
+
+
+@pytest.mark.parametrize("channel, shown",
+                         [(0.7, "got 0.7"), (True, "got True"), (-1, "got (-1,)")])
+def test_kernel_file_with_a_channel_that_is_not_a_slot_exits_2(channel, shown, tmp_path, capsys):
+    # int() would read 0.7 as channel 0
+    kpath = tmp_path / "k.json"
+    write_json(str(kpath), {"order": 1, "constant": 1.0, "channels": [channel]})
+    assert run("ito", "--kernel", str(kpath), "--level", "2", "--paths", "1000",
+               "--seed", "1") == 2
+    assert shown in capsys.readouterr().err
+
+
 def test_ito_gate_fails_on_a_nan_z(tmp_path, capsys, monkeypatch):
     from noisespectra import cli
     from noisespectra.functionals import MCEstimate

@@ -61,8 +61,8 @@ def test_from_walsh_entries_evaluation():
     ((1.7,), "Walsh index cells must be integers, got 1.7"),
     ((True,), "Walsh index cells must be integers, got True"),
     ((0, 1.0), "Walsh index cells must be integers, got 1.0"),
-    ((9,), r"Walsh entry key \(9,\) has cells outside 0\.\.3"),
-    ((-1, 2), r"Walsh entry key \(-1, 2\) has cells outside 0\.\.3"),
+    ((9,), r"^entries\[0\]: cells \[9\] are not strictly increasing integers in 0\.\.3$"),
+    ((-1, 2), r"^entries\[0\]: cells \[-1, 2\] are not strictly increasing integers in 0\.\.3$"),
 ])
 def test_walsh_entries_take_integer_cells_on_the_grid(key, message):
     # a float cell would be truncated into another cell, and an off-grid cell would be
