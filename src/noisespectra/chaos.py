@@ -99,6 +99,16 @@ def shift_index(index: SpectralIndex, k: int, n_cells: int, cyclic: bool) -> Spe
     return tuple(sorted(move(c) for c in index))
 
 
+def _unrepeated(keys: list, values: list, field: str, listed: list, error=ValueError) -> dict:
+    """dict(zip(keys, values)); a key equal to an earlier one is refused as entries[i],
+    shown as listed[i]."""
+    entries = dict(zip(keys, values))
+    if len(entries) < len(keys):  # the dict's keys match the listed ones up to a repeat
+        i = next((i for i, (k, d) in enumerate(zip(keys, entries)) if k != d), len(entries))
+        raise error(f"entries[{i}]: {field} {listed[i]} repeat an earlier one")
+    return entries
+
+
 @dataclass(frozen=True)
 class ChaosCoefficients:
     """Sparse chaos expansion: spectral index -> real coefficient."""
@@ -114,7 +124,9 @@ class ChaosCoefficients:
         if self.kind not in (WALSH, HERMITE):
             raise ValueError(f"unknown chaos kind {self.kind!r}")
         object.__setattr__(self, "entries", dict(self.entries))
-        keys, n, d = list(self.entries), self.grid.n_cells, self.channels
+        (d,) = map(int, _integers([self.channels], "chaos channels"))
+        object.__setattr__(self, "channels", d)
+        keys, n = list(self.entries), self.grid.n_cells
         if self.kind == WALSH:
             i = _checked_rows(keys, n)[1]
             rule = f"are not strictly increasing integers in 0..{n - 1}"

@@ -20,9 +20,9 @@ over its partly covered children, whatever the fan-in (tribes' 1638-way
 `or` at level 14 included).  A majority layer reads each node as one row of
 per-child values (1 inside, 0 outside, the child's own fraction when partly
 covered) and runs the elementary symmetric recurrence over its few columns.
-Cut coefficients are the same subset values at full prefixes, looked up for a
-block of prefix and suffix cuts in one pass, and the sampler draws child
-subsets for every live node of every draw at once.
+Cut coefficients are the same subset values at full prefixes, looked up for
+every depth of a block of prefix and suffix cuts at once, and the sampler draws
+child subsets for every live node of every draw at once.
 
 Below the dense cap a family is also a value table, `family_values`, so every
 closed form here can be cross-checked against the dense transform in tests.
@@ -44,8 +44,9 @@ from .kernels import SimplexKernel
 from .walsh import sign_table
 
 DENSE_FANIN_CAP = 15
-# boundaries per cut pass; a pass holds prefix and suffix cuts side by side
-CUT_BLOCK = 1 << 14
+# boundaries per cut pass; a pass holds prefix and suffix cuts side by side, one
+# row per depth, and stays cache-sized (measured)
+CUT_BLOCK = 1 << 13
 # widest fan-in whose child picks count smaller keys instead of sorting (measured)
 SORT_FREE_FANIN = 5
 
@@ -138,28 +139,25 @@ class TreeLayer:
         # the children whose uniform keys are at most the size-th smallest form
         # a uniform subset of that size (q[0] = 0, so sizes start at 1); keys
         # go in row blocks to bound memory
-        picked = np.empty((nodes, m), dtype=bool)
         step = max(1, (1 << 20) // m)
-        for s in range(0, nodes, step):
-            keys = rng.random((min(step, nodes - s), m))
-            picked[s : s + step] = _smallest_keys(keys, sizes[s : s + step, None])
-        return picked
+        parts = (sizes[s : s + step] for s in range(0, max(nodes, 1), step))  # >= 1 part
+        return np.concatenate([_smallest_keys(rng.random((len(p), m)), p[:, None]) for p in parts])
 
 
 def _smallest_keys(keys: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Per row, the keys at most the row's size-th smallest (sizes >= 1), ties included.
 
     A key is one of them exactly when fewer than `size` keys of its row are
-    smaller.  Narrow rows count those with one comparison per column and sort
-    nothing; wide rows sort, where m comparison passes cost more than a sort.
+    smaller.  Narrow rows count those in one comparison of every column with
+    every other, laid out as contiguous columns, and sort nothing; wide rows
+    sort, where the m**2 comparisons cost more than a sort.
     """
     m = keys.shape[1]
     if m > SORT_FREE_FANIN:
         return keys <= np.take_along_axis(np.sort(keys, axis=1), sizes - 1, axis=1)
-    below = np.zeros(keys.shape, dtype=np.uint8)
-    for j in range(m):
-        below += keys[:, j : j + 1] < keys
-    return below < sizes
+    cols = keys.T.copy()
+    # row i: per node, the keys smaller than key i (a key is never below itself)
+    return (np.add.reduce(cols[None] < cols[:, None], axis=1, dtype=np.uint8) < sizes.T).T
 
 
 def _input_sigma_sq(mu_in: float) -> float:
@@ -245,6 +243,18 @@ def build_layers(specs: list[tuple[str, int]]) -> list[TreeLayer]:
     return layers
 
 
+@functools.lru_cache
+def _cut_scan(layers: tuple[TreeLayer, ...], spans: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Per-depth columns shared by the tree's models: child spans, fan-ins below the root
+    (int32 while the leaves fit) and offsets into the flat alpha and beta tables; then those."""
+    dtype = np.int32 if spans[0] <= np.iinfo(np.int32).max else np.int64
+    alpha, beta = map(np.concatenate, zip(*(layer.cut_coeffs for layer in layers)))
+    alpha[layers[0].fanin] = 1.0  # the cut past every leaf holds all the mass
+    offsets = np.cumsum([0] + [layer.fanin + 1 for layer in layers[:-1]])[:, None]
+    columns = (spans[1:], [layer.fanin for layer in layers[1:]])
+    return *(np.array(v, dtype=dtype)[:, None] for v in columns), offsets, alpha, beta
+
+
 # ---------------------------------------------------------------------------
 # the tree as a spectral measure
 
@@ -264,24 +274,21 @@ class TreeModel:
 
     def __post_init__(self) -> None:
         # spans[d]: leaves under one node of depth d, down to spans[-1] = 1
-        self.spans = [1]
-        for layer in reversed(self.layers):
-            self.spans.insert(0, self.spans[0] * layer.fanin)
+        self.spans = [math.prod(layer.fanin for layer in self.layers[d:])
+                      for d in range(len(self.layers) + 1)]
         self.leaf_count = self.spans[0]
         if self.leaf_count > self.grid.n_cells:
             raise ValueError("tree has more leaves than the grid has cells")
         self.empty_mass = self.layers[0].mu_out ** 2
         self.fluctuation_mass = self.layers[0].sigma_sq
+        self._scan = _cut_scan(tuple(self.layers), tuple(self.spans))
 
     def _levels(self):
         """(layer, leaves under one of its children) from the root down."""
         return zip(self.layers, self.spans[1:])
 
     def singleton_mass(self) -> float:
-        frac = 1.0
-        for layer in self.layers:
-            frac *= float(layer.q[1])
-        return self.fluctuation_mass * frac
+        return self.fluctuation_mass * math.prod(float(layer.q[1]) for layer in self.layers)
 
     def cardinality_profile(self) -> dict[int, float]:
         """Unnormalized mass per set size, the empty atom included at 0."""
@@ -341,11 +348,12 @@ class TreeModel:
 
     def cut_masses(self, boundaries) -> tuple[np.ndarray, np.ndarray]:
         """Masses of the sets inside cells [0, b) and inside [b, n), per boundary b."""
-        b = np.clip(np.asarray(boundaries, dtype=np.int64), 0, self.leaf_count)
-        out = np.empty((2, b.shape[0]))
-        for s in range(0, b.shape[0], CUT_BLOCK):
-            cut = b[s : s + CUT_BLOCK]
-            out[:, s : s + CUT_BLOCK] = self._cut_mass(np.stack([cut, self.leaf_count - cut]))
+        cut = np.empty((2, len(boundaries)), dtype=self._scan[0].dtype)
+        np.minimum(np.maximum(boundaries, 0), self.leaf_count, out=cut[0])
+        np.subtract(self.leaf_count, cut[0], out=cut[1])
+        out = np.empty(cut.shape)
+        for s in range(0, cut.shape[1], CUT_BLOCK):
+            out[:, s : s + CUT_BLOCK] = self._cut_mass(cut[:, s : s + CUT_BLOCK])
         return out[0], out[1]
 
     def straddle_masses(self, boundaries) -> np.ndarray:
@@ -355,35 +363,40 @@ class TreeModel:
 
     def prefix_mass(self, boundary: int) -> float:
         """Mass of sets inside the first `boundary` cells."""
-        return float(self._cut_mass(np.clip([boundary], 0, self.leaf_count))[0])
+        return float(self._cut_mass(np.array([min(max(boundary, 0), self.leaf_count)]))[0])
 
     def _cut_mass(self, cut: np.ndarray) -> np.ndarray:
-        """Mass of sets inside the first (or, alike, the last) `cut` leaves;
-        one step per depth."""
-        frac = np.zeros(cut.shape)
-        scale = np.ones(cut.shape)
-        rem = cut
-        for layer, child_span in self._levels():
-            alpha, beta = layer.cut_coeffs
-            full, rem = np.divmod(rem, child_span)
-            frac += scale * alpha[full]
-            scale = np.where(rem > 0, scale * beta[full], 0.0)
-        frac[cut >= self.leaf_count] = 1.0
-        return self.empty_mass + self.fluctuation_mass * frac
+        """Mass of sets inside the first (or, alike, the last) `cut` leaves: every digit of
+        every cut from one floor division, then frac += scale * alpha; scale *= beta down
+        the depths.  Below a cut on a child boundary each alpha is exactly 0, and adds 0."""
+        spans, fanins, offsets, alpha_table, beta_table = self._scan
+        flat = cut.reshape(-1)
+        whole = flat // spans  # row d: nodes one depth below d that lie wholly before the cut
+        index = whole + offsets
+        index[1:] -= fanins * whole[:-1]
+        alpha, beta = alpha_table.take(index), beta_table.take(index)
+        if len(flat) > len(alpha):  # more cuts than depths: one step per depth on whole rows
+            frac, scale = np.zeros(flat.shape), np.ones(flat.shape)
+            for a, b in zip(alpha, beta):
+                frac += scale * a
+                scale = scale * b
+        else:  # the same products and sums, in order, as running ones down each column
+            alpha[1:] *= np.multiply.accumulate(beta[:-1], axis=0)
+            frac = np.add.accumulate(alpha, axis=0)[-1]
+        return (self.empty_mass + self.fluctuation_mass * frac).reshape(cut.shape)
 
     def sample(self, k: int, seed: int) -> list[tuple[int, ...]]:
-        """k exact draws; each depth picks child subsets for all live nodes at once,
-        as flat indices into the (nodes, fanin) picks split by one divmod."""
+        """k exact draws; each depth picks child subsets for all live nodes at once.
+        A live node is one key, draw * leaf_count + first leaf, so a depth gathers once."""
         rng = worker_generator(seed, 0)
-        owner = np.flatnonzero(rng.random(k) >= self.empty_mass / self.total_mass)
-        first = np.zeros(owner.shape, dtype=np.int64)
+        key = np.flatnonzero(rng.random(k) >= self.empty_mass / self.total_mass) * self.leaf_count
         for layer, child_span in self._levels():
-            picks = np.flatnonzero(layer.draw_children(rng, len(owner)))
-            rows, cols = np.divmod(picks, layer.fanin)
-            owner, first = owner[rows], first[rows] + cols * child_span
-        # flat indices rise row-major, so each draw's cells come out grouped and sorted
-        cells = first.tolist()
-        ends = np.cumsum(np.bincount(owner, minlength=k)).tolist()
+            picks = np.flatnonzero(layer.draw_children(rng, len(key)))
+            rows = picks // layer.fanin
+            key = key[rows] + (picks - rows * layer.fanin) * child_span
+        # flat indices rise row-major, so keys rise: each draw's cells come out grouped, sorted
+        ends = np.searchsorted(key, self.leaf_count * np.arange(1, k + 1)).tolist()
+        cells = (key - key // self.leaf_count * self.leaf_count).tolist()  # key % leaves, faster
         return [tuple(cells[a:b]) for a, b in zip([0, *ends], ends)]
 
 

@@ -21,7 +21,15 @@ from typing import Iterable, NamedTuple, Union
 import numpy as np
 
 from ._mc import moments, stream_moments
-from .chaos import HERMITE, WALSH, ChaosCoefficients, index_support, shift_index, walsh_index
+from .chaos import (
+    HERMITE,
+    WALSH,
+    ChaosCoefficients,
+    _unrepeated,
+    index_support,
+    shift_index,
+    walsh_index,
+)
 from .grid import GridMismatchError, TimeGrid, _integers, left_of, require_same_grid, right_of
 from .hermite import hermite_values, pair_mean, project_scalar_map
 from .kernels import SimplexKernel, iterated_sum
@@ -120,6 +128,10 @@ class BrownianProgram:
     channels: int = 1
 
     def __post_init__(self) -> None:
+        cap, channels = map(int, _integers((self.degree_cap, self.channels),
+                                           "program degree cap and channels"))
+        object.__setattr__(self, "degree_cap", cap)
+        object.__setattr__(self, "channels", channels)
         if self.degree_cap < 1:
             raise ValueError("degree cap must be >= 1")
 
@@ -196,7 +208,9 @@ class NoiseFunctional:
 
     @classmethod
     def from_walsh_entries(cls, grid: TimeGrid, entries: dict) -> "NoiseFunctional":
-        fixed = {walsh_index(ix): float(c) for ix, c in entries.items()}
+        # two keys that name one set are refused as a file's repeated record is
+        fixed = _unrepeated([walsh_index(ix) for ix in entries], list(map(float, entries.values())),
+                            "cells", list(map(list, entries)))
         return cls(grid, ChaosCoefficients(grid, fixed, WALSH))
 
     @classmethod

@@ -43,6 +43,9 @@ class TimeGrid:
     def __post_init__(self) -> None:
         object.__setattr__(self, "interval_start", as_fraction(self.interval_start))
         object.__setattr__(self, "interval_end", as_fraction(self.interval_end))
+        level, base = map(int, _integers((self.level, self.base), "grid level and base"))
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "base", base)
         if self.interval_start >= self.interval_end:
             raise ValueError("interval_start must be strictly below interval_end")
         if self.level < 0:

@@ -28,6 +28,11 @@ from .grid import _integers
 MAX_ENUMERATED_TUPLES = 2_000_000
 
 
+def _shape(order, n_cells) -> tuple[int, int]:
+    """A kernel's order and cell count as ints; a bool or a float is refused."""
+    return tuple(map(int, _integers((order, n_cells), "kernel order and n_cells")))
+
+
 @dataclass(frozen=True, eq=False)
 class SimplexKernel:
     order: int
@@ -37,6 +42,9 @@ class SimplexKernel:
     channels: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        order, n_cells = _shape(self.order, self.n_cells)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "n_cells", n_cells)
         if self.order < 1:
             raise ValueError("kernel order must be >= 1")
         channels = tuple(map(int, _integers(self.channels, "kernel channels"))) or (0,) * self.order
@@ -69,6 +77,7 @@ class SimplexKernel:
     def constant(
         cls, order: int, n_cells: int, value: float = 1.0, channels: tuple[int, ...] = ()
     ) -> "SimplexKernel":
+        order, n_cells = _shape(order, n_cells)  # before the vectors are sized by them
         vecs = [np.ones(n_cells) for _ in range(order)]
         vecs[0] = np.full(n_cells, float(value))
         return cls(order, n_cells, factors=tuple(vecs), channels=channels)

@@ -28,7 +28,7 @@ from operator import is_, itemgetter
 
 import numpy as np
 
-from .chaos import HERMITE, WALSH, ChaosCoefficients
+from .chaos import HERMITE, WALSH, ChaosCoefficients, _unrepeated
 from .functionals import (
     BrownianProgram,
     FamilyRef,
@@ -70,8 +70,8 @@ def grid_from_data(data: dict) -> TimeGrid:
         return TimeGrid(
             Fraction(data["start"]),
             Fraction(data["end"]),
-            int(data["level"]),
-            int(data.get("base", 2)),
+            data["level"],
+            data.get("base", 2),
         )
     except (KeyError, ValueError, ZeroDivisionError) as exc:
         raise FormatError(f"bad grid record: {exc}") from exc
@@ -94,8 +94,8 @@ def kernel_to_data(k: SimplexKernel) -> dict:
 
 def kernel_from_data(data: dict, n_cells: int | None = None) -> SimplexKernel:
     try:
-        order = int(data["order"])
-        n = int(data.get("n_cells", n_cells if n_cells is not None else 0))
+        order = data["order"]
+        n = data.get("n_cells", n_cells if n_cells is not None else 0)
         if n <= 0:
             raise FormatError("kernel needs n_cells (or a grid to supply it)")
         channels = data.get("channels", ())
@@ -195,16 +195,13 @@ def functional_from_data(data: dict) -> NoiseFunctional:
             lists = list(map(itemgetter(field), rows))
             keys = list(map(tuple, lists)) if walsh else [tuple(map(tuple, t)) for t in lists]
             values = np.fromiter(map(float, map(itemgetter("coeff"), rows)), np.float64, len(rows))
-            entries = dict(zip(keys, values.tolist()))
-            if len(entries) < len(keys):  # the dict's keys match the listed ones up to a repeat
-                i = next((i for i, (k, d) in enumerate(zip(keys, entries)) if k != d), len(entries))
-                raise FormatError(f"entries[{i}]: {field} {lists[i]} repeat an earlier one")
+            entries = _unrepeated(keys, values.tolist(), field, lists, FormatError)
             residual = float(data.get("residual", 0.0))
             _require_finite(values, "coefficients")
             _require_finite(np.array([residual]), "residual", nonnegative=True)
             return NoiseFunctional.from_chaos(ChaosCoefficients(
                 grid, entries, WALSH if walsh else HERMITE,
-                int(data.get("channels", 1)), residual))
+                data.get("channels", 1), residual))
         if kind == "program":
             terms: list = []
             for i, row in enumerate(_get(data, "terms")):
@@ -223,13 +220,12 @@ def functional_from_data(data: dict) -> NoiseFunctional:
                     raise FormatError(f"terms[{i}]: {exc}") from exc
             return NoiseFunctional.from_program(
                 grid, terms,
-                degree_cap=int(data.get("degree_cap", 4)),
-                channels=int(data.get("channels", 1)),
+                degree_cap=data.get("degree_cap", 4),
+                channels=data.get("channels", 1),
             )
         if kind == "family":
             params = data.get("params", {})
-            f = NoiseFunctional.from_family(_get(data, "name"), int(_get(data, "level")),
-                                            **params)
+            f = NoiseFunctional.from_family(_get(data, "name"), _get(data, "level"), **params)
             if f.grid != grid:
                 raise FormatError("family regenerated on a different grid than recorded")
             return f

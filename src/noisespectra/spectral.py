@@ -372,7 +372,7 @@ class SpectralMeasure:
 
     def mass(self, cells: Iterable[int]) -> float:
         """Mass of one set, multiplicity entries included."""
-        key = tuple(sorted(set(int(c) for c in cells)))
+        key = SpectralSet(self.grid, cells).cells  # integer cells on the grid, as any set
         self._require_dense("pointwise mass")
         return float(self.entries.get(key, 0.0) + self.multiplicity_entries.get(key, 0.0))
 

@@ -391,6 +391,18 @@ def test_kernel_file_with_a_channel_that_is_not_a_slot_exits_2(channel, shown, t
     assert shown in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("record, shown", [
+    ({"order": 2.9, "n_cells": 4.5, "constant": 1.0}, "kernel order and n_cells"),
+    ({"order": 1, "n_cells": 4.5, "constant": 1.0}, "must be integers, got 4.5")])
+def test_kernel_file_with_a_float_order_or_size_exits_2(record, shown, tmp_path, capsys):
+    # int() would read order 2.9 as 2 and 4.5 cells as 4
+    kpath = tmp_path / "k.json"
+    write_json(str(kpath), record)
+    assert run("ito", "--kernel", str(kpath), "--level", "2", "--paths", "1000",
+               "--seed", "1") == 2
+    assert shown in capsys.readouterr().err
+
+
 def test_ito_gate_fails_on_a_nan_z(tmp_path, capsys, monkeypatch):
     from noisespectra import cli
     from noisespectra.functionals import MCEstimate

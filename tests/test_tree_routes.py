@@ -1,8 +1,9 @@
 """Tree-model routes against the node-by-node reference in tree_reference.
 
-The library answers region, cut and sampling queries with one array pass per
-tree depth; the reference walks one node at a time.  Both read the same layer
-data, so these tests pin the passes far past the sizes a dense twin reaches.
+The library answers region and sampling queries with one array pass per tree
+depth and cut queries with one scan over all depths; the reference walks one
+node at a time.  Both read the same layer data, so these tests pin the passes
+far past the sizes a dense twin reaches.
 """
 import dataclasses
 import functools
@@ -450,6 +451,14 @@ def test_seeded_maj3_draws_are_pinned(level):
     assert digest(repr(draws).encode()) == MAJ3_DRAW_DIGESTS[level]
 
 
+def broadcast_picks(keys, sizes):
+    """The counting route before column comparisons: one row broadcast per column."""
+    below = np.zeros(keys.shape, dtype=np.uint8)
+    for j in range(keys.shape[1]):
+        below += keys[:, j : j + 1] < keys
+    return below < sizes
+
+
 @settings(max_examples=60)
 @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 3, 8, 512]), st.integers(2, 8))
 def test_child_picks_equal_the_kth_smallest_rule(seed, fanin, levels):
@@ -463,3 +472,95 @@ def test_child_picks_equal_the_kth_smallest_rule(seed, fanin, levels):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(families, "SORT_FREE_FANIN", 255)
             assert np.array_equal(_smallest_keys(keys, sizes), keys <= kth)
+            assert np.array_equal(_smallest_keys(keys, sizes), broadcast_picks(keys, sizes))
+
+
+# ---------------------------------------------------------------------------
+# the depth scan and the one-key sampler against the loops they replaced, bit for bit
+
+
+def per_depth_cut_mass(model, cut):
+    """Cut masses by one array step per depth, as computed before the depth scan."""
+    frac = np.zeros(cut.shape)
+    scale = np.ones(cut.shape)
+    rem = cut
+    for layer, child_span in model._levels():
+        alpha, beta = layer.cut_coeffs
+        full, rem = np.divmod(rem, child_span)
+        frac += scale * alpha[full]
+        scale = np.where(rem > 0, scale * beta[full], 0.0)
+    frac[cut >= model.leaf_count] = 1.0
+    return model.empty_mass + model.fluctuation_mass * frac
+
+
+def per_depth_sample(model, k, seed):
+    """Draws with owner and first-leaf arrays gathered apart and picks counted by
+    `broadcast_picks`, as drawn before the one-key sampler."""
+    rng = families.worker_generator(seed, 0)
+    owner = np.flatnonzero(rng.random(k) >= model.empty_mass / model.total_mass)
+    first = np.zeros(owner.shape, dtype=np.int64)
+    for layer, child_span in model._levels():
+        m, cdf, nodes = layer.fanin, layer.size_cdf, len(owner)
+        sizes = np.minimum(np.searchsorted(cdf, rng.random(nodes) * cdf[-1], side="right"), m)
+        picked = np.empty((nodes, m), dtype=bool)
+        step = max(1, (1 << 20) // m)
+        for s in range(0, nodes, step):
+            keys = rng.random((min(step, nodes - s), m))
+            block = sizes[s : s + step, None]
+            if m <= families.SORT_FREE_FANIN:
+                picked[s : s + step] = broadcast_picks(keys, block)
+            else:
+                picked[s : s + step] = keys <= np.take_along_axis(np.sort(keys, axis=1),
+                                                                  block - 1, axis=1)
+        rows, cols = np.divmod(np.flatnonzero(picked), m)
+        owner, first = owner[rows], first[rows] + cols * child_span
+    cells = first.tolist()
+    ends = np.cumsum(np.bincount(owner, minlength=k)).tolist()
+    return [tuple(cells[a:b]) for a, b in zip([0, *ends], ends)]
+
+
+@pytest.mark.parametrize("name,level", [("majority3-iterated", level) for level in range(1, 11)]
+                         + [("tribes", level) for level in range(2, 15)])
+def test_depth_scan_equals_the_per_depth_loop_at_every_boundary(name, level):
+    """Every boundary in one call (Maj3 L9-L10 and tribes L14 span several CUT_BLOCK
+    passes), then 1-D prefix input and single boundaries, which run the column route."""
+    model = model_of(name, level)
+    n, leaves = model.grid.n_cells, model.leaf_count
+    bs = np.arange(n + 1)
+    cut = np.minimum(bs, leaves)
+    prefix, suffix = model.cut_masses(bs)
+    assert prefix.tolist() == per_depth_cut_mass(model, cut).tolist()
+    assert suffix.tolist() == per_depth_cut_mass(model, leaves - cut).tolist()
+    if (name, level) in (("majority3-iterated", 10), ("tribes", 14)):
+        assert n + 1 > families.CUT_BLOCK
+    if n > 300:
+        bs = np.append(np.random.default_rng(level).integers(0, n + 1, size=300), [n, leaves])
+    cut = np.minimum(bs, leaves)
+    assert [model.prefix_mass(b) for b in bs.tolist()] == per_depth_cut_mass(model, cut).tolist()
+    single = [model.cut_masses([b]) for b in bs.tolist()]
+    assert [left[0] for left, _ in single] == per_depth_cut_mass(model, cut).tolist()
+    assert [right[0] for _, right in single] == per_depth_cut_mass(model, leaves - cut).tolist()
+
+
+@pytest.mark.parametrize("level", [6, 7, 11, 12])
+def test_depth_scan_keeps_the_whole_tree_at_exactly_all_the_mass(level):
+    # on the loop route the root's alpha at full count rounds off 1; the per-depth
+    # loop set the cut past every leaf to all the mass, and the scan must too
+    model = loop_route(model_of("tribes", level))
+    assert model.layers[0].cut_coeffs[0][-1] != 1.0
+    n, leaves = model.grid.n_cells, model.leaf_count
+    cut = np.minimum(np.arange(n + 1), leaves)
+    prefix, suffix = model.cut_masses(np.arange(n + 1))
+    assert prefix.tolist() == per_depth_cut_mass(model, cut).tolist()
+    assert suffix.tolist() == per_depth_cut_mass(model, leaves - cut).tolist()
+    whole = per_depth_cut_mass(model, np.array([leaves]))[0]
+    assert model.prefix_mass(n) == model.prefix_mass(leaves) == whole
+
+
+@pytest.mark.parametrize("k", [1, 64, 2000])
+@pytest.mark.parametrize("name,level", [("majority3-iterated", 5), ("majority3-iterated", 12),
+                                        ("tribes", 9), ("tribes", 12)])
+def test_one_key_sampler_equals_the_per_depth_loop(name, level, k):
+    model = model_of(name, level)
+    for seed in (0, 7):
+        assert model.sample(k, seed) == per_depth_sample(model, k, seed)

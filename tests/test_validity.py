@@ -1,6 +1,7 @@
 """Index and site validity has one owner per object: `ChaosCoefficients` for chaos
-indices, `NoiseFunctional` for a program's sites, `SimplexKernel` and `MapFactor` for
-their own integers.  Every entry point, in memory or from a file, meets the same rule."""
+indices, `NoiseFunctional` for a program's sites, `TimeGrid`, `SimplexKernel`,
+`BrownianProgram` and `MapFactor` for their own integers.  Every entry point, in memory
+or from a file, meets the same rule."""
 import numpy as np
 import pytest
 
@@ -15,7 +16,14 @@ from noisespectra.functionals import (
     hermite_decompose,
     shift,
 )
-from noisespectra.serialize import FormatError, functional_from_data, grid_to_data, kernel_from_data
+from noisespectra.serialize import (
+    FormatError,
+    functional_from_data,
+    grid_from_data,
+    grid_to_data,
+    kernel_from_data,
+)
+from noisespectra.spectral import SpectralMeasure
 from noisespectra.structure import additive_integral_of
 from noisespectra.transform import conditional_expectation, level_projection
 from noisespectra.whitenoise import isometry_check, orthogonality_check
@@ -116,6 +124,46 @@ REFUSALS = {
         program_file({"type": "ito", "weight": 1.0,
                       "kernel": {"order": 2, "constant": 1.0, "channels": [0, 3]}}), FormatError,
         r"^bad functional record: terms\[0\]: cell 0 and channel 3 must be integers"),
+    "walsh entries naming one set twice": (
+        lambda: NoiseFunctional.from_walsh_entries(GRID, {(0, 1): 1.0, (1, 0): 2.0}), ValueError,
+        r"^entries\[1\]: cells \[1, 0\] repeat an earlier one$"),
+    "measure mass of a float cell": (
+        lambda: SpectralMeasure(GRID, {(1,): 1.0}).mass([1.5]), ValueError,
+        r"^cells must be integers, got 1\.5$"),
+    "measure mass of a cell off the grid": (
+        lambda: SpectralMeasure(GRID, {(1,): 1.0}).mass([9]), ValueError,
+        r"^cells \(9,\) outside grid with 4 cells$"),
+    "grid float level": (
+        lambda: TimeGrid(0, 1, 2.7), ValueError, r"^grid level and base must be integers, got 2\.7$"),
+    "kernel float order": (
+        lambda: SimplexKernel.constant(2.9, 4), ValueError,
+        r"^kernel order and n_cells must be integers, got 2\.9$"),
+    "program float channels": (
+        program(channels=2.0), ValueError,
+        r"^program degree cap and channels must be integers, got 2\.0$"),
+    "grid file float level": (
+        lambda: grid_from_data({**FOUR, "level": 2.7}), FormatError,
+        r"^bad grid record: grid level and base must be integers, got 2\.7$"),
+    "grid file float base": (
+        lambda: grid_from_data({**FOUR, "base": 2.5}), FormatError,
+        r"^bad grid record: grid level and base must be integers, got 2\.5$"),
+    "kernel file float order and size": (
+        lambda: kernel_from_data({"order": 2.9, "n_cells": 4.5, "constant": 1.0}), FormatError,
+        r"^bad kernel record: kernel order and n_cells must be integers, got 2\.9$"),
+    "kernel file float size": (
+        lambda: kernel_from_data({"order": 2, "n_cells": 4.5, "constant": 1.0}), FormatError,
+        r"^bad kernel record: kernel order and n_cells must be integers, got 4\.5$"),
+    "hermite-chaos file float channels": (
+        chaos_file("hermite-chaos", [{"terms": [[0, 1, 1]], "coeff": 1.0}], channels=2.7),
+        FormatError, r"^bad functional record: chaos channels must be integers, got 2\.7$"),
+    "program file float degree cap": (
+        lambda: functional_from_data({"grid": FOUR, "kind": "program", "terms": [],
+                                      "degree_cap": 2.5}), FormatError,
+        r"^bad functional record: program degree cap and channels must be integers, got 2\.5$"),
+    "family file float level": (
+        lambda: functional_from_data({"grid": {**FOUR, "base": 3}, "kind": "family",
+                                      "name": "majority3-iterated", "level": 2.7}), FormatError,
+        r"^bad functional record: grid level and base must be integers, got 2\.7$"),
 }
 
 
@@ -137,6 +185,12 @@ def test_good_indices_and_sites_still_build():
     assert k.channels == (1, 0) and all(type(ch) is int for ch in k.channels)
     f = NoiseFunctional.from_program(GRID, [ItoTerm(1.0, k), MapTerm(1.0, (fa,))], channels=2)
     assert len(f.backend.terms) == 2
+    # integer fields come out as ints, whatever integer type they arrive as
+    grid = TimeGrid(0, 1, np.int64(2), np.uint8(3))
+    assert (grid.level, grid.base) == (2, 3) and type(grid.level) is type(grid.base) is int
+    k = SimplexKernel.constant(np.int32(1), np.int64(4))
+    assert (k.order, k.n_cells) == (1, 4) and type(k.order) is type(k.n_cells) is int
+    assert SpectralMeasure(GRID, {(1, 3): 0.5}).mass(np.array([3, 1])) == 0.5
 
 
 def test_trusted_builders_never_run_the_owner_check(monkeypatch, rng):
