@@ -14,6 +14,7 @@ import math
 import sys
 from dataclasses import asdict, astuple, fields
 from fractions import Fraction
+from typing import Mapping
 
 import numpy as np
 
@@ -428,8 +429,10 @@ def _verdict(failed: list[str]) -> int:
     return EXIT_OK
 
 
-def _max_gap(a: dict, b: dict) -> float:
-    """max |a[k] - b[k]| over the union of keys; a missing key reads 0."""
+def _max_gap(a: Mapping, b: Mapping) -> float:
+    """max |a[k] - b[k]| over the union of keys; a missing key reads 0.  Each mapping is
+    read once into a dict, so a measure's entry view is not searched once per key."""
+    a, b = dict(a.items()), dict(b.items())
     return max((abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in a.keys() | b.keys()), default=0.0)
 
 

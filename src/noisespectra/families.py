@@ -41,7 +41,6 @@ from ._rng import worker_generator
 from .functionals import BackendError, FamilyRef, ItoTerm, NoiseFunctional
 from .grid import TimeGrid
 from .kernels import SimplexKernel
-from .walsh import sign_table
 
 DENSE_FANIN_CAP = 15
 # boundaries per cut pass; a pass holds prefix and suffix cuts side by side, one
@@ -417,6 +416,7 @@ def tribes_shape(level: int) -> tuple[int, int, int]:
 
 
 def _tree_specs(grid: TimeGrid, ref: FamilyRef) -> list[tuple[str, int]]:
+    """(combiner, fan-in) per depth, root first: what the model, table and evaluator read."""
     if ref.name == "majority3-iterated":
         return [("majority", 3)] * ref.level
     if ref.name == "tribes":
@@ -510,8 +510,17 @@ def _evaluate_rows(grid: TimeGrid, ref: FamilyRef, rows: np.ndarray) -> np.ndarr
 
 
 def family_values(grid: TimeGrid, ref: FamilyRef) -> np.ndarray:
-    """Fresh value table of a family instance; `evaluate_table` refuses it past the cap."""
-    return _evaluate_rows(grid, ref, sign_table(grid.n_cells).astype(np.float64))
+    """Fresh value table of a family instance, below the cap, composed leaves up: a node's
+    table is its combiner (as in `_evaluate_rows`) over the outer product of its children's
+    tables, child c above child c-1's bits; the root's table tiles over cells past the tree."""
+    t = np.array([1.0, -1.0])  # a leaf: bit 0 set is omega = -1
+    for kind, m in reversed(_tree_specs(grid, ref)):
+        combine = np.add if kind == "majority" else np.minimum if kind == "and" else np.maximum
+        node = t
+        for _ in range(m - 1):
+            node = combine.outer(t, node).ravel()
+        t = np.where(node > 0, 1.0, -1.0)
+    return np.tile(t, (1 << grid.n_cells) // len(t))
 
 
 def family_mean(grid: TimeGrid, ref: FamilyRef) -> float:

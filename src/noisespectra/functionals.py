@@ -33,12 +33,7 @@ from .chaos import (
 from .grid import GridMismatchError, TimeGrid, _integers, left_of, require_same_grid, right_of
 from .hermite import hermite_values, pair_mean, project_scalar_map
 from .kernels import SimplexKernel, iterated_sum
-from .walsh import (
-    DENSE_CELL_CAP,
-    mask_of_cells,
-    omega_index,
-    values_from_coefficients,
-)
+from .walsh import DENSE_CELL_CAP, _checked_rows, omega_index, values_from_coefficients
 
 
 class BackendError(ValueError):
@@ -308,9 +303,10 @@ def evaluate_table(f: NoiseFunctional) -> np.ndarray:
         from . import families
 
         return families.family_values(f.grid, b)
+    # each coefficient lands at its index's mask, a one-word row up to the cap
     dense = np.zeros(1 << n)
-    for ix, c in b.entries.items():
-        dense[mask_of_cells(ix)] = c
+    masks = _checked_rows(list(b.entries), n)[0][:, 0].astype(np.intp)
+    dense[masks] = np.fromiter(b.entries.values(), np.float64, len(masks))
     return values_from_coefficients(dense)
 
 

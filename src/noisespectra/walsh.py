@@ -70,15 +70,6 @@ def omega_index(omega) -> int:
     return idx
 
 
-def sign_table(n_cells: int) -> np.ndarray:
-    """Array of shape (2**n, n) listing omega_i = +-1 for every table position."""
-    if n_cells > DENSE_CELL_CAP:
-        raise ValueError(f"{n_cells} cells exceeds the dense cap of {DENSE_CELL_CAP}")
-    positions = np.arange(1 << n_cells, dtype=np.uint32)
-    bits = (positions[:, None] >> np.arange(n_cells, dtype=np.uint32)) & 1
-    return 1 - 2 * bits.astype(np.int8)
-
-
 def run_axes(ranges, n_cells: int) -> tuple[list[int], list[int]]:
     """A shape for a 2**n_cells array indexed by cell bitmask, one axis of size 2**k per
     maximal run of k cells inside or outside the sorted [lo, hi) `ranges`, highest cells
@@ -96,13 +87,6 @@ def run_axes(ranges, n_cells: int) -> tuple[list[int], list[int]]:
         outside.append(len(shape))
         shape.append(1 << top)
     return shape, outside
-
-
-def mask_of_cells(cells) -> int:
-    m = 0
-    for c in cells:
-        m |= 1 << int(c)
-    return m
 
 
 def _subset_keys(cells: range) -> list[tuple[int, ...]]:

@@ -37,7 +37,7 @@ from noisespectra.families import (
     tribes_shape,
 )
 from noisespectra.functionals import evaluate_table, norm_sq
-from noisespectra.walsh import sign_table
+from test_merged_routes import old_sign_table
 
 
 def dense_twin(f):
@@ -266,7 +266,7 @@ def test_family_mean_matches_dense():
 def test_materialize_respects_sign_convention():
     f = make_functional("majority3-iterated", 1)
     table = evaluate_table(dense_twin(f))
-    rows = sign_table(3).astype(np.float64)
+    rows = old_sign_table(3).astype(np.float64)
     for pos in range(8):
         assert table[pos] == evaluate_family(f.grid, f.backend, rows[pos])
 

@@ -29,7 +29,7 @@ from noisespectra.functionals import (
     hermite_decompose,
     norm_sq,
 )
-from noisespectra.walsh import sign_table
+from test_merged_routes import old_sign_table
 
 GRID = TimeGrid(0, 1, 3)
 
@@ -39,7 +39,7 @@ def test_table_and_chaos_representations_agree(rng):
     from noisespectra import decompose
 
     g = NoiseFunctional.from_chaos(decompose(f))
-    table = sign_table(GRID.n_cells)
+    table = old_sign_table(GRID.n_cells)
     for pos in range(0, 256, 37):
         assert_allclose(g.evaluate(table[pos]), f.evaluate(table[pos]), rtol=1e-12)
     assert_allclose(expectation(g), expectation(f), rtol=1e-12)
@@ -100,7 +100,7 @@ def test_table_inner_product_and_norm_are_the_bits_of_np_mean(n):
 def test_sparse_dot_does_not_depend_on_argument_order():
     # equal-size expansions with the same keys inserted in opposite orders
     rng = np.random.default_rng(24)
-    keys = [tuple(np.flatnonzero(m).tolist()) for m in sign_table(GRID.n_cells) < 0]
+    keys = [tuple(np.flatnonzero(m).tolist()) for m in old_sign_table(GRID.n_cells) < 0]
     for _ in range(200):
         picked = [keys[i] for i in rng.choice(len(keys), size=12, replace=False)]
         f = NoiseFunctional.from_walsh_entries(GRID, dict(zip(picked, rng.standard_normal(12))))
@@ -187,7 +187,7 @@ def test_tensor_product_values(rng):
     f = random_functional(wl, rng)
     g = random_functional(wr, rng)
     fg = tensor_product(f, g)
-    table = sign_table(8)
+    table = old_sign_table(8)
     for pos in (0, 17, 100, 255):
         om = table[pos]
         assert_allclose(

@@ -3,10 +3,14 @@
 Each reference below is the former implementation, kept here verbatim as the
 oracle: the exact kernel norm's own simplex recursion and dense contractions,
 the per-backend `norm_sq`, the Walsh reconstruction through a dense vector,
-the first-chaos filter of `additive_integral_of`, and the family fallbacks of
+the first-chaos filter of `additive_integral_of`, the family fallbacks of
 `conditional_expectation`, `level_projection` and `inner_product` that built a
-table functional and called themselves again.  Every comparison is `==`.
+table functional and called themselves again, the sign table, the pair loop of
+`product`, the key-set rule of `is_absolutely_continuous` and the family table
+evaluated row by row on the sign table.  Every comparison is `==`.
 """
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -18,7 +22,7 @@ from noisespectra.chaos import (
     index_cardinality,
     index_has_multiplicity,
 )
-from noisespectra.families import _evaluate_rows, make_functional
+from noisespectra.families import _evaluate_rows, family_values, make_functional
 from noisespectra.functionals import (
     BackendError,
     BrownianProgram,
@@ -33,9 +37,17 @@ from noisespectra.functionals import (
     hermite_decompose,
     inner_product,
     inner_product_mc,
+    joined_grid,
     norm_sq,
     program_inner,
     random_functional,
+)
+from noisespectra.spectral import (
+    SpectralMeasure,
+    is_absolutely_continuous,
+    product,
+    restrict,
+    spectral_measure_of,
 )
 from noisespectra.structure import additive_integral_of
 from noisespectra.transform import (
@@ -44,14 +56,43 @@ from noisespectra.transform import (
     level_projection,
     reconstruct,
 )
-from noisespectra.walsh import (
-    DENSE_CELL_CAP,
-    mask_of_cells,
-    sign_table,
-    values_from_coefficients,
-)
+from noisespectra.walsh import DENSE_CELL_CAP, values_from_coefficients
 
 # -- the former routes --------------------------------------------------------
+
+
+def old_sign_table(n_cells):
+    """Array of shape (2**n, n) listing omega_i = +-1 for every table position."""
+    if n_cells > DENSE_CELL_CAP:
+        raise ValueError(f"{n_cells} cells exceeds the dense cap of {DENSE_CELL_CAP}")
+    positions = np.arange(1 << n_cells, dtype=np.uint32)
+    bits = (positions[:, None] >> np.arange(n_cells, dtype=np.uint32)) & 1
+    return 1 - 2 * bits.astype(np.int8)
+
+
+def old_mask_of_cells(cells):
+    m = 0
+    for c in cells:
+        m |= 1 << int(c)
+    return m
+
+
+def old_product(left, right):
+    """The product measure as a dict over every pair of atoms, packed by the constructor."""
+    offset = left.grid.n_cells
+    out = {}
+    for ka, va in left.entries.items():
+        for kb, vb in right.entries.items():
+            out[ka + tuple(c + offset for c in kb)] = va * vb
+    return SpectralMeasure(joined_grid(left.grid, right.grid), out)
+
+
+def old_is_absolutely_continuous(mu_g, mu_f):
+    return set(mu_g._atoms.keys) <= set(mu_f._atoms.keys)
+
+
+def old_family_values(grid, ref):
+    return _evaluate_rows(grid, ref, old_sign_table(grid.n_cells).astype(np.float64))
 
 
 def old_ordered_product_sum(slot_vectors, weights):
@@ -94,7 +135,7 @@ def old_norm_sq(f):
 def old_reconstruct_values(c):
     dense = np.zeros(1 << c.grid.n_cells)
     for ix, coeff in c.entries.items():
-        dense[mask_of_cells(ix)] = coeff
+        dense[old_mask_of_cells(ix)] = coeff
     return values_from_coefficients(dense)
 
 
@@ -112,7 +153,7 @@ def old_materialize(grid, ref):
             f"family {ref.name!r} at {n} cells exceeds the dense cap; "
             "use its spectral model instead"
         )
-    values = _evaluate_rows(grid, ref, sign_table(n).astype(np.float64))
+    values = _evaluate_rows(grid, ref, old_sign_table(n).astype(np.float64))
     return NoiseFunctional.from_table(grid, values)
 
 
@@ -377,3 +418,95 @@ def test_mc_inner_product_refuses_rademacher_backends(side):
                  (subjects[side], subjects[side])):
         with pytest.raises(BackendError, match="MC inner products pair"):
             inner_product_mc(f, g, samples=16, seed=1)
+
+
+# -- dense tables by array passes ----------------------------------------------
+
+
+def _windows(k, m, length=Fraction(1, 10)):
+    """Adjacent windows of k and m cells, all cells of one length (one cell is level 0)."""
+    return (TimeGrid(0, k * length, int(k > 1), base=max(k, 2)),
+            TimeGrid(k * length, (k + m) * length, int(m > 1), base=max(m, 2)))
+
+
+def _random_entries(n, rng, count, size_cap=None):
+    entries = {}
+    for _ in range(count):
+        size = int(rng.integers(0, min(n, size_cap or n) + 1))
+        entries[tuple(sorted(rng.choice(n, size=size, replace=False).tolist()))] = float(
+            rng.exponential())
+    return entries
+
+
+def _same_table(got, want):
+    a, b = got._atoms, want._atoms
+    assert got.grid == want.grid
+    assert (a.n_plain, a.n_cells) == (b.n_plain, b.n_cells)
+    assert np.array_equal(a.rows, b.rows) and a.mass.tobytes() == b.mass.tobytes()
+
+
+@pytest.mark.parametrize("k, m", [(k, 11 - k) for k in range(1, 11)] + [(10, 2), (2, 2)])
+def test_product_of_random_tables_is_the_former_pair_loop(k, m):
+    rng = np.random.default_rng(100 * k + m)
+    wl, wr = _windows(k, m)
+    left = spectral_measure_of(random_functional(wl, rng))
+    right = spectral_measure_of(random_functional(wr, rng))
+    _same_table(product(left, right), old_product(left, right))
+    # sparse sides: a restricted table, and one with no atoms at all
+    part = restrict(right, ElementarySet.from_cells(wr, rng.choice(m, size=m // 2).tolist()))
+    _same_table(product(left, part), old_product(left, part))
+    nothing = SpectralMeasure(wl, {})
+    _same_table(product(nothing, right), old_product(nothing, right))
+
+
+def test_product_of_two_word_rows_is_the_former_pair_loop():
+    rng = np.random.default_rng(40)
+    wl, wr = _windows(40, 40, Fraction(1, 80))
+    for _ in range(5):
+        left = SpectralMeasure(wl, _random_entries(40, rng, 30))
+        right = SpectralMeasure(wr, _random_entries(40, rng, 30))
+        got = product(left, right)
+        assert got._atoms.rows.shape[1] == 2
+        _same_table(got, old_product(left, right))
+    # masses whose product underflows to zero leave the table on both routes
+    tiny_l, tiny_r = SpectralMeasure(wl, {(0,): 1e-200, (): 1.0}), SpectralMeasure(wr, {(1,): 1e-200})
+    _same_table(product(tiny_l, tiny_r), old_product(tiny_l, tiny_r))
+    assert len(product(tiny_l, tiny_r).entries) == 1
+
+
+def test_absolute_continuity_is_the_former_key_set_rule():
+    rng = np.random.default_rng(41)
+    grid = TimeGrid(0, 1, 1, base=6)
+    empty = SpectralMeasure(grid, {})
+    both = SpectralMeasure(grid, {(1, 2): 1.0}, {(1, 2): 0.5})
+    plain_only, mult_only = SpectralMeasure(grid, {(1, 2): 1.0}), SpectralMeasure(grid, {}, {(1, 2): 2.0})
+    measures = [empty, both, plain_only, mult_only]
+    for _ in range(30):
+        plain = _random_entries(6, rng, int(rng.integers(0, 8)), size_cap=3)
+        mult = _random_entries(6, rng, int(rng.integers(0, 3)), size_cap=3)
+        measures.append(SpectralMeasure(grid, plain, mult))
+    seen = set()
+    for g in measures:
+        for f in measures:
+            want = old_is_absolutely_continuous(g, f)
+            assert is_absolutely_continuous(g, f) is want
+            seen.add(want)
+    assert seen == {True, False}
+    assert is_absolutely_continuous(empty, empty) and not is_absolutely_continuous(both, empty)
+    assert is_absolutely_continuous(both, mult_only) and is_absolutely_continuous(both, plain_only)
+
+
+@pytest.mark.parametrize("name, level", [("tribes", level) for level in range(1, 5)]
+                         + [("majority3-iterated", 1), ("majority3-iterated", 2)])
+def test_family_values_are_the_former_sign_table_rows(name, level):
+    f = make_functional(name, level)
+    got, want = family_values(f.grid, f.backend), old_family_values(f.grid, f.backend)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert got.flags.writeable and got is not family_values(f.grid, f.backend)
+
+
+def test_walsh_table_is_the_former_mask_loop_at_16_cells():
+    grid = TimeGrid(0, 1, 4)
+    c = decompose(random_functional(grid, np.random.default_rng(16)))
+    assert len(c.entries) == 1 << 16
+    assert np.array_equal(reconstruct(c).backend.values, old_reconstruct_values(c))

@@ -5,15 +5,13 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from noisespectra.walsh import (
-    DENSE_CELL_CAP,
     cells_of_masks,
     character_coefficients,
     fwht,
-    mask_of_cells,
     omega_index,
-    sign_table,
     values_from_coefficients,
 )
+from test_merged_routes import old_sign_table
 
 
 def bits_of(m):
@@ -22,7 +20,7 @@ def bits_of(m):
 
 def brute_walsh_matrix(n):
     """chi[m, pos] = prod of omega_i over i in mask m, built entrywise."""
-    table = sign_table(n)
+    table = old_sign_table(n)
     out = np.empty((1 << n, 1 << n))
     for m in range(1 << n):
         cells = bits_of(m)
@@ -94,18 +92,11 @@ def test_omega_index_convention():
     assert omega_index([-1, -1, -1]) == 7
     with pytest.raises(ValueError):
         omega_index([1, 0])
-
-
-def test_sign_table_agrees_with_omega_index():
-    table = sign_table(3)
     for pos in range(8):
-        assert omega_index(table[pos]) == pos
-    with pytest.raises(ValueError):
-        sign_table(DENSE_CELL_CAP + 1)
+        assert omega_index([-1 if pos >> i & 1 else 1 for i in range(3)]) == pos
 
 
 def test_mask_helpers():
-    assert mask_of_cells([0, 3]) == 0b1001
     for n in (0, 1, 5, 11):
         every = list(range(1 << n))
         assert cells_of_masks(every, n) == [bits_of(m) for m in every]
