@@ -3,10 +3,13 @@
 Two index conventions share one container:
 
 * Walsh indices are sorted tuples of distinct cell numbers; the character is
-  the product of the cell signs.
+  the product of the cell signs.  A Walsh expansion keeps `walsh._checked_rows`
+  rows and a float64 `coeffs` column in the order given, and decodes `entries`
+  from them on first read.
 * Hermite indices are sorted tuples of (cell, channel, degree) triples with
   degree >= 1; the basis element is the product of orthonormal he_degree
-  factors of the per-(cell, channel) normalized increments.
+  factors of the per-(cell, channel) normalized increments.  A Hermite
+  expansion keeps its `entries` dict.
 
 Cardinality always counts distinct cells.  An index has multiplicity when any
 single cell carries total degree >= 2 (across channels).
@@ -17,8 +20,10 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Mapping, Union
 
+import numpy as np
+
 from .grid import TimeGrid, _integers
-from .walsh import _checked_rows
+from .walsh import _checked_rows, cells_of_rows
 
 WalshIndex = tuple[int, ...]
 HermiteIndex = tuple[tuple[int, int, int], ...]
@@ -128,7 +133,7 @@ class ChaosCoefficients:
         object.__setattr__(self, "channels", d)
         keys, n = list(self.entries), self.grid.n_cells
         if self.kind == WALSH:
-            i = _checked_rows(keys, n)[1]
+            rows, i = _checked_rows(keys, n)
             rule = f"are not strictly increasing integers in 0..{n - 1}"
         else:
             i = next((i for i, ix in enumerate(keys) if not _hermite_on_grid(ix, n, d)), None)
@@ -137,25 +142,55 @@ class ChaosCoefficients:
         if i is not None:
             shown = f"cells {list(keys[i])}" if self.kind == WALSH else f"terms {keys[i]}"
             raise ValueError(f"entries[{i}]: {shown} {rule}")
+        if self.kind == WALSH:  # the rows stand for the keys from here on
+            coeffs = np.fromiter(vars(self).pop("entries").values(), np.float64, len(keys))
+            vars(self).update(rows=rows, coeffs=coeffs)
+
+    def __getattr__(self, name: str):
+        """A Walsh expansion's `entries`, decoded from its rows on first read and kept."""
+        if name != "entries" or "rows" not in vars(self):
+            raise AttributeError(name)
+        keys = cells_of_rows(self.rows, self.grid.n_cells)
+        return vars(self).setdefault("entries", dict(zip(keys, self.coeffs.tolist())))
 
     @classmethod
     def _trusted(cls, grid, entries, kind=WALSH, channels=1, residual=0.0) -> "ChaosCoefficients":
-        """A fresh dict of indices already valid on the grid: not copied or re-checked."""
+        """A fresh dict of indices valid on the grid, not copied or re-checked (Walsh: packed)."""
+        if kind == WALSH:
+            rows = _checked_rows(list(entries), grid.n_cells)[0]
+            return cls._walsh(grid, rows, np.array([*entries.values()], float), channels, residual)
         c = cls.__new__(cls)  # frozen: the fields are set past __setattr__
         vars(c).update(grid=grid, entries=entries, kind=kind, channels=channels, residual=residual)
+        return c
+
+    @classmethod
+    def _walsh(cls, grid, rows, coeffs, channels=1, residual=0.0) -> "ChaosCoefficients":
+        """The Walsh expansion of valid `_checked_rows` rows and their float64 coefficients."""
+        c = cls.__new__(cls)
+        vars(c).update(grid=grid, rows=rows, coeffs=coeffs, kind=WALSH, channels=channels,
+                       residual=residual)
         return c
 
     @property
     def norm_sq(self) -> float:
         """Squared norm of the represented (possibly truncated) element."""
-        return float(sum(c * c for c in self.entries.values()))
+        values = self.coeffs.tolist() if self.kind == WALSH else self.entries.values()
+        return float(sum(c * c for c in values))
 
     @property
     def expectation(self) -> float:
-        return float(self.entries.get((), 0.0))
+        return self.coefficient(())
 
     def coefficient(self, index: SpectralIndex) -> float:
-        return float(self.entries.get(index, 0.0))
+        """The coefficient on `index`, read by `walsh_index`/`hermite_index` and the grid."""
+        n = self.grid.n_cells
+        if self.kind == WALSH:
+            row = _checked_rows([ix := walsh_index(index)], n)[0]
+            if row is not None:  # a row matches at most once
+                return float(next(iter(self.coeffs[(self.rows == row).all(axis=1)]), 0.0))
+        elif _hermite_on_grid(ix := hermite_index(index), n, self.channels):
+            return float(self.entries.get(ix, 0.0))
+        raise ValueError(f"index {ix} outside grid with {n} cells, channels 0..{self.channels - 1}")
 
     def filtered(self, keep) -> "ChaosCoefficients":
         """New container keeping the entries whose index satisfies `keep`."""

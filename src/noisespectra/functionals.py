@@ -33,7 +33,7 @@ from .chaos import (
 from .grid import GridMismatchError, TimeGrid, _integers, left_of, require_same_grid, right_of
 from .hermite import hermite_values, pair_mean, project_scalar_map
 from .kernels import SimplexKernel, iterated_sum
-from .walsh import DENSE_CELL_CAP, _checked_rows, omega_index, values_from_coefficients
+from .walsh import DENSE_CELL_CAP, omega_index, values_from_coefficients
 
 
 class BackendError(ValueError):
@@ -305,8 +305,7 @@ def evaluate_table(f: NoiseFunctional) -> np.ndarray:
         return families.family_values(f.grid, b)
     # each coefficient lands at its index's mask, a one-word row up to the cap
     dense = np.zeros(1 << n)
-    masks = _checked_rows(list(b.entries), n)[0][:, 0].astype(np.intp)
-    dense[masks] = np.fromiter(b.entries.values(), np.float64, len(masks))
+    dense[b.rows[:, 0].astype(np.intp)] = b.coeffs
     return values_from_coefficients(dense)
 
 
@@ -615,17 +614,11 @@ def shift(f: NoiseFunctional, k: int, mode: str = "cyclic") -> NoiseFunctional:
         out = np.empty_like(v)
         out[rotated] = v  # pattern at cells moves forward by k
         return NoiseFunctional._of_fresh_table(f.grid, out)
-    if isinstance(b, ChaosCoefficients):
-        moved: dict = {}
-        for ix, c in b.entries.items():
-            if mode == "truncate":
-                support = index_support(ix)
-                if any(not 0 <= cell + k < n for cell in support):
-                    continue
-            moved[shift_index(ix, k, n, mode == "cyclic")] = c
+    if isinstance(b, ChaosCoefficients):  # truncation drops the indices that leave the window
+        moved = {shift_index(ix, k, n, True): c for ix, c in b.entries.items()
+                 if mode == "cyclic" or all(0 <= cell + k < n for cell in index_support(ix))}
         return NoiseFunctional.from_chaos(
-            ChaosCoefficients._trusted(f.grid, moved, b.kind, b.channels, b.residual)
-        )
+            ChaosCoefficients._trusted(f.grid, moved, b.kind, b.channels, b.residual))
     raise BackendError(f"shift is defined for table and chaos backends, not {f.kind}")
 
 

@@ -419,7 +419,7 @@ def _row_cell_columns(records: _TableRecords, depth: int) -> list | None:
     """The "cells" texts at `depth` of an intact `_TableRecords`, as two columns that
     join to each text; None past one word or DENSE_CELL_CAP cells.
 
-    Like `walsh.cells_of_masks`, a one-word row m is split into its low and high
+    Like `walsh.cells_of_rows`, a one-word row m is split into its low and high
     halves: the first column is the text of the low cells, the second that of the
     high cells, chosen from a table for an empty and one for a non-empty low part.
     """

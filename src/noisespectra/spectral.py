@@ -32,7 +32,7 @@ from typing import Iterable, Mapping, Protocol, Sequence
 import numpy as np
 
 from ._rng import worker_generator
-from .chaos import ChaosCoefficients, index_has_multiplicity, index_support
+from .chaos import WALSH, ChaosCoefficients, index_has_multiplicity, index_support
 from .functionals import (
     BackendError,
     FamilyRef,
@@ -42,7 +42,7 @@ from .functionals import (
 )
 from .grid import ElementarySet, GridMismatchError, TimeGrid, _integers
 from .transform import decompose, walsh_coefficients
-from .walsh import DENSE_CELL_CAP, _checked_rows, cells_of_masks, run_axes
+from .walsh import DENSE_CELL_CAP, _checked_rows, cells_of_rows, run_axes
 
 
 @dataclass(frozen=True)
@@ -98,21 +98,6 @@ class SpectralModel(Protocol):
         """k seeded draws, each a tuple of Python ints rising strictly within
         0..n_cells-1; `sample_sets` takes them as sets without re-checking."""
         ...
-
-
-def _cells_of_rows(rows: np.ndarray, n_cells: int) -> list[tuple[int, ...]]:
-    """The cells of each row of `_checked_rows`, as rising tuples of Python ints.  Up to
-    the dense cap a row is one mask; wider rows are unpacked to bits a block at a time."""
-    if n_cells <= DENSE_CELL_CAP:
-        return cells_of_masks(rows[:, 0].tolist(), n_cells)
-    out: list[tuple[int, ...]] = []
-    step = max(1, (1 << 22) // (64 * rows.shape[1]))  # 4 MiB of bits per block
-    for start in range(0, len(rows), step):
-        bits = np.unpackbits(rows[start : start + step].view(np.uint8), axis=1, bitorder="little")
-        cells = np.nonzero(bits)[1].tolist()  # row-major, so grouped by row and rising
-        ends = np.cumsum(np.count_nonzero(bits, axis=1)).tolist()
-        out += [tuple(cells[a:b]) for a, b in zip([0, *ends], ends)]
-    return out
 
 
 # the entry mappings of a dense measure, plain first
@@ -194,7 +179,7 @@ class _AtomTable:
     @cached_property
     def keys(self) -> tuple[tuple[int, ...], ...]:
         """The cells of every atom, in table order."""
-        return tuple(_cells_of_rows(self.rows, self.n_cells))
+        return tuple(cells_of_rows(self.rows, self.n_cells))
 
     @property
     def total_mass(self) -> float:
@@ -245,7 +230,7 @@ class _AtomTable:
             raise ValueError("measure has no mass to sample")
         rng = worker_generator(seed, 0)
         picks = np.searchsorted(cdf, rng.uniform(0.0, cdf[-1], size=k), side="right")
-        return _cells_of_rows(self.rows[np.minimum(picks, cdf.size - 1)], self.n_cells)
+        return cells_of_rows(self.rows[np.minimum(picks, cdf.size - 1)], self.n_cells)
 
 
 class _WalshMasses:
@@ -415,6 +400,10 @@ def spectral_measure_of(f: NoiseFunctional, tol: float | None = None) -> Spectra
 
 
 def measure_from_coefficients(coeffs: ChaosCoefficients) -> SpectralMeasure:
+    if coeffs.kind == WALSH:  # a Walsh index is its own support: each row is an atom
+        c = coeffs.coeffs
+        table = _AtomTable.sorted(coeffs.rows, c**2, len(c), coeffs.grid.n_cells)[0]
+        return SpectralMeasure._of_dense(coeffs.grid, table, coeffs.residual)
     plain, mult = {}, {}
     for ix, c in coeffs.entries.items():
         target = mult if index_has_multiplicity(ix) else plain

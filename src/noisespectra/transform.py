@@ -36,12 +36,7 @@ from .functionals import (
     hermite_decompose,
 )
 from .grid import ElementarySet, TimeGrid, require_same_grid
-from .walsh import (
-    cells_of_masks,
-    character_coefficients,
-    run_axes,
-    values_from_coefficients,
-)
+from .walsh import character_coefficients, run_axes, values_from_coefficients
 
 
 def decompose(f: NoiseFunctional, tol: float | None = None) -> ChaosCoefficients:
@@ -52,9 +47,8 @@ def decompose(f: NoiseFunctional, tol: float | None = None) -> ChaosCoefficients
     if isinstance(b, BrownianProgram):
         return hermite_decompose(f.grid, b, tol=tol)
     dense = walsh_coefficients(f, tol)
-    masks = np.flatnonzero(dense)
-    keys = cells_of_masks(masks.tolist(), f.grid.n_cells)  # rising tuples, as chaos indices
-    return ChaosCoefficients._trusted(f.grid, dict(zip(keys, dense[masks].tolist())), WALSH)
+    masks = np.flatnonzero(dense)  # ascending, each a one-word row
+    return ChaosCoefficients._walsh(f.grid, masks.astype(np.uint64)[:, None], dense[masks])
 
 
 def walsh_coefficients(f: NoiseFunctional, tol: float | None) -> np.ndarray:

@@ -97,15 +97,22 @@ def _subset_keys(cells: range) -> list[tuple[int, ...]]:
     return keys
 
 
-def cells_of_masks(masks: list[int], n_cells: int) -> list[tuple[int, ...]]:
-    """The cells of each mask, as rising tuples, joined from two half-width key tables.
-
-    Costs O(2**(n/2) + len(masks)) tuples, so a sparse mask list stays cheap.
-    """
-    h = n_cells // 2
-    lo, hi = _subset_keys(range(h)), _subset_keys(range(h, n_cells))
-    low = (1 << h) - 1
-    return [lo[m & low] + hi[m >> h] for m in masks]
+def cells_of_rows(rows: np.ndarray, n_cells: int) -> list[tuple[int, ...]]:
+    """The cells of each `_checked_rows` row as a rising tuple of ints: up to the cap from two
+    half-width key tables (O(2**(n/2) + len(rows)) tuples), past it from unpacked bits."""
+    if n_cells <= DENSE_CELL_CAP:
+        h = n_cells // 2
+        lo, hi = _subset_keys(range(h)), _subset_keys(range(h, n_cells))
+        low = (1 << h) - 1
+        return [lo[m & low] + hi[m >> h] for m in rows[:, 0].tolist()]
+    out: list[tuple[int, ...]] = []
+    step = max(1, (1 << 22) // (64 * rows.shape[1]))  # 4 MiB of bits per block
+    for start in range(0, len(rows), step):
+        bits = np.unpackbits(rows[start : start + step].view(np.uint8), axis=1, bitorder="little")
+        cells = np.nonzero(bits)[1].tolist()  # row-major, so grouped by row and rising
+        ends = np.cumsum(np.count_nonzero(bits, axis=1)).tolist()
+        out += [tuple(cells[a:b]) for a, b in zip([0, *ends], ends)]
+    return out
 
 
 def _checked_rows(keys: list, n_cells: int) -> tuple[np.ndarray | None, int | None]:
@@ -131,10 +138,12 @@ def _checked_rows(keys: list, n_cells: int) -> tuple[np.ndarray | None, int | No
     bad[1:] |= rise[1:] <= rise[:-1]
     if bad.any():
         return None, int(np.searchsorted(np.cumsum(sizes), bad.argmax(), "right"))
+    del rise, bad  # freed before the rows and the word indices are made
     rows = np.zeros((len(keys), max(1, -(-n_cells // 64))), dtype=np.uint64)
     cells = cells.view(np.uint64)
     words = cells >> np.uint64(6)
     # cells turn into their bits in place: a 2**18-atom file holds 2.4M cells
-    np.left_shift(np.uint64(1), cells & np.uint64(63), out=cells)
+    cells &= np.uint64(63)
+    np.left_shift(np.uint64(1), cells, out=cells)
     np.bitwise_or.at(rows, (owner, words), cells)
     return rows, None

@@ -6,8 +6,10 @@ the per-backend `norm_sq`, the Walsh reconstruction through a dense vector,
 the first-chaos filter of `additive_integral_of`, the family fallbacks of
 `conditional_expectation`, `level_projection` and `inner_product` that built a
 table functional and called themselves again, the sign table, the pair loop of
-`product`, the key-set rule of `is_absolutely_continuous` and the family table
-evaluated row by row on the sign table.  Every comparison is `==`.
+`product`, the key-set rule of `is_absolutely_continuous`, the family table
+evaluated row by row on the sign table, and the Walsh expansion as a dict of cell
+tuples: its `decompose`, its table and its support-dict measure.  Every
+comparison is `==`.
 """
 from fractions import Fraction
 
@@ -19,8 +21,11 @@ from noisespectra.chaos import (
     HERMITE,
     WALSH,
     ChaosCoefficients,
+    add_coefficients,
     index_cardinality,
     index_has_multiplicity,
+    index_support,
+    shift_index,
 )
 from noisespectra.families import _evaluate_rows, family_values, make_functional
 from noisespectra.functionals import (
@@ -41,10 +46,13 @@ from noisespectra.functionals import (
     norm_sq,
     program_inner,
     random_functional,
+    shift,
 )
 from noisespectra.spectral import (
     SpectralMeasure,
+    cardinality_profile,
     is_absolutely_continuous,
+    measure_from_coefficients,
     product,
     restrict,
     spectral_measure_of,
@@ -55,8 +63,9 @@ from noisespectra.transform import (
     decompose,
     level_projection,
     reconstruct,
+    walsh_coefficients,
 )
-from noisespectra.walsh import DENSE_CELL_CAP, values_from_coefficients
+from noisespectra.walsh import DENSE_CELL_CAP, _checked_rows, _subset_keys, values_from_coefficients
 
 # -- the former routes --------------------------------------------------------
 
@@ -93,6 +102,49 @@ def old_is_absolutely_continuous(mu_g, mu_f):
 
 def old_family_values(grid, ref):
     return _evaluate_rows(grid, ref, old_sign_table(grid.n_cells).astype(np.float64))
+
+
+def old_cells_of_masks(masks, n_cells):
+    h = n_cells // 2
+    lo, hi = _subset_keys(range(h)), _subset_keys(range(h, n_cells))
+    low = (1 << h) - 1
+    return [lo[m & low] + hi[m >> h] for m in masks]
+
+
+def old_decompose(f, tol=None):
+    """The Walsh entries of a table as a dict: every nonzero mask decoded to a tuple."""
+    dense = walsh_coefficients(f, tol)
+    masks = np.flatnonzero(dense)
+    keys = old_cells_of_masks(masks.tolist(), f.grid.n_cells)  # rising tuples, as chaos indices
+    return dict(zip(keys, dense[masks].tolist()))
+
+
+def old_walsh_table(entries, n):
+    """`evaluate_table` of a Walsh entry dict: each coefficient at its packed mask."""
+    dense = np.zeros(1 << n)
+    masks = _checked_rows(list(entries), n)[0][:, 0].astype(np.intp)
+    dense[masks] = np.fromiter(entries.values(), np.float64, len(masks))
+    return values_from_coefficients(dense)
+
+
+def old_measure_from_coefficients(grid, entries, residual=0.0):
+    plain, mult = {}, {}
+    for ix, c in entries.items():
+        target = mult if index_has_multiplicity(ix) else plain
+        s = index_support(ix)
+        target[s] = target.get(s, 0.0) + c * c
+    return SpectralMeasure(grid, plain, mult, residual=residual)
+
+
+def old_shift_entries(entries, k, n, mode):
+    moved = {}
+    for ix, c in entries.items():
+        if mode == "truncate":
+            support = index_support(ix)
+            if any(not 0 <= cell + k < n for cell in support):
+                continue
+        moved[shift_index(ix, k, n, mode == "cyclic")] = c
+    return moved
 
 
 def old_ordered_product_sum(slot_vectors, weights):
@@ -510,3 +562,82 @@ def test_walsh_table_is_the_former_mask_loop_at_16_cells():
     c = decompose(random_functional(grid, np.random.default_rng(16)))
     assert len(c.entries) == 1 << 16
     assert np.array_equal(reconstruct(c).backend.values, old_reconstruct_values(c))
+
+
+# -- Walsh expansions keep their packed rows --------------------------------------
+
+
+def _same_expansion(c, want, residual=0.0):
+    """`c` against the dict `want`: entries in order, its table below the cap, its measure."""
+    assert list(c.entries.items()) == list(want.items())
+    assert c.norm_sq == float(sum(v * v for v in want.values()))
+    n = c.grid.n_cells
+    if n <= DENSE_CELL_CAP:
+        got = evaluate_table(NoiseFunctional.from_chaos(c))
+        assert got.tobytes() == old_walsh_table(want, n).tobytes()
+    mu, old = measure_from_coefficients(c), old_measure_from_coefficients(c.grid, want, residual)
+    _same_table(mu, old)
+    assert mu.residual == old.residual
+
+
+@pytest.mark.parametrize("tol", [None, 0.05])
+@pytest.mark.parametrize("n", range(1, 17))
+def test_decompose_is_the_former_dict_route(n, tol):
+    grid = TimeGrid(0, 1, 0) if n == 1 else TimeGrid(0, 1, 1, base=n)
+    f = random_functional(grid, np.random.default_rng(200 + n))
+    c = decompose(f, tol)
+    assert c.rows.shape == (len(c.coeffs), 1)
+    _same_expansion(c, old_decompose(f, tol))
+    assert reconstruct(c).backend.values.tobytes() == old_walsh_table(c.entries, n).tobytes()
+
+
+def test_walsh_expansions_built_every_way_are_the_former_dict_routes():
+    rng = np.random.default_rng(42)
+    for _ in range(10):
+        entries = _random_entries(8, rng, 20)  # keys in the order drawn, not sorted
+        c = ChaosCoefficients(GRID, entries, WALSH)
+        _same_expansion(c, entries)
+        keep = lambda ix: len(ix) % 2 == 0  # noqa: E731
+        _same_expansion(c.filtered(keep), {ix: v for ix, v in entries.items() if keep(ix)})
+        _same_expansion(c.scaled(-1.5), {ix: -1.5 * v for ix, v in entries.items()})
+        for k, mode in ((3, "cyclic"), (-2, "cyclic"), (2, "truncate"), (-3, "truncate")):
+            moved = shift(NoiseFunctional.from_chaos(c), k, mode).backend
+            _same_expansion(moved, old_shift_entries(entries, k, 8, mode))
+        other = _random_entries(8, rng, 20)
+        merged = dict(entries)
+        for ix, v in other.items():
+            merged[ix] = merged.get(ix, 0.0) + v
+        total = add_coefficients(c, ChaosCoefficients(GRID, other, WALSH, residual=0.25))
+        _same_expansion(total, merged, residual=0.25)
+
+
+def test_a_sparse_expansion_past_one_word_is_the_former_dict_route():
+    grid = TimeGrid(0, 1, 1, base=70)
+    rng = np.random.default_rng(70)
+    entries = _random_entries(70, rng, 40)
+    c = ChaosCoefficients(grid, entries, WALSH)
+    assert c.rows.shape == (len(entries), 2)
+    _same_expansion(c, entries)
+    high = {ix: v for ix, v in entries.items() if 64 in ix}
+    assert 0 < len(high) < len(entries)
+    _same_expansion(c.filtered(lambda ix: 64 in ix), high)
+    _same_expansion(c.scaled(0.5), {ix: 0.5 * v for ix, v in entries.items()})
+    moved = shift(NoiseFunctional.from_chaos(c), 5, "truncate").backend
+    _same_expansion(moved, old_shift_entries(entries, 5, 70, "truncate"))
+
+
+def test_rows_to_values_and_measure_never_decode(monkeypatch):
+    f = random_functional(TimeGrid(0, 1, 4), np.random.default_rng(16))
+
+    def refuse(rows, n_cells):
+        raise AssertionError("a Walsh expansion was decoded to cell tuples")
+
+    for module in ("walsh", "chaos", "spectral"):
+        monkeypatch.setattr(f"noisespectra.{module}.cells_of_rows", refuse)
+    c = decompose(f)
+    values = reconstruct(c).backend.values
+    assert evaluate_table(NoiseFunctional.from_chaos(c)).tobytes() == values.tobytes()
+    profile = cardinality_profile(spectral_measure_of(NoiseFunctional.from_chaos(c)))
+    assert len(profile) == 17 and "entries" not in vars(c)
+    with pytest.raises(AssertionError, match="decoded"):
+        c.entries

@@ -412,13 +412,13 @@ def grid_of(n):
 @pytest.mark.parametrize("n", [0, 1, 5, 10, 14])
 def test_table_route_matches_entry_dict_build(n, tol):
     from noisespectra.spectral import _AtomTable, _checked_rows
-    from noisespectra.walsh import cells_of_masks, character_coefficients
+    from noisespectra.walsh import cells_of_rows, character_coefficients
 
     values = np.random.default_rng(100 + n).standard_normal(1 << n)
     if n == 0:
         # no grid has zero cells, so the one-atom table is packed both ways directly
         c = character_coefficients(values)
-        assert cells_of_masks([0], 0) == [()]
+        assert cells_of_rows(np.zeros((1, 1), np.uint64), 0) == [()]
         by_mask, _ = _AtomTable.sorted(np.zeros((1, 1), dtype=np.uint64), c * c, 1, 0)
         by_cells, _ = _checked_rows([()], 0)
         assert same_table(by_mask, _AtomTable.sorted(by_cells, c * c, 1, 0)[0])

@@ -127,6 +127,18 @@ REFUSALS = {
     "walsh entries naming one set twice": (
         lambda: NoiseFunctional.from_walsh_entries(GRID, {(0, 1): 1.0, (1, 0): 2.0}), ValueError,
         r"^entries\[1\]: cells \[1, 0\] repeat an earlier one$"),
+    "walsh coefficient off the grid": (
+        lambda: ChaosCoefficients(GRID, {(0, 1): 2.0}).coefficient((9,)), ValueError,
+        r"^index \(9,\) outside grid with 4 cells, channels 0\.\.0$"),
+    "walsh coefficient of a float cell": (
+        lambda: ChaosCoefficients(GRID, {(0, 1): 2.0}).coefficient((1.0, 0)), ValueError,
+        r"^Walsh index cells must be integers, got 1\.0$"),
+    "hermite coefficient past the channels": (
+        lambda: ChaosCoefficients(GRID, {((0, 0, 1),): 2.0}, HERMITE).coefficient(((0, 1, 1),)),
+        ValueError, r"^index \(\(0, 1, 1\),\) outside grid with 4 cells, channels 0\.\.0$"),
+    "hermite coefficient of a float cell": (
+        lambda: ChaosCoefficients(GRID, {((0, 0, 1),): 2.0}, HERMITE).coefficient(((0.5, 0, 1),)),
+        ValueError, r"cells, channels and degrees must be integers, got 0\.5$"),
     "measure mass of a float cell": (
         lambda: SpectralMeasure(GRID, {(1,): 1.0}).mass([1.5]), ValueError,
         r"^cells must be integers, got 1\.5$"),
@@ -177,8 +189,11 @@ def test_every_entry_point_refuses_a_bad_index_or_site(case):
 def test_good_indices_and_sites_still_build():
     c = ChaosCoefficients(GRID, {(): 1.0, (np.int64(1), 3): 0.5})
     assert c.entries == {(): 1.0, (1, 3): 0.5}
+    # a coefficient is read at its index as walsh_index and hermite_index read it
+    assert c.coefficient((3, np.int64(1))) == 0.5 and c.coefficient([2]) == 0.0
     h = ChaosCoefficients(GRID, {((0, 1, 2), (3, 0, 1)): 1.0}, HERMITE, channels=2)
     assert list(h.entries) == [((0, 1, 2), (3, 0, 1))]
+    assert h.coefficient(((3, 0, 1), (0, 1, 2))) == 1.0
     fa = MapFactor(np.int64(3), np.uint8(1), "sin")
     assert (fa.cell, fa.channel) == (3, 1) and type(fa.cell) is type(fa.channel) is int
     k = SimplexKernel.constant(2, 4, channels=np.array([1, 0]))

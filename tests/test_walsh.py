@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from noisespectra.walsh import (
-    cells_of_masks,
+    cells_of_rows,
     character_coefficients,
     fwht,
     omega_index,
@@ -99,6 +99,7 @@ def test_omega_index_convention():
 def test_mask_helpers():
     for n in (0, 1, 5, 11):
         every = list(range(1 << n))
-        assert cells_of_masks(every, n) == [bits_of(m) for m in every]
+        rows = np.array(every, np.uint64)[:, None]
+        assert cells_of_rows(rows, n) == [bits_of(m) for m in every]
         sparse = every[::7][::-1]
-        assert cells_of_masks(sparse, n) == [bits_of(m) for m in sparse]
+        assert cells_of_rows(rows[sparse], n) == [bits_of(m) for m in sparse]
