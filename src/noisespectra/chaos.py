@@ -203,7 +203,7 @@ class ChaosCoefficients:
                                           self.residual * factor * factor)
 
     def sorted_items(self) -> list[tuple[SpectralIndex, float]]:
-        """Entries sorted by (cardinality, index), the diff-stable file order."""
+        """Entries sorted by (cardinality, index), the file order; only Hermite files use it."""
         return sorted(self.entries.items(), key=lambda kv: (index_cardinality(kv[0]), kv[0]))
 
 

@@ -5,9 +5,9 @@ as exact fraction strings; chaos and measure entries are listed sorted by
 (cardinality, index) so output files are canonical.  A JSON file holds
 exactly the bytes of ``json.dumps(data, indent=2)`` plus a newline, so
 doubles round-trip exactly, but it is written in a stream of chunks by the
-encoder below rather than built as one string.  Measure documents are
-written from their atom table, cells from its bit rows and masses from its
-float list, and read straight back into a table, with no tuple per record.
+encoder below rather than built as one string.  Measure and Walsh-chaos
+records are written from bit rows and a float list, and measures are read
+straight back into a table, with no tuple per record.
 All file writes are atomic (temp file in the target directory, then rename).
 """
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, islice, repeat
-from operator import is_, itemgetter
+from operator import eq, is_, itemgetter
 
 import numpy as np
 
@@ -40,8 +40,8 @@ from .functionals import (
 )
 from .grid import TimeGrid
 from .kernels import SimplexKernel
-from .spectral import SpectralMeasure, _AtomTable
-from .walsh import DENSE_CELL_CAP, _subset_keys
+from .spectral import SpectralMeasure, _AtomTable, _set_order
+from .walsh import DENSE_CELL_CAP, _subset_keys, cells_of_rows
 
 SCHEMA_VERSION = "1"
 
@@ -136,13 +136,13 @@ def functional_to_data(f: NoiseFunctional) -> dict:
         data["values"] = b.values.tolist()
     elif isinstance(b, ChaosCoefficients):
         data["kind"] = "walsh-chaos" if b.kind == WALSH else "hermite-chaos"
-        entries = []
-        for ix, c in b.sorted_items():
-            if b.kind == WALSH:
-                entries.append({"cells": list(ix), "coeff": c})
-            else:
-                entries.append({"terms": [list(t) for t in ix], "coeff": c})
-        data["entries"] = entries
+        if b.kind == WALSH:  # a measure file's route: rows in (cardinality, cells) order
+            order, n = _set_order(b.rows, len(b.rows)), f.grid.n_cells
+            rows, coeffs = b.rows[order], b.coeffs[order]
+            data["entries"] = _TableRecords(cells_of_rows(rows, n), rows, coeffs, "coeff", n, list)
+        else:
+            data["entries"] = [{"terms": [list(t) for t in ix], "coeff": c}
+                               for ix, c in b.sorted_items()]
         if b.residual:
             data["residual"] = b.residual
         if b.channels != 1:
@@ -250,37 +250,40 @@ def measure_to_data(mu: SpectralMeasure) -> dict:
     if not mu.is_dense:
         raise FormatError("sampler-backed measures have no dense serialization")
     t = mu._atoms
-    data: dict = {
-        "schema_version": SCHEMA_VERSION,
-        "grid": grid_to_data(mu.grid),
-        "entries": _TableRecords(t, slice(t.n_plain)),
-    }
+    data: dict = {"schema_version": SCHEMA_VERSION, "grid": grid_to_data(mu.grid)}
+    parts = [("entries", slice(t.n_plain))]
     if len(t.mass) > t.n_plain:
-        data["multiplicity_entries"] = _TableRecords(t, slice(t.n_plain, None))
+        parts.append(("multiplicity_entries", slice(t.n_plain, None)))
+    for name, part in parts:
+        data[name] = _TableRecords(t.keys[part], t.rows[part], t.mass[part], "mass", t.n_cells)
     if mu.residual:
         data["residual"] = mu.residual
     return data
 
 
 class _TableRecords(list):
-    """The {"cells", "mass"} records of an atom-table slice, a list like any other.
+    """The {"cells": keys[i], field: floats[i]} records of `_checked_rows` rows and their
+    key tuples, a list like any other; with cells=list, a list of keys[i] stands in.
 
-    It also keeps the slice's key tuples, mass floats, bit rows and cell count.
-    While every record i still holds keys[i] and masses[i] themselves (tuples
-    and floats are immutable, so identity proves the text), `write_json`
-    renders its cells from rows[i] and its mass as `repr(masses[i])`.
+    While every record still holds floats[i] itself, and keys[i] itself or a list of its
+    ints (tuples and floats are immutable, so identity proves their text), `write_json`
+    renders its cells from rows[i] and its field as `repr(floats[i])`.
     """
 
-    def __init__(self, table: _AtomTable, part: slice) -> None:
-        self.keys, self.masses = table.keys[part], table.mass[part].tolist()
-        self.rows, self.n_cells = table.rows[part], table.n_cells
-        super().__init__({"cells": k, "mass": v} for k, v in zip(self.keys, self.masses))
+    def __init__(self, keys, rows, floats: np.ndarray, field: str, n_cells: int, cells=tuple):
+        self.keys, self.rows, self.field, self.n_cells = keys, rows, field, n_cells
+        self.floats = floats.tolist()
+        shown = keys if cells is tuple else map(cells, keys)
+        super().__init__({"cells": k, field: v} for k, v in zip(shown, self.floats))
 
     def intact(self) -> bool:
-        """Whether every record still holds its own key tuple and mass float."""
-        return (len(self) == len(self.keys)
-                and all(map(is_, map(itemgetter("cells"), self), self.keys))
-                and all(map(is_, map(itemgetter("mass"), self), self.masses)))
+        """Whether every record still holds its own float, and its own key tuple or a list
+        of that tuple's ints."""
+        cells = list(map(itemgetter("cells"), self))
+        return (len(cells) == len(self.keys)
+                and all(map(is_, map(itemgetter(self.field), self), self.floats))
+                and (all(map(is_, cells, self.keys)) or all(map(eq, cells, map(list, self.keys)))
+                     and set(map(type, chain.from_iterable(cells))) <= {int}))
 
 
 def measure_from_data(data: dict) -> SpectralMeasure:
@@ -360,12 +363,14 @@ def write_csv(path: str, header: list[str], rows) -> None:
 # chunk per token.  Only two shapes are large here: lists of scalars and lists
 # of records that share one key order.  The first is one call to the compact
 # encoder with the indented item separator (C where the interpreter has it);
-# the second is rendered column by column, one format per record, and streamed
-# in blocks of records.  A column goes through the compact encoder, except in a
-# `_TableRecords` (a measure document) whose records all still hold their own
-# table key tuple and mass float.  Its "cells" texts are then looked up from
-# the one-word bit rows, and its "mass" texts are `float.__repr__` of the
-# table's floats, made one record at a time, when all are finite: that is the
+# the second is rendered column by column and streamed in blocks of records,
+# each block one join of the column texts between the fixed key texts (so a
+# "%" in a key is just text).  A column goes through the compact encoder,
+# except in a `_TableRecords` (a measure or Walsh-chaos document) that is
+# intact: every record still holds its own float and its own key tuple, or a
+# list still equal to it and of ints only.  Its "cells" texts are then looked
+# up from the one-word bit rows, and its float texts are `float.__repr__` of
+# its floats, made one record at a time, when all are finite: that is the
 # text the encoder gives a finite float, and NaN and infinities keep the
 # encoder's spelling.  A changed, reordered or extended list, a plain list,
 # more than DENSE_CELL_CAP cells or multi-word rows fall back to the encoder.
@@ -451,32 +456,36 @@ def _record_list_chunks(records: list, depth: int):
     if not (all(map(isinstance, records, repeat(dict)))
             and all(map(keys.__eq__, map(tuple, records)))):
         return None
-    columns, fields = [], []
-    inner = _indent(depth + 2)
+    parts, head = [], "," + _indent(depth + 1) + "{"
     intact = isinstance(records, _TableRecords) and records.intact()
     for k in keys:
         texts = None
         if intact and k == "cells":
             texts = _row_cell_columns(records, depth + 2)
-        elif intact and k == "mass" and all(map(math.isfinite, records.masses)):
-            texts = [map(float.__repr__, records.masses)]
+        elif intact and k == records.field and all(map(math.isfinite, records.floats)):
+            texts = [map(float.__repr__, records.floats)]
         if texts is None:
             texts = _column_texts(list(map(itemgetter(k), records)), depth + 2)
             if texts is None:
                 return None
             texts = [texts]
-        columns += texts
-        fields.append(inner + _escape(k).replace("%", "%%") + ": " + "%s" * len(texts))
-    record = "{" + ",".join(fields) + _indent(depth + 1) + "}"
-    return _record_chunks(record, zip(*columns), depth)
+        parts += [head + _indent(depth + 2) + _escape(k) + ": ", *map(iter, texts)]
+        head = ","
+    parts.append(_indent(depth + 1) + "}")
+    return _record_chunks(parts, len(records), depth)
 
 
-def _record_chunks(record: str, rows, depth: int):
-    """A record list, `record % row` per row, in blocks of `_BLOCK` records."""
-    rest = ("," + _indent(depth + 1) + record).__mod__
-    yield "[" + _indent(depth + 1) + record % next(rows)
-    while block := "".join(map(rest, islice(rows, _BLOCK))):
-        yield block
+def _record_chunks(parts: list, n: int, depth: int):
+    """A list of n records in blocks of `_BLOCK` records, each block one join.  A record is
+    `parts` in turn: the fixed texts (str) with the next text of each column iterator."""
+    p, columns = len(parts), [(j, c) for j, c in enumerate(parts) if not isinstance(c, str)]
+    for start in range(0, n, _BLOCK):
+        out = parts * min(_BLOCK, n - start)
+        for j, column in columns:
+            out[j::p] = islice(column, len(out) // p)
+        if not start:  # the first record follows the bracket, not a comma
+            out[0] = "[" + out[0][1:]
+        yield "".join(out)
     yield _indent(depth) + "]"
 
 

@@ -107,6 +107,16 @@ _MAPPINGS = ("entries", "multiplicity_entries")
 _REVERSED_BYTES = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8)
 
 
+def _set_order(rows: np.ndarray, n_plain: int) -> np.ndarray:
+    """The stable permutation of `_checked_rows` rows that puts rows below n_plain first, each
+    part in (cardinality, cells) order.  Sorted cell tuples of one size have A < B exactly when
+    the lowest cell of their symmetric difference is in A: when A is larger bit-reversed."""
+    reversed_words = _REVERSED_BYTES[rows.view(np.uint8)].view(np.uint64).byteswap()
+    sizes = np.bitwise_count(rows).sum(axis=1, dtype=np.intp)
+    # lexsort's last key is its first: the part, the size, then the words from cell 0 up
+    return np.lexsort([*~reversed_words.T[::-1], sizes, np.arange(len(rows)) >= n_plain])
+
+
 def _words(ranges: Sequence[tuple[int, int]], n_words: int) -> np.ndarray:
     """Sorted [lo, hi) cell ranges as a single row in the layout of `_checked_rows`."""
     mask = sum(((1 << (hi - lo)) - 1) << lo for lo, hi in ranges)
@@ -131,14 +141,9 @@ class _AtomTable:
     @classmethod
     def sorted(cls, rows: np.ndarray, mass: np.ndarray, n_plain: int,
                n_cells: int) -> tuple[_AtomTable, int | None]:
-        """Nonzero-mass atoms, plain (below n_plain) first, each part in (cardinality, cells)
-        order, and the least position repeating an earlier row of its part (zero masses
-        count; None if none).  Sorted cell tuples of one size have A < B exactly when the
-        lowest cell of their symmetric difference is in A: when A is larger bit-reversed."""
-        reversed_words = _REVERSED_BYTES[rows.view(np.uint8)].view(np.uint64).byteswap()
-        sort_keys = [~reversed_words[:, w] for w in range(rows.shape[1] - 1, -1, -1)]
-        sizes = np.bitwise_count(rows).sum(axis=1, dtype=np.intp)
-        order = np.lexsort([*sort_keys, sizes, np.arange(len(rows)) >= n_plain])
+        """Nonzero-mass atoms in `_set_order`, and the least position repeating an earlier
+        row of its part (zero masses count; None if none)."""
+        order = _set_order(rows, n_plain)
         rows, mass = rows[order], mass[order]
         # the sort is stable, so a repeat lands right after the earlier copies of its set
         same = (rows[1:] == rows[:-1]).all(axis=1)

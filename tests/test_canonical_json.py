@@ -200,8 +200,13 @@ def measure_record_lists(data):
     return [data[k] for k in ("entries", "multiplicity_entries") if data.get(k)]
 
 
+def _float_field(records):
+    """The field beside "cells": "mass" in measure files, "coeff" in Walsh-chaos files."""
+    return next(k for k in records[0] if k != "cells")
+
+
 def _swap_keys(r):
-    return {"mass": r["mass"], "cells": r["cells"]}
+    return dict(reversed(r.items()))
 
 
 def _mutate_every_list(change):
@@ -213,8 +218,10 @@ def _mutate_every_list(change):
 
 
 def _set_last(key, value):
+    """Set the last record's `key` (None: its float field) to value, or to value(old)."""
     def change(records):
-        records[-1][key] = value(records[-1][key]) if callable(value) else value
+        k = key or _float_field(records)
+        records[-1][k] = value(records[-1][k]) if callable(value) else value
     return change
 
 
@@ -224,8 +231,9 @@ MUTATIONS = {
     "cells as another tuple": _mutate_every_list(
         lambda rs: rs[-1].update(cells=rs[0]["cells"] if len(rs) > 1 else (0, 1))),
     "record replaced": _mutate_every_list(
-        lambda rs: rs.__setitem__(len(rs) // 2, {"cells": [0], "mass": 0.5})),
-    "record appended": _mutate_every_list(lambda rs: rs.append({"cells": (0,), "mass": 2.0})),
+        lambda rs: rs.__setitem__(len(rs) // 2, {"cells": [0], _float_field(rs): 0.5})),
+    "record appended": _mutate_every_list(
+        lambda rs: rs.append({"cells": (0,), _float_field(rs): 2.0})),
     "a record gained a key": _mutate_every_list(_set_last("extra", 1)),
     "record removed": _mutate_every_list(lambda rs: rs.pop(len(rs) // 2)),
     "list reversed": _mutate_every_list(lambda rs: rs.reverse()),
@@ -233,10 +241,10 @@ MUTATIONS = {
         lambda rs: rs.__setitem__(-1, _swap_keys(rs[-1]))),
     "key order of every record": _mutate_every_list(
         lambda rs: rs.__setitem__(slice(None), list(map(_swap_keys, rs)))),
-    "mass as a new equal float": _mutate_every_list(_set_last("mass", lambda m: float(repr(m)))),
-    "mass -0.0": _mutate_every_list(_set_last("mass", -0.0)),
-    "mass NaN": _mutate_every_list(_set_last("mass", math.nan)),
-    "mass True": _mutate_every_list(_set_last("mass", True)),
+    "mass as a new equal float": _mutate_every_list(_set_last(None, lambda m: float(repr(m)))),
+    "mass -0.0": _mutate_every_list(_set_last(None, -0.0)),
+    "mass NaN": _mutate_every_list(_set_last(None, math.nan)),
+    "mass True": _mutate_every_list(_set_last(None, True)),
     "deepcopy": copy.deepcopy,
     "pickle": lambda data: pickle.loads(pickle.dumps(data)),
 }
@@ -251,6 +259,66 @@ def test_measure_documents_match_stdlib_indent_2():
 def test_mutated_measure_documents_match_stdlib_indent_2(mutation):
     for name, data in table_documents().items():
         data = MUTATIONS[mutation](data)
+        assert encoded(data) == (json.dumps(data, indent=2) + "\n").encode(), name
+
+
+# a Walsh-chaos document's cells are lists, which can change in place
+LIST_MUTATIONS = {
+    "cells list gained a cell in place": _mutate_every_list(lambda rs: rs[-1]["cells"].append(9)),
+    "cells list emptied in place": _mutate_every_list(lambda rs: rs[-1]["cells"].clear()),
+    "cell 1 as True in place": _mutate_every_list(
+        lambda rs: rs[-1]["cells"].__setitem__(slice(None), [c == 1 or c for c in rs[-1]["cells"]])),
+    "first cell an equal float in place": _mutate_every_list(
+        lambda rs: rs[-1]["cells"].__setitem__(slice(1), [float(c) for c in rs[-1]["cells"][:1]])),
+    "cells as a dict of the same cells": _mutate_every_list(
+        _set_last("cells", lambda c: dict.fromkeys(c, 0))),
+}
+
+
+def walsh_chaos_expansions():
+    """Walsh expansions: a decomposed 12-cell table, one with explicit 0.0 and negative
+    coefficients and the empty index, a single record, and a sparse 70-cell one whose
+    rows take two words."""
+    four, wide = TimeGrid(0, 1, 2), TimeGrid(0, 1, 1, base=70)
+    table = NoiseFunctional.from_table(
+        TimeGrid(0, 1, 1, base=12), np.random.default_rng(1212).standard_normal(1 << 12))
+    return {
+        "12 cells": decompose(table),
+        "zero and negative": ChaosCoefficients(four, {
+            (0, 1, 2, 3): 2.0, (3,): -0.25, (): 0.0, (1,): 0.0, (0, 2): -1.5, (1, 3): -0.0}),
+        "one record": ChaosCoefficients(four, {(): -1.0}),
+        "70 cells": ChaosCoefficients(wide, {
+            (63, 64, 69): 0.125, (1,): 3.0, (3, 64): -2.0, (): -0.5, (0, 63): 0.0, (69,): 1.0,
+            (64,): -1e-300, (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 60, 61, 62, 63, 64, 65, 66, 67): 0.5}),
+    }
+
+
+def walsh_chaos_documents():
+    return {name: functional_to_data(NoiseFunctional.from_chaos(c))
+            for name, c in walsh_chaos_expansions().items()}
+
+
+def test_walsh_chaos_documents_match_stdlib_indent_2_in_sorted_items_order():
+    for name, c in walsh_chaos_expansions().items():
+        data = functional_to_data(NoiseFunctional.from_chaos(c))
+        assert encoded(data) == (json.dumps(data, indent=2) + "\n").encode(), name
+        got = [(tuple(r["cells"]), r["coeff"]) for r in data["entries"]]
+        assert got == c.sorted_items(), name
+        assert all(type(r["cells"]) is list for r in data["entries"]), name
+
+
+@pytest.mark.parametrize("mutation", [*MUTATIONS, *LIST_MUTATIONS])
+def test_mutated_walsh_chaos_documents_match_stdlib_indent_2(mutation):
+    for name, data in walsh_chaos_documents().items():
+        data = {**MUTATIONS, **LIST_MUTATIONS}[mutation](data)
+        assert encoded(data) == (json.dumps(data, indent=2) + "\n").encode(), name
+
+
+@pytest.mark.parametrize("block", [1, 3])
+def test_record_blocks_of_any_size_match_stdlib_indent_2(monkeypatch, block):
+    """Blocks far smaller than the record lists, the last one partial, give the same bytes."""
+    monkeypatch.setattr(serialize, "_BLOCK", block)
+    for name, data in {**table_documents(), **walsh_chaos_documents()}.items():
         assert encoded(data) == (json.dumps(data, indent=2) + "\n").encode(), name
 
 
@@ -340,6 +408,11 @@ def test_write_json_matches_stdlib_indent_2(obj):
     ((1, 2), [3, (4,)]),
     {"mixed": [1, [2, 3]], "s": ["[", 0.5, []]},
     "top", 3, 2.5, None, True,
+    # record fields are joined, not formatted: a percent sign is literal
+    [{"cells": [], "m%s": 0.5}],
+    {"%s": [{"%": "%s", "%s": "%%", "%%": "%d%%"}, {"%": "100%", "%s": "", "%%": "%(x)s"}]},
+    [{"a": [], "b%": [1, 2], "c": "%s", "d": -0.0}, {"a": [3], "b%": [], "c": "%%", "d": 1e-300}],
+    [{"cells": [], "mass": 0.25}, {"cells": [], "mass": 0.5}],
 ])
 def test_write_json_edge_cases(obj):
     assert encoded(obj) == (json.dumps(obj, indent=2) + "\n").encode()
@@ -361,6 +434,19 @@ def test_write_json_refuses_what_the_stdlib_refuses(obj, tmp_path):
     with pytest.raises(TypeError):
         write_json(str(path), obj)
     assert not path.exists() and not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("cells", [tuple, list])
+@pytest.mark.parametrize("count", [1, 3])
+def test_table_records_with_a_percent_field_match_stdlib_indent_2(cells, count):
+    """The empty set, a single record and a field name with percent signs, from the rows."""
+    keys = [(), (0, 2), (1,)][:count]
+    rows = np.array([[0], [0b101], [0b10]], dtype=np.uint64)[:count]
+    floats = np.array([0.5, -2.0, 1e-300][:count])
+    records = serialize._TableRecords(keys, rows, floats, "m%s%%", 3, cells)
+    assert records.intact()
+    doc = {"%s%%": records}
+    assert encoded(doc) == (json.dumps(doc, indent=2) + "\n").encode()
 
 
 def test_write_json_without_the_c_accelerator(monkeypatch):
