@@ -3,8 +3,9 @@
 Worker w of a run keyed by `seed` owns `worker_generator(seed, w)` and the
 w-th contiguous share of the path budget (`chunk_bounds`).  It walks that
 share in reduction chunks of CHUNK paths and draws each chunk block by block
-into one reused buffer; the stream is consumed in the same order whatever
-the block size, so every drawn value is bit-identical to one large draw.
+into one reused buffer of BLOCK_FLOATS increments, so that buffer and its kernel
+temporaries are a worker's working set; the stream is consumed in the same order
+whatever the block size, so every drawn value is bit-identical to one large draw.
 Workers run on a thread pool and their chunk results come back in fixed
 worker, then chunk, order, so a result depends on (seed, workers) only and
 never on scheduling or on the pool size.
@@ -20,7 +21,7 @@ import numpy as np
 from ._rng import chunk_bounds, worker_generator
 
 CHUNK = 8192  # paths per reduction chunk
-BLOCK_FLOATS = 1 << 19  # increments drawn per block (4 MB of float64)
+BLOCK_FLOATS = 1 << 18  # increments drawn per block (2 MiB of float64)
 
 
 def map_workers(task: Callable[[int], object], workers: int) -> list:
@@ -51,13 +52,13 @@ def stream_moments(
     n: int,
     d: int,
     scale: float,
-    on_chunk: Callable[[Iterator[np.ndarray]], tuple],
+    on_chunk: Callable[[Iterator[np.ndarray], int], tuple],
 ) -> tuple:
     """(sum, M2) over all paths of the per-path values on_chunk reduces.
 
-    on_chunk(blocks) returns (chunk sum, chunk (count, mean, M2)); `blocks`
-    yields the chunk's increments as consecutive (rows, n, d) views of the
-    worker's buffer, each overwritten by the next draw.  Chunk sums are
+    on_chunk(blocks, rows) returns (chunk sum, chunk (count, mean, M2)); `blocks`
+    yields the chunk's `rows` paths of increments as consecutive (k, n, d) views
+    of the worker's buffer, each overwritten by the next draw.  Chunk sums are
     added in worker, then chunk, order, as one serial loop would add them.
     """
     if samples < 1:
@@ -77,7 +78,8 @@ def stream_moments(
                 inc *= scale
                 yield inc
 
-        return [on_chunk(blocks(s, min(s + CHUNK, hi))) for s in range(lo, hi, CHUNK)]
+        starts = range(lo, hi, CHUNK)
+        return [on_chunk(blocks(s, min(s + CHUNK, hi)), min(CHUNK, hi - s)) for s in starts]
 
     chunks = [part for parts in map_workers(work, workers) for part in parts]
     total = 0.0

@@ -394,7 +394,7 @@ def inner_product_mc(
     if _rademacher(f.backend) or _rademacher(g.backend):
         raise BackendError("MC inner products pair Brownian programs or Hermite expansions")
 
-    def on_chunk(blocks):
+    def on_chunk(blocks, _rows):
         parts = []
         for inc in blocks:
             v = _values_on_increments(f, inc)

@@ -170,17 +170,21 @@ def npoint_density_estimate(
     h = float(f.grid.cell_length)
     scale = math.sqrt(h)
 
-    def on_chunk(blocks):
+    def on_chunk(blocks, rows):
         if order == 2:
-            z, vals = map(np.concatenate, zip(*(
-                (inc[:, :, 0] / scale, _values_on_increments(f, inc)) for inc in blocks
-            )))
+            z, vals, k = np.empty((rows, n)), np.empty(rows), 0
+            for inc in blocks:
+                np.divide(inc[:, :, 0], scale, out=z[k : k + len(inc)])
+                vals[k : k + len(inc)] = _values_on_increments(f, inc)
+                k += len(inc)
             vz = vals[:, None] * z
             total = vz.T @ z
-            mean = total / z.shape[0]
-            # one GEMM pass per chunk: raw second moments, then chunk M2
-            m2 = np.maximum((vz * vz).T @ (z * z) - total * mean, 0.0)
-            return total, (z.shape[0], mean, m2)
+            mean = total / rows
+            # one GEMM pass per chunk: raw second moments, then chunk M2; the
+            # squares overwrite their factors, so a worker holds two z-sized arrays
+            np.multiply(vz, vz, out=vz)
+            m2 = np.maximum(vz.T @ np.multiply(z, z, out=z) - total * mean, 0.0)
+            return total, (rows, mean, m2)
         total = scratch = None
         stats = []
         for inc in blocks:

@@ -1,6 +1,7 @@
 """White-noise laboratory: isometry, densities, fibers, endpoint masses."""
 import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 
@@ -171,7 +172,7 @@ def test_endpoint_profile_clips_at_window():
 # the engine must reproduce them bit for bit.  The stderr column is pinned to
 # 1e-14 relative: it moved by rounding only when the one-pass variance gave
 # way to merged per-chunk (count, mean, M2).  At 128 cells a worker draws
-# 4096-path blocks inside 8192-path chunks, and no path count below is a
+# 2048-path blocks inside 8192-path chunks, and no path count below is a
 # multiple of either.
 
 PINNED = {
@@ -273,6 +274,60 @@ def test_npoint_reduction_does_not_depend_on_block_size(block_paths, monkeypatch
     assert got.mean_density.hex() == want.mean_density.hex() == "0x1.1e5b656537fc9p+0"
     assert _sha(got.coefficients) == _sha(want.coefficients) == "d1beacd7c700a3f2"
     assert_allclose(got.mean_density_stderr, want.mean_density_stderr, rtol=1e-14)
+
+
+# npoint order 1 has its own pinned test above; `sample_paths` draws each
+# worker's share in one call and never reads BLOCK_FLOATS
+@pytest.mark.parametrize("block_paths", [1, 7, 64])
+@pytest.mark.parametrize("name", sorted({name for name, _, _ in PINNED} - {"npoint-1", "paths"}))
+def test_seeded_outputs_do_not_depend_on_block_size(name, block_paths, monkeypatch):
+    # values are drawn in stream order and each chunk sum is formed over the
+    # whole chunk, so means and tables keep their bits at any block size
+    import noisespectra._mc
+
+    run = _pinned_runs()[name]
+    want_bits, want_stderr = run(3000, 2)
+    monkeypatch.setattr(noisespectra._mc, "BLOCK_FLOATS", block_paths * 128)  # 128 cells
+    got_bits, got_stderr = run(3000, 2)
+    assert got_bits == want_bits
+    if want_stderr is not None:
+        assert_allclose(got_stderr, want_stderr, rtol=1e-14)
+
+
+def _traced_peak_mib(run) -> float:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name", ["isometry-2", "orthogonality", "npoint-1"])
+def test_streamed_working_set_stays_small(name):
+    # level 10, 16,384 paths, 2 workers: each worker holds one 2 MiB draw
+    # block and its kernel temporaries (12-13 MiB traced in all); 4 MiB
+    # blocks traced 24 MiB
+    grid = TimeGrid(0, 1, 10)
+    n = grid.n_cells
+    k1, k2 = SimplexKernel.constant(1, n), SimplexKernel.constant(2, n)
+    i1 = NoiseFunctional.from_family("white-noise-i1", 10)
+    run = {
+        "isometry-2": lambda: isometry_check(grid, k2, 16384, 1, 2),
+        "orthogonality": lambda: orthogonality_check(grid, k1, k2, 16384, 1, 2),
+        "npoint-1": lambda: npoint_density_estimate(i1, 1, 16384, 1, 2),
+    }[name]
+    assert _traced_peak_mib(run) < 16.0
+
+
+def test_npoint_order2_holds_two_chunk_tables():
+    # one worker, so the peak is one worker's working set: the (8192, 256) z
+    # table and its weighted copy, squared in place.  Drawn as a list of
+    # blocks, concatenated and squared into fresh arrays, the same run traced
+    # 71.1 MiB.
+    i2 = NoiseFunctional.from_family("white-noise-i2", 8)
+    peak = _traced_peak_mib(lambda: npoint_density_estimate(i2, 2, 16384, 1, 1))
+    assert peak <= 0.6 * 71.1
 
 
 def test_threaded_engine_matches_serial_loop_under_preemption():
