@@ -3,13 +3,16 @@
 Two index conventions share one container:
 
 * Walsh indices are sorted tuples of distinct cell numbers; the character is
-  the product of the cell signs.  A Walsh expansion keeps `walsh._checked_rows`
-  rows and a float64 `coeffs` column in the order given, and decodes `entries`
-  from them on first read.
+  the product of the cell signs.
 * Hermite indices are sorted tuples of (cell, channel, degree) triples with
   degree >= 1; the basis element is the product of orthonormal he_degree
-  factors of the per-(cell, channel) normalized increments.  A Hermite
-  expansion keeps its `entries` dict.
+  factors of the per-(cell, channel) normalized increments.
+
+Both kinds store, in the order given, a float64 `coeffs` column and `rows`, each
+index's support packed as `walsh._checked_rows` packs cells, so a selection is a
+row query.  A Hermite expansion also keeps `terms` and packs its rows on first
+read.  `entries` is the dict made from the columns on first read; the columns
+stay the stored form, so it is read, never written.
 
 Cardinality always counts distinct cells.  An index has multiplicity when any
 single cell carries total degree >= 2 (across channels).
@@ -128,12 +131,11 @@ class ChaosCoefficients:
         """The one check of every index against the grid (and channels); names entries[i]."""
         if self.kind not in (WALSH, HERMITE):
             raise ValueError(f"unknown chaos kind {self.kind!r}")
-        object.__setattr__(self, "entries", dict(self.entries))
         (d,) = map(int, _integers([self.channels], "chaos channels"))
-        object.__setattr__(self, "channels", d)
         keys, n = list(self.entries), self.grid.n_cells
-        if self.kind == WALSH:
-            rows, i = _checked_rows(keys, n)
+        c = ChaosCoefficients._trusted(self.grid, self.entries, self.kind, d, self.residual)
+        if self.kind == WALSH:  # the rows are None when a key is refused
+            i = None if c.rows is not None else _checked_rows(keys, n)[1]
             rule = f"are not strictly increasing integers in 0..{n - 1}"
         else:
             i = next((i for i, ix in enumerate(keys) if not _hermite_on_grid(ix, n, d)), None)
@@ -142,40 +144,40 @@ class ChaosCoefficients:
         if i is not None:
             shown = f"cells {list(keys[i])}" if self.kind == WALSH else f"terms {keys[i]}"
             raise ValueError(f"entries[{i}]: {shown} {rule}")
-        if self.kind == WALSH:  # the rows stand for the keys from here on
-            coeffs = np.fromiter(vars(self).pop("entries").values(), np.float64, len(keys))
-            vars(self).update(rows=rows, coeffs=coeffs)
+        object.__setattr__(self, "__dict__", vars(c))  # the columns stand for the entries
 
     def __getattr__(self, name: str):
-        """A Walsh expansion's `entries`, decoded from its rows on first read and kept."""
-        if name != "entries" or "rows" not in vars(self):
+        """`entries`, and a Hermite expansion's `rows`, made from the columns on first read."""
+        got = vars(self)
+        if name == "rows" and "terms" in got:  # each index's support
+            supports = [*map(index_support, got["terms"])]
+            return got.setdefault(name, _checked_rows(supports, self.grid.n_cells)[0])
+        if name != "entries" or "coeffs" not in got:
             raise AttributeError(name)
-        keys = cells_of_rows(self.rows, self.grid.n_cells)
-        return vars(self).setdefault("entries", dict(zip(keys, self.coeffs.tolist())))
+        n = self.grid.n_cells
+        keys = got["terms"].tolist() if "terms" in got else cells_of_rows(self.rows, n)
+        return got.setdefault(name, dict(zip(keys, self.coeffs.tolist())))
 
     @classmethod
     def _trusted(cls, grid, entries, kind=WALSH, channels=1, residual=0.0) -> "ChaosCoefficients":
-        """A fresh dict of indices valid on the grid, not copied or re-checked (Walsh: packed)."""
-        if kind == WALSH:
-            rows = _checked_rows(list(entries), grid.n_cells)[0]
-            return cls._walsh(grid, rows, np.array([*entries.values()], float), channels, residual)
-        c = cls.__new__(cls)  # frozen: the fields are set past __setattr__
-        vars(c).update(grid=grid, entries=entries, kind=kind, channels=channels, residual=residual)
-        return c
+        """A fresh dict of indices valid on the grid, packed into columns and not re-checked."""
+        keys = list(entries)
+        index = ({"rows": _checked_rows(keys, grid.n_cells)[0]} if kind == WALSH
+                 else {"terms": np.fromiter(keys, object, len(keys))})
+        coeffs = np.fromiter(entries.values(), np.float64, len(keys))
+        return cls._of_columns(grid, kind, channels, residual, coeffs=coeffs, **index)
 
     @classmethod
-    def _walsh(cls, grid, rows, coeffs, channels=1, residual=0.0) -> "ChaosCoefficients":
-        """The Walsh expansion of valid `_checked_rows` rows and their float64 coefficients."""
-        c = cls.__new__(cls)
-        vars(c).update(grid=grid, rows=rows, coeffs=coeffs, kind=WALSH, channels=channels,
-                       residual=residual)
+    def _of_columns(cls, grid, kind, channels, residual, **columns) -> "ChaosCoefficients":
+        """The one trusted builder: `coeffs` over valid `rows` (Walsh) or `terms` (Hermite)."""
+        c = cls.__new__(cls)  # frozen: the fields are set past __setattr__
+        vars(c).update(columns, grid=grid, kind=kind, channels=channels, residual=residual)
         return c
 
     @property
     def norm_sq(self) -> float:
         """Squared norm of the represented (possibly truncated) element."""
-        values = self.coeffs.tolist() if self.kind == WALSH else self.entries.values()
-        return float(sum(c * c for c in values))
+        return float(sum(c * c for c in self.coeffs.tolist()))
 
     @property
     def expectation(self) -> float:
@@ -193,14 +195,20 @@ class ChaosCoefficients:
         raise ValueError(f"index {ix} outside grid with {n} cells, channels 0..{self.channels - 1}")
 
     def filtered(self, keep) -> "ChaosCoefficients":
-        """New container keeping the entries whose index satisfies `keep`."""
-        kept = {ix: c for ix, c in self.entries.items() if keep(ix)}
-        return ChaosCoefficients._trusted(self.grid, kept, self.kind, self.channels, self.residual)
+        """New container keeping the entries at the True places of the boolean array `keep`,
+        in entry order, or those whose index satisfies the predicate `keep`."""
+        if callable(keep):
+            keep = np.fromiter(map(keep, self.entries), bool, len(self.coeffs))
+        return self._with(self.coeffs[keep], self.residual, keep)
 
     def scaled(self, factor: float) -> "ChaosCoefficients":
-        entries = {ix: factor * c for ix, c in self.entries.items()}
-        return ChaosCoefficients._trusted(self.grid, entries, self.kind, self.channels,
-                                          self.residual * factor * factor)
+        return self._with(self.coeffs * factor, self.residual * factor * factor)
+
+    def _with(self, coeffs, residual, keep=slice(None)) -> "ChaosCoefficients":
+        """This expansion's indices at `keep`, with the column `coeffs` and `residual`."""
+        index = "rows" if self.kind == WALSH else "terms"
+        return self._of_columns(self.grid, self.kind, self.channels, residual, coeffs=coeffs,
+                                **{index: vars(self)[index][keep]})
 
     def sorted_items(self) -> list[tuple[SpectralIndex, float]]:
         """Entries sorted by (cardinality, index), the file order; only Hermite files use it."""

@@ -207,7 +207,7 @@ def cmd_decompose(args) -> int:
     coeffs = decompose(f, args.tol)
     out = functional_to_data(NoiseFunctional.from_chaos(coeffs))
     write_json(args.out, out)
-    print(f"{len(coeffs.entries)} entries, residual {coeffs.residual!r}")
+    print(f"{len(coeffs.coeffs)} entries, residual {coeffs.residual!r}")
     return EXIT_OK
 
 

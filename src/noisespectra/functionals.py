@@ -26,14 +26,13 @@ from .chaos import (
     WALSH,
     ChaosCoefficients,
     _unrepeated,
-    index_support,
     shift_index,
     walsh_index,
 )
 from .grid import GridMismatchError, TimeGrid, _integers, left_of, require_same_grid, right_of
 from .hermite import hermite_values, pair_mean, project_scalar_map
 from .kernels import SimplexKernel, iterated_sum
-from .walsh import DENSE_CELL_CAP, omega_index, values_from_coefficients
+from .walsh import DENSE_CELL_CAP, inside, omega_index, values_from_coefficients
 
 
 class BackendError(ValueError):
@@ -371,9 +370,8 @@ def _sparse_dot(a: ChaosCoefficients, b: ChaosCoefficients) -> float:
 
 
 def _max_degree(c: ChaosCoefficients) -> int:
-    if c.kind == WALSH:
-        return 1
-    return max((d for ix in c.entries for _, _, d in ix), default=1)
+    """The highest degree in the Hermite `terms`; 1 for a Walsh expansion, which has none."""
+    return max((d for ix in getattr(c, "terms", ()) for _, _, d in ix), default=1)
 
 
 def inner_product_mc(
@@ -614,9 +612,10 @@ def shift(f: NoiseFunctional, k: int, mode: str = "cyclic") -> NoiseFunctional:
         out = np.empty_like(v)
         out[rotated] = v  # pattern at cells moves forward by k
         return NoiseFunctional._of_fresh_table(f.grid, out)
-    if isinstance(b, ChaosCoefficients):  # truncation drops the indices that leave the window
-        moved = {shift_index(ix, k, n, True): c for ix, c in b.entries.items()
-                 if mode == "cyclic" or all(0 <= cell + k < n for cell in index_support(ix))}
+    if isinstance(b, ChaosCoefficients):
+        if mode == "truncate":  # keeps the indices on the cells that stay, -k..n-1-k
+            b = b.filtered(inside(b.rows, [tuple(np.clip([-k, n - k], 0, n).tolist())]))
+        moved = {shift_index(ix, k, n, True): c for ix, c in b.entries.items()}
         return NoiseFunctional.from_chaos(
             ChaosCoefficients._trusted(f.grid, moved, b.kind, b.channels, b.residual))
     raise BackendError(f"shift is defined for table and chaos backends, not {f.kind}")

@@ -42,7 +42,8 @@ from .functionals import (
 )
 from .grid import ElementarySet, GridMismatchError, TimeGrid, _integers
 from .transform import decompose, walsh_coefficients
-from .walsh import DENSE_CELL_CAP, _checked_rows, cells_of_rows, run_axes
+from .walsh import (DENSE_CELL_CAP, _checked_rows, cells_of_rows, inside, meeting, row_sizes,
+                    run_axes)
 
 
 @dataclass(frozen=True)
@@ -112,16 +113,8 @@ def _set_order(rows: np.ndarray, n_plain: int) -> np.ndarray:
     part in (cardinality, cells) order.  Sorted cell tuples of one size have A < B exactly when
     the lowest cell of their symmetric difference is in A: when A is larger bit-reversed."""
     reversed_words = _REVERSED_BYTES[rows.view(np.uint8)].view(np.uint64).byteswap()
-    sizes = np.bitwise_count(rows).sum(axis=1, dtype=np.intp)
     # lexsort's last key is its first: the part, the size, then the words from cell 0 up
-    return np.lexsort([*~reversed_words.T[::-1], sizes, np.arange(len(rows)) >= n_plain])
-
-
-def _words(ranges: Sequence[tuple[int, int]], n_words: int) -> np.ndarray:
-    """Sorted [lo, hi) cell ranges as a single row in the layout of `_checked_rows`."""
-    mask = sum(((1 << (hi - lo)) - 1) << lo for lo, hi in ranges)
-    return np.array([[(mask >> (64 * w)) & 0xFFFF_FFFF_FFFF_FFFF for w in range(n_words)]],
-                    dtype=np.uint64)
+    return np.lexsort([*~reversed_words.T[::-1], row_sizes(rows), np.arange(len(rows)) >= n_plain])
 
 
 @dataclass(frozen=True)
@@ -199,34 +192,26 @@ class _AtomTable:
     def multiplicity_mass(self) -> float:
         return float(self.mass[self.n_plain :].sum())
 
-    def inside(self, ranges: Sequence[tuple[int, int]]) -> np.ndarray:
-        return ((self.rows & ~_words(ranges, self.rows.shape[1])) == 0).all(axis=1)
-
-    def meeting(self, ranges: Sequence[tuple[int, int]]) -> np.ndarray:
-        return (self.rows & _words(ranges, self.rows.shape[1])).any(axis=1)
-
-    def plain_sizes(self) -> np.ndarray:
-        return np.bitwise_count(self.rows[: self.n_plain]).sum(axis=1, dtype=np.intp)
-
     def singleton_mass(self) -> float:
         return self.cardinality_profile().get(1, 0.0)
 
     def cardinality_profile(self) -> dict[int, float]:
-        sizes = self.plain_sizes()  # nondecreasing: plain atoms are in (cardinality, cells) order
+        # nondecreasing: plain atoms are in (cardinality, cells) order
+        sizes = row_sizes(self.rows[: self.n_plain])
         starts = np.flatnonzero(np.diff(sizes, prepend=-1)).tolist()
         ends = [*starts[1:], len(sizes)]
         return {int(sizes[a]): float(self.mass[a:b].sum()) for a, b in zip(starts, ends)}
 
     def subset_mass(self, ranges: Sequence[tuple[int, int]]) -> float:
-        return float(self.mass[self.inside(ranges)].sum())
+        return float(self.mass[inside(self.rows, ranges)].sum())
 
     def straddle_masses(self, boundaries: np.ndarray) -> np.ndarray:
         # a set straddles b when it meets cells [0, b) without lying inside
         # them; summed directly, since the subtraction route (total - left -
         # right + empty) leaves float residue whose square root dwarfs
         # exact-identity tolerances
-        left = [((0, b),) for b in np.asarray(boundaries).tolist()]
-        return np.array([self.mass[self.meeting(r) & ~self.inside(r)].sum() for r in left])
+        left, rows = [((0, b),) for b in np.asarray(boundaries).tolist()], self.rows
+        return np.array([self.mass[meeting(rows, r) & ~inside(rows, r)].sum() for r in left])
 
     def sample(self, k: int, seed: int) -> list[tuple[int, ...]]:
         """Inverse CDF over the atoms in table order; only the drawn rows are decoded."""
@@ -443,7 +428,7 @@ def mass_meeting_interval(mu: SpectralMeasure, lo, hi) -> float:
     touched = mu.grid.cells_meeting_open_interval(lo, hi)
     mu._require_dense("interval mass")
     t = mu._atoms
-    return float(t.mass[t.meeting(((touched.start, touched.stop),))].sum())
+    return float(t.mass[meeting(t.rows, ((touched.start, touched.stop),))].sum())
 
 
 def restrict(mu: SpectralMeasure, region: ElementarySet) -> SpectralMeasure:
@@ -457,7 +442,8 @@ def restrict(mu: SpectralMeasure, region: ElementarySet) -> SpectralMeasure:
     mu._require_dense("restriction")
     mu._require_resolved("restrict")
     t = mu._atoms
-    return SpectralMeasure._of_dense(mu.grid, t.take(np.flatnonzero(t.inside(region.ranges))))
+    kept = np.flatnonzero(inside(t.rows, region.ranges))
+    return SpectralMeasure._of_dense(mu.grid, t.take(kept))
 
 
 def product(left: SpectralMeasure, right: SpectralMeasure) -> SpectralMeasure:
@@ -504,7 +490,8 @@ def n_point_marginal(mu: SpectralMeasure, n: int) -> SpectralMeasure:
             f"order {n} carries mass {cardinality_profile(mu).get(n, 0.0)}"
         )
     t = mu._atoms
-    return SpectralMeasure._of_dense(mu.grid, t.take(np.flatnonzero(t.plain_sizes() == n)))
+    kept = np.flatnonzero(row_sizes(t.rows[: t.n_plain]) == n)
+    return SpectralMeasure._of_dense(mu.grid, t.take(kept))
 
 
 def singleton_mass(mu: SpectralMeasure) -> float:

@@ -8,13 +8,12 @@ subspaces.  These diagnostics are exact identities on the grid, not limits.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .chaos import ChaosCoefficients, index_support
+from .chaos import ChaosCoefficients
 from .functionals import NoiseFunctional
 from .grid import TimeGrid
 from .spectral import (
@@ -24,6 +23,7 @@ from .spectral import (
     spectral_measure_of,
 )
 from .transform import decompose, level_projection
+from .walsh import _words, inside, row_sizes
 
 
 # ---------------------------------------------------------------------------
@@ -44,9 +44,9 @@ class AdditiveIntegral:
     is_zero: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        if any(len(index_support(ix)) != 1 for ix in self.coefficients.entries):
+        if (row_sizes(self.coefficients.rows) != 1).any():
             raise ValueError("additive integrals carry one-cell indices only")
-        self.is_zero = not any(c != 0.0 for c in self.coefficients.entries.values())
+        self.is_zero = not self.coefficients.coeffs.any()
 
     def member(self, s, t) -> NoiseFunctional:
         """The window functional f_{s,t}; s and t must be grid points."""
@@ -54,10 +54,9 @@ class AdditiveIntegral:
         hi = self.grid.boundary_index(t)
         if lo > hi:
             raise ValueError("window must run forward")
-        c = self.coefficients
-        kept = {ix: v for ix, v in c.entries.items() if lo <= index_support(ix)[0] < hi}
-        return NoiseFunctional.from_chaos(
-            ChaosCoefficients._trusted(self.grid, kept, c.kind, c.channels))
+        c = self.coefficients  # one cell each: inside the window exactly when it lies there
+        keep = inside(c.rows, ((lo, hi),))
+        return NoiseFunctional.from_chaos(c._with(c.coeffs[keep], 0.0, keep))
 
 
 def first_chaos_extract(f: NoiseFunctional) -> NoiseFunctional:
@@ -146,16 +145,12 @@ def finite_chaos_partition_span(f: NoiseFunctional, cuts: Sequence) -> NoiseFunc
     cell survives unchanged.  The projection keeps a subset of chaos entries,
     so it is orthogonal, and refining the cut family only enlarges it.
     """
-    grid = f.grid
-    boundaries = sorted({grid.boundary_index(t) for t in cuts})
+    edges = sorted({0, f.grid.n_cells, *map(f.grid.boundary_index, cuts)})
     coeffs = decompose(f)
-
-    def keeps(ix) -> bool:
-        # cells share an interval exactly when as many cuts lie at or below each
-        support = index_support(ix)
-        return len({bisect_right(boundaries, c) for c in support}) == len(support)
-
-    return NoiseFunctional.from_chaos(coeffs.filtered(keeps))
+    keep = np.ones(len(coeffs.coeffs), dtype=bool)
+    for interval in zip(edges, edges[1:]):  # at most one cell of each support in each
+        keep &= row_sizes(coeffs.rows & _words([interval], coeffs.rows.shape[1])) <= 1
+    return NoiseFunctional.from_chaos(coeffs.filtered(keep))
 
 
 # ---------------------------------------------------------------------------

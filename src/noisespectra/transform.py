@@ -17,13 +17,7 @@ import math
 
 import numpy as np
 
-from .chaos import (
-    WALSH,
-    ChaosCoefficients,
-    index_cardinality,
-    index_has_multiplicity,
-    index_support,
-)
+from .chaos import HERMITE, WALSH, ChaosCoefficients, index_has_multiplicity
 from .functionals import (
     BrownianProgram,
     FamilyRef,
@@ -36,7 +30,7 @@ from .functionals import (
     hermite_decompose,
 )
 from .grid import ElementarySet, TimeGrid, require_same_grid
-from .walsh import character_coefficients, run_axes, values_from_coefficients
+from .walsh import character_coefficients, inside, row_sizes, run_axes, values_from_coefficients
 
 
 def decompose(f: NoiseFunctional, tol: float | None = None) -> ChaosCoefficients:
@@ -48,7 +42,8 @@ def decompose(f: NoiseFunctional, tol: float | None = None) -> ChaosCoefficients
         return hermite_decompose(f.grid, b, tol=tol)
     dense = walsh_coefficients(f, tol)
     masks = np.flatnonzero(dense)  # ascending, each a one-word row
-    return ChaosCoefficients._walsh(f.grid, masks.astype(np.uint64)[:, None], dense[masks])
+    return ChaosCoefficients._of_columns(f.grid, WALSH, 1, 0.0, coeffs=dense[masks],
+                                         rows=masks.astype(np.uint64)[:, None])
 
 
 def walsh_coefficients(f: NoiseFunctional, tol: float | None) -> np.ndarray:
@@ -96,9 +91,7 @@ def conditional_expectation(f: NoiseFunctional, region: ElementarySet) -> NoiseF
         np.true_divide(total, 1 << (n - region.cell_count), out=out.reshape(shape))
         return NoiseFunctional._of_fresh_table(f.grid, out)
     if isinstance(b, ChaosCoefficients):
-        cells = set(region.cells())
-        kept = b.filtered(lambda ix: set(index_support(ix)) <= cells)
-        return NoiseFunctional.from_chaos(kept)
+        return NoiseFunctional.from_chaos(b.filtered(inside(b.rows, region.ranges)))
     return NoiseFunctional(f.grid, _program_projection(f.grid, b, region))
 
 
@@ -140,18 +133,15 @@ def level_projection(f: NoiseFunctional, order: int) -> NoiseFunctional:
         dense[np.bitwise_count(masks) != order] = 0.0
         return NoiseFunctional._of_fresh_table(f.grid, values_from_coefficients(dense))
     if isinstance(b, ChaosCoefficients):
-        kept = b.filtered(
-            lambda ix: index_cardinality(ix) == order and not index_has_multiplicity(ix)
-        )
-        return NoiseFunctional.from_chaos(kept)
+        keep = row_sizes(b.rows) == order
+        if b.kind == HERMITE:
+            keep &= ~np.fromiter(map(index_has_multiplicity, b.terms), bool, len(keep))
+        return NoiseFunctional.from_chaos(b.filtered(keep))
     if all(isinstance(t, ItoTerm) for t in b.terms):
-        kept_terms = tuple(t for t in b.terms if t.kernel.order == order)
-        if order == 0:
-            kept_terms = ()
+        kept_terms = tuple(t for t in b.terms if t.kernel.order == order)  # orders are >= 1
         return NoiseFunctional(f.grid, BrownianProgram(kept_terms, b.degree_cap, b.channels))
     coeffs = hermite_decompose(f.grid, b)
-    kept = coeffs.filtered(lambda ix: index_cardinality(ix) == order)
-    return NoiseFunctional.from_chaos(kept)
+    return NoiseFunctional.from_chaos(coeffs.filtered(row_sizes(coeffs.rows) == order))
 
 
 def chaos_order_masses(f: NoiseFunctional) -> dict[int, float]:

@@ -11,6 +11,7 @@ Conventions, fixed package-wide:
 from __future__ import annotations
 
 from itertools import chain
+from typing import Sequence
 
 import numpy as np
 
@@ -147,3 +148,24 @@ def _checked_rows(keys: list, n_cells: int) -> tuple[np.ndarray | None, int | No
     np.left_shift(np.uint64(1), cells, out=cells)
     np.bitwise_or.at(rows, (owner, words), cells)
     return rows, None
+
+
+def _words(ranges: Sequence[tuple[int, int]], n_words: int) -> np.ndarray:
+    """Sorted [lo, hi) cell ranges as a single row in the layout of `_checked_rows`."""
+    mask = sum(((1 << (hi - lo)) - 1) << lo for lo, hi in ranges)
+    return np.array([[(mask >> (64 * w)) & ((1 << 64) - 1) for w in range(n_words)]], np.uint64)
+
+
+def inside(rows: np.ndarray, ranges: Sequence[tuple[int, int]]) -> np.ndarray:
+    """Which `_checked_rows` rows have every cell in the sorted [lo, hi) `ranges`."""
+    return ((rows & ~_words(ranges, rows.shape[1])) == 0).all(axis=1)
+
+
+def meeting(rows: np.ndarray, ranges: Sequence[tuple[int, int]]) -> np.ndarray:
+    """Which `_checked_rows` rows have a cell in the sorted [lo, hi) `ranges`."""
+    return (rows & _words(ranges, rows.shape[1])).any(axis=1)
+
+
+def row_sizes(rows: np.ndarray) -> np.ndarray:
+    """The cell count of each `_checked_rows` row."""
+    return np.bitwise_count(rows).sum(axis=1, dtype=np.intp)

@@ -160,6 +160,9 @@ def npoint_density_estimate(
     Squaring inflates each estimate by its sampling variance, about 1/samples
     in absolute mass per tuple; the aggregate keeps well under a 5% relative
     band at 1e5 samples and level 10.
+
+    No CSV column of ``npoint`` depends on the draw block size; order 1's stderr
+    merges per-block moments, so its last bits follow `_mc.BLOCK_FLOATS`.
     """
     if order not in (1, 2):
         raise ValueError("density estimation covers orders 1 and 2")

@@ -7,10 +7,14 @@ the first-chaos filter of `additive_integral_of`, the family fallbacks of
 `conditional_expectation`, `level_projection` and `inner_product` that built a
 table functional and called themselves again, the sign table, the pair loop of
 `product`, the key-set rule of `is_absolutely_continuous`, the family table
-evaluated row by row on the sign table, and the Walsh expansion as a dict of cell
-tuples: its `decompose`, its table and its support-dict measure.  Every
-comparison is `==`.
+evaluated row by row on the sign table, the Walsh expansion as a dict of cell
+tuples: its `decompose`, its table and its support-dict measure, and the
+selections of a chaos expansion (`filtered`, `scaled`, the chaos routes of
+`conditional_expectation` and `level_projection`, the partition span and the
+additive-integral members) as per-index predicates over its entries dict.
+Every comparison is `==`.
 """
+from bisect import bisect_right
 from fractions import Fraction
 
 import numpy as np
@@ -57,7 +61,11 @@ from noisespectra.spectral import (
     restrict,
     spectral_measure_of,
 )
-from noisespectra.structure import additive_integral_of
+from noisespectra.structure import (
+    AdditiveIntegral,
+    additive_integral_of,
+    finite_chaos_partition_span,
+)
 from noisespectra.transform import (
     conditional_expectation,
     decompose,
@@ -65,7 +73,13 @@ from noisespectra.transform import (
     reconstruct,
     walsh_coefficients,
 )
-from noisespectra.walsh import DENSE_CELL_CAP, _checked_rows, _subset_keys, values_from_coefficients
+from noisespectra.walsh import (
+    DENSE_CELL_CAP,
+    _checked_rows,
+    _subset_keys,
+    row_sizes,
+    values_from_coefficients,
+)
 
 # -- the former routes --------------------------------------------------------
 
@@ -145,6 +159,54 @@ def old_shift_entries(entries, k, n, mode):
                 continue
         moved[shift_index(ix, k, n, mode == "cyclic")] = c
     return moved
+
+
+def old_filtered(c, keep):
+    """`ChaosCoefficients.filtered`: (entries, residual) kept by a per-index predicate."""
+    return {ix: v for ix, v in c.entries.items() if keep(ix)}, c.residual
+
+
+def old_scaled(c, factor):
+    return {ix: factor * v for ix, v in c.entries.items()}, c.residual * factor * factor
+
+
+def old_chaos_projection(c, region):
+    """The chaos route of `conditional_expectation`."""
+    cells = set(region.cells())
+    return old_filtered(c, lambda ix: set(index_support(ix)) <= cells)
+
+
+def old_chaos_level(c, order):
+    """The chaos route of `level_projection`."""
+    return old_filtered(
+        c, lambda ix: index_cardinality(ix) == order and not index_has_multiplicity(ix))
+
+
+def old_program_level(grid, p, order):
+    """The Hermite route of `level_projection` on a program with map terms."""
+    return old_filtered(hermite_decompose(grid, p), lambda ix: index_cardinality(ix) == order)
+
+
+def old_partition_span(c, cuts):
+    boundaries = sorted({c.grid.boundary_index(t) for t in cuts})
+
+    def keeps(ix) -> bool:
+        # cells share an interval exactly when as many cuts lie at or below each
+        support = index_support(ix)
+        return len({bisect_right(boundaries, c) for c in support}) == len(support)
+
+    return old_filtered(c, keeps)
+
+
+def old_additive_integral(c):
+    """`AdditiveIntegral.__post_init__`: (one-cell indices only, is_zero)."""
+    return (not any(len(index_support(ix)) != 1 for ix in c.entries),
+            not any(v != 0.0 for v in c.entries.values()))
+
+
+def old_member(c, lo, hi):
+    """`AdditiveIntegral.member` on window cells lo..hi-1: no residual."""
+    return {ix: v for ix, v in c.entries.items() if lo <= index_support(ix)[0] < hi}, 0.0
 
 
 def old_ordered_product_sum(slot_vectors, weights):
@@ -641,3 +703,151 @@ def test_rows_to_values_and_measure_never_decode(monkeypatch):
     assert len(profile) == 17 and "entries" not in vars(c)
     with pytest.raises(AssertionError, match="decoded"):
         c.entries
+
+
+# -- selections of a chaos expansion are row queries -----------------------------
+
+
+def _same_selection(got, want, like):
+    """`got` against the former (entries, residual): entries in order and bit for bit, the
+    residual, the squared norm, and the grid, kind and channels of the source `like`."""
+    entries, residual = want
+    assert list(got.entries.items()) == list(entries.items())
+    bits = [np.array(list(m.values()), dtype=np.float64).tobytes() for m in (got.entries, entries)]
+    assert bits[0] == bits[1]
+    assert got.residual == residual
+    assert got.norm_sq == float(sum(v * v for v in entries.values()))
+    assert (got.grid, got.kind, got.channels) == (like.grid, like.kind, like.channels)
+
+
+def _two_channel_program(grid, rng):
+    n = grid.n_cells
+    maps = MapTerm(0.8, (MapFactor(1, 0, "cos", (0.9,)), MapFactor(1, 1, "poly", (0.2, 1.0, 0.4)),
+                         MapFactor(n - 1, 1, "tanh", (1.3,))))
+    kernel = SimplexKernel(2, n, dense=rng.standard_normal((n, n)), channels=(1, 0))
+    return NoiseFunctional.from_program(grid, [ItoTerm(0.6, kernel), maps], degree_cap=3,
+                                        channels=2)
+
+
+def _selection_subjects():
+    """Walsh expansions of random tables at 1-12 cells and of random dicts (one on 70 cells,
+    two-word rows), Hermite expansions of programs, and empty expansions of both kinds."""
+    rng = np.random.default_rng(35)
+    for n in range(1, 13):
+        grid = TimeGrid(0, 1, 0) if n == 1 else TimeGrid(0, 1, 1, base=n)
+        yield decompose(random_functional(grid, rng), 0.3 if n % 3 == 0 else None)
+        yield ChaosCoefficients(grid, _random_entries(n, rng, 12), WALSH, residual=0.125 * (n % 2))
+    wide = ChaosCoefficients(TimeGrid(0, 1, 1, base=70), _random_entries(70, rng, 40), WALSH)
+    assert wide.rows.shape[1] == 2
+    yield wide
+    for program in (_program(rng), _two_channel_program(GRID, rng)):
+        hermite = hermite_decompose(GRID, program.backend)
+        assert hermite.residual > 0 and any(map(index_has_multiplicity, hermite.entries))
+        yield hermite
+    yield ChaosCoefficients(GRID, {}, WALSH)
+    yield ChaosCoefficients(GRID, {}, HERMITE, channels=2, residual=0.5)
+
+
+@pytest.mark.parametrize("c", list(_selection_subjects()),
+                         ids=lambda c: f"{c.kind}-{c.grid.n_cells}-{len(c.coeffs)}")
+def test_selections_are_the_former_predicate_routes(c):
+    grid, n = c.grid, c.grid.n_cells
+    f = NoiseFunctional.from_chaos(c)
+    rng = np.random.default_rng(n + len(c.coeffs))
+    for region in _regions(grid, rng):
+        got = conditional_expectation(f, region).backend
+        _same_selection(got, old_chaos_projection(c, region), c)
+    for order in range(min(n, 5) + 2):
+        _same_selection(level_projection(f, order).backend, old_chaos_level(c, order), c)
+    for _ in range(8):
+        cuts = [grid.boundary(b) for b in rng.choice(n + 1, size=int(rng.integers(0, n + 2)))]
+        got = finite_chaos_partition_span(f, cuts).backend
+        _same_selection(got, old_partition_span(c, cuts), c)
+    mask = rng.random(len(c.coeffs)) < 0.5
+    picked = {ix for ix, m in zip(c.entries, mask) if m}
+    _same_selection(c.filtered(mask), old_filtered(c, picked.__contains__), c)
+    odd = lambda ix: len(ix) % 2 == 1  # noqa: E731
+    _same_selection(c.filtered(odd), old_filtered(c, odd), c)
+    _same_selection(c.filtered(np.zeros(len(c.coeffs), dtype=bool)), ({}, c.residual), c)
+    for factor in (-1.5, 3, 0.0, -0.0, 1e-300):
+        _same_selection(c.scaled(factor), old_scaled(c, factor), c)
+    for k in (-n - 1, -2, -1, 0, 1, 3, n):
+        for mode in ("cyclic", "truncate"):
+            if mode == "cyclic" and abs(k) > n:
+                continue
+            moved = shift(f, k, mode).backend
+            _same_selection(moved, (old_shift_entries(c.entries, k, n, mode), c.residual), c)
+    # an additive integral from the one-cell part, and one refused for other indices
+    first = level_projection(f, 1).backend
+    one_cell, is_zero = old_additive_integral(first)
+    assert one_cell and AdditiveIntegral(grid, first).is_zero == is_zero
+    family = AdditiveIntegral(grid, first)
+    for lo, hi in [(0, 0), (0, n), *(sorted(rng.choice(n + 1, size=2)) for _ in range(6))]:
+        got = family.member(grid.boundary(int(lo)), grid.boundary(int(hi))).backend
+        _same_selection(got, old_member(first, lo, hi), c)
+    if not old_additive_integral(c)[0]:
+        with pytest.raises(ValueError, match="one-cell indices only"):
+            AdditiveIntegral(grid, c)
+
+
+@pytest.mark.parametrize("c", [decompose(random_functional(GRID, np.random.default_rng(37))),
+                               hermite_decompose(GRID, _program(np.random.default_rng(38)).backend)],
+                         ids=[WALSH, HERMITE])
+def test_expansions_pickle_and_copy_before_and_after_entries_are_read(c):
+    import copy
+    import pickle
+
+    for read in (False, True):
+        if read:
+            c.entries  # the dict made from the columns is kept
+        for twin in (pickle.loads(pickle.dumps(c)), copy.deepcopy(c)):
+            assert twin == c
+            assert list(twin.entries.items()) == list(c.entries.items())
+            assert twin.coeffs.tobytes() == c.coeffs.tobytes() and twin.residual == c.residual
+
+
+def test_program_level_projection_is_the_former_hermite_filter():
+    rng = np.random.default_rng(36)
+    for program in (_program(rng), _two_channel_program(GRID, rng)):
+        like = hermite_decompose(GRID, program.backend)
+        for order in range(5):
+            got = level_projection(program, order).backend
+            _same_selection(got, old_program_level(GRID, program.backend, order), like)
+
+
+def test_selections_never_decode(monkeypatch, capsys, tmp_path):
+    from noisespectra import functional_to_data, write_json
+    from noisespectra import cli
+
+    grid = TimeGrid(0, 1, 4)
+    table = random_functional(grid, np.random.default_rng(16))
+    write_json(tmp_path / "table16.json", functional_to_data(table))
+    c = decompose(table)
+    f = NoiseFunctional.from_chaos(c)
+
+    def refuse(rows, n_cells):
+        raise AssertionError("a Walsh expansion was decoded to cell tuples")
+
+    for module in ("walsh", "chaos", "spectral"):
+        monkeypatch.setattr(f"noisespectra.{module}.cells_of_rows", refuse)
+    built = [
+        conditional_expectation(f, ElementarySet.parse(grid, "0:5,9:14")).backend,
+        level_projection(f, 2).backend,
+        finite_chaos_partition_span(f, [grid.boundary(b) for b in (0, 3, 8, 11, 16)]).backend,
+        additive_integral_of(table).member(grid.boundary(2), grid.boundary(13)).backend,
+        c.filtered(row_sizes(c.rows) % 3 == 1),
+        c.scaled(-1.5),
+    ]
+    for out in built:
+        assert len(out.coeffs) and "entries" not in vars(out)
+        with pytest.raises(AssertionError, match="decoded"):
+            out.entries
+    assert "entries" not in vars(c)
+    # `cli decompose` counts its entries from the column; the file writer renders each
+    # row's cells as text through its own binding of the decoder
+    made = []
+    monkeypatch.setattr(cli, "decompose", lambda *a: made.append(decompose(*a)) or made[-1])
+    out = tmp_path / "coeffs16.json"
+    assert cli.main(["decompose", "--in", str(tmp_path / "table16.json"), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "65536 entries, residual 0.0\n"
+    assert len(made) == 1 and "entries" not in vars(made[0])
