@@ -3,9 +3,10 @@
 Worker w of a run keyed by `seed` owns `worker_generator(seed, w)` and the
 w-th contiguous share of the path budget (`chunk_bounds`).  It walks that
 share in reduction chunks of CHUNK paths and draws each chunk block by block
-into one reused buffer of BLOCK_FLOATS increments, so that buffer and its kernel
-temporaries are a worker's working set; the stream is consumed in the same order
-whatever the block size, so every drawn value is bit-identical to one large draw.
+into one reused buffer of BLOCK_FLOATS increments, so that buffer and one row
+tile of `kernels.iterated_sum` scratch are a worker's working set; the stream is
+consumed in the same order whatever the block size, so every drawn value is
+bit-identical to one large draw.
 Workers run on a thread pool and their chunk results come back in fixed
 worker, then chunk, order, so a result depends on (seed, workers) only and
 never on scheduling or on the pool size.
@@ -58,7 +59,8 @@ def stream_moments(
 
     on_chunk(blocks, rows) returns (chunk sum, chunk (count, mean, M2)); `blocks`
     yields the chunk's `rows` paths of increments as consecutive (k, n, d) views
-    of the worker's buffer, each overwritten by the next draw.  Chunk sums are
+    of the worker's buffer, each overwritten by the next draw, so on_chunk may
+    overwrite a block once it has read it.  Chunk sums are
     added in worker, then chunk, order, as one serial loop would add them.
     """
     if samples < 1:
@@ -91,7 +93,8 @@ def stream_moments(
 def moments(x: np.ndarray, out: np.ndarray | None = None) -> tuple:
     """x's sum along axis 0, and its (count, mean, M2) by two passes.
 
-    The deviations go to `out` (x's shape) when given, else to a fresh array.
+    The deviations go to `out` (x's shape, or x itself) when given, else to a
+    fresh array.
     """
     total = x.sum(axis=0)
     dev = np.subtract(x, total / x.shape[0], out=out)

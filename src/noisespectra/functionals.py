@@ -414,7 +414,6 @@ def _values_on_increments(f: NoiseFunctional, inc: np.ndarray) -> np.ndarray:
             "increment evaluation needs a Brownian program or a chaos expansion"
         )
     scale = math.sqrt(float(f.grid.cell_length))
-    z = inc / scale
     max_deg = _max_degree(b)
     out = np.zeros(inc.shape[0])
     basis_cache: dict[tuple[int, int], np.ndarray] = {}
@@ -426,7 +425,7 @@ def _values_on_increments(f: NoiseFunctional, inc: np.ndarray) -> np.ndarray:
         for cell, ch, dgr in ix:
             key = (cell, ch)
             if key not in basis_cache:
-                basis_cache[key] = hermite_values(z[:, cell, ch], max_deg)
+                basis_cache[key] = hermite_values(inc[:, cell, ch] / scale, max_deg)  # z, one column
             prod = prod * basis_cache[key][dgr]
         out += prod
     return out

@@ -26,6 +26,7 @@ import numpy as np
 from .grid import _integers
 
 MAX_ENUMERATED_TUPLES = 2_000_000
+TILE_FLOATS = 1 << 15  # increments per row tile of the separable route (256 KiB)
 
 
 def _shape(order, n_cells) -> tuple[int, int]:
@@ -156,9 +157,12 @@ def iterated_sum(kernel: SimplexKernel, increments: np.ndarray) -> np.ndarray:
     """Batched iterated sum over the ordered simplex.
 
     increments has shape (k, n, d); the result has shape (k,).  Slot s reads
-    channel kernel.channels[s].  The separable route reuses one scratch pair
-    per call (prefix, product), skips unit slots and never writes the input;
-    each row gets the bits of the plain slot-by-slot loop, whatever its block.
+    channel kernel.channels[s].  The separable route runs the rows in tiles of
+    about `TILE_FLOATS` increments, each through one (prefix, product) scratch
+    pair of the call, so a tile's partial sums stay in cache and a call
+    allocates the same small scratch whatever its row count.  It skips unit
+    slots and never writes the input; each row gets the bits of the plain
+    slot-by-slot loop, whatever its block or tile.
     """
     inc = np.asarray(increments, dtype=np.float64)
     if inc.ndim == 2:
@@ -167,21 +171,28 @@ def iterated_sum(kernel: SimplexKernel, increments: np.ndarray) -> np.ndarray:
     if n != kernel.n_cells:
         raise ValueError("increment table and kernel disagree on cell count")
     if kernel.factors is not None:
-        x = inc[:, :, kernel.channels[0]]
-        term = x if _is_unit(kernel.factors[0]) else x * kernel.factors[0]
-        if kernel.order > 1:
-            acc = np.empty((k_paths, n))  # exclusive prefix sum over earlier cells
-            acc[:, 0] = 0.0
-            out = np.empty((k_paths, n)) if term is x else term
-        for vec, ch in zip(kernel.factors[1:], kernel.channels[1:]):
-            np.cumsum(term[:, :-1], axis=1, out=acc[:, 1:])
-            x = inc[:, :, ch]
-            if _is_unit(vec):
-                term = np.multiply(x, acc, out=out)
-            else:  # (x * vec) * acc, the same two roundings in the same order
-                term = np.multiply(x, vec, out=out)
-                term *= acc
-        return term.sum(axis=1)
+        units = [_is_unit(vec) for vec in kernel.factors]
+        if kernel.order == 1 and units[0]:  # a plain row sum: no scratch to tile
+            return inc[:, :, kernel.channels[0]].sum(axis=1)
+        tile = max(1, TILE_FLOATS // max(n, 1))
+        out = np.empty(k_paths)
+        scratch = np.empty((2, min(tile, k_paths), n))  # exclusive prefix sums, products
+        scratch[0, :, :1] = 0.0  # no cell comes before the first
+        for lo in range(0, k_paths, tile):
+            rows = inc[lo : lo + tile]
+            acc, prod = scratch[:, : len(rows)]
+            x = rows[:, :, kernel.channels[0]]
+            term = x if units[0] else np.multiply(x, kernel.factors[0], out=prod)
+            for vec, ch, unit in zip(kernel.factors[1:], kernel.channels[1:], units[1:]):
+                np.cumsum(term[:, :-1], axis=1, out=acc[:, 1:])
+                x = rows[:, :, ch]
+                if unit:
+                    term = np.multiply(x, acc, out=prod)
+                else:  # (x * vec) * acc, the same two roundings in the same order
+                    term = np.multiply(x, vec, out=prod)
+                    term *= acc
+            term.sum(axis=1, out=out[lo : lo + len(rows)])
+        return out
     if kernel.order == 1:  # einsum, not BLAS gemv: a row's bits must not depend on its block
         return np.einsum("ki,i->k", inc[:, :, kernel.channels[0]], kernel.dense)
     x = inc[:, :, kernel.channels[0]]

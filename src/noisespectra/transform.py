@@ -140,8 +140,7 @@ def level_projection(f: NoiseFunctional, order: int) -> NoiseFunctional:
     if all(isinstance(t, ItoTerm) for t in b.terms):
         kept_terms = tuple(t for t in b.terms if t.kernel.order == order)  # orders are >= 1
         return NoiseFunctional(f.grid, BrownianProgram(kept_terms, b.degree_cap, b.channels))
-    coeffs = hermite_decompose(f.grid, b)
-    return NoiseFunctional.from_chaos(coeffs.filtered(row_sizes(coeffs.rows) == order))
+    return level_projection(NoiseFunctional.from_chaos(hermite_decompose(f.grid, b)), order)
 
 
 def chaos_order_masses(f: NoiseFunctional) -> dict[int, float]:

@@ -131,22 +131,24 @@ def _checked_rows(keys: list, n_cells: int) -> tuple[np.ndarray | None, int | No
     if cells is None:  # each non-integer or huge cell is marked off the grid
         cells = np.fromiter((c if (type(c) is int or isinstance(c, np.integer)) and 0 <= c < n_cells
                              else -1 for c in chain.from_iterable(keys)), np.int64, count)
-    owner = np.repeat(np.arange(len(keys)), sizes)
+    n_words = max(1, -(-n_cells // 64))
     # offset by list, the cells of good lists rise strictly from first to last
-    rise = owner * n_cells
+    rise = np.repeat(np.arange(len(keys)) * (64 * n_words), sizes)
     rise += cells
     bad = (cells < 0) | (cells >= n_cells)
     bad[1:] |= rise[1:] <= rise[:-1]
     if bad.any():
         return None, int(np.searchsorted(np.cumsum(sizes), bad.argmax(), "right"))
-    del rise, bad  # freed before the rows and the word indices are made
-    rows = np.zeros((len(keys), max(1, -(-n_cells // 64))), dtype=np.uint64)
-    cells = cells.view(np.uint64)
-    words = cells >> np.uint64(6)
+    del bad  # freed before the rows and the run starts are made
+    rows = np.zeros((len(keys), n_words), dtype=np.uint64)
+    rise >>= 6  # each cell's word in the flattened rows, filled in order: one OR per run
+    starts = np.flatnonzero(np.concatenate(([True], rise[1:] != rise[:-1])))
     # cells turn into their bits in place: a 2**18-atom file holds 2.4M cells
+    cells = cells.view(np.uint64)
     cells &= np.uint64(63)
     np.left_shift(np.uint64(1), cells, out=cells)
-    np.bitwise_or.at(rows, (owner, words), cells)
+    if count:
+        rows.reshape(-1)[rise[starts]] = np.bitwise_or.reduceat(cells, starts)
     return rows, None
 
 

@@ -188,17 +188,19 @@ def npoint_density_estimate(
             np.multiply(vz, vz, out=vz)
             m2 = np.maximum(vz.T @ np.multiply(z, z, out=z) - total * mean, 0.0)
             return total, (rows, mean, m2)
-        total = scratch = None
+        total = None
         stats = []
-        for inc in blocks:
-            if scratch is None:  # the chunk's first block is its largest
-                scratch = np.empty((2, *inc.shape[:2]))  # vz and its deviations
-            vz = np.divide(inc[:, :, 0], scale, out=scratch[0, : len(inc)])
-            vz *= _values_on_increments(f, inc)[:, None]
-            stats.append(moments(vz, out=scratch[1, : len(inc)])[1])
+        for inc in blocks:  # each block is spent here, so z * f(z) is formed in it
+            vals = _values_on_increments(f, inc)
+            vz = inc[:, :, 0]
+            vz /= scale
+            vz *= vals[:, None]
+            first = vz[0].copy()
             if total is not None:
                 vz[0] += total  # continues numpy's sequential axis-0 sum over the chunk
             total = vz.sum(axis=0)
+            vz[0] = first
+            stats.append(moments(vz, out=vz)[1])
         return total, merge_moments(stats)
 
     acc, m2 = stream_moments(samples, seed, workers, n, 1, scale, on_chunk)

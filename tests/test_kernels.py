@@ -179,3 +179,77 @@ def test_separable_iterated_sum_matches_the_loop_bit_for_bit(slots, order, d):
     inc = rng.standard_normal((paths, n, d))
     inc.setflags(write=False)  # the input is read, never written
     assert np.array_equal(iterated_sum(k, inc), loop_iterated_sum(k, inc))
+
+
+def untiled_iterated_sum(kernel, inc):
+    # reference: the separable route before row tiles, one (k, n) scratch pair per call
+    x = inc[:, :, kernel.channels[0]]
+    unit = bool((kernel.factors[0] == 1.0).all())
+    term = x if unit else x * kernel.factors[0]
+    if kernel.order > 1:
+        acc = np.empty(x.shape)
+        acc[:, 0] = 0.0
+        out = np.empty(x.shape) if term is x else term
+    for vec, ch in zip(kernel.factors[1:], kernel.channels[1:]):
+        np.cumsum(term[:, :-1], axis=1, out=acc[:, 1:])
+        x = inc[:, :, ch]
+        if bool((vec == 1.0).all()):
+            term = np.multiply(x, acc, out=out)
+        else:
+            term = np.multiply(x, vec, out=out)
+            term *= acc
+    return term.sum(axis=1)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("slots", ["unit", "value-2", "random"])
+def test_tiled_iterated_sum_is_the_untiled_route_bit_for_bit(slots, order, monkeypatch):
+    from noisespectra import kernels
+    from noisespectra.kernels import TILE_FLOATS
+
+    rng = np.random.default_rng(10 * order + len(slots))
+    n = 96
+    tile = TILE_FLOATS // n
+    channels = tuple(int(c) for c in rng.integers(0, 2, size=order))
+    if slots == "unit":
+        k = SimplexKernel.constant(order, n, channels=channels)
+    elif slots == "value-2":
+        k = SimplexKernel.constant(order, n, value=2.0, channels=channels)
+    else:
+        k = SimplexKernel.separable([rng.standard_normal(n) for _ in range(order)], channels)
+    inc = rng.standard_normal((tile + 1, n, 2))
+    inc.setflags(write=False)
+    for rows in (1, tile - 1, tile, tile + 1, 700):
+        part = inc[:rows] if rows <= tile + 1 else rng.standard_normal((rows, n, 2))
+        assert np.array_equal(iterated_sum(k, part), untiled_iterated_sum(k, part)), rows
+    monkeypatch.setattr(kernels, "TILE_FLOATS", 1)  # one row per tile
+    assert np.array_equal(iterated_sum(k, part), untiled_iterated_sum(k, part))
+
+
+def test_multiple_ito_integral_on_a_path_table_is_the_untiled_route():
+    from noisespectra import TimeGrid
+    from noisespectra.whitenoise import multiple_ito_integral, sample_paths
+
+    grid = TimeGrid(0, 1, 8)
+    paths = sample_paths(grid, 2, 1500, 7, workers=2)
+    rng = np.random.default_rng(8)
+    for k in (SimplexKernel.constant(2, 256, channels=(1, 0)),
+              SimplexKernel.separable([rng.standard_normal(256) for _ in range(3)], (0, 1, 1))):
+        want = untiled_iterated_sum(k, paths.increments)
+        assert np.array_equal(multiple_ito_integral(k, paths), want)
+
+
+def test_tiled_iterated_sum_traces_one_tile_scratch():
+    # one (256, 1024) block of an order-2 kernel: the (2, 32, 1024) tile scratch, 0.5 MiB;
+    # the untiled route traced 4.0 MiB, two fresh (256, 1024) arrays
+    import tracemalloc
+
+    k = SimplexKernel.constant(2, 1024)
+    inc = np.random.default_rng(9).standard_normal((256, 1024, 1))
+    tracemalloc.start()
+    try:
+        iterated_sum(k, inc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20

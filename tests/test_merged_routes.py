@@ -67,6 +67,7 @@ from noisespectra.structure import (
     finite_chaos_partition_span,
 )
 from noisespectra.transform import (
+    chaos_order_masses,
     conditional_expectation,
     decompose,
     level_projection,
@@ -180,11 +181,6 @@ def old_chaos_level(c, order):
     """The chaos route of `level_projection`."""
     return old_filtered(
         c, lambda ix: index_cardinality(ix) == order and not index_has_multiplicity(ix))
-
-
-def old_program_level(grid, p, order):
-    """The Hermite route of `level_projection` on a program with map terms."""
-    return old_filtered(hermite_decompose(grid, p), lambda ix: index_cardinality(ix) == order)
 
 
 def old_partition_span(c, cuts):
@@ -806,13 +802,29 @@ def test_expansions_pickle_and_copy_before_and_after_entries_are_read(c):
             assert twin.coeffs.tobytes() == c.coeffs.tobytes() and twin.residual == c.residual
 
 
-def test_program_level_projection_is_the_former_hermite_filter():
+def test_program_level_projection_is_the_expansion_route():
+    # a program with map terms projects through its Hermite expansion, so multiplicity
+    # indices are dropped as on the expansion itself, and each order keeps its spectral mass
     rng = np.random.default_rng(36)
-    for program in (_program(rng), _two_channel_program(GRID, rng)):
-        like = hermite_decompose(GRID, program.backend)
+    programs = [p for _ in range(3) for p in (_program(rng), _two_channel_program(GRID, rng))]
+    for program in programs:
+        expansion = NoiseFunctional.from_chaos(hermite_decompose(GRID, program.backend))
+        masses = chaos_order_masses(program)
         for order in range(5):
-            got = level_projection(program, order).backend
-            _same_selection(got, old_program_level(GRID, program.backend, order), like)
+            got = level_projection(program, order)
+            want = level_projection(expansion, order).backend
+            assert list(got.backend.entries.items()) == list(want.entries.items())
+            assert got.backend.rows.tobytes() == want.rows.tobytes()
+            assert got.backend.coeffs.tobytes() == want.coeffs.tobytes()
+            assert (got.backend.residual, got.backend.channels) == (want.residual, want.channels)
+            assert abs(norm_sq(got) - masses.get(order, 0.0)) <= 1e-12
+    # one squared cell: he_2 is no pure order, so order 1 keeps only the linear part
+    grid = TimeGrid(0, 1, 2)
+    square = NoiseFunctional.from_program(
+        grid, [MapTerm(1.0, (MapFactor(1, 0, "poly", (0.0, 1.0, 1.0)),))])
+    one = level_projection(square, 1)
+    assert list(one.backend.entries) == [((1, 0, 1),)]
+    assert abs(norm_sq(one) - 0.25) <= 1e-12 and abs(chaos_order_masses(square)[1] - 0.25) <= 1e-12
 
 
 def test_selections_never_decode(monkeypatch, capsys, tmp_path):

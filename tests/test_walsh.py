@@ -103,3 +103,38 @@ def test_mask_helpers():
         assert cells_of_rows(rows, n) == [bits_of(m) for m in every]
         sparse = every[::7][::-1]
         assert cells_of_rows(rows[sparse], n) == [bits_of(m) for m in sparse]
+
+
+def _rows_by_loop(keys, n_cells):
+    """`_checked_rows` one cell at a time: the first bad list's index, or the OR of each list's bits."""
+    words = max(1, -(-n_cells // 64))
+    rows = np.zeros((len(keys), words), dtype=np.uint64)
+    for i, cells in enumerate(keys):
+        good = all((type(c) is int or isinstance(c, np.integer)) and 0 <= c < n_cells for c in cells)
+        if not good or any(a >= b for a, b in zip(cells, cells[1:])):
+            return None, i
+        for c in cells:
+            rows[i, int(c) // 64] |= np.uint64(1 << (int(c) % 64))
+    return rows, None
+
+
+@pytest.mark.parametrize("n_cells", [1, 7, 64, 65, 130, 200])
+def test_checked_rows_matches_the_cell_loop(n_cells):
+    from noisespectra.walsh import _checked_rows
+
+    rng = np.random.default_rng(n_cells)
+    for trial in range(40):
+        keys = [sorted(rng.choice(n_cells, size=int(rng.integers(0, min(n_cells, 9) + 1)),
+                                  replace=False).tolist()) for _ in range(int(rng.integers(0, 12)))]
+        if trial % 4 == 1 and keys:  # one list spoiled by a bool, a float, a huge int or its order
+            i = int(rng.integers(len(keys)))
+            keys[i] = [*keys[i], [True, 1.0, 1 << 70, -1, n_cells][trial % 5]]
+        if trial % 4 == 2 and keys:
+            keys[int(rng.integers(len(keys)))] = [np.int32(0), np.uint64(n_cells - 1)][: 1 + (n_cells > 1)]
+        got, want = _checked_rows(keys, n_cells), _rows_by_loop(keys, n_cells)
+        assert got[1] == want[1], keys
+        if want[0] is not None:
+            assert got[0].dtype == np.uint64 and np.array_equal(got[0], want[0]), keys
+    assert _checked_rows([[], [], []], n_cells)[0].shape == (3, max(1, -(-n_cells // 64)))
+    if n_cells > 1:
+        assert _checked_rows([[0], [1, 0], [2]], n_cells) == (None, 1)
