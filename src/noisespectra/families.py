@@ -34,6 +34,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -415,80 +416,83 @@ def tribes_shape(level: int) -> tuple[int, int, int]:
     return width, blocks, n - width * blocks
 
 
+def _tribes_tree(level: int) -> list[tuple[str, int]]:
+    width, blocks, _ = tribes_shape(level)
+    return [("or", blocks), ("and", width)]
+
+
+def _single_coordinate(grid: TimeGrid, cell=0) -> NoiseFunctional:
+    if isinstance(cell, bool) or not isinstance(cell, (int, np.integer)) or not (
+            0 <= cell < grid.n_cells):
+        raise ValueError(f"cell must be an integer in 0..{grid.n_cells - 1}, got {cell!r}")
+    return NoiseFunctional.from_walsh_entries(grid, {(cell,): 1.0})
+
+
+def _parity(grid: TimeGrid) -> NoiseFunctional:
+    return NoiseFunctional.from_walsh_entries(grid, {tuple(range(grid.n_cells)): 1.0})
+
+
+def _coordinate_sum(grid: TimeGrid) -> NoiseFunctional:
+    c = 1.0 / math.sqrt(grid.n_cells)
+    return NoiseFunctional.from_walsh_entries(grid, {(i,): c for i in range(grid.n_cells)})
+
+
+def _white_noise(order: int, grid: TimeGrid) -> NoiseFunctional:
+    kernel = SimplexKernel.constant(order, grid.n_cells, 1.0)
+    return NoiseFunctional.from_program(grid, [ItoTerm(1.0, kernel)], degree_cap=order)
+
+
+@dataclass(frozen=True)
+class _Family:
+    """A named family.  A tree family is a `FamilyRef` on base `base` alone, `tree(level)` its
+    (combiner, fan-in) per depth, root first.  Any other family is `build(grid, **keywords)`
+    on base `base` unless given `base=`.  `params` names every keyword a family takes."""
+
+    base: int
+    tree: Callable[[int], list[tuple[str, int]]] | None = None
+    build: Callable[..., NoiseFunctional] | None = None
+    params: tuple[str, ...] = ("base",)
+
+
+# every named family, in the order `family_names` lists them
+_FAMILIES = {
+    "single-coordinate": _Family(2, build=_single_coordinate, params=("base", "cell")),
+    "parity": _Family(2, build=_parity),
+    "coordinate-sum": _Family(2, build=_coordinate_sum),
+    "majority3-iterated": _Family(3, tree=lambda level: [("majority", 3)] * level, params=()),
+    "tribes": _Family(2, tree=_tribes_tree, params=()),
+    "white-noise-i1": _Family(2, build=functools.partial(_white_noise, 1)),
+    "white-noise-i2": _Family(2, build=functools.partial(_white_noise, 2)),
+}
+
+
 def _tree_specs(grid: TimeGrid, ref: FamilyRef) -> list[tuple[str, int]]:
     """(combiner, fan-in) per depth, root first: what the model, table and evaluator read."""
-    if ref.name == "majority3-iterated":
-        return [("majority", 3)] * ref.level
-    if ref.name == "tribes":
-        width, blocks, _ = tribes_shape(ref.level)
-        return [("or", blocks), ("and", width)]
-    raise BackendError(f"family {ref.name!r} is not tree-structured")
+    family = _FAMILIES.get(ref.name)
+    if family is None or family.tree is None:
+        raise BackendError(f"family {ref.name!r} is not tree-structured")
+    return family.tree(ref.level)
 
 
-def family_model(grid: TimeGrid, ref: FamilyRef) -> TreeModel | None:
-    try:
-        specs = _tree_specs(grid, ref)
-    except BackendError:
-        return None
-    return TreeModel(grid, build_layers(specs))
-
-
-def _family_grid(name: str, level: int, base: int | None = None) -> TimeGrid:
-    if base is None:
-        base = 3 if name == "majority3-iterated" else 2
-    return TimeGrid(0, 1, level, base)
+def family_model(grid: TimeGrid, ref: FamilyRef) -> TreeModel:
+    return TreeModel(grid, build_layers(_tree_specs(grid, ref)))
 
 
 def make_functional(name: str, level: int, **params) -> NoiseFunctional:
-    if level < 0:
-        raise ValueError("level must be nonnegative")
-    if name == "single-coordinate":
-        cell = params.pop("cell", 0)
-        grid = _family_grid(name, level, params.pop("base", None))
-        _no_extra(name, params)
-        if isinstance(cell, bool) or not isinstance(cell, (int, np.integer)) or not (
-                0 <= cell < grid.n_cells):
-            raise ValueError(f"cell must be an integer in 0..{grid.n_cells - 1}, got {cell!r}")
-        return NoiseFunctional.from_walsh_entries(grid, {(cell,): 1.0})
-    if name == "parity":
-        grid = _family_grid(name, level, params.pop("base", None))
-        _no_extra(name, params)
-        return NoiseFunctional.from_walsh_entries(grid, {tuple(range(grid.n_cells)): 1.0})
-    if name == "coordinate-sum":
-        grid = _family_grid(name, level, params.pop("base", None))
-        _no_extra(name, params)
-        c = 1.0 / math.sqrt(grid.n_cells)
-        return NoiseFunctional.from_walsh_entries(grid, {(i,): c for i in range(grid.n_cells)})
-    if name in ("majority3-iterated", "tribes"):
-        if level < 1:
-            raise ValueError(f"{name} needs level >= 1")
-        grid = _family_grid(name, level)
-        _no_extra(name, params)
-        return NoiseFunctional(grid, FamilyRef(name, level))
-    if name in ("white-noise-i1", "white-noise-i2"):
-        grid = _family_grid(name, level, params.pop("base", None))
-        _no_extra(name, params)
-        order = 1 if name.endswith("i1") else 2
-        kernel = SimplexKernel.constant(order, grid.n_cells, 1.0)
-        return NoiseFunctional.from_program(grid, [ItoTerm(1.0, kernel)], degree_cap=order)
-    raise ValueError(f"unknown family {name!r}; known: {', '.join(family_names())}")
-
-
-def _no_extra(name: str, params: dict) -> None:
-    if params:
-        raise ValueError(f"family {name!r} got unexpected parameters {sorted(params)}")
+    if (family := _FAMILIES.get(name)) is None:
+        raise ValueError(f"unknown family {name!r}; known: {', '.join(family_names())}")
+    if unexpected := sorted(set(params) - set(family.params)):
+        raise ValueError(f"family {name!r} got unexpected parameters {unexpected}")
+    grid = TimeGrid(0, 1, level, params.pop("base", family.base))  # refuses level < 0
+    if family.build:
+        return family.build(grid, **params)
+    if level < 1:
+        raise ValueError(f"{name} needs level >= 1")
+    return NoiseFunctional(grid, FamilyRef(name, level))
 
 
 def family_names() -> list[str]:
-    return [
-        "single-coordinate",
-        "parity",
-        "coordinate-sum",
-        "majority3-iterated",
-        "tribes",
-        "white-noise-i1",
-        "white-noise-i2",
-    ]
+    return list(_FAMILIES)
 
 
 def evaluate_family(grid: TimeGrid, ref: FamilyRef, omega) -> float:
@@ -524,17 +528,7 @@ def family_values(grid: TimeGrid, ref: FamilyRef) -> np.ndarray:
 
 
 def family_mean(grid: TimeGrid, ref: FamilyRef) -> float:
-    model = family_model(grid, ref)
-    if model is None:
-        raise BackendError(f"family {ref.name!r} has no closed-form mean")
-    return model.layers[0].mu_out
-
-
-def family_norm_sq(grid: TimeGrid, ref: FamilyRef) -> float:
-    # all tree families take values in {-1, +1}
-    if family_model(grid, ref) is None:
-        raise BackendError(f"family {ref.name!r} has no closed-form norm")
-    return 1.0
+    return family_model(grid, ref).layers[0].mu_out
 
 
 # ---------------------------------------------------------------------------

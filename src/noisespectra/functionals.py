@@ -4,9 +4,9 @@
 * ChaosCoefficients: sparse Walsh or Hermite expansion, used directly.
 * BrownianProgram: sum of multiple-Ito-integral terms and products of
   per-cell pointwise maps of Gaussian increments, with a Hermite degree cap.
-* FamilyRef: a named generator at a resolution.  Below the dense cap it is a
-  value table to every table route, through :func:`evaluate_table`; a tree
-  family above it is queried through its spectral model.
+* FamilyRef: a named tree family at a resolution.  Below the dense cap it is a
+  value table to every table route, through :func:`evaluate_table`; above it,
+  it is queried through its spectral model.
 
 Value-domain operations (evaluate, inner products, tensor products) live
 here; transform-domain operations live in :mod:`noisespectra.transform`.
@@ -132,14 +132,10 @@ class BrownianProgram:
 
 @dataclass(frozen=True)
 class FamilyRef:
-    """Named generator plus parameters at a fixed resolution."""
+    """A named tree family at a fixed resolution; `families` holds its shape."""
 
     name: str
     level: int
-    params: tuple[tuple[str, object], ...] = ()
-
-    def params_dict(self) -> dict:
-        return dict(self.params)
 
 
 @dataclass(frozen=True, eq=False)
@@ -326,11 +322,12 @@ def expectation(f: NoiseFunctional) -> float:
 
 
 def norm_sq(f: NoiseFunctional) -> float:
-    """<f, f>; a tree family reads its closed form instead of materializing."""
+    """<f, f>; a tree family takes values in {-1, +1}, so its norm is 1 with no table."""
     if isinstance(f.backend, FamilyRef):
         from . import families
 
-        return families.family_norm_sq(f.grid, f.backend)
+        families.family_model(f.grid, f.backend)  # refuses a family that is not a tree
+        return 1.0
     return inner_product(f, f)
 
 

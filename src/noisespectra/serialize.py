@@ -172,8 +172,6 @@ def functional_to_data(f: NoiseFunctional) -> dict:
         data["kind"] = "family"
         data["name"] = b.name
         data["level"] = b.level
-        if b.params:
-            data["params"] = b.params_dict()
     else:
         raise FormatError(f"cannot serialize backend {type(b).__name__}")
     return data

@@ -32,7 +32,7 @@ from typing import Iterable, Mapping, Protocol, Sequence
 import numpy as np
 
 from ._rng import worker_generator
-from .chaos import WALSH, ChaosCoefficients, index_has_multiplicity, index_support
+from .chaos import WALSH, ChaosCoefficients, index_has_multiplicity
 from .functionals import (
     BackendError,
     FamilyRef,
@@ -134,14 +134,18 @@ class _AtomTable:
     @classmethod
     def sorted(cls, rows: np.ndarray, mass: np.ndarray, n_plain: int,
                n_cells: int) -> tuple[_AtomTable, int | None]:
-        """Nonzero-mass atoms in `_set_order`, and the least position repeating an earlier
-        row of its part (zero masses count; None if none)."""
+        """Nonzero-mass atoms in `_set_order`, one per set of a part, and the least position
+        repeating an earlier row of its part (zero masses count; None if none)."""
         order = _set_order(rows, n_plain)
         rows, mass = rows[order], mass[order]
         # the sort is stable, so a repeat lands right after the earlier copies of its set
         same = (rows[1:] == rows[:-1]).all(axis=1)
         same[n_plain - 1 : n_plain] = False
         repeats = order[1:][same]
+        if repeats.size:  # one atom per run of equal rows, its masses added in input order
+            starts = np.flatnonzero(np.r_[True, ~same])
+            mass = np.bincount(np.cumsum(np.r_[False, ~same]), mass)
+            rows, n_plain = rows[starts], int(np.searchsorted(starts, n_plain))
         kept = np.flatnonzero(mass)
         table = cls(rows[kept], mass[kept], int(np.searchsorted(kept, n_plain)), n_cells)
         return table, int(repeats.min()) if repeats.size else None
@@ -375,13 +379,7 @@ def spectral_measure_of(f: NoiseFunctional, tol: float | None = None) -> Spectra
     if isinstance(f.backend, FamilyRef) and f.grid.n_cells > DENSE_CELL_CAP:
         from . import families
 
-        model = families.family_model(f.grid, f.backend)
-        if model is None:
-            raise BackendError(
-                f"family {f.backend.name!r} has no exact spectral model at "
-                f"{f.grid.n_cells} cells and is too large to materialize"
-            )
-        return SpectralMeasure(f.grid, None, model=model)
+        return SpectralMeasure(f.grid, None, model=families.family_model(f.grid, f.backend))
     if isinstance(f.backend, (RademacherTable, FamilyRef)):
         # a Walsh index is its own support: coefficient m squared is the atom on mask m
         c = walsh_coefficients(f, tol)
@@ -390,16 +388,15 @@ def spectral_measure_of(f: NoiseFunctional, tol: float | None = None) -> Spectra
 
 
 def measure_from_coefficients(coeffs: ChaosCoefficients) -> SpectralMeasure:
-    if coeffs.kind == WALSH:  # a Walsh index is its own support: each row is an atom
-        c = coeffs.coeffs
-        table = _AtomTable.sorted(coeffs.rows, c**2, len(c), coeffs.grid.n_cells)[0]
-        return SpectralMeasure._of_dense(coeffs.grid, table, coeffs.residual)
-    plain, mult = {}, {}
-    for ix, c in coeffs.entries.items():
-        target = mult if index_has_multiplicity(ix) else plain
-        s = index_support(ix)
-        target[s] = target.get(s, 0.0) + c * c
-    return SpectralMeasure(coeffs.grid, plain, mult, residual=coeffs.residual)
+    """Each squared coefficient is an atom on its index's support (a Walsh index is its own);
+    a Hermite index of degree >= 2 on some cell is a multiplicity atom."""
+    rows, mass, n_plain = coeffs.rows, coeffs.coeffs**2, len(coeffs.coeffs)
+    if coeffs.kind != WALSH:  # a stable partition, plain indices first, each part in entry order
+        mult = np.fromiter(map(index_has_multiplicity, coeffs.terms), bool, n_plain)
+        order = np.argsort(mult, kind="stable")
+        rows, mass, n_plain = rows[order], mass[order], n_plain - int(mult.sum())
+    table = _AtomTable.sorted(rows, mass, n_plain, coeffs.grid.n_cells)[0]
+    return SpectralMeasure._of_dense(coeffs.grid, table, coeffs.residual)
 
 
 # ---------------------------------------------------------------------------

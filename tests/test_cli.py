@@ -37,12 +37,14 @@ def chi01(tmp_path):
 
 
 def test_selftest_passes(capsys):
-    # level 2 clamps to 4: fewer cells would split into a one-cell window
-    for level in ("4", "2"):
-        assert run("selftest", "--level", level) == 0
-        out = capsys.readouterr().out
-        assert out.count("PASS") == 5
-        assert "FAIL" not in out
+    assert run("selftest", "--level", "4") == 0
+    out = capsys.readouterr().out
+    assert out.count("PASS") == 5
+    assert "FAIL" not in out
+    # fewer cells would split into a one-cell window; the level runs as asked or not at all
+    for level in ("2", "3", "21"):
+        assert run("selftest", "--level", level) == 2
+        assert "--level must be in 4..20" in capsys.readouterr().err
 
 
 # stdout byte for byte: the identities run in one pass, with the draws in their order

@@ -36,7 +36,8 @@ from noisespectra.families import (
     make_functional,
     tribes_shape,
 )
-from noisespectra.functionals import evaluate_table, norm_sq
+from noisespectra.functionals import (BackendError, FamilyRef, evaluate, evaluate_table,
+                                      expectation, norm_sq)
 from test_merged_routes import old_sign_table
 
 
@@ -57,6 +58,61 @@ def test_unknown_family_and_params():
         make_functional("no-such", 3)
     with pytest.raises(ValueError):
         make_functional("parity", 3, unexpected=1)
+
+
+TREE_FAMILIES = {"majority3-iterated", "tribes"}
+
+
+def test_family_names_keep_their_order():
+    assert family_names() == ["single-coordinate", "parity", "coordinate-sum",
+                              "majority3-iterated", "tribes", "white-noise-i1", "white-noise-i2"]
+
+
+@pytest.mark.parametrize("name", family_names())
+def test_family_parameter_rules(name):
+    tree = name in TREE_FAMILIES
+    # a tree family lives on its own base; every other family takes base=
+    if tree:
+        with pytest.raises(ValueError, match=r"unexpected parameters \['base'\]"):
+            make_functional(name, 2, base=3)
+    else:
+        assert make_functional(name, 2, base=3).grid.n_cells == 9
+        assert make_functional(name, 2).grid.n_cells == 4
+    # cell= is single-coordinate's alone, and no family takes an unknown keyword
+    if name == "single-coordinate":
+        assert make_functional(name, 2, cell=3).backend.entries == {(3,): 1.0}
+    else:
+        with pytest.raises(ValueError, match=r"unexpected parameters \['cell'\]"):
+            make_functional(name, 2, cell=0)
+    with pytest.raises(ValueError, match=r"unexpected parameters \['unknown'\]"):
+        make_functional(name, 2, unknown=1)
+    # a tree has at least one depth; no family has a negative level
+    if tree:
+        with pytest.raises(ValueError, match=f"{name} needs level >= 1"):
+            make_functional(name, 0)
+    else:
+        assert make_functional(name, 0).grid.n_cells == 1
+    with pytest.raises(ValueError, match="level must be nonnegative"):
+        make_functional(name, -1)
+
+
+def test_unknown_family_names_every_family():
+    with pytest.raises(ValueError, match="unknown family 'no-such'") as err:
+        make_functional("no-such", 3)
+    assert all(name in str(err.value) for name in family_names())
+
+
+@pytest.mark.parametrize("name", ["parity", "no-such"])
+def test_hand_built_ref_of_no_tree_is_refused(name):
+    """Only a tree family has a model, a table, a mean and an evaluator; below the dense cap
+    and above it (81 cells), every route refuses any other name."""
+    for grid in (TimeGrid(0, 1, 3), TimeGrid(0, 1, 4, base=3)):
+        with pytest.raises(BackendError, match="not tree-structured"):
+            spectral_measure_of(NoiseFunctional(grid, FamilyRef(name, 3)))
+    f = NoiseFunctional(TimeGrid(0, 1, 3), FamilyRef(name, 3))
+    for route in (norm_sq, expectation, evaluate_table, lambda f: evaluate(f, np.ones(8))):
+        with pytest.raises(BackendError, match="not tree-structured"):
+            route(f)
 
 
 def test_single_coordinate_and_sums():
