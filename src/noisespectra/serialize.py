@@ -4,11 +4,8 @@ Every document carries schema_version "1".  Grids serialize their endpoints
 as exact fraction strings; chaos and measure entries are listed sorted by
 (cardinality, index) so output files are canonical.  A JSON file holds
 exactly the bytes of ``json.dumps(data, indent=2)`` plus a newline, so
-doubles round-trip exactly, but it is written in a stream of chunks by the
-encoder below rather than built as one string.  Measure and Walsh-chaos
-records are written from bit rows and a float list, and measures are read
-straight back into a table, with no tuple per record.
-All file writes are atomic (temp file in the target directory, then rename).
+doubles round-trip exactly.  All file writes are atomic (temp file in the
+target directory, then rename).
 """
 from __future__ import annotations
 
@@ -263,9 +260,8 @@ class _TableRecords(list):
     """The {"cells": keys[i], field: floats[i]} records of `_checked_rows` rows and their
     key tuples, a list like any other; with cells=list, a list of keys[i] stands in.
 
-    While every record still holds floats[i] itself, and keys[i] itself or a list of its
-    ints (tuples and floats are immutable, so identity proves their text), `write_json`
-    renders its cells from rows[i] and its field as `repr(floats[i])`.
+    While `intact`, `write_json` renders its cells from rows[i] or keys[i] and its field
+    as `repr(floats[i])`; any other list, an edited one too, goes to `json.dumps`.
     """
 
     def __init__(self, keys, rows, floats: np.ndarray, field: str, n_cells: int, cells=tuple):
@@ -275,11 +271,15 @@ class _TableRecords(list):
         super().__init__({"cells": k, field: v} for k, v in zip(shown, self.floats))
 
     def intact(self) -> bool:
-        """Whether every record still holds its own float, and its own key tuple or a list
-        of that tuple's ints."""
+        """Whether every record is still a dict of the keys ("cells", field) in that order,
+        holding its own finite float, and its own key tuple or a list of that tuple's ints
+        (tuples and floats are immutable, so identity proves their text)."""
+        if not (len(self) == len(self.keys) and all(map(isinstance, self, repeat(dict)))
+                and all(map(("cells", self.field).__eq__, map(tuple, self)))):
+            return False
         cells = list(map(itemgetter("cells"), self))
-        return (len(cells) == len(self.keys)
-                and all(map(is_, map(itemgetter(self.field), self), self.floats))
+        return (all(map(is_, map(itemgetter(self.field), self), self.floats))
+                and all(map(math.isfinite, self.floats))
                 and (all(map(is_, cells, self.keys)) or all(map(eq, cells, map(list, self.keys)))
                      and set(map(type, chain.from_iterable(cells))) <= {int}))
 
@@ -358,21 +358,14 @@ def write_csv(path: str, header: list[str], rows) -> None:
 # the indent-2 JSON encoder
 #
 # json.dumps(indent=2) falls back to the pure-Python encoder, which yields one
-# chunk per token.  Only two shapes are large here: lists of scalars and lists
-# of records that share one key order.  The first is one call to the compact
-# encoder with the indented item separator (C where the interpreter has it);
-# the second is rendered column by column and streamed in blocks of records,
-# each block one join of the column texts between the fixed key texts (so a
-# "%" in a key is just text).  A column goes through the compact encoder,
-# except in a `_TableRecords` (a measure or Walsh-chaos document) that is
-# intact: every record still holds its own float and its own key tuple, or a
-# list still equal to it and of ints only.  Its "cells" texts are then looked
-# up from the one-word bit rows, and its float texts are `float.__repr__` of
-# its floats, made one record at a time, when all are finite: that is the
-# text the encoder gives a finite float, and NaN and infinities keep the
-# encoder's spelling.  A changed, reordered or extended list, a plain list,
-# more than DENSE_CELL_CAP cells or multi-word rows fall back to the encoder.
-# Dicts with str keys are walked to reach them; every other value goes to
+# chunk per token.  Only two shapes are large here: lists of scalars and the
+# record lists of measure and Walsh-chaos documents.  The first is one call to
+# the compact encoder with the indented item separator (C where the interpreter
+# has it).  The second, while its `_TableRecords` is intact, is rendered from
+# the table: cells from the bit rows or key tuples, and each float as
+# `float.__repr__`, the text the encoder gives a finite float; it is streamed
+# in blocks of records, each block one join.  Dicts with str keys are walked to
+# reach them; every other value, an edited record list included, goes to
 # json.dumps itself.  Strings never hold a raw newline (json escapes it), so a
 # newline in encoder output is always a separator and can be re-indented.
 
@@ -403,33 +396,19 @@ def _scalar_list_text(seq, depth: int) -> str | None:
     return "[" + _indent(depth + 1) + body + _indent(depth) + "]"
 
 
-def _column_texts(col: list, depth: int) -> list[str] | None:
-    """Texts of values at `depth` that are all scalars or all lists of scalars."""
-    body = _compact_body(col, depth)
-    sep = "," + _indent(depth + 1)
-    if "{" in body:
-        return None
-    if "[" not in body:
-        return body.split(sep)
-    # one "[" per value means no value nests and no string holds a bracket
-    if body.count("[") != len(col) or not all(map(isinstance, col, repeat((list, tuple)))):
-        return None
-    head, tail = "[" + _indent(depth + 1), _indent(depth) + "]"
-    return [head + t + tail if t else "[]" for t in body[1:-1].split("]" + sep + "[")]
-
-
-def _row_cell_columns(records: _TableRecords, depth: int) -> list | None:
-    """The "cells" texts at `depth` of an intact `_TableRecords`, as two columns that
-    join to each text; None past one word or DENSE_CELL_CAP cells.
+def _row_cell_columns(records: _TableRecords, depth: int) -> list:
+    """The "cells" texts at `depth` of an intact `_TableRecords`, as columns that join to
+    each text: the key tuples' cells joined, or for one-word rows of at most DENSE_CELL_CAP
+    cells, two columns looked up from half tables.
 
     Like `walsh.cells_of_rows`, a one-word row m is split into its low and high
     halves: the first column is the text of the low cells, the second that of the
     high cells, chosen from a table for an empty and one for a non-empty low part.
     """
     rows, n = records.rows, records.n_cells
-    if rows.shape[1] != 1 or n > DENSE_CELL_CAP:
-        return None
     sep, head, tail = "," + _indent(depth + 1), "[" + _indent(depth + 1), _indent(depth) + "]"
+    if rows.shape[1] != 1 or n > DENSE_CELL_CAP:
+        return [[head + sep.join(map(str, k)) + tail if k else "[]" for k in records.keys]]
     h = n // 2
     low, high = ([sep.join(map(str, k)) for k in _subset_keys(cells)]
                  for cells in (range(h), range(h, n)))
@@ -446,39 +425,17 @@ def _row_cell_columns(records: _TableRecords, depth: int) -> list | None:
 _BLOCK = 2048
 
 
-def _record_list_chunks(records: list, depth: int):
-    """Chunks of a list of dicts with one str key order, or None if it is not one."""
-    keys = tuple(records[0])
-    if not keys or not all(type(k) is str for k in keys):
-        return None
-    if not (all(map(isinstance, records, repeat(dict)))
-            and all(map(keys.__eq__, map(tuple, records)))):
-        return None
-    parts, head = [], "," + _indent(depth + 1) + "{"
-    intact = isinstance(records, _TableRecords) and records.intact()
-    for k in keys:
-        texts = None
-        if intact and k == "cells":
-            texts = _row_cell_columns(records, depth + 2)
-        elif intact and k == records.field and all(map(math.isfinite, records.floats)):
-            texts = [map(float.__repr__, records.floats)]
-        if texts is None:
-            texts = _column_texts(list(map(itemgetter(k), records)), depth + 2)
-            if texts is None:
-                return None
-            texts = [texts]
-        parts += [head + _indent(depth + 2) + _escape(k) + ": ", *map(iter, texts)]
-        head = ","
-    parts.append(_indent(depth + 1) + "}")
-    return _record_chunks(parts, len(records), depth)
-
-
-def _record_chunks(parts: list, n: int, depth: int):
-    """A list of n records in blocks of `_BLOCK` records, each block one join.  A record is
-    `parts` in turn: the fixed texts (str) with the next text of each column iterator."""
+def _table_record_chunks(records: _TableRecords, depth: int):
+    """An intact `_TableRecords` in blocks of `_BLOCK` records, each block one join: a
+    record is `parts` in turn, the fixed texts with the next text of each column."""
+    parts = ["," + _indent(depth + 1) + "{" + _indent(depth + 2) + '"cells": ',
+             *map(iter, _row_cell_columns(records, depth + 2)),
+             "," + _indent(depth + 2) + _escape(records.field) + ": ",
+             map(float.__repr__, records.floats),
+             _indent(depth + 1) + "}"]
     p, columns = len(parts), [(j, c) for j, c in enumerate(parts) if not isinstance(c, str)]
-    for start in range(0, n, _BLOCK):
-        out = parts * min(_BLOCK, n - start)
+    for start in range(0, len(records), _BLOCK):
+        out = parts * min(_BLOCK, len(records) - start)
         for j, column in columns:
             out[j::p] = islice(column, len(out) // p)
         if not start:  # the first record follows the bracket, not a comma
@@ -497,17 +454,14 @@ def _json_chunks(obj, depth: int):
             sep = "," + _indent(depth + 1)
         yield _indent(depth) + "}"
         return
-    if isinstance(obj, (list, tuple)) and obj:
-        if isinstance(obj[0], dict):
-            chunks = _record_list_chunks(obj, depth)
-            if chunks is not None:
-                yield from chunks
-                return
-        elif not isinstance(obj[0], (list, tuple)):
-            text = _scalar_list_text(obj, depth)
-            if text is not None:
-                yield text
-                return
+    if isinstance(obj, _TableRecords) and obj and obj.intact():
+        yield from _table_record_chunks(obj, depth)
+        return
+    if isinstance(obj, (list, tuple)) and obj and not isinstance(obj[0], (list, tuple, dict)):
+        text = _scalar_list_text(obj, depth)
+        if text is not None:
+            yield text
+            return
     yield json.dumps(obj, indent=2).replace("\n", _indent(depth))
 
 

@@ -370,6 +370,21 @@ class SpectralMeasure:
         return self._atoms if self.model is None else self.model
 
 
+def _plain_by_mask(x: SpectralMeasure | ChaosCoefficients) -> np.ndarray:
+    """The plain masses of a dense measure, or the coefficients of a Walsh expansion, on at
+    most DENSE_CELL_CAP cells as one vector indexed by subset bitmask, 0 at every other mask."""
+    if isinstance(x, ChaosCoefficients):
+        rows, values = x.rows, x.coeffs
+    elif isinstance(x._dense, _WalshMasses):  # already that vector
+        return x._dense.mass
+    else:
+        t = x._atoms
+        rows, values = t.rows[: t.n_plain], t.mass[: t.n_plain]
+    out = np.zeros(1 << x.grid.n_cells)
+    out[rows[:, 0].astype(np.intp)] = values
+    return out
+
+
 # ---------------------------------------------------------------------------
 # construction
 

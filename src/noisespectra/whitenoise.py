@@ -7,6 +7,7 @@ statistical error around them.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import product as iter_product
@@ -257,14 +258,9 @@ def fiber_gram(grid: TimeGrid, cells: Sequence[int], d: int, points: int = 64) -
     he1 = hermite_values(x, 1)[1]
     m_same = float(np.sum(wts * he1 * he1))
     m_cross = float(np.sum(wts * he1)) ** 2
-    assigns = list(iter_product(range(d), repeat=len(cells)))
-    size = len(assigns)
-    gram = np.ones((size, size))
-    for i in range(size):
-        for j in range(size):
-            for ca, cb in zip(assigns[i], assigns[j]):
-                gram[i, j] *= m_same if ca == cb else m_cross
-    return gram
+    # two assignments agree or differ cell by cell: the product of one cell's d x d Gram
+    one = np.where(np.eye(d, dtype=bool), m_same, m_cross)
+    return functools.reduce(np.kron, [one] * len(cells), np.ones((1, 1)))
 
 
 def fiber_dimension(

@@ -323,8 +323,9 @@ def test_record_blocks_of_any_size_match_stdlib_indent_2(monkeypatch, block):
 
 
 def test_measure_cells_never_reach_the_compact_encoder(monkeypatch):
-    """An unmodified document renders its cells from the table rows and its
-    masses from the table's floats; neither column reaches the compact encoder."""
+    """An unmodified document renders its cells from the table rows or key tuples and
+    its masses from the table's floats; neither column reaches the compact encoder,
+    at one word, on the 70-cell Walsh-chaos rows and on the 128-cell Hermite measure."""
     columns = []
     compact_body = serialize._compact_body
 
@@ -335,8 +336,32 @@ def test_measure_cells_never_reach_the_compact_encoder(monkeypatch):
     monkeypatch.setattr(serialize, "_compact_body", recording)
     data = measure_to_data(table_measure(12, 12))
     assert len(data["entries"]) == 1 << 12
-    assert encoded(data) == (json.dumps(data, indent=2) + "\n").encode()
+    wide = {"70 cells": walsh_chaos_documents()["70 cells"],
+            "hermite": measure_to_data(hermite_measure())}
+    for doc in (data, *wide.values()):
+        assert encoded(doc) == (json.dumps(doc, indent=2) + "\n").encode()
+    assert wide["hermite"]["multiplicity_entries"]
     assert columns == []
+
+
+@pytest.mark.parametrize("edit", ["edited", "hand-built"])
+def test_other_record_lists_go_to_json_dumps(monkeypatch, edit):
+    """A measure list with one mass changed, or built record by record, is written by
+    json.dumps, with no column rendered."""
+    data = measure_to_data(table_measure(7, 7))
+    if edit == "edited":
+        data["entries"][3]["mass"] = 0.5
+    else:
+        data["entries"] = [{"cells": list(r["cells"]), "mass": r["mass"]} for r in data["entries"]]
+    want = (json.dumps(data, indent=2) + "\n").encode()
+    rendered = []
+    for name in ("_compact_body", "_row_cell_columns"):
+        def spy(*args, name=name, real=getattr(serialize, name)):
+            rendered.append(name)
+            return real(*args)
+        monkeypatch.setattr(serialize, name, spy)
+    assert encoded(data) == want
+    assert rendered == []
 
 
 # ---------------------------------------------------------------------------

@@ -7,15 +7,21 @@ import numpy as np
 import pytest
 
 from noisespectra import (
+    ChaosCoefficients,
+    ElementarySet,
     NoiseFunctional,
+    SpectralMeasure,
     TimeGrid,
+    conditional_expectation,
     functional_from_data,
     functional_to_data,
     read_json,
+    restrict,
+    spectral_measure_of,
     tensor_product,
     write_json,
 )
-from noisespectra.cli import _parse_levels, main
+from noisespectra.cli import _max_gap, _parse_levels, main
 from noisespectra.families import make_functional
 from noisespectra.serialize import FormatError, grid_to_data, sha256_of
 
@@ -76,6 +82,39 @@ def test_selftest_names_every_failed_identity(capsys):
     assert err == f"tolerance failure: {', '.join(failed)}\n"
     assert [line.split(":")[0] for line in out.splitlines() if line.endswith("FAIL")] == failed
     assert out.endswith("additive-integral-concatenation: max error 0.0 PASS\n")
+
+
+def entry_dict_gap(a, b) -> float:
+    """The selftest gap as it was taken over two entry mappings: the reference."""
+    a, b = dict(a.items()), dict(b.items())
+    return max((abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in a.keys() | b.keys()), default=0.0)
+
+
+@pytest.mark.parametrize("supports", [(0, 40, 0, 40), (0, 40, 20, 64), (0, 30, 30, 64),
+                                      (0, 0, 0, 64), (0, 40, 0, 0), (0, 0, 0, 0)],
+                         ids=["equal", "overlapping", "disjoint", "left empty", "right empty",
+                              "both empty"])
+def test_selftest_gap_is_the_entry_dict_gap(supports):
+    """Tables, Walsh measures and Walsh expansions, with -0.0 and 0.0 coefficients."""
+    grid, rng = TimeGrid(0, 1, 1, base=6), np.random.default_rng(sum(supports))
+    keys = [tuple(np.flatnonzero(m >> np.arange(6) & 1).tolist()) for m in range(64)]
+    a_lo, a_hi, b_lo, b_hi = supports
+    a = dict(zip(keys[a_lo:a_hi], rng.standard_normal(a_hi - a_lo).tolist()))
+    b = {k: a.get(k, 1.0) + (0.0 if i % 3 else 2.0 ** -i) for i, k in enumerate(keys[b_lo:b_hi])}
+    for k in keys[a_lo:a_hi][:2]:
+        a[k], b[k] = -0.0, 0.0
+    pairs = [(ChaosCoefficients(grid, a), ChaosCoefficients(grid, b)),
+             (SpectralMeasure(grid, {k: v * v for k, v in a.items()}),
+              SpectralMeasure(grid, {k: v * v for k, v in b.items()}))]
+    f = NoiseFunctional.from_table(grid, rng.standard_normal(64))
+    region = ElementarySet.from_cells(grid, keys[a_hi - 1] if a_hi else ())
+    mu = spectral_measure_of(f)
+    pairs.append((restrict(mu, region), spectral_measure_of(conditional_expectation(f, region))))
+    for x, y in pairs:
+        for left, right in ((x, y), (y, x), (x, x)):
+            gap = _max_gap(left, right)
+            assert type(gap) is float
+            assert repr(gap) == repr(entry_dict_gap(left.entries, right.entries))
 
 
 def test_decompose_writes_chaos_and_manifest(chi01, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """White-noise laboratory: isometry, densities, fibers, endpoint masses."""
 import hashlib
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -28,6 +29,7 @@ from noisespectra import (
     orthogonality_check,
     sample_paths,
 )
+from noisespectra.hermite import gauss_rule, hermite_values
 
 GRID = TimeGrid(0, 1, 4)
 N = GRID.n_cells
@@ -130,6 +132,30 @@ def test_fiber_characters_count_and_gram():
     assert len(chars) == 9
     gram = fiber_gram(grid, (0, 2), d=3)
     assert_allclose(gram, np.eye(9), atol=1e-12)
+
+
+def loop_fiber_gram(cells, d, points):
+    """The Gram entry by entry: one factor per cell, m_same where the two channel
+    assignments agree and m_cross where they differ, multiplied from cell 0 up."""
+    x, wts = gauss_rule(points)
+    he1 = hermite_values(x, 1)[1]
+    m_same, m_cross = float(np.sum(wts * he1 * he1)), float(np.sum(wts * he1)) ** 2
+    assigns = list(itertools.product(range(d), repeat=len(cells)))
+    gram = np.ones((len(assigns), len(assigns)))
+    for i, a in enumerate(assigns):
+        for j, b in enumerate(assigns):
+            for ca, cb in zip(a, b):
+                gram[i, j] *= m_same if ca == cb else m_cross
+    return gram
+
+
+@pytest.mark.parametrize("points", [1, 3, 64])
+def test_fiber_gram_is_the_entrywise_product_bit_for_bit(points):
+    grid = TimeGrid(0, 1, 2)
+    for d in (1, 2, 3):
+        for n in range(5):
+            got, want = fiber_gram(grid, range(n), d, points), loop_fiber_gram(range(n), d, points)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (d, n)
 
 
 def test_fiber_dimension_counts():
