@@ -101,8 +101,10 @@ def test_selftest_gap_is_the_entry_dict_gap(supports):
     a_lo, a_hi, b_lo, b_hi = supports
     a = dict(zip(keys[a_lo:a_hi], rng.standard_normal(a_hi - a_lo).tolist()))
     b = {k: a.get(k, 1.0) + (0.0 if i % 3 else 2.0 ** -i) for i, k in enumerate(keys[b_lo:b_hi])}
-    for k in keys[a_lo:a_hi][:2]:
-        a[k], b[k] = -0.0, 0.0
+    for k in keys[a_lo:a_hi][:2]:  # -0.0 against 0.0 where b holds the set, else against none
+        a[k] = -0.0
+        if k in b:
+            b[k] = 0.0
     pairs = [(ChaosCoefficients(grid, a), ChaosCoefficients(grid, b)),
              (SpectralMeasure(grid, {k: v * v for k, v in a.items()}),
               SpectralMeasure(grid, {k: v * v for k, v in b.items()}))]
