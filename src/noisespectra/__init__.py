@@ -26,7 +26,6 @@ from .grid import (
     ElementarySet,
     GridMismatchError,
     TimeGrid,
-    as_fraction,
     left_of,
     right_of,
 )
@@ -34,7 +33,6 @@ from .kernels import SimplexKernel, iterated_sum
 from .serialize import (
     SCHEMA_VERSION,
     FormatError,
-    RunManifest,
     functional_from_data,
     functional_to_data,
     grid_from_data,

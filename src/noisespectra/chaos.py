@@ -11,8 +11,8 @@ Two index conventions share one container:
 Both kinds store, in the order given, a float64 `coeffs` column and `rows`, each
 index's support packed as `walsh._checked_rows` packs cells, so a selection is a
 row query.  A Hermite expansion also keeps `terms` and packs its rows on first
-read.  `entries` is the dict made from the columns on first read; the columns
-stay the stored form, so it is read, never written.
+read.  `entries` (a dict) and `multiplicity` (a bool column) are made on first
+read too; the columns stay the stored form, so both are read, never written.
 
 Cardinality always counts distinct cells.  An index has multiplicity when any
 single cell carries total degree >= 2 (across channels).
@@ -93,16 +93,11 @@ def shift_index(index: SpectralIndex, k: int, n_cells: int, cyclic: bool) -> Spe
     """Translate every cell by k, wrapping or raising per the cyclic flag."""
 
     def move(c: int) -> int:
-        c2 = c + k
-        if cyclic:
-            return c2 % n_cells
-        if not 0 <= c2 < n_cells:
+        if not (cyclic or 0 <= c + k < n_cells):
             raise ValueError(f"shift by {k} pushes cell {c} out of the window")
-        return c2
+        return (c + k) % n_cells
 
-    if not index:
-        return index
-    if isinstance(index[0], tuple):
+    if index and isinstance(index[0], tuple):
         return tuple(sorted((move(c), ch, d) for c, ch, d in index))
     return tuple(sorted(move(c) for c in index))
 
@@ -147,11 +142,16 @@ class ChaosCoefficients:
         object.__setattr__(self, "__dict__", vars(c))  # the columns stand for the entries
 
     def __getattr__(self, name: str):
-        """`entries`, and a Hermite expansion's `rows`, made from the columns on first read."""
+        """`entries`, `multiplicity` and a Hermite expansion's `rows`, made on first read."""
         got = vars(self)
         if name == "rows" and "terms" in got:  # each index's support
             supports = [*map(index_support, got["terms"])]
             return got.setdefault(name, _checked_rows(supports, self.grid.n_cells)[0])
+        if name == "multiplicity" and "terms" in got:  # each index_has_multiplicity
+            flags = map(index_has_multiplicity, got["terms"])
+            return got.setdefault(name, np.fromiter(flags, bool))
+        if name == "multiplicity" and "rows" in got:  # a Walsh index has no multiplicity
+            return got.setdefault(name, np.zeros(len(got["rows"]), bool))
         if name != "entries" or "coeffs" not in got:
             raise AttributeError(name)
         n = self.grid.n_cells

@@ -12,6 +12,7 @@ import argparse
 import functools
 import math
 import sys
+import time
 from dataclasses import asdict, astuple, fields
 from fractions import Fraction
 
@@ -32,16 +33,15 @@ from .grid import ElementarySet, GridMismatchError, TimeGrid
 from .serialize import (
     SCHEMA_VERSION,
     FormatError,
-    finish_manifest,
     functional_from_data,
     functional_to_data,
     grid_to_data,
     kernel_from_data,
     measure_to_data,
     read_json,
-    start_manifest,
     write_csv,
     write_json,
+    write_manifest,
 )
 from .spectral import (
     _plain_by_mask,
@@ -185,7 +185,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
-    manifest, t0 = start_manifest(args.command, argv, getattr(args, "seed", None))
+    started = time.monotonic()
     try:
         code = args.run(args)
     except USAGE_ERRORS as exc:
@@ -194,7 +194,7 @@ def main(argv=None) -> int:
     out = getattr(args, "out", None)
     if out:
         inputs = [getattr(args, "infile", None), getattr(args, "kernel", None)]
-        finish_manifest(manifest, t0, inputs, [out])
+        write_manifest(out, args.command, argv, getattr(args, "seed", None), started, inputs)
     return code
 
 

@@ -143,8 +143,7 @@ class RademacherTable:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=np.float64)
-        v = v.copy()
+        v = np.array(self.values, dtype=np.float64)
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -293,7 +292,8 @@ def evaluate_table(f: NoiseFunctional) -> np.ndarray:
         raise BackendError(f"{kind} have no Rademacher value table")
     n = f.grid.n_cells
     if n > DENSE_CELL_CAP:
-        raise BackendError(f"value tables are capped at {DENSE_CELL_CAP} cells, got {n}")
+        named = f"family {b.name} at level {b.level}: " if isinstance(b, FamilyRef) else ""
+        raise BackendError(f"{named}value tables are capped at {DENSE_CELL_CAP} cells, got {n}")
     if isinstance(b, FamilyRef):
         from . import families
 

@@ -26,11 +26,6 @@ class GridMismatchError(ValueError):
     """Raised when two objects live on different grids."""
 
 
-def as_fraction(x: Rational) -> Fraction:
-    """Exact conversion; floats are taken at their binary value, never rounded."""
-    return Fraction(x)
-
-
 @dataclass(frozen=True)
 class TimeGrid:
     """Equal-cell grid on the half-open window [interval_start, interval_end)."""
@@ -41,8 +36,8 @@ class TimeGrid:
     base: int = 2
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "interval_start", as_fraction(self.interval_start))
-        object.__setattr__(self, "interval_end", as_fraction(self.interval_end))
+        object.__setattr__(self, "interval_start", Fraction(self.interval_start))
+        object.__setattr__(self, "interval_end", Fraction(self.interval_end))
         level, base = map(int, _integers((self.level, self.base), "grid level and base"))
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "base", base)
@@ -78,7 +73,7 @@ class TimeGrid:
 
     def boundary_index(self, t: Rational) -> int:
         """Index of the grid point at time t; raises if t is not a grid point."""
-        t = as_fraction(t)
+        t = Fraction(t)
         a, h, d = self.ticks
         # t = (a + h i) / d exactly when t's denominator times h divides the rest
         i, rest = divmod(t.numerator * d - a * t.denominator, t.denominator * h)
@@ -88,7 +83,7 @@ class TimeGrid:
 
     def cells_meeting_open_interval(self, lo: Rational, hi: Rational) -> range:
         """Cell indices whose half-open cell [a, b) meets the open interval (lo, hi)."""
-        lo, hi = as_fraction(lo), as_fraction(hi)
+        lo, hi = Fraction(lo), Fraction(hi)
         lo = max(lo, self.interval_start)
         hi = min(hi, self.interval_end)
         if hi <= lo:

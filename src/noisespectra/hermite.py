@@ -39,7 +39,6 @@ def project_scalar_map(
     fn: Callable[[np.ndarray], np.ndarray],
     scale: float,
     degree_cap: int,
-    points: int = DEFAULT_QUADRATURE_POINTS,
 ) -> tuple[np.ndarray, float]:
     """Hermite coefficients of z -> fn(scale * z) up to degree_cap.
 
@@ -47,7 +46,7 @@ def project_scalar_map(
     E[fn(scale Z)**2]; the per-cell truncation residual is
     mean_square - sum(c**2).
     """
-    nodes, weights = gauss_rule(points)
+    nodes, weights = gauss_rule()
     vals = np.asarray(fn(scale * nodes), dtype=np.float64)
     basis = hermite_values(nodes, degree_cap)
     coeffs = basis @ (weights * vals)
@@ -59,10 +58,9 @@ def pair_mean(
     fa: Callable[[np.ndarray], np.ndarray],
     fb: Callable[[np.ndarray], np.ndarray],
     scale: float,
-    points: int = DEFAULT_QUADRATURE_POINTS,
 ) -> float:
     """E[fa(scale Z) fb(scale Z)] by quadrature; exact for polynomial maps."""
-    nodes, weights = gauss_rule(points)
+    nodes, weights = gauss_rule()
     va = np.asarray(fa(scale * nodes), dtype=np.float64)
     vb = np.asarray(fb(scale * nodes), dtype=np.float64)
     return float(weights @ (va * vb))

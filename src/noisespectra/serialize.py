@@ -17,7 +17,6 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, islice, repeat
@@ -477,43 +476,18 @@ def sha256_of(path: str) -> str:
 # run manifests
 
 
-@dataclass
-class RunManifest:
-    command: str
-    argv: list[str]
-    seed: int | None
-    versions: dict = field(default_factory=dict)
-    inputs: dict = field(default_factory=dict)
-    outputs: list[str] = field(default_factory=list)
-    wall_time_s: float = 0.0
-
-    def to_data(self) -> dict:
-        return {"schema_version": SCHEMA_VERSION, **asdict(self)}
-
-
-def current_versions() -> dict:
+def write_manifest(out: str, command: str, argv: list[str], seed: int | None, started: float,
+                   inputs: list[str | None]) -> None:
+    """Write `<out>.manifest.json`; `started` is the run's `time.monotonic()` reading."""
     from . import __version__
 
-    return {
-        "package": __version__,
-        "numpy": np.__version__,
-        "python": ".".join(str(v) for v in sys.version_info[:3]),
-    }
-
-
-def start_manifest(command: str, argv: list[str], seed: int | None) -> tuple[RunManifest, float]:
-    return RunManifest(command, list(argv), seed, versions=current_versions()), time.monotonic()
-
-
-def finish_manifest(
-    manifest: RunManifest, started: float, inputs: list[str], outputs: list[str]
-) -> None:
-    """Write `<first output>.manifest.json` next to the outputs."""
-    manifest.inputs = {p: sha256_of(p) for p in inputs if p and os.path.exists(p)}
-    manifest.outputs = list(outputs)
-    manifest.wall_time_s = time.monotonic() - started
-    if outputs:
-        write_json(outputs[0] + ".manifest.json", manifest.to_data())
+    versions = {"package": __version__, "numpy": np.__version__,
+                "python": ".".join(str(v) for v in sys.version_info[:3])}
+    digests = {p: sha256_of(p) for p in inputs if p and os.path.exists(p)}
+    write_json(out + ".manifest.json", {
+        "schema_version": SCHEMA_VERSION, "command": command, "argv": list(argv), "seed": seed,
+        "versions": versions, "inputs": digests, "outputs": [out],
+        "wall_time_s": time.monotonic() - started})
 
 
 # ---------------------------------------------------------------------------

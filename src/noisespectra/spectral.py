@@ -32,7 +32,7 @@ from typing import Iterable, Mapping, Protocol, Sequence
 import numpy as np
 
 from ._rng import worker_generator
-from .chaos import WALSH, ChaosCoefficients, index_has_multiplicity
+from .chaos import ChaosCoefficients
 from .functionals import (
     BackendError,
     FamilyRef,
@@ -63,8 +63,7 @@ class SpectralSet:
     def _trusted(cls, grid: TimeGrid, cells: tuple[int, ...]) -> SpectralSet:
         """The set of `cells`, already a rising tuple of Python ints on the grid."""
         s = cls.__new__(cls)
-        object.__setattr__(s, "grid", grid)
-        object.__setattr__(s, "cells", cells)
+        s.__dict__.update(grid=grid, cells=cells)
         return s
 
     @property
@@ -390,7 +389,9 @@ def _plain_by_mask(x: SpectralMeasure | ChaosCoefficients) -> np.ndarray:
 
 
 def spectral_measure_of(f: NoiseFunctional, tol: float | None = None) -> SpectralMeasure:
-    """Spectral measure of f; dense when representable, model-backed otherwise."""
+    """Spectral measure of f; dense when representable, model-backed otherwise.  `tol` is
+    `decompose`'s: a table's or family's coefficients with |c| <= tol are zeroed and no residual
+    records them; a program's only warns when the truncation residual exceeds it."""
     if isinstance(f.backend, FamilyRef) and f.grid.n_cells > DENSE_CELL_CAP:
         from . import families
 
@@ -405,12 +406,11 @@ def spectral_measure_of(f: NoiseFunctional, tol: float | None = None) -> Spectra
 def measure_from_coefficients(coeffs: ChaosCoefficients) -> SpectralMeasure:
     """Each squared coefficient is an atom on its index's support (a Walsh index is its own);
     a Hermite index of degree >= 2 on some cell is a multiplicity atom."""
-    rows, mass, n_plain = coeffs.rows, coeffs.coeffs**2, len(coeffs.coeffs)
-    if coeffs.kind != WALSH:  # a stable partition, plain indices first, each part in entry order
-        mult = np.fromiter(map(index_has_multiplicity, coeffs.terms), bool, n_plain)
+    rows, mass, mult = coeffs.rows, coeffs.coeffs**2, coeffs.multiplicity
+    if mult.any():  # a stable partition, plain indices first, each part in entry order
         order = np.argsort(mult, kind="stable")
-        rows, mass, n_plain = rows[order], mass[order], n_plain - int(mult.sum())
-    table = _AtomTable.sorted(rows, mass, n_plain, coeffs.grid.n_cells)[0]
+        rows, mass = rows[order], mass[order]
+    table = _AtomTable.sorted(rows, mass, len(mass) - int(mult.sum()), coeffs.grid.n_cells)[0]
     return SpectralMeasure._of_dense(coeffs.grid, table, coeffs.residual)
 
 

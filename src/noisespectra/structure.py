@@ -236,18 +236,3 @@ def _vanishes(seq: Sequence[float]) -> bool:
     tail = seq[-3:]
     monotone = all(a >= b - 1e-12 for a, b in zip(tail, tail[1:]))
     return monotone and seq[-1] < ClassificationReport.THRESHOLD_VANISH
-
-
-__all__ = [
-    "AdditiveIntegral",
-    "ClassificationReport",
-    "CutCriterion",
-    "LevelRecord",
-    "additive_integral_of",
-    "classify",
-    "cut_distance",
-    "finite_chaos_partition_span",
-    "first_chaos_criterion",
-    "first_chaos_extract",
-    "interior_cut_distances",
-]

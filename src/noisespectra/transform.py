@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .chaos import HERMITE, WALSH, ChaosCoefficients, index_has_multiplicity
+from .chaos import WALSH, ChaosCoefficients
 from .functionals import (
     BrownianProgram,
     FamilyRef,
@@ -34,7 +34,9 @@ from .walsh import character_coefficients, inside, row_sizes, run_axes, values_f
 
 
 def decompose(f: NoiseFunctional, tol: float | None = None) -> ChaosCoefficients:
-    """Chaos coefficients of f; exact for dense backends, capped for Gaussian."""
+    """Chaos coefficients of f; exact for dense backends, capped for Gaussian.  A table's or
+    family's `tol` zeroes every |c| <= tol with no residual recorded; a program's only warns
+    when the truncation residual exceeds it.  An expansion is returned as it is, `tol` unused."""
     b = f.backend
     if isinstance(b, ChaosCoefficients):
         return b
@@ -48,7 +50,7 @@ def decompose(f: NoiseFunctional, tol: float | None = None) -> ChaosCoefficients
 
 def walsh_coefficients(f: NoiseFunctional, tol: float | None) -> np.ndarray:
     """Character coefficients of a table or of a family below the dense cap, indexed
-    by subset bitmask; |c| <= tol counts as zero."""
+    by subset bitmask; every |c| <= tol is set to zero, and no residual records it."""
     dense = character_coefficients(evaluate_table(f))
     if tol is not None:
         dense[np.abs(dense) <= tol] = 0.0
@@ -133,9 +135,7 @@ def level_projection(f: NoiseFunctional, order: int) -> NoiseFunctional:
         dense[np.bitwise_count(masks) != order] = 0.0
         return NoiseFunctional._of_fresh_table(f.grid, values_from_coefficients(dense))
     if isinstance(b, ChaosCoefficients):
-        keep = row_sizes(b.rows) == order
-        if b.kind == HERMITE:
-            keep &= ~np.fromiter(map(index_has_multiplicity, b.terms), bool, len(keep))
+        keep = (row_sizes(b.rows) == order) & ~b.multiplicity
         return NoiseFunctional.from_chaos(b.filtered(keep))
     if all(isinstance(t, ItoTerm) for t in b.terms):
         kept_terms = tuple(t for t in b.terms if t.kernel.order == order)  # orders are >= 1

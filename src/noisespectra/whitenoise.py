@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product as iter_product
 from typing import Sequence
 
@@ -24,7 +25,7 @@ from .functionals import (
     inner_product_mc,
     norm_sq,
 )
-from .grid import TimeGrid, as_fraction
+from .grid import TimeGrid
 from .hermite import gauss_rule, hermite_values
 from .kernels import SimplexKernel, iterated_sum
 from .spectral import mass_meeting_interval, spectral_measure_of
@@ -297,12 +298,7 @@ def endpoint_mass_profile(f: NoiseFunctional, t, eps_list: Sequence[float]) -> n
     Epsilons below the cell size are effectively reported at cell
     granularity: the cells containing the shrunken interval still count.
     """
-    mu = spectral_measure_of(f)
-    tt = as_fraction(t)
-    out = []
-    for eps in eps_list:
-        e = as_fraction(eps)
-        if e <= 0:
-            raise ValueError("eps must be positive")
-        out.append(mass_meeting_interval(mu, tt - e, tt + e))
-    return np.array(out)
+    mu, tt, eps = spectral_measure_of(f), Fraction(t), [*map(Fraction, eps_list)]
+    if any(e <= 0 for e in eps):
+        raise ValueError("eps must be positive")
+    return np.array([mass_meeting_interval(mu, tt - e, tt + e) for e in eps])

@@ -36,7 +36,6 @@ from noisespectra import (
 from noisespectra.chaos import HERMITE, ChaosCoefficients
 from noisespectra.functionals import hermite_decompose
 from noisespectra import serialize
-from noisespectra.serialize import RunManifest
 
 
 def file_sha(data) -> str:
@@ -93,11 +92,12 @@ def functionals():
 
 
 def manifest():
-    return RunManifest(
-        "spectrum", ["--family", "tribes", "--level", "10", "--out", "mu.json"], 7,
-        versions={"package": "0.1.0", "numpy": "2.4.6", "python": "3.11.7"},
-        inputs={"in.json": "0" * 64}, outputs=["mu.json"], wall_time_s=1.25,
-    ).to_data()
+    return {
+        "schema_version": "1", "command": "spectrum",
+        "argv": ["--family", "tribes", "--level", "10", "--out", "mu.json"], "seed": 7,
+        "versions": {"package": "0.1.0", "numpy": "2.4.6", "python": "3.11.7"},
+        "inputs": {"in.json": "0" * 64}, "outputs": ["mu.json"], "wall_time_s": 1.25,
+    }
 
 
 def draws_sha(mu, k: int, seed: int) -> str:

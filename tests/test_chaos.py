@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from noisespectra import TimeGrid
+from noisespectra import BrownianProgram, ItoTerm, MapFactor, MapTerm, SimplexKernel, TimeGrid
 from noisespectra.chaos import (
     HERMITE,
     WALSH,
@@ -15,6 +15,7 @@ from noisespectra.chaos import (
     shift_index,
     walsh_index,
 )
+from noisespectra.functionals import hermite_decompose
 
 GRID = TimeGrid(0, 1, 2)
 
@@ -102,3 +103,40 @@ def test_hermite_residual_rides_along():
     c = ChaosCoefficients(GRID, {((0, 0, 1),): 1.0}, kind=HERMITE, residual=0.25)
     assert c.scaled(2.0).residual == 1.0
     assert c.filtered(lambda ix: True).residual == 0.25
+
+
+def test_shift_index_keeps_the_empty_index():
+    for cyclic in (True, False):
+        assert shift_index((), 3, 4, cyclic=cyclic) == ()
+
+
+def _random_program(rng, channels: int) -> BrownianProgram:
+    """Itô terms of orders 1 and 2 and a map term with up to four factors, on random slots."""
+    n = GRID.n_cells
+    slots = {(int(c), int(rng.integers(channels))) for c in rng.integers(0, n, size=4)}
+    maps = MapTerm(float(rng.uniform(0.5, 2.0)), tuple(
+        MapFactor(c, ch, "poly", tuple(rng.standard_normal(3).tolist())) for c, ch in slots))
+    tags = tuple(rng.integers(0, channels, size=2).tolist())
+    ito = [ItoTerm(float(rng.standard_normal()), SimplexKernel.separable([rng.standard_normal(n)],
+                                                                         channels=tags[:1])),
+           ItoTerm(float(rng.standard_normal()),
+                   SimplexKernel(2, n, dense=rng.standard_normal((n, n)), channels=tags))]
+    return BrownianProgram((*ito, maps), degree_cap=3, channels=channels)
+
+
+@pytest.mark.parametrize("channels", [1, 2])
+@pytest.mark.parametrize("seed", range(4))
+def test_multiplicity_column_is_index_has_multiplicity(channels, seed):
+    c = hermite_decompose(GRID, _random_program(np.random.default_rng(seed), channels))
+    want = [index_has_multiplicity(ix) for ix in c.entries]
+    assert c.multiplicity.dtype == bool and c.multiplicity.tolist() == want
+    assert any(want) and not all(want)
+    kept = c.filtered(~c.multiplicity)  # a selection builds its own column
+    assert kept.multiplicity.tolist() == [False] * len(kept.coeffs)
+
+
+def test_multiplicity_column_is_all_false_on_a_walsh_expansion():
+    c = ChaosCoefficients(GRID, {(): 2.0, (0,): 1.0, (1, 2): -3.0, (0, 1, 2, 3): 0.5})
+    assert c.multiplicity.dtype == bool and c.multiplicity.tolist() == [False] * 4
+    assert ChaosCoefficients(GRID, {}).multiplicity.shape == (0,)
+    assert ChaosCoefficients(GRID, {}, HERMITE).multiplicity.shape == (0,)

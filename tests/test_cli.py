@@ -204,6 +204,16 @@ def test_factor_check_past_the_dense_cap_exits_2_naming_the_cap(tmp_path, capsys
     assert "value tables are capped at 24 cells, got 32" in capsys.readouterr().err
 
 
+def test_project_past_the_dense_cap_exits_2_naming_the_family(tmp_path, capsys):
+    maj3 = dump_functional(tmp_path / "maj3.json", make_functional("majority3-iterated", 10))
+    out = str(tmp_path / "proj.json")
+    assert run("project", "--in", maj3, "--set", "0:4", "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "family majority3-iterated at level 10: " in err
+    assert "value tables are capped at 24 cells, got 59049" in err
+    assert list(tmp_path.iterdir()) == [tmp_path / "maj3.json"]
+
+
 def test_factor_check_additive_functional_has_no_straddling_mass(tmp_path):
     # constant plus singletons: no spectral set meets both sides of any cut,
     # so the straddling mass is exactly zero, not float residue
@@ -552,6 +562,27 @@ def test_no_manifest_on_usage_error(tmp_path):
     assert run("classify", "--family", "parity", "--levels", ",", "--out", str(out)) == 2
     assert run("spectrum", "--family", "nonesuch", "--level", "3", "--out", str(out)) == 2
     assert list(tmp_path.rglob("*.manifest.json")) == []
+
+
+MANIFEST_KEYS = ["schema_version", "command", "argv", "seed", "versions", "inputs", "outputs",
+                 "wall_time_s"]
+
+
+@pytest.mark.parametrize("command", ["decompose", "cuts", "npoint"])
+def test_manifest_keys_keep_their_order(command, files, tmp_path):
+    out = str(tmp_path / "result")
+    argv = [command] + [files.get(a, a) for a in MANIFEST_CASES[command][0]] + ["--out", out]
+    assert main(argv) == 0
+    manifest = read_json(out + ".manifest.json")
+    assert list(manifest) == MANIFEST_KEYS
+    assert list(manifest["versions"]) == ["package", "numpy", "python"]
+
+
+def test_selftest_writes_no_manifest(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run("selftest", "--level", "4") == 0
+    assert run("selftest", "--level", "4", "--out", str(tmp_path / "o.json")) == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_threads_is_only_an_option_of_the_monte_carlo_commands(tmp_path, capsys):

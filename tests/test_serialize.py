@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import time
 
 import numpy as np
 import pytest
@@ -30,12 +31,7 @@ from noisespectra import (
     write_csv,
     write_json,
 )
-from noisespectra.serialize import (
-    RunManifest,
-    finish_manifest,
-    sha256_of,
-    start_manifest,
-)
+from noisespectra.serialize import sha256_of, write_manifest
 
 
 def roundtrip_functional(f):
@@ -285,8 +281,7 @@ def test_manifest_contents(tmp_path):
     write_json(str(inp), {"k": 1})
     out = tmp_path / "out.csv"
     write_csv(str(out), ["a"], [(1,)])
-    manifest, started = start_manifest("demo", ["demo", "--x"], seed=7)
-    finish_manifest(manifest, started, [str(inp)], [str(out)])
+    write_manifest(str(out), "demo", ["demo", "--x"], 7, time.monotonic(), [str(inp)])
     doc = read_json(str(out) + ".manifest.json")
     assert doc["command"] == "demo"
     assert doc["seed"] == 7
@@ -294,6 +289,17 @@ def test_manifest_contents(tmp_path):
     assert doc["outputs"] == [str(out)]
     assert doc["wall_time_s"] >= 0
     assert "numpy" in doc["versions"]
+
+
+def test_manifest_digests_the_input_files_that_exist(tmp_path):
+    inp, missing, out = (str(tmp_path / name) for name in ("in.json", "gone.json", "out.csv"))
+    write_json(inp, {"k": 1})
+    write_manifest(out, "demo", [], None, time.monotonic(), [None, missing, inp, ""])
+    doc = read_json(out + ".manifest.json")
+    assert list(doc) == ["schema_version", "command", "argv", "seed", "versions", "inputs",
+                         "outputs", "wall_time_s"]
+    assert doc["inputs"] == {inp: sha256_of(inp)}
+    assert (doc["argv"], doc["seed"], doc["outputs"]) == ([], None, [out])
 
 
 def test_sha256_matches_hashlib(tmp_path):
