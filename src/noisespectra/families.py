@@ -47,7 +47,12 @@ DENSE_FANIN_CAP = 15
 # boundaries per cut pass; a pass holds prefix and suffix cuts side by side, one
 # row per depth, and stays cache-sized (measured)
 CUT_BLOCK = 1 << 13
-# widest fan-in whose child picks count smaller keys instead of sorting (measured)
+# widest fan-in whose child picks count smaller keys instead of sorting.  Re-measured at
+# tribes L12's fan-in-8 layer on a 2-core AMD EPYC guest, at the rows its draws reach (about
+# 66 for 64 draws, 21,400 for 20,000): counting took 5.6-5.7 against 6.2-6.3 us at 66 rows
+# and 361-371 against 602-612 us at 21,400 warm, but 760-780 against 580 us on a cold first
+# pass, and whole draws got no faster (64 draws 137 against 136-137 us, 20,000 draws 38.0-38.3
+# against 38.2-39.2 ms, medians of 15 interleaved runs), so the cutoff stays
 SORT_FREE_FANIN = 5
 
 
@@ -135,13 +140,16 @@ class TreeLayer:
     def draw_children(self, rng: np.random.Generator, nodes: int) -> np.ndarray:
         """One child subset per node, as a (nodes, fanin) boolean array; sizes read `size_cdf`."""
         m, cdf = self.fanin, self.size_cdf
-        sizes = np.minimum(np.searchsorted(cdf, rng.random(nodes) * cdf[-1], side="right"), m)
+        # searching cdf without its last entry caps the sizes at m, as a clip would
+        sizes = np.searchsorted(cdf[:-1], rng.random(nodes) * cdf[-1], side="right")
         # the children whose uniform keys are at most the size-th smallest form
         # a uniform subset of that size (q[0] = 0, so sizes start at 1); keys
         # go in row blocks to bound memory
-        step = max(1, (1 << 20) // m)
-        parts = (sizes[s : s + step] for s in range(0, max(nodes, 1), step))  # >= 1 part
-        return np.concatenate([_smallest_keys(rng.random((len(p), m)), p[:, None]) for p in parts])
+        picks, step = np.empty((nodes, m), dtype=bool), max(1, (1 << 20) // m)
+        for s in range(0, nodes, step):
+            block = picks[s : s + step]
+            block[...] = _smallest_keys(rng.random(block.shape), sizes[s : s + step, None])
+        return picks
 
 
 def _smallest_keys(keys: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -313,31 +321,27 @@ class TreeModel:
     def subset_mass(self, ranges) -> float:
         """Mass of sets inside a region given as sorted disjoint [lo, hi) cell ranges.
 
-        One step per depth keeps only the nodes the region covers partly, so
-        the cost grows with the number of range endpoints, not with the leaf
-        count.  The empty set always lies inside.
-        """
+        The count of region cells below leaf x is piecewise linear in x (slope 1 inside a range,
+        0 between), so one `np.interp` per depth over the clipped range ends is exact below 2**53.
+        Each depth keeps only the nodes the region covers partly, so the cost grows with the
+        number of range endpoints, not with the leaf count.  The empty set always lies inside."""
         flat = np.fromiter(itertools.chain.from_iterable(ranges), dtype=np.int64)
-        lo, hi = np.minimum(flat.reshape(-1, 2), self.leaf_count).T
-        before = np.concatenate([[0], np.cumsum(hi - lo)])
-        lo = np.append(lo, self.leaf_count)
-
-        def covered(x: np.ndarray) -> np.ndarray:
-            # region cells below each position: whole ranges, then the one x cuts
-            k = np.searchsorted(hi, x, side="right")
-            return before[k] + np.maximum(x - lo[k], 0)
-
-        if before[-1] == 0:
+        ends = np.minimum(flat, self.leaf_count, dtype=np.float64)  # np.interp's knots, cast once
+        below = np.zeros(len(ends))  # region cells below each range end
+        below[1::2] = ends[1::2] - ends[::2]
+        np.cumsum(below, out=below)
+        if not below.any():
             return self.empty_mass
-        if before[-1] == self.leaf_count:
+        if below[-1] == self.leaf_count:
             return self.empty_mass + self.fluctuation_mass
-        nodes = np.zeros(1, dtype=np.int64)  # first leaf of each partly covered node
-        levels = []
+        nodes, levels = np.zeros(1), []  # first leaf of each partly covered node, as an exact float
         for layer, child_span in self._levels():
             starts = nodes[:, None] + child_span * np.arange(layer.fanin + 1)
-            counts = np.diff(covered(starts), axis=1)
-            partial = (counts > 0) & (counts < child_span)
-            levels.append((layer, counts == child_span, partial))
+            below_starts = np.interp(starts, ends, below)
+            counts = below_starts[:, 1:] - below_starts[:, :-1]
+            full = counts == child_span
+            partial = (counts > 0) ^ full  # a full count is positive too
+            levels.append((layer, full, partial))
             nodes = starts[:, :-1][partial]
             if not nodes.size:
                 break
@@ -391,9 +395,8 @@ class TreeModel:
         rng = worker_generator(seed, 0)
         key = np.flatnonzero(rng.random(k) >= self.empty_mass / self.total_mass) * self.leaf_count
         for layer, child_span in self._levels():
-            picks = np.flatnonzero(layer.draw_children(rng, len(key)))
-            rows = picks // layer.fanin
-            key = key[rows] + (picks - rows * layer.fanin) * child_span
+            rows, cols = np.divmod(np.flatnonzero(layer.draw_children(rng, len(key))), layer.fanin)
+            key = key[rows] + cols * child_span
         # flat indices rise row-major, so keys rise: each draw's cells come out grouped, sorted
         ends = np.searchsorted(key, self.leaf_count * np.arange(1, k + 1)).tolist()
         cells = (key - key // self.leaf_count * self.leaf_count).tolist()  # key % leaves, faster

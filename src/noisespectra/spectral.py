@@ -390,8 +390,8 @@ def _plain_by_mask(x: SpectralMeasure | ChaosCoefficients) -> np.ndarray:
 
 def spectral_measure_of(f: NoiseFunctional, tol: float | None = None) -> SpectralMeasure:
     """Spectral measure of f; dense when representable, model-backed otherwise.  `tol` is
-    `decompose`'s: a table's or family's coefficients with |c| <= tol are zeroed and no residual
-    records them; a program's only warns when the truncation residual exceeds it."""
+    `decompose`'s: a Walsh `tol` (table, family or Walsh expansion) drops every |c| <= tol and no
+    residual records it; a program's only warns, and a Hermite expansion is kept as it is."""
     if isinstance(f.backend, FamilyRef) and f.grid.n_cells > DENSE_CELL_CAP:
         from . import families
 

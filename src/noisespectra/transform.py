@@ -34,12 +34,12 @@ from .walsh import character_coefficients, inside, row_sizes, run_axes, values_f
 
 
 def decompose(f: NoiseFunctional, tol: float | None = None) -> ChaosCoefficients:
-    """Chaos coefficients of f; exact for dense backends, capped for Gaussian.  A table's or
-    family's `tol` zeroes every |c| <= tol with no residual recorded; a program's only warns
-    when the truncation residual exceeds it.  An expansion is returned as it is, `tol` unused."""
+    """Chaos coefficients of f; exact for dense backends, capped for Gaussian.  A Walsh `tol`
+    (table, family or Walsh expansion) drops every |c| <= tol with no residual recorded; a
+    program's only warns when the truncation residual exceeds it; a Hermite expansion is kept."""
     b = f.backend
     if isinstance(b, ChaosCoefficients):
-        return b
+        return b if tol is None or b.kind != WALSH else b.filtered(np.abs(b.coeffs) > tol)
     if isinstance(b, BrownianProgram):
         return hermite_decompose(f.grid, b, tol=tol)
     dense = walsh_coefficients(f, tol)
@@ -49,8 +49,8 @@ def decompose(f: NoiseFunctional, tol: float | None = None) -> ChaosCoefficients
 
 
 def walsh_coefficients(f: NoiseFunctional, tol: float | None) -> np.ndarray:
-    """Character coefficients of a table or of a family below the dense cap, indexed
-    by subset bitmask; every |c| <= tol is set to zero, and no residual records it."""
+    """Character coefficients of a table or a family below the dense cap, by subset bitmask;
+    every |c| <= tol is zeroed with no residual, as `decompose` drops it from a Walsh expansion."""
     dense = character_coefficients(evaluate_table(f))
     if tol is not None:
         dense[np.abs(dense) <= tol] = 0.0

@@ -23,6 +23,7 @@ from noisespectra import (
 )
 from noisespectra.cli import _max_gap, _parse_levels, main
 from noisespectra.families import make_functional
+from noisespectra.functionals import evaluate_table
 from noisespectra.serialize import FormatError, grid_to_data, sha256_of
 
 
@@ -130,6 +131,19 @@ def test_decompose_writes_chaos_and_manifest(chi01, tmp_path, capsys):
     assert manifest["inputs"] == {chi01: sha256_of(chi01)}
     assert manifest["outputs"] == [str(out)]
     assert "2 entries" in capsys.readouterr().out
+
+
+def test_decompose_tol_on_a_walsh_chaos_file_matches_its_table_twin(tmp_path):
+    grid = TimeGrid(0, 1, 2)
+    f = NoiseFunctional.from_walsh_entries(grid, {(0,): 0.6, (0, 1): 0.1})
+    table = NoiseFunctional.from_table(grid, evaluate_table(f))
+    cells = []
+    for stem, g in (("chaos", f), ("table", table)):
+        out = tmp_path / f"{stem}-coeffs.json"
+        assert run("decompose", "--in", dump_functional(tmp_path / f"{stem}.json", g),
+                   "--tol", "0.2", "--out", str(out)) == 0
+        cells.append([e["cells"] for e in read_json(str(out))["entries"]])
+    assert cells == [[[0]], [[0]]]
 
 
 def test_project_empty_set_kills_centered_functional(chi01, tmp_path):

@@ -15,6 +15,7 @@ from numpy.testing import assert_allclose
 
 from noisespectra import walsh
 from noisespectra import (
+    ChaosCoefficients,
     ElementarySet,
     GridMismatchError,
     ItoTerm,
@@ -27,7 +28,9 @@ from noisespectra import (
     level_projection,
     random_functional,
     reconstruct,
+    spectral_measure_of,
 )
+from noisespectra.chaos import HERMITE
 from noisespectra.functionals import evaluate_table, expectation, inner_product, norm_sq
 
 GRID = TimeGrid(0, 1, 3)
@@ -48,6 +51,26 @@ def test_decompose_threshold_drops_small_entries(rng):
     f = NoiseFunctional.from_walsh_entries(GRID, {(0,): 1.0, (1,): 1e-15})
     kept = decompose(NoiseFunctional.from_table(GRID, evaluate_table(f)), tol=1e-12)
     assert set(kept.entries) == {(0,)}
+
+
+def test_walsh_tol_drops_the_same_entries_from_an_expansion_and_its_table():
+    # one Walsh function, one answer: the expansion and its table twin keep the same indices
+    f = NoiseFunctional.from_walsh_entries(TimeGrid(0, 1, 2), {(0,): 0.6, (0, 1): 0.1,
+                                                                (1,): -0.25, (2,): 0.0})
+    twin = reconstruct(decompose(f))
+    kept, twin_kept = decompose(f, tol=0.2).entries, decompose(twin, tol=0.2).entries
+    assert kept == {(0,): 0.6, (1,): -0.25}
+    assert set(twin_kept) == set(kept)
+    assert_allclose([twin_kept[k] for k in kept], list(kept.values()), rtol=0, atol=1e-15)
+    assert set(spectral_measure_of(f, tol=0.2).entries) == {(0,), (1,)}
+    assert set(spectral_measure_of(twin, tol=0.2).entries) == {(0,), (1,)}
+    # without a tol the expansion is kept as given, its zero entry too
+    assert decompose(f) is f.backend
+
+
+def test_hermite_expansion_keeps_its_coefficients_under_tol():
+    c = ChaosCoefficients(GRID, {((0, 0, 1),): 1e-3, ((1, 0, 2),): 0.5}, kind=HERMITE)
+    assert decompose(NoiseFunctional.from_chaos(c), tol=0.1) is c
 
 
 def test_projection_routes_agree():

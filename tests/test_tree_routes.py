@@ -8,6 +8,7 @@ far past the sizes a dense twin reaches.
 import dataclasses
 import functools
 import hashlib
+import itertools
 import math
 import time
 
@@ -476,7 +477,8 @@ def test_child_picks_equal_the_kth_smallest_rule(seed, fanin, levels):
 
 
 # ---------------------------------------------------------------------------
-# the depth scan and the one-key sampler against the loops they replaced, bit for bit
+# the depth scan, the one-key sampler and the interpolated region counts against
+# the routes they replaced, bit for bit
 
 
 def per_depth_cut_mass(model, cut):
@@ -564,3 +566,77 @@ def test_one_key_sampler_equals_the_per_depth_loop(name, level, k):
     model = model_of(name, level)
     for seed in (0, 7):
         assert model.sample(k, seed) == per_depth_sample(model, k, seed)
+
+
+def searchsorted_subset_mass(model, ranges):
+    """Region masses by the descent before interpolated counts: a node's region cells are
+    whole ranges below it (a searchsorted on range ends) plus the part of the range it cuts."""
+    flat = np.fromiter(itertools.chain.from_iterable(ranges), dtype=np.int64)
+    lo, hi = np.minimum(flat.reshape(-1, 2), model.leaf_count).T
+    before = np.concatenate([[0], np.cumsum(hi - lo)])
+    lo = np.append(lo, model.leaf_count)
+
+    def covered(x):
+        k = np.searchsorted(hi, x, side="right")
+        return before[k] + np.maximum(x - lo[k], 0)
+
+    if before[-1] == 0:
+        return model.empty_mass
+    if before[-1] == model.leaf_count:
+        return model.empty_mass + model.fluctuation_mass
+    nodes = np.zeros(1, dtype=np.int64)
+    levels = []
+    for layer, child_span in model._levels():
+        starts = nodes[:, None] + child_span * np.arange(layer.fanin + 1)
+        counts = np.diff(covered(starts), axis=1)
+        partial = (counts > 0) & (counts < child_span)
+        levels.append((layer, counts == child_span, partial))
+        nodes = starts[:, :-1][partial]
+        if not nodes.size:
+            break
+    value = np.zeros(0)
+    for layer, full, partial in reversed(levels):
+        value = layer.subset_values(full, partial, value)
+    return model.empty_mass + model.fluctuation_mass * float(value[0])
+
+
+def edge_regions(model, rng):
+    """Region ranges at the edges of the count route: empty and full, single end cells,
+    ranges ending on a node boundary at every depth, ranges into the ignored cells past
+    the leaves, and 5%, 50% and 95% scatters."""
+    grid, n, leaves = model.grid, model.grid.n_cells, model.leaf_count
+    cases = [(), ((0, n),), ((0, leaves),), ((0, 1),), ((leaves - 1, leaves),),
+             ((0, 1), (leaves - 1, leaves))]
+    for span in model.spans[1:]:
+        k = int(rng.integers(0, leaves // span))
+        a, b = k * span, (k + 1) * span
+        cases += [((a, b),), ((0, b),), ((b, leaves),), ((a + span // 2, b),)]
+        if b < leaves:  # two ranges that meet at a node boundary
+            cases.append(((int(rng.integers(0, b)), b), (b, int(rng.integers(b, leaves)) + 1)))
+    # one range per depth, left to right, each from one cell past the last to the
+    # first node boundary of that depth above it
+    ranges, end = [], 0
+    for span in model.spans[1:]:
+        lo = end + 1
+        end = (lo // span + 1) * span
+        if end > leaves:
+            break
+        ranges.append((lo, end))
+    cases.append(tuple(ranges))
+    if leaves < n:
+        cases += [((leaves - 3, n),), ((leaves, n),), ((0, 1), (leaves + 1, n)),
+                  ((leaves - 1, leaves + 1),)]
+    cases += [ElementarySet.from_cells(grid, np.flatnonzero(rng.random(n) < p)).ranges
+              for p in (0.05, 0.5, 0.95)]
+    return cases
+
+
+@pytest.mark.parametrize("name,level", [("majority3-iterated", level) for level in range(1, 10)]
+                         + [("tribes", level) for level in range(2, 15)])
+def test_interpolated_counts_equal_the_searchsorted_descent(name, level):
+    model = model_of(name, level)
+    rng = np.random.default_rng(4000 + level)
+    cases = edge_regions(model, rng)
+    got = np.array([model.subset_mass(ranges) for ranges in cases])
+    want = np.array([searchsorted_subset_mass(model, ranges) for ranges in cases])
+    assert got.tobytes() == want.tobytes()
