@@ -277,8 +277,8 @@ class TreeModel:
 
     grid: TimeGrid
     layers: list[TreeLayer]
-    multiplicity_mass: float = 0.0
-    total_mass: float = 1.0
+    multiplicity_mass = 0.0  # class constants: a Walsh measure has no multiplicity
+    total_mass = 1.0
 
     def __post_init__(self) -> None:
         # spans[d]: leaves under one node of depth d, down to spans[-1] = 1

@@ -275,7 +275,7 @@ def evaluate(f: NoiseFunctional, omega) -> float:
             inc = inc[None, :, None]
         elif inc.ndim == 2:
             inc = inc[None, :, :]
-        return float(program_values(f.grid, b, inc)[0])
+        return float(program_values(b, inc)[0])
     from . import families
 
     return families.evaluate_family(f.grid, b, omega)
@@ -404,7 +404,7 @@ def inner_product_mc(
 
 def _values_on_increments(f: NoiseFunctional, inc: np.ndarray) -> np.ndarray:
     if isinstance(f.backend, BrownianProgram):
-        return program_values(f.grid, f.backend, inc)
+        return program_values(f.backend, inc)
     b = f.backend
     if not isinstance(b, ChaosCoefficients):
         raise BackendError(
@@ -432,7 +432,7 @@ def _values_on_increments(f: NoiseFunctional, inc: np.ndarray) -> np.ndarray:
 # Brownian program internals
 
 
-def program_values(grid: TimeGrid, p: BrownianProgram, inc: np.ndarray) -> np.ndarray:
+def program_values(p: BrownianProgram, inc: np.ndarray) -> np.ndarray:
     """Evaluate on a batch of increment tables of shape (k, n, d)."""
     if inc.ndim == 2:
         inc = inc[:, :, None]

@@ -11,15 +11,13 @@ Gaussian sources keep two side channels: multiplicity entries (indices whose
 total degree on some cell is >= 2, aggregated by support but excluded from
 the plain entries and from cardinality reports) and a truncation residual.
 
-A table's dense measure is its Walsh mass vector, indexed by subset bitmask,
-so a region's mass is one sub-block sum; the first order-dependent read builds
-its atom table, which other dense measures are.  Cell tuples are decoded from
-the table's bit rows on first read; entry mappings are read-only views of them.
-
-Beyond the dense cap a measure can be model-backed instead: a family-supplied
-object that samples sets exactly and answers restricted-mass queries.  A
-dense measure's atom table answers the same queries, so no query branches
-on the backend.
+Every measure holds one query model, `SpectralMeasure.model`, of three kinds.
+A table's measure holds its Walsh mass vector, indexed by subset bitmask, so a
+region's mass is one sub-block sum; the first order-dependent read builds its
+atom table.  Other dense measures hold that atom table.  Past the dense cap a
+family's measure holds its tree model, which samples sets exactly and answers
+the same queries with no table.  Cell tuples are decoded from the table's bit
+rows on first read; a dense measure's entry mappings are read-only views of them.
 """
 from __future__ import annotations
 
@@ -72,14 +70,15 @@ class SpectralSet:
 
 
 class SpectralModel(Protocol):
-    """The query protocol every measure backend answers.
+    """The protocol of `SpectralMeasure.model`, the one query object of every measure.
 
-    Both backends implement it: the atom table of a dense measure and the
-    family model of a measure beyond the dense cap.  Regions arrive as sorted
-    disjoint half-open cell ranges and cuts as arrays of boundary indices, so
-    a model can answer them in time that grows with the number of range
-    endpoints or boundaries and with its depth, not with the cell count.
-    Masses exclude the truncation residual, which the measure keeps apart.
+    A table's Walsh mass vector, a dense atom table and a family's tree model
+    past the dense cap answer it; one with an atom table offers it as `table`,
+    which dense-only operations read.  Regions arrive as sorted disjoint
+    half-open cell ranges and cuts as arrays of boundary indices, so a model
+    can answer them in time that grows with the number of range endpoints or
+    boundaries and with its depth, not with the cell count.  Masses exclude
+    the truncation residual, which the measure keeps apart.
     """
 
     total_mass: float
@@ -229,13 +228,20 @@ class _AtomTable:
 class _WalshMasses:
     """A Walsh measure: mass[m] is the squared coefficient on the subset with bitmask m.
 
-    It answers subset masses and counts its atoms; every other read goes to `table`,
+    It answers subset masses and counts its atoms; every other protocol read goes to `table`,
     built on first need in the order `_AtomTable.sorted` gives, so it keeps a table-built
     measure's bits."""
 
     def __init__(self, mass: np.ndarray, n_cells: int) -> None:
         self.mass, self.n_cells = mass, n_cells
         self.n_plain = self.n_atoms = int(np.count_nonzero(mass))
+
+    def __getattr__(self, name: str):  # names not set above are the table's
+        # but no dunder (pickle's __getstate__ on Python 3.10), and nothing on an instance
+        # whose __init__ has not run (copy, pickle), so the table is never sought there
+        if name.startswith("__") or "mass" not in vars(self):
+            raise AttributeError(name)
+        return getattr(self.table, name)
 
     @cached_property
     def table(self) -> _AtomTable:
@@ -265,28 +271,28 @@ class _EntryView(Mapping):
     holds each set once, in (cardinality, cells) order, so equal mappings are equal slices.
     Any other operand compares by the `Mapping` rule."""
 
-    def __init__(self, dense: _AtomTable | _WalshMasses, lo: int, hi: int) -> None:
-        self._dense, self._lo, self._hi = dense, lo, hi
+    def __init__(self, model: _AtomTable | _WalshMasses, lo: int, hi: int) -> None:
+        self._model, self._lo, self._hi = model, lo, hi
 
     def __getitem__(self, key):  # a Walsh measure builds its table on the first lookup
-        t, hi, by_size = self._dense.table, self._hi, lambda k: (len(k), k)
+        t, hi, by_size = self._model.table, self._hi, lambda k: (len(k), k)
         i = bisect_left(t.keys, by_size(key), self._lo, hi, key=by_size) if type(key) is tuple else hi
         if i < hi and t.keys[i] == key:
             return float(t.mass[i])
         raise KeyError(key)
 
     def __iter__(self):
-        return iter(self._dense.table.keys[self._lo : self._hi])
+        return iter(self._model.table.keys[self._lo : self._hi])
 
     def __len__(self) -> int:
         return self._hi - self._lo
 
     def items(self):  # one pass over the keys, not one bisection per key
-        return dict(zip(self, self._dense.table.mass[self._lo : self._hi].tolist())).items()
+        return dict(zip(self, self._model.table.mass[self._lo : self._hi].tolist())).items()
 
     def __eq__(self, other):
         if isinstance(other, _EntryView):
-            a, b = self._dense.table, other._dense.table
+            a, b = self._model.table, other._model.table
             if a.rows.shape[1] == b.rows.shape[1]:
                 mine, theirs = slice(self._lo, self._hi), slice(other._lo, other._hi)
                 return (np.array_equal(a.rows[mine], b.rows[theirs])
@@ -296,14 +302,13 @@ class _EntryView(Mapping):
 
 @dataclass(frozen=True, eq=False)
 class SpectralMeasure:
-    """A dense measure is its Walsh mass vector or atom table; entries are views of the table."""
+    """`model` answers every query; a dense measure's entries are views of its table."""
 
     grid: TimeGrid
     entries: Mapping[tuple[int, ...], float] | None
     multiplicity_entries: Mapping[tuple[int, ...], float] = field(default_factory=dict)
     residual: float = 0.0
     model: SpectralModel | None = None
-    _dense: _AtomTable | _WalshMasses | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if (self.entries is None) == (self.model is None):
@@ -318,55 +323,49 @@ class SpectralMeasure:
     def _of_dense(cls, grid: TimeGrid, dense: _AtomTable | _WalshMasses, residual: float = 0.0):
         """The dense measure held by `dense`: nothing to pack."""
         mu = cls.__new__(cls)
-        mu.__dict__.update(grid=grid, residual=residual, model=None)
+        mu.__dict__.update(grid=grid, residual=residual)
         mu._hold(dense)
         return mu
 
     def _hold(self, dense: _AtomTable | _WalshMasses) -> None:
-        self.__dict__.update(_dense=dense, entries=_EntryView(dense, 0, dense.n_plain),
+        self.__dict__.update(model=dense, entries=_EntryView(dense, 0, dense.n_plain),
                              multiplicity_entries=_EntryView(dense, dense.n_plain, dense.n_atoms))
 
     @property
     def _atoms(self) -> _AtomTable:
-        """The atom table of a dense measure; a Walsh measure builds it on first read."""
-        return self._dense.table
+        """The model's atom table, which a Walsh measure builds on first read, or BackendError."""
+        table = getattr(self.model, "table", None)
+        if table is None:
+            raise BackendError("this operation needs a dense measure; this one is model-backed")
+        return table
 
     # -- totals ---------------------------------------------------------------
     @property
     def is_dense(self) -> bool:
-        return self.model is None
+        return self.entries is not None
 
     @property
     def multiplicity_mass(self) -> float:
-        return self._backend.multiplicity_mass
+        return self.model.multiplicity_mass
 
     @property
     def total_mass(self) -> float:
-        return self._backend.total_mass + self.residual
+        return self.model.total_mass + self.residual
 
     @property
     def empty_atom(self) -> float:
-        return self._backend.empty_mass
+        return self.model.empty_mass
 
     def mass(self, cells: Iterable[int]) -> float:
         """Mass of one set, multiplicity entries included."""
         key = SpectralSet(self.grid, cells).cells  # integer cells on the grid, as any set
-        self._require_dense("pointwise mass")
+        self._atoms  # refuses a model-backed measure, whose entries are None
         return float(self.entries.get(key, 0.0) + self.multiplicity_entries.get(key, 0.0))
-
-    def _require_dense(self, what: str) -> None:
-        if not self.is_dense:
-            raise BackendError(f"{what} needs a dense measure; this one is sampler-backed")
 
     def _require_resolved(self, what: str) -> None:
         # checked first, so a residual-free measure never sums its atoms here
         if self.residual and self.residual > 1e-9 * max(self.total_mass, 1e-300):
             raise BackendError(f"cannot {what} a measure with unresolved truncation residual")
-
-    @property
-    def _backend(self) -> SpectralModel:
-        """What every query but `subset_mass` asks: the model, or a dense measure's atom table."""
-        return self._atoms if self.model is None else self.model
 
 
 def _plain_by_mask(x: SpectralMeasure | ChaosCoefficients) -> np.ndarray:
@@ -374,8 +373,8 @@ def _plain_by_mask(x: SpectralMeasure | ChaosCoefficients) -> np.ndarray:
     most DENSE_CELL_CAP cells as one vector indexed by subset bitmask, 0 at every other mask."""
     if isinstance(x, ChaosCoefficients):
         rows, values = x.rows, x.coeffs
-    elif isinstance(x._dense, _WalshMasses):  # already that vector
-        return x._dense.mass
+    elif isinstance(x.model, _WalshMasses):  # already that vector
+        return x.model.mass
     else:
         t = x._atoms
         rows, values = t.rows[: t.n_plain], t.mass[: t.n_plain]
@@ -389,10 +388,11 @@ def _plain_by_mask(x: SpectralMeasure | ChaosCoefficients) -> np.ndarray:
 
 
 def spectral_measure_of(f: NoiseFunctional, tol: float | None = None) -> SpectralMeasure:
-    """Spectral measure of f; dense when representable, model-backed otherwise.  `tol` is
-    `decompose`'s: a Walsh `tol` (table, family or Walsh expansion) drops every |c| <= tol and no
-    residual records it; a program's only warns, and a Hermite expansion is kept as it is."""
-    if isinstance(f.backend, FamilyRef) and f.grid.n_cells > DENSE_CELL_CAP:
+    """Spectral measure of f; model-backed for a family past the dense cap with no `tol`, else
+    dense.  `tol` is `decompose`'s: a Walsh `tol` (table, family or Walsh expansion) drops every
+    |c| <= tol and no residual records it, so it refuses a family past the cap, naming it; a
+    program's only warns, and a Hermite expansion is kept as it is."""
+    if isinstance(f.backend, FamilyRef) and f.grid.n_cells > DENSE_CELL_CAP and tol is None:
         from . import families
 
         return SpectralMeasure(f.grid, None, model=families.family_model(f.grid, f.backend))
@@ -427,18 +427,17 @@ def mass_of_subsets_of(mu: SpectralMeasure, region: ElementarySet) -> float:
     if mu.grid != region.grid:
         raise GridMismatchError("measure and region live on different grids")
     mu._require_resolved("take subset masses of")
-    return (mu._dense if mu.is_dense else mu.model).subset_mass(region.ranges)
+    return mu.model.subset_mass(region.ranges)
 
 
 def straddle_mass(mu: SpectralMeasure, boundary: int) -> float:
     """mu{C : C has cells on both sides of the boundary}, plus the unlocated residual."""
-    return float(mu._backend.straddle_masses(np.array([boundary]))[0]) + mu.residual
+    return float(mu.model.straddle_masses(np.array([boundary]))[0]) + mu.residual
 
 
 def mass_meeting_interval(mu: SpectralMeasure, lo, hi) -> float:
     """mu{C : C touches the open time interval (lo, hi)}, multiplicity included."""
     touched = mu.grid.cells_meeting_open_interval(lo, hi)
-    mu._require_dense("interval mass")
     t = mu._atoms
     return float(t.mass[meeting(t.rows, ((touched.start, touched.stop),))].sum())
 
@@ -451,7 +450,6 @@ def restrict(mu: SpectralMeasure, region: ElementarySet) -> SpectralMeasure:
     """
     if mu.grid != region.grid:
         raise GridMismatchError("measure and region live on different grids")
-    mu._require_dense("restriction")
     mu._require_resolved("restrict")
     t = mu._atoms
     kept = np.flatnonzero(inside(t.rows, region.ranges))
@@ -466,8 +464,6 @@ def product(left: SpectralMeasure, right: SpectralMeasure) -> SpectralMeasure:
     cells packed once on the joined grid, every pair of rows ORed and of masses
     multiplied in one broadcast, then put in table order by `_AtomTable.sorted`.
     """
-    left._require_dense("product")
-    right._require_dense("product")
     if left.residual or right.residual:
         raise BackendError("product is defined for residual-free measures")
     if left.multiplicity_entries or right.multiplicity_entries:
@@ -483,8 +479,6 @@ def product(left: SpectralMeasure, right: SpectralMeasure) -> SpectralMeasure:
 
 def is_absolutely_continuous(mu_g: SpectralMeasure, mu_f: SpectralMeasure) -> bool:
     """support(mu_g) inside support(mu_f); needs dense representations."""
-    for mu in (mu_g, mu_f):
-        mu._require_dense("absolute continuity")
     if mu_g.grid != mu_f.grid:
         raise GridMismatchError("measures live on different grids")
     # g's rows add no row to f's: every set of g, plain or multiplicity, is a set of f
@@ -508,12 +502,12 @@ def n_point_marginal(mu: SpectralMeasure, n: int) -> SpectralMeasure:
 
 def singleton_mass(mu: SpectralMeasure) -> float:
     """Total mass on one-cell sets: the squared norm of the first chaos part."""
-    return mu._backend.singleton_mass()
+    return mu.model.singleton_mass()
 
 
 def cardinality_profile(mu: SpectralMeasure) -> dict[int, float]:
     """Mass per set size; multiplicity mass is excluded and reported apart."""
-    return dict(sorted(mu._backend.cardinality_profile().items()))
+    return dict(sorted(mu.model.cardinality_profile().items()))
 
 
 # ---------------------------------------------------------------------------
@@ -532,4 +526,4 @@ def sample_sets(source, k: int, seed: int) -> list[SpectralSet]:
         raise ValueError("sample count must be nonnegative")
     mu._require_resolved("sample")
     # backend draws are canonical cell tuples (see SpectralModel.sample)
-    return [SpectralSet._trusted(mu.grid, cells) for cells in mu._backend.sample(k, seed)]
+    return [SpectralSet._trusted(mu.grid, cells) for cells in mu.model.sample(k, seed)]

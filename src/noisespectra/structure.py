@@ -94,7 +94,7 @@ def cut_distance(f, t) -> float:
 def _cut_distances(mu: SpectralMeasure, boundaries: np.ndarray) -> np.ndarray:
     """Cut distances at the given boundary indices; 0 at the window's ends."""
     inner = (boundaries > 0) & (boundaries < mu.grid.n_cells)
-    straddle = mu._backend.straddle_masses(boundaries[inner]) + mu.residual
+    straddle = mu.model.straddle_masses(boundaries[inner]) + mu.residual
     out = np.zeros(boundaries.shape)
     out[inner] = np.sqrt(np.maximum(straddle, 0.0))
     return out
@@ -185,8 +185,8 @@ def classify(family: str, levels: Sequence[int], **params) -> ClassificationRepo
 
     Verdicts are labeled heuristics over the measured sequences: a mass
     fraction "vanishes" when it is monotone nonincreasing over at least three
-    levels and ends below 0.01, and "dominates" when it ends above 0.99.
-    Raw per-level data always rides along.
+    levels and ends below 0.01 (0 at every level has its own verdict), and
+    "dominates" when it ends above 0.99.  Raw per-level data always rides along.
     """
     records: list[LevelRecord] = []
     for level in levels:
@@ -215,8 +215,9 @@ def classify(family: str, levels: Sequence[int], **params) -> ClassificationRepo
         for r in records
     )
     verdicts: list[str] = []
-    if _vanishes(sing_frac):
-        verdicts.append("black-like: first-chaos fraction vanishes across levels")
+    if _vanishes(sing_frac):  # a fraction that is 0 throughout never had mass to lose
+        verdicts.append("black-like: first-chaos fraction vanishes across levels"
+                        if any(sing_frac) else "no first-chaos mass at any level")
     if low_frac and low_frac[-1] >= ClassificationReport.THRESHOLD_DOMINATE:
         verdicts.append("linearizable-like: mass concentrated on sets of at most one cell")
     if not verdicts:

@@ -248,7 +248,7 @@ def fiber_characters(grid: TimeGrid, cells: Sequence[int], d: int) -> list[Noise
     return out
 
 
-def fiber_gram(grid: TimeGrid, cells: Sequence[int], d: int, points: int = 64) -> np.ndarray:
+def fiber_gram(cells: Sequence[int], d: int, points: int = 64) -> np.ndarray:
     """Gram matrix of the channel-assignment characters, by Gauss quadrature.
 
     Every entry is assembled from quadrature moments of he_1, so orthogonality
@@ -264,21 +264,16 @@ def fiber_gram(grid: TimeGrid, cells: Sequence[int], d: int, points: int = 64) -
     return functools.reduce(np.kron, [one] * len(cells), np.ones((1, 1)))
 
 
-def fiber_dimension(
-    d: int, n: int, grid: TimeGrid | None = None, points: int = 64, tol: float = 1e-10
-) -> int:
+def fiber_dimension(d: int, n: int, points: int = 64, tol: float = 1e-10) -> int:
     """dim of the fiber over an n-cell set for d channels: d**n, verified.
 
-    Builds the d**n channel-tagged characters over n cells and checks their
-    quadrature Gram matrix is the identity to `tol` before returning.
+    Checks that the Gram matrix of the d**n channel-tagged characters over n
+    cells, the n-fold Kronecker product of one cell's d x d quadrature Gram
+    matrix (`fiber_gram`), is the identity to `tol` before returning.
     """
     if d < 1 or n < 0:
         raise ValueError("need d >= 1 channels and n >= 0 cells")
-    if grid is None:
-        level = max(n - 1, 0).bit_length()
-        grid = TimeGrid(0, 1, level)
-    cells = tuple(range(n))
-    gram = fiber_gram(grid, cells, d, points)
+    gram = fiber_gram(range(n), d, points)
     expected = d**n
     if gram.shape != (expected, expected):
         raise ValueError(f"constructed {gram.shape[0]} characters, expected {expected}")

@@ -277,7 +277,7 @@ def test_criterion_08_fiber_dimension():
             if len(chars) != d**n:
                 ok = False
             if n:
-                gram = fiber_gram(grid, tuple(range(n)), d)
+                gram = fiber_gram(tuple(range(n)), d)
                 worst = max(worst, float(np.abs(gram - np.eye(d**n)).max()))
     report(
         8,

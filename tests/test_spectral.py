@@ -1,5 +1,6 @@
 """Spectral measures: the projection identity, factorization, and sampling."""
 from collections.abc import Mapping
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -614,3 +615,96 @@ def test_entry_view_equality_agrees_with_dict_equality(tmp_path):
         assert dict(a) == dict(b) if equal else dict(a) != dict(b), name
         for x, y in ((a, b), (b, a)):
             assert (x == y) is equal and (x != y) is not equal, name
+
+
+# ---------------------------------------------------------------------------
+# one query model per measure
+
+
+def maj3_l2_on(start, model_backed):
+    """Maj3 L2 on the window [start, start + 1): held as its tree model, or as a dense twin."""
+    from noisespectra.families import family_model
+
+    f = NoiseFunctional.from_family("majority3-iterated", 2)
+    grid = TimeGrid(start, start + 1, 2, base=3)
+    if model_backed:
+        return SpectralMeasure(grid, None, model=family_model(grid, f.backend))
+    return SpectralMeasure(grid, dict(spectral_measure_of(f).entries))
+
+
+MEASURES = {
+    "table": lambda: spectral_measure_of(
+        NoiseFunctional.from_table(grid_of(8), np.random.default_rng(41).standard_normal(1 << 8))),
+    "hermite": hermite_with_multiplicity,
+    "file": lambda: SpectralMeasure(grid_of(8), {(): 0.5, (1, 3): 0.25, (2,): 1.0}, {(4,): 0.125}),
+    "tree": lambda: spectral_measure_of(NoiseFunctional.from_family("majority3-iterated", 4)),
+}
+
+
+@pytest.mark.parametrize("kind", MEASURES)
+def test_every_query_reads_the_one_model(kind):
+    from noisespectra.families import TreeModel
+    from noisespectra.serialize import measure_from_data, measure_to_data
+    from noisespectra.spectral import _AtomTable, _WalshMasses
+
+    mu = MEASURES[kind]()
+    if kind == "file":
+        mu = measure_from_data(measure_to_data(mu))
+    want_type = {"table": _WalshMasses, "tree": TreeModel}.get(kind, _AtomTable)
+    model, n = mu.model, mu.grid.n_cells
+    assert type(model) is want_type and mu.is_dense is (kind != "tree")
+    assert mu.total_mass == model.total_mass and mu.empty_atom == model.empty_mass
+    assert mu.multiplicity_mass == model.multiplicity_mass
+    assert cardinality_profile(mu) == dict(sorted(model.cardinality_profile().items()))
+    assert singleton_mass(mu) == model.singleton_mass()
+    for b in (1, n // 3, n - 1):
+        assert straddle_mass(mu, b) == model.straddle_masses(np.array([b]))[0]
+    for ranges in (((0, n),), ((1, n // 2),), ((0, 2), (n // 2, n - 1))):
+        assert mass_of_subsets_of(mu, ElementarySet(mu.grid, ranges)) == model.subset_mass(ranges)
+    assert [s.cells for s in sample_sets(mu, 40, seed=3)] == model.sample(40, seed=3)
+    if kind != "tree":  # the entry views hold the same model
+        assert mu.entries._model is model and mu.multiplicity_entries._model is model
+
+
+DENSE_ONLY = {
+    "restrict": lambda mu, right: restrict(mu, ElementarySet.from_cells(mu.grid, [0, 4])),
+    "product": product,
+    "is_absolutely_continuous": lambda mu, right: is_absolutely_continuous(mu, mu),
+    "mass_meeting_interval": lambda mu, right: mass_meeting_interval(mu, 0, Fraction(1, 2)),
+    "SpectralMeasure.mass": lambda mu, right: mu.mass([0, 4]),
+    "n_point_marginal": lambda mu, right: n_point_marginal(mu, 2),
+}
+
+
+@pytest.mark.parametrize("op", DENSE_ONLY)
+def test_dense_only_operations_refuse_a_model_backed_measure(op):
+    DENSE_ONLY[op](maj3_l2_on(0, False), maj3_l2_on(1, False))  # the dense twins answer
+    with pytest.raises(BackendError) as refused:
+        DENSE_ONLY[op](maj3_l2_on(0, True), maj3_l2_on(1, True))
+    want = "order 2 carries mass" if op == "n_point_marginal" else "needs a dense measure"
+    assert want in str(refused.value)
+
+
+def test_a_tol_on_a_family_past_the_dense_cap_is_refused_naming_it():
+    # the exact tree model cannot drop |c| <= tol, so a tol takes the table route, which
+    # refuses a family past the cap as `decompose` does
+    f = NoiseFunctional.from_family("majority3-iterated", 3)
+    refusal = "majority3-iterated at level 3: value tables are capped at 24 cells, got 27"
+    for route in (spectral_measure_of, decompose):
+        with pytest.raises(BackendError, match=refusal):
+            route(f, 0.5)
+    assert spectral_measure_of(f).total_mass == 1.0  # no tol: the exact model
+
+
+def test_a_walsh_model_survives_copy_and_pickle():
+    # its other reads go to its table, so an instance whose __init__ has not run (copy and
+    # pickle make those) must not seek the table
+    import copy
+    import pickle
+
+    mu = MEASURES["table"]()
+    for twin in (copy.deepcopy(mu), pickle.loads(pickle.dumps(mu))):
+        assert type(twin.model) is type(mu.model) and twin.entries == mu.entries
+        assert cardinality_profile(twin) == cardinality_profile(mu)
+    model = pickle.loads(pickle.dumps(mu.model))
+    assert model.total_mass == mu.model.total_mass and model.sample(5, 1) == mu.model.sample(5, 1)

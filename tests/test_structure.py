@@ -161,3 +161,17 @@ def test_classify_majority_matches_recursion():
     for r, want in zip(rep.records, [0.75, 0.5625, 0.421875, 0.31640625]):
         assert_allclose(r.singleton_mass, want, rtol=1e-12)
     assert (np.diff(rep.singleton_fractions) < 0).all()  # strictly shrinking
+
+
+@pytest.mark.parametrize("family, verdict", [
+    ("white-noise-i2", "no first-chaos mass at any level"),
+    ("parity", "no first-chaos mass at any level"),
+    ("majority3-iterated", "inconclusive: report the raw sequences"),
+    ("tribes", "inconclusive: report the raw sequences"),
+    ("white-noise-i1", "linearizable-like: mass concentrated on sets of at most one cell"),
+    ("coordinate-sum", "linearizable-like: mass concentrated on sets of at most one cell"),
+])
+def test_classify_verdicts_at_levels_3_to_6(family, verdict):
+    # a first-chaos fraction that is 0 at every level does not vanish: it was never there
+    rep = classify(family, range(3, 7))
+    assert rep.verdicts == (verdict,)
