@@ -26,12 +26,12 @@ def box_count(s: SpectralSet, j: int) -> int:
     """Number of scale base**-j boxes meeting the set; 0 for the empty set.
 
     Cells rise, so one bisection per box jumps from its first cell past it."""
-    level = s.grid.level
-    if not 0 <= j <= level:
-        raise ValueError(f"box level {j} outside 0..{level}")
-    cells, width = s.cells, s.grid.base ** (level - j)
+    grid, cells = s.grid, s.cells
+    if not 0 <= j <= grid.level:
+        raise ValueError(f"box level {j} outside 0..{grid.level}")
+    width, n = grid.base ** (grid.level - j), len(cells)
     count = i = 0
-    while i < len(cells):
+    while i < n:
         count += 1
         i = bisect_left(cells, (cells[i] // width + 1) * width, i)
     return count

@@ -19,7 +19,8 @@ subset size, so a node's region fraction has product form: one log1p sum
 over its partly covered children, whatever the fan-in (tribes' 1638-way
 `or` at level 14 included).  A majority layer reads each node as one row of
 per-child values (1 inside, 0 outside, the child's own fraction when partly
-covered) and runs the elementary symmetric recurrence over its few columns.
+covered) and runs the elementary symmetric recurrence over its few columns,
+unrolled at fan-in 3.
 Cut coefficients are the same subset values at full prefixes, looked up for
 every depth of a block of prefix and suffix cuts at once, and the sampler draws
 child subsets for every live node of every draw at once.
@@ -113,7 +114,8 @@ class TreeLayer:
         fractions are `value` in row-major order; the rest have value 0.  And/or
         layers take the product form (prod(1 + rho x) - 1) / ((1 + rho)**m - 1)
         from full counts (a partial value of exactly 1 counts as full) and log1p
-        sums; majority layers run the elementary symmetric recurrence."""
+        sums; majority layers run the elementary symmetric recurrence, whose
+        three steps fan-in 3 writes out in the same operations."""
         if self.rho is not None:
             rows, one = np.flatnonzero(partial) // self.fanin, value == 1.0
             logs = np.where(one, 0.0, np.log1p(self.rho * value))
@@ -121,6 +123,15 @@ class TreeLayer:
             return self._product_form(count, np.bincount(rows, weights=logs, minlength=len(full)))
         x = full.astype(np.float64)
         x[partial] = value
+        if self.fanin == 3:  # e1, e2, e3 as the loop leaves them; its adds of 0 keep every bit
+            x0, x1, x2 = x.T
+            e = np.empty((3, len(x)))
+            np.add(x0, x1, out=e[0])
+            np.multiply(x1, x0, out=e[1])
+            np.multiply(x2, e[1], out=e[2])
+            e[1] += x2 * e[0]
+            e[0] += x2
+            return self.weights[1:] @ e
         # e[t] holds order t for every node, so each step runs along whole rows
         e = np.zeros((self.fanin + 1, len(x)))
         e[0] = 1.0
@@ -138,17 +149,21 @@ class TreeLayer:
                 / np.expm1(-self.fanin * lp))
 
     def draw_children(self, rng: np.random.Generator, nodes: int) -> np.ndarray:
-        """One child subset per node, as a (nodes, fanin) boolean array; sizes read `size_cdf`."""
+        """One child subset per node, as a (nodes, fanin) boolean array; sizes read `size_cdf`.
+        One `rng.random` call draws the size uniforms and the first key block, the same
+        stream two calls would draw."""
         m, cdf = self.fanin, self.size_cdf
-        # searching cdf without its last entry caps the sizes at m, as a clip would
-        sizes = np.searchsorted(cdf[:-1], rng.random(nodes) * cdf[-1], side="right")
         # the children whose uniform keys are at most the size-th smallest form
         # a uniform subset of that size (q[0] = 0, so sizes start at 1); keys
         # go in row blocks to bound memory
         picks, step = np.empty((nodes, m), dtype=bool), max(1, (1 << 20) // m)
-        for s in range(0, nodes, step):
+        u = rng.random(nodes + min(nodes, step) * m)
+        # searching cdf without its last entry caps the sizes at m, as a clip would
+        sizes = np.searchsorted(cdf[:-1], u[:nodes] * cdf[-1], side="right")[:, None]
+        picks[:step] = _smallest_keys(u[nodes:].reshape(-1, m), sizes[:step])
+        for s in range(step, nodes, step):
             block = picks[s : s + step]
-            block[...] = _smallest_keys(rng.random(block.shape), sizes[s : s + step, None])
+            block[...] = _smallest_keys(rng.random(block.shape), sizes[s : s + step])
         return picks
 
 
@@ -252,15 +267,18 @@ def build_layers(specs: list[tuple[str, int]]) -> list[TreeLayer]:
 
 
 @functools.lru_cache
-def _cut_scan(layers: tuple[TreeLayer, ...], spans: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+def _cut_scan(layers: tuple[TreeLayer, ...], spans: tuple[int, ...]) -> tuple:
     """Per-depth columns shared by the tree's models: child spans, fan-ins below the root
-    (int32 while the leaves fit) and offsets into the flat alpha and beta tables; then those."""
+    (int32 while the leaves fit) and offsets into the flat alpha and beta tables; then those;
+    last, per depth, the first leaf of each child and of the next node past a node's first
+    leaf, as the floats `subset_mass` adds."""
     dtype = np.int32 if spans[0] <= np.iinfo(np.int32).max else np.int64
     alpha, beta = map(np.concatenate, zip(*(layer.cut_coeffs for layer in layers)))
     alpha[layers[0].fanin] = 1.0  # the cut past every leaf holds all the mass
     offsets = np.cumsum([0] + [layer.fanin + 1 for layer in layers[:-1]])[:, None]
     columns = (spans[1:], [layer.fanin for layer in layers[1:]])
-    return *(np.array(v, dtype=dtype)[:, None] for v in columns), offsets, alpha, beta
+    starts = [span * np.arange(layer.fanin + 1.0) for layer, span in zip(layers, spans[1:])]
+    return *(np.array(v, dtype=dtype)[:, None] for v in columns), offsets, alpha, beta, starts
 
 
 # ---------------------------------------------------------------------------
@@ -318,15 +336,14 @@ class TreeModel:
             out[k + 1] = self.fluctuation_mass * float(poly[k + 1])
         return out
 
-    def subset_mass(self, ranges) -> float:
-        """Mass of sets inside a region given as sorted disjoint [lo, hi) cell ranges.
+    def subset_mass(self, region) -> float:
+        """Mass of sets inside a region, read from its flat int64 range `bounds`.
 
         The count of region cells below leaf x is piecewise linear in x (slope 1 inside a range,
         0 between), so one `np.interp` per depth over the clipped range ends is exact below 2**53.
         Each depth keeps only the nodes the region covers partly, so the cost grows with the
         number of range endpoints, not with the leaf count.  The empty set always lies inside."""
-        flat = np.fromiter(itertools.chain.from_iterable(ranges), dtype=np.int64)
-        ends = np.minimum(flat, self.leaf_count, dtype=np.float64)  # np.interp's knots, cast once
+        ends = np.minimum(region.bounds, self.leaf_count, dtype=np.float64)  # np.interp's knots
         below = np.zeros(len(ends))  # region cells below each range end
         below[1::2] = ends[1::2] - ends[::2]
         np.cumsum(below, out=below)
@@ -335,8 +352,8 @@ class TreeModel:
         if below[-1] == self.leaf_count:
             return self.empty_mass + self.fluctuation_mass
         nodes, levels = np.zeros(1), []  # first leaf of each partly covered node, as an exact float
-        for layer, child_span in self._levels():
-            starts = nodes[:, None] + child_span * np.arange(layer.fanin + 1)
+        for (layer, child_span), steps in zip(self._levels(), self._scan[-1]):
+            starts = nodes[:, None] + steps
             below_starts = np.interp(starts, ends, below)
             counts = below_starts[:, 1:] - below_starts[:, :-1]
             full = counts == child_span
@@ -373,7 +390,7 @@ class TreeModel:
         """Mass of sets inside the first (or, alike, the last) `cut` leaves: every digit of
         every cut from one floor division, then frac += scale * alpha; scale *= beta down
         the depths.  Below a cut on a child boundary each alpha is exactly 0, and adds 0."""
-        spans, fanins, offsets, alpha_table, beta_table = self._scan
+        spans, fanins, offsets, alpha_table, beta_table, _ = self._scan
         flat = cut.reshape(-1)
         whole = flat // spans  # row d: nodes one depth below d that lie wholly before the cut
         index = whole + offsets
@@ -395,8 +412,9 @@ class TreeModel:
         rng = worker_generator(seed, 0)
         key = np.flatnonzero(rng.random(k) >= self.empty_mass / self.total_mass) * self.leaf_count
         for layer, child_span in self._levels():
-            rows, cols = np.divmod(np.flatnonzero(layer.draw_children(rng, len(key))), layer.fanin)
-            key = key[rows] + cols * child_span
+            picks = np.flatnonzero(layer.draw_children(rng, len(key)))
+            rows = picks // layer.fanin  # and the column is picks - rows * fanin
+            key = key[rows] + (picks - rows * layer.fanin) * child_span
         # flat indices rise row-major, so keys rise: each draw's cells come out grouped, sorted
         ends = np.searchsorted(key, self.leaf_count * np.arange(1, k + 1)).tolist()
         cells = (key - key // self.leaf_count * self.leaf_count).tolist()  # key % leaves, faster

@@ -165,10 +165,10 @@ class ElementarySet:
         """Set of the given cells; each run of consecutive cells becomes one range.
 
         A 1-d integer array of at least NUMPY_RUNS_FROM cells finds its runs with
-        array masks and ends each one past its last cell in int64; other input is
-        taken cell by cell as Python ints, faster below that size, and a bool or a
-        float cell is refused.  The runs come out canonical, so they go through
-        ``_canonical`` and skip the merge.
+        array masks, ends each one past its last cell in int64 and keeps those ends
+        as the set's `bounds`; other input is taken cell by cell as Python ints,
+        faster below that size, and a bool or a float cell is refused.  The runs
+        come out canonical, so they go through ``_canonical`` and skip the merge.
         """
         if (isinstance(cells, np.ndarray) and cells.ndim == 1 and cells.dtype.kind in "iu"
                 and cells.size >= NUMPY_RUNS_FROM):
@@ -186,16 +186,20 @@ class ElementarySet:
                     runs[-1][1] = c + 1
                 else:
                     runs.append([c, c + 1])
-            ranges = tuple((lo, hi) for lo, hi in runs)
-        else:
-            # cells are nonnegative now, so no gap between sorted ones wraps;
-            # repeated cells (gap 0) stay inside their run
-            gap = np.diff(v) > 1
-            first = v[np.concatenate([[True], gap])].tolist()
-            # ends step past the last cell in int64: a narrow dtype would wrap
-            ends = (v[np.concatenate([gap, [True]])].astype(np.int64) + 1).tolist()
-            ranges = tuple(zip(first, ends))
-        return cls._canonical(grid, ranges)
+            return cls._canonical(grid, tuple((lo, hi) for lo, hi in runs))
+        # cells are nonnegative now, so no gap between sorted ones wraps;
+        # repeated cells (gap 0) stay inside their run
+        gap = np.diff(v) > 1
+        bounds = np.empty(2 * int(np.count_nonzero(gap)) + 2, dtype=np.int64)
+        bounds[::2] = v[np.concatenate([[True], gap])]
+        # ends step past the last cell in int64: a narrow dtype would wrap
+        bounds[1::2] = v[np.concatenate([gap, [True]])]
+        bounds[1::2] += 1
+        flat = bounds.tolist()
+        s = cls._canonical(grid, tuple(zip(flat[::2], flat[1::2])))
+        bounds.flags.writeable = False
+        s.__dict__["bounds"] = bounds
+        return s
 
     @classmethod
     def _canonical(cls, grid: TimeGrid, ranges: tuple[tuple[int, int], ...]) -> "ElementarySet":
@@ -248,6 +252,14 @@ class ElementarySet:
 
     def measure(self) -> Fraction:
         return self.grid.cell_length * self.cell_count
+
+    @cached_property
+    def bounds(self) -> np.ndarray:
+        """The range ends laid flat, lo0, hi0, lo1, hi1, ..., as a read-only int64 array
+        built on first read; `from_cells`' array route keeps the one it computed."""
+        bounds = np.array(self.ranges, dtype=np.int64).reshape(-1)
+        bounds.flags.writeable = False
+        return bounds
 
     def format_ranges(self) -> str:
         return ",".join(f"{lo}:{hi}" for lo, hi in self.ranges)

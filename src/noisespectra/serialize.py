@@ -242,7 +242,7 @@ def measure_to_data(mu: SpectralMeasure) -> dict:
     from the bit rows and its masses from the table's float list.
     """
     if not mu.is_dense:
-        raise FormatError("sampler-backed measures have no dense serialization")
+        raise FormatError("model-backed measures have no dense serialization")
     t = mu._atoms
     data: dict = {"schema_version": SCHEMA_VERSION, "grid": grid_to_data(mu.grid)}
     parts = [("entries", slice(t.n_plain))]

@@ -25,7 +25,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Mapping, Protocol, Sequence
+from typing import Iterable, Mapping, Protocol
 
 import numpy as np
 
@@ -74,11 +74,12 @@ class SpectralModel(Protocol):
 
     A table's Walsh mass vector, a dense atom table and a family's tree model
     past the dense cap answer it; one with an atom table offers it as `table`,
-    which dense-only operations read.  Regions arrive as sorted disjoint
-    half-open cell ranges and cuts as arrays of boundary indices, so a model
-    can answer them in time that grows with the number of range endpoints or
-    boundaries and with its depth, not with the cell count.  Masses exclude
-    the truncation residual, which the measure keeps apart.
+    which dense-only operations read.  Regions arrive as sets, whose `ranges`
+    are sorted disjoint half-open cell ranges and whose `bounds` lay them flat
+    in int64, and cuts as arrays of boundary indices, so a model can answer
+    them in time that grows with the number of range endpoints or boundaries
+    and with its depth, not with the cell count.  Masses exclude the
+    truncation residual, which the measure keeps apart.
     """
 
     total_mass: float
@@ -89,7 +90,7 @@ class SpectralModel(Protocol):
 
     def cardinality_profile(self) -> dict[int, float]: ...
 
-    def subset_mass(self, ranges: Sequence[tuple[int, int]]) -> float: ...
+    def subset_mass(self, region: ElementarySet) -> float: ...
 
     def straddle_masses(self, boundaries: np.ndarray) -> np.ndarray: ...
 
@@ -204,8 +205,8 @@ class _AtomTable:
         ends = [*starts[1:], len(sizes)]
         return {int(sizes[a]): float(self.mass[a:b].sum()) for a, b in zip(starts, ends)}
 
-    def subset_mass(self, ranges: Sequence[tuple[int, int]]) -> float:
-        return float(self.mass[inside(self.rows, ranges)].sum())
+    def subset_mass(self, region: ElementarySet) -> float:
+        return float(self.mass[inside(self.rows, region.ranges)].sum())
 
     def straddle_masses(self, boundaries: np.ndarray) -> np.ndarray:
         # a set straddles b when it meets cells [0, b) without lying inside
@@ -256,9 +257,9 @@ class _WalshMasses:
         return _AtomTable(masks.view(np.uint64)[:, None], self.mass[masks], len(masks),
                           self.n_cells)
 
-    def subset_mass(self, ranges: Sequence[tuple[int, int]]) -> float:
+    def subset_mass(self, region: ElementarySet) -> float:
         # the sets inside the region are the masks with every outside bit clear
-        shape, outside = run_axes(ranges, self.n_cells)
+        shape, outside = run_axes(region.ranges, self.n_cells)
         block = tuple(0 if a in outside else slice(None) for a in range(len(shape)))
         return float(self.mass.reshape(shape)[block].sum())
 
@@ -427,7 +428,7 @@ def mass_of_subsets_of(mu: SpectralMeasure, region: ElementarySet) -> float:
     if mu.grid != region.grid:
         raise GridMismatchError("measure and region live on different grids")
     mu._require_resolved("take subset masses of")
-    return mu.model.subset_mass(region.ranges)
+    return mu.model.subset_mass(region)
 
 
 def straddle_mass(mu: SpectralMeasure, boundary: int) -> float:
@@ -492,7 +493,7 @@ def n_point_marginal(mu: SpectralMeasure, n: int) -> SpectralMeasure:
         raise ValueError("marginal order must be nonnegative")
     if not mu.is_dense:
         raise BackendError(
-            f"sampler-backed measures expose cardinality totals only; "
+            f"model-backed measures expose cardinality totals only; "
             f"order {n} carries mass {cardinality_profile(mu).get(n, 0.0)}"
         )
     t = mu._atoms

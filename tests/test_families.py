@@ -188,7 +188,7 @@ def test_model_subset_and_prefix_match_dense(name, level):
     rng = np.random.default_rng(7)
     for _ in range(25):
         region = ElementarySet.from_cells(f.grid, np.flatnonzero(rng.integers(0, 2, size=n)))
-        assert abs(model.subset_mass(region.ranges) - mass_of_subsets_of(mu, region)) < 1e-12
+        assert abs(model.subset_mass(region) - mass_of_subsets_of(mu, region)) < 1e-12
     prefix, suffix = model.cut_masses(np.arange(n + 1))
     for b in range(n + 1):
         left = mass_of_subsets_of(mu, ElementarySet.from_cells(f.grid, range(b)))

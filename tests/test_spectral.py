@@ -660,7 +660,8 @@ def test_every_query_reads_the_one_model(kind):
     for b in (1, n // 3, n - 1):
         assert straddle_mass(mu, b) == model.straddle_masses(np.array([b]))[0]
     for ranges in (((0, n),), ((1, n // 2),), ((0, 2), (n // 2, n - 1))):
-        assert mass_of_subsets_of(mu, ElementarySet(mu.grid, ranges)) == model.subset_mass(ranges)
+        region = ElementarySet(mu.grid, ranges)
+        assert mass_of_subsets_of(mu, region) == model.subset_mass(region)
     assert [s.cells for s in sample_sets(mu, 40, seed=3)] == model.sample(40, seed=3)
     if kind != "tree":  # the entry views hold the same model
         assert mu.entries._model is model and mu.multiplicity_entries._model is model

@@ -21,6 +21,7 @@ import tree_reference as ref
 from noisespectra import (
     ElementarySet,
     NoiseFunctional,
+    TimeGrid,
     box_count,
     cut_distance,
     interior_cut_distances,
@@ -93,7 +94,7 @@ def test_region_mass_matches_reference(name, level):
     rng = np.random.default_rng(100 + level)
     for region in regions(name, level, model.grid, rng):
         want = ref.subset_mass(model, frozenset(region.cells()))
-        assert abs(model.subset_mass(region.ranges) - want) <= TOL
+        assert abs(model.subset_mass(region) - want) <= TOL
 
 
 def test_tribes_13_regions_match_reference():
@@ -107,7 +108,7 @@ def test_tribes_13_regions_match_reference():
               for p in (0.05, 0.95)]
     for region in cases:
         want = ref.subset_mass(model, frozenset(region.cells()))
-        assert abs(model.subset_mass(region.ranges) - want) <= TOL
+        assert abs(model.subset_mass(region) - want) <= TOL
 
 
 def loop_route(model):
@@ -127,7 +128,7 @@ def test_tribes_closed_form_matches_the_loop_route(level):
     cases += [ElementarySet.from_cells(grid, np.flatnonzero(rng.random(n) < p))
               for p in (0.05, 0.5, 0.95)]
     for region in cases:
-        assert abs(model.subset_mass(region.ranges) - loop.subset_mass(region.ranges)) <= TOL
+        assert abs(model.subset_mass(region) - loop.subset_mass(region)) <= TOL
 
 
 @given(st.sampled_from(["and", "or"]), st.integers(1, 1000), st.floats(-0.99, 0.99),
@@ -184,12 +185,12 @@ def test_tribes_14_region_masses_are_bounded_and_monotone():
               [ElementarySet(grid, ((lo, hi),))
                for lo, hi in ((8000, 8001), (7000, 9000), (100, 16000), (0, leaves))]]
     for chain in nested:
-        masses = [model.subset_mass(region.ranges) for region in chain]
+        masses = [model.subset_mass(region) for region in chain]
         assert all(math.isfinite(m) for m in masses)
         assert all(model.empty_mass <= m <= model.total_mass for m in masses)
         assert masses == sorted(masses)
-    assert model.subset_mass(((0, leaves),)) == model.total_mass
-    assert model.subset_mass(((0, n),)) == model.total_mass
+    assert model.subset_mass(ElementarySet(grid, ((0, leaves),))) == model.total_mass
+    assert model.subset_mass(ElementarySet(grid, ((0, n),))) == model.total_mass
 
 
 @pytest.mark.parametrize("name,level", [("majority3-iterated", 8), ("tribes", 12)])
@@ -274,7 +275,8 @@ def test_prefix_and_region_routes_are_independent(monkeypatch):
     # that check means something only while neither calls the other
     model = model_of("majority3-iterated", 5)
     want_prefix = model.prefix_mass(100)
-    want_region = model.subset_mass(((0, 100),))
+    region = ElementarySet(model.grid, ((0, 100),))
+    want_region = model.subset_mass(region)
 
     def refuse(*args, **kwargs):
         raise AssertionError("routes must not call each other")
@@ -284,7 +286,7 @@ def test_prefix_and_region_routes_are_independent(monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr(TreeModel, "prefix_mass", refuse)
     monkeypatch.setattr(TreeModel, "cut_masses", refuse)
-    assert model.subset_mass(((0, 100),)) == want_region
+    assert model.subset_mass(region) == want_region
     assert abs(want_prefix - want_region) <= TOL
 
 
@@ -380,7 +382,7 @@ def test_cut_and_region_masses_match_the_exact_fraction_oracle(name, level):
         assert abs(right - ref.exact_subset_mass(tree, [(b, n)])) <= TOL, b
     for region in regions(name, level, grid, np.random.default_rng(600 + level)):
         want = ref.exact_subset_mass(tree, region.ranges)
-        assert abs(model.subset_mass(region.ranges) - want) <= TOL, region
+        assert abs(model.subset_mass(region) - want) <= TOL, region
 
 
 # region masses at HEAD of the routes' rewrite: seeded prefixes, intervals and
@@ -401,9 +403,10 @@ def test_region_mass_bits_are_pinned(name, level):
     cases = [((0, b),) for b in rng.integers(1, n, size=6).tolist()]
     cases += [(tuple(sorted(rng.choice(n + 1, size=2, replace=False).tolist())),)
               for _ in range(6)]
-    cases += [ElementarySet.from_cells(grid, np.flatnonzero(rng.random(n) < p)).ranges
-              for p in (0.05, 0.5, 0.95)]
-    masses = np.array([model.subset_mass(ranges) for ranges in cases])
+    regions = [ElementarySet(grid, ranges) for ranges in cases]
+    regions += [ElementarySet.from_cells(grid, np.flatnonzero(rng.random(n) < p))
+                for p in (0.05, 0.5, 0.95)]
+    masses = np.array([model.subset_mass(region) for region in regions])
     assert digest(masses.tobytes()) == REGION_DIGESTS[name, level]
 
 
@@ -601,9 +604,9 @@ def searchsorted_subset_mass(model, ranges):
 
 
 def edge_regions(model, rng):
-    """Region ranges at the edges of the count route: empty and full, single end cells,
-    ranges ending on a node boundary at every depth, ranges into the ignored cells past
-    the leaves, and 5%, 50% and 95% scatters."""
+    """Regions at the edges of the count route: empty and full, single end cells, ranges
+    ending on a node boundary at every depth, ranges into the ignored cells past the
+    leaves, and 5%, 50% and 95% scatters, which keep `from_cells`' own bounds."""
     grid, n, leaves = model.grid, model.grid.n_cells, model.leaf_count
     cases = [(), ((0, n),), ((0, leaves),), ((0, 1),), ((leaves - 1, leaves),),
              ((0, 1), (leaves - 1, leaves))]
@@ -626,9 +629,8 @@ def edge_regions(model, rng):
     if leaves < n:
         cases += [((leaves - 3, n),), ((leaves, n),), ((0, 1), (leaves + 1, n)),
                   ((leaves - 1, leaves + 1),)]
-    cases += [ElementarySet.from_cells(grid, np.flatnonzero(rng.random(n) < p)).ranges
-              for p in (0.05, 0.5, 0.95)]
-    return cases
+    return [ElementarySet(grid, ranges) for ranges in cases] + [
+        ElementarySet.from_cells(grid, np.flatnonzero(rng.random(n) < p)) for p in (0.05, 0.5, 0.95)]
 
 
 @pytest.mark.parametrize("name,level", [("majority3-iterated", level) for level in range(1, 10)]
@@ -637,6 +639,118 @@ def test_interpolated_counts_equal_the_searchsorted_descent(name, level):
     model = model_of(name, level)
     rng = np.random.default_rng(4000 + level)
     cases = edge_regions(model, rng)
-    got = np.array([model.subset_mass(ranges) for ranges in cases])
-    want = np.array([searchsorted_subset_mass(model, ranges) for ranges in cases])
+    got = np.array([model.subset_mass(region) for region in cases])
+    want = np.array([searchsorted_subset_mass(model, region.ranges) for region in cases])
     assert got.tobytes() == want.tobytes()
+
+
+# region masses from int64 bounds and the fan-in-3 closed form, and draws whose
+# size uniforms and first key block come from one call, against the routes they
+# replaced, bit for bit
+
+
+def recurrence_values(layer, full, partial, value):
+    """Majority subset values by the elementary symmetric recurrence at every fan-in."""
+    x = full.astype(np.float64)
+    x[partial] = value
+    e = np.zeros((layer.fanin + 1, len(x)))
+    e[0] = 1.0
+    for i, xi in enumerate(x.T):
+        e[1 : i + 2] += xi * e[: i + 1]
+    return layer.weights[1:] @ e[1:]
+
+
+def tuple_route_subset_mass(model, ranges):
+    """Region masses read from range tuples, per-call child starts and the recurrence
+    on every majority layer, as computed before bounds and the closed form."""
+    flat = np.fromiter(itertools.chain.from_iterable(ranges), dtype=np.int64)
+    ends = np.minimum(flat, model.leaf_count, dtype=np.float64)
+    below = np.zeros(len(ends))
+    below[1::2] = ends[1::2] - ends[::2]
+    np.cumsum(below, out=below)
+    if not below.any():
+        return model.empty_mass
+    if below[-1] == model.leaf_count:
+        return model.empty_mass + model.fluctuation_mass
+    nodes, levels = np.zeros(1), []
+    for layer, child_span in model._levels():
+        starts = nodes[:, None] + child_span * np.arange(layer.fanin + 1)
+        below_starts = np.interp(starts, ends, below)
+        counts = below_starts[:, 1:] - below_starts[:, :-1]
+        full = counts == child_span
+        partial = (counts > 0) ^ full
+        levels.append((layer, full, partial))
+        nodes = starts[:, :-1][partial]
+        if not nodes.size:
+            break
+    value = np.zeros(0)
+    for layer, full, partial in reversed(levels):
+        route = layer.subset_values if layer.rho is not None else functools.partial(
+            recurrence_values, layer)
+        value = route(full, partial, value)
+    return model.empty_mass + model.fluctuation_mass * float(value[0])
+
+
+@pytest.mark.parametrize("name,level", [("majority3-iterated", level) for level in range(1, 10)]
+                         + [("tribes", level) for level in range(2, 15)])
+def test_bounds_and_closed_form_equal_the_tuple_route(name, level):
+    model = model_of(name, level)
+    cases = edge_regions(model, np.random.default_rng(5000 + level))
+    for region in cases:  # every set's bounds are its ranges laid flat, built once
+        assert region.bounds.dtype == np.int64 and not region.bounds.flags.writeable
+        assert region.bounds.tolist() == list(itertools.chain.from_iterable(region.ranges))
+        assert region.bounds is region.bounds
+    got = np.array([model.subset_mass(region) for region in cases])
+    want = np.array([tuple_route_subset_mass(model, region.ranges) for region in cases])
+    assert got.tobytes() == want.tobytes()
+
+
+def test_fanin_3_closed_form_equals_the_recurrence_on_rows():
+    layer = model_of("majority3-iterated", 4).layers[0]
+    rng = np.random.default_rng(3)
+    partial = rng.random((500, 3)) < 0.5
+    full = ~partial & (rng.random((500, 3)) < 0.5)
+    value = rng.random(np.count_nonzero(partial))
+    value[::7], value[1::7] = 0.0, 1.0
+    got = layer.subset_values(full, partial, value)
+    assert got.tobytes() == recurrence_values(layer, full, partial, value).tobytes()
+
+
+def test_majority_fanin_5_takes_the_recurrence():
+    grid = TimeGrid(0, 1, 4, base=5)
+    model = TreeModel(grid, families.build_layers([("majority", 5)] * 4))
+    assert model.layers[0].fanin == 5 and model.layers[0].rho is None
+    cases = edge_regions(model, np.random.default_rng(5))
+    got = np.array([model.subset_mass(region) for region in cases])
+    want = np.array([tuple_route_subset_mass(model, region.ranges) for region in cases])
+    assert got.tobytes() == want.tobytes()
+    for region in cases[-3:]:
+        assert abs(model.subset_mass(region) - ref.subset_mass(model, frozenset(region.cells()))) <= TOL
+
+
+def two_call_sample(model, k, seed):
+    """Draws whose sizes and keys come from separate calls, split by `np.divmod`."""
+    rng = families.worker_generator(seed, 0)
+    key = np.flatnonzero(rng.random(k) >= model.empty_mass / model.total_mass) * model.leaf_count
+    for layer, child_span in model._levels():
+        m, cdf, nodes = layer.fanin, layer.size_cdf, len(key)
+        sizes = np.searchsorted(cdf[:-1], rng.random(nodes) * cdf[-1], side="right")
+        picks, step = np.empty((nodes, m), dtype=bool), max(1, (1 << 20) // m)
+        for s in range(0, nodes, step):
+            block = picks[s : s + step]
+            block[...] = _smallest_keys(rng.random(block.shape), sizes[s : s + step, None])
+        rows, cols = np.divmod(np.flatnonzero(picks), m)
+        key = key[rows] + cols * child_span
+    ends = np.searchsorted(key, model.leaf_count * np.arange(1, k + 1)).tolist()
+    cells = (key % model.leaf_count).tolist()
+    return [tuple(cells[a:b]) for a, b in zip([0, *ends], ends)]
+
+
+@pytest.mark.parametrize("name,level,k", [
+    ("majority3-iterated", 12, 64), ("majority3-iterated", 12, 20_000), ("tribes", 12, 64),
+    ("tribes", 12, 20_000), ("tribes", 14, 64), ("tribes", 14, 2_000)])
+def test_one_call_draws_equal_the_two_call_draws(name, level, k):
+    # Maj3 L12's deepest layers at 20,000 draws and tribes L14's 1638-way root at 2,000
+    # span several key blocks, so the blocks after the first still draw their own keys
+    model = model_of(name, level)
+    assert model.sample(k, seed=k + level) == two_call_sample(model, k, seed=k + level)
