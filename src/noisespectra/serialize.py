@@ -96,17 +96,13 @@ def kernel_from_data(data: dict, n_cells: int | None = None) -> SimplexKernel:
             raise FormatError("kernel needs n_cells (or a grid to supply it)")
         channels = data.get("channels", ())
         if "constant" in data:
-            value = float(data["constant"])
-            _require_finite(np.array([value]), "kernel constant")
+            value = _numbers(data["constant"], "constant", scalar=True)
             return SimplexKernel.constant(order, n, value, channels)
         if "factors" in data:
-            factors = tuple(np.asarray(v, dtype=np.float64) for v in data["factors"])
-            for v in factors:
-                _require_finite(v, "kernel factors")
+            factors = tuple(_numbers(v, "factors") for v in data["factors"])
             return SimplexKernel(order, n, factors=factors, channels=channels)
         if "dense" in data:
-            dense = np.asarray(data["dense"], dtype=np.float64)
-            _require_finite(dense, "dense kernel weights")
+            dense = _numbers(data["dense"], "dense")
             if order == 2 and dense.ndim == 2 and np.tril(dense).any():
                 # the kernel keeps only i < j: refuse what it would drop
                 i, j = np.argwhere(np.tril(dense))[0].tolist()
@@ -179,20 +175,16 @@ def functional_from_data(data: dict) -> NoiseFunctional:
     kind = _get(data, "kind")
     try:
         if kind == "table":
-            values = np.asarray(_get(data, "values"), dtype=np.float64)
-            _require_finite(values, "table values")
-            return NoiseFunctional.from_table(grid, values)
+            return NoiseFunctional.from_table(grid, _numbers(_get(data, "values"), "values"))
         if kind in ("walsh-chaos", "hermite-chaos"):
             # a repeat would collapse in the dict before ChaosCoefficients checks the keys
             rows, walsh = _get(data, "entries"), kind == "walsh-chaos"
             field = "cells" if walsh else "terms"
             lists = list(map(itemgetter(field), rows))
             keys = list(map(tuple, lists)) if walsh else [tuple(map(tuple, t)) for t in lists]
-            values = np.fromiter(map(float, map(itemgetter("coeff"), rows)), np.float64, len(rows))
+            values = _numbers(list(map(itemgetter("coeff"), rows)), "coeff")
             entries = _unrepeated(keys, values.tolist(), field, lists, FormatError)
-            residual = float(data.get("residual", 0.0))
-            _require_finite(values, "coefficients")
-            _require_finite(np.array([residual]), "residual", nonnegative=True)
+            residual = _numbers(data.get("residual", 0.0), "residual", True, scalar=True)
             return NoiseFunctional.from_chaos(ChaosCoefficients(
                 grid, entries, WALSH if walsh else HERMITE,
                 data.get("channels", 1), residual))
@@ -201,13 +193,15 @@ def functional_from_data(data: dict) -> NoiseFunctional:
             for i, row in enumerate(_get(data, "terms")):
                 try:
                     if row.get("type") == "ito":
-                        terms.append(ItoTerm(float(row["weight"]),
+                        terms.append(ItoTerm(_numbers(row["weight"], "weight", scalar=True),
                                              kernel_from_data(row["kernel"], grid.n_cells)))
                     elif row.get("type") == "map":
                         factors = tuple(MapFactor(fa["cell"], fa.get("channel", 0), str(fa["fn"]),
-                                                  tuple(fa.get("params", ())))
+                                                  tuple(_numbers(fa.get("params", []),
+                                                                 "params").tolist()))
                                         for fa in row["factors"])
-                        terms.append(MapTerm(float(row["weight"]), factors))
+                        terms.append(MapTerm(_numbers(row["weight"], "weight", scalar=True),
+                                             factors))
                     else:
                         raise FormatError(f"unknown program term type {row.get('type')!r}")
                 except (KeyError, TypeError, ValueError) as exc:
@@ -288,12 +282,12 @@ def measure_from_data(data: dict) -> SpectralMeasure:
     grid = grid_from_data(_get(data, "grid"))
     try:
         plain = _get(data, "entries")
-        records = [*plain, *data.get("multiplicity_entries", ())]
-        mass = np.fromiter(map(float, map(itemgetter("mass"), records)), np.float64, len(records))
+        more = data.get("multiplicity_entries")
+        records = [*plain, *more] if more else plain
+        mass = _numbers(list(map(itemgetter("mass"), records)), "mass", nonnegative=True)
         cells = list(map(itemgetter("cells"), records))  # `_AtomTable.packed` checks them
         table = _AtomTable.packed(cells, mass, len(plain), grid.n_cells)
-        residual = float(data.get("residual", 0.0))
-        _require_finite(np.append(mass, residual), "masses and residual", nonnegative=True)
+        residual = _numbers(data.get("residual", 0.0), "residual", True, scalar=True)
         return SpectralMeasure._of_dense(grid, table, residual)
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad measure record: {exc}") from exc
@@ -501,12 +495,31 @@ def _get(data: dict, key: str):
         raise FormatError(f"missing field {key!r}") from exc
 
 
-def _require_finite(x: np.ndarray, what: str, nonnegative: bool = False) -> None:
-    """One vectorized pass over values read from a file; NaN fails both tests."""
+def _numbers(value, field: str, nonnegative: bool = False, scalar: bool = False):
+    """A file's number, or list of numbers nested to any depth, as float64 (a float if
+    `scalar`).  Only JSON numbers pass: an int or a float, never a bool or a string, each
+    finite, and non-negative where asked; one pass over the types, one vectorized pass over
+    the values (NaN fails both tests).  The FormatError names the field."""
+    if scalar and type(value) is list:
+        raise FormatError(f"{field} must be one number, got {value!r}")
+    flat = value if type(value) is list else [value]
+    while flat and type(flat[0]) is list:  # one level of nesting at a time
+        flat = list(chain.from_iterable(v if type(v) is list else [v] for v in flat))
+    types = list(map(type, flat))  # all floats, the usual case, take one count
+    if types.count(float) != len(types) and not all(
+            t is not bool and issubclass(t, (int, float)) for t in set(types)):
+        bad = next(v for v in flat if type(v) is bool or not isinstance(v, (int, float)))
+        raise FormatError(f"{field} must be numbers, not {type(bad).__name__}: got {bad!r}")
+    try:  # fromiter reads a flat list a little faster
+        x = np.fromiter(flat, np.float64, len(flat)) if flat is value else np.asarray(
+            value, dtype=np.float64)
+    except (OverflowError, ValueError) as exc:  # an int past the float range; ragged lists
+        raise FormatError(f"{field}: {exc}") from exc
     ok = np.isfinite(x) & (x >= 0) if nonnegative else np.isfinite(x)
     if not ok.all():
         need = "finite and non-negative" if nonnegative else "finite"
-        raise FormatError(f"{what} must be {need}, got {float(x[~ok][0])!r}")
+        raise FormatError(f"{field} must be {need}, got {float(x[~ok][0])!r}")
+    return float(x) if scalar else x
 
 
 def _check_version(data: dict) -> None:

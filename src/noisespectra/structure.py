@@ -185,7 +185,8 @@ def classify(family: str, levels: Sequence[int], **params) -> ClassificationRepo
 
     Verdicts are labeled heuristics over the measured sequences: a mass
     fraction "vanishes" when it is monotone nonincreasing over at least three
-    levels and ends below 0.01 (0 at every level has its own verdict), and
+    levels and ends below 0.01 (0 at every level has its own verdict, over any
+    number of levels), and
     "dominates" when it ends above 0.99.  Raw per-level data always rides along.
     """
     records: list[LevelRecord] = []
@@ -215,9 +216,10 @@ def classify(family: str, levels: Sequence[int], **params) -> ClassificationRepo
         for r in records
     )
     verdicts: list[str] = []
-    if _vanishes(sing_frac):  # a fraction that is 0 throughout never had mass to lose
-        verdicts.append("black-like: first-chaos fraction vanishes across levels"
-                        if any(sing_frac) else "no first-chaos mass at any level")
+    if sing_frac and not any(sing_frac):  # 0 throughout, at any level count: no mass to lose
+        verdicts.append("no first-chaos mass at any level")
+    elif _vanishes(sing_frac):
+        verdicts.append("black-like: first-chaos fraction vanishes across levels")
     if low_frac and low_frac[-1] >= ClassificationReport.THRESHOLD_DOMINATE:
         verdicts.append("linearizable-like: mass concentrated on sets of at most one cell")
     if not verdicts:

@@ -10,7 +10,7 @@ Conventions, fixed package-wide:
 """
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, islice
 from typing import Sequence
 
 import numpy as np
@@ -122,9 +122,13 @@ def _checked_rows(keys: list, n_cells: int) -> tuple[np.ndarray | None, int | No
     and numpy integers count as integers; bools and floats do not."""
     sizes = np.fromiter(map(len, keys), dtype=np.intp, count=len(keys))
     count = int(sizes.sum())
+    # plain ints, the usual case, are counted in blocks of types (a count is cheaper than a
+    # set); any other type sends the cells through the one test of their type set
+    types = map(type, chain.from_iterable(keys))
     try:
-        ints = all(t is int or issubclass(t, np.integer)
-                   for t in set(map(type, chain.from_iterable(keys))))
+        ints = all(b.count(int) == len(b) for b in iter(lambda: list(islice(types, 1 << 16)), [])
+                   ) or all(t is int or issubclass(t, np.integer)
+                            for t in set(map(type, chain.from_iterable(keys))))
         cells = np.fromiter(chain.from_iterable(keys), np.int64, count) if ints else None
     except OverflowError:  # past 64 bits
         cells = None

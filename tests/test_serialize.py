@@ -199,6 +199,91 @@ def test_measure_rejects_bad_masses(field, mass):
         measure_from_data(json.loads(json.dumps(data)))
 
 
+# file numbers are JSON numbers: an int or a float, never a bool or a string; the
+# FormatError names the field.  One test per file kind, each through a JSON round trip.
+NOT_NUMBERS = ["0.5", True, None, [1.0], {"v": 1.0}]
+
+
+def from_json(reader, data):
+    return reader(json.loads(json.dumps(data)))
+
+
+def refused(reader, data, field):
+    with pytest.raises(FormatError, match=rf"\b{field} must be (one number|numbers)"):
+        from_json(reader, data)
+
+
+@pytest.mark.parametrize("bad", NOT_NUMBERS)
+def test_measure_file_numbers_are_json_numbers(bad):
+    grid = TimeGrid(0, 1, 1)
+    from noisespectra.spectral import SpectralMeasure
+
+    data = measure_to_data(SpectralMeasure(grid, {(): 0.1, (0,): 0.2}, {(0,): 0.3}, 0.05))
+    for part in ("entries", "multiplicity_entries"):
+        edited = json.loads(json.dumps(data))
+        edited[part][-1]["mass"] = bad
+        refused(measure_from_data, edited, "mass")
+    refused(measure_from_data, {**data, "residual": bad}, "residual")
+    data["entries"][0]["mass"], data["residual"] = 1, 0  # ints are numbers
+    assert from_json(measure_from_data, data).entries[()] == 1.0
+
+
+@pytest.mark.parametrize("bad", NOT_NUMBERS[:3])
+def test_table_file_numbers_are_json_numbers(bad):
+    data = {"grid": grid_to_data(TimeGrid(0, 1, 1)), "kind": "table"}
+    refused(functional_from_data, {**data, "values": [bad, 1.0, 0.5, 2.0]}, "values")
+    refused(functional_from_data, {**data, "values": [1.0, 0.5, 2.0, bad]}, "values")
+    f = from_json(functional_from_data, {**data, "values": [1, -1, 0.5, 2]})
+    assert f.backend.values.tolist() == [1.0, -1.0, 0.5, 2.0]
+    with pytest.raises(FormatError, match="values: .*too large"):  # past the float range
+        functional_from_data({**data, "values": [10**400, 1, 1, 1]})
+
+
+@pytest.mark.parametrize("kind,field", [("walsh-chaos", "cells"), ("hermite-chaos", "terms")])
+@pytest.mark.parametrize("bad", NOT_NUMBERS)
+def test_chaos_file_numbers_are_json_numbers(kind, field, bad):
+    index = [0] if field == "cells" else [[0, 0, 1]]
+    data = {"grid": grid_to_data(TimeGrid(0, 1, 1)), "kind": kind,
+            "entries": [{field: [], "coeff": 0.5}, {field: index, "coeff": 2}]}
+    edited = json.loads(json.dumps(data))
+    edited["entries"][1]["coeff"] = bad
+    refused(functional_from_data, edited, "coeff")
+    refused(functional_from_data, {**data, "residual": bad}, "residual")
+    c = from_json(functional_from_data, {**data, "residual": 0}).backend
+    assert sorted(c.entries.values()) == [0.5, 2.0] and c.residual == 0.0
+
+
+@pytest.mark.parametrize("bad", NOT_NUMBERS)
+def test_kernel_file_numbers_are_json_numbers(bad):
+    refused(kernel_from_data, {"order": 1, "n_cells": 2, "constant": bad}, "constant")
+    refused(kernel_from_data, {"order": 2, "n_cells": 2, "factors": [[1.0, bad], [1, 2]]},
+            "factors")
+    refused(kernel_from_data, {"order": 2, "n_cells": 2, "dense": [[0.0, bad], [0, 0]]}, "dense")
+    k = from_json(kernel_from_data, {"order": 2, "n_cells": 2, "factors": [[1, 2], [3, 4]]})
+    assert [v.tolist() for v in k.factors] == [[1.0, 2.0], [3.0, 4.0]]
+    k = from_json(kernel_from_data, {"order": 2, "n_cells": 2, "dense": [[0, 5], [0, 0]]})
+    assert k.dense.tolist() == [[0.0, 5.0], [0.0, 0.0]]
+    with pytest.raises(FormatError, match="constant must be finite"):
+        kernel_from_data({"order": 1, "n_cells": 2, "constant": math.inf})
+
+
+@pytest.mark.parametrize("bad", [*NOT_NUMBERS, math.nan, math.inf])
+def test_program_file_numbers_are_json_numbers(bad):
+    ito = {"type": "ito", "weight": 2, "kernel": {"order": 1, "constant": 1.0}}
+    sine = {"type": "map", "weight": 1.5, "factors": [{"cell": 1, "fn": "sin", "params": [2]}]}
+    data = {"grid": grid_to_data(TimeGrid(0, 1, 2)), "kind": "program", "terms": [ito, sine]}
+    field = r"(one number|numbers|finite)"
+    with pytest.raises(FormatError, match=rf"^terms\[0\]: weight must be {field}"):
+        from_json(functional_from_data, {**data, "terms": [{**ito, "weight": bad}, sine]})
+    with pytest.raises(FormatError, match=rf"^terms\[1\]: weight must be {field}"):
+        from_json(functional_from_data, {**data, "terms": [ito, {**sine, "weight": bad}]})
+    factor = {**sine["factors"][0], "params": [1.0, bad]}
+    with pytest.raises(FormatError, match=rf"^terms\[1\]: params must be {field}"):
+        from_json(functional_from_data, {**data, "terms": [ito, {**sine, "factors": [factor]}]})
+    terms = from_json(functional_from_data, data).backend.terms
+    assert terms[0].weight == 2.0 and terms[1].factors[0].params == (2.0,)
+
+
 def test_measure_roundtrip(rng):
     grid = TimeGrid(0, 1, 3)
     f = NoiseFunctional.from_table(grid, rng.standard_normal(256))

@@ -175,3 +175,12 @@ def test_classify_verdicts_at_levels_3_to_6(family, verdict):
     # a first-chaos fraction that is 0 at every level does not vanish: it was never there
     rep = classify(family, range(3, 7))
     assert rep.verdicts == (verdict,)
+
+
+@pytest.mark.parametrize("levels", [[3, 4], [4]])
+@pytest.mark.parametrize("family", ["parity", "white-noise-i2"])
+def test_classify_reads_no_first_chaos_mass_below_three_levels(family, levels):
+    # `_vanishes` needs three levels; a fraction that is 0 at each level does not
+    rep = classify(family, levels)
+    assert rep.singleton_fractions == (0.0,) * len(levels)
+    assert rep.verdicts == ("no first-chaos mass at any level",)
