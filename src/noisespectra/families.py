@@ -19,8 +19,7 @@ subset size, so a node's region fraction has product form: one log1p sum
 over its partly covered children, whatever the fan-in (tribes' 1638-way
 `or` at level 14 included).  A majority layer reads each node as one row of
 per-child values (1 inside, 0 outside, the child's own fraction when partly
-covered) and runs the elementary symmetric recurrence over its few columns,
-unrolled at fan-in 3.
+covered) and runs the elementary symmetric recurrence over its few columns.
 Cut coefficients are the same subset values at full prefixes, looked up for
 every depth of a block of prefix and suffix cuts at once, and the sampler draws
 child subsets for every live node of every draw at once.
@@ -114,24 +113,18 @@ class TreeLayer:
         fractions are `value` in row-major order; the rest have value 0.  And/or
         layers take the product form (prod(1 + rho x) - 1) / ((1 + rho)**m - 1)
         from full counts (a partial value of exactly 1 counts as full) and log1p
-        sums; majority layers run the elementary symmetric recurrence, whose
-        three steps fan-in 3 writes out in the same operations."""
+        sums; majority layers run the elementary symmetric recurrence (written out at fan-in 3)."""
         if self.rho is not None:
-            rows, one = np.flatnonzero(partial) // self.fanin, value == 1.0
+            rows, one = partial.ravel().nonzero()[0] // self.fanin, value == 1.0
             logs = np.where(one, 0.0, np.log1p(self.rho * value))
             count = full @ np.ones(self.fanin) + np.bincount(rows, weights=one, minlength=len(full))
             return self._product_form(count, np.bincount(rows, weights=logs, minlength=len(full)))
         x = full.astype(np.float64)
         x[partial] = value
-        if self.fanin == 3:  # e1, e2, e3 as the loop leaves them; its adds of 0 keep every bit
+        if self.fanin == 3:  # e1, e2, e3 in the loop's own operations, less its adds of 0
             x0, x1, x2 = x.T
-            e = np.empty((3, len(x)))
-            np.add(x0, x1, out=e[0])
-            np.multiply(x1, x0, out=e[1])
-            np.multiply(x2, e[1], out=e[2])
-            e[1] += x2 * e[0]
-            e[0] += x2
-            return self.weights[1:] @ e
+            e1, e2 = x0 + x1, x1 * x0
+            return self.weights[1:] @ np.array([e1 + x2, e2 + x2 * e1, x2 * e2])
         # e[t] holds order t for every node, so each step runs along whole rows
         e = np.zeros((self.fanin + 1, len(x)))
         e[0] = 1.0
@@ -149,17 +142,16 @@ class TreeLayer:
                 / np.expm1(-self.fanin * lp))
 
     def draw_children(self, rng: np.random.Generator, nodes: int) -> np.ndarray:
-        """One child subset per node, as a (nodes, fanin) boolean array; sizes read `size_cdf`.
-        One `rng.random` call draws the size uniforms and the first key block, the same
-        stream two calls would draw."""
+        """One child subset per node, as a (nodes, fanin) boolean array; sizes read `size_cdf`."""
         m, cdf = self.fanin, self.size_cdf
         # the children whose uniform keys are at most the size-th smallest form
         # a uniform subset of that size (q[0] = 0, so sizes start at 1); keys
-        # go in row blocks to bound memory
+        # go in row blocks to bound memory.  One call draws the size uniforms and
+        # then the first block's keys, the stream two calls would draw
         picks, step = np.empty((nodes, m), dtype=bool), max(1, (1 << 20) // m)
         u = rng.random(nodes + min(nodes, step) * m)
         # searching cdf without its last entry caps the sizes at m, as a clip would
-        sizes = np.searchsorted(cdf[:-1], u[:nodes] * cdf[-1], side="right")[:, None]
+        sizes = cdf[:-1].searchsorted(u[:nodes] * cdf[-1], side="right")[:, None]
         picks[:step] = _smallest_keys(u[nodes:].reshape(-1, m), sizes[:step])
         for s in range(step, nodes, step):
             block = picks[s : s + step]
@@ -269,14 +261,14 @@ def build_layers(specs: list[tuple[str, int]]) -> list[TreeLayer]:
 @functools.lru_cache
 def _cut_scan(layers: tuple[TreeLayer, ...], spans: tuple[int, ...]) -> tuple:
     """Per-depth columns shared by the tree's models: child spans, fan-ins below the root
-    (int32 while the leaves fit) and offsets into the flat alpha and beta tables; then those;
-    last, per depth, the first leaf of each child and of the next node past a node's first
-    leaf, as the floats `subset_mass` adds."""
+    (int32 while the leaves fit) and offsets into the flat alpha and beta tables; then those."""
     dtype = np.int32 if spans[0] <= np.iinfo(np.int32).max else np.int64
     alpha, beta = map(np.concatenate, zip(*(layer.cut_coeffs for layer in layers)))
     alpha[layers[0].fanin] = 1.0  # the cut past every leaf holds all the mass
     offsets = np.cumsum([0] + [layer.fanin + 1 for layer in layers[:-1]])[:, None]
     columns = (spans[1:], [layer.fanin for layer in layers[1:]])
+    # last, `subset_mass`'s child starts: per depth, the first leaf of each child and of the
+    # next node past a node's own first leaf, as floats
     starts = [span * np.arange(layer.fanin + 1.0) for layer, span in zip(layers, spans[1:])]
     return *(np.array(v, dtype=dtype)[:, None] for v in columns), offsets, alpha, beta, starts
 
@@ -346,7 +338,7 @@ class TreeModel:
         ends = np.minimum(region.bounds, self.leaf_count, dtype=np.float64)  # np.interp's knots
         below = np.zeros(len(ends))  # region cells below each range end
         below[1::2] = ends[1::2] - ends[::2]
-        np.cumsum(below, out=below)
+        below.cumsum(out=below)
         if not below.any():
             return self.empty_mass
         if below[-1] == self.leaf_count:
@@ -410,13 +402,13 @@ class TreeModel:
         """k exact draws; each depth picks child subsets for all live nodes at once.
         A live node is one key, draw * leaf_count + first leaf, so a depth gathers once."""
         rng = worker_generator(seed, 0)
-        key = np.flatnonzero(rng.random(k) >= self.empty_mass / self.total_mass) * self.leaf_count
+        key = (rng.random(k) >= self.empty_mass / self.total_mass).nonzero()[0] * self.leaf_count
         for layer, child_span in self._levels():
-            picks = np.flatnonzero(layer.draw_children(rng, len(key)))
+            picks = layer.draw_children(rng, len(key)).ravel().nonzero()[0]
             rows = picks // layer.fanin  # and the column is picks - rows * fanin
             key = key[rows] + (picks - rows * layer.fanin) * child_span
         # flat indices rise row-major, so keys rise: each draw's cells come out grouped, sorted
-        ends = np.searchsorted(key, self.leaf_count * np.arange(1, k + 1)).tolist()
+        ends = key.searchsorted(self.leaf_count * np.arange(1, k + 1)).tolist()
         cells = (key - key // self.leaf_count * self.leaf_count).tolist()  # key % leaves, faster
         return [tuple(cells[a:b]) for a, b in zip([0, *ends], ends)]
 

@@ -119,6 +119,11 @@ def _integers(values: Iterable, what: str) -> list:
     return values
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 def _canonical_ranges(ranges: Iterable[tuple[int, int]], n_cells: int) -> tuple[tuple[int, int], ...]:
     ranges = tuple(ranges)
     for r in ranges:
@@ -165,10 +170,9 @@ class ElementarySet:
         """Set of the given cells; each run of consecutive cells becomes one range.
 
         A 1-d integer array of at least NUMPY_RUNS_FROM cells finds its runs with
-        array masks, ends each one past its last cell in int64 and keeps those ends
-        as the set's `bounds`; other input is taken cell by cell as Python ints,
-        faster below that size, and a bool or a float cell is refused.  The runs
-        come out canonical, so they go through ``_canonical`` and skip the merge.
+        array masks and keeps their int64 `bounds`; other input is taken cell by
+        cell as Python ints, faster below that size, and a bool or a float cell is
+        refused.  The runs come out canonical, so ``_canonical`` skips the merge.
         """
         if (isinstance(cells, np.ndarray) and cells.ndim == 1 and cells.dtype.kind in "iu"
                 and cells.size >= NUMPY_RUNS_FROM):
@@ -189,16 +193,13 @@ class ElementarySet:
             return cls._canonical(grid, tuple((lo, hi) for lo, hi in runs))
         # cells are nonnegative now, so no gap between sorted ones wraps;
         # repeated cells (gap 0) stay inside their run
-        gap = np.diff(v) > 1
-        bounds = np.empty(2 * int(np.count_nonzero(gap)) + 2, dtype=np.int64)
-        bounds[::2] = v[np.concatenate([[True], gap])]
-        # ends step past the last cell in int64: a narrow dtype would wrap
-        bounds[1::2] = v[np.concatenate([gap, [True]])]
+        gap = v[1:] - v[:-1] > 1
+        # each run's first cell and one past its last, in int64: a narrow dtype would wrap
+        bounds = np.array([v[np.append(True, gap)], v[np.append(gap, True)]], np.int64).T.ravel()
         bounds[1::2] += 1
         flat = bounds.tolist()
         s = cls._canonical(grid, tuple(zip(flat[::2], flat[1::2])))
-        bounds.flags.writeable = False
-        s.__dict__["bounds"] = bounds
+        s.__dict__["bounds"] = _read_only(bounds)  # the value `bounds` would build
         return s
 
     @classmethod
@@ -255,11 +256,8 @@ class ElementarySet:
 
     @cached_property
     def bounds(self) -> np.ndarray:
-        """The range ends laid flat, lo0, hi0, lo1, hi1, ..., as a read-only int64 array
-        built on first read; `from_cells`' array route keeps the one it computed."""
-        bounds = np.array(self.ranges, dtype=np.int64).reshape(-1)
-        bounds.flags.writeable = False
-        return bounds
+        """The ranges laid flat, lo0, hi0, lo1, ..., read-only int64; `from_cells` keeps its own."""
+        return _read_only(np.array(self.ranges, dtype=np.int64).reshape(-1))
 
     def format_ranges(self) -> str:
         return ",".join(f"{lo}:{hi}" for lo, hi in self.ranges)

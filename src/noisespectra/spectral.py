@@ -74,12 +74,11 @@ class SpectralModel(Protocol):
 
     A table's Walsh mass vector, a dense atom table and a family's tree model
     past the dense cap answer it; one with an atom table offers it as `table`,
-    which dense-only operations read.  Regions arrive as sets, whose `ranges`
-    are sorted disjoint half-open cell ranges and whose `bounds` lay them flat
-    in int64, and cuts as arrays of boundary indices, so a model can answer
-    them in time that grows with the number of range endpoints or boundaries
-    and with its depth, not with the cell count.  Masses exclude the
-    truncation residual, which the measure keeps apart.
+    which dense-only operations read.  Regions arrive as sets (sorted disjoint
+    cell `ranges`, laid flat in int64 `bounds`) and cuts as boundary indices,
+    so a model can answer them in time that grows with the number of range
+    endpoints or boundaries and with its depth, not with the cell count.
+    Masses exclude the truncation residual, which the measure keeps apart.
     """
 
     total_mass: float
