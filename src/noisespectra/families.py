@@ -40,7 +40,7 @@ import numpy as np
 
 from ._rng import worker_generator
 from .functionals import BackendError, FamilyRef, ItoTerm, NoiseFunctional
-from .grid import TimeGrid
+from .grid import ElementarySet, TimeGrid
 from .kernels import SimplexKernel
 
 DENSE_FANIN_CAP = 15
@@ -328,7 +328,7 @@ class TreeModel:
             out[k + 1] = self.fluctuation_mass * float(poly[k + 1])
         return out
 
-    def subset_mass(self, region) -> float:
+    def subset_mass(self, region: ElementarySet) -> float:
         """Mass of sets inside a region, read from its flat int64 range `bounds`.
 
         The count of region cells below leaf x is piecewise linear in x (slope 1 inside a range,

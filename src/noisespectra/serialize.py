@@ -192,16 +192,14 @@ def functional_from_data(data: dict) -> NoiseFunctional:
             terms: list = []
             for i, row in enumerate(_get(data, "terms")):
                 try:
+                    weight = _numbers(row["weight"], "weight", scalar=True)
                     if row.get("type") == "ito":
-                        terms.append(ItoTerm(_numbers(row["weight"], "weight", scalar=True),
-                                             kernel_from_data(row["kernel"], grid.n_cells)))
+                        terms.append(ItoTerm(weight, kernel_from_data(row["kernel"], grid.n_cells)))
                     elif row.get("type") == "map":
                         factors = tuple(MapFactor(fa["cell"], fa.get("channel", 0), str(fa["fn"]),
-                                                  tuple(_numbers(fa.get("params", []),
-                                                                 "params").tolist()))
+                                                  tuple(_numbers(fa.get("params", []), "params")))
                                         for fa in row["factors"])
-                        terms.append(MapTerm(_numbers(row["weight"], "weight", scalar=True),
-                                             factors))
+                        terms.append(MapTerm(weight, factors))
                     else:
                         raise FormatError(f"unknown program term type {row.get('type')!r}")
                 except (KeyError, TypeError, ValueError) as exc:
@@ -496,10 +494,9 @@ def _get(data: dict, key: str):
 
 
 def _numbers(value, field: str, nonnegative: bool = False, scalar: bool = False):
-    """A file's number, or list of numbers nested to any depth, as float64 (a float if
-    `scalar`).  Only JSON numbers pass: an int or a float, never a bool or a string, each
-    finite, and non-negative where asked; one pass over the types, one vectorized pass over
-    the values (NaN fails both tests).  The FormatError names the field."""
+    """A file's number (`scalar`) as a float, or its list of numbers, nested to any depth, as
+    float64.  Each must be a JSON number, an int or a float but no bool, finite, and
+    non-negative where asked (NaN fails both tests); the FormatError names the field."""
     if scalar and type(value) is list:
         raise FormatError(f"{field} must be one number, got {value!r}")
     flat = value if type(value) is list else [value]
@@ -509,10 +506,9 @@ def _numbers(value, field: str, nonnegative: bool = False, scalar: bool = False)
     if types.count(float) != len(types) and not all(
             t is not bool and issubclass(t, (int, float)) for t in set(types)):
         bad = next(v for v in flat if type(v) is bool or not isinstance(v, (int, float)))
-        raise FormatError(f"{field} must be numbers, not {type(bad).__name__}: got {bad!r}")
-    try:  # fromiter reads a flat list a little faster
-        x = np.fromiter(flat, np.float64, len(flat)) if flat is value else np.asarray(
-            value, dtype=np.float64)
+        raise FormatError(f"{field}: {bad!r} is not a JSON number (an int or a float)")
+    try:
+        x = np.asarray(value, dtype=np.float64)
     except (OverflowError, ValueError) as exc:  # an int past the float range; ragged lists
         raise FormatError(f"{field}: {exc}") from exc
     ok = np.isfinite(x) & (x >= 0) if nonnegative else np.isfinite(x)

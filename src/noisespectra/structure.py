@@ -183,10 +183,9 @@ class ClassificationReport:
 def classify(family: str, levels: Sequence[int], **params) -> ClassificationReport:
     """Per-level spectral summaries plus trend verdicts for a named family.
 
-    Verdicts are labeled heuristics over the measured sequences: a mass
-    fraction "vanishes" when it is monotone nonincreasing over at least three
-    levels and ends below 0.01 (0 at every level has its own verdict, over any
-    number of levels), and
+    Verdicts are labeled heuristics over the measured sequences: a mass fraction
+    "vanishes" when it is monotone nonincreasing over at least three levels and
+    ends below 0.01 (0 at every level, however many, has its own verdict), and
     "dominates" when it ends above 0.99.  Raw per-level data always rides along.
     """
     records: list[LevelRecord] = []

@@ -209,7 +209,7 @@ def from_json(reader, data):
 
 
 def refused(reader, data, field):
-    with pytest.raises(FormatError, match=rf"\b{field} must be (one number|numbers)"):
+    with pytest.raises(FormatError, match=rf"\b{field}(: .* is not a JSON number| must be one number)"):
         from_json(reader, data)
 
 
@@ -272,13 +272,13 @@ def test_program_file_numbers_are_json_numbers(bad):
     ito = {"type": "ito", "weight": 2, "kernel": {"order": 1, "constant": 1.0}}
     sine = {"type": "map", "weight": 1.5, "factors": [{"cell": 1, "fn": "sin", "params": [2]}]}
     data = {"grid": grid_to_data(TimeGrid(0, 1, 2)), "kind": "program", "terms": [ito, sine]}
-    field = r"(one number|numbers|finite)"
-    with pytest.raises(FormatError, match=rf"^terms\[0\]: weight must be {field}"):
+    why = r"(: .* is not a JSON number| must be one number| must be finite)"
+    with pytest.raises(FormatError, match=rf"^terms\[0\]: weight{why}"):
         from_json(functional_from_data, {**data, "terms": [{**ito, "weight": bad}, sine]})
-    with pytest.raises(FormatError, match=rf"^terms\[1\]: weight must be {field}"):
+    with pytest.raises(FormatError, match=rf"^terms\[1\]: weight{why}"):
         from_json(functional_from_data, {**data, "terms": [ito, {**sine, "weight": bad}]})
     factor = {**sine["factors"][0], "params": [1.0, bad]}
-    with pytest.raises(FormatError, match=rf"^terms\[1\]: params must be {field}"):
+    with pytest.raises(FormatError, match=rf"^terms\[1\]: params{why}"):
         from_json(functional_from_data, {**data, "terms": [ito, {**sine, "factors": [factor]}]})
     terms = from_json(functional_from_data, data).backend.terms
     assert terms[0].weight == 2.0 and terms[1].factors[0].params == (2.0,)

@@ -705,8 +705,11 @@ def test_bounds_and_closed_form_equal_the_tuple_route(name, level):
     assert got.tobytes() == want.tobytes()
 
 
-def test_fanin_3_closed_form_equals_the_recurrence_on_rows():
-    layer = model_of("majority3-iterated", 4).layers[0]
+@pytest.mark.parametrize("mu_in", [0.0, 0.3, -0.6])
+def test_fanin_3_closed_form_equals_the_recurrence_on_rows(mu_in):
+    # biased inputs give size-2 subsets weight, which unbiased Maj3 layers lack
+    layer = families._majority_layer(3, mu_in)
+    assert bool(layer.weights[2]) == (mu_in != 0.0)
     rng = np.random.default_rng(3)
     partial = rng.random((500, 3)) < 0.5
     full = ~partial & (rng.random((500, 3)) < 0.5)
