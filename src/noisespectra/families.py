@@ -121,7 +121,7 @@ class TreeLayer:
             return self._product_form(count, np.bincount(rows, weights=logs, minlength=len(full)))
         x = full.astype(np.float64)
         x[partial] = value
-        if self.fanin == 3:  # e1, e2, e3 in the loop's own operations, less its adds of 0
+        if self.fanin == 3:  # the loop unrolled, less its adds of 0 and products by 1: same bits
             x0, x1, x2 = x.T
             e1, e2 = x0 + x1, x1 * x0
             return self.weights[1:] @ np.array([e1 + x2, e2 + x2 * e1, x2 * e2])
@@ -405,7 +405,7 @@ class TreeModel:
         key = (rng.random(k) >= self.empty_mass / self.total_mass).nonzero()[0] * self.leaf_count
         for layer, child_span in self._levels():
             picks = layer.draw_children(rng, len(key)).ravel().nonzero()[0]
-            rows = picks // layer.fanin  # and the column is picks - rows * fanin
+            rows = picks // layer.fanin  # with the subtraction below, faster than np.divmod
             key = key[rows] + (picks - rows * layer.fanin) * child_span
         # flat indices rise row-major, so keys rise: each draw's cells come out grouped, sorted
         ends = key.searchsorted(self.leaf_count * np.arange(1, k + 1)).tolist()

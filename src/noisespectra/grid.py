@@ -194,11 +194,11 @@ class ElementarySet:
         # cells are nonnegative now, so no gap between sorted ones wraps;
         # repeated cells (gap 0) stay inside their run
         gap = v[1:] - v[:-1] > 1
-        # each run's first cell and one past its last, in int64: a narrow dtype would wrap
-        bounds = np.array([v[np.append(True, gap)], v[np.append(gap, True)]], np.int64).T.ravel()
-        bounds[1::2] += 1
-        flat = bounds.tolist()
-        s = cls._canonical(grid, tuple(zip(flat[::2], flat[1::2])))
+        bounds = np.empty(2 * int(np.count_nonzero(gap)) + 2, dtype=np.int64)  # lo, hi, lo, ...
+        bounds[::2] = v[np.concatenate([[True], gap])]
+        # ends step past the last cell in int64: a narrow dtype would wrap
+        np.add(v[np.concatenate([gap, [True]])], 1, out=bounds[1::2], dtype=np.int64)
+        s = cls._canonical(grid, tuple(zip(bounds[::2].tolist(), bounds[1::2].tolist())))
         s.__dict__["bounds"] = _read_only(bounds)  # the value `bounds` would build
         return s
 

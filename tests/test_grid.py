@@ -115,6 +115,10 @@ def test_from_cells_matches_per_cell_form():
         got = ElementarySet.from_cells(grid, cells)
         assert got == per_cell_set(grid, cells)
         assert all(type(v) is int for r in got.ranges for v in r)
+        # the flat int64 bounds, kept by the array route, built once by the others
+        assert got.bounds.dtype == np.int64 and not got.bounds.flags.writeable
+        assert got.bounds.tolist() == [v for r in got.ranges for v in r]
+        assert got.bounds is got.bounds
     assert len(ElementarySet.from_cells(big, scattered).ranges) > 1000
     for cells in ([8], [-1, 3], [2, 9, 8, 12], np.array([0, 10])):
         with pytest.raises(ValueError) as expected:
@@ -191,7 +195,10 @@ def test_from_cells_of_narrow_integer_arrays_does_not_wrap():
     grid = TimeGrid(0, 1, 8)
     for dtype in (np.int8, np.uint8):
         cells = np.array([127, 0, 126, 0] * 20, dtype=dtype)
-        assert ElementarySet.from_cells(grid, cells).ranges == ((0, 1), (126, 128))
+        got = ElementarySet.from_cells(grid, cells)
+        assert got.ranges == ((0, 1), (126, 128)) and got.bounds.tolist() == [0, 1, 126, 128]
+        got = ElementarySet.from_cells(grid, np.array([255, 0, 254] * 30, dtype=np.uint8))
+        assert got.ranges == ((0, 1), (254, 256)) and got.bounds.tolist() == [0, 1, 254, 256]
     with pytest.raises(ValueError, match=r"range \[-128, -127\) outside 0..256"):
         ElementarySet.from_cells(grid, np.array([-128, 127] * 40, dtype=np.int8))
     with pytest.raises(TypeError):  # one cell per entry, as for a list of lists
