@@ -629,8 +629,9 @@ def edge_regions(model, rng):
     if leaves < n:
         cases += [((leaves - 3, n),), ((leaves, n),), ((0, 1), (leaves + 1, n)),
                   ((leaves - 1, leaves + 1),)]
-    return [ElementarySet(grid, ranges) for ranges in cases] + [
-        ElementarySet.from_cells(grid, np.flatnonzero(rng.random(n) < p)) for p in (0.05, 0.5, 0.95)]
+    scatters = [np.flatnonzero(rng.random(n) < p) for p in (0.05, 0.5, 0.95)]
+    return ([ElementarySet(grid, ranges) for ranges in cases]
+            + [ElementarySet.from_cells(grid, cells) for cells in scatters])
 
 
 @pytest.mark.parametrize("name,level", [("majority3-iterated", level) for level in range(1, 10)]
@@ -728,7 +729,8 @@ def test_majority_fanin_5_takes_the_recurrence():
     want = np.array([tuple_route_subset_mass(model, region.ranges) for region in cases])
     assert got.tobytes() == want.tobytes()
     for region in cases[-3:]:
-        assert abs(model.subset_mass(region) - ref.subset_mass(model, frozenset(region.cells()))) <= TOL
+        want = ref.subset_mass(model, frozenset(region.cells()))
+        assert abs(model.subset_mass(region) - want) <= TOL
 
 
 def two_call_sample(model, k, seed):
