@@ -364,9 +364,12 @@ class TreeModel:
         cut = np.empty((2, len(boundaries)), dtype=self._scan[0].dtype)
         np.minimum(np.maximum(boundaries, 0), self.leaf_count, out=cut[0])
         np.subtract(self.leaf_count, cut[0], out=cut[1])
-        out = np.empty(cut.shape)
-        for s in range(0, cut.shape[1], CUT_BLOCK):
-            out[:, s : s + CUT_BLOCK] = self._cut_mass(cut[:, s : s + CUT_BLOCK])
+        if cut.shape[1] <= CUT_BLOCK:  # one block: no loop, no copy
+            out = self._cut_mass(cut)
+        else:
+            out = np.empty(cut.shape)
+            for s in range(0, cut.shape[1], CUT_BLOCK):
+                out[:, s : s + CUT_BLOCK] = self._cut_mass(cut[:, s : s + CUT_BLOCK])
         return out[0], out[1]
 
     def straddle_masses(self, boundaries) -> np.ndarray:

@@ -101,7 +101,8 @@ class TimeGrid:
 
 
 def require_same_grid(a: TimeGrid, b: TimeGrid) -> None:
-    if a != b:
+    """The query path's one grid check: an identity test, then a field comparison."""
+    if a is not b and a != b:
         raise GridMismatchError(f"grid mismatch: {a} vs {b}")
 
 
@@ -170,9 +171,10 @@ class ElementarySet:
         """Set of the given cells; each run of consecutive cells becomes one range.
 
         A 1-d integer array of at least NUMPY_RUNS_FROM cells finds its runs with
-        array masks and keeps their int64 `bounds`; other input is taken cell by
-        cell as Python ints, faster below that size, and a bool or a float cell is
-        refused.  The runs come out canonical, so ``_canonical`` skips the merge.
+        array masks and keeps only their int64 `bounds`: the `ranges` tuples are
+        built from them on first read.  Other input is taken cell by cell as
+        Python ints, faster below that size, and a bool or a float cell is refused.
+        The runs come out canonical, so neither route merges.
         """
         if (isinstance(cells, np.ndarray) and cells.ndim == 1 and cells.dtype.kind in "iu"
                 and cells.size >= NUMPY_RUNS_FROM):
@@ -198,8 +200,8 @@ class ElementarySet:
         bounds[::2] = v[np.concatenate([[True], gap])]
         # ends step past the last cell in int64: a narrow dtype would wrap
         np.add(v[np.concatenate([gap, [True]])], 1, out=bounds[1::2], dtype=np.int64)
-        s = cls._canonical(grid, tuple(zip(bounds[::2].tolist(), bounds[1::2].tolist())))
-        s.__dict__["bounds"] = _read_only(bounds)  # the value `bounds` would build
+        s = cls.__new__(cls)
+        s.__dict__.update(grid=grid, bounds=_read_only(bounds))  # the value `bounds` would build
         return s
 
     @classmethod
@@ -235,6 +237,13 @@ class ElementarySet:
                 raise ValueError(f"bad cell range {part!r}: want one cell or lo:hi with lo <= hi")
             ranges.append((lo, hi))
         return cls(grid, tuple(ranges))
+
+    def __getattr__(self, name: str):  # an array-built set's `ranges`, made on first read
+        got = vars(self)
+        if name != "ranges" or "bounds" not in got:
+            raise AttributeError(name)
+        b = got["bounds"]
+        return got.setdefault(name, tuple(zip(b[::2].tolist(), b[1::2].tolist())))
 
     # -- queries ------------------------------------------------------------
     @property

@@ -38,7 +38,7 @@ from .functionals import (
     RademacherTable,
     joined_grid,
 )
-from .grid import ElementarySet, GridMismatchError, TimeGrid, _integers
+from .grid import ElementarySet, TimeGrid, _integers, require_same_grid
 from .transform import decompose, walsh_coefficients
 from .walsh import (DENSE_CELL_CAP, _checked_rows, cells_of_rows, inside, meeting, row_sizes,
                     run_axes)
@@ -259,8 +259,10 @@ class _WalshMasses:
     def subset_mass(self, region: ElementarySet) -> float:
         # the sets inside the region are the masks with every outside bit clear
         shape, outside = run_axes(region.ranges, self.n_cells)
-        block = tuple(0 if a in outside else slice(None) for a in range(len(shape)))
-        return float(self.mass.reshape(shape)[block].sum())
+        block = [slice(None)] * len(shape)
+        for a in outside:
+            block[a] = 0
+        return float(self.mass.reshape(shape)[tuple(block)].sum())
 
 
 class _EntryView(Mapping):
@@ -424,8 +426,7 @@ def mass_of_subsets_of(mu: SpectralMeasure, region: ElementarySet) -> float:
     The truncation residual has no location, so a measure carrying one is
     refused, as in `restrict`.
     """
-    if mu.grid != region.grid:
-        raise GridMismatchError("measure and region live on different grids")
+    require_same_grid(mu.grid, region.grid)
     mu._require_resolved("take subset masses of")
     return mu.model.subset_mass(region)
 
@@ -448,8 +449,7 @@ def restrict(mu: SpectralMeasure, region: ElementarySet) -> SpectralMeasure:
     The truncation residual has no location, so a measure carrying one is
     refused rather than restricted.
     """
-    if mu.grid != region.grid:
-        raise GridMismatchError("measure and region live on different grids")
+    require_same_grid(mu.grid, region.grid)
     mu._require_resolved("restrict")
     t = mu._atoms
     kept = np.flatnonzero(inside(t.rows, region.ranges))
@@ -479,8 +479,7 @@ def product(left: SpectralMeasure, right: SpectralMeasure) -> SpectralMeasure:
 
 def is_absolutely_continuous(mu_g: SpectralMeasure, mu_f: SpectralMeasure) -> bool:
     """support(mu_g) inside support(mu_f); needs dense representations."""
-    if mu_g.grid != mu_f.grid:
-        raise GridMismatchError("measures live on different grids")
+    require_same_grid(mu_g.grid, mu_f.grid)
     # g's rows add no row to f's: every set of g, plain or multiplicity, is a set of f
     f, g = mu_f._atoms.rows, mu_g._atoms.rows
     return len(np.unique(np.vstack([f, g]), axis=0)) == len(np.unique(f, axis=0))

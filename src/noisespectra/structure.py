@@ -8,6 +8,7 @@ subspaces.  These diagnostics are exact identities on the grid, not limits.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -21,6 +22,7 @@ from .spectral import (
     cardinality_profile,
     singleton_mass,
     spectral_measure_of,
+    straddle_mass,
 )
 from .transform import decompose, level_projection
 from .walsh import _words, inside, row_sizes
@@ -83,27 +85,21 @@ def cut_distance(f, t) -> float:
     """Distance from f - Ef to the sum of the two one-sided subspaces at t.
 
     Characters straddling the cut are exactly the orthogonal complement, so
-    this is the square root of the straddling spectral mass.  `t` must be a
-    grid point; `f` may be a functional or a prepared spectral measure.
+    this is the square root of the straddling spectral mass, 0 at the window's
+    ends.  `t` must be a grid point; `f` may be a functional or a prepared
+    spectral measure.
     """
     mu = f if isinstance(f, SpectralMeasure) else spectral_measure_of(f)
     idx = mu.grid.boundary_index(t)
-    return float(_cut_distances(mu, np.array([idx]))[0])
-
-
-def _cut_distances(mu: SpectralMeasure, boundaries: np.ndarray) -> np.ndarray:
-    """Cut distances at the given boundary indices; 0 at the window's ends."""
-    inner = (boundaries > 0) & (boundaries < mu.grid.n_cells)
-    straddle = mu.model.straddle_masses(boundaries[inner]) + mu.residual
-    out = np.zeros(boundaries.shape)
-    out[inner] = np.sqrt(np.maximum(straddle, 0.0))
-    return out
+    # the float steps of `interior_cut_distances` at one boundary, without its arrays
+    return math.sqrt(max(straddle_mass(mu, idx), 0.0)) if 0 < idx < mu.grid.n_cells else 0.0
 
 
 def interior_cut_distances(f) -> np.ndarray:
     """Cut distances at every interior boundary, index 1 through n-1."""
     mu = f if isinstance(f, SpectralMeasure) else spectral_measure_of(f)
-    return _cut_distances(mu, np.arange(1, mu.grid.n_cells))
+    straddle = mu.model.straddle_masses(np.arange(1, mu.grid.n_cells)) + mu.residual
+    return np.sqrt(np.maximum(straddle, 0.0))
 
 
 @dataclass(frozen=True)

@@ -77,9 +77,10 @@ def conditional_expectation(f: NoiseFunctional, region: ElementarySet) -> NoiseF
 
     On a table the axis layout is :func:`walsh.run_axes` of the region's
     ranges: one axis per maximal run of inside or outside cells.  One
-    ``np.add.reduce`` over the outside axes and one division by their count
-    (the sum and division ``np.mean`` does) fill a fresh read-only table; a
-    full region returns `f` itself.
+    ``np.add.reduce`` over the outside axes, then one in-place division of the
+    2**|A| reduced sums by the outside count (the sum and division ``np.mean``
+    does), then one broadcast copy fill a fresh read-only table; a full region
+    returns `f` itself.
     """
     require_same_grid(f.grid, region.grid)
     b = f.backend
@@ -89,8 +90,10 @@ def conditional_expectation(f: NoiseFunctional, region: ElementarySet) -> NoiseF
         if not outside:
             return f
         total = np.add.reduce(values.reshape(shape), axis=tuple(outside), keepdims=True)
+        # one sum per inside subset, each over 2**n / total.size outside ones
+        np.true_divide(total, values.size // total.size, out=total)
         out = np.empty(1 << n)
-        np.true_divide(total, 1 << (n - region.cell_count), out=out.reshape(shape))
+        out.reshape(shape)[...] = total
         return NoiseFunctional._of_fresh_table(f.grid, out)
     if isinstance(b, ChaosCoefficients):
         return NoiseFunctional.from_chaos(b.filtered(inside(b.rows, region.ranges)))
