@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Union
 
 import numpy as np
 
-from .grid import TimeGrid, _integers
+from .grid import TimeGrid, _integers, require_same_grid
 from .walsh import _checked_rows, cells_of_rows
 
 WalshIndex = tuple[int, ...]
@@ -216,8 +216,9 @@ class ChaosCoefficients:
 
 
 def add_coefficients(a: ChaosCoefficients, b: ChaosCoefficients) -> ChaosCoefficients:
-    if a.grid != b.grid or a.kind != b.kind:
-        raise ValueError("cannot add chaos expansions of different grids or kinds")
+    require_same_grid(a.grid, b.grid)
+    if a.kind != b.kind:
+        raise ValueError("cannot add chaos expansions of different kinds")
     merged = dict(a.entries)
     for ix, c in b.entries.items():
         merged[ix] = merged.get(ix, 0.0) + c

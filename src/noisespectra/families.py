@@ -232,8 +232,6 @@ def _sized_layer(kind: str, m: int, mu_in: float) -> TreeLayer:
     # fluctuation stays accurate
     base = math.log1p(mu_in) if kind == "and" else math.log1p(-mu_in)
     delta = 2.0 * math.exp(m * base - m * math.log(2.0))
-    if delta == 0.0:
-        raise ValueError("combiner output is almost surely constant")
     mu_out = delta - 1.0 if kind == "and" else 1.0 - delta
     logs = log_binom + 2.0 * ((1 - m) * math.log(2.0) + t * log_sigma + (m - t) * base)
     logs[0] = -np.inf
@@ -509,13 +507,6 @@ def make_functional(name: str, level: int, **params) -> NoiseFunctional:
 
 def family_names() -> list[str]:
     return list(_FAMILIES)
-
-
-def evaluate_family(grid: TimeGrid, ref: FamilyRef, omega) -> float:
-    om = np.asarray(omega, dtype=np.float64)
-    if om.shape != (grid.n_cells,) or not np.all(np.abs(om) == 1.0):
-        raise ValueError("omega must be a +-1 vector, one sign per cell")
-    return float(_evaluate_rows(grid, ref, om[None, :])[0])
 
 
 def _evaluate_rows(grid: TimeGrid, ref: FamilyRef, rows: np.ndarray) -> np.ndarray:

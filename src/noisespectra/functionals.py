@@ -151,9 +151,9 @@ class RademacherTable:
 Backend = Union[RademacherTable, ChaosCoefficients, BrownianProgram, FamilyRef]
 
 
-def _require_table_cap(n_cells: int) -> None:
+def _require_table_cap(n_cells: int, named: str = "") -> None:
     if n_cells > DENSE_CELL_CAP:
-        raise ValueError(f"table backend capped at {DENSE_CELL_CAP} cells, got {n_cells}")
+        raise BackendError(f"{named}value tables are capped at {DENSE_CELL_CAP} cells, got {n_cells}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,8 +169,8 @@ class NoiseFunctional:
                 raise ValueError(
                     f"table length {self.backend.values.shape} does not match 2**{n}"
                 )
-        if isinstance(self.backend, ChaosCoefficients) and self.backend.grid != self.grid:
-            raise GridMismatchError("chaos coefficients carry a different grid")
+        if isinstance(self.backend, ChaosCoefficients):
+            require_same_grid(self.backend.grid, self.grid)
         if isinstance(self.backend, BrownianProgram):
             _check_sites(self.backend, n)
 
@@ -257,33 +257,32 @@ def cell_lengths(grid: TimeGrid) -> np.ndarray:
 
 
 def evaluate(f: NoiseFunctional, omega) -> float:
-    """Value at one sample point: a sign pattern or an increment vector."""
-    b = f.backend
-    if isinstance(b, RademacherTable):
-        return float(b.values[omega_index(omega)])
-    if isinstance(b, ChaosCoefficients):
-        inc = np.asarray(omega, dtype=np.float64)
-        if b.kind == WALSH:
-            if inc.shape != (f.grid.n_cells,) or not np.all(np.abs(inc) == 1.0):
-                raise ValueError("omega must be a +-1 vector, one sign per cell")
-            # a sign times the root cell length is an increment whose he_1 is that sign
-            inc = inc * math.sqrt(float(f.grid.cell_length))
-        return float(_values_on_increments(f, inc.reshape(1, f.grid.n_cells, -1))[0])
-    if isinstance(b, BrownianProgram):
-        inc = np.asarray(omega, dtype=np.float64)
-        if inc.ndim == 1:
-            inc = inc[None, :, None]
-        elif inc.ndim == 2:
-            inc = inc[None, :, :]
-        return float(program_values(b, inc)[0])
-    from . import families
+    """Value at one sample point, checked here alone: a Rademacher backend (table, family,
+    Walsh expansion) takes one +-1 sign per cell, shape (n,); a Gaussian one (program,
+    Hermite expansion) one increment per cell and channel, shape (n, d) for d = `channels`,
+    or (n,) when d is 1."""
+    b, n = f.backend, f.grid.n_cells
+    om = np.asarray(omega, dtype=np.float64)
+    if _rademacher(b):
+        if om.shape != (n,) or not np.all(np.abs(om) == 1.0):
+            raise ValueError("omega must be a +-1 vector, one sign per cell")
+        if isinstance(b, RademacherTable):
+            return float(b.values[omega_index(om)])
+        if isinstance(b, FamilyRef):
+            from . import families
 
-    return families.evaluate_family(f.grid, b, omega)
+            return float(families._evaluate_rows(f.grid, b, om[None, :])[0])
+        # a sign times the root cell length is an increment whose he_1 is that sign
+        om = om * math.sqrt(float(f.grid.cell_length))
+    elif om.shape != (n, b.channels) and not (b.channels == 1 and om.shape == (n,)):
+        raise ValueError(f"omega must hold {n} increments on each of {b.channels} "
+                         f"channel(s), shape ({n}, {b.channels}), got {om.shape}")
+    return float(_values_on_increments(f, om.reshape(1, n, -1))[0])
 
 
 def evaluate_table(f: NoiseFunctional) -> np.ndarray:
-    """Full value table; the one place a Walsh expansion or a family becomes values,
-    and the one place a table past DENSE_CELL_CAP cells is refused."""
+    """Full value table; the one place a Walsh expansion or a family becomes values.
+    Past DENSE_CELL_CAP cells `_require_table_cap` refuses it, as it refuses a table."""
     b = f.backend
     if isinstance(b, RademacherTable):
         return b.values
@@ -291,9 +290,8 @@ def evaluate_table(f: NoiseFunctional) -> np.ndarray:
         kind = "Hermite expansions" if isinstance(b, ChaosCoefficients) else "Brownian programs"
         raise BackendError(f"{kind} have no Rademacher value table")
     n = f.grid.n_cells
-    if n > DENSE_CELL_CAP:
-        named = f"family {b.name} at level {b.level}: " if isinstance(b, FamilyRef) else ""
-        raise BackendError(f"{named}value tables are capped at {DENSE_CELL_CAP} cells, got {n}")
+    named = f"family {b.name} at level {b.level}: " if isinstance(b, FamilyRef) else ""
+    _require_table_cap(n, named)
     if isinstance(b, FamilyRef):
         from . import families
 

@@ -19,6 +19,7 @@ import numpy as np
 from ._mc import fill_increments, merge_moments, moments, stream_moments
 from .chaos import HERMITE, ChaosCoefficients
 from .functionals import (
+    ItoTerm,
     MCEstimate,
     NoiseFunctional,
     _values_on_increments,
@@ -69,10 +70,7 @@ def multiple_ito_integral(kernel: SimplexKernel, paths, max_order: int = 4) -> n
     """
     if kernel.order > max_order:
         raise ValueError(f"kernel order {kernel.order} above the cap {max_order}")
-    inc = paths.increments if isinstance(paths, BrownianGrid) else np.asarray(paths)
-    if inc.ndim == 2:
-        inc = inc[:, :, None]
-    return iterated_sum(kernel, inc)
+    return iterated_sum(kernel, paths.increments if isinstance(paths, BrownianGrid) else paths)
 
 
 # ---------------------------------------------------------------------------
@@ -101,8 +99,6 @@ def _as_functional(grid: TimeGrid, obj) -> NoiseFunctional:
     if isinstance(obj, NoiseFunctional):
         return obj
     if isinstance(obj, SimplexKernel):
-        from .functionals import ItoTerm
-
         return NoiseFunctional.from_program(grid, [ItoTerm(1.0, obj)], degree_cap=obj.order,
                                             channels=1 + max(obj.channels))
     raise TypeError("expected a functional or a simplex kernel")

@@ -28,7 +28,6 @@ from noisespectra import (
 from noisespectra.families import (
     _majority_layer,
     calibration_measure,
-    evaluate_family,
     family_mean,
     family_model,
     family_names,
@@ -136,7 +135,7 @@ def test_majority_semantics():
     assert f.grid.base == 3
     for omega in itertools.product((-1.0, 1.0), repeat=3):
         want = 1.0 if sum(omega) > 0 else -1.0
-        assert evaluate_family(f.grid, f.backend, np.array(omega)) == want
+        assert evaluate(f, np.array(omega)) == want
 
 
 def test_tribes_semantics():
@@ -149,7 +148,7 @@ def test_tribes_semantics():
         om = rng.choice([-1.0, 1.0], size=16)
         used = om[: width * blocks].reshape(blocks, width)
         want = 1.0 if ((used == 1.0).all(axis=1)).any() else -1.0
-        assert evaluate_family(f.grid, f.backend, om) == want
+        assert evaluate(f, om) == want
 
 
 def test_tribes_shape_properties():
@@ -324,7 +323,7 @@ def test_materialize_respects_sign_convention():
     table = evaluate_table(dense_twin(f))
     rows = old_sign_table(3).astype(np.float64)
     for pos in range(8):
-        assert table[pos] == evaluate_family(f.grid, f.backend, rows[pos])
+        assert table[pos] == evaluate(f, rows[pos])
 
 
 def test_calibration_measures():

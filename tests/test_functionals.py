@@ -237,6 +237,19 @@ def test_fresh_tables_past_the_cap_are_refused_before_they_are_built():
         random_functional(TimeGrid(0, 1, 5), np.random.default_rng(0))
 
 
+def test_value_tables_past_the_cap_have_one_refusal():
+    # a table, a tensor product and a random table share `_require_table_cap`'s text and class
+    grid = TimeGrid(0, 1, 1, base=25)
+    left, right = TimeGrid(0, 1, 1, base=13), TimeGrid(1, 2, 1, base=13)
+    f = random_functional(left, np.random.default_rng(0))
+    g = random_functional(right, np.random.default_rng(1))
+    for build, n in ((lambda: NoiseFunctional.from_table(grid, np.zeros(1)), 25),
+                     (lambda: tensor_product(f, g), 26),
+                     (lambda: random_functional(TimeGrid(0, 1, 5), np.random.default_rng(0)), 32)):
+        with pytest.raises(BackendError, match=rf"^value tables are capped at 24 cells, got {n}$"):
+            build()
+
+
 # ---------------------------------------------------------------------------
 # Brownian programs
 
@@ -337,3 +350,138 @@ def test_mc_inner_product_reproducible_and_consistent():
     assert abs(a.value - exact) < 4 * a.stderr
     with pytest.raises(BackendError):
         inner_product_mc(f, random_functional(grid, np.random.default_rng(0)), 100, 0)
+
+
+# ---------------------------------------------------------------------------
+# sample points: `evaluate` checks each point kind once, and keeps the bits of
+# the routes it replaced
+
+
+def old_evaluate_family(grid, ref, omega):
+    from noisespectra.families import _evaluate_rows
+
+    om = np.asarray(omega, dtype=np.float64)
+    if om.shape != (grid.n_cells,) or not np.all(np.abs(om) == 1.0):
+        raise ValueError("omega must be a +-1 vector, one sign per cell")
+    return float(_evaluate_rows(grid, ref, om[None, :])[0])
+
+
+def old_evaluate(f, omega):
+    from noisespectra.chaos import WALSH, ChaosCoefficients
+    from noisespectra.functionals import (BrownianProgram, RademacherTable,
+                                          _values_on_increments, program_values)
+    from noisespectra.walsh import omega_index
+
+    b = f.backend
+    if isinstance(b, RademacherTable):
+        return float(b.values[omega_index(omega)])
+    if isinstance(b, ChaosCoefficients):
+        inc = np.asarray(omega, dtype=np.float64)
+        if b.kind == WALSH:
+            if inc.shape != (f.grid.n_cells,) or not np.all(np.abs(inc) == 1.0):
+                raise ValueError("omega must be a +-1 vector, one sign per cell")
+            inc = inc * math.sqrt(float(f.grid.cell_length))
+        return float(_values_on_increments(f, inc.reshape(1, f.grid.n_cells, -1))[0])
+    if isinstance(b, BrownianProgram):
+        inc = np.asarray(omega, dtype=np.float64)
+        if inc.ndim == 1:
+            inc = inc[None, :, None]
+        elif inc.ndim == 2:
+            inc = inc[None, :, :]
+        return float(program_values(b, inc)[0])
+    return old_evaluate_family(f.grid, b, omega)
+
+
+def _program(channels):
+    """Map and Ito terms on 4 cells, spread over `channels` channels."""
+    grid, top = TimeGrid(0, 1, 2), channels - 1
+    maps = MapTerm(0.7, (MapFactor(1, 0, "sin", (0.5,)), MapFactor(3, top, "exp", (0.3,))))
+    kernel = SimplexKernel(2, 4, dense=np.triu(np.arange(16.0).reshape(4, 4) / 8, 1),
+                           channels=(0, top))
+    return NoiseFunctional.from_program(grid, [maps, ItoTerm(1.2, kernel)], 3, channels)
+
+
+def _expanded(f):
+    return NoiseFunctional.from_chaos(hermite_decompose(f.grid, f.backend))
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+TABLE_2 = NoiseFunctional.from_table(TimeGrid(0, 1, 1), [1.0, 2.0, 3.0, 4.0])
+HERMITE_1 = _expanded(_program(1))
+
+
+@pytest.mark.parametrize("f, omega, message", [
+    (TABLE_2, [-1], r"^omega must be a \+-1 vector, one sign per cell$"),
+    (TABLE_2, [-1, 1, 1], r"\+-1 vector, one sign per cell"),
+    (TABLE_2, [1, 1, -1], r"\+-1 vector, one sign per cell"),
+    (_program(1), np.ones(1),
+     r"^omega must hold 4 increments on each of 1 channel\(s\), shape \(4, 1\), got \(1,\)$"),
+    (_program(1), np.ones(5), r"shape \(4, 1\), got \(5,\)"),
+    (_program(1), np.ones((4, 2)), r"shape \(4, 1\), got \(4, 2\)"),
+    (HERMITE_1, np.ones((4, 2)), r"shape \(4, 1\), got \(4, 2\)"),
+    (HERMITE_1, np.ones(2), r"shape \(4, 1\), got \(2,\)"),
+    (_program(2), np.ones(4),
+     r"^omega must hold 4 increments on each of 2 channel\(s\), shape \(4, 2\), got \(4,\)$"),
+], ids=["table-1-sign", "table-3-signs", "table-3-signs-last-minus", "program-1-increment",
+        "program-5-increments", "program-4x2", "hermite-4x2", "hermite-2-increments",
+        "program-2-channels-4-increments"])
+def test_evaluate_refuses_malformed_points(f, omega, message):
+    with pytest.raises(ValueError, match=message):
+        f.evaluate(omega)
+
+
+def _sign_rows(n, count=None, seed=0):
+    """Every sign pattern of n cells, in table order, or `count` seeded ones."""
+    if count is None:
+        return 1.0 - 2.0 * ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1)
+    return np.random.default_rng(seed).choice([-1.0, 1.0], size=(count, n))
+
+
+def _walsh_130():
+    rng = np.random.default_rng(130)
+    grid = TimeGrid(0, 1, 1, base=130)
+    entries = {tuple(sorted(rng.choice(130, size=k, replace=False).tolist())): float(c)
+               for k, c in zip(rng.integers(0, 6, size=40).tolist(), rng.standard_normal(40))}
+    return NoiseFunctional.from_walsh_entries(grid, entries)
+
+
+@pytest.mark.parametrize("case", ["table-10-all", "walsh-130", "maj3-l2-all", "tribes-l4",
+                                  "maj3-l13"])
+def test_evaluate_keeps_the_bits_on_sign_points(case):
+    from noisespectra.families import make_functional
+
+    if case == "table-10-all":
+        grid = TimeGrid(0, 1, 1, base=10)
+        f = NoiseFunctional.from_table(grid, np.random.default_rng(10).standard_normal(1 << 10))
+        rows = _sign_rows(10)
+    elif case == "walsh-130":
+        f, rows = _walsh_130(), _sign_rows(130, 50, seed=130)
+        assert f.backend.rows.shape[1] == 3
+    elif case == "maj3-l2-all":
+        f, rows = make_functional("majority3-iterated", 2), _sign_rows(9)
+        assert len(rows) == 512
+    elif case == "tribes-l4":
+        f, rows = make_functional("tribes", 4), _sign_rows(16, 200, seed=4)
+    else:
+        f, rows = make_functional("majority3-iterated", 13), _sign_rows(3**13, 20, seed=13)
+    for omega in rows:
+        assert _bits(f.evaluate(omega)) == _bits(old_evaluate(f, omega))
+    if case in ("table-10-all", "maj3-l2-all"):  # every pattern: the value table itself
+        got = np.array([f.evaluate(omega) for omega in rows])
+        assert got.tobytes() == evaluate_table(f).tobytes()
+
+
+@pytest.mark.parametrize("channels", [1, 2])
+@pytest.mark.parametrize("kind", ["program", "hermite"])
+def test_evaluate_keeps_the_bits_on_increment_points(kind, channels):
+    f = _expanded(_program(channels)) if kind == "hermite" else _program(channels)
+    assert f.backend.channels == channels
+    points = np.random.default_rng(channels).standard_normal((50, 4, channels)) / 2
+    for point in points:
+        shapes = [point, point[:, 0]] if channels == 1 else [point]
+        for omega in shapes:
+            assert _bits(f.evaluate(omega)) == _bits(old_evaluate(f, omega))
+        assert _bits(f.evaluate(point)) == _bits(f.evaluate(shapes[-1]))

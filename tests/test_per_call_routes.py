@@ -26,7 +26,7 @@ from noisespectra import (
     mass_of_subsets_of,
     spectral_measure_of,
 )
-from noisespectra.chaos import HERMITE, ChaosCoefficients
+from noisespectra.chaos import HERMITE, ChaosCoefficients, add_coefficients
 from noisespectra.functionals import evaluate_table
 from noisespectra.spectral import (
     SpectralMeasure,
@@ -194,6 +194,9 @@ CHECKED = {
     "is_absolutely_continuous": lambda g: is_absolutely_continuous(
         SpectralMeasure(GRID, {(1, 2): 1.0}), SpectralMeasure(g, {(1, 2): 0.5, (3,): 0.5})),
     "inner_product": lambda g: inner_product(_table(GRID), _table(g)),
+    "NoiseFunctional": lambda g: NoiseFunctional(GRID, ChaosCoefficients(g, {(1, 2): 1.0})),
+    "add_coefficients": lambda g: add_coefficients(ChaosCoefficients(GRID, {(1,): 1.0}),
+                                                   ChaosCoefficients(g, {(1,): 0.5, (3,): 2.0})),
     "union": lambda g: _region(GRID) | _region(g),
     "intersection": lambda g: _region(GRID) & _region(g),
 }
@@ -206,3 +209,11 @@ def test_grid_checks_take_equal_grids_and_refuse_others(name):
     CHECKED[name](TWIN)
     with pytest.raises(GridMismatchError, match=r"^grid mismatch: TimeGrid\(.* vs TimeGrid\("):
         CHECKED[name](OTHER)
+
+
+def test_chaos_sums_of_two_kinds_are_refused_as_such():
+    walsh = ChaosCoefficients(GRID, {(1,): 1.0})
+    hermite = ChaosCoefficients(TWIN, {((1, 0, 1),): 1.0}, HERMITE)
+    for a, b in ((walsh, hermite), (hermite, walsh)):
+        with pytest.raises(ValueError, match=r"^cannot add chaos expansions of different kinds$"):
+            add_coefficients(a, b)

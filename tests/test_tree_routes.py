@@ -156,6 +156,17 @@ def test_sized_layer_closed_form_matches_the_loop(kind, m, mu_in, seed):
     assert abs(closed[-1] - 1.0) <= TOL
 
 
+@pytest.mark.parametrize("kind,m,mu_in",
+                         [("or", 200, 0.99), ("and", 200, -0.99), ("or", 2000, 0.5)])
+def test_sized_layer_of_a_vanishing_rare_side_is_refused(kind, m, mu_in):
+    # the rare side's probability underflows to 0, so the output is constant: the
+    # fluctuation check refuses the layer
+    base = math.log1p(mu_in) if kind == "and" else math.log1p(-mu_in)
+    assert math.exp(m * base - m * math.log(2.0)) == 0.0
+    with pytest.raises(ValueError, match=r"^combiner output is almost surely constant$"):
+        _sized_layer(kind, m, mu_in)
+
+
 @pytest.mark.parametrize("kind,m,mu_in", [("and", 8, 0.0), ("or", 21, -0.75), ("or", 512, -0.98)])
 def test_and_or_partial_children_of_value_0_or_1_keep_their_class(kind, m, mu_in):
     # a partial child whose value is exactly 1 counts as full, one of value 0 as
