@@ -23,10 +23,12 @@ from .functionals import NoiseFunctional
 
 
 def box_count(s: SpectralSet, j: int) -> int:
-    """Number of scale base**-j boxes meeting the set; 0 for the empty set.
+    """Number of scale base**-j boxes meeting the set, j an integer level; 0 for the empty set.
 
     Cells rise, so one bisection per box jumps from its first cell past it."""
     grid, cells = s.grid, s.cells
+    if type(j) is not int and (type(j) is bool or not isinstance(j, (int, np.integer))):
+        raise ValueError(f"box level must be an integer, got {j!r}")
     if not 0 <= j <= grid.level:
         raise ValueError(f"box level {j} outside 0..{grid.level}")
     width, n = grid.base ** (grid.level - j), len(cells)

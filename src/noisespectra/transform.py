@@ -75,12 +75,15 @@ def conditional_expectation(f: NoiseFunctional, region: ElementarySet) -> NoiseF
     chaos in, chaos out; Brownian programs are masked term by term); a family
     below the dense cap is read as its table.
 
-    On a table the axis layout is :func:`walsh.run_axes` of the region's
-    ranges: one axis per maximal run of inside or outside cells.  One
-    ``np.add.reduce`` over the outside axes, then one in-place division of the
-    2**|A| reduced sums by the outside count (the sum and division ``np.mean``
-    does), then one broadcast copy fill a fresh read-only table; a full region
-    returns `f` itself.
+    On a table the axis layout is :func:`walsh.run_axes` of the region's ranges, one axis per
+    maximal run of inside or outside cells.  The 2**|A| outside sums are ``np.add.reduce`` over
+    the outside axes bit for bit: numpy adds each run of the lowest cells pairwise, chained over
+    the other outside patterns in C order, one inner loop per run.  (a) A lowest outside run of
+    8 or more entries, or the only outside axis, keeps that reduce; (b) one of 2 or 4 entries is
+    added in order first, which is the pairwise sum below 8 (it starts from -0.0, and -0.0 + x
+    is x); (c) the rest is copied outside axes first, and one reduce over them adds whole rows
+    of inside patterns in the same order.  Then one in-place division by the outside count (as
+    ``np.mean``) and one broadcast copy fill a fresh read-only table; a full region returns `f`.
     """
     require_same_grid(f.grid, region.grid)
     b = f.backend
@@ -89,7 +92,7 @@ def conditional_expectation(f: NoiseFunctional, region: ElementarySet) -> NoiseF
         shape, outside = run_axes(region.ranges, n)
         if not outside:
             return f
-        total = np.add.reduce(values.reshape(shape), axis=tuple(outside), keepdims=True)
+        total = _outside_sums(values.reshape(shape), outside)
         # one sum per inside subset, each over 2**n / total.size outside ones
         np.true_divide(total, values.size // total.size, out=total)
         out = np.empty(1 << n)
@@ -98,6 +101,20 @@ def conditional_expectation(f: NoiseFunctional, region: ElementarySet) -> NoiseF
     if isinstance(b, ChaosCoefficients):
         return NoiseFunctional.from_chaos(b.filtered(inside(b.rows, region.ranges)))
     return NoiseFunctional(f.grid, _program_projection(f.grid, b, region))
+
+
+def _outside_sums(v: np.ndarray, outside: list[int]) -> np.ndarray:
+    """``np.add.reduce(v, axis=tuple(outside), keepdims=True)`` bit for bit, in long loops."""
+    low = outside[-1] == v.ndim - 1  # the lowest cells are outside
+    if low and (v.shape[-1] >= 8 or len(outside) == 1):
+        return np.add.reduce(v, axis=tuple(outside), keepdims=True)
+    keep = [1 if a in outside else k for a, k in enumerate(v.shape)]
+    if low:
+        run, v, outside = v, v[..., 0] + v[..., 1], outside[:-1]
+        for k in range(2, run.shape[-1]):
+            v += run[..., k]
+    rows = v.transpose(outside + [a for a in range(v.ndim) if a not in outside])
+    return np.add.reduce(rows.reshape(-1, math.prod(keep)), axis=0).reshape(keep)
 
 
 def _program_projection(

@@ -1,4 +1,5 @@
 """Box-counting dimension estimates on the refinement families."""
+import re
 from functools import partial
 
 import numpy as np
@@ -26,6 +27,13 @@ def test_box_count_exact():
     assert box_count(SpectralSet(grid, ()), 3) == 0
     with pytest.raises(ValueError):
         box_count(s, 5)
+
+
+@pytest.mark.parametrize("level", [2.5, 2.0, True, np.float64(2.0), "2"])
+def test_box_count_refuses_a_level_that_is_not_an_integer(level):
+    s = SpectralSet(TimeGrid(0, 1, 4), (0, 1, 2, 3))
+    with pytest.raises(ValueError, match=re.escape(f"box level must be an integer, got {level!r}")):
+        box_count(s, level)
 
 
 def test_box_count_cantor_is_power_of_two():

@@ -3,7 +3,9 @@
 Each `old_*` function below is the former implementation, kept here verbatim as
 the oracle: the table projection's broadcast division over all 2**n entries,
 the Walsh measure's per-axis generator index and the masked array pass behind a
-single `cut_distance`.  Array-built sets, which make their range tuples on first
+single `cut_distance`.  The projection runs on normal draws, signs and signed
+zeros, at 10, 16 and 20 cells and on two families, through every branch of its
+outside sums.  Array-built sets, which make their range tuples on first
 read, are checked against their tuple-built twins, and the grid checks that now
 share `require_same_grid` keep their error class.  Every comparison is `==` or
 on the raw bytes.
@@ -75,27 +77,58 @@ def _seeded_regions(grid, count, seed):
         yield ElementarySet.from_cells(grid, np.flatnonzero(rng.random(grid.n_cells) < p).tolist())
 
 
+TEN_CELL_TABLES = {  # draws of the 1,024 values, from one generator seeded 43
+    "all-10-cell-regions": lambda rng: rng.standard_normal(1 << 10),
+    "all-10-cell-regions-of-signs": lambda rng: rng.choice([-1.0, 1.0], 1 << 10),
+    "all-10-cell-regions-with-signed-zeros":
+        lambda rng: rng.choice([-1, -0.0, 0.0, 0.5, 1], 1 << 10),
+    "all-10-cell-regions-of-zeros": lambda rng: rng.choice([-0.0, 0.0], 1 << 10),
+}
+
+
 def _table_and_regions(case):
     rng = np.random.default_rng(43)
-    if case == "all-10-cell-regions":
+    if case in TEN_CELL_TABLES:
         grid = TimeGrid(0, 1, 1, base=10)
-        return NoiseFunctional.from_table(grid, rng.standard_normal(1 << 10)), _all_regions(grid)
+        return NoiseFunctional.from_table(grid, TEN_CELL_TABLES[case](rng)), _all_regions(grid)
+    # a full region returns the family itself, whose table `evaluate_table` makes afresh
+    if case == "all-maj3-L2-regions":
+        f = NoiseFunctional.from_family("majority3-iterated", 2)
+        return f, (r for r in _all_regions(f.grid) if r.cell_count < 9)
+    if case == "seeded-tribes-L4-regions":
+        f = NoiseFunctional.from_family("tribes", 4)
+        return f, (r for r in _seeded_regions(f.grid, 200, 4) if r.cell_count < 16)
+    if case == "seeded-20-cell-regions":
+        grid = TimeGrid(0, 1, 1, base=20)
+        f = NoiseFunctional.from_table(grid, rng.standard_normal(1 << 20))
+        return f, _seeded_regions(grid, 20, 20)
     grid = TimeGrid(0, 1, 4)
     return NoiseFunctional.from_table(grid, rng.standard_normal(1 << 16)), _seeded_regions(grid, 200, 16)
 
 
-CASES = ["all-10-cell-regions", "seeded-16-cell-regions"]
+CASES = [*TEN_CELL_TABLES, "seeded-16-cell-regions", "seeded-20-cell-regions",
+         "all-maj3-L2-regions", "seeded-tribes-L4-regions"]
+
+
+def _lowest_outside_run(region):
+    """Cells in the region's lowest run outside it, 3 standing for 3 or more: 0 takes the
+    projection's copy and row reduce alone, 1 and 2 add the run in order first, 3 reduces."""
+    ranges = region.ranges
+    return min(ranges[0][0] if ranges else region.grid.n_cells, 3)
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_projection_divides_the_reduced_sums_bit_for_bit(case):
     f, regions = _table_and_regions(case)
     values = evaluate_table(f)
+    runs = set()
     for region in regions:
         got = evaluate_table(conditional_expectation(f, region))
         want = old_conditional_expectation_values(values, region)
         assert got.tobytes() == want.tobytes(), region
         assert not got.flags.writeable
+        runs.add(_lowest_outside_run(region))
+    assert runs == {0, 1, 2, 3}
 
 
 @pytest.mark.parametrize("case", CASES)
