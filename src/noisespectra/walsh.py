@@ -18,34 +18,53 @@ import numpy as np
 DENSE_CELL_CAP = 24
 
 
-# the stages below this span run one cache-sized block at a time
+# Each block of this many entries (cache-sized) runs its own stages against one scratch block,
+# copied back when the last stage lands there. Past one block, the stages of the high bits run
+# along axis 0 of the (rows, FWHT_BLOCK) view, one strip of FWHT_BLOCK // rows columns at a
+# time: the strip is copied into the scratch, transformed between it and a second scratch
+# strip, and copied back. Each call allocates its own scratch, one block or two.
 FWHT_BLOCK = 1 << 16
 
 
 def fwht(values: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform of a length 2**n array.
+    """Unnormalized Walsh-Hadamard transform of a 1-D real array of length 2**n.
 
-    Each block of `FWHT_BLOCK` entries runs its low stages, then the high stages
-    run over the whole array: per entry, the same butterflies in the same order."""
-    a = np.array(values, dtype=np.float64, copy=True)
+    In Pease's constant geometry a stage writes the sums and differences of the pairs
+    (a[2j], a[2j + 1]) to the two contiguous halves of another buffer, rotating the index bits
+    right by one: stage k pairs the entries that differ in bit k, bit 0 first, and the last
+    stage restores natural order. Each entry gets the in-place stage loop's butterflies, x + y
+    and x - y, in its order, so every bit of its result. Blocks and strips: see `FWHT_BLOCK`."""
+    a = np.asarray(values)
+    if a.ndim != 1 or a.dtype.kind == "c":
+        raise ValueError(f"fwht needs a 1-D real table, got shape {a.shape} and dtype {a.dtype}")
+    a = np.array(a, dtype=np.float64)  # a fresh copy, transformed in place
     size = a.shape[0]
     if size == 0 or size & (size - 1):
         raise ValueError(f"table length {size} is not a power of two")
     block = min(size, FWHT_BLOCK)
+    rows = size // block
+    width, strip = max(1, block // rows), max(block, rows)  # a strip is one block up to 2**32
+    scratch = np.empty(2 * strip if rows > 1 else block)
     for start in range(0, size, block):
-        _butterflies(a[start : start + block], 1)
-    _butterflies(a, block)
+        if (out := _stages(a[start : start + block], scratch[:block])).base is scratch:
+            a[start : start + block] = out
+    grid = a.reshape(rows, block)
+    for col in range(0, block, width) if rows > 1 else ():
+        cols = scratch[:strip].reshape(rows, width)
+        cols[...] = grid[:, col : col + width]
+        grid[:, col : col + width] = _stages(cols, scratch[strip:].reshape(rows, width))
     return a
 
 
-def _butterflies(a: np.ndarray, h: int) -> None:
-    """The stages of span h, 2h, ... below len(a), in place on a contiguous array."""
-    while h < a.shape[0]:
-        lo, hi = a.reshape(-1, 2, h).swapaxes(0, 1)  # views of each pair's two halves
-        top = lo.copy()
-        lo += hi
-        np.subtract(top, hi, out=hi)
-        h *= 2
+def _stages(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Every stage along axis 0 of `a`, between `a` and `b`; returns the one holding the result."""
+    half, count = a.shape[0] // 2, a.shape[0].bit_length() - 1
+    x, y = (a[0::2], a[1::2], b[:half], b[half:]), (b[0::2], b[1::2], a[:half], a[half:])
+    for _ in range(count):
+        np.add(x[0], x[1], out=x[2])
+        np.subtract(x[0], x[1], out=x[3])
+        x, y = y, x
+    return b if count % 2 else a
 
 
 def character_coefficients(values: np.ndarray) -> np.ndarray:

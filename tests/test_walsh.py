@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from noisespectra import walsh
 from noisespectra.walsh import (
     cells_of_rows,
     character_coefficients,
@@ -55,16 +58,58 @@ def stage_loop_fwht(values):
     return a
 
 
-@pytest.mark.parametrize("n", range(16, 21))
+@pytest.mark.parametrize("n", range(0, 23))
 def test_blocked_fwht_equals_the_stage_loop_bit_for_bit(n):
-    values = np.random.default_rng(n).standard_normal(1 << n)
-    assert np.array_equal(fwht(values), stage_loop_fwht(values))
+    # int64 views, so that -0.0 and 0.0 (equal as floats) and NaN payloads count as different
+    rng = np.random.default_rng(n)
+    tables = (rng.standard_normal(1 << n), rng.choice([-1.0, 1.0], 1 << n),
+              rng.choice([-0.0, 0.0], 1 << n),
+              rng.choice([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e-300, 1.0], 1 << n))
+    for kind, values in zip(("normal", "signs", "zeros", "mixed"), tables):
+        with np.errstate(over="ignore", invalid="ignore"):  # 1e300 sums reach inf, then nan
+            got, want = fwht(values), stage_loop_fwht(values)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), kind
+
+
+@pytest.mark.parametrize("block", [1, 2, 8])
+def test_fwht_strips_of_any_width_equal_the_stage_loop(monkeypatch, block):
+    # small blocks send short tables through the strip route, with more rows than a block
+    monkeypatch.setattr(walsh, "FWHT_BLOCK", block)
+    for n in range(0, 12):
+        values = np.random.default_rng(n).standard_normal(1 << n)
+        assert np.array_equal(fwht(values).view(np.int64), stage_loop_fwht(values).view(np.int64)), n
 
 
 def test_fwht_rejects_bad_lengths():
     for k in (0, 3, 6):
         with pytest.raises(ValueError):
             fwht(np.zeros(k))
+
+
+@pytest.mark.parametrize("values, named", [
+    (np.arange(4.0).reshape(2, 2), r"shape \(2, 2\)"),
+    (np.zeros((1, 8)), r"shape \(1, 8\)"),
+    (np.float64(1.0), r"shape \(\)"),
+    (np.array([1 + 2j, 3.0]), "dtype complex128"),
+    (np.zeros(4, np.complex64), "dtype complex64"),
+])
+def test_fwht_refuses_tables_it_cannot_transform(values, named):
+    with pytest.raises(ValueError, match=named):
+        fwht(values)
+
+
+def test_fwht_peak_memory_is_the_output_and_its_scratch():
+    # one copy of the input plus one or two scratch blocks; a route that copies half the
+    # table per stage peaks at 2.0x the input at 2**20 entries and at 3.05x at 2**12
+    for n, bound in ((20, 1.25), (12, 2.5)):
+        values = np.random.default_rng(n).standard_normal(1 << n)
+        tracemalloc.start()
+        try:
+            fwht(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * values.nbytes, (n, peak / values.nbytes)
 
 
 def test_coefficients_are_expectations_against_characters():
