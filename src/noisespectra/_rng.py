@@ -11,15 +11,19 @@ import os
 
 from numpy.random import Generator, Philox
 
+from .grid import _integer
+
 _MASK64 = (1 << 64) - 1
 
 
 def worker_generator(seed: int, worker: int) -> Generator:
-    return Generator(Philox(key=[int(seed) & _MASK64, int(worker) & _MASK64]))
+    seed, worker = _integer(seed, "seed"), _integer(worker, "worker")
+    return Generator(Philox(key=[seed & _MASK64, worker & _MASK64]))
 
 
 def chunk_bounds(total: int, workers: int) -> list[tuple[int, int]]:
     """Contiguous per-worker (start, stop) chunks covering range(total)."""
+    total, workers = _integer(total, "path total"), _integer(workers, "worker count")
     if total < 0 or workers < 1:
         raise ValueError("need total >= 0 and workers >= 1")
     base, extra = divmod(total, workers)

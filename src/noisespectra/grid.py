@@ -8,10 +8,12 @@ base covers odd-width lab windows.  All endpoint arithmetic is exact via
 """
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
+from operator import lt
 from typing import Iterable, Union
 
 import numpy as np
@@ -48,7 +50,7 @@ class TimeGrid:
         if self.base < 2:
             raise ValueError("base must be at least 2")
 
-    @property
+    @cached_property
     def n_cells(self) -> int:
         return self.base**self.level
 
@@ -120,62 +122,74 @@ def _integers(values: Iterable, what: str) -> list:
     return values
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
+def _integer(value, what: str) -> int:
+    """`value` as a Python int, by the rule of `_integers`."""
+    if type(value) is bool or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
-def _canonical_ranges(ranges: Iterable[tuple[int, int]], n_cells: int) -> tuple[tuple[int, int], ...]:
+def _canonical_bounds(ranges: Iterable, n_cells: int) -> list[int] | np.ndarray:
+    """The bounds of a union of (lo, hi) pairs.  The pairs and their integers are checked
+    before the int64 cast; a bound the cast cannot hold goes to the per-range check."""
     ranges = tuple(ranges)
-    for r in ranges:
-        if not hasattr(r, "__len__") or len(r) != 2:
-            raise ValueError(f"range {r!r} is not a (lo, hi) pair")
-    _integers(chain.from_iterable(ranges), "range bounds")
-    cleaned = []
-    for lo, hi in ranges:
+    try:
+        paired = set(map(len, ranges)) <= {2}
+    except TypeError:  # an entry with no length
+        paired = False
+    if not paired:
+        bad = next(r for r in ranges if not hasattr(r, "__len__") or len(r) != 2)
+        raise ValueError(f"range {bad!r} is not a (lo, hi) pair")
+    flat = _integers(chain.from_iterable(ranges), "range bounds")
+    if flat and flat[0] >= 0 and flat[-1] <= n_cells:  # rising bounds are canonical as they stand
+        if len(flat) < NUMPY_RUNS_FROM:
+            if all(map(lt, flat, islice(flat, 1, None))):
+                return flat
+        else:  # checked as an array; a bound past int64 breaks the rise and fails the cast
+            with suppress(OverflowError):
+                b = np.array(flat, dtype=np.int64)
+                if (b[1:] > b[:-1]).all():
+                    return b
+    pairs = list(zip(flat[::2], flat[1::2]))
+    for lo, hi in pairs:
         if lo < 0 or hi > n_cells:
             raise ValueError(f"range [{lo}, {hi}) outside 0..{n_cells}")
-        if lo < hi:
-            cleaned.append((int(lo), int(hi)))
-    cleaned.sort()
-    merged: list[list[int]] = []
-    for lo, hi in cleaned:
-        if merged and lo <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
-    return tuple((lo, hi) for lo, hi in merged)
+    # past int64 only in an empty range now; the nonempty ones are sorted by one argsort of
+    # their starts, and each joins the range before it unless it starts past every end so far
+    lo, hi = np.array([r for r in pairs if r[0] < r[1]], dtype=np.int64).reshape(-1, 2).T
+    order = np.argsort(lo)
+    lo, ends = lo[order], np.maximum.accumulate(hi[order])
+    opens = lo > np.concatenate(([-1], ends[:-1]))
+    # a merged range ends at the running maximum before the next opening range, or at the last
+    return np.stack((lo[opens], ends[np.roll(opens, -1)]), axis=1).reshape(-1)
 
 
-@dataclass(frozen=True)
 class ElementarySet:
-    """Finite union of grid cells, stored as disjoint sorted index ranges [lo, hi)."""
+    """Finite union of grid cells, stored only as `bounds`, read-only int64 lo0, hi0, lo1, ...
+    of sorted ranges [lo, hi), each nonempty and starting past the end of the one before; so
+    equal sets have equal grids and bounds bytes.  `ranges` reads them back as int pairs."""
 
-    grid: TimeGrid
-    ranges: tuple[tuple[int, int], ...]
+    __slots__ = ("grid", "bounds")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "ranges", _canonical_ranges(self.ranges, self.grid.n_cells))
+    def __new__(cls, grid: TimeGrid, ranges: Iterable[tuple[int, int]]) -> "ElementarySet":
+        return _trusted(grid, _canonical_bounds(ranges, grid.n_cells))
 
     # -- constructors -------------------------------------------------------
     @classmethod
     def empty(cls, grid: TimeGrid) -> "ElementarySet":
-        return cls(grid, ())
+        return _trusted(grid, ())
 
     @classmethod
     def full(cls, grid: TimeGrid) -> "ElementarySet":
-        return cls(grid, ((0, grid.n_cells),))
+        return _trusted(grid, (0, grid.n_cells))
 
     @classmethod
     def from_cells(cls, grid: TimeGrid, cells: Iterable[int]) -> "ElementarySet":
         """Set of the given cells; each run of consecutive cells becomes one range.
 
-        A 1-d integer array of at least NUMPY_RUNS_FROM cells finds its runs with
-        array masks and keeps only their int64 `bounds`: the `ranges` tuples are
-        built from them on first read.  Other input is taken cell by cell as
-        Python ints, faster below that size, and a bool or a float cell is refused.
-        The runs come out canonical, so neither route merges.
-        """
+        A 1-d integer array of at least NUMPY_RUNS_FROM cells finds its runs with array masks;
+        other input, faster below that size, is taken as Python ints, refusing a bool or a
+        float.  Both routes write canonical `bounds`."""
         if (isinstance(cells, np.ndarray) and cells.ndim == 1 and cells.dtype.kind in "iu"
                 and cells.size >= NUMPY_RUNS_FROM):
             v = np.sort(cells)
@@ -186,13 +200,13 @@ class ElementarySet:
             bad = int(v[0] if v[0] < 0 else v[np.searchsorted(v, n)])
             raise ValueError(f"range [{bad}, {bad + 1}) outside 0..{n}")
         if isinstance(v, list):
-            runs: list[list[int]] = []
+            bounds: list[int] = []
             for c in v:
-                if runs and runs[-1][1] == c:
-                    runs[-1][1] = c + 1
+                if bounds and bounds[-1] == c:
+                    bounds[-1] = c + 1
                 else:
-                    runs.append([c, c + 1])
-            return cls._canonical(grid, tuple((lo, hi) for lo, hi in runs))
+                    bounds += (c, c + 1)
+            return _trusted(grid, bounds)
         # cells are nonnegative now, so no gap between sorted ones wraps;
         # repeated cells (gap 0) stay inside their run
         gap = v[1:] - v[:-1] > 1
@@ -200,20 +214,7 @@ class ElementarySet:
         bounds[::2] = v[np.concatenate([[True], gap])]
         # ends step past the last cell in int64: a narrow dtype would wrap
         np.add(v[np.concatenate([gap, [True]])], 1, out=bounds[1::2], dtype=np.int64)
-        s = cls.__new__(cls)
-        s.__dict__.update(grid=grid, bounds=_read_only(bounds))  # the value `bounds` would build
-        return s
-
-    @classmethod
-    def _canonical(cls, grid: TimeGrid, ranges: tuple[tuple[int, int], ...]) -> "ElementarySet":
-        """Trusted constructor for ranges already on the grid, sorted, nonempty
-        and merged (each range starts past the end of the one before), as
-        ``from_cells``, ``complement`` and ``intersection`` build them.  Input
-        that may overlap or leave the grid goes through ``ElementarySet(...)``."""
-        s = cls.__new__(cls)
-        object.__setattr__(s, "grid", grid)
-        object.__setattr__(s, "ranges", ranges)
-        return s
+        return _trusted(grid, bounds)
 
     @classmethod
     def parse(cls, grid: TimeGrid, text: str) -> "ElementarySet":
@@ -238,101 +239,100 @@ class ElementarySet:
             ranges.append((lo, hi))
         return cls(grid, tuple(ranges))
 
-    def __getattr__(self, name: str):  # an array-built set's `ranges`, made on first read
-        got = vars(self)
-        if name != "ranges" or "bounds" not in got:
-            raise AttributeError(name)
-        b = got["bounds"]
-        return got.setdefault(name, tuple(zip(b[::2].tolist(), b[1::2].tolist())))
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"ElementarySet is immutable: cannot set {name!r}")
+
+    def __reduce__(self):  # copies and pickles rebuild read-only bounds
+        return _trusted, (self.grid, self.bounds)
 
     # -- queries ------------------------------------------------------------
     @property
+    def ranges(self) -> tuple[tuple[int, int], ...]:
+        b = self.bounds.tolist()
+        return tuple(zip(b[::2], b[1::2]))
+
+    @property
     def cell_count(self) -> int:
-        return sum(hi - lo for lo, hi in self.ranges)
+        return int((self.bounds[1::2] - self.bounds[::2]).sum())
 
     def cells(self) -> tuple[int, ...]:
-        return tuple(c for lo, hi in self.ranges for c in range(lo, hi))
+        return tuple(chain.from_iterable(map(range, *self.bounds.reshape(-1, 2).T.tolist())))
 
     def mask(self) -> int:
         """Bitmask with bit i set iff cell i belongs to the set."""
-        m = 0
-        for lo, hi in self.ranges:
-            m |= ((1 << (hi - lo)) - 1) << lo
-        return m
+        return sum((1 << hi) - (1 << lo) for lo, hi in self.bounds.reshape(-1, 2).tolist())
 
     def measure(self) -> Fraction:
         return self.grid.cell_length * self.cell_count
 
-    @cached_property
-    def bounds(self) -> np.ndarray:
-        """The ranges laid flat, lo0, hi0, lo1, ..., read-only int64; `from_cells` keeps its own."""
-        return _read_only(np.array(self.ranges, dtype=np.int64).reshape(-1))
-
     def format_ranges(self) -> str:
         return ",".join(f"{lo}:{hi}" for lo, hi in self.ranges)
 
-    # -- Boolean algebra ----------------------------------------------------
-    def union(self, other: "ElementarySet") -> "ElementarySet":
-        require_same_grid(self.grid, other.grid)
-        return ElementarySet(self.grid, self.ranges + other.ranges)
-
+    # -- Boolean algebra: sweeps of the bounds -------------------------------
     def intersection(self, other: "ElementarySet") -> "ElementarySet":
         require_same_grid(self.grid, other.grid)
-        out = []
+        a, b = self.bounds.tolist(), other.bounds.tolist()
+        out: list[int] = []
         i = j = 0
-        a, b = self.ranges, other.ranges
-        while i < len(a) and j < len(b):
-            lo = max(a[i][0], b[j][0])
-            hi = min(a[i][1], b[j][1])
-            if lo < hi:
-                out.append((lo, hi))
-            if a[i][1] <= b[j][1]:
-                i += 1
+        while i < len(a) and j < len(b):  # the range that ends first closes the overlap
+            lo = max(a[i], b[j])
+            if a[i + 1] <= b[j + 1]:
+                if lo < a[i + 1]:
+                    out += (lo, a[i + 1])
+                i += 2
             else:
-                j += 1
-        return ElementarySet._canonical(self.grid, tuple(out))
+                if lo < b[j + 1]:
+                    out += (lo, b[j + 1])
+                j += 2
+        return _trusted(self.grid, out)
 
     def complement(self) -> "ElementarySet":
-        out = []
-        prev = 0
-        for lo, hi in self.ranges:
-            if prev < lo:
-                out.append((prev, lo))
-            prev = hi
-        if prev < self.grid.n_cells:
-            out.append((prev, self.grid.n_cells))
-        return ElementarySet._canonical(self.grid, tuple(out))
+        n = self.grid.n_cells
+        gaps = [0, *self.bounds.tolist(), n]  # (0, lo0), (hi0, lo1), ..., (hi, n), less empty ends
+        return _trusted(self.grid, gaps[2 if gaps[1] == 0 else 0 : -2 if gaps[-2] == n else None])
+
+    def union(self, other: "ElementarySet") -> "ElementarySet":
+        return ~(~self & ~other)
 
     def difference(self, other: "ElementarySet") -> "ElementarySet":
-        return self.intersection(other.complement())
+        return self & ~other
 
-    def __or__(self, other: "ElementarySet") -> "ElementarySet":
-        return self.union(other)
-
-    def __and__(self, other: "ElementarySet") -> "ElementarySet":
-        return self.intersection(other)
-
-    def __invert__(self) -> "ElementarySet":
-        return self.complement()
+    __and__, __invert__, __or__ = intersection, complement, union
 
     def __le__(self, other: "ElementarySet") -> bool:
-        return self.intersection(other) == self
+        return self & other == self
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not ElementarySet:
+            return NotImplemented
+        return self.bounds.tobytes() == other.bounds.tobytes() and self.grid == other.grid
+
+    def __hash__(self) -> int:
+        return hash((self.grid, self.bounds.tobytes()))
 
     def __repr__(self) -> str:
-        body = self.format_ranges() or "empty"
-        return f"ElementarySet({body})"
+        return f"ElementarySet({self.format_ranges() or 'empty'})"
+
+
+_SET_GRID, _SET_BOUNDS = ElementarySet.grid.__set__, ElementarySet.bounds.__set__
+
+
+def _trusted(grid: TimeGrid, bounds) -> ElementarySet:
+    """The set of canonical bounds (a list or a fresh int64 array), set past `__setattr__`."""
+    s, bounds = object.__new__(ElementarySet), np.asarray(bounds, dtype=np.int64)
+    bounds.setflags(write=False)
+    _SET_GRID(s, grid)
+    _SET_BOUNDS(s, bounds)
+    return s
 
 
 def left_of(grid: TimeGrid, boundary: int) -> ElementarySet:
     """Cells strictly before grid boundary index `boundary`."""
     if not 0 <= boundary <= grid.n_cells:
         raise ValueError(f"boundary index {boundary} out of range")
-    return ElementarySet(grid, ((0, boundary),) if boundary > 0 else ())
+    return ElementarySet(grid, ((0, boundary),))
 
 
 def right_of(grid: TimeGrid, boundary: int) -> ElementarySet:
     """Cells at or after grid boundary index `boundary`."""
-    if not 0 <= boundary <= grid.n_cells:
-        raise ValueError(f"boundary index {boundary} out of range")
-    n = grid.n_cells
-    return ElementarySet(grid, ((boundary, n),) if boundary < n else ())
+    return ~left_of(grid, boundary)

@@ -75,7 +75,7 @@ class SpectralModel(Protocol):
     A table's Walsh mass vector, a dense atom table and a family's tree model
     past the dense cap answer it; one with an atom table offers it as `table`,
     which dense-only operations read.  Regions arrive as sets (sorted disjoint
-    cell `ranges`, laid flat in int64 `bounds`) and cuts as boundary indices,
+    ranges, held flat in int64 `bounds`) and cuts as boundary indices,
     so a model can answer them in time that grows with the number of range
     endpoints or boundaries and with its depth, not with the cell count.
     Masses exclude the truncation residual, which the measure keeps apart.
@@ -205,14 +205,14 @@ class _AtomTable:
         return {int(sizes[a]): float(self.mass[a:b].sum()) for a, b in zip(starts, ends)}
 
     def subset_mass(self, region: ElementarySet) -> float:
-        return float(self.mass[inside(self.rows, region.ranges)].sum())
+        return float(self.mass[inside(self.rows, region.bounds)].sum())
 
     def straddle_masses(self, boundaries: np.ndarray) -> np.ndarray:
         # a set straddles b when it meets cells [0, b) without lying inside
         # them; summed directly, since the subtraction route (total - left -
         # right + empty) leaves float residue whose square root dwarfs
         # exact-identity tolerances
-        left, rows = [((0, b),) for b in np.asarray(boundaries).tolist()], self.rows
+        left, rows = [(0, b) for b in np.asarray(boundaries).tolist()], self.rows
         return np.array([self.mass[meeting(rows, r) & ~inside(rows, r)].sum() for r in left])
 
     def sample(self, k: int, seed: int) -> list[tuple[int, ...]]:
@@ -258,7 +258,7 @@ class _WalshMasses:
 
     def subset_mass(self, region: ElementarySet) -> float:
         # the sets inside the region are the masks with every outside bit clear
-        shape, outside = run_axes(region.ranges, self.n_cells)
+        shape, outside = run_axes(region.bounds, self.n_cells)
         block = [slice(None)] * len(shape)
         for a in outside:
             block[a] = 0
@@ -440,7 +440,7 @@ def mass_meeting_interval(mu: SpectralMeasure, lo, hi) -> float:
     """mu{C : C touches the open time interval (lo, hi)}, multiplicity included."""
     touched = mu.grid.cells_meeting_open_interval(lo, hi)
     t = mu._atoms
-    return float(t.mass[meeting(t.rows, ((touched.start, touched.stop),))].sum())
+    return float(t.mass[meeting(t.rows, (touched.start, touched.stop))].sum())
 
 
 def restrict(mu: SpectralMeasure, region: ElementarySet) -> SpectralMeasure:
@@ -452,7 +452,7 @@ def restrict(mu: SpectralMeasure, region: ElementarySet) -> SpectralMeasure:
     require_same_grid(mu.grid, region.grid)
     mu._require_resolved("restrict")
     t = mu._atoms
-    kept = np.flatnonzero(inside(t.rows, region.ranges))
+    kept = np.flatnonzero(inside(t.rows, region.bounds))
     return SpectralMeasure._of_dense(mu.grid, t.take(kept))
 
 

@@ -57,7 +57,7 @@ class AdditiveIntegral:
         if lo > hi:
             raise ValueError("window must run forward")
         c = self.coefficients  # one cell each: inside the window exactly when it lies there
-        keep = inside(c.rows, ((lo, hi),))
+        keep = inside(c.rows, (lo, hi))
         return NoiseFunctional.from_chaos(c._with(c.coeffs[keep], 0.0, keep))
 
 
@@ -145,7 +145,7 @@ def finite_chaos_partition_span(f: NoiseFunctional, cuts: Sequence) -> NoiseFunc
     coeffs = decompose(f)
     keep = np.ones(len(coeffs.coeffs), dtype=bool)
     for interval in zip(edges, edges[1:]):  # at most one cell of each support in each
-        keep &= row_sizes(coeffs.rows & _words([interval], coeffs.rows.shape[1])) <= 1
+        keep &= row_sizes(coeffs.rows & _words(interval, coeffs.rows.shape[1])) <= 1
     return NoiseFunctional.from_chaos(coeffs.filtered(keep))
 
 

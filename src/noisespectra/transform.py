@@ -75,7 +75,7 @@ def conditional_expectation(f: NoiseFunctional, region: ElementarySet) -> NoiseF
     chaos in, chaos out; Brownian programs are masked term by term); a family
     below the dense cap is read as its table.
 
-    On a table the axis layout is :func:`walsh.run_axes` of the region's ranges, one axis per
+    On a table the axis layout is :func:`walsh.run_axes` of the region's bounds, one axis per
     maximal run of inside or outside cells.  The 2**|A| outside sums are ``np.add.reduce`` over
     the outside axes bit for bit: numpy adds each run of the lowest cells pairwise, chained over
     the other outside patterns in C order, one inner loop per run.  (a) A lowest outside run of
@@ -89,7 +89,7 @@ def conditional_expectation(f: NoiseFunctional, region: ElementarySet) -> NoiseF
     b = f.backend
     if isinstance(b, (RademacherTable, FamilyRef)):
         values, n = evaluate_table(f), f.grid.n_cells
-        shape, outside = run_axes(region.ranges, n)
+        shape, outside = run_axes(region.bounds, n)
         if not outside:
             return f
         total = _outside_sums(values.reshape(shape), outside)
@@ -99,7 +99,7 @@ def conditional_expectation(f: NoiseFunctional, region: ElementarySet) -> NoiseF
         out.reshape(shape)[...] = total
         return NoiseFunctional._of_fresh_table(f.grid, out)
     if isinstance(b, ChaosCoefficients):
-        return NoiseFunctional.from_chaos(b.filtered(inside(b.rows, region.ranges)))
+        return NoiseFunctional.from_chaos(b.filtered(inside(b.rows, region.bounds)))
     return NoiseFunctional(f.grid, _program_projection(f.grid, b, region))
 
 
@@ -108,12 +108,14 @@ def _outside_sums(v: np.ndarray, outside: list[int]) -> np.ndarray:
     low = outside[-1] == v.ndim - 1  # the lowest cells are outside
     if low and (v.shape[-1] >= 8 or len(outside) == 1):
         return np.add.reduce(v, axis=tuple(outside), keepdims=True)
-    keep = [1 if a in outside else k for a, k in enumerate(v.shape)]
+    keep = list(v.shape)
+    for a in outside:
+        keep[a] = 1
     if low:
         run, v, outside = v, v[..., 0] + v[..., 1], outside[:-1]
         for k in range(2, run.shape[-1]):
             v += run[..., k]
-    rows = v.transpose(outside + [a for a in range(v.ndim) if a not in outside])
+    rows = v.transpose(outside + [a for a, k in enumerate(keep) if k > 1])  # then the inside axes
     return np.add.reduce(rows.reshape(-1, math.prod(keep)), axis=0).reshape(keep)
 
 

@@ -11,7 +11,6 @@ Conventions, fixed package-wide:
 from __future__ import annotations
 
 from itertools import chain, islice
-from typing import Sequence
 
 import numpy as np
 
@@ -90,14 +89,16 @@ def omega_index(omega) -> int:
     return idx
 
 
-def run_axes(ranges, n_cells: int) -> tuple[list[int], list[int]]:
+def run_axes(bounds, n_cells: int) -> tuple[list[int], list[int]]:
     """A shape for a 2**n_cells array indexed by cell bitmask, one axis of size 2**k per
-    maximal run of k cells inside or outside the sorted [lo, hi) `ranges`, highest cells
-    first (bit i is cell i, so C order puts them there); and the outside axes."""
+    maximal run of k cells inside or outside the sorted ranges of `bounds` (lo0, hi0, lo1, ...
+    as `ElementarySet.bounds` holds them; (lo, hi) pairs are read flat), highest cells first
+    (bit i is cell i, so C order puts them there); and the outside axes."""
     shape: list[int] = []
     outside: list[int] = []
     top = n_cells  # cells at or above `top` have their axes already
-    for lo, hi in reversed(ranges):
+    ends = reversed((bounds if isinstance(bounds, np.ndarray) else np.ravel(bounds)).tolist())
+    for hi, lo in zip(ends, ends):
         if hi < top:
             outside.append(len(shape))
             shape.append(1 << (top - hi))
@@ -175,20 +176,20 @@ def _checked_rows(keys: list, n_cells: int) -> tuple[np.ndarray | None, int | No
     return rows, None
 
 
-def _words(ranges: Sequence[tuple[int, int]], n_words: int) -> np.ndarray:
-    """Sorted [lo, hi) cell ranges as a single row in the layout of `_checked_rows`."""
-    mask = sum(((1 << (hi - lo)) - 1) << lo for lo, hi in ranges)
+def _words(bounds, n_words: int) -> np.ndarray:
+    """The sorted ranges of `bounds`, read as `run_axes` reads them, as a `_checked_rows` row."""
+    mask = sum((1 << hi) - (1 << lo) for lo, hi in np.reshape(bounds, (-1, 2)).tolist())
     return np.array([[(mask >> (64 * w)) & ((1 << 64) - 1) for w in range(n_words)]], np.uint64)
 
 
-def inside(rows: np.ndarray, ranges: Sequence[tuple[int, int]]) -> np.ndarray:
-    """Which `_checked_rows` rows have every cell in the sorted [lo, hi) `ranges`."""
-    return ((rows & ~_words(ranges, rows.shape[1])) == 0).all(axis=1)
+def inside(rows: np.ndarray, bounds) -> np.ndarray:
+    """Which `_checked_rows` rows have every cell in the sorted ranges of `bounds`."""
+    return ((rows & ~_words(bounds, rows.shape[1])) == 0).all(axis=1)
 
 
-def meeting(rows: np.ndarray, ranges: Sequence[tuple[int, int]]) -> np.ndarray:
-    """Which `_checked_rows` rows have a cell in the sorted [lo, hi) `ranges`."""
-    return (rows & _words(ranges, rows.shape[1])).any(axis=1)
+def meeting(rows: np.ndarray, bounds) -> np.ndarray:
+    """Which `_checked_rows` rows have a cell in the sorted ranges of `bounds`."""
+    return (rows & _words(bounds, rows.shape[1])).any(axis=1)
 
 
 def row_sizes(rows: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ from noisespectra import (
     left_of,
     right_of,
 )
-from noisespectra.grid import require_same_grid
+from noisespectra.grid import NUMPY_RUNS_FROM, require_same_grid
 
 
 def test_grid_basics():
@@ -263,31 +263,52 @@ def test_left_right_of():
     assert left_of(GRID, 5) | right_of(GRID, 5) == ElementarySet.full(GRID)
 
 
-cell_sets = st.sets(st.integers(0, GRID.n_cells - 1))
+WIDE = TimeGrid(0, 1, 1, base=100)
 
 
-@given(cell_sets, cell_sets)
-def test_boolean_algebra_matches_set_algebra(a_cells, b_cells):
-    a = ElementarySet.from_cells(GRID, a_cells)
-    b = ElementarySet.from_cells(GRID, b_cells)
+def array_built(grid, cells):
+    """The set of `cells` by from_cells' array route: the cells repeated cyclically to
+    NUMPY_RUNS_FROM entries or more (an empty set has no entries to repeat)."""
+    a = np.array(sorted(cells), dtype=np.int64)
+    if a.size:
+        a = np.resize(a, max(a.size, NUMPY_RUNS_FROM))
+    return ElementarySet.from_cells(grid, a)
+
+
+# list-built operands on 8 cells; array-built ones on 100
+ROUTES = pytest.mark.parametrize("grid, build",
+                                 [(GRID, ElementarySet.from_cells), (WIDE, array_built)],
+                                 ids=["list-route", "array-route"])
+
+
+def cell_sets(grid):
+    return st.sets(st.integers(0, grid.n_cells - 1))
+
+
+@ROUTES
+@given(st.data())
+def test_boolean_algebra_matches_set_algebra(grid, build, data):
+    a_cells, b_cells = data.draw(cell_sets(grid)), data.draw(cell_sets(grid))
+    a, b = build(grid, a_cells), build(grid, b_cells)
     assert set((a | b).cells()) == a_cells | b_cells
     assert set((a & b).cells()) == a_cells & b_cells
     assert set(a.difference(b).cells()) == a_cells - b_cells
 
 
-@given(cell_sets, cell_sets)
-def test_de_morgan(a_cells, b_cells):
-    a = ElementarySet.from_cells(GRID, a_cells)
-    b = ElementarySet.from_cells(GRID, b_cells)
+@ROUTES
+@given(st.data())
+def test_de_morgan(grid, build, data):
+    a, b = (build(grid, data.draw(cell_sets(grid))) for _ in range(2))
     assert ~(a | b) == (~a) & (~b)
     assert ~(a & b) == (~a) | (~b)
     assert ~~a == a
 
 
-@given(cell_sets, cell_sets)
-def test_partial_order(a_cells, b_cells):
-    a = ElementarySet.from_cells(GRID, a_cells)
-    b = ElementarySet.from_cells(GRID, b_cells)
+@ROUTES
+@given(st.data())
+def test_partial_order(grid, build, data):
+    a_cells, b_cells = data.draw(cell_sets(grid)), data.draw(cell_sets(grid))
+    a, b = build(grid, a_cells), build(grid, b_cells)
     assert (a <= b) == (a_cells <= b_cells)
 
 
@@ -295,18 +316,57 @@ def grid_of(n: int) -> TimeGrid:
     return TimeGrid(0, 1, 0) if n == 1 else TimeGrid(0, 1, 1, base=n)
 
 
+@pytest.mark.parametrize("sizes, build", [((1, 70), ElementarySet.from_cells),
+                                          ((NUMPY_RUNS_FROM, 130), array_built)],
+                         ids=["list-route", "array-route"])
 @given(st.data())
-def test_trusted_constructors_build_canonical_ranges(data):
-    # complement and intersection skip the merge; their ranges must be the
-    # ones the merging constructor makes of them
-    n = data.draw(st.integers(1, 70))
+def test_trusted_constructors_build_canonical_ranges(sizes, build, data):
+    # complement, intersection and union skip the checks; their bounds must be
+    # the ones the checking constructor makes of their ranges
+    n = data.draw(st.integers(*sizes))
     grid = grid_of(n)
     a_cells, b_cells = (data.draw(st.sets(st.integers(0, n - 1))) for _ in range(2))
-    a = ElementarySet.from_cells(grid, a_cells)
-    b = ElementarySet.from_cells(grid, b_cells)
+    a = build(grid, a_cells)
+    b = build(grid, b_cells)
     for got, want in ((~a, set(range(n)) - a_cells), (a & b, a_cells & b_cells),
-                      (a.difference(b), a_cells - b_cells)):
+                      (a.difference(b), a_cells - b_cells), (a | b, a_cells | b_cells)):
         assert got == ElementarySet(grid, got.ranges)
         assert set(got.cells()) == want
     assert ~~a == a
     assert (a & ~a).ranges == ()
+
+
+@pytest.mark.parametrize("count", [0, 63, 64, 65, 200])
+def test_every_route_builds_one_set(count):
+    # 63 cells take from_cells' list route, 64 and 65 its array route; 0 and 200 are the
+    # empty and the full set of 200 cells
+    grid = TimeGrid(0, 1, 1, base=200)
+    cells = np.sort(np.random.default_rng(count).choice(200, size=count, replace=False))
+    sets = [ElementarySet.from_cells(grid, cells.tolist()),
+            ElementarySet.from_cells(grid, cells),
+            ElementarySet(grid, [(c, c + 1) for c in cells.tolist()[::-1]])]  # merged
+    sets.append(ElementarySet(grid, sets[1].ranges))  # already canonical
+    first = sets[0]
+    assert first.cells() == tuple(cells.tolist()) and first.cell_count == count
+    for s in sets:
+        assert s == first and hash(s) == hash(first)
+        assert s.bounds.dtype == np.int64 and not s.bounds.flags.writeable
+        assert s.bounds.tobytes() == first.bounds.tobytes()
+        assert s.ranges == first.ranges and all(type(v) is int for r in s.ranges for v in r)
+    assert (first == ElementarySet.full(grid)) == (count == 200)
+    assert (first == ElementarySet.empty(grid)) == (count == 0)
+
+
+@pytest.mark.parametrize("ranges, bad", [
+    (((0, 2**63),), f"[0, {2**63})"), (((3, 2**64),), f"[3, {2**64})"),
+    (((1, 2), (2**63, 2**64)), f"[{2**63}, {2**64})"), (((-2**64, 1),), f"[{-2**64}, 1)"),
+])
+def test_range_ends_past_int64_are_refused_as_off_the_grid(ranges, bad):
+    with pytest.raises(ValueError) as got:
+        ElementarySet(GRID, ranges)
+    assert str(got.value) == f"range {bad} outside 0..8"
+
+
+def test_empty_ranges_past_int64_are_dropped():
+    got = ElementarySet(GRID, ((2**64, 3), (5, -2**63 - 1), (1, 2)))
+    assert got == ElementarySet(GRID, ((1, 2),))

@@ -5,10 +5,9 @@ the oracle: the table projection's broadcast division over all 2**n entries,
 the Walsh measure's per-axis generator index and the masked array pass behind a
 single `cut_distance`.  The projection runs on normal draws, signs and signed
 zeros, at 10, 16 and 20 cells and on two families, through every branch of its
-outside sums.  Array-built sets, which make their range tuples on first
-read, are checked against their tuple-built twins, and the grid checks that now
-share `require_same_grid` keep their error class.  Every comparison is `==` or
-on the raw bytes.
+outside sums.  Array-built sets are checked against their tuple-built twins,
+and the grid checks that now share `require_same_grid` keep their error class.
+Every comparison is `==` or on the raw bytes.
 """
 import copy
 import pickle
@@ -182,29 +181,29 @@ def _array_built_regions():
             yield ElementarySet.from_cells(grid, cells)
 
 
-def test_array_built_sets_build_their_ranges_on_first_read():
+def test_array_built_sets_equal_their_tuple_built_twins():
     for region in _array_built_regions():
-        assert "ranges" not in vars(region)
         bounds = region.bounds
         twin = ElementarySet(region.grid, region.ranges)
-        assert "ranges" in vars(region)
         assert region == twin and twin == region
         assert hash(region) == hash(twin)
         assert repr(region) == repr(twin)
-        assert region.bounds is bounds
-        assert region.bounds.tolist() == twin.bounds.tolist()
+        assert region.bounds is bounds and not bounds.flags.writeable
+        assert region.bounds.tobytes() == twin.bounds.tobytes()
         want = tuple(zip(bounds[::2].tolist(), bounds[1::2].tolist()))
         assert region.ranges == want and all(type(x) is int for r in want for x in r)
 
 
-def test_array_built_sets_pickle_and_copy_before_their_ranges_are_read():
+def test_array_built_sets_pickle_and_copy():
     for region in _array_built_regions():
         clones = [pickle.loads(pickle.dumps(region)), copy.copy(region), copy.deepcopy(region)]
-        assert all("ranges" not in vars(s) for s in [region, *clones])
         for clone in clones:
             assert clone == region and hash(clone) == hash(region)
+            assert not clone.bounds.flags.writeable
     with pytest.raises(AttributeError):
         ElementarySet.from_cells(TimeGrid(0, 1, 8), np.arange(100)).no_such_name
+    with pytest.raises(AttributeError):  # sets are immutable
+        ElementarySet.from_cells(TimeGrid(0, 1, 8), np.arange(100)).bounds = np.arange(2)
 
 
 GRID = TimeGrid(0, 1, 4)

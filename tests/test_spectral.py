@@ -186,6 +186,15 @@ def test_multiplicity_mass_tracked_separately():
     assert set(profile) == {1, 2}
 
 
+@pytest.mark.parametrize("seed", [1.7, True, 1.0, "1"])
+def test_sample_sets_refuses_a_seed_that_is_not_an_integer(seed):
+    mu = spectral_measure_of(NoiseFunctional.from_walsh_entries(GRID, {(0,): 1.0, (1, 2): 1.0}))
+    with pytest.raises(ValueError) as got:
+        sample_sets(mu, 3, seed)
+    assert str(got.value) == f"seed must be an integer, got {seed!r}"
+    assert sample_sets(mu, 3, np.int64(1)) == sample_sets(mu, 3, 1)
+
+
 def test_sampler_matches_atom_frequencies():
     f = NoiseFunctional.from_walsh_entries(
         GRID, {(0,): 1.0, (1, 2): 1.0, (3, 4, 5): np.sqrt(2.0)}

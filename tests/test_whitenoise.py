@@ -98,6 +98,39 @@ def test_moment_check_zero_stderr_edge():
     assert math.isinf(MomentCheck(1.0, MCEstimate(2.0, 0.0, 10)).z)
 
 
+I1 = NoiseFunctional.from_family("white-noise-i1", GRID.level)
+MC_RUNS = {  # each gives one float or array of its estimate, as hex or bytes
+    "isometry_check": lambda samples, seed, workers: isometry_check(
+        GRID, SimplexKernel.constant(1, N), samples, seed, workers).estimate.value.hex(),
+    "inner_product_mc": lambda samples, seed, workers: inner_product_mc(
+        I1, I1, samples, seed, workers).stderr.hex(),
+    "npoint_density_estimate": lambda samples, seed, workers: npoint_density_estimate(
+        I1, 1, samples, seed, workers).coefficients.tobytes(),
+}
+
+
+@pytest.mark.parametrize("run", MC_RUNS)
+@pytest.mark.parametrize("samples, seed, workers, message", [
+    (100, 1.7, 1, "seed must be an integer, got 1.7"),
+    (100, True, 1, "seed must be an integer, got True"),
+    (True, 1, 1, "path total must be an integer, got True"),
+    (100.0, 1, 1, "path total must be an integer, got 100.0"),
+    (100, 1, True, "worker count must be an integer, got True"),
+    (100, 1, 2.0, "worker count must be an integer, got 2.0"),
+])
+def test_seeds_path_totals_and_worker_counts_must_be_integers(run, samples, seed, workers, message):
+    with pytest.raises(ValueError) as got:
+        MC_RUNS[run](samples, seed, workers)
+    assert str(got.value) == message
+
+
+@pytest.mark.parametrize("run", MC_RUNS)
+def test_numpy_integer_seeds_give_the_int_seeds_bits(run):
+    want = MC_RUNS[run](500, 3, 2)
+    assert MC_RUNS[run](500, np.int64(3), np.int32(2)) == want
+    assert MC_RUNS[run](np.int64(500), np.uint8(3), 2) == want
+
+
 def test_npoint_order1_density_of_i1():
     f = NoiseFunctional.from_family("white-noise-i1", 4)
     est = npoint_density_estimate(f, 1, samples=30000, seed=7)
