@@ -1,14 +1,15 @@
 """Counter-based random substreams for reproducible parallel Monte Carlo.
 
-Every worker w of a run keyed by `seed` gets Philox(key=[seed, w]); sample
-budgets are split into fixed contiguous chunks.  Results are therefore
-bit-reproducible for a fixed (seed, workers) pair, regardless of how the
-chunks are scheduled.
+Every worker w of a run keyed by `seed` gets Philox(key=[seed, w]), both words
+taken mod 2**64 (so -1 and 2**64 - 1 key one stream); sample budgets are split
+into fixed contiguous chunks.  Results are therefore bit-reproducible for a fixed
+(seed, workers) pair, regardless of how the chunks are scheduled.
 """
 from __future__ import annotations
 
 import os
 
+import numpy as np
 from numpy.random import Generator, Philox
 
 from .grid import _integer
@@ -18,7 +19,7 @@ _MASK64 = (1 << 64) - 1
 
 def worker_generator(seed: int, worker: int) -> Generator:
     seed, worker = _integer(seed, "seed"), _integer(worker, "worker")
-    return Generator(Philox(key=[seed & _MASK64, worker & _MASK64]))
+    return Generator(Philox(key=np.array([seed & _MASK64, worker & _MASK64], dtype=np.uint64)))
 
 
 def chunk_bounds(total: int, workers: int) -> list[tuple[int, int]]:

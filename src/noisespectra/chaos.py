@@ -10,12 +10,13 @@ Two index conventions share one container:
 
 Both kinds store, in the order given, a float64 `coeffs` column and `rows`, each
 index's support packed as `walsh._checked_rows` packs cells, so a selection is a
-row query.  A Hermite expansion also keeps `terms` and packs its rows on first
-read.  `entries` (a dict) and `multiplicity` (a bool column) are made on first
-read too; the columns stay the stored form, so both are read, never written.
+row query.  A Hermite expansion also keeps `terms`; on the first read of either,
+one array pass over their sites makes its `rows` and `multiplicity` (a bool
+column) together.  `entries` (a dict) is made on first read too; the columns stay
+the stored form, so both are read, never written.
 
 Cardinality always counts distinct cells.  An index has multiplicity when any
-single cell carries total degree >= 2 (across channels).
+single cell carries total degree >= 2 (across channels); a Walsh index never has.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from typing import Iterable, Mapping, Union
 import numpy as np
 
 from .grid import TimeGrid, _integers, require_same_grid
-from .walsh import _checked_rows, cells_of_rows
+from .walsh import _checked_rows, cells_of_rows, row_sizes
 
 WalshIndex = tuple[int, ...]
 HermiteIndex = tuple[tuple[int, int, int], ...]
@@ -66,40 +67,30 @@ def _hermite_on_grid(ix, n_cells: int, channels: int) -> bool:
         return False
 
 
-def index_support(index: SpectralIndex) -> tuple[int, ...]:
-    """Distinct cells carried by the index, sorted."""
-    if not index:
-        return ()
-    if isinstance(index[0], tuple):
-        return tuple(sorted({c for c, _, _ in index}))
-    return index  # Walsh indices are already sorted distinct cells
-
-
-def index_cardinality(index: SpectralIndex) -> int:
-    return len(index_support(index))
-
-
-def index_has_multiplicity(index: SpectralIndex) -> bool:
-    """True when some cell carries total Hermite degree >= 2 across channels."""
-    if not index or not isinstance(index[0], tuple):
-        return False
-    per_cell: dict[int, int] = {}
-    for c, _, d in index:
-        per_cell[c] = per_cell.get(c, 0) + d
-    return any(total >= 2 for total in per_cell.values())
-
-
-def shift_index(index: SpectralIndex, k: int, n_cells: int, cyclic: bool) -> SpectralIndex:
-    """Translate every cell by k, wrapping or raising per the cyclic flag."""
-
-    def move(c: int) -> int:
-        if not (cyclic or 0 <= c + k < n_cells):
-            raise ValueError(f"shift by {k} pushes cell {c} out of the window")
-        return (c + k) % n_cells
-
+def shift_index(index: SpectralIndex, k: int, n_cells: int) -> SpectralIndex:
+    """Translate every cell by k, wrapping around the n_cells cells."""
     if index and isinstance(index[0], tuple):
-        return tuple(sorted((move(c), ch, d) for c, ch, d in index))
-    return tuple(sorted(move(c) for c in index))
+        return tuple(sorted(((c + k) % n_cells, ch, d) for c, ch, d in index))
+    return tuple(sorted((c + k) % n_cells for c in index))
+
+
+def _hermite_columns(terms, n_cells: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each Hermite index's support row (`walsh._checked_rows`' layout) and multiplicity flag,
+    from one pass over the (cell, channel, degree) sites of all indices, laid flat."""
+    sizes = np.fromiter(map(len, terms), np.intp, len(terms))
+    sites = np.fromiter(chain.from_iterable(chain.from_iterable(terms)), np.int64,
+                        3 * int(sizes.sum())).reshape(-1, 3)
+    owner, cell = np.repeat(np.arange(len(terms)), sizes), sites[:, 0]
+    n_words = max(1, -(-n_cells // 64))
+    rows = np.zeros((len(terms), n_words), np.uint64)
+    bits = np.left_shift(np.uint64(1), (cell & 63).view(np.uint64))
+    np.bitwise_or.at(rows.reshape(-1), owner * n_words + (cell >> 6), bits)
+    # sites are sorted, so the channels of one cell sit next to each other
+    repeat = sites[:, 2] >= 2
+    repeat[1:] |= (cell[1:] == cell[:-1]) & (owner[1:] == owner[:-1])
+    multiplicity = np.zeros(len(terms), bool)
+    multiplicity[owner[repeat]] = True
+    return rows, multiplicity
 
 
 def _unrepeated(keys: list, values: list, field: str, listed: list, error=ValueError) -> dict:
@@ -144,12 +135,11 @@ class ChaosCoefficients:
     def __getattr__(self, name: str):
         """`entries`, `multiplicity` and a Hermite expansion's `rows`, made on first read."""
         got = vars(self)
-        if name == "rows" and "terms" in got:  # each index's support
-            supports = [*map(index_support, got["terms"])]
-            return got.setdefault(name, _checked_rows(supports, self.grid.n_cells)[0])
-        if name == "multiplicity" and "terms" in got:  # each index_has_multiplicity
-            flags = map(index_has_multiplicity, got["terms"])
-            return got.setdefault(name, np.fromiter(flags, bool))
+        if name in ("rows", "multiplicity") and "terms" in got:  # one pass makes both
+            for key, column in zip(("rows", "multiplicity"),
+                                   _hermite_columns(got["terms"], self.grid.n_cells)):
+                got.setdefault(key, column)
+            return got[name]
         if name == "multiplicity" and "rows" in got:  # a Walsh index has no multiplicity
             return got.setdefault(name, np.zeros(len(got["rows"]), bool))
         if name != "entries" or "coeffs" not in got:
@@ -212,7 +202,7 @@ class ChaosCoefficients:
 
     def sorted_items(self) -> list[tuple[SpectralIndex, float]]:
         """Entries sorted by (cardinality, index), the file order; only Hermite files use it."""
-        return sorted(self.entries.items(), key=lambda kv: (index_cardinality(kv[0]), kv[0]))
+        return [kv for _, kv in sorted(zip(row_sizes(self.rows).tolist(), self.entries.items()))]
 
 
 def add_coefficients(a: ChaosCoefficients, b: ChaosCoefficients) -> ChaosCoefficients:

@@ -609,7 +609,7 @@ def shift(f: NoiseFunctional, k: int, mode: str = "cyclic") -> NoiseFunctional:
     if isinstance(b, ChaosCoefficients):
         if mode == "truncate":  # keeps the indices on the cells that stay, -k..n-1-k
             b = b.filtered(inside(b.rows, np.clip([-k, n - k], 0, n)))
-        moved = {shift_index(ix, k, n, True): c for ix, c in b.entries.items()}
+        moved = {shift_index(ix, k, n): c for ix, c in b.entries.items()}
         return NoiseFunctional.from_chaos(
             ChaosCoefficients._trusted(f.grid, moved, b.kind, b.channels, b.residual))
     raise BackendError(f"shift is defined for table and chaos backends, not {f.kind}")

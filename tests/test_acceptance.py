@@ -34,7 +34,6 @@ from noisespectra import (
     spectral_measure_of,
     tensor_product,
 )
-from noisespectra.chaos import index_support
 from noisespectra.functionals import evaluate_table, random_functional
 from noisespectra.structure import additive_integral_of, classify
 from noisespectra.transform import decompose

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from noisespectra import (
     BackendError,
+    BrownianProgram,
     ItoTerm,
     MapFactor,
     MapTerm,
@@ -24,6 +25,7 @@ from noisespectra import (
     tensor_product,
 )
 from noisespectra.functionals import (
+    _sparse_dot,
     evaluate_table,
     expectation,
     hermite_decompose,
@@ -485,3 +487,22 @@ def test_evaluate_keeps_the_bits_on_increment_points(kind, channels):
         for omega in shapes:
             assert _bits(f.evaluate(omega)) == _bits(old_evaluate(f, omega))
         assert _bits(f.evaluate(point)) == _bits(f.evaluate(shapes[-1]))
+
+
+def test_map_terms_with_one_sided_slots_pair_as_their_hermite_expansions():
+    # slots (0, 0) and (5, 0) sit in a only, (4, 0) and (5, 1) in b only, (2, 1) in both;
+    # polynomial maps under the degree cap expand with no residual
+    grid = TimeGrid(0, 1, 3)
+    rng = np.random.default_rng(31)
+
+    def term(slots):
+        return MapTerm(float(rng.uniform(0.5, 2.0)), tuple(
+            MapFactor(c, ch, "poly", tuple(rng.standard_normal(3).tolist())) for c, ch in slots))
+
+    a = BrownianProgram((term([(0, 0), (2, 1), (5, 0)]), term([(1, 1)])), 3, 2)
+    b = BrownianProgram((term([(2, 1), (4, 0), (5, 1)]), term([(7, 0), (0, 0)])), 3, 2)
+    ca, cb = hermite_decompose(grid, a), hermite_decompose(grid, b)
+    assert max(ca.residual, cb.residual) <= 1e-12
+    for f, g, want in ((a, b, _sparse_dot(ca, cb)), (a, a, _sparse_dot(ca, ca))):
+        got = inner_product(NoiseFunctional(grid, f), NoiseFunctional(grid, g))
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (got, want)

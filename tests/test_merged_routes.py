@@ -7,7 +7,8 @@ the first-chaos filter of `additive_integral_of`, the family fallbacks of
 `conditional_expectation`, `level_projection` and `inner_product` that built a
 table functional and called themselves again, the sign table, the pair loop of
 `product`, the key-set rule of `is_absolutely_continuous`, the family table
-evaluated row by row on the sign table, the Walsh expansion as a dict of cell
+evaluated row by row on the sign table, the per-index support and
+multiplicity rules of a chaos index, the Walsh expansion as a dict of cell
 tuples: its `decompose`, its table and its support-dict measure, and the
 selections of a chaos expansion (`filtered`, `scaled`, the chaos routes of
 `conditional_expectation` and `level_projection`, the partition span and the
@@ -26,9 +27,6 @@ from noisespectra.chaos import (
     WALSH,
     ChaosCoefficients,
     add_coefficients,
-    index_cardinality,
-    index_has_multiplicity,
-    index_support,
     shift_index,
 )
 from noisespectra.families import _evaluate_rows, family_values, make_functional
@@ -94,6 +92,29 @@ def old_sign_table(n_cells):
     return 1 - 2 * bits.astype(np.int8)
 
 
+def old_index_support(index):
+    """Distinct cells carried by the index, sorted."""
+    if not index:
+        return ()
+    if isinstance(index[0], tuple):
+        return tuple(sorted({c for c, _, _ in index}))
+    return index  # Walsh indices are already sorted distinct cells
+
+
+def old_index_cardinality(index):
+    return len(old_index_support(index))
+
+
+def old_index_has_multiplicity(index):
+    """True when some cell carries total Hermite degree >= 2 across channels."""
+    if not index or not isinstance(index[0], tuple):
+        return False
+    per_cell = {}
+    for c, _, d in index:
+        per_cell[c] = per_cell.get(c, 0) + d
+    return any(total >= 2 for total in per_cell.values())
+
+
 def old_mask_of_cells(cells):
     m = 0
     for c in cells:
@@ -145,8 +166,8 @@ def old_walsh_table(entries, n):
 def old_measure_from_coefficients(grid, entries, residual=0.0):
     plain, mult = {}, {}
     for ix, c in entries.items():
-        target = mult if index_has_multiplicity(ix) else plain
-        s = index_support(ix)
+        target = mult if old_index_has_multiplicity(ix) else plain
+        s = old_index_support(ix)
         target[s] = target.get(s, 0.0) + c * c
     return SpectralMeasure(grid, plain, mult, residual=residual)
 
@@ -155,10 +176,10 @@ def old_shift_entries(entries, k, n, mode):
     moved = {}
     for ix, c in entries.items():
         if mode == "truncate":
-            support = index_support(ix)
+            support = old_index_support(ix)
             if any(not 0 <= cell + k < n for cell in support):
                 continue
-        moved[shift_index(ix, k, n, mode == "cyclic")] = c
+        moved[shift_index(ix, k, n)] = c
     return moved
 
 
@@ -174,13 +195,13 @@ def old_scaled(c, factor):
 def old_chaos_projection(c, region):
     """The chaos route of `conditional_expectation`."""
     cells = set(region.cells())
-    return old_filtered(c, lambda ix: set(index_support(ix)) <= cells)
+    return old_filtered(c, lambda ix: set(old_index_support(ix)) <= cells)
 
 
 def old_chaos_level(c, order):
     """The chaos route of `level_projection`."""
     return old_filtered(
-        c, lambda ix: index_cardinality(ix) == order and not index_has_multiplicity(ix))
+        c, lambda ix: old_index_cardinality(ix) == order and not old_index_has_multiplicity(ix))
 
 
 def old_partition_span(c, cuts):
@@ -188,7 +209,7 @@ def old_partition_span(c, cuts):
 
     def keeps(ix) -> bool:
         # cells share an interval exactly when as many cuts lie at or below each
-        support = index_support(ix)
+        support = old_index_support(ix)
         return len({bisect_right(boundaries, c) for c in support}) == len(support)
 
     return old_filtered(c, keeps)
@@ -196,13 +217,13 @@ def old_partition_span(c, cuts):
 
 def old_additive_integral(c):
     """`AdditiveIntegral.__post_init__`: (one-cell indices only, is_zero)."""
-    return (not any(len(index_support(ix)) != 1 for ix in c.entries),
+    return (not any(len(old_index_support(ix)) != 1 for ix in c.entries),
             not any(v != 0.0 for v in c.entries.values()))
 
 
 def old_member(c, lo, hi):
     """`AdditiveIntegral.member` on window cells lo..hi-1: no residual."""
-    return {ix: v for ix, v in c.entries.items() if lo <= index_support(ix)[0] < hi}, 0.0
+    return {ix: v for ix, v in c.entries.items() if lo <= old_index_support(ix)[0] < hi}, 0.0
 
 
 def old_ordered_product_sum(slot_vectors, weights):
@@ -251,7 +272,7 @@ def old_reconstruct_values(c):
 
 def old_additive_coefficients(f, tol=None):
     return decompose(f, tol).filtered(
-        lambda ix: index_cardinality(ix) == 1 and not index_has_multiplicity(ix)
+        lambda ix: old_index_cardinality(ix) == 1 and not old_index_has_multiplicity(ix)
     )
 
 
@@ -738,7 +759,7 @@ def _selection_subjects():
     yield wide
     for program in (_program(rng), _two_channel_program(GRID, rng)):
         hermite = hermite_decompose(GRID, program.backend)
-        assert hermite.residual > 0 and any(map(index_has_multiplicity, hermite.entries))
+        assert hermite.residual > 0 and any(map(old_index_has_multiplicity, hermite.entries))
         yield hermite
     yield ChaosCoefficients(GRID, {}, WALSH)
     yield ChaosCoefficients(GRID, {}, HERMITE, channels=2, residual=0.5)

@@ -177,6 +177,14 @@ def test_classify_verdicts_at_levels_3_to_6(family, verdict):
     assert rep.verdicts == (verdict,)
 
 
+def test_classify_reads_tribes_as_black_like():
+    # the first-chaos fraction of tribes falls at every level from 7 to 14 and ends below 0.01
+    rep = classify("tribes", range(5, 15))
+    fractions = np.array(rep.singleton_fractions)
+    assert (np.diff(fractions[2:]) < 0).all() and 0.0 < fractions[-1] < 0.01
+    assert rep.verdicts == ("black-like: first-chaos fraction vanishes across levels",)
+
+
 @pytest.mark.parametrize("levels", [[3, 4], [4]])
 @pytest.mark.parametrize("family", ["parity", "white-noise-i2"])
 def test_classify_reads_no_first_chaos_mass_below_three_levels(family, levels):

@@ -15,10 +15,13 @@ from numpy.testing import assert_allclose
 
 from noisespectra import walsh
 from noisespectra import (
+    BrownianProgram,
     ChaosCoefficients,
     ElementarySet,
     GridMismatchError,
     ItoTerm,
+    MapFactor,
+    MapTerm,
     NoiseFunctional,
     SimplexKernel,
     TimeGrid,
@@ -31,7 +34,13 @@ from noisespectra import (
     spectral_measure_of,
 )
 from noisespectra.chaos import HERMITE
-from noisespectra.functionals import evaluate_table, expectation, inner_product, norm_sq
+from noisespectra.functionals import (
+    evaluate_table,
+    expectation,
+    hermite_decompose,
+    inner_product,
+    norm_sq,
+)
 
 GRID = TimeGrid(0, 1, 3)
 N = GRID.n_cells
@@ -278,3 +287,27 @@ def test_level_projection_on_ito_programs():
 def test_level_projection_rejects_negative_order(rng):
     with pytest.raises(ValueError):
         level_projection(random_functional(GRID, rng), -1)
+
+
+@pytest.mark.parametrize("ranges", [(), ((0, 2),), ((1, 3), (5, 8)), ((2, 8),)])
+def test_program_projection_of_map_terms_is_the_chaos_route(ranges):
+    # every map term keeps factors inside the region and leaves others outside (all of them
+    # on the empty region); polynomial maps under the degree cap expand with no residual
+    grid = TimeGrid(0, 1, 3)
+    rng = np.random.default_rng(len(ranges))
+
+    def term(slots):
+        return MapTerm(float(rng.uniform(0.5, 2.0)), tuple(
+            MapFactor(c, ch, "poly", tuple(rng.standard_normal(3).tolist())) for c, ch in slots))
+
+    program = BrownianProgram((term([(0, 0), (2, 1), (6, 0)]), term([(1, 1), (7, 0)]),
+                               ItoTerm(0.5, SimplexKernel.separable([rng.standard_normal(8)]))),
+                              3, 2)
+    region = ElementarySet(grid, ranges)
+    projected = conditional_expectation(NoiseFunctional(grid, program), region).backend
+    got = hermite_decompose(grid, projected)
+    want = conditional_expectation(NoiseFunctional.from_chaos(hermite_decompose(grid, program)),
+                                   region).backend
+    assert max(got.residual, want.residual) <= 1e-12
+    keys = set(got.entries) | set(want.entries)
+    assert max(abs(got.entries.get(ix, 0.0) - want.entries.get(ix, 0.0)) for ix in keys) <= 1e-12

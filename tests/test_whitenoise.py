@@ -131,6 +131,29 @@ def test_numpy_integer_seeds_give_the_int_seeds_bits(run):
     assert MC_RUNS[run](np.int64(500), np.uint8(3), 2) == want
 
 
+def test_seeds_key_philox_as_words_mod_2_64():
+    import warnings
+
+    from numpy.random import Generator, Philox
+
+    from noisespectra import sample_sets, spectral_measure_of
+    from noisespectra._rng import worker_generator
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no key word passes through float64
+        first = {s: worker_generator(s, 0).random()
+                 for s in (-1, -2, -3, -5, 2**63, 2**63 + 2048, 2**64 - 1)}
+        # seeds below 2**63 keep the streams of Philox(key=[seed, worker])
+        for s in (0, 1, 7, 3501, 2**31 - 1, 2**62, 2**63 - 1):
+            for w in range(4):
+                want = Generator(Philox(key=[s, w])).random(4)
+                assert worker_generator(s, w).random(4).tolist() == want.tolist(), (s, w)
+    assert first[-1] == first[2**64 - 1]
+    assert len(set(first.values())) == 6
+    mu = spectral_measure_of(NoiseFunctional.from_family("majority3-iterated", 10))
+    assert sample_sets(mu, 200, -1) != sample_sets(mu, 200, -2)
+
+
 def test_npoint_order1_density_of_i1():
     f = NoiseFunctional.from_family("white-noise-i1", 4)
     est = npoint_density_estimate(f, 1, samples=30000, seed=7)
