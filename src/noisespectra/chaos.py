@@ -12,8 +12,9 @@ Both kinds store, in the order given, a float64 `coeffs` column and `rows`, each
 index's support packed as `walsh._checked_rows` packs cells, so a selection is a
 row query.  A Hermite expansion also keeps `terms`; on the first read of either,
 one array pass over their sites makes its `rows` and `multiplicity` (a bool
-column) together.  `entries` (a dict) is made on first read too; the columns stay
-the stored form, so both are read, never written.
+column) together, and a selection takes every index column its parent has built.
+`entries` (a dict) is made on first read too; the columns stay the stored form, so
+both are read, never written.
 
 Cardinality always counts distinct cells.  An index has multiplicity when any
 single cell carries total degree >= 2 (across channels); a Walsh index never has.
@@ -27,7 +28,7 @@ from typing import Iterable, Mapping, Union
 import numpy as np
 
 from .grid import TimeGrid, _integers, require_same_grid
-from .walsh import _checked_rows, cells_of_rows, row_sizes
+from .walsh import _checked_rows, _pack, cells_of_rows, row_sizes
 
 WalshIndex = tuple[int, ...]
 HermiteIndex = tuple[tuple[int, int, int], ...]
@@ -75,22 +76,19 @@ def shift_index(index: SpectralIndex, k: int, n_cells: int) -> SpectralIndex:
 
 
 def _hermite_columns(terms, n_cells: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each Hermite index's support row (`walsh._checked_rows`' layout) and multiplicity flag,
+    """Each Hermite index's support row (written by `walsh._pack`) and multiplicity flag,
     from one pass over the (cell, channel, degree) sites of all indices, laid flat."""
     sizes = np.fromiter(map(len, terms), np.intp, len(terms))
     sites = np.fromiter(chain.from_iterable(chain.from_iterable(terms)), np.int64,
                         3 * int(sizes.sum())).reshape(-1, 3)
-    owner, cell = np.repeat(np.arange(len(terms)), sizes), sites[:, 0]
-    n_words = max(1, -(-n_cells // 64))
-    rows = np.zeros((len(terms), n_words), np.uint64)
-    bits = np.left_shift(np.uint64(1), (cell & 63).view(np.uint64))
-    np.bitwise_or.at(rows.reshape(-1), owner * n_words + (cell >> 6), bits)
-    # sites are sorted, so the channels of one cell sit next to each other
+    owner, n_words = np.repeat(np.arange(len(terms)), sizes), max(1, -(-n_cells // 64))
+    # sites are sorted, so these keys rise and the channels of one cell sit next to each other
+    rise = owner * (64 * n_words) + sites[:, 0]
     repeat = sites[:, 2] >= 2
-    repeat[1:] |= (cell[1:] == cell[:-1]) & (owner[1:] == owner[:-1])
+    repeat[1:] |= rise[1:] == rise[:-1]
     multiplicity = np.zeros(len(terms), bool)
     multiplicity[owner[repeat]] = True
-    return rows, multiplicity
+    return _pack(rise, len(terms), n_words), multiplicity
 
 
 def _unrepeated(keys: list, values: list, field: str, listed: list, error=ValueError) -> dict:
@@ -195,10 +193,12 @@ class ChaosCoefficients:
         return self._with(self.coeffs * factor, self.residual * factor * factor)
 
     def _with(self, coeffs, residual, keep=slice(None)) -> "ChaosCoefficients":
-        """This expansion's indices at `keep`, with the column `coeffs` and `residual`."""
-        index = "rows" if self.kind == WALSH else "terms"
+        """This expansion's indices at `keep`, with the column `coeffs` and `residual`; every
+        index column built so far is taken at `keep`, so none is built again."""
+        got = vars(self)
+        index = {k: got[k][keep] for k in ("rows", "terms", "multiplicity") if k in got}
         return self._of_columns(self.grid, self.kind, self.channels, residual, coeffs=coeffs,
-                                **{index: vars(self)[index][keep]})
+                                **index)
 
     def sorted_items(self) -> list[tuple[SpectralIndex, float]]:
         """Entries sorted by (cardinality, index), the file order; only Hermite files use it."""

@@ -83,6 +83,8 @@ class MapFactor:
             raise ValueError(f"unknown map {self.fn!r}; known: {sorted(MAP_REGISTRY)}")
         cell, channel = map(int, _integers((self.cell, self.channel), "map cell and channel"))
         vars(self).update(cell=cell, channel=channel, params=tuple(map(float, self.params)))
+        if self.fn == "poly" and not self.params:
+            raise ValueError("a poly map needs at least one coefficient")
 
     def callable(self):
         return MAP_REGISTRY[self.fn](self.params)
@@ -583,36 +585,32 @@ def _tensor_accumulate(add, weight: float, coeff_lists) -> None:
 def shift(f: NoiseFunctional, k: int, mode: str = "cyclic") -> NoiseFunctional:
     """Translate by k cells; cyclic wraps, truncate drops mass leaving the window.
 
-    On a table, truncation first projects onto the cells that stay (it
-    averages out the top k cells for k > 0, the bottom -k for k < 0), so the
-    wrapped cells carry no dependence, then rotates as the cyclic mode does.
+    A table, or a family read as its table by `evaluate_table`, rotates; on it
+    truncation first projects onto the cells that stay (it averages out the top
+    k cells for k > 0, the bottom -k for k < 0), so the wrapped cells carry no
+    dependence, then rotates as the cyclic mode does.
     """
     if mode not in ("cyclic", "truncate"):
         raise ValueError("shift mode must be 'cyclic' or 'truncate'")
     (k,) = map(int, _integers([k], "shift steps"))  # the moved indices are trusted
-    b = f.backend
-    n = f.grid.n_cells
-    if isinstance(b, RademacherTable):
-        v = b.values
+    b, n = f.backend, f.grid.n_cells
+    if isinstance(b, (RademacherTable, FamilyRef)):
         if mode == "truncate" and k:
             from .transform import conditional_expectation
 
             stay = left_of(f.grid, max(n - k, 0)) if k > 0 else right_of(f.grid, min(-k, n))
-            v = conditional_expectation(f, stay).backend.values
-        positions = np.arange(1 << n, dtype=np.uint64)
-        kk = k % n
-        mask = np.uint64((1 << n) - 1)
-        rotated = ((positions << np.uint64(kk)) | (positions >> np.uint64(n - kk))) & mask
-        out = np.empty_like(v)
-        out[rotated] = v  # pattern at cells moves forward by k
-        return NoiseFunctional._of_fresh_table(f.grid, out)
+            f = conditional_expectation(f, stay)
+        # the pattern at cells i moves to cells i + k: the position's bits rotate left by
+        # k % n, which swaps the high k % n of them with the rest, one transpose
+        v = evaluate_table(f).reshape(1 << k % n, -1)
+        return NoiseFunctional._of_fresh_table(f.grid, v.T.flatten())
     if isinstance(b, ChaosCoefficients):
         if mode == "truncate":  # keeps the indices on the cells that stay, -k..n-1-k
             b = b.filtered(inside(b.rows, np.clip([-k, n - k], 0, n)))
         moved = {shift_index(ix, k, n): c for ix, c in b.entries.items()}
         return NoiseFunctional.from_chaos(
             ChaosCoefficients._trusted(f.grid, moved, b.kind, b.channels, b.residual))
-    raise BackendError(f"shift is defined for table and chaos backends, not {f.kind}")
+    raise BackendError(f"shift is defined for tables, families and chaos expansions, not {f.kind}")
 
 
 def multiply(f: NoiseFunctional, g: NoiseFunctional) -> NoiseFunctional:

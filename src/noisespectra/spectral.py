@@ -38,7 +38,7 @@ from .functionals import (
     RademacherTable,
     joined_grid,
 )
-from .grid import ElementarySet, TimeGrid, _integers, require_same_grid
+from .grid import ElementarySet, TimeGrid, _integer, _integers, require_same_grid
 from .transform import decompose, walsh_coefficients
 from .walsh import (DENSE_CELL_CAP, _checked_rows, cells_of_rows, inside, meeting, row_sizes,
                     run_axes)
@@ -432,8 +432,12 @@ def mass_of_subsets_of(mu: SpectralMeasure, region: ElementarySet) -> float:
 
 
 def straddle_mass(mu: SpectralMeasure, boundary: int) -> float:
-    """mu{C : C has cells on both sides of the boundary}, plus the unlocated residual."""
-    return float(mu.model.straddle_masses(np.array([boundary]))[0]) + mu.residual
+    """mu{C : C has cells on both sides of the boundary}, plus the unlocated residual;
+    `boundary` is an integer in 0..n_cells."""
+    b = _integer(boundary, "boundary index")
+    if not 0 <= b <= mu.grid.n_cells:
+        raise ValueError(f"boundary index {b} out of range 0..{mu.grid.n_cells}")
+    return float(mu.model.straddle_masses(np.array([b]))[0]) + mu.residual
 
 
 def mass_meeting_interval(mu: SpectralMeasure, lo, hi) -> float:

@@ -79,14 +79,8 @@ def values_from_coefficients(coeffs: np.ndarray) -> np.ndarray:
 
 
 def omega_index(omega) -> int:
-    """Table position of a sign pattern; omega entries must be +1 or -1."""
-    idx = 0
-    for i, w in enumerate(omega):
-        if w == -1:
-            idx |= 1 << i
-        elif w != 1:
-            raise ValueError(f"omega entries must be +-1, got {w!r}")
-    return idx
+    """Table position of a sign pattern of +-1 entries (`functionals.evaluate` checks them)."""
+    return sum(1 << i for i, w in enumerate(omega) if w < 0)
 
 
 def run_axes(bounds, n_cells: int) -> tuple[list[int], list[int]]:
@@ -137,9 +131,9 @@ def cells_of_rows(rows: np.ndarray, n_cells: int) -> list[tuple[int, ...]]:
 
 
 def _checked_rows(keys: list, n_cells: int) -> tuple[np.ndarray | None, int | None]:
-    """Cell lists as rows of 64-bit words, cell c at bit c % 64 of word c // 64; or None and
-    the first list whose cells are not strictly increasing integers in 0..n_cells-1.  Python
-    and numpy integers count as integers; bools and floats do not."""
+    """Cell lists as rows of 64-bit words, cell c at bit c % 64 of word c // 64 (written by
+    `_pack`); or None and the first list whose cells are not strictly increasing integers in
+    0..n_cells-1.  Python and numpy integers count as integers; bools and floats do not."""
     sizes = np.fromiter(map(len, keys), dtype=np.intp, count=len(keys))
     count = int(sizes.sum())
     # plain ints, the usual case, are counted in blocks of types (a count is cheaper than a
@@ -163,17 +157,22 @@ def _checked_rows(keys: list, n_cells: int) -> tuple[np.ndarray | None, int | No
     bad[1:] |= rise[1:] <= rise[:-1]
     if bad.any():
         return None, int(np.searchsorted(np.cumsum(sizes), bad.argmax(), "right"))
-    del bad  # freed before the rows and the run starts are made
-    rows = np.zeros((len(keys), n_words), dtype=np.uint64)
+    del bad, cells  # freed before the writer's bits are made: a 2**18-atom file holds 2.4M cells
+    return _pack(rise, len(keys), n_words), None
+
+
+def _pack(rise: np.ndarray, n_rows: int, n_words: int) -> np.ndarray:
+    """The one row writer: n_rows rows of n_words words from the nondecreasing int64 keys
+    row * 64 * n_words + cell, cell c at bit c % 64 of word c // 64 (a key may repeat).
+    `rise` is overwritten."""
+    rows = np.zeros((n_rows, n_words), dtype=np.uint64)
+    bits = (rise & 63).view(np.uint64)
+    np.left_shift(np.uint64(1), bits, out=bits)
     rise >>= 6  # each cell's word in the flattened rows, filled in order: one OR per run
     starts = np.flatnonzero(np.concatenate(([True], rise[1:] != rise[:-1])))
-    # cells turn into their bits in place: a 2**18-atom file holds 2.4M cells
-    cells = cells.view(np.uint64)
-    cells &= np.uint64(63)
-    np.left_shift(np.uint64(1), cells, out=cells)
-    if count:
-        rows.reshape(-1)[rise[starts]] = np.bitwise_or.reduceat(cells, starts)
-    return rows, None
+    if len(rise):
+        rows.reshape(-1)[rise[starts]] = np.bitwise_or.reduceat(bits, starts)
+    return rows
 
 
 def _words(bounds, n_words: int) -> np.ndarray:

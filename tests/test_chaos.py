@@ -2,17 +2,22 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from noisespectra import BrownianProgram, ItoTerm, MapFactor, MapTerm, SimplexKernel, TimeGrid
+from noisespectra import (BrownianProgram, ElementarySet, ItoTerm, MapFactor, MapTerm,
+                          NoiseFunctional, SimplexKernel, TimeGrid)
 from noisespectra.chaos import (
     HERMITE,
     WALSH,
     ChaosCoefficients,
+    _hermite_columns,
     add_coefficients,
     hermite_index,
     shift_index,
     walsh_index,
 )
 from noisespectra.functionals import hermite_decompose
+from noisespectra.spectral import measure_from_coefficients
+from noisespectra.structure import AdditiveIntegral, finite_chaos_partition_span
+from noisespectra.transform import conditional_expectation, level_projection
 from noisespectra.walsh import _checked_rows, cells_of_rows, row_sizes
 from test_merged_routes import old_index_cardinality, old_index_has_multiplicity, old_index_support
 
@@ -134,7 +139,7 @@ def test_multiplicity_column_is_index_has_multiplicity(channels, seed):
     want = [old_index_has_multiplicity(ix) for ix in c.entries]
     assert c.multiplicity.dtype == bool and c.multiplicity.tolist() == want
     assert any(want) and not all(want)
-    kept = c.filtered(~c.multiplicity)  # a selection builds its own column
+    kept = c.filtered(~c.multiplicity)  # a selection takes the parent's column at its keep
     assert kept.multiplicity.tolist() == [False] * len(kept.coeffs)
 
 
@@ -154,10 +159,9 @@ def _random_sites(rng, n_cells, channels):
     return [(c, ch, int(rng.choice([1, 1, 1, 1, 2, 3, 4]))) for c, ch in slots]
 
 
-@pytest.mark.parametrize("n_cells", [70, 130])  # two- and three-word rows
-@pytest.mark.parametrize("channels", [1, 2, 3])
-@pytest.mark.parametrize("seed", range(3))
-def test_hermite_columns_are_the_per_index_rules(n_cells, channels, seed):
+def _corpus(n_cells, channels, seed):
+    """Fixed indices at the word and channel edges, then 300 seeded ones, each with
+    coefficient 1; and the fixed ones."""
     rng = np.random.default_rng([seed, channels, n_cells])
     last = channels - 1
     fixed = [
@@ -167,19 +171,88 @@ def test_hermite_columns_are_the_per_index_rules(n_cells, channels, seed):
         [(1, 0, 1), (9, 0, 1)], [(9, last, 1), (20, 0, 1)], [(20, last, 1), (64, 0, 1)],
         [(5, 0, 1), (5, last, 1)] if last else [(5, 0, 1)],  # a cell carrying two channels
     ]
-    c = _hermite(TimeGrid(0, 1, 1, base=n_cells), *fixed,
-                 *(_random_sites(rng, n_cells, channels) for _ in range(300)), channels=channels)
-    keys = list(c.entries)
-    assert keys[:len(fixed)] == [*map(hermite_index, fixed)]
+    return _hermite(TimeGrid(0, 1, 1, base=n_cells), *fixed,
+                    *(_random_sites(rng, n_cells, channels) for _ in range(300)),
+                    channels=channels), fixed
+
+
+def _columns_are_the_per_index_rules(c):
+    """`rows` and `multiplicity` of `c` against the oracles of its own indices."""
+    keys = c.terms.tolist()
     assert c.rows.dtype == np.uint64
-    assert np.array_equal(c.rows, _checked_rows([*map(old_index_support, keys)], n_cells)[0])
+    assert np.array_equal(c.rows, _checked_rows([*map(old_index_support, keys)],
+                                                c.grid.n_cells)[0])
+    assert c.multiplicity.tolist() == [*map(old_index_has_multiplicity, keys)]
+    return keys
+
+
+@pytest.mark.parametrize("n_cells", [70, 130])  # two- and three-word rows
+@pytest.mark.parametrize("channels", [1, 2, 3])
+@pytest.mark.parametrize("seed", range(3))
+def test_hermite_columns_are_the_per_index_rules(n_cells, channels, seed):
+    c, fixed = _corpus(n_cells, channels, seed)
+    keys = _columns_are_the_per_index_rules(c)
+    assert keys == list(c.entries)
+    assert keys[:len(fixed)] == [*map(hermite_index, fixed)]
     assert row_sizes(c.rows).tolist() == [*map(old_index_cardinality, keys)]
-    want = [*map(old_index_has_multiplicity, keys)]
-    assert c.multiplicity.tolist() == want
+    want = c.multiplicity.tolist()  # the oracle's, as checked above
     assert want[:6] == [False, True, False, False, False, False] and want[6] == (channels > 1)
     assert sum(want) > 50 and not all(want)
     assert c.sorted_items() == sorted(c.entries.items(),
                                       key=lambda kv: (old_index_cardinality(kv[0]), kv[0]))
+
+
+def _selections(c):
+    """Every selection route of a Hermite expansion, each with a name."""
+    f, grid, n = NoiseFunctional.from_chaos(c), c.grid, c.grid.n_cells
+    rng = np.random.default_rng(n)
+    yield "filtered by a mask", c.filtered(rng.random(len(c.coeffs)) < 0.5)
+    yield "filtered by a predicate", c.filtered(lambda ix: len(ix) % 2 == 0)
+    yield "scaled", c.scaled(-1.5)
+    for order in range(4):
+        yield f"level {order}", level_projection(f, order).backend
+    for text in ("0:10,20:21,63:65", f"0:{n}", "64:65", "3:3"):
+        yield f"E_A on {text}", conditional_expectation(f, ElementarySet.parse(grid, text)).backend
+    for cuts in ((), (9, 64), range(1, n)):
+        yield f"span at {cuts}", finite_chaos_partition_span(
+            f, [grid.boundary(b) for b in cuts]).backend
+    family = AdditiveIntegral(grid, level_projection(f, 1).backend)
+    for lo, hi in ((0, n), (5, 65), (64, 64)):
+        yield f"member {lo}..{hi}", family.member(grid.boundary(lo), grid.boundary(hi)).backend
+
+
+@pytest.mark.parametrize("n_cells", [70, 130])
+@pytest.mark.parametrize("channels", [1, 2, 3])
+@pytest.mark.parametrize("parent_built", [False, True])
+def test_hermite_selections_keep_the_per_index_columns(n_cells, channels, parent_built):
+    c, _ = _corpus(n_cells, channels, seed=n_cells + channels)
+    if parent_built:  # else the masks and the scaling come first, and row queries build it
+        c.rows  # noqa: B018 -- the first read builds both columns
+    for name, sel in _selections(c):
+        if parent_built:
+            assert "rows" in vars(sel) and "multiplicity" in vars(sel), name
+        assert len(_columns_are_the_per_index_rules(sel)) == len(sel.coeffs), name
+
+
+def test_selections_of_built_columns_run_no_second_site_pass(monkeypatch):
+    passes = []
+
+    def counted(terms, n_cells):
+        passes.append(len(terms))
+        return _hermite_columns(terms, n_cells)
+
+    monkeypatch.setattr("noisespectra.chaos._hermite_columns", counted)
+    c, _ = _corpus(130, 2, seed=1)
+    c.multiplicity  # noqa: B018
+    assert passes == [len(c.coeffs)]
+    for name, sel in _selections(c):
+        sel.rows, sel.multiplicity  # noqa: B018
+        measure_from_coefficients(sel)
+        assert passes == [len(c.coeffs)], name
+    fresh, _ = _corpus(130, 2, seed=1)  # unbuilt: each selection makes its own, once
+    sel = fresh.filtered(lambda ix: len(ix) == 2)
+    sel.rows, sel.multiplicity, sel.rows  # noqa: B018
+    assert passes == [len(c.coeffs), len(sel.coeffs)] and "rows" not in vars(fresh)
 
 
 def test_the_first_read_of_either_hermite_column_makes_both():

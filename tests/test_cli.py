@@ -411,6 +411,19 @@ def test_malformed_set_range_exits_2_naming_the_part(spec, chi01, tmp_path, caps
     assert not (tmp_path / "o.json").exists()
 
 
+def test_program_file_with_a_coefficient_free_poly_map_exits_2(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({
+        "schema_version": "1", "grid": {"start": "0", "end": "1", "level": 2}, "kind": "program",
+        "terms": [{"type": "map", "weight": 1.0,
+                   "factors": [{"cell": 0, "channel": 0, "fn": "poly", "params": []}]}]}))
+    out = tmp_path / "o.json"
+    assert run("spectrum", "--in", str(path), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "terms[0]: a poly map needs at least one coefficient" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_dense_kernel_file_with_weight_below_the_diagonal_exits_2(tmp_path, capsys):
     kpath = tmp_path / "k.json"
     kpath.write_text('{"order": 2, "dense": [[0.0, 1.0], [5.0, 0.0]]}')

@@ -12,7 +12,8 @@ multiplicity rules of a chaos index, the Walsh expansion as a dict of cell
 tuples: its `decompose`, its table and its support-dict measure, and the
 selections of a chaos expansion (`filtered`, `scaled`, the chaos routes of
 `conditional_expectation` and `level_projection`, the partition span and the
-additive-integral members) as per-index predicates over its entries dict.
+additive-integral members) as per-index predicates over its entries dict,
+and the table route of `shift`, which rotated positions through index arrays.
 Every comparison is `==`.
 """
 from bisect import bisect_right
@@ -50,6 +51,7 @@ from noisespectra.functionals import (
     random_functional,
     shift,
 )
+from noisespectra.grid import left_of, right_of
 from noisespectra.spectral import (
     SpectralMeasure,
     cardinality_profile,
@@ -298,6 +300,23 @@ def old_level_projection(f, order):
     if isinstance(f.backend, FamilyRef):
         return level_projection(old_materialize(f.grid, f.backend), order)
     return level_projection(f, order)
+
+
+def old_shift_table(f, k, mode):
+    """The values of `shift(f, k, mode)` for a table f, by the index-array rotation."""
+    b = f.backend
+    n = f.grid.n_cells
+    v = b.values
+    if mode == "truncate" and k:
+        stay = left_of(f.grid, max(n - k, 0)) if k > 0 else right_of(f.grid, min(-k, n))
+        v = conditional_expectation(f, stay).backend.values
+    positions = np.arange(1 << n, dtype=np.uint64)
+    kk = k % n
+    mask = np.uint64((1 << n) - 1)
+    rotated = ((positions << np.uint64(kk)) | (positions >> np.uint64(n - kk))) & mask
+    out = np.empty_like(v)
+    out[rotated] = v  # pattern at cells moves forward by k
+    return out
 
 
 def old_backend_kind(f):
@@ -549,6 +568,65 @@ def test_mc_inner_product_refuses_rademacher_backends(side):
                  (subjects[side], subjects[side])):
         with pytest.raises(BackendError, match="MC inner products pair"):
             inner_product_mc(f, g, samples=16, seed=1)
+
+
+# -- a table shift is one transpose, and a family below the cap shifts as its table ----------
+
+SPECIAL = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e-310, -2.5e-320, 1.0, -1.0])
+
+
+def _same_bits(got, want):
+    assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _shifts_are_the_former_rotation(f, ks):
+    for k in ks:
+        for mode in ("cyclic", "truncate"):
+            got = shift(f, k, mode).backend.values
+            _same_bits(got, old_shift_table(f, k, mode))
+            assert not got.flags.writeable and not np.shares_memory(got, f.backend.values)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_table_shift_is_the_former_index_array_rotation(n):
+    grid = TimeGrid(0, 1, 0) if n == 1 else TimeGrid(0, 1, 1, base=n)
+    rng = np.random.default_rng(500 + n)
+    values = rng.standard_normal(1 << n)
+    values[rng.random(1 << n) < 0.25] = -0.0
+    _shifts_are_the_former_rotation(NoiseFunctional.from_table(grid, values), range(-n - 2, n + 3))
+    # a table of signed zeros and subnormals only
+    special = NoiseFunctional.from_table(grid, rng.choice(SPECIAL[:6], size=1 << n))
+    _shifts_are_the_former_rotation(special, range(-n - 2, n + 3))
+
+
+def test_table_shift_at_20_cells_is_the_former_index_array_rotation():
+    rng = np.random.default_rng(20)
+    values = rng.standard_normal(1 << 20)
+    special = rng.random(1 << 20) < 0.1
+    values[special] = rng.choice(SPECIAL, size=int(special.sum()))
+    _shifts_are_the_former_rotation(NoiseFunctional.from_table(TimeGrid(0, 1, 1, base=20),
+                                                               values), (-13, 1, 7))
+
+
+@pytest.mark.parametrize("name, level", [("majority3-iterated", 2), ("tribes", 3), ("tribes", 4)])
+def test_family_shift_is_the_shift_of_its_table(name, level):
+    f = make_functional(name, level)
+    n = f.grid.n_cells
+    twin = NoiseFunctional.from_table(f.grid, evaluate_table(f))
+    for k in (-n - 1, -n, -3, -1, 0, 1, 2, n - 1, n + 2):
+        for mode in ("cyclic", "truncate"):
+            got = shift(f, k, mode).backend.values
+            _same_bits(got, shift(twin, k, mode).backend.values)
+            _same_bits(got, old_shift_table(twin, k, mode))
+
+
+def test_family_shift_past_the_cap_is_refused_by_evaluate_table():
+    f = make_functional("majority3-iterated", 3)
+    for mode in ("cyclic", "truncate"):
+        with pytest.raises(BackendError, match="family majority3-iterated at level 3: value "
+                                               "tables are capped at 24 cells, got 27"):
+            shift(f, 1, mode)
 
 
 # -- dense tables by array passes ----------------------------------------------

@@ -676,6 +676,22 @@ def test_every_query_reads_the_one_model(kind):
         assert mu.entries._model is model and mu.multiplicity_entries._model is model
 
 
+@pytest.mark.parametrize("kind", MEASURES)
+def test_straddle_mass_takes_integer_boundaries_in_0_to_n_cells(kind):
+    mu = MEASURES[kind]()  # a Walsh mass vector, an atom table or a tree model
+    n = mu.grid.n_cells
+    for b in (-1, n + 1, -(1 << 70), 1 << 70):
+        with pytest.raises(ValueError, match=rf"^boundary index {b} out of range 0\.\.{n}$"):
+            straddle_mass(mu, b)
+    for b in (2.5, 1.0, True, np.float64(2.0), "1", None):
+        with pytest.raises(ValueError, match=r"^boundary index must be an integer, got"):
+            straddle_mass(mu, b)
+    for b in (0, n):  # nothing straddles the ends of the window
+        assert abs(straddle_mass(mu, b) - mu.residual) <= 1e-12
+    b = next(b for b in range(1, n) if straddle_mass(mu, b) > 0.0)
+    assert straddle_mass(mu, np.int64(b)) == straddle_mass(mu, np.uint8(b)) == straddle_mass(mu, b)
+
+
 DENSE_ONLY = {
     "restrict": lambda mu, right: restrict(mu, ElementarySet.from_cells(mu.grid, [0, 4])),
     "product": product,

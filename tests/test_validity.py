@@ -84,6 +84,12 @@ REFUSALS = {
     "map factor float cell": (
         lambda: MapFactor(1.5, 0, "sin"), ValueError,
         r"^map cell and channel must be integers, got 1\.5$"),
+    "poly map with no coefficients": (
+        lambda: MapFactor(0, 0, "poly"), ValueError,
+        r"^a poly map needs at least one coefficient$"),
+    "poly map with an empty coefficient list": (
+        lambda: MapFactor(1, 0, "poly", []), ValueError,
+        r"^a poly map needs at least one coefficient$"),
     "kernel on another grid": (
         program(ItoTerm(1.0, SimplexKernel.constant(1, 8))), ValueError,
         r"^terms\[0\]: kernel on 8 cells, grid of 4$"),
@@ -117,6 +123,12 @@ REFUSALS = {
         program_file({"type": "map", "weight": 1.0,
                       "factors": [{"cell": 1.5, "channel": 0, "fn": "sin"}]}),
         FormatError, r"^terms\[0\]: map cell and channel must be integers, got 1\.5$"),
+    "program file poly map with no coefficients": (
+        program_file({"type": "map", "weight": 1.0, "factors": [
+            {"cell": 0, "channel": 0, "fn": "sin"}]},
+            {"type": "map", "weight": 1.0, "factors": [
+                {"cell": 1, "channel": 0, "fn": "poly", "params": []}]}),
+        FormatError, r"^terms\[1\]: a poly map needs at least one coefficient$"),
     "program file kernel float channel": (
         program_file({"type": "ito", "weight": 1.0, "kernel": KERNEL_07}), FormatError,
         r"^terms\[0\]: bad kernel record: kernel channels must be integers, got 0\.7$"),

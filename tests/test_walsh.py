@@ -135,8 +135,6 @@ def test_omega_index_convention():
     assert omega_index([-1, 1, 1]) == 1
     assert omega_index([1, -1, 1]) == 2
     assert omega_index([-1, -1, -1]) == 7
-    with pytest.raises(ValueError):
-        omega_index([1, 0])
     for pos in range(8):
         assert omega_index([-1 if pos >> i & 1 else 1 for i in range(3)]) == pos
 
