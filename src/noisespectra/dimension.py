@@ -20,6 +20,7 @@ import numpy as np
 
 from .spectral import SpectralMeasure, SpectralSet, sample_sets
 from .functionals import NoiseFunctional
+from .grid import _integer
 
 
 def box_count(s: SpectralSet, j: int) -> int:
@@ -27,9 +28,7 @@ def box_count(s: SpectralSet, j: int) -> int:
 
     Cells rise, so one bisection per box jumps from its first cell past it."""
     grid, cells = s.grid, s.cells
-    if type(j) is not int and (type(j) is bool or not isinstance(j, (int, np.integer))):
-        raise ValueError(f"box level must be an integer, got {j!r}")
-    if not 0 <= j <= grid.level:
+    if not 0 <= _integer(j, "box level") <= grid.level:
         raise ValueError(f"box level {j} outside 0..{grid.level}")
     width, n = grid.base ** (grid.level - j), len(cells)
     count = i = 0

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Union
 
 import numpy as np
@@ -368,7 +369,7 @@ def _sparse_dot(a: ChaosCoefficients, b: ChaosCoefficients) -> float:
 
 def _max_degree(c: ChaosCoefficients) -> int:
     """The highest degree in the Hermite `terms`; 1 for a Walsh expansion, which has none."""
-    return max((d for ix in getattr(c, "terms", ()) for _, _, d in ix), default=1)
+    return max(map(itemgetter(2), chain.from_iterable(getattr(c, "terms", ()))), default=1)
 
 
 def inner_product_mc(
@@ -434,8 +435,6 @@ def _values_on_increments(f: NoiseFunctional, inc: np.ndarray) -> np.ndarray:
 
 def program_values(p: BrownianProgram, inc: np.ndarray) -> np.ndarray:
     """Evaluate on a batch of increment tables of shape (k, n, d)."""
-    if inc.ndim == 2:
-        inc = inc[:, :, None]
     out = np.zeros(inc.shape[0])
     for term in p.terms:
         if isinstance(term, ItoTerm):

@@ -67,11 +67,8 @@ class TimeGrid:
 
     def boundary(self, i: int) -> Fraction:
         """Time of boundary i, for i in 0..n_cells."""
-        if not 0 <= i <= self.n_cells:
-            raise ValueError(f"boundary index {i} out of range 0..{self.n_cells}")
         a, h, d = self.ticks
-        # a numpy index would wrap in h * i and leave numpy ints inside the Fraction
-        return Fraction(a + h * int(i), d)
+        return Fraction(a + h * _boundary(self, i), d)
 
     def boundary_index(self, t: Rational) -> int:
         """Index of the grid point at time t; raises if t is not a grid point."""
@@ -124,9 +121,18 @@ def _integers(values: Iterable, what: str) -> list:
 
 def _integer(value, what: str) -> int:
     """`value` as a Python int, by the rule of `_integers`."""
+    if type(value) is int:
+        return value
     if type(value) is bool or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return int(value)
+
+
+def _boundary(grid: TimeGrid, i) -> int:
+    """Boundary index `i` as a Python int in 0..n_cells: the one check of every boundary index."""
+    if not 0 <= (i := _integer(i, "boundary index")) <= grid.n_cells:
+        raise ValueError(f"boundary index {i} out of range 0..{grid.n_cells}")
+    return i
 
 
 def _canonical_bounds(ranges: Iterable, n_cells: int) -> list[int] | np.ndarray:
@@ -328,9 +334,7 @@ def _trusted(grid: TimeGrid, bounds) -> ElementarySet:
 
 def left_of(grid: TimeGrid, boundary: int) -> ElementarySet:
     """Cells strictly before grid boundary index `boundary`."""
-    if not 0 <= boundary <= grid.n_cells:
-        raise ValueError(f"boundary index {boundary} out of range")
-    return ElementarySet(grid, ((0, boundary),))
+    return ElementarySet(grid, ((0, _boundary(grid, boundary)),))
 
 
 def right_of(grid: TimeGrid, boundary: int) -> ElementarySet:

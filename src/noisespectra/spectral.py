@@ -38,7 +38,7 @@ from .functionals import (
     RademacherTable,
     joined_grid,
 )
-from .grid import ElementarySet, TimeGrid, _integer, _integers, require_same_grid
+from .grid import ElementarySet, TimeGrid, _boundary, _integer, _integers, require_same_grid
 from .transform import decompose, walsh_coefficients
 from .walsh import (DENSE_CELL_CAP, _checked_rows, cells_of_rows, inside, meeting, row_sizes,
                     run_axes)
@@ -434,14 +434,12 @@ def mass_of_subsets_of(mu: SpectralMeasure, region: ElementarySet) -> float:
 def straddle_mass(mu: SpectralMeasure, boundary: int) -> float:
     """mu{C : C has cells on both sides of the boundary}, plus the unlocated residual;
     `boundary` is an integer in 0..n_cells."""
-    b = _integer(boundary, "boundary index")
-    if not 0 <= b <= mu.grid.n_cells:
-        raise ValueError(f"boundary index {b} out of range 0..{mu.grid.n_cells}")
-    return float(mu.model.straddle_masses(np.array([b]))[0]) + mu.residual
+    return float(mu.model.straddle_masses(np.array([_boundary(mu.grid, boundary)]))[0]) + mu.residual
 
 
 def mass_meeting_interval(mu: SpectralMeasure, lo, hi) -> float:
     """mu{C : C touches the open time interval (lo, hi)}, multiplicity included."""
+    mu._require_resolved("take interval masses of")
     touched = mu.grid.cells_meeting_open_interval(lo, hi)
     t = mu._atoms
     return float(t.mass[meeting(t.rows, (touched.start, touched.stop))].sum())
@@ -468,8 +466,8 @@ def product(left: SpectralMeasure, right: SpectralMeasure) -> SpectralMeasure:
     cells packed once on the joined grid, every pair of rows ORed and of masses
     multiplied in one broadcast, then put in table order by `_AtomTable.sorted`.
     """
-    if left.residual or right.residual:
-        raise BackendError("product is defined for residual-free measures")
+    left._require_resolved("multiply")
+    right._require_resolved("multiply")
     if left.multiplicity_entries or right.multiplicity_entries:
         raise BackendError("product is defined for multiplicity-free measures")
     grid = joined_grid(left.grid, right.grid)  # refuses windows that do not join
@@ -491,8 +489,9 @@ def is_absolutely_continuous(mu_g: SpectralMeasure, mu_f: SpectralMeasure) -> bo
 
 def n_point_marginal(mu: SpectralMeasure, n: int) -> SpectralMeasure:
     """The part of the measure on sets of exactly n cells (multiplicity-free)."""
-    if n < 0:
+    if _integer(n, "marginal order") < 0:
         raise ValueError("marginal order must be nonnegative")
+    mu._require_resolved("take marginals of")
     if not mu.is_dense:
         raise BackendError(
             f"model-backed measures expose cardinality totals only; "
@@ -524,9 +523,9 @@ def sample_sets(source, k: int, seed: int) -> list[SpectralSet]:
     over the (cardinality, cells)-sorted atoms; model-backed measures draw
     through the family's exact sampler.
     """
-    mu = source if isinstance(source, SpectralMeasure) else spectral_measure_of(source)
-    if k < 0:
+    if _integer(k, "sample count") < 0:
         raise ValueError("sample count must be nonnegative")
+    mu = source if isinstance(source, SpectralMeasure) else spectral_measure_of(source)
     mu._require_resolved("sample")
     # backend draws are canonical cell tuples (see SpectralModel.sample)
     return [SpectralSet._trusted(mu.grid, cells) for cells in mu.model.sample(k, seed)]

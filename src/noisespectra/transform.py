@@ -29,7 +29,7 @@ from .functionals import (
     evaluate_table,
     hermite_decompose,
 )
-from .grid import ElementarySet, TimeGrid, require_same_grid
+from .grid import ElementarySet, TimeGrid, _integer, require_same_grid
 from .walsh import character_coefficients, inside, row_sizes, run_axes, values_from_coefficients
 
 
@@ -148,7 +148,7 @@ def level_projection(f: NoiseFunctional, order: int) -> NoiseFunctional:
     Hermite indices putting total degree >= 2 on some cell belong to no pure
     order here; their mass is the separately reported multiplicity mass.
     """
-    if order < 0:
+    if _integer(order, "chaos order") < 0:
         raise ValueError("chaos order must be nonnegative")
     b = f.backend
     if isinstance(b, (RademacherTable, FamilyRef)):

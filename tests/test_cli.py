@@ -245,6 +245,16 @@ def test_factor_check_additive_functional_has_no_straddling_mass(tmp_path):
             assert read_json(str(out))["straddling_mass"] == 0.0
 
 
+def test_factor_check_at_the_window_ends_is_an_exact_product(tmp_path, chi01):
+    # a cut at either end of the window leaves one side empty: no matrix, nothing straddles
+    out = tmp_path / "verdict.json"
+    for cut in ("0", "1"):
+        assert run("factor-check", "--in", chi01, "--cut", cut, "--out", str(out)) == 0
+        verdict = read_json(str(out))
+        assert verdict["exact_product"] is True and verdict["second_singular_value"] == 0.0
+        assert verdict["cut"] == cut and "straddling_mass" not in verdict
+
+
 def test_cuts_csv_bytes_for_majority_family_file(tmp_path):
     # captured before TimeGrid.cell_length was cached; the boundary times must not move
     src = dump_functional(tmp_path / "maj.json", make_functional("majority3-iterated", 7))

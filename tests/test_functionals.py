@@ -117,6 +117,12 @@ def test_walsh_expansions_past_the_cap_have_no_value_table():
         evaluate_table(f)
 
 
+def test_tree_family_norm_is_one_with_no_table():
+    f = NoiseFunctional.from_family("majority3-iterated", 2)
+    assert norm_sq(f) == 1.0
+    assert inner_product(f, f) == 1.0
+
+
 def test_inner_product_rejects_mixed_hermite_walsh():
     from noisespectra.chaos import ChaosCoefficients, HERMITE
 

@@ -135,6 +135,26 @@ def test_program_roundtrip():
     assert_allclose(inner_product(g, g), inner_product(f, f), rtol=1e-12)
 
 
+def test_two_channel_chaos_and_program_files_roundtrip(tmp_path):
+    from noisespectra.chaos import HERMITE, ChaosCoefficients
+
+    grid = TimeGrid(0, 1, 2)
+    chaos = NoiseFunctional.from_chaos(ChaosCoefficients(
+        grid, {(): 0.5, ((0, 1, 1),): -1.25, ((1, 0, 2), (3, 1, 1)): 2.0}, HERMITE, channels=2))
+    program = NoiseFunctional.from_program(grid, [
+        ItoTerm(0.5, SimplexKernel.constant(2, 4, channels=(0, 1))),
+        MapTerm(1.5, (MapFactor(0, 0, "poly", (0.0, 1.0, 0.5)), MapFactor(2, 1, "sin", (2.0,)))),
+    ], degree_cap=3, channels=2)
+    for stem, f in (("chaos", chaos), ("program", program)):
+        path = str(tmp_path / f"{stem}.json")
+        write_json(path, functional_to_data(f))
+        data = read_json(path)
+        assert data["channels"] == 2
+        g = functional_from_data(data)
+        assert g.backend.channels == 2 and functional_to_data(g) == functional_to_data(f)
+    assert g.backend.terms[0].kernel.channels == (0, 1)
+
+
 def test_family_roundtrip_and_grid_guard():
     f = NoiseFunctional.from_family("majority3-iterated", 2)
     g = roundtrip_functional(f)

@@ -224,6 +224,14 @@ def test_sampler_rejects_residual():
         sample_sets(mu, 10, seed=0)
 
 
+def test_sampler_refuses_a_measure_with_no_mass():
+    zero_table = NoiseFunctional.from_table(GRID, np.zeros(1 << N))
+    for mu in (SpectralMeasure(GRID, {}), SpectralMeasure(GRID, {(0,): 0.0}),
+               spectral_measure_of(zero_table)):  # an atom table and a Walsh mass vector
+        with pytest.raises(ValueError, match="^measure has no mass to sample$"):
+            sample_sets(mu, 3, seed=0)
+
+
 def test_zero_mass_entries_dropped():
     mu = SpectralMeasure(GRID, {(0,): 0.0, (1,): 2.0})
     assert set(mu.entries) == {(1,)}
